@@ -17,8 +17,11 @@ later change that legitimately tightens a certified number still passes:
 
 A failure is either unexpected or a known defect.  The one known defect is
 that ``bands`` reports sampled band endpoints that can lie inside the exact
-band; it is counted as a failed invocation and named, but it does not make the
-run incorrect (see ``run.py``).
+band.  It is recorded as found when the benchmark was written
+(``KNOWN_INWARD``): an inward endpoint at a recorded band index, no further
+inward than recorded, is counted as a failed invocation and named, but does not
+make the run incorrect (see ``run.py``).  Any other inward endpoint, at a new
+index or further inward, is an unexpected failure.
 """
 
 from __future__ import annotations
@@ -38,6 +41,24 @@ GATE_TOL = 1e-6
 ROUNDING_RTOL = 1e-10
 
 KNOWN_DEFECT = "bands-inward-endpoints"
+
+# The known defect as found: per bands input (xi, kmax), the band indices whose
+# reported bottom or top lay inside the exact band by more than ENDPOINT_TOL,
+# and by how much (scaled energy units).
+KNOWN_INWARD = {
+    (0.05, 200): {
+        "bottom": {66: 8.155859e-3, 97: 1.146484e-3, 104: 7.010937e-3, 107: 7.1125e-3,
+                   109: 9.655556e-3, 146: 5.17334e-3, 155: 3.684451e-3, 165: 1.108584e-2,
+                   187: 1.355859e-3, 189: 8.036111e-3, 192: 5.655859e-3, 193: 2.763889e-3},
+        "top": {65: 2.029297e-3, 71: 3.053516e-3, 105: 3.003516e-3, 125: 4.65625e-3,
+                150: 8.076172e-3, 152: 8.90625e-3, 167: 7.539063e-3, 169: 6.511111e-3,
+                185: 2.244e-3},
+    },
+    (0.5, 30): {"bottom": {}, "top": {23: 1.5625e-2}},
+}
+# Recorded errors carry 7 significant digits; a known endpoint may exceed its
+# record by this relative margin (rounding) before it counts as worse.
+KNOWN_SLACK = 1e-6
 
 
 @dataclass
@@ -276,15 +297,26 @@ class Checker:
         if outward.size:
             out.failures.append(
                 f"endpoints outside the exact band at k={(outward + 1).tolist()}")
-        bad_lo = np.flatnonzero(inward_lo > ENDPOINT_TOL)
-        bad_hi = np.flatnonzero(inward_hi > ENDPOINT_TOL)
-        if bad_lo.size or bad_hi.size:
-            worst = int(np.argmax(np.maximum(eta - exact_lo, exact_hi - theta)))
+        known = KNOWN_INWARD.get((xi, k_max), {"bottom": {}, "top": {}})
+        found, new = {}, []
+        for side, inward, error in (("bottom", inward_lo, eta - exact_lo),
+                                    ("top", inward_hi, exact_hi - theta)):
+            for i in np.flatnonzero(inward > ENDPOINT_TOL):
+                k, recorded = int(i) + 1, known[side].get(int(i) + 1)
+                if recorded is not None and error[i] <= recorded * (1.0 + KNOWN_SLACK):
+                    found.setdefault(side, []).append(k)
+                else:
+                    new.append(f"{side} k={k} by {error[i]:.7g}")
+        if new:
+            out.failures.append(
+                "endpoints inside the exact band beyond the recorded known defect: "
+                + ", ".join(new))
+        if found:
+            worst = int(np.argmax(np.maximum(eta - exact_lo, exact_hi - theta))) + 1
             out.known.append(
-                f"{KNOWN_DEFECT}: {shlex.join(inv.argv)}: {bad_lo.size} bottoms "
-                f"inside the exact band at k={(bad_lo + 1).tolist()}, {bad_hi.size} "
-                f"tops at k={(bad_hi + 1).tolist()}; worst k={worst + 1} inward by "
-                f"{out.endpoint_error:.3g} (tolerance {ENDPOINT_TOL:g} relative)")
+                f"{KNOWN_DEFECT}: {shlex.join(inv.argv)}: bottoms inside the exact band at "
+                f"k={found.get('bottom', [])}, tops at k={found.get('top', [])}; worst k={worst} "
+                f"inward by {out.endpoint_error:.3g} (tolerance {ENDPOINT_TOL:g} relative)")
 
     def _gaps(self, inv, stdout, ref_stdout, out):
         items, ref = report_items(stdout), report_items(ref_stdout)

@@ -20,7 +20,7 @@ With ``--trace 0`` the metrics are end to end, measured with tracing off:
 
     wall_s        median wall time of one pass over the invocation list
     cpu_s         median process CPU time of the same passes (all threads;
-                  BLAS runs one thread, see below)
+                  BLAS keeps its default thread count, recorded in the facts)
     setup_s       median over fresh interpreters of importing stripgaps.cli and
                   filling the first-call caches the workload uses
     peak_rss_mb   peak resident memory of this process
@@ -34,6 +34,12 @@ around each module's public functions, see ``tracer.py``); the metrics are the
 per-layer medians over traced passes and ``trace.overhead_s``, traced minus
 untraced ``wall_s``.
 
+Nothing starts after a run deadline of ``RUN_LIMIT_S``; an invocation the
+deadline cuts short is not counted.  If fewer than ``MIN_PASSES`` passes (per
+half, when traced) complete, the run is an error: no result is printed and the
+exit status is 1.  A single invocation that runs past ``INVOCATION_LIMIT_S``
+counts as failed (a hang).
+
 ``attempted`` and ``failed`` count invocations over all passes.  ``correct`` is
 false when any check fails for a reason other than the one known defect named
 in ``checks.py``; that defect still counts in ``failed`` and ``pass_frac`` and
@@ -44,34 +50,28 @@ stderr.  The exit status is 0 when a result was printed.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import json
 import os
+import platform
+import resource
+import signal
+import subprocess
+import sys
+import traceback
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+from statistics import median
+from time import perf_counter, process_time
 
-# One BLAS thread, set before numpy loads.  On the 2-core VM the benchmark was
-# written on, the default of 2 threads gave the same median wall time on
-# thm23 (1.53 s vs 1.52 s), twice the CPU time and twice the run-to-run spread.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
 
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import signal  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import traceback  # noqa: E402
-from collections import Counter  # noqa: E402
-from dataclasses import dataclass, field  # noqa: E402
-from pathlib import Path  # noqa: E402
-from time import perf_counter, process_time  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from checks import Checker  # noqa: E402
-from tracer import Tracer, layer_metrics  # noqa: E402
-from workloads import SETUP_CODE, WORKLOADS, invocations, resonant_share  # noqa: E402
+from checks import Checker
+from tracer import Tracer, layer_metrics
+from workloads import SETUP_CODE, WORKLOADS, invocations, resonant_share
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
@@ -81,7 +81,7 @@ OUT = ROOT / ".bench_out"
 SETUP_SAMPLES = 7
 # Passes timed at least, whatever --seconds says.
 MIN_PASSES = 3
-# No invocation may run longer; nothing starts after the run deadline.
+# An invocation running longer is a hang; nothing starts after the run deadline.
 INVOCATION_LIMIT_S = 60.0
 RUN_LIMIT_S = 150.0
 
@@ -91,6 +91,10 @@ SPEC_PATH = ROOT / "BENCHMARK.json"
 
 class _Timeout(Exception):
     pass
+
+
+class TooFewPasses(Exception):
+    """The run deadline came before MIN_PASSES passes completed."""
 
 
 def _on_alarm(signum, frame):
@@ -122,13 +126,13 @@ class Runner:
         self.stdout_bytes: dict[int, int] = {}
 
     def one(self, inv) -> tuple[float, float] | None:
-        """Run and check one invocation; return (wall, cpu), None if not run."""
+        """Run and check one invocation; return (wall, cpu).
+
+        Return None, counting nothing, if the run deadline comes first.
+        """
         ledger = self.ledger
-        ledger.attempted += 1
         limit = min(INVOCATION_LIMIT_S, self.deadline - perf_counter())
         if limit <= 0:
-            ledger.failed += 1
-            ledger.unexpected[f"{inv.key}: not run before the run deadline"] += 1
             return None
         if self.tracer is not None:
             self.tracer.invocation = self.invocation
@@ -141,12 +145,15 @@ class Runner:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = self.cli_main(list(inv.argv))
         except _Timeout:
+            if limit < INVOCATION_LIMIT_S:   # cut by the run deadline, not a hang
+                return None
             error = f"timed out after {limit:.0f} s"
         except Exception as exc:  # the run goes on; the failure is counted
             error = "raised " + "".join(traceback.format_exception_only(exc)).strip()
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             wall, cpu = perf_counter() - t0, process_time() - c0
+        ledger.attempted += 1
         stdout = out.getvalue()
         self.stdout_bytes[self.invocation - 1] = len(stdout.encode())
         if error is None:
@@ -192,6 +199,9 @@ class Runner:
                 on_pass(before, walls)
             if len(passes) >= MIN_PASSES and perf_counter() - start >= seconds:
                 break
+        if len(passes) < MIN_PASSES:
+            raise TooFewPasses(f"{len(passes)} of {MIN_PASSES} passes completed "
+                               f"within the {RUN_LIMIT_S:.0f} s run limit")
         return passes
 
 
@@ -256,10 +266,6 @@ def run_facts(seed: int, invs) -> dict:
     }
 
 
-def median(values):
-    return statistics.median(values) if values else 0.0
-
-
 def run(workload: str, seed: int, seconds: float, trace: bool, invs=None) -> dict:
     """Run one workload; return the result record (see the module docstring)."""
     from stripgaps import cli
@@ -309,8 +315,6 @@ def run(workload: str, seed: int, seconds: float, trace: bool, invs=None) -> dic
             traced = runner.timed(seconds / 2.0, on_pass=collect)
         finally:
             tracer.uninstall()
-        if not per_pass:   # the deadline cut every traced pass short
-            per_pass = [dict(layer_metrics([], 0, 0, {}), **{"cli.stdout_bytes": 0})]
         metrics = {name: median([p[name] for p in per_pass]) for name in per_pass[0]}
         metrics["oscillation.critical_constants.s"] = cold
         metrics["oscillation.resonant_share"] = facts["resonant_share"]
@@ -384,7 +388,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {ROOT} holds no stripgaps sources or no BENCHMARK.json\n")
         return 2
     sys.path.insert(0, str(ROOT / "src"))
-    record = run(args.workload, args.seed, args.seconds, bool(args.trace))
+    try:
+        record = run(args.workload, args.seed, args.seconds, bool(args.trace))
+    except TooFewPasses as exc:
+        sys.stderr.write(f"error: {args.workload}: {exc}; no result\n")
+        return 1
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     with open(OUT / f"record-{stem}.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

@@ -79,6 +79,31 @@ def test_gapchain_counts_the_known_endpoint_defect_without_failing_the_run():
     assert message.startswith(checks.KNOWN_DEFECT) and "k=[23]" in message
 
 
+def test_inward_endpoint_beyond_the_record_makes_the_run_incorrect(monkeypatch):
+    bands = workloads._inv("bands", "--xi", 0.05, "--kmax", 200)
+    corrupted = _move_endpoint(REFERENCE[bands.key]["stdout"], 10, "eta_scaled", 1e-3)
+
+    def cli_main(argv):
+        print(corrupted, end="")
+        return 0
+
+    monkeypatch.setattr(cli, "main", cli_main)
+    record = run.run("gapchain", seed=0, seconds=0, trace=False, invs=[bands])
+    assert not record["correct"]
+    assert record["failed"] == record["attempted"] == 1 + run.MIN_PASSES
+
+
+def test_invocations_the_run_deadline_cuts_are_not_counted():
+    inv = workloads._inv("phi", "--xi", 0.3, "--ell", 2.5, "--p", 2, "--tol", "1e-2")
+    ledger = run.Ledger()
+    runner = run.Runner(cli.main, [inv], checks.Checker(REFERENCE), ledger,
+                        deadline=run.perf_counter() - 1.0)
+    assert runner.one(inv) is None
+    with pytest.raises(run.TooFewPasses):
+        runner.timed(0.0)
+    assert ledger.attempted == ledger.failed == 0
+
+
 def test_every_seed_draws_from_the_recorded_pool(tmp_path):
     pool = {inv.key for inv in workloads.pool(tmp_path)}
     assert pool <= set(REFERENCE)
@@ -130,23 +155,59 @@ def test_flipped_exit_status_is_flagged():
     assert outcome.failures and "exit status 2" in outcome.failures[0]
 
 
+def _move_endpoint(stdout: str, k: int, column: str, delta: float) -> str:
+    """stdout of bands with band k's scaled bottom or top shifted by delta."""
+    lines = stdout.splitlines()
+    header = next(l for l in lines if l.startswith("k,")).split(",")
+    i = next(i for i, l in enumerate(lines) if l.split(",")[0] == str(k))
+    fields = lines[i].split(",")
+    j = header.index(column)
+    fields[j] = f"{float(fields[j]) + delta:.12g}"
+    lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 def test_band_endpoint_moved_inward_is_flagged():
     inv, checker, stdout = _own_reference("bands", "--xi", 0.25, "--kmax", 40)
     assert not checker.check(inv, 0, stdout).failed
-    lines = stdout.splitlines()
-    k, eta, theta, eta_s, theta_s = lines[7 + 4].split(",")   # band k = 5
-    lines[7 + 4] = ",".join([k, eta, theta, f"{float(eta_s) + 1e-6:.12g}", theta_s])
-    outcome = checker.check(inv, 0, "\n".join(lines) + "\n")
-    assert outcome.known and "k=[5]" in outcome.known[0]
+    outcome = checker.check(inv, 0, _move_endpoint(stdout, 5, "eta_scaled", 1e-6))
+    assert not outcome.known
+    assert outcome.failures and "bottom k=5" in outcome.failures[0]
     assert outcome.endpoint_error == pytest.approx(1e-6, rel=1e-3)
+
+
+def _known_defect_case():
+    key = "bands --xi 0.05 --kmax 200"
+    inv = workloads.Invocation(key=key, argv=tuple(key.split()))
+    return inv, checks.Checker(REFERENCE), REFERENCE[key]["stdout"]
+
+
+def test_recorded_inward_endpoints_are_the_known_defect_only():
+    inv, checker, stdout = _known_defect_case()
+    outcome = checker.check(inv, 0, stdout)
+    assert not outcome.failures
+    (message,) = outcome.known
+    known = checks.KNOWN_INWARD[(0.05, 200)]
+    assert f"k={sorted(known['bottom'])}" in message and f"k={sorted(known['top'])}" in message
+    assert outcome.endpoint_error == pytest.approx(max(known["bottom"].values()), rel=1e-6)
+
+
+@pytest.mark.parametrize("k,column,delta", [
+    (10, "eta_scaled", 1e-3),      # a bottom outside the recorded set
+    (10, "theta_scaled", -1e-3),   # a top outside the recorded set
+    (66, "theta_scaled", -1e-3),   # recorded index, but the other endpoint
+    (165, "eta_scaled", 1e-4),     # recorded bottom, further inward than recorded
+])
+def test_inward_endpoint_beyond_the_record_is_an_unexpected_failure(k, column, delta):
+    inv, checker, stdout = _known_defect_case()
+    outcome = checker.check(inv, 0, _move_endpoint(stdout, k, column, delta))
+    side = "bottom" if column == "eta_scaled" else "top"
+    assert outcome.failures and f"{side} k={k} " in outcome.failures[0]
 
 
 def test_band_endpoint_moved_outward_is_an_unexpected_failure():
     inv, checker, stdout = _own_reference("bands", "--xi", 0.25, "--kmax", 40)
-    lines = stdout.splitlines()
-    k, eta, theta, eta_s, theta_s = lines[7].split(",")
-    lines[7] = ",".join([k, eta, theta, f"{float(eta_s) - 1e-3:.12g}", theta_s])
-    assert checker.check(inv, 0, "\n".join(lines) + "\n").failures
+    assert checker.check(inv, 0, _move_endpoint(stdout, 1, "eta_scaled", -1e-3)).failures
 
 
 def test_fourier_residual_inequality_uses_the_paired_phi():

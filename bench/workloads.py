@@ -28,8 +28,9 @@ nearly flat, and each pass also has one fixed low energy.
   (exit 0) and declined (exit 2) cases and windows left undecided.  The input
   ``bands --xi 0.05 --kmax 200`` is fixed: its endpoints show the known
   inward-endpoint defect (see ``checks.py``).
-* ``galerkin``: the plane-wave solver on seeded trigonometric potentials; half
-  of its eigensolves are the V = 0 reference bands, half the convergence gate.
+* ``galerkin``: the plane-wave solver on four of eight seeded trigonometric
+  potentials per pass; half of its eigensolves are the V = 0 reference bands,
+  half the convergence gate.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _galerkin_inv(workdir: Path, index: int, flags=_GALERKIN_FLAGS) -> Invocatio
 
 def galerkin(rng: random.Random, workdir: Path) -> list[Invocation]:
     write_potentials(workdir)
-    return [_galerkin_inv(workdir, i) for i in rng.sample(range(8), 2)]
+    return [_galerkin_inv(workdir, i) for i in rng.sample(range(8), 4)]
 
 
 # ---------------------------------------------------------------------------
