@@ -31,11 +31,11 @@ import numpy as np
 from . import __version__
 from .fourier import a0_closed, ap_closed, residual_bound
 from .galerkin import (
-    PotentialSpec,
     band_functions,
     default_truncation,
     omega_bounds,
     read_potential_file,
+    unperturbed_band_functions,
     verify_enclosure,
 )
 from .gaps import (
@@ -49,7 +49,7 @@ from .gaps import (
 )
 from .geometry import StripGeometry, resolve_geometry
 from .oscillation import critical_constants, phi_p, phi_sup, uniform_lower_bound_check
-from .spectrum import band_table, counting
+from .spectrum import band_table, check_band_count, counting
 
 __all__ = ["RunConfig", "SweepSpec", "build_parser", "main"]
 
@@ -82,7 +82,6 @@ _FLAG_ORDER = (
     "representation",
     "kmax",
     "grid",
-    "refine",
     "ell_min",
     "ell_max",
     "omega_minus",
@@ -232,7 +231,6 @@ def build_parser() -> _Parser:
     p = add("bands", "unperturbed band endpoints")
     add_geometry(p)
     p.add_argument("--kmax", type=int, default=None, help="bands to report (default 8)")
-    p.add_argument("--grid", type=int, default=None, help="tau grid size (default 101)")
 
     p = add("fourier", "Fourier coefficient a_p of the counting function")
     add_geometry(p)
@@ -280,7 +278,6 @@ def build_parser() -> _Parser:
         default=None,
         help="also build band enclosures up to this scaled energy",
     )
-    p.add_argument("--grid", type=int, default=None, help="tau grid for bands (default 513)")
     p.add_argument(
         "--low-points",
         dest="low_points",
@@ -414,11 +411,10 @@ def _cmd_count(config: RunConfig, params: dict) -> tuple[int, list[str]]:
 def _cmd_bands(config: RunConfig, params: dict) -> tuple[int, list[str]]:
     geom = _geometry(params)
     k_max = params.get("kmax", 8)
-    grid = params.get("grid", 101)
     scale = geom.T ** 2 / math.pi ** 2
     rows = [
         [b.k, b.lo, b.hi, b.lo * scale, b.hi * scale]
-        for b in band_table(geom, k_max, tau_grid_size=grid)
+        for b in band_table(geom, k_max)
     ]
     return 0, _emit(
         config, ["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows
@@ -577,12 +573,11 @@ def _cmd_gaps(config: RunConfig, params: dict) -> tuple[int, list[str]]:
     undecided_lines: list[str] = []
     if "ell_max" in params:
         ell_max = params["ell_max"]
+        check_band_count(geom.xi, ell_max)
         from .spectrum import counting_extremes
 
         k_cover = counting_extremes(geom, ell_max)[0] + 1
-        bands0 = band_table(
-            geom, k_cover, tau_grid_size=params.get("grid", 513), refine=False
-        )
+        bands0 = band_table(geom, k_cover)
         rep = gap_report(geom, bounds, gp, bands0, ell_max, low_spectrum_points=0)
         items.append(("bands", len(rep.bands)))
         items.append(("candidate_windows", len(rep.candidate_gaps)))
@@ -627,7 +622,7 @@ def _cmd_galerkin(config: RunConfig, params: dict) -> tuple[int, list[str]]:
     else:
         truncation = default_truncation(geom, k_max)
     tau_grid = [-0.5 + (i + 1) / grid_n for i in range(grid_n)]
-    bands0 = band_functions(geom, PotentialSpec(), tau_grid, k_max, truncation)
+    bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
     bands = band_functions(geom, potential, tau_grid, k_max, truncation)
     enclosure = omega_bounds(geom, potential)
     check = verify_enclosure(bands, bands0, enclosure, tol=tol)

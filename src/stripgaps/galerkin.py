@@ -50,6 +50,7 @@ __all__ = [
     "hermitian_eigenvalues",
     "BandTable",
     "band_functions",
+    "unperturbed_band_functions",
     "OmegaEnclosure",
     "omega_bounds",
     "EnclosureCheck",
@@ -362,6 +363,27 @@ def band_functions(
         truncation=truncation,
         max_drift=max_drift,
     )
+
+
+def unperturbed_band_functions(
+    geom: StripGeometry, tau_grid: Sequence[float], k_max: int
+) -> BandTable:
+    """Exact V = 0 bands: the k_max smallest mode energies per grid tau.
+
+    The modes are spectrum.band_curves (every curve bands 1..k_max can
+    follow, enumerated on [0, 1/2], so each tau is taken as |tau|) with
+    assemble's diagonal expression; no truncation enters and max_drift is 0.
+    """
+    from .spectrum import band_curves
+
+    n, m, _cap = band_curves(geom.xi, k_max)
+    grid = tuple(float(t) for t in tau_grid)
+    energies = np.array([
+        np.sort(np.partition(
+            (math.pi / geom.T) ** 2 * (abs(tau) + n) ** 2 + (math.pi * m / geom.d) ** 2,
+            k_max - 1)[:k_max])
+        for tau in grid]).reshape(len(grid), k_max)
+    return BandTable(grid, energies, (int(np.abs(n).max()), int(m.max())), 0.0)
 
 
 @dataclass(frozen=True)

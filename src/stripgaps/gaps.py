@@ -28,8 +28,8 @@ provable, existence never is):
 
 * Band pairs.  Between bands k and k+1 any perturbed gap is confined to the
   open window (theta0_k + omega_minus, eta0_{k+1} + omega_plus); the window is
-  empty, and the gap certified absent, exactly when
-  theta0_k - eta0_{k+1} >= omega_L.
+  empty exactly when theta0_k - eta0_{k+1} >= omega_L, and the gap is
+  certified absent when that holds with the rounding slack OVERLAP_RTOL.
 
 gap_report consolidates the three into one artifact.
 """
@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 from .geometry import StripGeometry, validate_ell
 from .oscillation import critical_constants
-from .spectrum import SpectralBand, counting
+from .spectrum import BOUNDARY_RTOL, SpectralBand, counting
 
 __all__ = [
     "PerturbBounds",
@@ -59,6 +59,10 @@ __all__ = [
     "GapReport",
     "gap_report",
 ]
+
+# Slack of overlap >= omega_L, relative to its largest magnitude (at least
+# pi^2/T^2): covers each endpoint's tie tolerance BOUNDARY_RTOL and rounding.
+OVERLAP_RTOL = 4.0 * BOUNDARY_RTOL
 
 
 @dataclass(frozen=True)
@@ -387,8 +391,9 @@ class GapCandidate:
 
     Any perturbed gap between bands k and k+1 lies inside the open interval
     (lo, hi) = (theta0_k + omega_minus, eta0_{k+1} + omega_plus).  The window
-    is empty (lo >= hi) exactly when theta0_k - eta0_{k+1} >= omega_L, and
-    then the gap is certified absent.
+    is empty (lo >= hi) exactly when theta0_k - eta0_{k+1} >= omega_L; the
+    gap is certified absent when that holds with the slack OVERLAP_RTOL, so
+    an overlap equal to omega_L only within rounding stays undecided.
     """
 
     k: int
@@ -402,10 +407,12 @@ class GapCandidate:
 class GapReport:
     """Consolidated certification artifact.
 
-    bands holds the outer enclosures [eta0_k + omega_minus, theta0_k +
-    omega_plus] of the perturbed bands; candidate_gaps the pairwise windows
-    with their certification status; low_spectrum the counting verdicts on a
-    grid below the scaled energy 1 (empty when its preconditions fail,
+    bands holds the enclosures [eta0_k + omega_minus, theta0_k + omega_plus]
+    of the perturbed bands, outer up to rounding with bands0 from band_table
+    (endpoints exact within BOUNDARY_RTOL * max(pi^2/T^2, |endpoint|), not
+    inward-biased); candidate_gaps holds the pairwise windows with their
+    certification status; low_spectrum the counting verdicts on a grid below
+    the scaled energy 1 (empty when its preconditions fail,
     low_spectrum_applicable records which).
     """
 
@@ -444,7 +451,8 @@ def gap_report(
     ks = [b.k for b in bands0]
     if ks != list(range(1, len(bands0) + 1)):
         raise ValueError(f"bands0 must be indexed consecutively from 1, got {ks}")
-    ceiling = math.pi ** 2 / geom.T ** 2 * ell_max
+    scale = math.pi ** 2 / geom.T ** 2
+    ceiling = scale * ell_max
     if bands0[-1].hi < ceiling:
         raise ValueError(
             f"bands0 top {bands0[-1].hi} does not cover the ceiling {ceiling}; "
@@ -460,13 +468,15 @@ def gap_report(
         if above.lo > ceiling:
             break
         overlap = below.hi - above.lo
+        slack = OVERLAP_RTOL * max(scale, abs(below.hi), abs(above.lo),
+                                   abs(bounds.omega_minus), abs(bounds.omega_plus))
         candidates.append(
             GapCandidate(
                 k=below.k,
                 lo=below.hi + bounds.omega_minus,
                 hi=above.lo + bounds.omega_plus,
                 unperturbed_overlap=overlap,
-                certified_absent=overlap >= bounds.omega_L,
+                certified_absent=overlap >= bounds.omega_L + slack,
             )
         )
     low_applicable = verdict.xi_subcritical and verdict.low_energy_ok

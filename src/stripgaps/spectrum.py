@@ -41,7 +41,13 @@ from .geometry import StripGeometry, validate_ell, validate_tau
 BOUNDARY_RTOL = 1e-12
 _EDGE_TOL = 1e-12
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Cost ceilings of the band computations, checked before allocating (like
+# galerkin.MAX_BASIS_DIM): level curves that can carry a requested band, and
+# pairs of an increasing and a decreasing curve (crossing candidates).
+MAX_BAND_CURVES = 200_000
+MAX_BAND_CROSSINGS = 20_000_000
+# Elements per vectorized block of the crossing search (bounded memory).
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -231,112 +237,121 @@ def scaled_levels_below(xi: float, tau: float, ceiling: float) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def kth_scaled_level(xi: float, k: int, tau: float,
-                     max_ceiling: float = 1e12) -> float:
-    """k-th smallest dimensionless level at quasimomentum tau.
+def kth_scaled_level(xi: float, k: int, tau: float) -> float:
+    """k-th smallest dimensionless level at quasimomentum tau, that is E_k(tau).
 
-    Enumerates levels below an adaptive ceiling, doubling it until at least k
-    levels are found (the density of levels is ~ pi/(2 xi) per unit ell).
+    Levels are even and 1-periodic in tau; they are evaluated at the distance
+    of tau to the nearest integer, over the curves of band_curves.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ceiling = max(1.0, xi * xi + 1.0, 2.6 * xi * k / math.pi)
-    while ceiling <= max_ceiling:
-        vals = scaled_levels_below(xi, tau, ceiling)
-        if vals.size >= k:
-            return float(np.partition(vals, k - 1)[k - 1])
-        ceiling *= 2.0
-    raise ValueError(
-        f"k={k} exceeds the number of modes below the search ceiling {max_ceiling}")
+    n, m, _cap = band_curves(xi, k)
+    t = abs(tau - round(tau))
+    return float(np.partition((n + t) ** 2 + xi * xi * m * m, k - 1)[k - 1])
 
 
-def _refine_extremum(f, grid: np.ndarray, j: int, minimize: bool,
-                     iters: int = 40) -> float:
-    """Golden-section refinement of an extremum bracketed around grid[j].
+def _check_band_cost(curves: float, crossings: float = 0.0) -> None:
+    """Fail closed (ValueError) before a band computation above the ceilings."""
+    for what, value, ceiling in (("level curves", curves, MAX_BAND_CURVES),
+                                 ("curve crossings", crossings, MAX_BAND_CROSSINGS)):
+        if not value <= ceiling:
+            raise ValueError(
+                f"band computation exceeds the ceiling of {ceiling} {what} ({value:.3g} "
+                "estimated); ask for fewer bands or a lower energy")
 
-    Never returns a worse value than the grid scan: the incumbent starts at
-    the grid point and only improves.  The refinement is local; the grid must
-    be fine enough to place j in the right basin.
+
+def check_band_count(xi: float, ell: float) -> None:
+    """Fail closed (ValueError) when too many bands lie below scaled energy ell.
+
+    At any tau at most (2 sqrt(ell) + 1) sqrt(ell) / xi levels lie below ell.
     """
-    sign = 1.0 if minimize else -1.0
-    a = grid[max(j - 1, 0)]
-    b = grid[min(j + 1, len(grid) - 1)]
-    best_v = sign * f(grid[j])
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = sign * f(c)
-    fd = sign * f(d)
-    for _ in range(iters):
-        best_v = min(best_v, fc, fd)
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = sign * f(d)
-    best_v = min(best_v, fc, fd)
-    return sign * best_v
+    validate_ell(ell)
+    _check_band_cost((2.0 * math.sqrt(ell) + 1.0) * math.sqrt(ell) / xi + 1.0)
 
 
-def band_endpoints_unperturbed(geom: StripGeometry, k: int,
-                               tau_grid_size: int = 101) -> tuple[float, float]:
-    """Endpoints (eta_k, theta_k) of the k-th unperturbed band (energy units).
-
-    Scans E_k over a uniform tau grid on [-1/2, 1/2], then refines the min and
-    the max by golden section inside the bracketing grid cell (40 iterations).
-    """
-    if tau_grid_size < 3:
-        raise ValueError(f"tau_grid_size must be >= 3, got {tau_grid_size}")
-    xi = geom.xi
-    grid = np.linspace(-0.5, 0.5, tau_grid_size)
-    vals = np.array([kth_scaled_level(xi, k, t) for t in grid])
-    f = lambda t: kth_scaled_level(xi, k, t)
-    lo = _refine_extremum(f, grid, int(np.argmin(vals)), minimize=True)
-    hi = _refine_extremum(f, grid, int(np.argmax(vals)), minimize=False)
-    scale = math.pi * math.pi / (geom.T * geom.T)
-    return scale * lo, scale * hi
+def _heights(xi: float, c, x: np.ndarray) -> np.ndarray:
+    """Elementwise, the number of m >= 1 with x^2 + xi^2 m^2 <= c (as floats)."""
+    return np.floor(np.sqrt(np.maximum(c - x * x, 0.0)) / xi)
 
 
-def band_table(geom: StripGeometry, k_max: int,
-               tau_grid_size: int = 101, refine: bool = True) -> list[SpectralBand]:
-    """Bands 1..k_max as SpectralBand records (energy units).
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges starts[i] + 0..counts[i]-1, with the owner i of each entry."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, starts[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
-    One grid pass computes the k_max smallest levels at every grid tau; each
-    band's extrema are then refined like band_endpoints_unperturbed.  With
-    refine=False the endpoints are the raw grid extrema: much faster for
-    large k_max, with an O(grid step squared) inward bias (minima high, maxima
-    low), so band overlaps are understated; conclusions drawn from overlap
-    comparisons stay conservative.
+
+def band_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Level curves (n, m) that bands 1..k_max can follow, and a cap above those bands.
+
+    On [0, 1/2] the curve (tau+n)^2 + xi^2 m^2 increases for n >= 0 and
+    decreases for n <= -1.  In column j = 2n (n >= 0) or j = -2n - 1 (n < 0)
+    its minimum is (j/2)^2 + xi^2 m^2 and its maximum ((j+1)/2)^2 + xi^2 m^2.
+    cap, the k_max-th smallest maximum rounded up, bounds E_k for k <= k_max
+    at every tau, so the curves returned are those with minimum <= cap.  The
+    search ceiling is inflated by 1e-9 and cap by 1e-12 (relative), so float
+    rounding can only add curves, never drop one.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if tau_grid_size < 3:
-        raise ValueError(f"tau_grid_size must be >= 3, got {tau_grid_size}")
+    _check_band_cost(k_max)
+    xi2 = xi * xi
+    # Energy above xi^2 holding k_max curve maxima: about 2 xi k / pi for
+    # small xi, (k/2)^2 when only m = 1 fits.
+    excess = max(0.25, min(2.0 * xi * k_max / math.pi, 0.25 * k_max * k_max))
+    while True:
+        j = np.arange(int(2.0 * math.sqrt(excess)) + 3)
+        if _heights(xi, xi2 + excess, 0.5 * j[1:]).sum() >= k_max:
+            break
+        excess *= 1.25
+    lengths = _heights(xi, (xi2 + excess) * (1.0 + 1e-9), 0.5 * j)
+    _check_band_cost(lengths.sum())
+    col, m = _ragged(np.ones(j.size, dtype=np.int64), lengths.astype(np.int64))
+    maxima = (0.5 * (col + 1)) ** 2 + xi2 * m * m
+    cap = float(np.partition(maxima, k_max - 1)[k_max - 1]) * (1.0 + 1e-12)
+    keep = (0.5 * col) ** 2 + xi2 * m * m <= cap
+    col, m = col[keep], m[keep]
+    return np.where(col % 2 == 0, col // 2, -(col + 1) // 2), m, cap
+
+
+def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:
+    """Bands 1..k_max as SpectralBand records (energy units), endpoints exact.
+
+    On [0, 1/2] each level curve is monotone, so the extrema of E_k lie at
+    tau = 0, 1/2, or where an increasing curve (n_u, m_u) crosses a decreasing
+    one (n_d, m_d), at tau = (xi^2 (m_d^2 - m_u^2)/(n_u - n_d) - n_u - n_d)/2.
+    At a crossing (t, lambda) with lambda <= cap, E_k(t) = lambda for the
+    ranks k between the counts of levels below and at most lambda (ties within
+    BOUNDARY_RTOL * max(1, lambda)); lambda is folded into both endpoints of
+    those bands.  Each endpoint is an attained value of E_k, exact up to a
+    few ulps and that tie tolerance (scaled units) in either direction, with
+    no inward bias.  Fails closed (ValueError) above MAX_BAND_CURVES or
+    MAX_BAND_CROSSINGS, before allocating.
+    """
     xi = geom.xi
-    grid = np.linspace(-0.5, 0.5, tau_grid_size)
-    table = np.empty((tau_grid_size, k_max))
-    ceiling = max(1.0, xi * xi + 1.0, 2.6 * xi * k_max / math.pi)
-    for i, tau in enumerate(grid):
-        c = ceiling
-        vals = scaled_levels_below(xi, tau, c)
-        while vals.size < k_max:
-            c *= 2.0
-            vals = scaled_levels_below(xi, tau, c)
-        part = np.partition(vals, k_max - 1)[:k_max]
-        part.sort()
-        table[i] = part
+    xi2 = xi * xi
+    n, m, cap = band_curves(xi, k_max)
+    m2 = (m * m).astype(float)
+    lo, hi = np.full(k_max, np.inf), np.full(k_max, -np.inf)
+    for tau in (0.0, 0.5):
+        kth = np.sort(np.partition((tau + n) ** 2 + xi2 * m2, k_max - 1)[:k_max])
+        lo, hi = np.minimum(lo, kth), np.maximum(hi, kth)
+    up, down = n >= 0, n < 0
+    _check_band_cost(n.size, float(np.count_nonzero(up)) * np.count_nonzero(down))
+    n_d, m2_d = n[down], m2[down]
+    n_cols = np.arange(-math.ceil(math.sqrt(cap)) - 1, math.ceil(math.sqrt(cap)) + 2)
+    rows = max(1, _BLOCK // (max(1, n_d.size) * n_cols.size))
+    for n_u, m2_u in ((c, m2[n == c][:, None]) for c in np.unique(n[up])):
+        for r in range(0, m2_u.shape[0], rows):
+            t = (xi2 * (m2_d - m2_u[r:r + rows]) / (n_u - n_d) - n_u - n_d) / 2.0
+            lam = (t + n_u) ** 2 + xi2 * m2_u[r:r + rows]
+            ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
+            t, lam = t[ok], lam[ok]
+            # levels below and at most lam, counted column by column
+            tie = (BOUNDARY_RTOL * np.maximum(1.0, lam))[:, None]
+            x = t[:, None] + n_cols
+            below = _heights(xi, lam[:, None] - tie, x).sum(axis=1).astype(np.int64)
+            upto = _heights(xi, lam[:, None] + tie, x).sum(axis=1).astype(np.int64)
+            owner, k = _ragged(below + 1, upto - below)
+            np.minimum.at(lo, k[k <= k_max] - 1, lam[owner[k <= k_max]])
+            np.maximum.at(hi, k[k <= k_max] - 1, lam[owner[k <= k_max]])
     scale = math.pi * math.pi / (geom.T * geom.T)
-    bands = []
-    for k in range(1, k_max + 1):
-        col = table[:, k - 1]
-        if refine:
-            f = lambda t, _k=k: kth_scaled_level(xi, _k, t)
-            lo = _refine_extremum(f, grid, int(np.argmin(col)), minimize=True)
-            hi = _refine_extremum(f, grid, int(np.argmax(col)), minimize=False)
-        else:
-            lo = float(col.min())
-            hi = float(col.max())
-        bands.append(SpectralBand(k=k, lo=scale * lo, hi=scale * hi))
-    return bands
+    return [SpectralBand(k=k, lo=scale * float(a), hi=scale * float(b))
+            for k, (a, b) in enumerate(zip(lo, hi), start=1)]

@@ -2,12 +2,18 @@
 
 import io
 import contextlib
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stripgaps
 from stripgaps import PotentialSpec, resolve_geometry, write_potential_file
 from stripgaps.cli import main
+from stripgaps.spectrum import MAX_BAND_CURVES
 
 
 def run(argv):
@@ -113,7 +119,7 @@ def test_check_thm23_small_grid_passes():
 
 
 def test_bands_command_reports_the_first_band_bottom():
-    code, out = run(["bands", "--T", "1.0", "--d", "1.0", "--kmax", "3", "--grid", "51"])
+    code, out = run(["bands", "--T", "1.0", "--d", "1.0", "--kmax", "3"])
     assert code == 0
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "k,eta,theta,eta_scaled,theta_scaled"
@@ -121,6 +127,33 @@ def test_bands_command_reports_the_first_band_bottom():
     first = lines[1].split(",")
     assert first[0] == "1"
     assert first[1] == "9.86960440109"  # pi^2 to 12 significant digits
+    # band endpoints are exact: no tau grid to choose
+    assert run(["bands", "--xi", "0.5", "--grid", "51"])[0] == 1
+    assert run(["gaps", "--xi", "0.03", "--ell-max", "2", "--grid", "51"])[0] == 1
+
+
+# Requests too costly to serve: each must exit 1 with a message before any
+# large allocation, never hang or end in a traceback.
+_COSTLY = [
+    (["bands", "--xi", "0.5", "--kmax", "100000000"],
+     f"error: band computation exceeds the ceiling of {MAX_BAND_CURVES} level curves "
+     "(1e+08 estimated)"),
+    (["gaps", "--xi", "0.03", "--omega-plus", "0.02", "--ell-max", "1e9"],
+     f"error: band computation exceeds the ceiling of {MAX_BAND_CURVES} level curves "
+     "(6.67e+10 estimated)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _COSTLY)
+def test_costly_requests_fail_closed(argv, message):
+    src = str(Path(stripgaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "stripgaps.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message), proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_fourier_command_handles_the_mean_and_harmonics():

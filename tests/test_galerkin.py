@@ -20,6 +20,7 @@ from stripgaps import (
     verify_enclosure,
     write_potential_file,
 )
+from stripgaps.galerkin import unperturbed_band_functions
 
 GEOM = resolve_geometry(T=1.0, d=1.0)
 COSINE_X1 = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1)))  # 0.2 cos(pi x1 / T)
@@ -185,6 +186,18 @@ def test_band_functions_reproduce_the_unperturbed_spectrum():
     assert np.all(table.band(1) <= table.band(2))
     with pytest.raises(ValueError):
         table.band(4)
+
+
+def test_unperturbed_band_functions_match_the_gated_eigensolve_exactly():
+    taus = [-0.5, -0.3, -0.1, 0.0, 0.2, 0.4, 0.5]
+    geom = resolve_geometry(T=1.0, d=20.0)
+    for k_max in (1, 6, 12):
+        exact = unperturbed_band_functions(geom, taus, k_max)
+        gated = band_functions(geom, PotentialSpec(), taus, k_max,
+                               default_truncation(geom, k_max))
+        assert exact.tau_grid == gated.tau_grid
+        assert exact.max_drift == 0.0
+        assert np.array_equal(exact.energies, gated.energies)
 
 
 def test_band_functions_validate_their_inputs():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stripgaps import (
     GapParams,
     PerturbBounds,
+    SpectralBand,
     band_table,
     conditions_check,
     critical_constants,
@@ -21,6 +22,7 @@ from stripgaps import (
     overlap_lower_bound,
     resolve_geometry,
 )
+from stripgaps.gaps import OVERLAP_RTOL
 
 NO_PERTURBATION = PerturbBounds()
 
@@ -263,21 +265,18 @@ def test_low_spectrum_is_always_positive_in_regime(xi, frac, wfrac):
 # ---------------------------------------------------------------------------
 
 def test_gap_report_unperturbed_certifies_every_overlapping_pair():
-    # with zero oscillation every pair with computed overlap >= 0 certifies;
-    # pairs whose bands merely touch can carry the refiner's tiny inward bias
-    # and honestly stay undecided (conservative, never unsound)
+    # with zero oscillation every pair with positive overlap certifies; pairs
+    # whose bands merely touch meet exactly (overlap 0.0), which equals
+    # omega_L = 0 only within rounding, so they stay undecided
     geom = resolve_geometry(T=1.0, d=1.0)
     bands = band_table(geom, 12)
     report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), bands,
                         ell_max=8.0, low_spectrum_points=0)
     assert report.candidate_gaps
     for g in report.candidate_gaps:
-        if g.unperturbed_overlap >= 0.0:
-            assert g.certified_absent
-        else:
-            assert g.unperturbed_overlap > -1e-8  # touching pair, bias only
-    assert sum(g.certified_absent for g in report.candidate_gaps) >= len(
-        report.candidate_gaps) - 1
+        assert g.certified_absent == (g.unperturbed_overlap > 0.0)
+        assert g.certified_absent or g.unperturbed_overlap == 0.0
+    assert any(g.certified_absent for g in report.candidate_gaps)
     assert report.undecided == tuple(
         g for g in report.candidate_gaps if not g.certified_absent)
     assert report.bands == tuple(bands)  # zero perturbation leaves enclosures alone
@@ -306,7 +305,8 @@ def test_gap_report_certifies_exactly_the_wide_overlaps():
         above = bands[g.k]
         assert g.unperturbed_overlap == pytest.approx(
             below.hi - above.lo, rel=1e-14)
-        assert g.certified_absent == (g.unperturbed_overlap >= 2.0)
+        slack = OVERLAP_RTOL * max(math.pi ** 2, below.hi, above.lo, 2.0)
+        assert g.certified_absent == (g.unperturbed_overlap >= 2.0 + slack)
         assert g.lo == pytest.approx(below.hi + 0.0, rel=1e-14)
         assert g.hi == pytest.approx(above.lo + 2.0, rel=1e-14)
     assert report.undecided == tuple(
@@ -315,7 +315,7 @@ def test_gap_report_certifies_exactly_the_wide_overlaps():
 
 def test_gap_report_runs_the_low_energy_grid_in_regime():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    bands = band_table(geom, 40, refine=False)
+    bands = band_table(geom, 40)
     report = gap_report(geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1),
                         bands, ell_max=2.0, low_spectrum_points=16)
     assert report.low_spectrum_applicable
@@ -324,6 +324,22 @@ def test_gap_report_runs_the_low_energy_grid_in_regime():
     assert report.ell_star == pytest.approx(0.37763465727591716, rel=1e-12)
     lo = 0.25 + 0.01
     assert all(lo < c.ell < 1.0 for c in report.low_spectrum)
+
+
+@pytest.mark.parametrize("omega_L, certified", [
+    (0.5, False),                # overlap == omega_L
+    (0.5 * (1 - 1e-15), False),  # overlap above omega_L only within rounding
+    (0.5 * (1 + 1e-15), False),  # overlap below omega_L
+    (0.5 * (1 - 1e-9), True),    # clear of the slack
+])
+def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega_L, certified):
+    geom = resolve_geometry(T=1.0, d=1.0)
+    bands = [SpectralBand(k=1, lo=1.0, hi=2.0), SpectralBand(k=2, lo=1.5, hi=3.0)]
+    report = gap_report(geom, PerturbBounds(0.0, omega_L), GapParams(c0=0.7), bands,
+                        ell_max=0.2, low_spectrum_points=0)
+    (g,) = report.candidate_gaps
+    assert g.unperturbed_overlap == 0.5
+    assert g.certified_absent is certified
 
 
 def test_gap_report_validates_the_band_input():
@@ -340,7 +356,7 @@ def test_gap_report_validates_the_band_input():
 
 def test_gap_report_is_deterministic():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    bands = band_table(geom, 30, refine=False)
+    bands = band_table(geom, 30)
     args = (geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1), bands)
     a = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
     b = gap_report(*args, ell_max=1.5, low_spectrum_points=8)

@@ -1,5 +1,6 @@
 """Counting function, level lattice, and unperturbed band endpoints."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from stripgaps import (
     Mode,
     StripGeometry,
-    band_endpoints_unperturbed,
     band_table,
     counting,
     counting_extremes,
@@ -18,6 +18,8 @@ from stripgaps import (
 )
 from stripgaps.spectrum import (
     BOUNDARY_RTOL,
+    MAX_BAND_CROSSINGS,
+    MAX_BAND_CURVES,
     kth_scaled_level,
     row_radii,
     scaled_levels_below,
@@ -237,56 +239,124 @@ def test_kth_scaled_level_rejects_nonpositive_k():
 # unperturbed band endpoints
 # ---------------------------------------------------------------------------
 
+def band_endpoints(geom, k):
+    """(eta_k, theta_k) in energy units, from the band table."""
+    band = band_table(geom, k)[k - 1]
+    return band.lo, band.hi
+
+
+@functools.lru_cache(maxsize=None)
+def brute_band_endpoints(xi, k_max, scan=2001):
+    """Scaled band endpoints from a fine tau scan plus every kink candidate.
+
+    E_k is even and 1-periodic, so [0, 1/2] suffices.  Between kinks (points
+    where two level curves cross) E_k follows one monotone curve, so its
+    extrema on [0, 1/2] sit at the ends, at kinks, or nowhere else; the scan
+    adds interior samples as a cross-check.  Kinks are found by solving every
+    pair of curves below a generous ceiling, not only increasing/decreasing
+    pairs.
+    """
+    def kth(tau, ceiling):
+        return np.sort(scaled_levels_below(xi, tau, ceiling))[:k_max]
+
+    ceiling = 2.0 * max(kth(tau, 4.0 + 4.0 * xi * k_max)[-1] for tau in (0.0, 0.25, 0.5)) + 1.0
+    curves = [(n, m) for m in range(1, int(math.sqrt(ceiling) / xi) + 1)
+              for n in range(-int(math.sqrt(ceiling)) - 2, int(math.sqrt(ceiling)) + 2)
+              if min((t + n) ** 2 for t in (0.0, 0.5)) + (xi * m) ** 2 <= ceiling]
+    taus = set(np.linspace(0.0, 0.5, scan).tolist())
+    for i, (n1, m1) in enumerate(curves):
+        for n2, m2 in curves[i + 1:]:
+            if n1 != n2:
+                tau = (xi * xi * (m2 * m2 - m1 * m1) + n2 * n2 - n1 * n1) / (2.0 * (n1 - n2))
+                if 0.0 <= tau <= 0.5:
+                    taus.add(tau)
+    table = np.array([kth(tau, ceiling) for tau in sorted(taus)])
+    return table.min(axis=0), table.max(axis=0)
+
+
 def test_first_band_unit_cell():
     geom = StripGeometry(T=1.0, d=1.0)
-    lo, hi = band_endpoints_unperturbed(geom, 1)
+    lo, hi = band_endpoints(geom, 1)
     assert lo == pytest.approx(PI2, rel=1e-12)
     assert hi == pytest.approx(1.25 * PI2, rel=1e-12)
 
 
 def test_second_band_unit_cell_bottom():
     geom = StripGeometry(T=1.0, d=1.0)
-    lo, _hi = band_endpoints_unperturbed(geom, 2)
+    lo, _hi = band_endpoints(geom, 2)
     assert lo == pytest.approx(1.25 * PI2, rel=1e-12)
 
 
 @pytest.mark.parametrize("T, d", [(1.0, 1.0), (0.3, 2.0), (2.0, 0.7)])
 def test_spectrum_bottom_is_first_transverse_threshold(T, d):
     geom = StripGeometry(T=T, d=d)
-    lo, _hi = band_endpoints_unperturbed(geom, 1)
+    lo, _hi = band_endpoints(geom, 1)
     assert lo == pytest.approx(PI2 / d ** 2, rel=1e-12)
 
 
-def test_band_endpoints_rejects_tiny_grid():
+def test_band_table_rejects_nonpositive_band_count():
     geom = StripGeometry(T=1.0, d=1.0)
-    with pytest.raises(ValueError):
-        band_endpoints_unperturbed(geom, 1, tau_grid_size=2)
+    with pytest.raises(ValueError, match="k_max"):
+        band_table(geom, 0)
+
+
+def test_band_table_fails_closed_above_its_cost_ceilings():
+    with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CURVES} level curves"):
+        band_table(resolve_geometry(xi=0.5), 100_000_000)
+    with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CROSSINGS} curve crossings"):
+        band_table(resolve_geometry(xi=0.5), 30_000)
 
 
 def test_band_table_matches_single_band_calls():
+    # the table for k bands is the prefix of any larger table
     geom = resolve_geometry(xi=0.4)
     bands = band_table(geom, 6)
     for band in bands:
-        lo, hi = band_endpoints_unperturbed(geom, band.k)
-        assert band.lo == pytest.approx(lo, rel=1e-10)
-        assert band.hi == pytest.approx(hi, rel=1e-10)
+        assert band_table(geom, band.k)[-1] == band
 
 
 def test_band_table_monotone_in_band_index():
     geom = resolve_geometry(xi=0.17)
     bands = band_table(geom, 12)
     for below, above in zip(bands, bands[1:]):
-        assert below.lo <= above.lo + 1e-12
-        assert below.hi <= above.hi + 1e-12
+        assert below.lo <= above.lo
+        assert below.hi <= above.hi
 
 
-def test_band_table_fast_path_is_inward_biased():
-    geom = resolve_geometry(xi=0.23)
-    refined = band_table(geom, 8, tau_grid_size=101, refine=True)
-    coarse = band_table(geom, 8, tau_grid_size=101, refine=False)
-    for r, c in zip(refined, coarse):
-        assert c.lo >= r.lo - 1e-12
-        assert c.hi <= r.hi + 1e-12
+@pytest.mark.parametrize("xi, k_max", [(0.5, 30), (0.23, 8), (0.13, 40), (1.0, 12),
+                                       (2.0, 10), (0.05, 200)])
+def test_band_table_matches_the_brute_force_oracle(xi, k_max):
+    geom = resolve_geometry(T=1.0, xi=xi)
+    bands = band_table(geom, k_max)
+    lo = np.array([b.lo for b in bands]) / PI2
+    hi = np.array([b.hi for b in bands]) / PI2
+    exact_lo, exact_hi = brute_band_endpoints(xi, k_max)
+    assert np.all(np.abs(lo - exact_lo) <= 1e-12 * np.maximum(1.0, exact_lo))
+    assert np.all(np.abs(hi - exact_hi) <= 1e-12 * np.maximum(1.0, exact_hi))
+
+
+def test_band_table_endpoints_lie_outside_the_sampled_ones():
+    # sampled band functions only ever see values inside the band
+    geom = resolve_geometry(T=1.0, xi=0.23)
+    bands = band_table(geom, 8)
+    for tau in np.linspace(-0.5, 0.5, 101):
+        levels = np.sort(scaled_levels_below(0.23, tau, 10.0))[:8] * PI2
+        for band, level in zip(bands, levels):
+            assert band.lo <= level * (1 + 1e-15) and level <= band.hi * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("xi, k_max, k, side, old", [
+    # endpoints the former grid-plus-golden-section table placed inside the band
+    (0.05, 200, 165, "lo", 5.0625),
+    (0.5, 30, 23, "hi", 8.5),
+])
+def test_formerly_inward_endpoints_lie_outside_the_sampled_values(xi, k_max, k, side, old):
+    band = band_table(resolve_geometry(T=1.0, xi=xi), k_max)[k - 1]
+    value = getattr(band, side) / PI2
+    exact_lo, exact_hi = brute_band_endpoints(xi, k_max)
+    exact = (exact_lo if side == "lo" else exact_hi)[k - 1]
+    assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert (value < old - 1e-2) if side == "lo" else (value > old + 1e-2)
 
 
 @pytest.mark.parametrize("xi, k_top", [(1.0, 6), (0.5, 8)])
@@ -299,14 +369,15 @@ def test_band_endpoints_agree_with_counting_extremes(xi, k_top):
     at the scaled band top.  The robust form of the identity is therefore
     two-sided: >= k at the endpoint, < k just below it.
 
-    Band extrema at kinks (band crossings) are located by the golden-section
-    refinement to about 1e-10, so the transition is bracketed with a 1e-9
-    relative cushion on both sides rather than probed exactly at the point.
+    Band endpoints are exact up to rounding and the tie tolerance
+    BOUNDARY_RTOL, and counting includes levels within BOUNDARY_RTOL of its
+    energy, so the transition is bracketed with a cushion of a few
+    BOUNDARY_RTOL on both sides rather than probed exactly at the point.
     """
     geom = resolve_geometry(xi=xi)
-    cushion = 1e-9
+    cushion = 4.0 * BOUNDARY_RTOL
     for k in range(1, k_top + 1):
-        lo, hi = band_endpoints_unperturbed(geom, k)
+        lo, hi = band_endpoints(geom, k)
         ell_lo = geom.scaled_from_energy(lo)
         ell_hi = geom.scaled_from_energy(hi)
         assert counting_extremes(geom, ell_lo * (1 + cushion) + cushion)[0] >= k
@@ -319,7 +390,7 @@ def test_band_edge_counting_identities_nondegenerate():
     """With all band edges distinct the two-sided form collapses to equality."""
     geom = StripGeometry(T=1.0, d=1.0)
     for k, expect_lo, expect_hi in [(1, 1.0, 1.25), (2, 1.25, 2.0)]:
-        lo, hi = band_endpoints_unperturbed(geom, k)
+        lo, hi = band_endpoints(geom, k)
         assert geom.scaled_from_energy(lo) == pytest.approx(expect_lo, rel=1e-12)
         assert geom.scaled_from_energy(hi) == pytest.approx(expect_hi, rel=1e-12)
         assert counting_extremes(geom, geom.scaled_from_energy(lo))[0] == k
