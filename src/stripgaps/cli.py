@@ -77,7 +77,6 @@ _FLAG_ORDER = (
     "tau",
     "p",
     "tol",
-    "coarse_tol",
     "cutoff_c1",
     "representation",
     "kmax",
@@ -105,7 +104,6 @@ _FLAG_ORDER = (
 _FLAG_SPELLING = {
     "T": "--T",
     "d": "--d",
-    "coarse_tol": "--coarse-tol",
     "cutoff_c1": "--cutoff-c1",
     "ell_min": "--ell-min",
     "ell_max": "--ell-max",
@@ -660,12 +658,20 @@ def _cmd_galerkin(config: RunConfig, params: dict) -> tuple[int, list[str]]:
     return status, lines
 
 
+def _error_text(exc: Exception) -> str:
+    """Message for a refused invocation; float overflow means out-of-range inputs."""
+    if isinstance(exc, OverflowError):
+        detail = exc.args[-1] if exc.args else "overflow"
+        return f"inputs out of floating-point range ({detail})"
+    return str(exc)
+
+
 def _sweep_cell(argv: list[str]) -> tuple[int, list[str]]:
     """Run one inner invocation; never raises (failures become status 1)."""
     try:
         return _run_argv(argv)
-    except ValueError as exc:
-        return 1, [f"# error={exc}"]
+    except (ValueError, OverflowError) as exc:
+        return 1, [f"# error={_error_text(exc)}"]
 
 
 def _cmd_sweep(config: RunConfig, params: dict, workers: int) -> tuple[int, list[str]]:
@@ -739,8 +745,8 @@ def main(argv: list[str] | None = None) -> int:
         status, lines = _run_argv(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, OverflowError) as exc:
+        sys.stderr.write(f"error: {_error_text(exc)}\n")
         return 1
     sys.stdout.write("\n".join(lines) + "\n")
     return status

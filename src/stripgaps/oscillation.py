@@ -18,10 +18,18 @@ small-ratio regime has the explicit threshold constants computed here:
     xi_critical = (c1 / (2 zeta(3/2)))^(2/3) ~ 0.10121,
     c0(xi) = (c1 - 2 zeta(3/2) xi^(3/2)) / (pi xi)   (positive for xi < xi_critical).
 
-Everything is certified at the level tests need: the series truncation carries
-the tail bound 4 xi^(1/2) / (pi N^(1/2)); zeta(3/2) is a partial sum plus a
-midpoint integral tail (error << 1e-12); the Beta value B(1/4, 1/2) gating the
-p-cutoff is computed two independent ways and cross-checked.
+Everything is certified at the level tests need.  The series is cut at the
+least N that one of three tail bounds certifies (phi_p records which): the
+Kuzmin-Landau bound (2/(pi xi)) w_{N+1} cot(pi lam/2) when the phase
+derivative, which increases to L = ell^(1/2)/xi, keeps a distance lam from
+the integers beyond N; near an integer L, a closed form for the
+non-oscillating leading tail plus an O(N^(-3/2)) remainder and a drift term
+in |L - round(L)|; otherwise the oscillation-blind 4 xi^(1/2) / (pi N^(1/2)).
+The bound also covers the floating-point error of the sum, and evaluations
+whose rounding alone would exceed the tolerance are refused.  zeta(3/2) is a
+partial sum plus a midpoint integral tail (error << 1e-12); the Beta value
+B(1/4, 1/2) gating the p-cutoff is computed two independent ways and
+cross-checked.
 
 The module also houses two diagnostics kept deliberately out of the main
 certification path: the stationary-phase leading term (which the full series
@@ -44,6 +52,10 @@ import numpy as np
 from .geometry import StripGeometry
 
 _QUARTER_PI = 0.25 * math.pi
+_SIN_QUARTER_PI = math.sqrt(0.5)
+_UNIT_ROUNDOFF = 2.0 ** -53
+# ulps of L = ell^(1/2)/xi given up to cover its rounding in the tail routes
+_SLACK_ULPS = 8.0
 _CHUNK = 1 << 21
 # Default ceiling on truncation length: tol = 1e-4 at xi = 0.9 needs ~1.5e8.
 MAX_TERMS = 1 << 28
@@ -147,15 +159,25 @@ def critical_constants(minimax_grid: int = 10 ** 6) -> CriticalConstants:
 # the truncated series
 # ---------------------------------------------------------------------------
 
+TAIL_ROUTES = ("non-resonant", "resonant", "fallback")
+
+
 @dataclass(frozen=True)
 class PhiEvaluation:
-    """Certified truncation of phi_p: |true phi_p - value| <= tail_bound."""
+    """Certified truncation of phi_p: |true phi_p - value| <= tail_bound.
+
+    truncation_n is the cut N of the symmetric sum |k| <= N; route names the
+    tail estimate that certified it (one of TAIL_ROUTES, see phi_p).  The
+    tail bound covers the truncated tail plus the floating-point error of the
+    evaluated sum.
+    """
 
     p: int
     ell: float
     value: float
     tail_bound: float
     truncation_n: int
+    route: str
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -164,6 +186,8 @@ class PhiEvaluation:
             raise ValueError(f"truncation length must be >= 0, got {self.truncation_n}")
         if self.tail_bound < 0:
             raise ValueError(f"tail bound must be >= 0, got {self.tail_bound}")
+        if self.route not in TAIL_ROUTES:
+            raise ValueError(f"unknown tail route {self.route!r}")
 
 
 def truncation_length(xi: float, tol: float) -> int:
@@ -179,7 +203,7 @@ def truncation_length(xi: float, tol: float) -> int:
 
 
 def tail_bound(xi: float, truncation_n: int) -> float:
-    """Certified truncation error of the symmetric sum |k| <= N.
+    """Oscillation-blind truncation error of the symmetric sum |k| <= N.
 
     4 xi^(1/2) / (pi N^(1/2)) for N >= 1 (integral comparison); for the
     degenerate N = 0 cut (k = 0 term only) the crude comparison with
@@ -190,22 +214,171 @@ def tail_bound(xi: float, truncation_n: int) -> float:
     return 2.0 * math.sqrt(xi) * zeta_three_halves() / math.pi
 
 
-def _phi_sum_batch(xi: float, ells: list[float], p: int,
-                   truncation_n: int) -> list[float]:
+def _non_resonant_tail(xi: float, ell: float, p: int, n: int) -> float:
+    """Kuzmin-Landau bound on the tail beyond N (inf where it does not apply).
+
+    The tail is (2/(pi xi)) Im e(-1/8) sum_{k>N} w_k e(f(k)) with weights
+    w_k = s_k^(-3/2) decreasing and phase f(k) = ell^(1/2) s_k, whose
+    derivative f'(k) = L k / sqrt(k^2 + (p xi)^2) increases to L = ell^(1/2)/xi.
+    Once f'(N+1) > floor(L), every difference f(k+1) - f(k), k > N, lies in
+    (f'(N+1), L) and so keeps a distance lam = min(f'(N+1) - floor(L),
+    ceil(L) - L) from the integers.  Writing e(f(k)) = c_k (e(f(k+1)) - e(f(k)))
+    with c_k = -(1 + i cot(pi (f(k+1) - f(k))))/2 and summing by parts,
+
+        |sum_{k>N} w_k e(f(k))| <= w_{N+1} (1/sin(pi lam) + cot(pi lam))
+                                 = w_{N+1} cot(pi lam / 2):
+
+    |c_k| <= 1/(2 sin(pi lam)) bounds the boundary term and the weight
+    differences together by w_{N+1}/sin(pi lam), and sum |c_{k+1} - c_k|
+    telescopes over the monotone cotangent to at most cot(pi lam).  This is
+    the Kuzmin-Landau inequality (Graham and Kolesnik, Van der Corput's
+    Method of Exponential Sums, 1991, Thm 2.1) with weights, and with the
+    explicit constant cot(pi lam / 2) that this derivation gives.  Both
+    distances give up _SLACK_ULPS ulps of L for the rounding of L and f'(N+1).
+    """
+    big_l = math.sqrt(ell) / xi
+    floor_l = math.floor(big_l)
+    slack = _SLACK_ULPS * _UNIT_ROUNDOFF * big_l
+    k = n + 1
+    fprime = big_l / math.sqrt(1.0 + (p * xi / k) ** 2)
+    lam = min(fprime - floor_l, floor_l + 1.0 - big_l) - slack
+    if not lam > 0.0:
+        return math.inf
+    s = math.sqrt((k / xi) ** 2 + p * p)
+    return 2.0 / (math.pi * xi) / (s * math.sqrt(s)) / math.tan(0.5 * math.pi * lam)
+
+
+def _resonant_tail(xi: float, ell: float, p: int, n: int) -> float:
+    """Bound on the tail beyond N left after the closed-form leading tail.
+
+    With M = round(L), delta = L - M and G(k) = f(k) - L k, the phase of term
+    k is 2 pi (M k + delta k + G(k)) - pi/4, and 0 < G(k) <= ell^(1/2) p^2
+    xi / (2k).  Each sine differs from its leading value sin(-pi/4) by at
+    most min(2, 2 pi G(k)) + min(2, 2 pi |delta| k).  phi_p adds the leading
+    part -sin(pi/4) sum_{k>N} w_k in closed form (_weight_tail); this is the
+    bound on the rest, with w_k <= xi^(3/2) k^(-3/2):
+
+      * sum_{k>N} w_k 2 pi G(k) <= (2/3) pi ell^(1/2) p^2 xi^(5/2) N^(-3/2);
+      * with K = floor(1/(pi |delta|)) and m = max(N, K), the drift sum is at
+        most xi^(3/2) (4 pi |delta| (m^(1/2) - N^(1/2)) + 4 m^(-1/2)), which
+        is O(xi^(3/2) |delta|^(1/2)); |delta| is enlarged by _SLACK_ULPS ulps
+        of L, so the bound holds for the exact L of the float inputs;
+      * the closed form's own error, _weight_tail_error.
+
+    Requires N >= 2 p xi, where _weight_tail's series converges fast.
+    """
+    a = p * xi
+    if n < max(1.0, 2.0 * a):
+        return math.inf
+    big_l = math.sqrt(ell) / xi
+    delta = abs(big_l - round(big_l)) + _SLACK_ULPS * _UNIT_ROUNDOFF * big_l
+    phase = (2.0 / 3.0) * math.pi * math.sqrt(ell) * p * p * xi ** 2.5 * n ** -1.5
+    m = max(float(n), math.floor(1.0 / (math.pi * delta)))
+    drift = xi ** 1.5 * (4.0 * math.pi * delta * (math.sqrt(m) - math.sqrt(n))
+                         + 4.0 / math.sqrt(m))
+    return 2.0 / (math.pi * xi) * (phase + drift
+                                   + _SIN_QUARTER_PI * _weight_tail_error(xi, p, n))
+
+
+def _weight_tail(xi: float, p: int, n: int) -> float:
+    """sum_{k>N} w_k for w_k = (k^2/xi^2 + p^2)^(-3/4), N >= 2 p xi, in closed form.
+
+    Euler-Maclaurin at order one: sum_{k>N} h(k) = int_N^inf h - h(N)/2
+    - h'(N)/12 + R, with h(x) = xi^(3/2) (x^2 + a^2)^(-3/4), a = p xi.  The
+    integral is the binomial series xi^(3/2) sum_j binom(-3/4, j) a^(2j)
+    N^(-1/2-2j) / (2j + 1/2), alternating with decreasing terms for N > a; it
+    runs until a term is below an ulp of the first.  _weight_tail_error
+    bounds R, the series cut and the rounding.
+    """
+    a2 = (p * xi) ** 2
+    xi32 = xi ** 1.5
+    q = n * n + a2
+    first = 2.0 * xi32 / math.sqrt(n)
+    ratio = a2 / (n * n)
+    binom, power, integral, j = 1.0, first / 2.0, 0.0, 0
+    while True:
+        term = binom * power / (2.0 * j + 0.5)
+        if abs(term) <= _UNIT_ROUNDOFF * first:
+            break
+        integral += term
+        j += 1
+        binom *= (0.25 - j) / j
+        power *= ratio
+    return integral - 0.5 * xi32 * q ** -0.75 + 0.125 * xi32 * n * q ** -1.75
+
+
+def _weight_tail_error(xi: float, p: int, n: int) -> float:
+    """Error bound of _weight_tail: |R| <= (1/12) int_N^inf |h''| = |h'(N)|/12,
+    since h is convex for x > a; the series cut error is at most the first
+    omitted term, below an ulp of the first term 2 xi^(3/2) N^(-1/2); and
+    16 such ulps cover the rounding of the whole evaluation."""
+    xi32 = xi ** 1.5
+    dh = 1.5 * xi32 * n * (n * n + (p * xi) ** 2) ** -1.75
+    return dh / 12.0 + 16.0 * _UNIT_ROUNDOFF * 2.0 * xi32 / math.sqrt(n)
+
+
+def _rounding_bound(xi: float, ell: float, p: int, n: int) -> float:
+    """Floating-point error of the evaluated sum |k| <= N, from above.
+
+    Each sine argument 2 pi ell^(1/2) s_k - pi/4 carries an absolute error of
+    at most about 10 ulps of 2 pi ell^(1/2) s_k + 1, each weight a few ulps,
+    and a dot product of N terms at most N ulps of sum w_k, in any order.
+    With sum_{k<=N} w_k s_k <= p^(-1/2) + 2 (xi N)^(1/2) and
+    sum_{k<=N} w_k <= p^(-3/2) + 3 xi^(3/2) this gives
+    (2u/(pi xi)) (16 c (p^(-1/2) + 2 (xi N)^(1/2)) + (N + 32)(p^(-3/2) + 3 xi^(3/2))),
+    c = 2 pi ell^(1/2), u = 2^-53.
+    """
+    c = 2.0 * math.pi * math.sqrt(ell)
+    weighted_s = p ** -0.5 + 2.0 * math.sqrt(xi * n)
+    weights = p ** -1.5 + 3.0 * xi ** 1.5
+    return (2.0 * _UNIT_ROUNDOFF / (math.pi * xi)
+            * (16.0 * c * weighted_s + (n + 32.0) * weights))
+
+
+def _smallest(bound, hi: int, budget: float) -> int | None:
+    """Least N in [1, hi] with bound(N) <= budget, for bound non-increasing
+    in N; None when even bound(hi) exceeds the budget."""
+    lo = 1
+    if hi < 1 or not bound(hi) <= budget:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bound(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _choose_truncation(xi: float, ell: float, p: int, budget: float) -> tuple[int, str, float]:
+    """(N, route, tail bound) with the least N any route certifies for budget.
+
+    The fallback is the oscillation-blind bound; the non-resonant and
+    resonant routes are taken only where they certify a shorter cut.  Each
+    route bound is non-increasing in N, so bisection finds its least N.
+    """
+    n = truncation_length(xi, budget)
+    best = (n, "fallback", tail_bound(xi, n))
+    for route, bound in (("non-resonant", _non_resonant_tail), ("resonant", _resonant_tail)):
+        fn = lambda m, bound=bound: bound(xi, ell, p, m)
+        m = _smallest(fn, best[0] - 1, budget)
+        if m is not None:
+            best = (m, route, fn(m))
+    return best
+
+
+def _phi_sum(xi: float, ell: float, p: int, truncation_n: int) -> float:
     """(1/(pi xi)) sum_{|k| <= N} sin(2 pi ell^(1/2) s_k - pi/4) / s_k^(3/2),
-    s_k = sqrt(k^2/xi^2 + p^2), for several ell at once.
+    s_k = sqrt(k^2/xi^2 + p^2).
 
     Evaluated in fixed-size chunks (deterministic summation order, bounded
-    memory); the k-grid work (s_k and the weights) is shared across the batch,
-    and each ell sees exactly the arithmetic a batch of one would, so batching
-    never changes a result.
+    memory).
     """
-    cs = [2.0 * math.pi * math.sqrt(ell) for ell in ells]
+    c = 2.0 * math.pi * math.sqrt(ell)
     p2 = float(p * p)
     s0 = float(p)
-    w0 = 1.0 / (s0 * math.sqrt(s0))
-    totals = [math.sin(c * s0 - _QUARTER_PI) * w0 for c in cs]
-    accs = [0.0] * len(cs)
+    total = math.sin(c * s0 - _QUARTER_PI) / (s0 * math.sqrt(s0))
+    acc = 0.0
     inv_xi = 1.0 / xi
     for lo in range(1, truncation_n + 1, _CHUNK):
         hi = min(truncation_n, lo + _CHUNK - 1)
@@ -214,65 +387,74 @@ def _phi_sum_batch(xi: float, ells: list[float], p: int,
         q = k * k + p2
         s = np.sqrt(q)
         w = 1.0 / (s * np.sqrt(s))          # q^(-3/4)
-        for i, c in enumerate(cs):
-            np.multiply(s, c, out=q)        # q := sin argument, reused per ell
-            q -= _QUARTER_PI
-            np.sin(q, out=q)
-            accs[i] += float(np.dot(w, q))
-    scale = 1.0 / (math.pi * xi)
-    return [(t + 2.0 * a) * scale for t, a in zip(totals, accs)]
+        np.multiply(s, c, out=q)            # q := sin argument
+        q -= _QUARTER_PI
+        np.sin(q, out=q)
+        acc += float(np.dot(w, q))
+    return (total + 2.0 * acc) / (math.pi * xi)
 
 
 def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
           n_override: int | None = None, max_terms: int = MAX_TERMS) -> PhiEvaluation:
     """Certified evaluation of phi_p(ell) to tail tolerance tol.
 
-    The truncation length is the minimal N with 4 xi^(1/2)/(pi N^(1/2)) <= tol
-    unless n_override pins it (n_override = 0 keeps only the k = 0 term and
-    carries the crude zeta-comparison tail bound instead).
+    The truncation N is the least one certified by any of three tail routes
+    (the route is recorded in the result):
+
+      * "non-resonant": the Kuzmin-Landau bound (2/(pi xi)) w_{N+1}
+        cot(pi lam / 2), where lam is the distance of the phase derivative
+        from the integers beyond N (see _non_resonant_tail);
+      * "resonant": L = ell^(1/2)/xi within reach of an integer M; the
+        non-oscillating leading tail -sin(pi/4) sum_{k>N} w_k is added to the
+        value in closed form and only the O(N^(-3/2)) rest and the drift
+        |L - M| are bounded (see _resonant_tail);
+      * "fallback": the oscillation-blind 4 xi^(1/2)/(pi N^(1/2)).
+
+    tail_bound adds to the route's bound the floating-point error of the sum
+    (_rounding_bound); it is refused with ValueError when that alone would
+    use up tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.
+    n_override pins N and takes the fallback bound (n_override = 0 keeps
+    only the k = 0 term and carries the crude zeta-comparison bound).
     """
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")
     if p < 1:
         raise ValueError(f"harmonic index must be >= 1, got {p}")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     xi = geom.xi
     if n_override is not None:
         n = int(n_override)
         if n < 0:
             raise ValueError(f"n_override must be >= 0, got {n_override}")
+        route, bound = "fallback", tail_bound(xi, n)
+        if n > max_terms:
+            raise ValueError(
+                f"truncation length {n} is above the ceiling {max_terms}")
     else:
-        n = truncation_length(xi, tol)
-    if n > max_terms:
-        raise ValueError(
-            f"tolerance {tol} needs a truncation length of {n} terms, above the "
-            f"ceiling {max_terms}; raise max_terms or loosen tol")
-    value = _phi_sum_batch(xi, [ell], p, n)[0]
+        # The rounding term grows with N: size the budget by it at a cap, and
+        # double the cap until the chosen N fits under it.
+        cap, rounding = 0, 0.0
+        while True:
+            n, route, bound = _choose_truncation(xi, ell, p, tol - rounding)
+            if n > max_terms:
+                raise ValueError(
+                    f"tolerance {tol} needs a truncation length of {n} terms, above "
+                    f"the ceiling {max_terms}; raise max_terms or loosen tol")
+            if n <= cap:
+                break
+            cap = 2 * n
+            rounding = _rounding_bound(xi, ell, p, cap)
+            if rounding >= tol:
+                raise ValueError(
+                    f"tolerance {tol} is below the floating-point error of the sum "
+                    f"({rounding:.3g}) at ell = {ell!r}")
+    value = _phi_sum(xi, ell, p, n)
+    if route == "resonant":
+        value -= 2.0 * _SIN_QUARTER_PI / (math.pi * xi) * _weight_tail(xi, p, n)
     return PhiEvaluation(p=p, ell=ell, value=value,
-                         tail_bound=tail_bound(xi, n), truncation_n=n)
-
-
-def phi_p_batch(geom: StripGeometry, ells, p: int, tol: float = 1e-4,
-                max_terms: int = MAX_TERMS) -> list[PhiEvaluation]:
-    """phi_p at one tolerance for several energies, sharing the k-grid work.
-
-    Results are identical to calling phi_p per energy; only faster.
-    """
-    ells = [float(e) for e in ells]
-    for ell in ells:
-        if not ell > 0:
-            raise ValueError(f"need ell > 0, got {ell}")
-    if p < 1:
-        raise ValueError(f"harmonic index must be >= 1, got {p}")
-    xi = geom.xi
-    n = truncation_length(xi, tol)
-    if n > max_terms:
-        raise ValueError(
-            f"tolerance {tol} needs a truncation length of {n} terms, above the "
-            f"ceiling {max_terms}; raise max_terms or loosen tol")
-    tb = tail_bound(xi, n)
-    values = _phi_sum_batch(xi, ells, p, n)
-    return [PhiEvaluation(p=p, ell=ell, value=v, tail_bound=tb, truncation_n=n)
-            for ell, v in zip(ells, values)]
+                         tail_bound=bound + _rounding_bound(xi, ell, p, n),
+                         truncation_n=n, route=route)
 
 
 def cutoff_bound(xi: float, p: int, beta: float | None = None) -> float:

@@ -132,8 +132,9 @@ def test_bands_command_reports_the_first_band_bottom():
     assert run(["gaps", "--xi", "0.03", "--ell-max", "2", "--grid", "51"])[0] == 1
 
 
-# Requests too costly to serve: each must exit 1 with a message before any
-# large allocation, never hang or end in a traceback.
+# Requests too costly to serve, beyond float range or beyond float precision:
+# each must exit 1 with a message before any large allocation, never hang,
+# end in a traceback or print a meaningless number.
 _COSTLY = [
     (["bands", "--xi", "0.5", "--kmax", "100000000"],
      f"error: band computation exceeds the ceiling of {MAX_BAND_CURVES} level curves "
@@ -141,6 +142,12 @@ _COSTLY = [
     (["gaps", "--xi", "0.03", "--omega-plus", "0.02", "--ell-max", "1e9"],
      f"error: band computation exceeds the ceiling of {MAX_BAND_CURVES} level curves "
      "(6.67e+10 estimated)"),
+    (["bands", "--xi", "1e200", "--kmax", "5"],
+     "error: inputs out of floating-point range"),
+    (["gaps", "--xi", "1e-300", "--c0", "0.1", "--ell-max", "2"],
+     "error: inputs out of floating-point range"),
+    (["phi", "--xi", "0.05", "--ell", "1e300", "--p", "1"],
+     "error: tolerance 0.0001 is below the floating-point error of the sum"),
 ]
 
 

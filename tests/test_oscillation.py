@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stripgaps import (
+    PhiEvaluation,
     critical_constants,
     pde_residual,
     phi_p,
-    phi_p_batch,
     phi_sup,
     resolve_geometry,
     stationary_phase_leading,
@@ -77,6 +77,13 @@ def test_truncation_length_is_minimal():
             assert tail_bound(xi, n - 1) > tol
     with pytest.raises(ValueError):
         truncation_length(0.5, 0.0)
+    # phi_p's cut is the least any route certifies: one term fewer is refused
+    for xi, ell, p, tol in [(0.5, 1.3, 1, 1e-2), (0.05, 57.3512, 3, 1e-3),
+                            (0.05, 49.0, 2, 1e-3), (0.9, 7.7, 2, 5e-3)]:
+        geom = resolve_geometry(xi=xi)
+        n = phi_p(geom, ell, p, tol=tol).truncation_n
+        with pytest.raises(ValueError, match="ceiling"):
+            phi_p(geom, ell, p, tol=tol, max_terms=n - 1)
 
 
 def test_tail_bound_degenerate_cut_uses_zeta_comparison():
@@ -103,8 +110,16 @@ def test_phi_rejects_bad_inputs():
         phi_p(geom, 1.0, 0)
     with pytest.raises(ValueError):
         phi_p(geom, 1.0, 1, n_override=-1)
+    with pytest.raises(ValueError):
+        phi_p(geom, 1.0, 1, tol=0.0)
+    # a tolerance whose certified cut exceeds the cost ceiling is refused
     with pytest.raises(ValueError, match="ceiling"):
-        phi_p(geom, 1.0, 1, tol=1e-9)
+        phi_p(geom, 1.0, 1, tol=1e-9, max_terms=10 ** 6)
+    with pytest.raises(ValueError, match="ceiling"):
+        phi_p(geom, 1.0, 1, n_override=11, max_terms=10)
+    # far beyond float64 resolution of the phase: refused, not a wrong number
+    with pytest.raises(ValueError, match="floating-point error"):
+        phi_p(resolve_geometry(xi=0.05), 1e300, 1)
 
 
 @given(
@@ -121,23 +136,66 @@ def test_truncation_certificate_controls_refinement(xi, ell, p):
     assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound
 
 
-def test_batch_evaluation_is_bitwise_identical_to_single_calls():
-    geom = resolve_geometry(xi=0.3)
-    ells = [0.7, 1.0, 4.2, 25.0]
-    batch = phi_p_batch(geom, ells, 2, tol=1e-3)
-    for ell, ev in zip(ells, batch):
-        single = phi_p(geom, ell, 2, tol=1e-3)
-        assert ev.value == single.value
-        assert ev.tail_bound == single.tail_bound
-        assert ev.truncation_n == single.truncation_n
+def _near(xi, m, delta):
+    """An energy with ell^(1/2)/xi = m + delta."""
+    return ((m + delta) * xi) ** 2
 
 
-def test_batch_rejects_bad_inputs():
-    geom = resolve_geometry(xi=0.3)
-    with pytest.raises(ValueError):
-        phi_p_batch(geom, [1.0, 0.0], 1)
-    with pytest.raises(ValueError):
-        phi_p_batch(geom, [1.0], 0)
+# (xi, ell, p, route the default tolerance takes).  Exact resonance means
+# ell^(1/2)/xi an integer (square ell at xi = 0.02, 0.05); near resonance
+# puts it 1e-9 to 1e-3 off an integer; p reaches 3 ell^(1/2).
+_ROUTE_CASES = [
+    (0.05, 57.3512, 3, "non-resonant"),
+    (0.09, 4.0, 4, "non-resonant"),
+    (0.3, 100.0, 30, "non-resonant"),
+    (0.02, 53.2353, 21, "non-resonant"),
+    (0.02, 1.0, 3, "resonant"),
+    (0.02, 25.0, 15, "resonant"),
+    (0.05, 49.0, 1, "resonant"),
+    (0.05, 100.0, 30, "resonant"),
+    (0.05, _near(0.05, 140, 1e-9), 1, "resonant"),
+    (0.09, _near(0.09, 50, -1e-9), 2, "resonant"),
+    (0.02, _near(0.02, 300, 1e-3), 18, "non-resonant"),
+    (0.09, _near(0.09, 50, -1e-3), 3, "non-resonant"),
+    (0.02, _near(0.02, 300, 3e-8), 1, "fallback"),
+]
+_REFERENCE_N = 2_000_000
+
+
+@pytest.mark.parametrize("xi, ell, p, route", _ROUTE_CASES)
+def test_every_route_agrees_with_a_long_reference_sum(xi, ell, p, route):
+    # the reference is the plain sum to 2e6 terms with the oscillation-blind
+    # tail, independent of the routes under test
+    geom = resolve_geometry(xi=xi)
+    ev = phi_p(geom, ell, p, tol=1e-4)
+    assert ev.route == route
+    assert ev.tail_bound <= 1e-4
+    ref = phi_p(geom, ell, p, n_override=_REFERENCE_N)
+    assert ref.route == "fallback"
+    assert abs(ev.value - ref.value) <= ev.tail_bound + ref.tail_bound
+    if route != "fallback":
+        assert ev.truncation_n < truncation_length(xi, 1e-4)
+
+
+@pytest.mark.parametrize("xi, ell, p", [
+    (0.05, 57.3512, 3), (0.3, 100.0, 30), (0.02, 53.2353, 21),
+    (0.02, 25.0, 15), (0.05, 49.0, 1), (0.05, 100.0, 30),
+])
+def test_routes_agree_with_a_tighter_evaluation(xi, ell, p):
+    # a sharper check than the long sum allows: 1e-4 against 2e-6, away from
+    # near resonance (where 2e-6 would need more than the ceiling)
+    geom = resolve_geometry(xi=xi)
+    coarse = phi_p(geom, ell, p, tol=1e-4)
+    fine = phi_p(geom, ell, p, tol=2e-6)
+    assert fine.tail_bound <= 2e-6
+    assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound
+
+
+def test_routes_are_recorded_and_validated():
+    geom = resolve_geometry(xi=0.5)
+    assert phi_p(geom, 1.0, 1, n_override=5).route == "fallback"
+    with pytest.raises(ValueError, match="route"):
+        PhiEvaluation(p=1, ell=1.3, value=0.0, tail_bound=1.0, truncation_n=1, route="exact")
 
 
 # ---------------------------------------------------------------------------
