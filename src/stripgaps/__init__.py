@@ -8,134 +8,12 @@ trigonometric potentials handled by an exact finite-basis discretization.
 The package computes fiber spectra, lattice counting functions with their
 exact Fourier analysis, the oscillatory series phi_p with certified tails,
 and assembles conservative certificates for the absence of spectral gaps.
-"""
 
-from .fourier import (
-    FourierRecord,
-    a0_closed,
-    a0_increment_check,
-    ap_closed,
-    ap_exact_integral,
-    ap_residual_check,
-    counting_extremes_check,
-    fourier_record,
-    residual_bound,
-)
-from .galerkin import (
-    BandTable,
-    EnclosureCheck,
-    OmegaEnclosure,
-    PotentialSpec,
-    assemble,
-    band_functions,
-    default_truncation,
-    hermitian_eigenvalues,
-    omega_bounds,
-    read_potential_file,
-    verify_enclosure,
-    write_potential_file,
-)
-from .gaps import (
-    ConditionsVerdict,
-    GapCandidate,
-    GapParams,
-    GapReport,
-    LowSpectrumCheck,
-    PerturbBounds,
-    conditions_check,
-    ell1_threshold,
-    ell2_threshold,
-    ell_star,
-    gap_report,
-    gapless_margin,
-    low_energy_budget,
-    low_spectrum_no_gap,
-    overlap_lower_bound,
-)
-from .geometry import StripGeometry, resolve_geometry
-from .oscillation import (
-    CriticalConstants,
-    PhiEvaluation,
-    PhiSupResult,
-    critical_constants,
-    pde_residual,
-    phi_p,
-    phi_sup,
-    stationary_phase_leading,
-    tail_bound,
-    truncation_length,
-    uniform_lower_bound_check,
-)
-from .spectrum import (
-    Mode,
-    SpectralBand,
-    band_table,
-    counting,
-    counting_extremes,
-    jump_events,
-    kth_scaled_level,
-    mode_energy,
-)
+Names are imported from their defining modules (stripgaps.geometry,
+.spectrum, .fourier, .oscillation, .gaps, .galerkin); the command line is
+stripgaps.cli.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "StripGeometry",
-    "resolve_geometry",
-    "Mode",
-    "SpectralBand",
-    "mode_energy",
-    "counting",
-    "counting_extremes",
-    "jump_events",
-    "kth_scaled_level",
-    "band_table",
-    "FourierRecord",
-    "a0_closed",
-    "ap_closed",
-    "ap_exact_integral",
-    "fourier_record",
-    "residual_bound",
-    "a0_increment_check",
-    "counting_extremes_check",
-    "ap_residual_check",
-    "CriticalConstants",
-    "critical_constants",
-    "PhiEvaluation",
-    "phi_p",
-    "PhiSupResult",
-    "phi_sup",
-    "tail_bound",
-    "truncation_length",
-    "uniform_lower_bound_check",
-    "stationary_phase_leading",
-    "pde_residual",
-    "PerturbBounds",
-    "GapParams",
-    "ConditionsVerdict",
-    "conditions_check",
-    "ell_star",
-    "ell1_threshold",
-    "ell2_threshold",
-    "overlap_lower_bound",
-    "low_energy_budget",
-    "gapless_margin",
-    "LowSpectrumCheck",
-    "low_spectrum_no_gap",
-    "GapCandidate",
-    "GapReport",
-    "gap_report",
-    "PotentialSpec",
-    "read_potential_file",
-    "write_potential_file",
-    "default_truncation",
-    "assemble",
-    "hermitian_eigenvalues",
-    "BandTable",
-    "band_functions",
-    "OmegaEnclosure",
-    "omega_bounds",
-    "EnclosureCheck",
-    "verify_enclosure",
-]
+__all__ = ["__version__"]

@@ -38,20 +38,16 @@ from .galerkin import (
     unperturbed_band_functions,
     verify_enclosure,
 )
-from .gaps import (
-    GapParams,
-    PerturbBounds,
-    conditions_check,
-    ell1_threshold,
-    ell_star,
-    gap_report,
-    low_spectrum_no_gap,
-)
+from .gaps import GapParams, PerturbBounds, gap_report
 from .geometry import StripGeometry, resolve_geometry
 from .oscillation import critical_constants, phi_p, phi_sup, uniform_lower_bound_check
-from .spectrum import band_table, check_band_count, counting
+from .spectrum import band_table, counting
 
 __all__ = ["RunConfig", "SweepSpec", "build_parser", "main"]
+
+# Ceiling on sweep cells, checked before any cell runs (like
+# oscillation.MAX_TERMS).
+MAX_SWEEP_STEPS = 10_000
 
 _COMMANDS = (
     "constants",
@@ -78,7 +74,6 @@ _FLAG_ORDER = (
     "p",
     "tol",
     "cutoff_c1",
-    "representation",
     "kmax",
     "grid",
     "ell_min",
@@ -160,6 +155,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise ValueError(
+                f"{self.steps} sweep steps exceed the ceiling of {MAX_SWEEP_STEPS}"
+            )
         if not self.start <= self.stop:
             raise ValueError(
                 f"range start {self.start} must not exceed stop {self.stop}"
@@ -222,9 +221,6 @@ def build_parser() -> _Parser:
     add_geometry(p)
     p.add_argument("--ell", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument(
-        "--representation", choices=("lattice", "rows"), default=None
-    )
 
     p = add("bands", "unperturbed band endpoints")
     add_geometry(p)
@@ -397,8 +393,7 @@ def _cmd_constants(config: RunConfig, params: dict) -> tuple[int, list[str]]:
 
 def _cmd_count(config: RunConfig, params: dict) -> tuple[int, list[str]]:
     geom = _geometry(params)
-    representation = params.get("representation", "lattice")
-    value = counting(geom, params["ell"], params["tau"], representation=representation)
+    value = counting(geom, params["ell"], params["tau"])
     return 0, _emit(
         config,
         ["xi", "ell", "tau", "count"],
@@ -527,9 +522,8 @@ def _cmd_gaps(config: RunConfig, params: dict) -> tuple[int, list[str]]:
             f"xi={geom.xi} is not below the critical ratio {cc.xi_critical:.7f}; "
             "supply --c0 (and optionally --gamma, --ell0)"
         )
-    verdict = conditions_check(geom, bounds)
-    star = ell_star(geom, bounds)
-    ell1 = ell1_threshold(geom, gp, bounds)
+    rep = gap_report(geom, bounds, gp, params.get("ell_max"), params.get("low_points", 32))
+    verdict = rep.conditions
     items: list[tuple[str, object]] = [
         ("xi", geom.xi),
         ("T", geom.T),
@@ -548,35 +542,19 @@ def _cmd_gaps(config: RunConfig, params: dict) -> tuple[int, list[str]]:
         ("c0", gp.c0),
         ("gamma", gp.gamma),
         ("ell0", gp.ell0),
-        ("ell_star", star),
-        ("ell1", ell1),
+        ("ell_star", rep.ell_star),
+        ("ell1", rep.ell1),
+        ("low_spectrum_points", len(rep.low_spectrum)),
     ]
-    low_points = params.get("low_points", 32)
-    if verdict.xi_subcritical and verdict.low_energy_ok and low_points > 0:
-        xi = geom.xi
-        lo = 0.25 + xi * xi
-        checks = [
-            low_spectrum_no_gap(
-                geom, bounds, lo + (1.0 - lo) * (i + 1) / (low_points + 1)
-            )
-            for i in range(low_points)
-        ]
-        items.append(("low_spectrum_points", low_points))
-        items.append(("low_spectrum_all_positive", all(c.positive for c in checks)))
+    if rep.low_spectrum:
         items.append(
-            ("low_spectrum_min_difference", min(c.difference for c in checks))
+            ("low_spectrum_all_positive", all(c.positive for c in rep.low_spectrum))
         )
-    else:
-        items.append(("low_spectrum_points", 0))
+        items.append(
+            ("low_spectrum_min_difference", min(c.difference for c in rep.low_spectrum))
+        )
     undecided_lines: list[str] = []
     if "ell_max" in params:
-        ell_max = params["ell_max"]
-        check_band_count(geom.xi, ell_max)
-        from .spectrum import counting_extremes
-
-        k_cover = counting_extremes(geom, ell_max)[0] + 1
-        bands0 = band_table(geom, k_cover)
-        rep = gap_report(geom, bounds, gp, bands0, ell_max, low_spectrum_points=0)
         items.append(("bands", len(rep.bands)))
         items.append(("candidate_windows", len(rep.candidate_gaps)))
         items.append(

@@ -11,46 +11,24 @@ m up to floor(sqrt(ell)/xi)):
     a_0(ell) = 2 sum_m r_m,
     a_p(ell) = (1/(pi p)) sum_m sin(2 pi p r_m),      p >= 1.
 
-`ap_exact_integral` evaluates the defining integral directly by walking the
-jump structure of N0(ell, .) and integrating the cosine in closed form on each
-constancy panel - an exact oracle for the closed forms (no quadrature error).
+The module also carries the certified envelope of the oscillation residual,
 
-The module also carries the certified comparison bounds used downstream:
+    |a_p(ell) - (1/2) ell^(1/4) phi_p(ell)| <= S(xi, ell, p),
 
-  * a0 increment bound:  a0(ell2) - a0(ell1) <= (pi/(2 xi))(ell2-ell1) + 2 sqrt(ell2-ell1);
-  * counting extremes:   sup_tau N0 >= a0 + |a_p|/2,  inf_tau N0 <= a0 - |a_p|/2;
-  * oscillation residual: |a_p(ell) - (1/2) ell^(1/4) phi_p(ell)| <= S(xi, ell, p),
-    where phi_p is the oscillatory amplitude series (see the oscillation
-    module) and S is the explicit envelope `residual_bound` below.
+where phi_p is the oscillatory amplitude series (see the oscillation module)
+and S is `residual_bound` below.  The stationary-phase expansion of each row
+term sin(2 pi p r_m) pairs the two half-axes of the row sum, so phi_p
+(normalised over the full frequency lattice k in Z) enters with weight 1/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import StripGeometry, validate_ell
-from .spectrum import counting_extremes, jump_events, row_radii
-
-
-@dataclass(frozen=True)
-class FourierRecord:
-    """One harmonic of the counting function: value a_p(ell) and, for p >= 1,
-    the certified envelope for |a_p - (1/2) ell^(1/4) phi_p| (None when p = 0)."""
-
-    ell: float
-    p: int
-    value: float
-    residual_bound: float | None
-
-    def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"harmonic index must be >= 0, got {self.p}")
-        if (self.p == 0) != (self.residual_bound is None):
-            raise ValueError("residual_bound must be None exactly when p = 0")
+from .spectrum import row_radii
 
 
 def a0_closed(geom: StripGeometry, ell: float) -> float:
@@ -71,99 +49,6 @@ def ap_closed(geom: StripGeometry, ell: float, p: int) -> float:
     return math.fsum(np.sin((2.0 * math.pi * p) * radii).tolist()) / (math.pi * p)
 
 
-def ap_exact_integral(geom: StripGeometry, ell: float, p: int) -> float:
-    """a_p(ell) by exact piecewise integration of the step function N0(ell, .).
-
-    Enumerates the jump positions of N0(ell, .), keeps the running count on
-    each constancy panel, and integrates cos(2 pi p tau) in closed form panel
-    by panel (fsum over panels).  For p = 0 this is the exact mean, i.e. a_0.
-    """
-    validate_ell(ell)
-    if p < 0:
-        raise ValueError(f"harmonic index must be >= 0, got {p}")
-    start, events = jump_events(geom.xi, ell)
-    if p == 0:
-        antider = lambda t: t
-    else:
-        c = 2.0 * math.pi * p
-        antider = lambda t: math.sin(c * t) / c
-    terms = []
-    prev = -0.5
-    run = start
-    for tau_b, n_enter, n_leave in events:
-        if tau_b > prev and run != 0:
-            terms.append(run * (antider(tau_b) - antider(prev)))
-        prev = max(prev, tau_b)
-        run += n_enter - n_leave
-    if run != 0:
-        terms.append(run * (antider(0.5) - antider(prev)))
-    return math.fsum(terms)
-
-
-def fourier_record(geom: StripGeometry, ell: float, p: int) -> FourierRecord:
-    """Assemble the FourierRecord for one harmonic (closed-form value)."""
-    if p == 0:
-        return FourierRecord(ell=ell, p=0, value=a0_closed(geom, ell),
-                             residual_bound=None)
-    value = ap_closed(geom, ell, p)
-    if abs(value) > a0_closed(geom, ell) + 1.0:
-        raise AssertionError(
-            f"harmonic a_{p}({ell}) = {value} exceeds the coarse bound a_0 + 1")
-    return FourierRecord(ell=ell, p=p, value=value,
-                         residual_bound=residual_bound(geom.xi, ell, p))
-
-
-class IncrementCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def a0_increment_check(geom: StripGeometry, ell: float,
-                       ell_tilde: float) -> IncrementCheck:
-    """Growth bound of the mean: a0(ell~) - a0(ell) <= (pi/(2 xi)) (ell~ - ell)
-    + 2 sqrt(ell~ - ell), valid for xi^2 <= ell <= ell~ (must always hold).
-
-    The linear term dominates the bulk rows, whose radii grow at rate at most
-    pi/(2 xi) per unit of ell after summing in m; rows that are newly born
-    between ell and ell~ each contribute at most sqrt(ell~ - ell), and up to
-    two such boundary rows can be in play at once, hence the additive
-    2 sqrt(ell~ - ell).  The constant 2 is sharp in that variants with
-    constant 1 fail, e.g. xi = 0.5, ell = 1 -> 1.125 gives increment
-    0.84588... > (pi/(2 xi)) 0.125 + sqrt(0.125) = 0.74625...
-    """
-    xi = geom.xi
-    if not (xi * xi <= ell <= ell_tilde):
-        raise ValueError(
-            f"need xi^2 <= ell <= ell_tilde, got xi^2={xi*xi}, ell={ell}, ell_tilde={ell_tilde}")
-    lhs = a0_closed(geom, ell_tilde) - a0_closed(geom, ell)
-    diff = ell_tilde - ell
-    rhs = math.pi / (2.0 * xi) * diff + 2.0 * math.sqrt(diff)
-    return IncrementCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
-
-
-class ExtremesCheck(NamedTuple):
-    sup_count: int
-    inf_count: int
-    a0: float
-    ap_abs: float
-    holds: bool
-
-
-def counting_extremes_check(geom: StripGeometry, ell: float,
-                            p: int) -> ExtremesCheck:
-    """Oscillation lower bound on the counting extremes:
-    sup_tau N0 >= a0 + |a_p|/2 and inf_tau N0 <= a0 - |a_p|/2 (always holds)."""
-    if p < 1:
-        raise ValueError(f"harmonic index must be >= 1, got {p}")
-    sup_count, inf_count = counting_extremes(geom, ell)
-    a0 = a0_closed(geom, ell)
-    ap_abs = abs(ap_closed(geom, ell, p))
-    holds = (sup_count >= a0 + 0.5 * ap_abs) and (inf_count <= a0 - 0.5 * ap_abs)
-    return ExtremesCheck(sup_count=sup_count, inf_count=inf_count, a0=a0,
-                         ap_abs=ap_abs, holds=holds)
-
-
 def residual_bound(xi: float, ell: float, p: int) -> float:
     """Certified envelope for |a_p(ell) - (1/2) ell^(1/4) phi_p(ell)|, p >= 1:
 
@@ -178,35 +63,3 @@ def residual_bound(xi: float, ell: float, p: int) -> float:
     tail = math.sqrt(9.0 + 25.0 / (1024.0 * pi2 * p * p * ell))
     tail /= 32.0 * pi2 * xi * ell ** 0.25 * p ** 2.5
     return math.sqrt(2.0) / 3.0 + 1.0 / (2.0 * math.pi) + tail
-
-
-class ResidualCheck(NamedTuple):
-    residual: float
-    bound: float
-    holds: bool
-
-
-def ap_residual_check(geom: StripGeometry, ell: float, p: int,
-                      phi_value: float, phi_tail: float) -> ResidualCheck:
-    """Check |a_p - (1/2) ell^(1/4) phi_value| against the certified envelope.
-
-    The stationary-phase expansion of each row term sin(2 pi p r_m) pairs the
-    two half-axes of the row sum, so the amplitude series phi_p (normalised
-    over the full frequency lattice k in Z) enters the coefficient identity
-    with weight 1/2; the factor-1 variant overshoots the envelope by roughly
-    |a_p| itself at small p (e.g. xi = 0.05, ell = 4, p = 1: residual 3.43 vs
-    envelope 0.77, while the 1/2 form leaves residual 0.093).
-
-    phi_value must carry a certified truncation error phi_tail (the envelope
-    is widened by (1/2) ell^(1/4) * phi_tail to absorb it).
-    """
-    if not ell > 0:
-        raise ValueError(f"need ell > 0, got {ell}")
-    if p < 1:
-        raise ValueError(f"harmonic index must be >= 1, got {p}")
-    if phi_tail < 0:
-        raise ValueError(f"need phi_tail >= 0, got {phi_tail}")
-    half_quarter = 0.5 * ell ** 0.25
-    residual = abs(ap_closed(geom, ell, p) - half_quarter * phi_value)
-    bound = residual_bound(geom.xi, ell, p) + half_quarter * phi_tail
-    return ResidualCheck(residual=residual, bound=bound, holds=residual <= bound)

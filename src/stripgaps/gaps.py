@@ -22,16 +22,18 @@ provable, existence never is):
   omega_minus).
 
 * Low energy.  For scaled energies 1/4 + xi^2 < ell < 1, a counting-function
-  difference evaluated through the row representation is strictly positive
-  whenever the oscillation fits the low-energy budget; positivity certifies
-  that no gap opens in that window.
+  difference is strictly positive whenever the oscillation fits the
+  low-energy budget; positivity certifies that no gap opens in that window.
 
 * Band pairs.  Between bands k and k+1 any perturbed gap is confined to the
   open window (theta0_k + omega_minus, eta0_{k+1} + omega_plus); the window is
   empty exactly when theta0_k - eta0_{k+1} >= omega_L, and the gap is
   certified absent when that holds with the rounding slack OVERLAP_RTOL.
 
-gap_report consolidates the three into one artifact.
+gap_report is the one implementation of the chain: it evaluates the
+conditions and thresholds, runs the low-energy grid and, given a ceiling,
+builds the unperturbed band table and certifies every band pair below it
+(certify_band_pairs).  The command line only renders its result.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 from .geometry import StripGeometry, validate_ell
 from .oscillation import critical_constants
-from .spectrum import BOUNDARY_RTOL, SpectralBand, counting
+from .spectrum import BOUNDARY_RTOL, SpectralBand, band_table, check_band_count, counting
 
 __all__ = [
     "PerturbBounds",
@@ -56,6 +58,7 @@ __all__ = [
     "LowSpectrumCheck",
     "low_spectrum_no_gap",
     "GapCandidate",
+    "certify_band_pairs",
     "GapReport",
     "gap_report",
 ]
@@ -342,9 +345,9 @@ def low_spectrum_no_gap(
 ) -> LowSpectrumCheck:
     """Counting-difference test excluding gaps at scaled energy ell < 1.
 
-    Evaluates N0(ell - (T^2/pi^2) omega_L, tau_max) - N0(ell, tau_min) through
-    the row representation, with tau_max = 0 for ell <= ell_star and
-    tau_max = 1/2 above, and tau_min = 1 - sqrt(ell) in both cases.  A
+    Evaluates N0(ell - (T^2/pi^2) omega_L, tau_max) - N0(ell, tau_min), with
+    tau_max = 0 for ell <= ell_star and tau_max = 1/2 above, and
+    tau_min = 1 - sqrt(ell) in both cases.  A
     strictly positive difference certifies that the perturbed spectrum has no
     gap at energy (pi^2/T^2) ell.
 
@@ -368,10 +371,8 @@ def low_spectrum_no_gap(
     star = ell_star(geom, bounds)
     tau_max = 0.0 if ell <= star else 0.5
     tau_min = 1.0 - math.sqrt(ell)
-    shifted = counting(
-        geom, ell - verdict.scaled_oscillation, tau_max, representation="rows"
-    )
-    reference = counting(geom, ell, tau_min, representation="rows")
+    shifted = counting(geom, ell - verdict.scaled_oscillation, tau_max)
+    reference = counting(geom, ell, tau_min)
     diff = shifted - reference
     return LowSpectrumCheck(
         ell=ell,
@@ -403,17 +404,65 @@ class GapCandidate:
     certified_absent: bool
 
 
+def certify_band_pairs(
+    geom: StripGeometry,
+    bounds: PerturbBounds,
+    bands0: Sequence[SpectralBand],
+    ell_max: float,
+) -> tuple[GapCandidate, ...]:
+    """Candidate windows of the consecutive pairs of bands0 up to (pi^2/T^2) ell_max.
+
+    bands0 must be the unperturbed bands, indexed consecutively from k=1, and
+    must cover energies up to the ceiling (pi^2/T^2) ell_max; a window is
+    emitted for every consecutive pair whose upper band starts at or below
+    it.  A pair is certified when its overlap beats omega_L by the slack
+    OVERLAP_RTOL.  Output ordered by k.
+    """
+    validate_ell(ell_max)
+    if not bands0:
+        raise ValueError("bands0 must be nonempty")
+    ks = [b.k for b in bands0]
+    if ks != list(range(1, len(bands0) + 1)):
+        raise ValueError(f"bands0 must be indexed consecutively from 1, got {ks}")
+    scale = math.pi ** 2 / geom.T ** 2
+    ceiling = scale * ell_max
+    if bands0[-1].hi < ceiling:
+        raise ValueError(
+            f"bands0 top {bands0[-1].hi} does not cover the ceiling {ceiling}; "
+            "supply more bands"
+        )
+    candidates = []
+    for below, above in zip(bands0, bands0[1:]):
+        if above.lo > ceiling:
+            break
+        overlap = below.hi - above.lo
+        slack = OVERLAP_RTOL * max(scale, abs(below.hi), abs(above.lo),
+                                   abs(bounds.omega_minus), abs(bounds.omega_plus))
+        candidates.append(
+            GapCandidate(
+                k=below.k,
+                lo=below.hi + bounds.omega_minus,
+                hi=above.lo + bounds.omega_plus,
+                unperturbed_overlap=overlap,
+                certified_absent=overlap >= bounds.omega_L + slack,
+            )
+        )
+    return tuple(candidates)
+
+
 @dataclass(frozen=True)
 class GapReport:
     """Consolidated certification artifact.
 
-    bands holds the enclosures [eta0_k + omega_minus, theta0_k + omega_plus]
-    of the perturbed bands, outer up to rounding with bands0 from band_table
-    (endpoints exact within BOUNDARY_RTOL * max(pi^2/T^2, |endpoint|), not
-    inward-biased); candidate_gaps holds the pairwise windows with their
-    certification status; low_spectrum the counting verdicts on a grid below
-    the scaled energy 1 (empty when its preconditions fail,
-    low_spectrum_applicable records which).
+    conditions, ell_star and ell1 are the scalar verdicts and thresholds;
+    low_spectrum holds the counting verdicts on a grid below the scaled
+    energy 1 (empty when its preconditions fail, low_spectrum_applicable
+    records which).  Given a ceiling, bands holds the enclosures
+    [eta0_k + omega_minus, theta0_k + omega_plus] of the perturbed bands
+    (outer up to rounding: band_table's endpoints are exact within
+    BOUNDARY_RTOL * max(pi^2/T^2, |endpoint|), not inward-biased) and
+    candidate_gaps the pairwise windows with their certification status;
+    both are empty without a ceiling.
     """
 
     ell1: float
@@ -434,51 +483,22 @@ def gap_report(
     geom: StripGeometry,
     bounds: PerturbBounds,
     params: GapParams,
-    bands0: Sequence[SpectralBand],
-    ell_max: float,
-    low_spectrum_points: int = 128,
+    ell_max: float | None = None,
+    low_spectrum_points: int = 32,
 ) -> GapReport:
-    """Consolidate enclosures, pairwise certification, and low-energy verdicts.
+    """Run the certification chain: conditions, thresholds, low energy, band pairs.
 
-    bands0 must be the unperturbed bands, indexed consecutively from k=1, and
-    must cover energies up to (pi^2/T^2) ell_max; candidate windows are
-    emitted for every consecutive pair whose upper band starts at or below
-    that ceiling.  Deterministic: output ordered by k.
+    The low-energy grid takes low_spectrum_points equally spaced scaled
+    energies in (1/4 + xi^2, 1) when the subcritical-ratio and budget
+    conditions hold.  With ell_max, the unperturbed bands covering the
+    scaled energy ell_max (one more than sup_tau N0(ell_max, tau)) come from
+    band_table, failing closed first above spectrum.MAX_BAND_CURVES, and
+    every band pair below that ceiling is certified (certify_band_pairs).
+    Deterministic: output ordered by k.
     """
-    validate_ell(ell_max)
-    if not bands0:
-        raise ValueError("bands0 must be nonempty")
-    ks = [b.k for b in bands0]
-    if ks != list(range(1, len(bands0) + 1)):
-        raise ValueError(f"bands0 must be indexed consecutively from 1, got {ks}")
-    scale = math.pi ** 2 / geom.T ** 2
-    ceiling = scale * ell_max
-    if bands0[-1].hi < ceiling:
-        raise ValueError(
-            f"bands0 top {bands0[-1].hi} does not cover the ceiling {ceiling}; "
-            "supply more bands"
-        )
     verdict = conditions_check(geom, bounds)
-    enclosures = tuple(
-        SpectralBand(k=b.k, lo=b.lo + bounds.omega_minus, hi=b.hi + bounds.omega_plus)
-        for b in bands0
-    )
-    candidates = []
-    for below, above in zip(bands0, bands0[1:]):
-        if above.lo > ceiling:
-            break
-        overlap = below.hi - above.lo
-        slack = OVERLAP_RTOL * max(scale, abs(below.hi), abs(above.lo),
-                                   abs(bounds.omega_minus), abs(bounds.omega_plus))
-        candidates.append(
-            GapCandidate(
-                k=below.k,
-                lo=below.hi + bounds.omega_minus,
-                hi=above.lo + bounds.omega_plus,
-                unperturbed_overlap=overlap,
-                certified_absent=overlap >= bounds.omega_L + slack,
-            )
-        )
+    star = ell_star(geom, bounds)
+    ell1 = ell1_threshold(geom, params, bounds)
     low_applicable = verdict.xi_subcritical and verdict.low_energy_ok
     low_checks: list[LowSpectrumCheck] = []
     if low_applicable and low_spectrum_points > 0:
@@ -487,12 +507,26 @@ def gap_report(
         for i in range(low_spectrum_points):
             ell = lo + (1.0 - lo) * (i + 1) / (low_spectrum_points + 1)
             low_checks.append(low_spectrum_no_gap(geom, bounds, ell))
+    enclosures: tuple[SpectralBand, ...] = ()
+    candidates: tuple[GapCandidate, ...] = ()
+    if ell_max is not None:
+        check_band_count(geom.xi, ell_max)
+        # looked up on the spectrum module at call time, where instrumentation
+        # wraps it
+        from .spectrum import counting_extremes
+
+        bands0 = band_table(geom, counting_extremes(geom, ell_max)[0] + 1)
+        candidates = certify_band_pairs(geom, bounds, bands0, ell_max)
+        enclosures = tuple(
+            SpectralBand(k=b.k, lo=b.lo + bounds.omega_minus, hi=b.hi + bounds.omega_plus)
+            for b in bands0
+        )
     return GapReport(
-        ell1=ell1_threshold(geom, params, bounds),
-        ell_star=ell_star(geom, bounds),
+        ell1=ell1,
+        ell_star=star,
         conditions=verdict,
         bands=enclosures,
-        candidate_gaps=tuple(candidates),
+        candidate_gaps=candidates,
         low_spectrum=tuple(low_checks),
         low_spectrum_applicable=low_applicable,
     )

@@ -26,18 +26,9 @@ the integers beyond N; near an integer L, a closed form for the
 non-oscillating leading tail plus an O(N^(-3/2)) remainder and a drift term
 in |L - round(L)|; otherwise the oscillation-blind 4 xi^(1/2) / (pi N^(1/2)).
 The bound also covers the floating-point error of the sum, and evaluations
-whose rounding alone would exceed the tolerance are refused.  zeta(3/2) is a
-partial sum plus a midpoint integral tail (error << 1e-12); the Beta value
-B(1/4, 1/2) gating the p-cutoff is computed two independent ways and
-cross-checked.
-
-The module also houses two diagnostics kept deliberately out of the main
-certification path: the stationary-phase leading term (which the full series
-visibly does not follow) and the residual of the characteristic PDE
-
-    d/dl ( d^2 u / dl dmu + (l/2) u ) - u/4 = 0
-
-satisfied term-by-term by u(l, mu) = sum_k sin(l sqrt(k^2+mu) - pi/4) / (k^2+mu)^(3/4).
+whose rounding alone would exceed the tolerance are refused.  zeta(3/2) comes
+from Euler-Maclaurin summation (error below 5e-17), the Beta value
+B(1/4, 1/2) gating the p-cutoff from the Gamma function.
 """
 
 from __future__ import annotations
@@ -59,6 +50,9 @@ _SLACK_ULPS = 8.0
 _CHUNK = 1 << 21
 # Default ceiling on truncation length: tol = 1e-4 at xi = 0.9 needs ~1.5e8.
 MAX_TERMS = 1 << 28
+# Ceiling on the harmonics phi_sup scans, checked before any evaluation
+# (cutoff_c1 = 3 reaches it near ell = 1.1e7).
+MAX_HARMONICS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -66,31 +60,21 @@ MAX_TERMS = 1 << 28
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def zeta_three_halves(terms: int = 10 ** 6) -> float:
-    """zeta(3/2) by partial sum plus midpoint integral tail.
+def zeta_three_halves() -> float:
+    """zeta(3/2) by Euler-Maclaurin summation from K = 50.
 
-    sum_{k>K} k^(-3/2) = 2 (K + 1/2)^(-1/2) + (midpoint rule error < 1e-16
-    for K = 1e6); the fsum keeps the partial sum exact to one ulp.  Total
-    absolute error is far below 1e-12.
+    sum_{k<K} k^(-s) + K^(1-s)/(s-1) + K^(-s)/2 + the Bernoulli terms
+    B_2, B_4, B_6 at K, s = 3/2.  The remainder is at most the first omitted
+    term, |B_8|/8! s(s+1)...(s+6) K^(-s-7) < 5e-17, and fsum adds the terms
+    with a single rounding.
     """
-    ks = np.arange(1, terms + 1, dtype=float)
-    partial = math.fsum((ks ** -1.5).tolist())
-    return partial + 2.0 / math.sqrt(terms + 0.5)
-
-
-def _beta_by_quadrature() -> float:
-    """B(1/4, 1/2) = 2 int_0^inf (t^2+1)^(-3/4) dt, via t = sinh s.
-
-    The substituted integrand cosh(s)^(-1/2) is analytic and decays like
-    e^(-s/2); composite 64-point Gauss-Legendre on [0, 80] leaves a tail
-    below 2e-17.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    total = 0.0
-    for a in range(0, 80, 2):
-        x = nodes + (a + 1.0)
-        total += float(np.dot(weights, np.cosh(x) ** -0.5))
-    return 2.0 * total
+    s, big_k = 1.5, 50
+    terms = [k ** -s for k in range(1, big_k)]
+    terms += [big_k ** (1.0 - s) / (s - 1.0), 0.5 * big_k ** -s,
+              s / 12.0 * big_k ** (-s - 1.0),
+              -s * (s + 1.0) * (s + 2.0) / 720.0 * big_k ** (-s - 3.0),
+              s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / 30240.0 * big_k ** (-s - 5.0)]
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,7 @@ class CriticalConstants:
     """Threshold constants of the small-ratio regime (see module docstring).
 
     Every field carries absolute error well below 1e-10; construction via
-    critical_constants() re-verifies the defining relations and aborts on
+    critical_constants() re-verifies the cubic defining c2 and aborts on
     disagreement.
     """
 
@@ -116,13 +100,11 @@ class CriticalConstants:
 
 
 @lru_cache(maxsize=1)
-def critical_constants(minimax_grid: int = 10 ** 6) -> CriticalConstants:
-    """Evaluate and cross-verify the threshold constants.
+def critical_constants() -> CriticalConstants:
+    """Evaluate the threshold constants.
 
     c2 from its closed form, verified against the cubic (residual <= 1e-10);
-    c1 from c2, verified against a grid search of the minimax characterization
-    (agreement <= 1e-5); B(1/4, 1/2) via Gamma reflection, verified against
-    direct quadrature (agreement <= 1e-8).
+    c1 = c2 / sqrt(c2^2 + 1); B(1/4, 1/2) via Gamma reflection.
     """
     zeta32 = zeta_three_halves()
 
@@ -134,23 +116,11 @@ def critical_constants(minimax_grid: int = 10 ** 6) -> CriticalConstants:
         raise AssertionError(f"c2 closed form fails its cubic: residual {cubic_residual:.3e}")
 
     c1 = c2 / math.sqrt(c2 * c2 + 1.0)
-    z = np.linspace(0.0, math.pi, minimax_grid)
-    grid_min = float(np.minimum.reduce(
-        np.maximum(np.abs(np.sin(z)), 3.0 ** -1.5 * np.abs(np.cos(3.0 * z)))))
-    if abs(grid_min - c1) > 1e-5:
-        raise AssertionError(
-            f"c1 = {c1} disagrees with the minimax grid search {grid_min}")
-
     xi_critical = (c1 / (2.0 * zeta32)) ** (2.0 / 3.0)
     if not 0.0 < xi_critical < 1.0:
         raise AssertionError(f"critical ratio out of range: {xi_critical}")
 
     beta = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75)
-    beta_quad = _beta_by_quadrature()
-    if abs(beta - beta_quad) > 1e-8:
-        raise AssertionError(
-            f"Beta(1/4,1/2) routes disagree: {beta} vs {beta_quad}")
-
     return CriticalConstants(c2=c2, c1=c1, xi_critical=xi_critical,
                              zeta32=zeta32, beta_quarter_half=beta)
 
@@ -492,13 +462,19 @@ def phi_sup(geom: StripGeometry, ell: float, cutoff_c1: float = 3.0,
 
     Ties in |phi_p| resolve to the smallest p.  The returned cutoff_bound is
     the envelope value at p_max: harmonics beyond the range are dominated
-    whenever cutoff_bound stays below the returned value.
+    whenever cutoff_bound stays below the returned value.  Fails closed
+    (ValueError) above MAX_HARMONICS harmonics.
     """
     if cutoff_c1 <= 0:
         raise ValueError(f"cutoff constant must be positive, got {cutoff_c1}")
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")
-    p_max = max(1, math.ceil(cutoff_c1 * math.sqrt(ell)))
+    harmonics = cutoff_c1 * math.sqrt(ell)
+    if not harmonics <= MAX_HARMONICS:
+        raise ValueError(
+            f"supremum scan exceeds the ceiling of {MAX_HARMONICS} harmonics "
+            f"({harmonics:.3g} estimated); ask for a lower energy or cutoff")
+    p_max = max(1, math.ceil(harmonics))
     candidates = sorted({1, 3} | set(range(1, p_max + 1)))
     best_p = -1
     best = -math.inf
@@ -567,77 +543,3 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
                                     margin=margin, ok=margin >= 0.0))
     return UniformBoundReport(xi=xi, c0=c0, tol=tol, rows=rows,
                               all_ok=all(r.ok for r in rows))
-
-
-# ---------------------------------------------------------------------------
-# diagnostics: stationary phase and the characteristic PDE
-# ---------------------------------------------------------------------------
-
-def stationary_phase_leading(ell: float, p: int) -> float:
-    """Leading stationary-phase term (p^(1/2)/pi) sin(2 pi p ell^(1/2)) / ell^(1/4).
-
-    Diagnostic only: the actual series neither decays like ell^(-1/4) nor
-    oscillates periodically in ell^(1/2).
-    """
-    if not ell > 0:
-        raise ValueError(f"need ell > 0, got {ell}")
-    if p < 1:
-        raise ValueError(f"harmonic index must be >= 1, got {p}")
-    return math.sqrt(p) / math.pi * math.sin(2.0 * math.pi * p * math.sqrt(ell)) / ell ** 0.25
-
-
-def u_series(l: float, mu: float, truncation_n: int) -> float:
-    """u_N(l, mu) = sum_{|k| <= N} sin(l sqrt(k^2 + mu) - pi/4) / (k^2 + mu)^(3/4)."""
-    if not mu > 0:
-        raise ValueError(f"need mu > 0, got {mu}")
-    if truncation_n < 0:
-        raise ValueError(f"truncation length must be >= 0, got {truncation_n}")
-    k = np.arange(0, truncation_n + 1, dtype=float)
-    weight = np.where(k == 0.0, 1.0, 2.0)
-    s = np.sqrt(k * k + mu)
-    return float(np.dot(weight, np.sin(l * s - _QUARTER_PI) / (s * np.sqrt(s))))
-
-
-def pde_residual(l: float, mu: float, truncation_n: int, h: float = 2e-3,
-                 mode: str = "analytic") -> float:
-    """Residual of d/dl (d^2 u/dl dmu + (l/2) u) - u/4 for the truncated series.
-
-    mode="analytic": differentiate every term exactly and sum the expanded
-    derivative pieces without algebraic pre-cancellation; the result is pure
-    floating-point accumulation noise (about 1e-15 per hundred terms), which
-    is the point of the check.
-
-    mode="numeric": max of |analytic residual| and |central finite-difference
-    residual| with step h (a 9-point stencil).  The stencil is O(h^2) only
-    while h resolves the fastest term: keep h * sqrt(N^2 + mu) well below 1.
-    """
-    if not mu > 0:
-        raise ValueError(f"need mu > 0, got {mu}")
-    if truncation_n < 0:
-        raise ValueError(f"truncation length must be >= 0, got {truncation_n}")
-    if mode not in ("analytic", "numeric"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    k = np.arange(0, truncation_n + 1, dtype=float)
-    weight = np.where(k == 0.0, 1.0, 2.0)
-    s = np.sqrt(k * k + mu)
-    theta = l * s - _QUARTER_PI
-    sin_32 = np.sin(theta) / (s * np.sqrt(s))       # sin(theta) s^(-3/2)
-    cos_12 = np.cos(theta) / np.sqrt(s)             # cos(theta) s^(-1/2)
-    # d/dl of [d^2 t/dl dmu], of [(l/2) t], and the -t/4 term, kept separate:
-    per_term = ((-0.5 * sin_32 - 0.5 * l * cos_12) + 0.25 * sin_32
-                + (0.5 * sin_32 + 0.5 * l * cos_12) - 0.25 * sin_32)
-    analytic = float(np.dot(weight, per_term))
-    if mode == "analytic":
-        return analytic
-
-    if not h > 0:
-        raise ValueError(f"need h > 0, got {h}")
-    u = lambda a, b: u_series(a, b, truncation_n)
-
-    def mixed_plus_half(a: float) -> float:
-        d_l_at = lambda b: (u(a + h, b) - u(a - h, b)) / (2.0 * h)
-        return (d_l_at(mu + h) - d_l_at(mu - h)) / (2.0 * h) + 0.5 * a * u(a, mu)
-
-    fd = (mixed_plus_half(l + h) - mixed_plus_half(l - h)) / (2.0 * h) - 0.25 * u(l, mu)
-    return max(abs(analytic), abs(fd))

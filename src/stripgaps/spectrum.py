@@ -17,14 +17,13 @@ so the rescaled counting function
     N0(ell, tau) = #{(n, m) : n in Z, m >= 1, (tau + n)^2 + xi^2 m^2 <= ell}
 
 counts lattice points inside a half ellipse.  N0 is an even, 1-periodic step
-function of tau; this module provides it in two representations (direct
-lattice enumeration and row-wise floors), its exact jump structure on the
-Brillouin zone (used for exact integration and for sup/inf), and the band
-functions E_k(tau) with their extrema (band endpoints).
+function of tau; this module provides it by row-wise floors, its exact jump
+structure on the Brillouin zone (used for exact integration and for sup/inf),
+and the band functions E_k(tau) with their extrema (band endpoints).
 
 Floating-point boundary rule: a lattice point whose level differs from ell by
-at most ``1e-12 * max(1, ell)`` counts as inside.  Both representations share
-one predicate, so they agree exactly even at ties.
+at most ``1e-12 * max(1, ell)`` counts as inside.  counting and the jump
+structure share that predicate, so they agree exactly even at ties.
 """
 
 from __future__ import annotations
@@ -46,6 +45,12 @@ _EDGE_TOL = 1e-12
 # pairs of an increasing and a decreasing curve (crossing candidates).
 MAX_BAND_CURVES = 200_000
 MAX_BAND_CROSSINGS = 20_000_000
+# Ceiling on the rows of a counting computation, checked the same way: the
+# transverse rows m <= sqrt(ell)/xi that row_radii allocates, and the
+# longitudinal rows n (about 2 sqrt(ell)) that counting walks.
+MAX_ROWS = 1 << 22
+# counting refuses rows holding more points than float64 counts exactly.
+_EXACT_COUNT = 2.0 ** 52
 # Elements per vectorized block of the crossing search (bounded memory).
 _BLOCK = 1 << 20
 
@@ -93,52 +98,53 @@ def _inclusive_threshold(ell: float) -> float:
     return ell + BOUNDARY_RTOL * max(1.0, ell)
 
 
-def counting(geom: StripGeometry, ell: float, tau: float,
-             representation: str = "lattice") -> int:
+def _check_rows(rows: float) -> None:
+    """Fail closed (ValueError) before a row computation above MAX_ROWS."""
+    if not rows <= MAX_ROWS:
+        raise ValueError(
+            f"row computation exceeds the ceiling of {MAX_ROWS} rows ({rows:.3g} "
+            "estimated); ask for a lower energy or a larger ratio")
+
+
+def counting(geom: StripGeometry, ell: float, tau: float) -> int:
     """Rescaled counting function N0(ell, tau).
 
-    representation="lattice" enumerates the admissible (n, m) pairs directly;
-    representation="rows" sums, over each longitudinal index n, the number of
-    transverse indices in the row (the floor formula).  Both share the same
-    inclusive boundary predicate and return identical values.
+    Sums, over each longitudinal index n, the number of transverse indices m
+    in the row (the floor formula, corrected against the inclusive boundary
+    predicate).  Fails closed (ValueError) when the rows exceed MAX_ROWS or a
+    row holds more points than float64 counts exactly.
     """
     validate_ell(ell)
     validate_tau(tau)
-    if representation not in ("lattice", "rows"):
-        raise ValueError(f"unknown representation {representation!r}")
     xi = geom.xi
-    xi2 = xi * xi
     thresh = _inclusive_threshold(ell)
+    root = math.sqrt(thresh)
+    _check_rows(2.0 * root + 3.0)
+    if not root / xi <= _EXACT_COUNT:
+        raise ValueError(
+            f"rows of {root / xi:.3g} points are beyond exact float64 counts "
+            f"({_EXACT_COUNT:.3g}); ask for a lower energy or a larger ratio")
+    xi2 = xi * xi
     if xi2 > thresh:
         return 0
-    root = math.sqrt(thresh)
     n_lo = math.ceil(-root - tau) - 1
     n_hi = math.floor(root - tau) + 1
     total = 0
-    if representation == "lattice":
-        for n in range(n_lo, n_hi + 1):
-            nt2 = (n + tau) ** 2
-            m = 1
-            while nt2 + xi2 * m * m <= thresh:
-                total += 1
-                m += 1
-    else:
-        for n in range(n_lo, n_hi + 1):
-            nt2 = (n + tau) ** 2
-            rem = thresh - nt2
-            if rem < xi2:
-                # fast reject, but re-check with the shared predicate so ties
-                # resolve identically in both representations
-                if nt2 + xi2 <= thresh:
-                    rem = xi2
-                else:
-                    continue
-            m = int(math.sqrt(rem) / xi)
-            while nt2 + xi2 * (m + 1) * (m + 1) <= thresh:
-                m += 1
-            while m >= 1 and nt2 + xi2 * m * m > thresh:
-                m -= 1
-            total += m
+    for n in range(n_lo, n_hi + 1):
+        nt2 = (n + tau) ** 2
+        rem = thresh - nt2
+        if rem < xi2:
+            # fast reject, but re-check with the inclusive predicate
+            if nt2 + xi2 <= thresh:
+                rem = xi2
+            else:
+                continue
+        m = int(math.sqrt(rem) / xi)
+        while nt2 + xi2 * (m + 1) * (m + 1) <= thresh:
+            m += 1
+        while m >= 1 and nt2 + xi2 * m * m > thresh:
+            m -= 1
+        total += m
     return total
 
 
@@ -148,11 +154,15 @@ def row_radii(xi: float, ell: float) -> np.ndarray:
     Row m of the level set is non-empty exactly on |tau + n| <= r_m.  Computed
     from the exact ell (no inclusive inflation): these radii feed closed-form
     sums and exact integrals, where measure-zero boundary ties are irrelevant.
+    Fails closed (ValueError) above MAX_ROWS rows, before allocating.
     """
     if ell < xi * xi:
         return np.empty(0)
+    _check_rows(math.sqrt(ell) / xi)
+    # below MAX_ROWS the float quotient is off by at most one row; a single
+    # step up also ends where xi^2 underflows to 0 (a loop would not)
     m_top = int(math.sqrt(ell) / xi)
-    while xi * xi * (m_top + 1) ** 2 <= ell:
+    if xi * xi * (m_top + 1) ** 2 <= ell:
         m_top += 1
     while m_top >= 1 and xi * xi * m_top * m_top > ell:
         m_top -= 1

@@ -1,0 +1,238 @@
+"""Independent oracles and diagnostics the tests check the library against.
+
+* ``ap_exact_integral``: a_p(ell) by exact panel-wise integration of the step
+  function N0(ell, .), against the closed forms of ``stripgaps.fourier``.
+* ``a0_increment_check``, ``counting_extremes_check``, ``ap_residual_check``:
+  the growth bound of the mean, the oscillation bound on the counting
+  extremes and the residual envelope, each evaluated as an inequality.
+* ``beta_by_quadrature``: B(1/4, 1/2) by Gauss-Legendre quadrature, against
+  the Gamma-function value of ``critical_constants``.
+* ``stationary_phase_leading``, ``u_series``, ``pde_residual``: the
+  stationary-phase leading term (which the full series visibly does not
+  follow) and the residual of the characteristic PDE
+
+      d/dl ( d^2 u / dl dmu + (l/2) u ) - u/4 = 0
+
+  satisfied term-by-term by
+  u(l, mu) = sum_k sin(l sqrt(k^2+mu) - pi/4) / (k^2+mu)^(3/4).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from stripgaps.fourier import a0_closed, ap_closed, residual_bound
+from stripgaps.geometry import StripGeometry, validate_ell
+from stripgaps.spectrum import counting_extremes, jump_events
+
+_QUARTER_PI = 0.25 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# Fourier coefficients of the counting function
+# ---------------------------------------------------------------------------
+
+def ap_exact_integral(geom: StripGeometry, ell: float, p: int) -> float:
+    """a_p(ell) by exact piecewise integration of the step function N0(ell, .).
+
+    Enumerates the jump positions of N0(ell, .), keeps the running count on
+    each constancy panel, and integrates cos(2 pi p tau) in closed form panel
+    by panel (fsum over panels).  For p = 0 this is the exact mean, i.e. a_0.
+    """
+    validate_ell(ell)
+    if p < 0:
+        raise ValueError(f"harmonic index must be >= 0, got {p}")
+    start, events = jump_events(geom.xi, ell)
+    if p == 0:
+        antider = lambda t: t
+    else:
+        c = 2.0 * math.pi * p
+        antider = lambda t: math.sin(c * t) / c
+    terms = []
+    prev = -0.5
+    run = start
+    for tau_b, n_enter, n_leave in events:
+        if tau_b > prev and run != 0:
+            terms.append(run * (antider(tau_b) - antider(prev)))
+        prev = max(prev, tau_b)
+        run += n_enter - n_leave
+    if run != 0:
+        terms.append(run * (antider(0.5) - antider(prev)))
+    return math.fsum(terms)
+
+
+class IncrementCheck(NamedTuple):
+    lhs: float
+    rhs: float
+    holds: bool
+
+
+def a0_increment_check(geom: StripGeometry, ell: float,
+                       ell_tilde: float) -> IncrementCheck:
+    """Growth bound of the mean: a0(ell~) - a0(ell) <= (pi/(2 xi)) (ell~ - ell)
+    + 2 sqrt(ell~ - ell), valid for xi^2 <= ell <= ell~ (must always hold).
+
+    The linear term dominates the bulk rows, whose radii grow at rate at most
+    pi/(2 xi) per unit of ell after summing in m; rows that are newly born
+    between ell and ell~ each contribute at most sqrt(ell~ - ell), and up to
+    two such boundary rows can be in play at once, hence the additive
+    2 sqrt(ell~ - ell).  The constant 2 is sharp in that variants with
+    constant 1 fail, e.g. xi = 0.5, ell = 1 -> 1.125 gives increment
+    0.84588... > (pi/(2 xi)) 0.125 + sqrt(0.125) = 0.74625...
+    """
+    xi = geom.xi
+    if not (xi * xi <= ell <= ell_tilde):
+        raise ValueError(
+            f"need xi^2 <= ell <= ell_tilde, got xi^2={xi*xi}, ell={ell}, ell_tilde={ell_tilde}")
+    lhs = a0_closed(geom, ell_tilde) - a0_closed(geom, ell)
+    diff = ell_tilde - ell
+    rhs = math.pi / (2.0 * xi) * diff + 2.0 * math.sqrt(diff)
+    return IncrementCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+
+
+class ExtremesCheck(NamedTuple):
+    sup_count: int
+    inf_count: int
+    a0: float
+    ap_abs: float
+    holds: bool
+
+
+def counting_extremes_check(geom: StripGeometry, ell: float,
+                            p: int) -> ExtremesCheck:
+    """Oscillation lower bound on the counting extremes:
+    sup_tau N0 >= a0 + |a_p|/2 and inf_tau N0 <= a0 - |a_p|/2 (always holds)."""
+    if p < 1:
+        raise ValueError(f"harmonic index must be >= 1, got {p}")
+    sup_count, inf_count = counting_extremes(geom, ell)
+    a0 = a0_closed(geom, ell)
+    ap_abs = abs(ap_closed(geom, ell, p))
+    holds = (sup_count >= a0 + 0.5 * ap_abs) and (inf_count <= a0 - 0.5 * ap_abs)
+    return ExtremesCheck(sup_count=sup_count, inf_count=inf_count, a0=a0,
+                         ap_abs=ap_abs, holds=holds)
+
+
+class ResidualCheck(NamedTuple):
+    residual: float
+    bound: float
+    holds: bool
+
+
+def ap_residual_check(geom: StripGeometry, ell: float, p: int,
+                      phi_value: float, phi_tail: float) -> ResidualCheck:
+    """Check |a_p - (1/2) ell^(1/4) phi_value| against the certified envelope.
+
+    The weight 1/2 matters: the factor-1 variant overshoots the envelope by
+    roughly |a_p| itself at small p (e.g. xi = 0.05, ell = 4, p = 1: residual
+    3.43 vs envelope 0.77, while the 1/2 form leaves residual 0.093).
+
+    phi_value must carry a certified truncation error phi_tail (the envelope
+    is widened by (1/2) ell^(1/4) * phi_tail to absorb it).
+    """
+    if not ell > 0:
+        raise ValueError(f"need ell > 0, got {ell}")
+    if p < 1:
+        raise ValueError(f"harmonic index must be >= 1, got {p}")
+    if phi_tail < 0:
+        raise ValueError(f"need phi_tail >= 0, got {phi_tail}")
+    half_quarter = 0.5 * ell ** 0.25
+    residual = abs(ap_closed(geom, ell, p) - half_quarter * phi_value)
+    bound = residual_bound(geom.xi, ell, p) + half_quarter * phi_tail
+    return ResidualCheck(residual=residual, bound=bound, holds=residual <= bound)
+
+
+# ---------------------------------------------------------------------------
+# constants
+# ---------------------------------------------------------------------------
+
+def beta_by_quadrature() -> float:
+    """B(1/4, 1/2) = 2 int_0^inf (t^2+1)^(-3/4) dt, via t = sinh s.
+
+    The substituted integrand cosh(s)^(-1/2) is analytic and decays like
+    e^(-s/2); composite 64-point Gauss-Legendre on [0, 80] leaves a tail
+    below 2e-17.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    for a in range(0, 80, 2):
+        x = nodes + (a + 1.0)
+        total += float(np.dot(weights, np.cosh(x) ** -0.5))
+    return 2.0 * total
+
+
+# ---------------------------------------------------------------------------
+# stationary phase and the characteristic PDE
+# ---------------------------------------------------------------------------
+
+def stationary_phase_leading(ell: float, p: int) -> float:
+    """Leading stationary-phase term (p^(1/2)/pi) sin(2 pi p ell^(1/2)) / ell^(1/4).
+
+    The actual series neither decays like ell^(-1/4) nor oscillates
+    periodically in ell^(1/2).
+    """
+    if not ell > 0:
+        raise ValueError(f"need ell > 0, got {ell}")
+    if p < 1:
+        raise ValueError(f"harmonic index must be >= 1, got {p}")
+    return math.sqrt(p) / math.pi * math.sin(2.0 * math.pi * p * math.sqrt(ell)) / ell ** 0.25
+
+
+def u_series(l: float, mu: float, truncation_n: int) -> float:
+    """u_N(l, mu) = sum_{|k| <= N} sin(l sqrt(k^2 + mu) - pi/4) / (k^2 + mu)^(3/4)."""
+    if not mu > 0:
+        raise ValueError(f"need mu > 0, got {mu}")
+    if truncation_n < 0:
+        raise ValueError(f"truncation length must be >= 0, got {truncation_n}")
+    k = np.arange(0, truncation_n + 1, dtype=float)
+    weight = np.where(k == 0.0, 1.0, 2.0)
+    s = np.sqrt(k * k + mu)
+    return float(np.dot(weight, np.sin(l * s - _QUARTER_PI) / (s * np.sqrt(s))))
+
+
+def pde_residual(l: float, mu: float, truncation_n: int, h: float = 2e-3,
+                 mode: str = "analytic") -> float:
+    """Residual of d/dl (d^2 u/dl dmu + (l/2) u) - u/4 for the truncated series.
+
+    mode="analytic": differentiate every term exactly and sum the expanded
+    derivative pieces without algebraic pre-cancellation.  The per-term
+    expression cancels to 0 algebraically, so the result is pure
+    floating-point accumulation noise (about 1e-15 per hundred terms); only
+    the numeric mode tests the series itself.
+
+    mode="numeric": max of |analytic residual| and |central finite-difference
+    residual| with step h (a 9-point stencil).  The stencil is O(h^2) only
+    while h resolves the fastest term: keep h * sqrt(N^2 + mu) well below 1.
+    """
+    if not mu > 0:
+        raise ValueError(f"need mu > 0, got {mu}")
+    if truncation_n < 0:
+        raise ValueError(f"truncation length must be >= 0, got {truncation_n}")
+    if mode not in ("analytic", "numeric"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    k = np.arange(0, truncation_n + 1, dtype=float)
+    weight = np.where(k == 0.0, 1.0, 2.0)
+    s = np.sqrt(k * k + mu)
+    theta = l * s - _QUARTER_PI
+    sin_32 = np.sin(theta) / (s * np.sqrt(s))       # sin(theta) s^(-3/2)
+    cos_12 = np.cos(theta) / np.sqrt(s)             # cos(theta) s^(-1/2)
+    # d/dl of [d^2 t/dl dmu], of [(l/2) t], and the -t/4 term, kept separate:
+    per_term = ((-0.5 * sin_32 - 0.5 * l * cos_12) + 0.25 * sin_32
+                + (0.5 * sin_32 + 0.5 * l * cos_12) - 0.25 * sin_32)
+    analytic = float(np.dot(weight, per_term))
+    if mode == "analytic":
+        return analytic
+
+    if not h > 0:
+        raise ValueError(f"need h > 0, got {h}")
+    u = lambda a, b: u_series(a, b, truncation_n)
+
+    def mixed_plus_half(a: float) -> float:
+        d_l_at = lambda b: (u(a + h, b) - u(a - h, b)) / (2.0 * h)
+        return (d_l_at(mu + h) - d_l_at(mu - h)) / (2.0 * h) + 0.5 * a * u(a, mu)
+
+    fd = (mixed_plus_half(l + h) - mixed_plus_half(l - h)) / (2.0 * h) - 0.25 * u(l, mu)
+    return max(abs(analytic), abs(fd))

@@ -13,33 +13,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripgaps import (
-    GapParams,
-    PerturbBounds,
-    PotentialSpec,
-    a0_closed,
+from oracles import (
     a0_increment_check,
-    ap_closed,
     ap_exact_integral,
     ap_residual_check,
-    band_functions,
     counting_extremes_check,
-    critical_constants,
+    pde_residual,
+)
+from stripgaps.cli import main as cli_main
+from stripgaps.fourier import a0_closed, ap_closed
+from stripgaps.galerkin import (
+    PotentialSpec,
+    band_functions,
     default_truncation,
+    hermitian_eigenvalues,
+    omega_bounds,
+    verify_enclosure,
+)
+from stripgaps.gaps import (
+    GapParams,
+    PerturbBounds,
     ell1_threshold,
     ell_star,
     gapless_margin,
-    hermitian_eigenvalues,
     low_energy_budget,
     low_spectrum_no_gap,
-    omega_bounds,
-    pde_residual,
-    phi_p,
-    resolve_geometry,
-    uniform_lower_bound_check,
-    verify_enclosure,
 )
-from stripgaps.cli import main as cli_main
+from stripgaps.geometry import resolve_geometry
+from stripgaps.oscillation import critical_constants, phi_p, uniform_lower_bound_check
 
 SEED = 20260815
 

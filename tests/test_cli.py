@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import json
 import os
 import shlex
 import subprocess
@@ -11,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import stripgaps
-from stripgaps import PotentialSpec, resolve_geometry, write_potential_file
-from stripgaps.cli import main
-from stripgaps.spectrum import MAX_BAND_CURVES
+from stripgaps.cli import MAX_SWEEP_STEPS, main
+from stripgaps.galerkin import PotentialSpec, write_potential_file
+from stripgaps.geometry import resolve_geometry
+from stripgaps.oscillation import MAX_HARMONICS, phi_p, phi_sup
+from stripgaps.spectrum import MAX_BAND_CURVES, MAX_ROWS
 
 
 def run(argv):
@@ -37,13 +40,6 @@ def test_count_command_prints_the_counting_value():
     assert lines[-1] == "0.5,1.3,0,4"
 
 
-def test_count_representations_agree():
-    base = ["count", "--xi", "0.5", "--ell", "1.3", "--tau", "0.25"]
-    _, lattice = run(base + ["--representation", "lattice"])
-    _, rows = run(base + ["--representation", "rows"])
-    assert lattice.splitlines()[-1].split(",")[-1] == rows.splitlines()[-1].split(",")[-1]
-
-
 def test_constants_report_carries_the_thresholds():
     code, out = run(["constants", "--xi", "0.05"])
     assert code == 0
@@ -59,6 +55,10 @@ def test_usage_errors_exit_one():
     code, _ = run(["no-such-command"])
     assert code == 1
     code, _ = run([])
+    assert code == 1
+    # count has no --representation option
+    code, _ = run(["count", "--xi", "0.5", "--ell", "1.3", "--tau", "0.0",
+                   "--representation", "rows"])
     assert code == 1
 
 
@@ -148,19 +148,51 @@ _COSTLY = [
      "error: inputs out of floating-point range"),
     (["phi", "--xi", "0.05", "--ell", "1e300", "--p", "1"],
      "error: tolerance 0.0001 is below the floating-point error of the sum"),
+    (["count", "--xi", "1e-300", "--ell", "2", "--tau", "0"],
+     "error: rows of 1.41e+300 points are beyond exact float64 counts"),
+    (["fourier", "--xi", "1e-9", "--ell", "1e6", "--p", "1"],
+     f"error: row computation exceeds the ceiling of {MAX_ROWS} rows (1e+12 estimated)"),
+    (["phi-sup", "--xi", "0.05", "--ell", "1e12"],
+     f"error: supremum scan exceeds the ceiling of {MAX_HARMONICS} harmonics "
+     "(3e+06 estimated)"),
+    (["sweep", "--param", "xi", "--start", "0.1", "--stop", "0.5",
+      "--steps", "1000000000", "--", "count", "--ell", "1.3", "--tau", "0.0"],
+     f"error: 1000000000 sweep steps exceed the ceiling of {MAX_SWEEP_STEPS}"),
 ]
+
+
+def _subprocess_cli(argv):
+    src = str(Path(stripgaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "stripgaps.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("argv, message", _COSTLY)
 def test_costly_requests_fail_closed(argv, message):
-    src = str(Path(stripgaps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-m", "stripgaps.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _subprocess_cli(argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith(message), proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_count_walks_rows_not_lattice_points():
+    # 1e9 transverse levels per row, but only about 2000 rows to walk
+    proc = _subprocess_cli(["count", "--xi", "1e-6", "--ell", "1e6", "--tau", "0"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1e-06,1000000,0,1570777734446"
+
+
+def test_stdout_matches_the_recorded_corpus(monkeypatch):
+    """Exit status and stdout bytes of every recorded invocation (run from the
+    repository root, where the corpus' relative potential path resolves)."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data.parent.parent)
+    corpus = json.loads((data / "cli_corpus.json").read_text())
+    assert len(corpus) >= 40
+    for entry in corpus:
+        assert run(entry["argv"]) == (entry["status"], entry["stdout"]), entry["argv"]
 
 
 def test_fourier_command_handles_the_mean_and_harmonics():
@@ -177,8 +209,6 @@ def test_fourier_command_handles_the_mean_and_harmonics():
 
 
 def test_phi_command_matches_the_library():
-    from stripgaps import phi_p
-
     code, out = run(["phi", "--xi", "0.5", "--ell", "1.3", "--p", "2", "--tol", "1e-3"])
     assert code == 0
     row = out.splitlines()[-1].split(",")
@@ -189,8 +219,6 @@ def test_phi_command_matches_the_library():
 
 
 def test_phi_sup_command_matches_the_library():
-    from stripgaps import phi_sup
-
     code, out = run(["phi-sup", "--xi", "0.5", "--ell", "2.7", "--tol", "1e-3"])
     assert code == 0
     row = out.splitlines()[-1].split(",")

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripgaps import (
-    a0_closed,
+from oracles import (
     a0_increment_check,
-    ap_closed,
     ap_exact_integral,
     ap_residual_check,
     counting_extremes_check,
-    fourier_record,
-    phi_p,
-    residual_bound,
-    resolve_geometry,
 )
+from stripgaps.fourier import a0_closed, ap_closed, residual_bound
+from stripgaps.geometry import resolve_geometry
+from stripgaps.oscillation import phi_p
 
 ORACLE_RTOL = 1e-10
 
@@ -193,23 +190,8 @@ def test_residual_check_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# record assembly
+# harmonics against the mean
 # ---------------------------------------------------------------------------
-
-def test_record_mean_has_no_residual_bound():
-    geom = resolve_geometry(xi=0.5)
-    rec = fourier_record(geom, 1.3, 0)
-    assert rec.p == 0
-    assert rec.residual_bound is None
-    assert rec.value == pytest.approx(a0_closed(geom, 1.3), rel=1e-15)
-
-
-def test_record_harmonic_carries_envelope():
-    geom = resolve_geometry(xi=0.5)
-    rec = fourier_record(geom, 1.3, 2)
-    assert rec.value == pytest.approx(ap_closed(geom, 1.3, 2), rel=1e-15)
-    assert rec.residual_bound == pytest.approx(residual_bound(0.5, 1.3, 2), rel=1e-15)
-
 
 @given(
     xi=st.floats(min_value=0.05, max_value=0.9),
@@ -217,7 +199,9 @@ def test_record_harmonic_carries_envelope():
     p=st.integers(min_value=1, max_value=10),
 )
 @settings(max_examples=200, deadline=None)
-def test_record_harmonic_is_coarsely_bounded(xi, ell, p):
+def test_harmonic_is_bounded_by_the_mean(xi, ell, p):
+    # N0 >= 0, so |a_p| <= a_0; in the closed forms row by row, since
+    # |sin(2 pi p r)| / (pi p) <= 2 r
     geom = resolve_geometry(xi=xi)
-    rec = fourier_record(geom, ell, p)
-    assert abs(rec.value) <= a0_closed(geom, ell) + 1.0
+    a0 = a0_closed(geom, ell)
+    assert abs(ap_closed(geom, ell, p)) <= a0 * (1.0 + 1e-12)

@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripgaps import (
-    Mode,
+from stripgaps.galerkin import (
     PotentialSpec,
     assemble,
     band_functions,
     default_truncation,
     hermitian_eigenvalues,
-    mode_energy,
     omega_bounds,
     read_potential_file,
-    resolve_geometry,
+    unperturbed_band_functions,
     verify_enclosure,
     write_potential_file,
 )
-from stripgaps.galerkin import unperturbed_band_functions
+from stripgaps.geometry import resolve_geometry
+from stripgaps.spectrum import Mode, mode_energy
 
 GEOM = resolve_geometry(T=1.0, d=1.0)
 COSINE_X1 = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1)))  # 0.2 cos(pi x1 / T)

@@ -5,13 +5,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripgaps import (
+from stripgaps.gaps import (
+    OVERLAP_RTOL,
     GapParams,
     PerturbBounds,
-    SpectralBand,
-    band_table,
+    certify_band_pairs,
     conditions_check,
-    critical_constants,
     ell1_threshold,
     ell2_threshold,
     ell_star,
@@ -20,9 +19,10 @@ from stripgaps import (
     low_energy_budget,
     low_spectrum_no_gap,
     overlap_lower_bound,
-    resolve_geometry,
 )
-from stripgaps.gaps import OVERLAP_RTOL
+from stripgaps.geometry import resolve_geometry
+from stripgaps.oscillation import critical_constants
+from stripgaps.spectrum import SpectralBand, band_table
 
 NO_PERTURBATION = PerturbBounds()
 
@@ -269,9 +269,9 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     # whose bands merely touch meet exactly (overlap 0.0), which equals
     # omega_L = 0 only within rounding, so they stay undecided
     geom = resolve_geometry(T=1.0, d=1.0)
-    bands = band_table(geom, 12)
-    report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), bands,
+    report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7),
                         ell_max=8.0, low_spectrum_points=0)
+    bands = band_table(geom, len(report.bands))
     assert report.candidate_gaps
     for g in report.candidate_gaps:
         assert g.certified_absent == (g.unperturbed_overlap > 0.0)
@@ -285,10 +285,12 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
 
 def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
     geom = resolve_geometry(T=1.0, d=1.0)
-    bands = band_table(geom, 8)
     bounds = PerturbBounds(omega_minus=-0.25, omega_plus=0.75)
-    report = gap_report(geom, bounds, GapParams(c0=0.7), bands,
+    report = gap_report(geom, bounds, GapParams(c0=0.7),
                         ell_max=4.0, low_spectrum_points=0)
+    bands = band_table(geom, len(report.bands))
+    # the table covers the ceiling: one band more than sup_tau N0(4, tau)
+    assert bands[-1].hi >= 4.0 * math.pi ** 2
     for enc, b in zip(report.bands, bands):
         assert enc.lo == pytest.approx(b.lo - 0.25, rel=1e-14)
         assert enc.hi == pytest.approx(b.hi + 0.75, rel=1e-14)
@@ -298,9 +300,8 @@ def test_gap_report_certifies_exactly_the_wide_overlaps():
     geom = resolve_geometry(T=1.0, d=1.0)
     bands = band_table(geom, 12)
     bounds = PerturbBounds(omega_minus=0.0, omega_plus=2.0)
-    report = gap_report(geom, bounds, GapParams(c0=0.7), bands,
-                        ell_max=8.0, low_spectrum_points=0)
-    for g in report.candidate_gaps:
+    windows = certify_band_pairs(geom, bounds, bands, ell_max=8.0)
+    for g in windows:
         below = bands[g.k - 1]
         above = bands[g.k]
         assert g.unperturbed_overlap == pytest.approx(
@@ -309,21 +310,26 @@ def test_gap_report_certifies_exactly_the_wide_overlaps():
         assert g.certified_absent == (g.unperturbed_overlap >= 2.0 + slack)
         assert g.lo == pytest.approx(below.hi + 0.0, rel=1e-14)
         assert g.hi == pytest.approx(above.lo + 2.0, rel=1e-14)
+    # the report built from its own covering table finds the same windows
+    report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=8.0,
+                        low_spectrum_points=0)
+    assert report.candidate_gaps == windows
     assert report.undecided == tuple(
         g for g in report.candidate_gaps if not g.certified_absent)
 
 
 def test_gap_report_runs_the_low_energy_grid_in_regime():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    bands = band_table(geom, 40)
     report = gap_report(geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1),
-                        bands, ell_max=2.0, low_spectrum_points=16)
+                        low_spectrum_points=16)
     assert report.low_spectrum_applicable
     assert len(report.low_spectrum) == 16
     assert all(c.positive for c in report.low_spectrum)
     assert report.ell_star == pytest.approx(0.37763465727591716, rel=1e-12)
     lo = 0.25 + 0.01
     assert all(lo < c.ell < 1.0 for c in report.low_spectrum)
+    # without a ceiling no band table is built
+    assert report.bands == () and report.candidate_gaps == ()
 
 
 @pytest.mark.parametrize("omega_L, certified", [
@@ -335,9 +341,7 @@ def test_gap_report_runs_the_low_energy_grid_in_regime():
 def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega_L, certified):
     geom = resolve_geometry(T=1.0, d=1.0)
     bands = [SpectralBand(k=1, lo=1.0, hi=2.0), SpectralBand(k=2, lo=1.5, hi=3.0)]
-    report = gap_report(geom, PerturbBounds(0.0, omega_L), GapParams(c0=0.7), bands,
-                        ell_max=0.2, low_spectrum_points=0)
-    (g,) = report.candidate_gaps
+    (g,) = certify_band_pairs(geom, PerturbBounds(0.0, omega_L), bands, ell_max=0.2)
     assert g.unperturbed_overlap == 0.5
     assert g.certified_absent is certified
 
@@ -345,19 +349,21 @@ def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega
 def test_gap_report_validates_the_band_input():
     geom = resolve_geometry(T=1.0, d=1.0)
     bands = band_table(geom, 6)
-    params = GapParams(c0=0.7)
     with pytest.raises(ValueError, match="nonempty"):
-        gap_report(geom, NO_PERTURBATION, params, [], ell_max=2.0)
+        certify_band_pairs(geom, NO_PERTURBATION, [], ell_max=2.0)
     with pytest.raises(ValueError, match="consecutively"):
-        gap_report(geom, NO_PERTURBATION, params, bands[1:], ell_max=2.0)
+        certify_band_pairs(geom, NO_PERTURBATION, bands[1:], ell_max=2.0)
     with pytest.raises(ValueError, match="cover"):
-        gap_report(geom, NO_PERTURBATION, params, bands, ell_max=50.0)
+        certify_band_pairs(geom, NO_PERTURBATION, bands, ell_max=50.0)
+    # the report sizes its own table, failing closed above the band ceiling
+    with pytest.raises(ValueError, match="ceiling"):
+        gap_report(resolve_geometry(xi=0.03), NO_PERTURBATION,
+                   GapParams.from_small_ratio(0.03), ell_max=1e9)
 
 
 def test_gap_report_is_deterministic():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    bands = band_table(geom, 30)
-    args = (geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1), bands)
+    args = (geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
     a = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
     b = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
     assert a == b

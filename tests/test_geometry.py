@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from stripgaps import StripGeometry, resolve_geometry
-from stripgaps.geometry import validate_ell, validate_tau
+from stripgaps.geometry import StripGeometry, resolve_geometry, validate_ell, validate_tau
 
 
 def test_xi_is_aspect_ratio():

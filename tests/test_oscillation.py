@@ -5,19 +5,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripgaps import (
+from oracles import beta_by_quadrature, pde_residual, stationary_phase_leading, u_series
+from stripgaps.geometry import resolve_geometry
+from stripgaps.oscillation import (
+    MAX_HARMONICS,
     PhiEvaluation,
     critical_constants,
-    pde_residual,
+    cutoff_bound,
     phi_p,
     phi_sup,
-    resolve_geometry,
-    stationary_phase_leading,
     tail_bound,
     truncation_length,
     uniform_lower_bound_check,
+    zeta_three_halves,
 )
-from stripgaps.oscillation import cutoff_bound, u_series, zeta_three_halves
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +45,11 @@ def test_constants_reference_values():
     assert cc.c1 == pytest.approx(0.1682310706, abs=1e-9)
     assert cc.xi_critical == pytest.approx(0.1012108543, abs=1e-9)
     assert cc.beta_quarter_half == pytest.approx(5.2441151086, abs=1e-9)
+
+
+def test_beta_matches_direct_quadrature():
+    # the Gamma-function value against an independent route
+    assert abs(critical_constants().beta_quarter_half - beta_by_quadrature()) <= 1e-8
 
 
 def test_c1_is_the_minimax_value_on_a_fine_grid():
@@ -252,6 +258,10 @@ def test_sup_scan_rejects_bad_inputs():
         phi_sup(geom, 0.0)
     with pytest.raises(ValueError):
         phi_sup(geom, 1.0, cutoff_c1=0.0)
+    # the harmonic count is refused before any evaluation
+    ell = (MAX_HARMONICS / 3.0 + 1.0) ** 2
+    with pytest.raises(ValueError, match=f"ceiling of {MAX_HARMONICS} harmonics"):
+        phi_sup(geom, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +291,7 @@ def test_uniform_bound_rejects_out_of_regime_inputs():
 
 
 # ---------------------------------------------------------------------------
-# diagnostics: stationary phase and the characteristic equation
+# oracles: stationary phase and the characteristic equation
 # ---------------------------------------------------------------------------
 
 def test_stationary_phase_leading_example():

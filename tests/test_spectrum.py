@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripgaps import (
-    Mode,
-    StripGeometry,
-    band_table,
-    counting,
-    counting_extremes,
-    mode_energy,
-    resolve_geometry,
-)
+from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.spectrum import (
     BOUNDARY_RTOL,
     MAX_BAND_CROSSINGS,
     MAX_BAND_CURVES,
+    MAX_ROWS,
+    Mode,
+    band_table,
+    counting,
+    counting_extremes,
     kth_scaled_level,
+    mode_energy,
     row_radii,
     scaled_levels_below,
 )
@@ -29,7 +27,8 @@ PI2 = math.pi ** 2
 
 
 def brute_count(xi: float, ell: float, tau: float) -> int:
-    """Direct double loop over a generous index box, inclusive boundary."""
+    """The lattice representation of N0: a direct double loop over a generous
+    index box, inclusive boundary."""
     thresh = ell + BOUNDARY_RTOL * max(1.0, ell)
     if thresh < xi * xi:
         return 0
@@ -114,10 +113,17 @@ def test_counting_known_small_cases():
     assert counting(geom, 1.3, 0.25) == 3
 
 
-def test_counting_rejects_unknown_representation():
-    geom = resolve_geometry(xi=0.5)
-    with pytest.raises(ValueError, match="representation"):
-        counting(geom, 1.3, 0.0, representation="columns")
+def test_counting_fails_closed_above_its_row_ceilings():
+    with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
+        counting(resolve_geometry(xi=0.5), float(MAX_ROWS) ** 2, 0.0)
+    # xi^2 underflows: the rows would hold far more points than float64 counts
+    with pytest.raises(ValueError, match="beyond exact float64 counts"):
+        counting(resolve_geometry(xi=1e-300), 2.0, 0.0)
+    with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
+        row_radii(1e-9, 1e6)
+    assert row_radii(0.5, 1.3).size == 2
+    # xi^2 underflows at zero energy: no rows of positive radius, no hang
+    assert not row_radii(1e-300, 0.0).any()
 
 
 def test_counting_boundary_ties_are_inside():
@@ -134,10 +140,9 @@ def test_counting_boundary_ties_are_inside():
 )
 @settings(max_examples=300, deadline=None)
 def test_counting_matches_brute_force_both_representations(xi, ell, tau):
+    # rows (the library) against the lattice enumeration (brute_count)
     geom = resolve_geometry(xi=xi)
-    expected = brute_count(xi, ell, tau)
-    assert counting(geom, ell, tau, representation="lattice") == expected
-    assert counting(geom, ell, tau, representation="rows") == expected
+    assert counting(geom, ell, tau) == brute_count(xi, ell, tau)
 
 
 def test_representation_equivalence_large_sample():
@@ -148,9 +153,7 @@ def test_representation_equivalence_large_sample():
         ell = float(rng.uniform(0.0, 20.0))
         tau = float(rng.uniform(-0.499, 0.5))
         geom = geom_cache.setdefault(xi, resolve_geometry(xi=xi))
-        lattice = counting(geom, ell, tau, representation="lattice")
-        rows = counting(geom, ell, tau, representation="rows")
-        assert lattice == rows, (xi, ell, tau)
+        assert counting(geom, ell, tau) == brute_count(xi, ell, tau), (xi, ell, tau)
 
 
 @given(
