@@ -11,6 +11,10 @@ Exit status contract: 0 on success, 1 on usage or validation errors, 2 when
 the mathematics answers no (a certification condition fails or a checked
 inequality is violated).
 
+One table, ``COMMANDS``, declares every command: its handler, help line,
+default output format and flags.  The parser, the canonical echo, the
+defaults each handler sees and the dispatch are all generated from it.
+
 The ``sweep`` command re-runs an inner command over a parameter grid, in
 parallel when requested; rows are emitted in grid order whatever the worker
 count, and the worker count is deliberately excluded from the metadata echo,
@@ -24,7 +28,7 @@ import math
 import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,138 +47,69 @@ from .geometry import StripGeometry, resolve_geometry
 from .oscillation import critical_constants, phi_p, phi_sup, uniform_lower_bound_check
 from .spectrum import band_table, counting
 
-__all__ = ["RunConfig", "SweepSpec", "build_parser", "main"]
+__all__ = ["main"]
 
-# Ceiling on sweep cells, checked before any cell runs (like
-# oscillation.MAX_TERMS).
+# Ceilings checked before any cell or grid point is allocated (like
+# oscillation.MAX_TERMS): sweep cells, and the points of check-thm23's energy
+# grid, galerkin's tau grid and gaps' low-energy grid.
 MAX_SWEEP_STEPS = 10_000
+MAX_GRID = 10_000
 
-_COMMANDS = (
-    "constants",
-    "count",
-    "bands",
-    "fourier",
-    "phi",
-    "phi-sup",
-    "check-thm23",
-    "gaps",
-    "galerkin",
-    "sweep",
-)
-
-# Flag order used when reconstructing the canonical argument echo.  Only
-# flags the user actually supplied appear (all argparse defaults are None),
-# so re-parsing the echo reproduces the namespace exactly.
-_FLAG_ORDER = (
-    "xi",
-    "T",
-    "d",
-    "ell",
-    "tau",
-    "p",
-    "tol",
-    "cutoff_c1",
-    "kmax",
-    "grid",
-    "ell_min",
-    "ell_max",
-    "omega_minus",
-    "omega_plus",
-    "omega_l",
-    "c0",
-    "gamma",
-    "ell0",
-    "low_points",
-    "potential",
-    "nmax",
-    "mmax",
-    "param",
-    "start",
-    "stop",
-    "steps",
-    "seed",
-    "format",
-)
-
-_FLAG_SPELLING = {
-    "T": "--T",
-    "d": "--d",
-    "cutoff_c1": "--cutoff-c1",
-    "ell_min": "--ell-min",
-    "ell_max": "--ell-max",
-    "omega_minus": "--omega-minus",
-    "omega_plus": "--omega-plus",
-    "omega_l": "--omega-l",
-    "low_points": "--low-points",
-}
+_REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, explicit parameters, output, seed."""
+class _Flag(NamedTuple):
+    """One option: ``--dest`` (underscores as dashes), parsed by type.
 
-    command: str
-    parameters: tuple[tuple[str, object], ...]
-    output: str
-    seed: int
+    default is filled into the handler's options when the flag is absent;
+    None leaves it absent, _REQUIRED makes it mandatory.  Flags with echo
+    False (execution detail) stay out of the canonical echo.
+    """
 
-    def canonical_argv(self) -> list[str]:
-        """Deterministic argument list reproducing this configuration.
+    dest: str
+    type: Callable
+    default: object = None
+    help: str = ""
+    echo: bool = True
 
-        Floats are rendered with repr (exact round trip); the worker count is
-        execution detail, never configuration, and is excluded upstream.
-        """
-        argv = [self.command]
-        params = dict(self.parameters)
-        for dest in _FLAG_ORDER:
-            if dest not in params:
-                continue
-            flag = _FLAG_SPELLING.get(dest, "--" + dest.replace("_", "-"))
-            value = params[dest]
-            if isinstance(value, bool):
-                argv.append(flag if value else "--no-" + flag[2:])
-            else:
-                argv.append(flag)
-                argv.append(repr(value) if isinstance(value, float) else str(value))
-        if "inner" in params:
-            argv.append("--")
-            argv.extend(params["inner"])
-        return argv
+    @property
+    def spelling(self) -> str:
+        return "--" + self.dest.replace("_", "-")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid sweep: parameter name, inclusive range, and the inner command."""
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    flags: tuple[_Flag, ...]  # in echo order, --seed and --format last
+    arguments: tuple[tuple[str, dict], ...]  # the flags' add_argument calls
 
-    parameter: str
-    start: float
-    stop: float
-    steps: int
-    inner: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.steps > MAX_SWEEP_STEPS:
-            raise ValueError(
-                f"{self.steps} sweep steps exceed the ceiling of {MAX_SWEEP_STEPS}"
-            )
-        if not self.start <= self.stop:
-            raise ValueError(
-                f"range start {self.start} must not exceed stop {self.stop}"
-            )
-        if not self.inner:
-            raise ValueError("sweep needs an inner command after --")
-        if self.inner[0] == "sweep":
-            raise ValueError("sweep cannot nest another sweep")
-        if self.inner[0] not in _COMMANDS:
-            raise ValueError(f"unknown inner command {self.inner[0]!r}")
+def _command(handler: Callable, help_: str, fmt: str, flags: tuple) -> _Command:
+    """A table row: the command's own flags, then the two every command takes
+    (fmt is the command's default output format).
 
-    def values(self) -> list[float]:
-        if self.steps == 1:
-            return [self.start]
-        step = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + step * i for i in range(self.steps)]
+    The add_argument calls are derived here, once, so that building the parser
+    on every invocation costs what a hand-written parser costs.
+    """
+    flags += (
+        _Flag("seed", int, 0, "echoed in metadata"),
+        _Flag("format", str, fmt, "output style, csv or report"),
+    )
+    arguments = []
+    for flag in flags:
+        required = flag.default is _REQUIRED
+        shown = "" if required or flag.default is None else f" (default {_fmt(flag.default)})"
+        arguments.append((flag.spelling, dict(
+            type=flag.type, required=required, help=flag.help + shown,
+            choices=("csv", "report") if flag.dest == "format" else None)))
+    return _Command(handler, help_, flags, tuple(arguments))
+
+
+class _Output(NamedTuple):
+    """Resolved output style and the metadata block that heads it."""
+
+    fmt: str
+    meta: list[str]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,152 +132,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="stripgaps", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+def _render(out: _Output, header: list[str], rows: list, report=None) -> list[str]:
+    """The metadata block, then CSV (header and rows) or a report.
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, description=help_)
-        p.add_argument("--seed", type=int, default=None, help="echoed in metadata")
-        p.add_argument(
-            "--format", choices=("csv", "report"), default=None, help="output style"
-        )
-        return p
-
-    def add_geometry(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--xi", type=float, default=None, help="aspect ratio T/d")
-        p.add_argument("--T", type=float, default=None, help="half period")
-        p.add_argument("--d", type=float, default=None, help="strip width")
-
-    p = add("constants", "threshold constants of the small-ratio regime")
-    p.add_argument("--xi", type=float, default=None, help="also report c0(xi)")
-
-    p = add("count", "lattice counting function N0(ell, tau)")
-    add_geometry(p)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-
-    p = add("bands", "unperturbed band endpoints")
-    add_geometry(p)
-    p.add_argument("--kmax", type=int, default=None, help="bands to report (default 8)")
-
-    p = add("fourier", "Fourier coefficient a_p of the counting function")
-    add_geometry(p)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("phi", "oscillatory series phi_p(ell) with certified tail")
-    add_geometry(p)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None, help="tail tolerance (default 1e-4)")
-
-    p = add("phi-sup", "sup over harmonics of |phi_p(ell)|")
-    add_geometry(p)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--cutoff-c1", dest="cutoff_c1", type=float, default=None)
-
-    p = add("check-thm23", "uniform lower bound sup_p |phi_p| >= c0(xi) - 2 tol")
-    add_geometry(p)
-    p.add_argument("--ell-min", dest="ell_min", type=float, default=None)
-    p.add_argument("--ell-max", dest="ell_max", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None, help="energy grid points (default 100)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--cutoff-c1", dest="cutoff_c1", type=float, default=None)
-
-    p = add("gaps", "gap certification report")
-    add_geometry(p)
-    p.add_argument("--omega-minus", dest="omega_minus", type=float, default=None)
-    p.add_argument("--omega-plus", dest="omega_plus", type=float, default=None)
-    p.add_argument(
-        "--omega-l",
-        dest="omega_l",
-        type=float,
-        default=None,
-        help="shorthand for --omega-minus 0 --omega-plus VALUE",
-    )
-    p.add_argument("--c0", type=float, default=None, help="minorant constant")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--ell0", type=float, default=None)
-    p.add_argument(
-        "--ell-max",
-        dest="ell_max",
-        type=float,
-        default=None,
-        help="also build band enclosures up to this scaled energy",
-    )
-    p.add_argument(
-        "--low-points",
-        dest="low_points",
-        type=int,
-        default=None,
-        help="low-energy verdict grid size (default 32)",
-    )
-
-    p = add("galerkin", "finite-basis bands and enclosure check for a potential")
-    add_geometry(p)
-    p.add_argument("--potential", required=True, help="potential file path")
-    p.add_argument("--kmax", type=int, default=None, help="bands (default 6)")
-    p.add_argument("--grid", type=int, default=None, help="tau grid size (default 17)")
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--mmax", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="enclosure slack (default 1e-6)")
-
-    p = add("sweep", "re-run an inner command over a parameter grid")
-    p.add_argument("--param", required=True, help="swept flag name, e.g. xi or ell")
-    p.add_argument("--start", dest="start", type=float, required=True)
-    p.add_argument("--stop", dest="stop", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--workers", type=int, default=None, help="parallel processes (default 1)"
-    )
-    p.add_argument(
-        "inner",
-        nargs=argparse.REMAINDER,
-        help="inner command after --, e.g. -- phi-sup --ell 1",
-    )
-    return parser
-
-
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    output = ns.format if ns.format is not None else _default_format(ns.command)
-    skip = {"command", "workers", "inner", "format"}
-    params = []
-    for dest in _FLAG_ORDER:
-        if dest in skip or not hasattr(ns, dest):
-            continue
-        value = getattr(ns, dest)
-        if value is not None:
-            params.append((dest, value))
-    # The resolved format always rides along (and seed when given), so the
-    # canonical echo stays self-contained even for sweep, whose inner command
-    # must remain the trailing section of the argument list.
-    params.append(("format", output))
-    inner = [t for t in getattr(ns, "inner", []) if t != "--"]
-    if inner:
-        params.append(("inner", tuple(inner)))
-    return RunConfig(
-        command=ns.command,
-        parameters=tuple(params),
-        output=output,
-        seed=ns.seed if ns.seed is not None else 0,
-    )
-
-
-def _default_format(command: str) -> str:
-    return "report" if command in ("constants", "gaps", "galerkin") else "csv"
-
-
-def _meta(config: RunConfig) -> list[str]:
-    return [
-        "# tool=stripgaps",
-        f"# version={__version__}",
-        f"# command={config.command}",
-        f"# argv={shlex.join(config.canonical_argv())}",
-        f"# seed={config.seed}",
-        f"# format={config.output}",
-    ]
+    A report prints the ``(key, value)`` items of report, or without them
+    each row as a block of ``header = value`` lines, blocks separated by a
+    blank line.
+    """
+    lines = list(out.meta)
+    if out.fmt == "csv":
+        lines.append(",".join(header))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        return lines
+    blocks = [report] if report is not None else [zip(header, row) for row in rows]
+    for i, items in enumerate(blocks):
+        if i:
+            lines.append("")
+        lines.extend(f"{key} = {_fmt(value)}" for key, value in items)
+    return lines
 
 
 def _geometry(params: dict) -> StripGeometry:
@@ -351,31 +158,17 @@ def _geometry(params: dict) -> StripGeometry:
     )
 
 
-def _table(meta: list[str], header: list[str], rows: list[list]) -> list[str]:
-    lines = list(meta)
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return lines
+def _grid(params: dict, dest: str, least: int = 1) -> int:
+    """Grid size of flag dest, failing closed outside [least, MAX_GRID]."""
+    n, name = params[dest], dest.replace("_", "-")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    if n > MAX_GRID:
+        raise ValueError(f"--{name} {n} exceeds the ceiling of {MAX_GRID} points")
+    return n
 
 
-def _report(meta: list[str], items: list[tuple[str, object]]) -> list[str]:
-    return list(meta) + [f"{key} = {_fmt(value)}" for key, value in items]
-
-
-def _emit(config: RunConfig, header: list[str], rows: list[list]) -> list[str]:
-    """Render rows as CSV or as a report (one key = value block per row)."""
-    meta = _meta(config)
-    if config.output == "csv":
-        return _table(meta, header, rows)
-    lines = list(meta)
-    for i, row in enumerate(rows):
-        if i:
-            lines.append("")
-        lines.extend(f"{k} = {_fmt(v)}" for k, v in zip(header, row))
-    return lines
-
-
-def _cmd_constants(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_constants(params: dict, out: _Output) -> tuple[int, list[str]]:
     cc = critical_constants()
     items: list[tuple[str, object]] = [
         ("c2", cc.c2),
@@ -386,135 +179,109 @@ def _cmd_constants(config: RunConfig, params: dict) -> tuple[int, list[str]]:
     ]
     if "xi" in params:
         items.append(("c0", cc.c0(params["xi"])))
-    if config.output == "csv":
-        return 0, _table(_meta(config), ["name", "value"], [list(kv) for kv in items])
-    return 0, _report(_meta(config), items)
+    return 0, _render(out, ["name", "value"], items, items)
 
 
-def _cmd_count(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_count(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
     value = counting(geom, params["ell"], params["tau"])
-    return 0, _emit(
-        config,
+    return 0, _render(
+        out,
         ["xi", "ell", "tau", "count"],
         [[geom.xi, params["ell"], params["tau"], value]],
     )
 
 
-def _cmd_bands(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_bands(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
-    k_max = params.get("kmax", 8)
     scale = geom.T ** 2 / math.pi ** 2
     rows = [
         [b.k, b.lo, b.hi, b.lo * scale, b.hi * scale]
-        for b in band_table(geom, k_max)
+        for b in band_table(geom, params["kmax"])
     ]
-    return 0, _emit(
-        config, ["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows
-    )
+    return 0, _render(out, ["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows)
 
 
-def _cmd_fourier(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_fourier(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
     ell, p = params["ell"], params["p"]
     if p == 0:
         value, bound = a0_closed(geom, ell), None
     else:
         value, bound = ap_closed(geom, ell, p), residual_bound(geom.xi, ell, p)
-    return 0, _emit(
-        config,
+    return 0, _render(
+        out,
         ["xi", "ell", "p", "value", "residual_bound"],
         [[geom.xi, ell, p, value, bound]],
     )
 
 
-def _cmd_phi(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_phi(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
-    ev = phi_p(geom, params["ell"], params["p"], tol=params.get("tol", 1e-4))
-    return 0, _emit(
-        config,
+    ev = phi_p(geom, params["ell"], params["p"], tol=params["tol"])
+    return 0, _render(
+        out,
         ["xi", "ell", "p", "value", "tail_bound", "truncation_n"],
         [[geom.xi, ev.ell, ev.p, ev.value, ev.tail_bound, ev.truncation_n]],
     )
 
 
-def _cmd_phi_sup(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_phi_sup(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
-    res = phi_sup(
-        geom,
-        params["ell"],
-        cutoff_c1=params.get("cutoff_c1", 3.0),
-        tol=params.get("tol", 1e-4),
-    )
-    return 0, _emit(
-        config,
+    res = phi_sup(geom, params["ell"], cutoff_c1=params["cutoff_c1"], tol=params["tol"])
+    return 0, _render(
+        out,
         ["xi", "ell", "p_star", "value", "p_max", "cutoff_bound"],
         [[geom.xi, params["ell"], res.p_star, res.value, res.p_max, res.cutoff_bound]],
     )
 
 
-def _cmd_check_thm23(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_check_thm23(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
     cc = critical_constants()
     if not geom.xi < cc.xi_critical:
-        meta = _meta(config)
-        lines = meta + [
-            "verdict,margin",
-            f"not-applicable,{_fmt(geom.xi - cc.xi_critical)}",
-        ]
-        if config.output == "report":
-            lines = meta + [
-                "verdict = not-applicable",
-                f"xi_excess = {_fmt(geom.xi - cc.xi_critical)}",
-            ]
-        return 2, lines
-    lo = params.get("ell_min", 1.0)
-    hi = params.get("ell_max", 100.0)
-    n = params.get("grid", 100)
-    if n < 1:
-        raise ValueError(f"grid must be >= 1, got {n}")
+        excess = geom.xi - cc.xi_critical
+        return 2, _render(
+            out,
+            ["verdict", "margin"],
+            [["not-applicable", excess]],
+            [("verdict", "not-applicable"), ("xi_excess", excess)],
+        )
+    lo, hi, n = params["ell_min"], params["ell_max"], _grid(params, "grid")
     if not 1.0 <= lo <= hi:
         raise ValueError(f"need 1 <= ell-min <= ell-max, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, n) if n > 1 else np.array([lo])
     report = uniform_lower_bound_check(
-        geom,
-        grid,
-        tol=params.get("tol", 1e-4),
-        cutoff_c1=params.get("cutoff_c1", 3.0),
+        geom, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"]
     )
     rows = [
         [r.ell, r.p_star, r.value, report.c0 - 2 * report.tol, r.margin, r.ok]
         for r in report.rows
     ]
     status = 0 if report.all_ok else 2
-    return status, _emit(
-        config, ["ell", "p_star", "value", "threshold", "margin", "ok"], rows
+    return status, _render(
+        out, ["ell", "p_star", "value", "threshold", "margin", "ok"], rows
     )
 
 
 def _resolve_bounds(params: dict) -> PerturbBounds:
-    has_pair = "omega_minus" in params or "omega_plus" in params
+    pair = {k: params[k] for k in ("omega_minus", "omega_plus") if k in params}
     if "omega_l" in params:
-        if has_pair:
+        if pair:
             raise ValueError(
                 "--omega-l cannot be combined with --omega-minus/--omega-plus"
             )
         return PerturbBounds(0.0, params["omega_l"])
-    return PerturbBounds(
-        params.get("omega_minus", 0.0), params.get("omega_plus", 0.0)
-    )
+    return PerturbBounds(**pair)
 
 
-def _cmd_gaps(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
     bounds = _resolve_bounds(params)
+    low_points = _grid(params, "low_points", least=0)
     cc = critical_constants()
     if "c0" in params:
-        gp = GapParams(
-            c0=params["c0"],
-            gamma=params.get("gamma", 0.0),
-            ell0=params.get("ell0", 1.0),
-        )
+        gp = GapParams(c0=params["c0"], gamma=params["gamma"], ell0=params["ell0"])
     elif geom.xi < cc.xi_critical:
         gp = GapParams.from_small_ratio(geom.xi)
     else:
@@ -522,7 +289,7 @@ def _cmd_gaps(config: RunConfig, params: dict) -> tuple[int, list[str]]:
             f"xi={geom.xi} is not below the critical ratio {cc.xi_critical:.7f}; "
             "supply --c0 (and optionally --gamma, --ell0)"
         )
-    rep = gap_report(geom, bounds, gp, params.get("ell_max"), params.get("low_points", 32))
+    rep = gap_report(geom, bounds, gp, params.get("ell_max"), low_points)
     verdict = rep.conditions
     items: list[tuple[str, object]] = [
         ("xi", geom.xi),
@@ -553,7 +320,7 @@ def _cmd_gaps(config: RunConfig, params: dict) -> tuple[int, list[str]]:
         items.append(
             ("low_spectrum_min_difference", min(c.difference for c in rep.low_spectrum))
         )
-    undecided_lines: list[str] = []
+    windows: list[tuple[str, str]] = []
     if "ell_max" in params:
         items.append(("bands", len(rep.bands)))
         items.append(("candidate_windows", len(rep.candidate_gaps)))
@@ -561,22 +328,18 @@ def _cmd_gaps(config: RunConfig, params: dict) -> tuple[int, list[str]]:
             ("certified_absent", sum(g.certified_absent for g in rep.candidate_gaps))
         )
         items.append(("undecided", len(rep.undecided)))
-        for g in rep.undecided[:20]:
-            undecided_lines.append(
-                f"undecided_window_{g.k} = ({_fmt(g.lo)}, {_fmt(g.hi)})"
-            )
+        windows = [
+            (f"undecided_window_{g.k}", f"({_fmt(g.lo)}, {_fmt(g.hi)})")
+            for g in rep.undecided[:20]
+        ]
     items.append(
         ("verdict", "gapless-certified" if verdict.all_gapless else "not-certified")
     )
     status = 0 if verdict.all_gapless else 2
-    if config.output == "csv":
-        return status, _table(
-            _meta(config), ["key", "value"], [list(kv) for kv in items]
-        )
-    return status, _report(_meta(config), items) + undecided_lines
+    return status, _render(out, ["key", "value"], items, items + windows)
 
 
-def _cmd_galerkin(config: RunConfig, params: dict) -> tuple[int, list[str]]:
+def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
     file_geom, potential = read_potential_file(params["potential"])
     if any(k in params for k in ("xi", "T", "d")):
         given = _geometry(params)
@@ -588,9 +351,8 @@ def _cmd_galerkin(config: RunConfig, params: dict) -> tuple[int, list[str]]:
                 f"geometry flags {given} conflict with potential file header {file_geom}"
             )
     geom = file_geom
-    k_max = params.get("kmax", 6)
-    grid_n = params.get("grid", 17)
-    tol = params.get("tol", 1e-6)
+    k_max = params["kmax"]
+    grid_n = _grid(params, "grid")
     if "nmax" in params or "mmax" in params:
         if not ("nmax" in params and "mmax" in params):
             raise ValueError("--nmax and --mmax must be given together")
@@ -601,7 +363,7 @@ def _cmd_galerkin(config: RunConfig, params: dict) -> tuple[int, list[str]]:
     bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
     bands = band_functions(geom, potential, tau_grid, k_max, truncation)
     enclosure = omega_bounds(geom, potential)
-    check = verify_enclosure(bands, bands0, enclosure, tol=tol)
+    check = verify_enclosure(bands, bands0, enclosure, tol=params["tol"])
     summary: list[tuple[str, object]] = [
         ("xi", geom.xi),
         ("T", geom.T),
@@ -620,20 +382,16 @@ def _cmd_galerkin(config: RunConfig, params: dict) -> tuple[int, list[str]]:
         ("enclosure_ok", check.ok),
     ]
     status = 0 if check.ok else 2
-    if config.output == "report":
-        return status, _report(_meta(config), summary)
-    lines = _meta(config)
-    lines.extend(f"# {key}={_fmt(value)}" for key, value in summary)
-    lines.append("tau,k,energy0,energy")
-    for i, tau in enumerate(bands.tau_grid):
-        for k in range(1, k_max + 1):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (tau, k, bands0.energies[i, k - 1], bands.energies[i, k - 1])
-                )
-            )
-    return status, lines
+    if out.fmt == "csv":
+        # the summary rides along as comment lines above the band values
+        notes = [f"# {key}={_fmt(value)}" for key, value in summary]
+        out = out._replace(meta=out.meta + notes)
+    rows = [
+        [tau, k, bands0.energies[i, k - 1], bands.energies[i, k - 1]]
+        for i, tau in enumerate(bands.tau_grid)
+        for k in range(1, k_max + 1)
+    ]
+    return status, _render(out, ["tau", "k", "energy0", "energy"], rows, summary)
 
 
 def _error_text(exc: Exception) -> str:
@@ -652,70 +410,181 @@ def _sweep_cell(argv: list[str]) -> tuple[int, list[str]]:
         return 1, [f"# error={_error_text(exc)}"]
 
 
-def _cmd_sweep(config: RunConfig, params: dict, workers: int) -> tuple[int, list[str]]:
-    spec = SweepSpec(
-        parameter=params["param"],
-        start=params["start"],
-        stop=params["stop"],
-        steps=params["steps"],
-        inner=tuple(params.get("inner", ())),
-    )
-    flag = "--" + spec.parameter.replace("_", "-")
-    cells = [
-        list(spec.inner) + [flag, repr(v), "--format", "csv"] for v in spec.values()
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
+    name, start, stop, steps = (params[k] for k in ("param", "start", "stop", "steps"))
+    inner = params["inner"]
+    if params["workers"] < 1:
+        raise ValueError(f"workers must be >= 1, got {params['workers']}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"{steps} sweep steps exceed the ceiling of {MAX_SWEEP_STEPS}")
+    if not start <= stop:
+        raise ValueError(f"range start {start} must not exceed stop {stop}")
+    if not inner:
+        raise ValueError("sweep needs an inner command after --")
+    if inner[0] == "sweep":
+        raise ValueError("sweep cannot nest another sweep")
+    if inner[0] not in COMMANDS:
+        raise ValueError(f"unknown inner command {inner[0]!r}")
+    step = (stop - start) / (steps - 1) if steps > 1 else 0.0
+    values = [start + step * i for i in range(steps)] if steps > 1 else [start]
+    flag = _Flag(name, float).spelling
+    cells = [inner + [flag, repr(v), "--format", "csv"] for v in values]
+    if params["workers"] > 1:
+        with ProcessPoolExecutor(max_workers=params["workers"]) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(argv) for argv in cells]
-    header: str | None = None
-    for status, lines in results:
-        if status == 0:
-            data = [l for l in lines if not l.startswith("#")]
-            if data:
-                header = data[0]
-                break
-    width = len(header.split(",")) if header else 0
-    out = _meta(config)
-    out.append(
-        ",".join([spec.parameter, "status"] + (header.split(",") if header else []))
+    tables = [[l.split(",") for l in lines if not l.startswith("#")]
+              for _, lines in results]
+    inner_header = next(
+        (t[0] for (status, _), t in zip(results, tables) if status == 0 and t), []
     )
-    for value, (status, lines) in zip(spec.values(), results):
+    rows = []
+    for value, (status, _), table in zip(values, results, tables):
         prefix = [_fmt(value), str(status)]
         if status != 0:
-            out.append(",".join(prefix + [""] * width))
-            continue
-        data = [l for l in lines if not l.startswith("#")]
-        for row in data[1:]:
-            out.append(",".join(prefix) + "," + row)
+            rows.append(prefix + [""] * len(inner_header))
+        else:
+            rows.extend(prefix + row for row in table[1:])
     statuses = [status for status, _ in results]
     overall = 0 if all(s == 0 for s in statuses) else (2 if 2 in statuses else 1)
-    return overall, out
+    # cells are CSV whatever the format, so the sweep table is too
+    return overall, _render(
+        out._replace(fmt="csv"), [name, "status"] + inner_header, rows
+    )
+
+
+_GEOMETRY = (
+    _Flag("xi", float, None, "aspect ratio T/d"),
+    _Flag("T", float, None, "half period"),
+    _Flag("d", float, None, "strip width"),
+)
+_TOL = _Flag("tol", float, 1e-4, "tail tolerance")
+_CUTOFF = _Flag("cutoff_c1", float, 3.0, "harmonic cutoff constant")
+
+COMMANDS: dict[str, _Command] = {
+    "constants": _command(
+        _cmd_constants, "threshold constants of the small-ratio regime", "report", (
+            _Flag("xi", float, None, "also report c0(xi)"),
+        )),
+    "count": _command(
+        _cmd_count, "lattice counting function N0(ell, tau)", "csv", (
+            *_GEOMETRY,
+            _Flag("ell", float, _REQUIRED),
+            _Flag("tau", float, _REQUIRED),
+        )),
+    "bands": _command(
+        _cmd_bands, "unperturbed band endpoints", "csv", (
+            *_GEOMETRY,
+            _Flag("kmax", int, 8, "bands to report"),
+        )),
+    "fourier": _command(
+        _cmd_fourier, "Fourier coefficient a_p of the counting function", "csv", (
+            *_GEOMETRY,
+            _Flag("ell", float, _REQUIRED),
+            _Flag("p", int, _REQUIRED),
+        )),
+    "phi": _command(
+        _cmd_phi, "oscillatory series phi_p(ell) with certified tail", "csv", (
+            *_GEOMETRY,
+            _Flag("ell", float, _REQUIRED),
+            _Flag("p", int, _REQUIRED),
+            _TOL,
+        )),
+    "phi-sup": _command(
+        _cmd_phi_sup, "sup over harmonics of |phi_p(ell)|", "csv", (
+            *_GEOMETRY,
+            _Flag("ell", float, _REQUIRED),
+            _TOL,
+            _CUTOFF,
+        )),
+    "check-thm23": _command(
+        _cmd_check_thm23, "uniform lower bound sup_p |phi_p| >= c0(xi) - 2 tol", "csv", (
+            *_GEOMETRY,
+            _TOL,
+            _CUTOFF,
+            _Flag("grid", int, 100, f"energy grid points, at most {MAX_GRID}"),
+            _Flag("ell_min", float, 1.0, "lowest scaled energy"),
+            _Flag("ell_max", float, 100.0, "highest scaled energy"),
+        )),
+    "gaps": _command(
+        _cmd_gaps, "gap certification report", "report", (
+            *_GEOMETRY,
+            _Flag("ell_max", float, None, "also build band enclosures up to this scaled energy"),
+            _Flag("omega_minus", float, None, "infimum omega_- of the perturbation"),
+            _Flag("omega_plus", float, None, "supremum omega_+ of the perturbation"),
+            _Flag("omega_l", float, None, "shorthand for --omega-minus 0 --omega-plus VALUE"),
+            _Flag("c0", float, None, "minorant constant"),
+            _Flag("gamma", float, 0.0, "minorant decay exponent, with --c0"),
+            _Flag("ell0", float, 1.0, "minorant base energy, with --c0"),
+            _Flag("low_points", int, 32, f"low-energy verdict grid size, at most {MAX_GRID}"),
+        )),
+    "galerkin": _command(
+        _cmd_galerkin, "finite-basis bands and enclosure check for a potential", "report", (
+            *_GEOMETRY,
+            _Flag("tol", float, 1e-6, "enclosure slack"),
+            _Flag("kmax", int, 6, "bands"),
+            _Flag("grid", int, 17, f"tau grid size, at most {MAX_GRID}"),
+            _Flag("potential", str, _REQUIRED, "potential file path"),
+            _Flag("nmax", int, None, "longitudinal truncation, with --mmax"),
+            _Flag("mmax", int, None, "transverse truncation, with --nmax"),
+        )),
+    "sweep": _command(
+        _cmd_sweep, "re-run an inner command over a parameter grid", "csv", (
+            _Flag("param", str, _REQUIRED, "swept flag name, e.g. xi or ell"),
+            _Flag("start", float, _REQUIRED),
+            _Flag("stop", float, _REQUIRED),
+            _Flag("steps", int, _REQUIRED, f"grid points, at most {MAX_SWEEP_STEPS}"),
+            _Flag("workers", int, 1, "parallel processes", echo=False),
+        )),
+}
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="stripgaps", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help,
+                           argument_default=argparse.SUPPRESS)
+        for spelling, kwargs in command.arguments:
+            p.add_argument(spelling, **kwargs)
+        if name == "sweep":
+            p.add_argument("inner", nargs=argparse.REMAINDER,
+                           help="inner command after --, e.g. -- phi-sup --ell 1")
+    return parser
 
 
 def _run_argv(argv: list[str]) -> tuple[int, list[str]]:
     """Parse and dispatch one invocation, returning (status, output lines)."""
-    ns = build_parser().parse_args(argv)
-    config = _config_from_namespace(ns)
-    params = dict(config.parameters)
-    if ns.command == "sweep":
-        workers = ns.workers if ns.workers is not None else 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return _cmd_sweep(config, params, workers)
-    handler = {
-        "constants": _cmd_constants,
-        "count": _cmd_count,
-        "bands": _cmd_bands,
-        "fourier": _cmd_fourier,
-        "phi": _cmd_phi,
-        "phi-sup": _cmd_phi_sup,
-        "check-thm23": _cmd_check_thm23,
-        "gaps": _cmd_gaps,
-        "galerkin": _cmd_galerkin,
-    }[ns.command]
-    return handler(config, params)
+    given = vars(_parser().parse_args(argv))
+    name = given.pop("command")
+    command = COMMANDS[name]
+    params = {f.dest: f.default for f in command.flags
+              if f.default not in (None, _REQUIRED)}
+    params.update(given)
+    # The canonical echo: every flag the user supplied, in table order, and
+    # the resolved format always, so re-parsing it reproduces the options;
+    # sweep's inner command stays the trailing section.
+    echo = [name]
+    for f in command.flags:
+        if f.echo and (f.dest in given or f.dest == "format"):
+            value = params[f.dest]
+            echo += [f.spelling, repr(value) if isinstance(value, float) else str(value)]
+    if name == "sweep":
+        params["inner"] = [t for t in params["inner"] if t != "--"]
+        if params["inner"]:
+            echo += ["--", *params["inner"]]
+    out = _Output(params["format"], [
+        "# tool=stripgaps",
+        f"# version={__version__}",
+        f"# command={name}",
+        f"# argv={shlex.join(echo)}",
+        f"# seed={params['seed']}",
+        f"# format={params['format']}",
+    ])
+    return command.handler(params, out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -44,7 +44,6 @@ from .geometry import StripGeometry
 __all__ = [
     "PotentialSpec",
     "read_potential_file",
-    "write_potential_file",
     "default_truncation",
     "assemble",
     "hermitian_eigenvalues",
@@ -160,16 +159,6 @@ def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, Potenti
     if geom is None:
         raise ValueError(f"potential file {path!r} has no 'T=... d=...' header")
     return geom, PotentialSpec(terms=tuple(terms))
-
-
-def write_potential_file(
-    path: str | os.PathLike, geom: StripGeometry, potential: PotentialSpec
-) -> None:
-    """Write the header ``T=... d=...`` and one ``j q re im`` line per term."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"T={geom.T!r} d={geom.d!r}\n")
-        for j, q, v in potential.terms:
-            fh.write(f"{j} {q} {v.real!r} {v.imag!r}\n")
 
 
 def _transverse_weight(m_row: int, m_col: int, q: int) -> float:

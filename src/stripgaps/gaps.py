@@ -66,6 +66,10 @@ __all__ = [
 # Slack of overlap >= omega_L, relative to its largest magnitude (at least
 # pi^2/T^2): covers each endpoint's tie tolerance BOUNDARY_RTOL and rounding.
 OVERLAP_RTOL = 4.0 * BOUNDARY_RTOL
+# Slack of gapless_margin >= 0, relative to c1: whenever the margin is
+# positive its subtracted terms sum to less than c1, so c1 scales every term;
+# covers the rounding of c1's closed form and of the margin's six terms.
+GAPLESS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,9 @@ class ConditionsVerdict:
                          c1 - 2 zeta(3/2) xi^(3/2) - ((3+2 sqrt 2) pi + 3)/6 xi
                          - (3 pi/4) xi^2 - (xi/(32 pi)) sqrt(9 + 25/(1024 pi^2))
                          - T omega_L / 4;
-                         nonnegative margin certifies a completely gapless
-                         spectrum (given the other two conditions).
+                         a margin of at least GAPLESS_RTOL c1 (rounding
+                         slack) certifies a completely gapless spectrum
+                         (given the other two conditions).
     first_band_ok      : scaled oscillation below the first band height
                          1/4 + xi^2 (implied by low_energy_ok; re-checked).
     """
@@ -222,7 +227,7 @@ def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVe
         low_energy_budget=budget,
         low_energy_ok=low_ok,
         gapless_margin=margin,
-        gapless_ok=margin >= 0.0,
+        gapless_ok=margin >= GAPLESS_RTOL * cc.c1,
         first_band_ok=first_ok,
     )
 

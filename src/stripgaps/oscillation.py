@@ -53,6 +53,10 @@ MAX_TERMS = 1 << 28
 # Ceiling on the harmonics phi_sup scans, checked before any evaluation
 # (cutoff_c1 = 3 reaches it near ell = 1.1e7).
 MAX_HARMONICS = 10_000
+# Slack of the uniform-bound margin >= 0, relative to max(c0, sup): covers the
+# rounding of c0(xi) and of the subtraction (each sum's own rounding is inside
+# its tail bound).
+UNIFORM_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +524,8 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
 
     Valid in the small-ratio regime xi < xi_critical with ell >= 1 (the
     regime where the uniform bound holds with the certified constant c0; the
-    margin reported per ell is value - (c0 - 2 tol), so every margin must
-    come out >= 0).
+    margin reported per ell is value - (c0 - 2 tol), and a row holds when its
+    margin is at least the rounding slack UNIFORM_RTOL * max(c0, value)).
     """
     consts = critical_constants()
     xi = geom.xi
@@ -540,6 +544,7 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
         sup = phi_sup(geom, ell, cutoff_c1=cutoff_c1, tol=tol)
         margin = sup.value - threshold
         rows.append(UniformBoundRow(ell=ell, p_star=sup.p_star, value=sup.value,
-                                    margin=margin, ok=margin >= 0.0))
+                                    margin=margin,
+                                    ok=margin >= UNIFORM_RTOL * max(c0, sup.value)))
     return UniformBoundReport(xi=xi, c0=c0, tol=tol, rows=rows,
                               all_ok=all(r.ok for r in rows))

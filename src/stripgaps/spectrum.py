@@ -56,18 +56,6 @@ _BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
-class Mode:
-    """Separable mode label: longitudinal index n (any sign), transverse m >= 1."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"transverse index m must be >= 1, got {self.m}")
-
-
-@dataclass(frozen=True)
 class SpectralBand:
     """Closed band [lo, hi] of the k-th band function (energy units)."""
 
@@ -80,18 +68,6 @@ class SpectralBand:
             raise ValueError(f"band index must be >= 1, got {self.k}")
         if not self.lo <= self.hi:
             raise ValueError(f"band endpoints out of order: [{self.lo}, {self.hi}]")
-
-
-def mode_energy(geom: StripGeometry, tau: float, mode: Mode) -> float:
-    """Fiber eigenvalue (pi^2/T^2)(tau+n)^2 + pi^2 m^2 / d^2."""
-    validate_tau(tau)
-    pi2 = math.pi * math.pi
-    return pi2 * (tau + mode.n) ** 2 / (geom.T * geom.T) + pi2 * mode.m ** 2 / (geom.d * geom.d)
-
-
-def scaled_mode_level(xi: float, tau: float, n: int, m: int) -> float:
-    """Dimensionless level (tau+n)^2 + xi^2 m^2."""
-    return (tau + n) ** 2 + (xi * m) ** 2
 
 
 def _inclusive_threshold(ell: float) -> float:

@@ -15,17 +15,23 @@
 
   satisfied term-by-term by
   u(l, mu) = sum_k sin(l sqrt(k^2+mu) - pi/4) / (k^2+mu)^(3/4).
+* ``Mode``, ``mode_energy``: one separable fiber eigenvalue by its formula.
+* ``write_potential_file``: the writer matching
+  ``stripgaps.galerkin.read_potential_file``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from stripgaps.fourier import a0_closed, ap_closed, residual_bound
-from stripgaps.geometry import StripGeometry, validate_ell
+from stripgaps.galerkin import PotentialSpec
+from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
 from stripgaps.spectrum import counting_extremes, jump_events
 
 _QUARTER_PI = 0.25 * math.pi
@@ -236,3 +242,36 @@ def pde_residual(l: float, mu: float, truncation_n: int, h: float = 2e-3,
 
     fd = (mixed_plus_half(l + h) - mixed_plus_half(l - h)) / (2.0 * h) - 0.25 * u(l, mu)
     return max(abs(analytic), abs(fd))
+
+
+# ---------------------------------------------------------------------------
+# separable modes and potential files
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Mode:
+    """Separable mode label: longitudinal index n (any sign), transverse m >= 1."""
+
+    n: int
+    m: int
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"transverse index m must be >= 1, got {self.m}")
+
+
+def mode_energy(geom: StripGeometry, tau: float, mode: Mode) -> float:
+    """Fiber eigenvalue (pi^2/T^2)(tau+n)^2 + pi^2 m^2 / d^2."""
+    validate_tau(tau)
+    pi2 = math.pi * math.pi
+    return pi2 * (tau + mode.n) ** 2 / (geom.T * geom.T) + pi2 * mode.m ** 2 / (geom.d * geom.d)
+
+
+def write_potential_file(
+    path: str | os.PathLike, geom: StripGeometry, potential: PotentialSpec
+) -> None:
+    """Write the header ``T=... d=...`` and one ``j q re im`` line per term."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"T={geom.T!r} d={geom.d!r}\n")
+        for j, q, v in potential.terms:
+            fh.write(f"{j} {q} {v.real!r} {v.imag!r}\n")

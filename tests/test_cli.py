@@ -12,11 +12,15 @@ from pathlib import Path
 import pytest
 
 import stripgaps
-from stripgaps.cli import MAX_SWEEP_STEPS, main
-from stripgaps.galerkin import PotentialSpec, write_potential_file
+from oracles import write_potential_file
+from stripgaps.cli import MAX_GRID, MAX_SWEEP_STEPS, main
+from stripgaps.galerkin import PotentialSpec
 from stripgaps.geometry import resolve_geometry
 from stripgaps.oscillation import MAX_HARMONICS, phi_p, phi_sup
 from stripgaps.spectrum import MAX_BAND_CURVES, MAX_ROWS
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -158,6 +162,14 @@ _COSTLY = [
     (["sweep", "--param", "xi", "--start", "0.1", "--stop", "0.5",
       "--steps", "1000000000", "--", "count", "--ell", "1.3", "--tau", "0.0"],
      f"error: 1000000000 sweep steps exceed the ceiling of {MAX_SWEEP_STEPS}"),
+    (["check-thm23", "--xi", "0.05", "--grid", "1000000000000"],
+     f"error: --grid 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
+    (["galerkin", "--potential", str(DATA / "cosine.pot"), "--grid", "1000000000000"],
+     f"error: --grid 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
+    (["gaps", "--xi", "0.03", "--low-points", "1000000000000"],
+     f"error: --low-points 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
+    (["gaps", "--xi", "0.03", "--low-points", "-5"],
+     "error: low-points must be >= 0, got -5"),
 ]
 
 
@@ -187,9 +199,8 @@ def test_count_walks_rows_not_lattice_points():
 def test_stdout_matches_the_recorded_corpus(monkeypatch):
     """Exit status and stdout bytes of every recorded invocation (run from the
     repository root, where the corpus' relative potential path resolves)."""
-    data = Path(__file__).parent / "data"
-    monkeypatch.chdir(data.parent.parent)
-    corpus = json.loads((data / "cli_corpus.json").read_text())
+    monkeypatch.chdir(DATA.parent.parent)
+    corpus = json.loads((DATA / "cli_corpus.json").read_text())
     assert len(corpus) >= 40
     for entry in corpus:
         assert run(entry["argv"]) == (entry["status"], entry["stdout"]), entry["argv"]
@@ -241,17 +252,21 @@ def test_explicit_default_format_changes_nothing():
     assert run(argv) == run(argv + ["--format", "csv"])
 
 
-def test_canonical_echo_round_trips():
-    for argv in (
-        ["count", "--xi", "0.5", "--ell", "1.3", "--tau", "-0.25"],
-        ["phi", "--xi", "0.3", "--ell", "2.7", "--p", "1", "--tol", "0.01"],
-        ["constants", "--xi", "0.05", "--seed", "7"],
-    ):
+def test_canonical_echo_round_trips(monkeypatch):
+    """Replaying the echo reproduces status and stdout, for a few hand-picked
+    invocations and every recorded corpus entry that prints one."""
+    monkeypatch.chdir(DATA.parent.parent)
+    corpus = json.loads((DATA / "cli_corpus.json").read_text())
+    for argv, status in [
+        (["count", "--xi", "0.5", "--ell", "1.3", "--tau", "-0.25"], 0),
+        (["phi", "--xi", "0.3", "--ell", "2.7", "--p", "1", "--tol", "0.01"], 0),
+        (["constants", "--xi", "0.05", "--seed", "7"], 0),
+    ] + [(e["argv"], e["status"]) for e in corpus if e["status"] in (0, 2)]:
         code, out = run(argv)
-        assert code == 0
+        assert code == status, argv
         echo = next(l for l in out.splitlines() if l.startswith("# argv="))
         replay = shlex.split(echo[len("# argv=") :])
-        assert run(replay) == (code, out)
+        assert run(replay) == (code, out), argv
 
 
 def test_seed_is_echoed():

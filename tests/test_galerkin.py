@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import Mode, mode_energy, write_potential_file
 from stripgaps.galerkin import (
     PotentialSpec,
     assemble,
@@ -16,10 +17,8 @@ from stripgaps.galerkin import (
     read_potential_file,
     unperturbed_band_functions,
     verify_enclosure,
-    write_potential_file,
 )
 from stripgaps.geometry import resolve_geometry
-from stripgaps.spectrum import Mode, mode_energy
 
 GEOM = resolve_geometry(T=1.0, d=1.0)
 COSINE_X1 = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1)))  # 0.2 cos(pi x1 / T)

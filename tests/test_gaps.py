@@ -104,6 +104,22 @@ def test_conditions_partial_at_larger_ratio():
     assert not above.xi_subcritical
 
 
+@pytest.mark.parametrize("target, certified", [
+    (-1e-15, False),  # negative margin
+    (0.0, False),     # zero margin, up to rounding
+    (1e-14, False),   # positive only within rounding
+    (1e-9, True),     # clear of the slack
+])
+def test_gapless_margin_positive_only_within_rounding_is_declined(target, certified):
+    geom = resolve_geometry(T=1.0, xi=0.03)
+    c1 = critical_constants().c1
+    # the margin falls with slope T/4 in omega_L: land it on target * c1
+    omega_L = 4.0 / geom.T * (gapless_margin(geom.xi, geom.T, 0.0) - target * c1)
+    verdict = conditions_check(geom, PerturbBounds(0.0, omega_L))
+    assert verdict.gapless_margin == pytest.approx(target * c1, abs=1e-16)
+    assert verdict.gapless_ok is certified
+
+
 def test_conditions_scaled_oscillation_bookkeeping():
     geom = resolve_geometry(T=2.0, xi=0.05)
     verdict = conditions_check(geom, PerturbBounds(omega_minus=-0.5, omega_plus=0.5))

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import beta_by_quadrature, pde_residual, stationary_phase_leading, u_series
 from stripgaps.geometry import resolve_geometry
+from stripgaps import oscillation
 from stripgaps.oscillation import (
     MAX_HARMONICS,
     PhiEvaluation,
+    PhiSupResult,
     critical_constants,
     cutoff_bound,
     phi_p,
@@ -278,6 +280,23 @@ def test_uniform_bound_holds_on_a_small_grid():
         assert row.ell == ell
         assert row.ok and row.margin >= 0.0
         assert row.value >= report.c0 - 2e-3
+
+
+@pytest.mark.parametrize("target, ok", [
+    (-1e-15, False),  # negative margin
+    (0.0, False),     # zero margin
+    (1e-14, False),   # positive only within rounding
+    (1e-9, True),     # clear of the slack
+])
+def test_uniform_bound_margin_positive_only_within_rounding_is_declined(
+        monkeypatch, target, ok):
+    geom = resolve_geometry(xi=0.05)
+    c0 = critical_constants().c0(geom.xi)
+    sup = PhiSupResult(p_star=1, value=c0 - 2e-3 + target * c0, p_max=1, cutoff_bound=0.0)
+    monkeypatch.setattr(oscillation, "phi_sup", lambda *args, **kwargs: sup)
+    report = uniform_lower_bound_check(geom, [2.0], tol=1e-3)
+    assert report.rows[0].margin == pytest.approx(target * c0, abs=1e-16)
+    assert report.rows[0].ok is ok and report.all_ok is ok
 
 
 def test_uniform_bound_rejects_out_of_regime_inputs():

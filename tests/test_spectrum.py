@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import Mode, mode_energy
 from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.spectrum import (
     BOUNDARY_RTOL,
     MAX_BAND_CROSSINGS,
     MAX_BAND_CURVES,
     MAX_ROWS,
-    Mode,
     band_table,
     counting,
     counting_extremes,
     kth_scaled_level,
-    mode_energy,
     row_radii,
     scaled_levels_below,
 )
