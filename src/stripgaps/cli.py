@@ -24,6 +24,8 @@ keeping output bytes independent of it.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import shlex
 import sys
@@ -54,6 +56,9 @@ __all__ = ["main"]
 # grid, galerkin's tau grid and gaps' low-energy grid.
 MAX_SWEEP_STEPS = 10_000
 MAX_GRID = 10_000
+# The flag giving each command's grid size, capped by MAX_GRID; inside a
+# sweep, steps times that size is capped.
+_GRID_FLAG = {"check-thm23": "grid", "galerkin": "grid", "gaps": "low_points"}
 
 _REQUIRED = object()
 
@@ -361,8 +366,8 @@ def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
         truncation = default_truncation(geom, k_max)
     tau_grid = [-0.5 + (i + 1) / grid_n for i in range(grid_n)]
     bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
-    bands = band_functions(geom, potential, tau_grid, k_max, truncation)
     enclosure = omega_bounds(geom, potential)
+    bands = band_functions(geom, potential, tau_grid, k_max, truncation, enclosure)
     check = verify_enclosure(bands, bands0, enclosure, tol=params["tol"])
     summary: list[tuple[str, object]] = [
         ("xi", geom.xi),
@@ -373,25 +378,28 @@ def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
         ("m_max", truncation[1]),
         ("k_max", k_max),
         ("tau_points", grid_n),
-        ("max_drift_reference", bands0.max_drift),
-        ("max_drift_perturbed", bands.max_drift),
+        ("max_enclosure_width", bands.max_enclosure_width),
         ("omega_minus", enclosure.omega_minus),
         ("omega_plus", enclosure.omega_plus),
         ("omega_inflation", enclosure.inflation),
         ("worst_margin", check.worst_margin),
         ("enclosure_ok", check.ok),
     ]
+    if not check.ok:
+        summary.append(("failing", f"band {check.band} tau {_fmt(check.tau)} "
+                                   f"{check.side} margin {_fmt(check.worst_margin)}"))
     status = 0 if check.ok else 2
     if out.fmt == "csv":
         # the summary rides along as comment lines above the band values
         notes = [f"# {key}={_fmt(value)}" for key, value in summary]
         out = out._replace(meta=out.meta + notes)
     rows = [
-        [tau, k, bands0.energies[i, k - 1], bands.energies[i, k - 1]]
+        [tau, k, bands0.energies[i, k - 1], bands.lower[i, k - 1], bands.energies[i, k - 1]]
         for i, tau in enumerate(bands.tau_grid)
         for k in range(1, k_max + 1)
     ]
-    return status, _render(out, ["tau", "k", "energy0", "energy"], rows, summary)
+    return status, _render(
+        out, ["tau", "k", "energy0", "energy_lower", "energy"], rows, summary)
 
 
 def _error_text(exc: Exception) -> str:
@@ -408,6 +416,20 @@ def _sweep_cell(argv: list[str]) -> tuple[int, list[str]]:
         return _run_argv(argv)
     except (ValueError, OverflowError) as exc:
         return 1, [f"# error={_error_text(exc)}"]
+    except SystemExit:
+        return 1, ["# error=usage"]
+
+
+def _cell_points(argv: list[str], dest: str) -> int:
+    """Grid points of one cell's flag dest, table default when absent; 0 when
+    the cell does not parse (then no cell runs anything)."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            given = vars(_parser().parse_args(argv))
+        except SystemExit:
+            return 0
+    default = next(f.default for f in COMMANDS[argv[0]].flags if f.dest == dest)
+    return given.get(dest, default)
 
 
 def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
@@ -431,6 +453,14 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
     values = [start + step * i for i in range(steps)] if steps > 1 else [start]
     flag = _Flag(name, float).spelling
     cells = [inner + [flag, repr(v), "--format", "csv"] for v in values]
+    # Cells differ only in the swept float, so the first one tells how many
+    # grid points every cell asks for.
+    if inner[0] in _GRID_FLAG:
+        points = _cell_points(cells[0], _GRID_FLAG[inner[0]])
+        if steps * points > MAX_GRID:
+            raise ValueError(
+                f"{steps} sweep steps x {points} {inner[0]} points exceed the "
+                f"ceiling of {MAX_GRID} points")
     if params["workers"] > 1:
         with ProcessPoolExecutor(max_workers=params["workers"]) as pool:
             results = list(pool.map(_sweep_cell, cells))

@@ -18,9 +18,11 @@ the fiber operator at quasimomentum tau has the exact matrix
     w(m', m, q) = (delta_{|m-m'|, q} (1 + delta_{q,0}) - delta_{m+m', q}) / 2,
 
 where w is the closed-form overlap of two Dirichlet sines against the cosine:
-no quadrature enters, so the only approximation is basis truncation.  A
-convergence gate (eigenvalue drift under enlarging the truncation by 5 in
-each direction) guards every band computation.
+no quadrature enters, so the only approximation is basis truncation.
+band_functions turns one eigensolve per quasimomentum into a certified pair
+of bounds on each band: the Ritz value (plus the eigensolver's backward
+error) from above, and a Feshbach/Schur bound from below that charges the
+dropped modes through the potential's range.
 
 The module also derives the perturbation's spectral bounds omega_-/omega_+
 for concrete potentials (grid extrema inflated by a gradient bound, giving a
@@ -62,10 +64,12 @@ MAX_BASIS_DIM = 4096
 # Entrywise tolerance for accepting a matrix as Hermitian.
 _HERMITIAN_ATOL = 1e-12
 
-# Convergence gate: the k_max-th eigenvalue may drift by at most this much
-# when n_max and m_max each grow by _GATE_STEP.
-GATE_TOL = 1e-6
-_GATE_STEP = 5
+# Conservative constant c of the eigenvalue rounding bound
+# eps = c * dim * u * ||H||_inf (u the unit roundoff): it covers the
+# eigensolver's backward error, the rounding of the assembled entries and the
+# few roundings of the enclosure formulas in band_functions.
+EIG_ROUNDING_C = 16.0
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,19 @@ class PotentialSpec:
         )
 
     def evaluate(self, geom: StripGeometry, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Pointwise values of V on the broadcast grid (x1, x2); real array."""
-        total = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
+        """Pointwise values of V on the broadcast grid (x1, x2); real array.
+
+        Hermitian symmetry makes the sum real, so only real parts are kept:
+        Re(v e^{i pi j x1/T}) cos(pi q x2/d) equals the real part of the
+        complex product exactly, term by term.
+        """
+        total = np.zeros(np.broadcast(x1, x2).shape)
         for j, q, v in self.terms:
             total += (
-                v
-                * np.exp(1j * math.pi * j * np.asarray(x1, dtype=float) / geom.T)
+                (v * np.exp(1j * math.pi * j * np.asarray(x1, dtype=float) / geom.T)).real
                 * np.cos(math.pi * q * np.asarray(x2, dtype=float) / geom.d)
             )
-        # Hermitian symmetry guarantees a real sum; drop rounding noise.
-        return np.real(total)
+        return total
 
 
 def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, PotentialSpec]:
@@ -161,28 +168,15 @@ def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, Potenti
     return geom, PotentialSpec(terms=tuple(terms))
 
 
-def _transverse_weight(m_row: int, m_col: int, q: int) -> float:
-    """Overlap of sin(pi m_row y) sin(pi m_col y) against cos(pi q y), y in (0,1).
-
-    Equals (delta_{|m_row - m_col|, q} (1 + delta_{q,0}) - delta_{m_row+m_col, q})/2;
-    in particular the q = 0 weight is the plain orthonormality delta.
-    """
-    value = 0.0
-    if abs(m_row - m_col) == q:
-        value += 0.5 * (2.0 if q == 0 else 1.0)
-    if m_row + m_col == q:
-        value -= 0.5
-    return value
-
-
 def default_truncation(
     geom: StripGeometry, k_max: int, slack: float = 1.0
 ) -> tuple[int, int]:
     """Truncation (n_max, m_max) expected to resolve the lowest k_max bands.
 
     Covers every mode whose scaled level can reach the k_max-th level plus
-    ``slack`` anywhere on the Brillouin zone; the convergence gate remains the
-    authority, this is only a starting point.
+    ``slack`` anywhere on the Brillouin zone.  It is a starting point, not a
+    guarantee: band_functions certifies whatever truncation it is given, and
+    refuses one that drops a mode as low as a requested band.
     """
     from .spectrum import kth_scaled_level
 
@@ -231,30 +225,38 @@ def assemble(
         )
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    index = {nm: i for i, nm in enumerate(mode_list)}
     H = np.zeros((dim, dim), dtype=complex)
-    # Diagonal mode energies; tau is not folded into the fundamental window
+    # Diagonal mode energies, as Python floats (numpy's square and libm's pow
+    # can differ by an ulp); tau is not folded into the fundamental window
     # because the fiber family is 1-periodic and zone-edge values are useful.
-    for i, (n, m) in enumerate(mode_list):
-        H[i, i] = (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (
-            math.pi * m / geom.d
-        ) ** 2
+    H[np.diag_indices(dim)] = [
+        (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (math.pi * m / geom.d) ** 2
+        for n, m in mode_list
+    ]
+    if not dim:
+        return H
+    ns, ms = np.array(mode_list, dtype=np.int64).T
+    # Row lookup by sorted keys n * span + (m - m_lo), unique over the basis.
+    m_lo, m_hi = int(ms.min()), int(ms.max())
+    span = m_hi - m_lo + 1
+    keys = ns * span + (ms - m_lo)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    cols = np.arange(dim)
     for j, q, v in potential.terms:
         if v == 0:
             continue
-        for col, (n, m) in enumerate(mode_list):
-            n_row = n + j
-            # Distinct candidate rows only: for q = 0 all three formulas
-            # collapse to m and the entry must be added once.
-            for m_row in {m - q, m + q, q - m}:
-                if m_row < 1:
-                    continue
-                row = index.get((n_row, m_row))
-                if row is None:
-                    continue
-                w = _transverse_weight(m_row, m, q)
-                if w != 0.0:
-                    H[row, col] += v * w
+        # Candidate rows (n + j, m_row) and their transverse weights
+        # (delta_{|m_row - m|, q} (1 + delta_{q,0}) - delta_{m_row + m, q}) / 2:
+        # distinct rows per column, so each entry gets one addition per term,
+        # in the order the terms are listed.
+        candidates = ((ms, 1.0),) if q == 0 else ((ms + q, 0.5), (ms - q, 0.5), (q - ms, -0.5))
+        for m_row, w in candidates:
+            key = (ns + j) * span + (m_row - m_lo)
+            pos = np.minimum(np.searchsorted(sorted_keys, key), dim - 1)
+            hit = ((m_row >= max(1, m_lo)) & (m_row <= m_hi)
+                   & (sorted_keys[pos] == key))
+            H[order[pos[hit]], cols[hit]] += v * w
     return H
 
 
@@ -275,17 +277,17 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandTable:
-    """Perturbed band values on a tau grid.
+    """Certified band enclosures on a tau grid.
 
-    energies[i, k-1] is the k-th eigenvalue (ascending) at tau_grid[i];
-    truncation records (n_max, m_max); max_drift the largest change of the
-    k_max-th eigenvalue observed by the convergence gate.
+    lower[i, k-1] <= E_k(tau_grid[i]) <= energies[i, k-1] for the k-th band
+    (ascending); energies is the upper side, and the two sides coincide for
+    the exact V = 0 table.  truncation records (n_max, m_max).
     """
 
     tau_grid: tuple[float, ...]
     energies: np.ndarray
+    lower: np.ndarray
     truncation: tuple[int, int]
-    max_drift: float
 
     def __post_init__(self) -> None:
         e = self.energies
@@ -293,16 +295,45 @@ class BandTable:
             raise ValueError("energies shape inconsistent with tau_grid")
         if e.shape[1] > 1 and np.any(np.diff(e, axis=1) < 0):
             raise ValueError("each tau row must be ascending")
+        if self.lower.shape != e.shape or np.any(self.lower > e):
+            raise ValueError("lower bounds must match energies in shape and not exceed them")
 
     @property
     def k_max(self) -> int:
         return self.energies.shape[1]
 
+    @property
+    def max_enclosure_width(self) -> float:
+        """Largest upper - lower over the table."""
+        return float(np.max(self.energies - self.lower))
+
+    @property
+    def max_drift(self) -> float:
+        """Alias of max_enclosure_width, under the name of the former
+        convergence-gate drift it replaces as the table's accuracy figure."""
+        return self.max_enclosure_width
+
     def band(self, k: int) -> np.ndarray:
-        """Values of the k-th band function on the grid."""
+        """Upper values of the k-th band function on the grid."""
         if not 1 <= k <= self.k_max:
             raise ValueError(f"band index {k} outside 1..{self.k_max}")
         return self.energies[:, k - 1]
+
+
+def _dropped_floor(geom: StripGeometry, tau: float, n_max: int, m_max: int) -> float:
+    """Smallest unperturbed mode energy outside |n| <= n_max, m <= m_max.
+
+    Exact for any finite tau: a dropped mode has m > m_max (any n), or
+    |n| > n_max (any m >= 1), and (tau + n)^2 over the integers of a ray is
+    least at its end or next to -tau.
+    """
+    near = (math.floor(-tau), math.ceil(-tau))
+    beyond = min((tau + n) ** 2 for n in (n_max + 1, -n_max - 1) + near if abs(n) > n_max)
+    scale = (math.pi / geom.T) ** 2
+    return min(
+        scale * min((tau + n) ** 2 for n in near) + (math.pi * (m_max + 1) / geom.d) ** 2,
+        scale * beyond + (math.pi / geom.d) ** 2,
+    )
 
 
 def band_functions(
@@ -311,13 +342,28 @@ def band_functions(
     tau_grid: Sequence[float],
     k_max: int,
     truncation: tuple[int, int],
+    bounds: PerturbBounds | OmegaEnclosure,
 ) -> BandTable:
-    """Lowest k_max eigenvalues per grid tau, guarded by the convergence gate.
+    """Certified enclosures of the lowest k_max bands per grid tau.
 
-    At every grid point the k_max-th eigenvalue is recomputed with the
-    truncation enlarged by 5 in each direction; if any drift reaches 1e-6 the
-    computation is rejected (ValueError reporting the worst drift), since the
-    requested truncation is then not trustworthy for k_max bands.
+    One assembly and one eigensolve per tau, on the kept modes P
+    (|n| <= n_max, 1 <= m <= m_max; Q = 1 - P the dropped ones).  bounds must
+    enclose the range of V, omega_- <= V <= omega_+ (omega_bounds does).  With
+    mu_k the computed Ritz values and eps = EIG_ROUNDING_C * dim * u * ||H||_inf:
+
+    * upper: E_k <= mu_k + eps, by min-max (Ritz values bound from above);
+    * lower: QHQ >= Lambda = Lambda0(tau) + omega_-, Lambda0 the smallest
+      dropped mode energy, and ||PVQ|| = ||P(V - c)Q|| <= omega_L/2 for the
+      midpoint c of the range, since PQ = 0.  Completing the square in the Q
+      component gives, for lambda < Lambda and a = (omega_L/2)^2,
+
+          H - lambda >= P(PHP - lambda - a/(Lambda - lambda))P (+) 0,
+
+      so E_k >= mu - 2a/(g + sqrt(g^2 + 4a)) with mu = mu_k - eps and
+      g = Lambda - mu.
+
+    Fails closed (ValueError naming band, tau and g) when g <= 0: the
+    truncation then drops a mode as low as the band and must grow.
     """
     n_max, m_max = truncation
     if k_max < 1:
@@ -329,29 +375,25 @@ def band_functions(
     grid = [float(t) for t in tau_grid]
     if not grid:
         raise ValueError("tau_grid must be nonempty")
-    energies = np.empty((len(grid), k_max))
-    max_drift = 0.0
+    a = (0.5 * (bounds.omega_plus - bounds.omega_minus)) ** 2
+    upper = np.empty((len(grid), k_max))
+    lower = np.empty((len(grid), k_max))
     for i, tau in enumerate(grid):
-        small = hermitian_eigenvalues(
-            assemble(geom, tau, potential, n_max, m_max)
-        )[:k_max]
-        big = hermitian_eigenvalues(
-            assemble(geom, tau, potential, n_max + _GATE_STEP, m_max + _GATE_STEP)
-        )[:k_max]
-        drift = float(np.max(np.abs(big - small)))
-        max_drift = max(max_drift, drift)
-        energies[i] = big
-    if max_drift >= GATE_TOL:
-        raise ValueError(
-            f"convergence gate failed: eigenvalue drift {max_drift:.3e} >= "
-            f"{GATE_TOL} under truncation increase from {truncation}; enlarge it"
-        )
-    return BandTable(
-        tau_grid=tuple(grid),
-        energies=energies,
-        truncation=truncation,
-        max_drift=max_drift,
-    )
+        H = assemble(geom, tau, potential, n_max, m_max)
+        ritz = hermitian_eigenvalues(H)[:k_max]
+        norm = float(np.abs(H).sum(axis=1).max())
+        eps = EIG_ROUNDING_C * H.shape[0] * _UNIT_ROUNDOFF * norm
+        mu = ritz - eps
+        g = _dropped_floor(geom, tau, n_max, m_max) + bounds.omega_minus - mu
+        if np.any(g <= 0):
+            k = int(np.argmax(g <= 0))
+            raise ValueError(
+                f"band {k + 1} at tau {tau!r} reaches the dropped modes: "
+                f"g = {g[k]:.3e} <= 0 under truncation {truncation}; enlarge it"
+            )
+        upper[i] = ritz + eps
+        lower[i] = mu - 2.0 * a / (g + np.sqrt(g * g + 4.0 * a))
+    return BandTable(tuple(grid), upper, lower, truncation)
 
 
 def unperturbed_band_functions(
@@ -361,7 +403,8 @@ def unperturbed_band_functions(
 
     The modes are spectrum.band_curves (every curve bands 1..k_max can
     follow, enumerated on [0, 1/2], so each tau is taken as |tau|) with
-    assemble's diagonal expression; no truncation enters and max_drift is 0.
+    assemble's diagonal expression; no truncation enters, so the lower and
+    upper sides are the same values.
     """
     from .spectrum import band_curves
 
@@ -372,7 +415,7 @@ def unperturbed_band_functions(
             (math.pi / geom.T) ** 2 * (abs(tau) + n) ** 2 + (math.pi * m / geom.d) ** 2,
             k_max - 1)[:k_max])
         for tau in grid]).reshape(len(grid), k_max)
-    return BandTable(grid, energies, (int(np.abs(n).max()), int(m.max())), 0.0)
+    return BandTable(grid, energies, energies, (int(np.abs(n).max()), int(m.max())))
 
 
 @dataclass(frozen=True)
@@ -431,11 +474,17 @@ def omega_bounds(
 
 
 class EnclosureCheck(NamedTuple):
-    """Worst-case verdict of the minimax band enclosure on a grid."""
+    """Worst-case verdict of the minimax band enclosure on a grid.
+
+    band, tau and side ("lower" or "upper") locate the worst margin.
+    """
 
     ok: bool
     worst_margin: float
     tol: float
+    band: int
+    tau: float
+    side: str
 
 
 def verify_enclosure(
@@ -446,10 +495,12 @@ def verify_enclosure(
 ) -> EnclosureCheck:
     """Check E_k0(tau) + omega_- <= E_k(tau) <= E_k0(tau) + omega_+ entrywise.
 
-    bands and bands0 must share the tau grid and band count (ValueError on
-    mismatch).  Returns the worst signed margin, the smallest slack over both
-    one-sided inequalities and all entries; ok when it is >= -tol, absorbing
-    discretization error of the two band tables.
+    Each side is checked on the certified bounds: bands.lower against the
+    upper side of bands0 plus omega_-, bands.energies (upper) against the
+    lower side of bands0 plus omega_+.  bands and bands0 must share the tau
+    grid and band count (ValueError on mismatch).  Returns the worst signed
+    margin over both inequalities and all entries, with where it sits; ok
+    when it is >= -tol.
     """
     if bands.tau_grid != bands0.tau_grid:
         raise ValueError("tau grids differ between the two band tables")
@@ -457,7 +508,13 @@ def verify_enclosure(
         raise ValueError(
             f"band counts differ: {bands.k_max} vs {bands0.k_max}"
         )
-    lower = bands.energies - (bands0.energies + bounds.omega_minus)
-    upper = (bands0.energies + bounds.omega_plus) - bands.energies
-    worst = float(min(lower.min(), upper.min()))
-    return EnclosureCheck(ok=worst >= -tol, worst_margin=worst, tol=tol)
+    margins = np.stack((
+        bands.lower - (bands0.energies + bounds.omega_minus),
+        (bands0.lower + bounds.omega_plus) - bands.energies,
+    ))
+    side, i, k = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = float(margins[side, i, k])
+    return EnclosureCheck(
+        ok=worst >= -tol, worst_margin=worst, tol=tol, band=int(k) + 1,
+        tau=bands.tau_grid[i], side=("lower", "upper")[side],
+    )

@@ -18,6 +18,9 @@
 * ``Mode``, ``mode_energy``: one separable fiber eigenvalue by its formula.
 * ``write_potential_file``: the writer matching
   ``stripgaps.galerkin.read_potential_file``.
+* ``assemble_by_loop``: the Galerkin matrix entry by entry, one Python loop
+  over modes and candidate rows, against the vectorised
+  ``stripgaps.galerkin.assemble`` (which must agree bit for bit).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -275,3 +278,59 @@ def write_potential_file(
         fh.write(f"T={geom.T!r} d={geom.d!r}\n")
         for j, q, v in potential.terms:
             fh.write(f"{j} {q} {v.real!r} {v.imag!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# Galerkin assembly, entry by entry
+# ---------------------------------------------------------------------------
+
+def _transverse_weight(m_row: int, m_col: int, q: int) -> float:
+    """Overlap of sin(pi m_row y) sin(pi m_col y) against cos(pi q y), y in (0,1).
+
+    Equals (delta_{|m_row - m_col|, q} (1 + delta_{q,0}) - delta_{m_row+m_col, q})/2;
+    in particular the q = 0 weight is the plain orthonormality delta.
+    """
+    value = 0.0
+    if abs(m_row - m_col) == q:
+        value += 0.5 * (2.0 if q == 0 else 1.0)
+    if m_row + m_col == q:
+        value -= 0.5
+    return value
+
+
+def assemble_by_loop(
+    geom: StripGeometry,
+    tau: float,
+    potential: PotentialSpec,
+    n_max: int,
+    m_max: int,
+    modes: Sequence[tuple[int, int]] | None = None,
+) -> np.ndarray:
+    """The fiber matrix of ``stripgaps.galerkin.assemble``, one entry at a time.
+
+    For every term and every column mode (n, m), the candidate rows
+    (n + j, m_row) with m_row in {m - q, m + q, q - m} receive v times the
+    transverse weight; terms are added in the order the spec lists them.
+    """
+    if modes is None:
+        mode_list = [(n, m) for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)]
+    else:
+        mode_list = [(int(n), int(m)) for n, m in modes]
+    index = {nm: i for i, nm in enumerate(mode_list)}
+    H = np.zeros((len(mode_list), len(mode_list)), dtype=complex)
+    for i, (n, m) in enumerate(mode_list):
+        H[i, i] = (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (math.pi * m / geom.d) ** 2
+    for j, q, v in potential.terms:
+        if v == 0:
+            continue
+        for col, (n, m) in enumerate(mode_list):
+            for m_row in {m - q, m + q, q - m}:
+                if m_row < 1:
+                    continue
+                row = index.get((n + j, m_row))
+                if row is None:
+                    continue
+                w = _transverse_weight(m_row, m, q)
+                if w != 0.0:
+                    H[row, col] += v * w
+    return H

@@ -244,7 +244,8 @@ def test_criterion_08_galerkin_validation():
     # V = 0 reduction against the lattice of mode energies
     geom1 = resolve_geometry(T=1.0, d=1.0)
     taus = [-0.4, -0.1, 0.0, 0.2, 0.5]
-    table = band_functions(geom1, PotentialSpec(), taus, 4, default_truncation(geom1, 4))
+    table = band_functions(geom1, PotentialSpec(), taus, 4, default_truncation(geom1, 4),
+                           PerturbBounds())
     lattice_err = 0.0
     for i, tau in enumerate(taus):
         expected = sorted(
@@ -264,9 +265,10 @@ def test_criterion_08_galerkin_validation():
     cosine = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1)))
     trunc = default_truncation(geom, 4)
     tau_grid = [-0.5, -0.25, 0.0, 0.25, 0.5]
-    bands0 = band_functions(geom, PotentialSpec(), tau_grid, 4, trunc)
-    bands = band_functions(geom, cosine, tau_grid, 4, trunc)
-    check = verify_enclosure(bands, bands0, omega_bounds(geom, cosine))
+    enclosure = omega_bounds(geom, cosine)
+    bands0 = band_functions(geom, PotentialSpec(), tau_grid, 4, trunc, PerturbBounds())
+    bands = band_functions(geom, cosine, tau_grid, 4, trunc, enclosure)
+    check = verify_enclosure(bands, bands0, enclosure)
     ok = lattice_err <= 1e-10 and two_err <= 1e-10 and check.worst_margin >= -1e-6
     _verdict(
         8, "galerkin validation", ok,

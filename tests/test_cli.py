@@ -170,6 +170,13 @@ _COSTLY = [
      f"error: --low-points 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
     (["gaps", "--xi", "0.03", "--low-points", "-5"],
      "error: low-points must be >= 0, got -5"),
+    (["sweep", "--param", "xi", "--start", "0.02", "--stop", "0.09", "--steps", "10000",
+      "--", "check-thm23", "--grid", "10000"],
+     f"error: 10000 sweep steps x 10000 check-thm23 points exceed the ceiling of "
+     f"{MAX_GRID} points"),
+    (["sweep", "--param", "tol", "--start", "1e-6", "--stop", "1e-5", "--steps", "10000",
+      "--", "galerkin", "--potential", str(DATA / "cosine.pot")],
+     f"error: 10000 sweep steps x 17 galerkin points exceed the ceiling of {MAX_GRID} points"),
 ]
 
 
@@ -346,6 +353,29 @@ def test_sweep_worker_count_never_changes_the_bytes():
     assert "--workers" not in serial[1]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_turns_an_inner_usage_error_into_failure_rows(workers):
+    code, out = run([
+        "sweep", "--param", "foo", "--start", "0", "--stop", "1", "--steps", "2",
+        "--workers", workers, "--", "count", "--xi", "0.5", "--ell", "1", "--tau", "0",
+    ])
+    assert code == 1
+    assert [l for l in out.splitlines() if not l.startswith("#")] == [
+        "foo,status", "0,1", "1,1"]
+
+
+def test_sweep_caps_steps_times_the_inner_grid_before_any_cell_runs():
+    base = ["sweep", "--param", "omega_plus", "--start", "0", "--stop", "0.03"]
+    inner = ["--", "gaps", "--xi", "0.03"]
+    # gaps' table default of 32 low-energy points counts: 313 x 32 > 10000
+    code, out = run(base + ["--steps", "313"] + inner)
+    assert (code, out) == (1, "")
+    code, out = run(base + ["--steps", "2"] + inner + ["--low-points", "5000"])
+    assert code == 0
+    code, out = run(base + ["--steps", "3"] + inner + ["--low-points", "5000"])
+    assert (code, out) == (1, "")
+
+
 def test_sweep_validation_failures_exit_one():
     inner = ["--", "count", "--ell", "1.3", "--tau", "0.0"]
     base = ["sweep", "--param", "xi", "--start", "0.1", "--stop", "0.5"]
@@ -388,6 +418,17 @@ def test_galerkin_command_verifies_the_enclosure(cosine_potential_file):
     assert "terms = 2" in out
 
 
+def test_galerkin_command_names_the_failing_condition_when_declined(cosine_potential_file):
+    # a negative slack demands that much margin; the cosine's zone-edge
+    # splitting leaves band 1 only 0.1 above E0 + omega_-
+    argv = ["galerkin", "--potential", cosine_potential_file, "--kmax", "2", "--grid", "5"]
+    code, out = run(argv + ["--tol", "-0.5"])
+    assert code == 2
+    assert "enclosure_ok = false" in out
+    assert out.splitlines()[-1] == "failing = band 1 tau 0.5 lower margin 0.100525312381"
+    assert "failing" not in run(argv)[1]
+
+
 def test_galerkin_command_csv_lists_band_values(cosine_potential_file):
     code, out = run([
         "galerkin", "--potential", cosine_potential_file,
@@ -395,7 +436,7 @@ def test_galerkin_command_csv_lists_band_values(cosine_potential_file):
     ])
     assert code == 0
     lines = [l for l in out.splitlines() if not l.startswith("#")]
-    assert lines[0] == "tau,k,energy0,energy"
+    assert lines[0] == "tau,k,energy0,energy_lower,energy"
     assert len(lines) == 1 + 5 * 2
 
 

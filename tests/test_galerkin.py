@@ -1,12 +1,18 @@
 """Finite-basis fiber discretization: assembly, eigenvalues, enclosures, files."""
 
+import cmath
+import importlib.util
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import Mode, mode_energy, write_potential_file
+import stripgaps.galerkin as galerkin
+from oracles import Mode, assemble_by_loop, mode_energy, write_potential_file
 from stripgaps.galerkin import (
     PotentialSpec,
     assemble,
@@ -18,10 +24,37 @@ from stripgaps.galerkin import (
     unperturbed_band_functions,
     verify_enclosure,
 )
+from stripgaps.gaps import PerturbBounds
 from stripgaps.geometry import resolve_geometry
 
 GEOM = resolve_geometry(T=1.0, d=1.0)
 COSINE_X1 = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1)))  # 0.2 cos(pi x1 / T)
+ZERO = PerturbBounds()
+DATA = Path(__file__).parent / "data"
+
+
+def _benchmark_potentials():
+    """The benchmark's eight seeded potentials (bench/workloads.py), T = 1, d = 20."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [PotentialSpec(terms=tuple((j, q, complex(re, im)) for j, q, re, im in terms))
+            for terms in module._potentials()]
+
+
+def _hermitian(terms):
+    """Spec from (j >= 0, q, |v|, phase) labels: the j < 0 mates are the
+    conjugates, and j = 0 coefficients are real."""
+    out = []
+    for j, q, r, phase in terms:
+        v = cmath.rect(r, phase)
+        if j == 0:
+            out.append((0, q, v.real))
+        else:
+            out += [(j, q, v), (-j, q, v.conjugate())]
+    return PotentialSpec(terms=tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +93,18 @@ def test_potential_evaluates_to_real_values():
     assert vals.dtype == np.float64
     expected = 0.2 * np.cos(math.pi * x1[:, None] / 1.0) * np.ones_like(x2[None, :])
     assert np.allclose(vals, expected, rtol=0, atol=1e-14)
+
+
+def test_potential_evaluates_the_real_part_of_the_complex_sum_exactly():
+    x1 = np.linspace(0.0, 2.0, 64, endpoint=False)[:, None]
+    x2 = np.linspace(0.0, 1.0, 64)[None, :]
+    cases = [read_potential_file(DATA / "cosine.pot"),
+             (GEOM, _hermitian([(1, 0, 0.3, 0.4), (2, 1, 0.7, 2.0)]))]
+    for geom, spec in cases:
+        total = np.zeros((64, 64), dtype=complex)
+        for j, q, v in spec.terms:
+            total += v * np.exp(1j * math.pi * j * x1 / geom.T) * np.cos(math.pi * q * x2 / geom.d)
+        assert np.array_equal(spec.evaluate(geom, x1, x2), np.real(total))
 
 
 def test_potential_gradient_bound():
@@ -127,6 +172,23 @@ def test_assemble_rejects_bad_inputs():
         assemble(GEOM, math.nan, PotentialSpec(), 1, 1)
 
 
+def test_assemble_matches_the_entrywise_loop_bit_for_bit():
+    rng = random.Random(11)
+    geom = resolve_geometry(T=1.0, d=20.0)
+    for spec in _benchmark_potentials():
+        for tau in [-0.5, 0.0, 0.5] + [rng.uniform(-3.0, 3.0) for _ in range(20)]:
+            assert np.array_equal(assemble(geom, tau, spec, 3, 24),
+                                  assemble_by_loop(geom, tau, spec, 3, 24))
+        modes = list(dict.fromkeys((rng.randint(-4, 4), rng.randint(1, 9)) for _ in range(40)))
+        tau = rng.uniform(-3.0, 3.0)
+        assert np.array_equal(assemble(geom, tau, spec, 0, 0, modes=modes),
+                              assemble_by_loop(geom, tau, spec, 0, 0, modes=modes))
+    # diagonal and q = 0 terms together: three additions on one entry
+    spec = PotentialSpec(terms=((0, 0, 0.3), (0, 4, 0.7), (1, 0, 0.2j), (-1, 0, -0.2j)))
+    assert np.array_equal(assemble(GEOM, 0.3, spec, 2, 5),
+                          assemble_by_loop(GEOM, 0.3, spec, 2, 5))
+
+
 @given(
     tau=st.floats(min_value=-0.5, max_value=0.5),
     v=st.floats(min_value=-0.5, max_value=0.5),
@@ -166,12 +228,12 @@ def test_eigenvalue_solver_rejects_non_hermitian_input():
 
 
 # ---------------------------------------------------------------------------
-# band tables and the convergence gate
+# band tables and their certified enclosures
 # ---------------------------------------------------------------------------
 
 def test_band_functions_reproduce_the_unperturbed_spectrum():
     taus = [-0.5, -0.2, 0.0, 0.3, 0.5]
-    table = band_functions(GEOM, PotentialSpec(), taus, 3, default_truncation(GEOM, 3))
+    table = band_functions(GEOM, PotentialSpec(), taus, 3, default_truncation(GEOM, 3), ZERO)
     assert table.k_max == 3
     assert table.max_drift < 1e-6
     for i, tau in enumerate(taus):
@@ -186,32 +248,106 @@ def test_band_functions_reproduce_the_unperturbed_spectrum():
         table.band(4)
 
 
-def test_unperturbed_band_functions_match_the_gated_eigensolve_exactly():
+def test_unperturbed_band_functions_lie_in_the_certified_enclosure():
     taus = [-0.5, -0.3, -0.1, 0.0, 0.2, 0.4, 0.5]
     geom = resolve_geometry(T=1.0, d=20.0)
     for k_max in (1, 6, 12):
         exact = unperturbed_band_functions(geom, taus, k_max)
-        gated = band_functions(geom, PotentialSpec(), taus, k_max,
-                               default_truncation(geom, k_max))
-        assert exact.tau_grid == gated.tau_grid
-        assert exact.max_drift == 0.0
-        assert np.array_equal(exact.energies, gated.energies)
+        table = band_functions(geom, PotentialSpec(), taus, k_max,
+                               default_truncation(geom, k_max), ZERO)
+        assert exact.tau_grid == table.tau_grid
+        assert exact.max_enclosure_width == 0.0
+        assert np.all(table.lower <= exact.energies)
+        assert np.all(exact.energies <= table.energies)
+        assert table.max_enclosure_width <= 1e-10
 
 
 def test_band_functions_validate_their_inputs():
     with pytest.raises(ValueError, match="fewer than"):
-        band_functions(GEOM, PotentialSpec(), [0.0], 5, (0, 2))
+        band_functions(GEOM, PotentialSpec(), [0.0], 5, (0, 2), ZERO)
     with pytest.raises(ValueError, match="nonempty"):
-        band_functions(GEOM, PotentialSpec(), [], 1, (2, 2))
+        band_functions(GEOM, PotentialSpec(), [], 1, (2, 2), ZERO)
     with pytest.raises(ValueError, match="k_max"):
-        band_functions(GEOM, PotentialSpec(), [0.0], 0, (2, 2))
+        band_functions(GEOM, PotentialSpec(), [0.0], 0, (2, 2), ZERO)
 
 
-def test_convergence_gate_rejects_inadequate_truncations():
-    # a single transverse mode cannot resolve band 1 of a coupled problem
+def test_inadequate_truncation_gives_a_wide_enclosure_of_the_converged_value():
+    # a single transverse mode cannot resolve band 1 of a strongly coupled
+    # problem: the enclosure is wide, and still holds the converged value
     strong = PotentialSpec(terms=((0, 1, 5.0),))
-    with pytest.raises(ValueError, match="convergence gate"):
-        band_functions(GEOM, strong, [0.0], 1, (0, 1))
+    table = band_functions(GEOM, strong, [0.0], 1, (0, 1), omega_bounds(GEOM, strong))
+    converged = hermitian_eigenvalues(assemble(GEOM, 0.0, strong, 8, 12))[0]
+    assert table.lower[0, 0] <= converged <= table.energies[0, 0]
+    assert table.max_enclosure_width > 1.0
+
+
+def test_truncation_dropping_a_mode_below_a_band_is_refused():
+    # modes (0, 1) and (0, 2) make 4 pi^2 band 2, but (+-1, 1) at 2 pi^2 is dropped
+    with pytest.raises(ValueError, match=r"band 2 at tau 0\.0 .* g = -"):
+        band_functions(GEOM, PotentialSpec(), [0.0], 2, (0, 2), ZERO)
+    # outside the first zone: at tau = 1 the kept (n, 1), |n| <= 2, give
+    # (1, 2, 2, 5) pi^2 for bands 1-4, while the dropped (-1, 2) sits at 4 pi^2
+    assert band_functions(GEOM, PotentialSpec(), [1.0], 3, (2, 1), ZERO).k_max == 3
+    with pytest.raises(ValueError, match=r"band 4 at tau 1\.0 .* g = -"):
+        band_functions(GEOM, PotentialSpec(), [1.0], 4, (2, 1), ZERO)
+
+
+@given(
+    labels=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2),
+                  st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+        min_size=1, max_size=4, unique_by=lambda t: (t[0], t[1])),
+    tau=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_enclosure_contains_the_ritz_values_of_a_larger_basis(labels, tau):
+    spec = _hermitian(labels)
+    try:
+        table = band_functions(GEOM, spec, [tau], 2, (2, 3), omega_bounds(GEOM, spec, grid_n=64))
+    except ValueError as exc:
+        assert "g = " in str(exc)
+        assume(False)
+    grown = hermitian_eigenvalues(assemble(GEOM, tau, spec, 8, 9))[:2]
+    assert np.all(table.lower[0] <= grown)
+    assert np.all(grown <= table.energies[0])
+
+
+def test_q0_potential_is_enclosed_by_its_separated_one_dimensional_bands():
+    # V(x1) alone separates: the bands are e_i(tau) + (pi m / d)^2, with e_i
+    # those of -d^2/dx1^2 + V, resolved here on 81 longitudinal modes
+    geom = resolve_geometry(T=1.0, d=2.0)
+    spec = PotentialSpec(terms=((1, 0, 0.8), (-1, 0, 0.8),
+                                (2, 0, 0.3 + 0.4j), (-2, 0, 0.3 - 0.4j)))
+    taus = [-0.5, -0.2, 0.0, 0.35, 1.7]
+    table = band_functions(geom, spec, taus, 5, (3, 3), omega_bounds(geom, spec))
+    transverse = [(math.pi * m / geom.d) ** 2 for m in range(1, 6)]
+    for i, tau in enumerate(taus):
+        line = hermitian_eigenvalues(
+            assemble(geom, tau, spec, 0, 0, modes=[(n, 1) for n in range(-40, 41)]))
+        separated = np.sort(np.add.outer(line[:8] - transverse[0], transverse).ravel())[:5]
+        assert np.all(table.lower[i] <= separated)
+        assert np.all(separated <= table.energies[i])
+
+
+def test_band_functions_solve_once_per_tau_at_the_requested_truncation(monkeypatch):
+    assembled, solved = [], []
+    real_assemble, real_eigenvalues = galerkin.assemble, galerkin.hermitian_eigenvalues
+
+    def counting_assemble(*args, **kwargs):
+        H = real_assemble(*args, **kwargs)
+        assembled.append(H.shape[0])
+        return H
+
+    def counting_eigenvalues(H):
+        solved.append(H.shape[0])
+        return real_eigenvalues(H)
+
+    monkeypatch.setattr(galerkin, "assemble", counting_assemble)
+    monkeypatch.setattr(galerkin, "hermitian_eigenvalues", counting_eigenvalues)
+    taus = [-0.5, 0.0, 0.25, 0.5]
+    band_functions(GEOM, COSINE_X1, taus, 3, (3, 4), omega_bounds(GEOM, COSINE_X1))
+    assert assembled == [7 * 4] * len(taus)
+    assert solved == [7 * 4] * len(taus)
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +395,21 @@ def test_omega_bounds_enclosure_shrinks_with_the_grid():
 def test_perturbed_bands_sit_inside_the_minimax_enclosure():
     taus = [-0.5, -0.25, 0.0, 0.25, 0.5]
     trunc = default_truncation(GEOM, 3)
-    bands0 = band_functions(GEOM, PotentialSpec(), taus, 3, trunc)
-    bands = band_functions(GEOM, COSINE_X1, taus, 3, trunc)
-    check = verify_enclosure(bands, bands0, omega_bounds(GEOM, COSINE_X1))
+    enclosure = omega_bounds(GEOM, COSINE_X1)
+    bands0 = band_functions(GEOM, PotentialSpec(), taus, 3, trunc, ZERO)
+    bands = band_functions(GEOM, COSINE_X1, taus, 3, trunc, enclosure)
+    check = verify_enclosure(bands, bands0, enclosure)
     assert check.ok
     assert check.worst_margin >= -1e-6
 
 
 def test_enclosure_verification_rejects_mismatched_tables():
     trunc = default_truncation(GEOM, 2)
-    a = band_functions(GEOM, PotentialSpec(), [0.0, 0.5], 2, trunc)
-    b = band_functions(GEOM, PotentialSpec(), [0.0, 0.25], 2, trunc)
+    a = band_functions(GEOM, PotentialSpec(), [0.0, 0.5], 2, trunc, ZERO)
+    b = band_functions(GEOM, PotentialSpec(), [0.0, 0.25], 2, trunc, ZERO)
     with pytest.raises(ValueError, match="grids"):
         verify_enclosure(a, b, omega_bounds(GEOM, COSINE_X1))
-    c = band_functions(GEOM, PotentialSpec(), [0.0, 0.5], 1, trunc)
+    c = band_functions(GEOM, PotentialSpec(), [0.0, 0.5], 1, trunc, ZERO)
     with pytest.raises(ValueError, match="counts"):
         verify_enclosure(a, c, omega_bounds(GEOM, COSINE_X1))
 
