@@ -364,7 +364,9 @@ def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
         truncation = (params["nmax"], params["mmax"])
     else:
         truncation = default_truncation(geom, k_max)
-    tau_grid = [-0.5 + (i + 1) / grid_n for i in range(grid_n)]
+    # one division of integers per point, so the +-tau pairs are exact
+    # negations and band_functions solves each pair once
+    tau_grid = [(2 * (i + 1) - grid_n) / (2 * grid_n) for i in range(grid_n)]
     bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
     enclosure = omega_bounds(geom, potential)
     bands = band_functions(geom, potential, tau_grid, k_max, truncation, enclosure)
@@ -451,16 +453,35 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
         raise ValueError(f"unknown inner command {inner[0]!r}")
     step = (stop - start) / (steps - 1) if steps > 1 else 0.0
     values = [start + step * i for i in range(steps)] if steps > 1 else [start]
-    flag = _Flag(name, float).spelling
-    cells = [inner + [flag, repr(v), "--format", "csv"] for v in values]
-    # Cells differ only in the swept float, so the first one tells how many
-    # grid points every cell asks for.
+    # Each value is spelled for the swept flag's type (float for a flag the
+    # inner command lacks, whose cells then fail as usage errors).
+    kind = next((f.type for f in COMMANDS[inner[0]].flags if f.dest == name), float)
+    flag = _Flag(name, kind).spelling
+    if kind is int:
+        bad = next((v for v in values if not v.is_integer()), None)
+        if bad is not None:
+            raise ValueError(f"{flag} takes integers, but the sweep reaches {bad!r}")
+        texts = [str(int(v)) for v in values]
+    else:
+        texts = [repr(v) for v in values]
+    cells = [inner + [flag, text, "--format", "csv"] for text in texts]
     if inner[0] in _GRID_FLAG:
-        points = _cell_points(cells[0], _GRID_FLAG[inner[0]])
-        if steps * points > MAX_GRID:
-            raise ValueError(
-                f"{steps} sweep steps x {points} {inner[0]} points exceed the "
-                f"ceiling of {MAX_GRID} points")
+        dest = _GRID_FLAG[inner[0]]
+        if name == dest:
+            # the swept flag is the grid size itself: every cell counts
+            points = sum(max(int(v), 0) for v in values)
+            if points > MAX_GRID:
+                raise ValueError(
+                    f"{steps} sweep steps of {flag} ask for {points} {inner[0]} "
+                    f"points, over the ceiling of {MAX_GRID} points")
+        else:
+            # cells differ only in the swept value, so the first one tells
+            # how many grid points every cell asks for
+            points = _cell_points(cells[0], dest)
+            if steps * points > MAX_GRID:
+                raise ValueError(
+                    f"{steps} sweep steps x {points} {inner[0]} points exceed the "
+                    f"ceiling of {MAX_GRID} points")
     if params["workers"] > 1:
         with ProcessPoolExecutor(max_workers=params["workers"]) as pool:
             results = list(pool.map(_sweep_cell, cells))

@@ -24,9 +24,20 @@ of bounds on each band: the Ritz value (plus the eigensolver's backward
 error) from above, and a Feshbach/Schur bound from below that charges the
 dropped modes through the potential's range.
 
+Time reversal saves half of the eigensolves.  With Pi the permutation
+n -> -n of the symmetric box |n| <= n_max, the matrix above gives
+
+    H(-tau) = Pi conj(H(tau)) Pi^T   entry for entry
+
+whenever v_{-j,q} == conj(v_{j,q}) holds exactly ((tau + n)^2 is unchanged
+by (tau, n) -> (-tau, -n), and conj turns v_{n'-n,q} into v_{n-n',q}).  The two fibers then
+have the same spectrum, the same ||H||_inf and the same dropped-mode floor,
+so band_functions copies the certified rows of tau to an exact float -tau.
+
 The module also derives the perturbation's spectral bounds omega_-/omega_+
-for concrete potentials (grid extrema inflated by a gradient bound, giving a
-rigorous outer enclosure) and verifies the minimax band enclosures
+for concrete potentials (extrema on a separable grid, inflated by a
+second-order Taylor bound at the critical point and a rounding term, giving
+a rigorous outer enclosure) and verifies the minimax band enclosures
 
     E_k^0(tau) + omega_-  <=  E_k(tau)  <=  E_k^0(tau) + omega_+ .
 """
@@ -71,6 +82,14 @@ _HERMITIAN_ATOL = 1e-12
 EIG_ROUNDING_C = 16.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+# Conservative constant c of omega_bounds' rounding term
+# c * K * (u * (sum |v| + sampling bound) + smallest subnormal), K the
+# non-constant terms: the grid values are within (55 + K) u sum |v| (see
+# omega_bounds), below 64 K u sum |v| for every K >= 1, and the rest pays for
+# the final roundings.
+RANGE_ROUNDING_C = 64.0
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -108,12 +127,14 @@ class PotentialSpec:
     def q_max(self) -> int:
         return max((q for _, q, _ in self.terms), default=0)
 
-    def coefficient(self, j: int, q: int) -> complex:
-        """v_{j,q}, zero when the term is absent."""
-        for jj, qq, v in self.terms:
-            if jj == j and qq == q:
-                return complex(v)
-        return 0.0 + 0.0j
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """True when v_{-j,q} == conj(v_{j,q}) holds exactly for every term
+        (an absent term counting as 0), not just within the 1e-14 the
+        constructor accepts: the condition under which band_functions reuses
+        the spectrum of tau at -tau."""
+        coeffs = {(j, q): complex(v) for j, q, v in self.terms}
+        return all(coeffs.get((-j, q), 0.0) == v.conjugate() for (j, q), v in coeffs.items())
 
     def gradient_bound(self, geom: StripGeometry) -> float:
         """Upper bound sum |v_{j,q}| pi (|j|/T + q/d) for |grad V| on the cell."""
@@ -121,21 +142,6 @@ class PotentialSpec:
             abs(v) * math.pi * (abs(j) / geom.T + q / geom.d)
             for j, q, v in self.terms
         )
-
-    def evaluate(self, geom: StripGeometry, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Pointwise values of V on the broadcast grid (x1, x2); real array.
-
-        Hermitian symmetry makes the sum real, so only real parts are kept:
-        Re(v e^{i pi j x1/T}) cos(pi q x2/d) equals the real part of the
-        complex product exactly, term by term.
-        """
-        total = np.zeros(np.broadcast(x1, x2).shape)
-        for j, q, v in self.terms:
-            total += (
-                (v * np.exp(1j * math.pi * j * np.asarray(x1, dtype=float) / geom.T)).real
-                * np.cos(math.pi * q * np.asarray(x2, dtype=float) / geom.d)
-            )
-        return total
 
 
 def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, PotentialSpec]:
@@ -346,7 +352,8 @@ def band_functions(
 ) -> BandTable:
     """Certified enclosures of the lowest k_max bands per grid tau.
 
-    One assembly and one eigensolve per tau, on the kept modes P
+    One assembly and one eigensolve per tau (or per +-tau pair, below), on
+    the kept modes P
     (|n| <= n_max, 1 <= m <= m_max; Q = 1 - P the dropped ones).  bounds must
     enclose the range of V, omega_- <= V <= omega_+ (omega_bounds does).  With
     mu_k the computed Ritz values and eps = EIG_ROUNDING_C * dim * u * ||H||_inf:
@@ -364,6 +371,12 @@ def band_functions(
 
     Fails closed (ValueError naming band, tau and g) when g <= 0: the
     truncation then drops a mode as low as the band and must grow.
+
+    A grid point that is the exact float negation of an earlier one gets
+    that point's rows without an assembly or eigensolve, when the potential
+    is exactly conjugate-symmetric (PotentialSpec.conjugate_symmetric): then
+    H(-tau) = Pi conj(H(tau)) Pi^T (module docstring), so the Ritz values,
+    eps and Lambda0 agree between the two points.  Otherwise both are solved.
     """
     n_max, m_max = truncation
     if k_max < 1:
@@ -378,7 +391,14 @@ def band_functions(
     a = (0.5 * (bounds.omega_plus - bounds.omega_minus)) ** 2
     upper = np.empty((len(grid), k_max))
     lower = np.empty((len(grid), k_max))
+    solved: dict[float, int] = {}  # tau -> its row, for reuse at -tau
+    reuse = potential.conjugate_symmetric
     for i, tau in enumerate(grid):
+        mate = solved.get(-tau) if reuse else None
+        if mate is not None:
+            upper[i], lower[i] = upper[mate], lower[mate]
+            continue
+        solved[tau] = i
         H = assemble(geom, tau, potential, n_max, m_max)
         ritz = hermitian_eigenvalues(H)[:k_max]
         norm = float(np.abs(H).sum(axis=1).max())
@@ -422,11 +442,13 @@ def unperturbed_band_functions(
 class OmegaEnclosure:
     """Outer enclosure of the potential's range over the cell.
 
-    grid_min/grid_max are exact extrema over the sample grid; inflation is
-    the gradient-bound slack added outward, so the true essential infimum and
-    supremum satisfy omega_minus <= inf V and sup V <= omega_plus.  The
-    object carries the same omega fields as PerturbBounds and converts via
-    as_bounds().
+    grid_min/grid_max are the extrema of the computed values on the sample
+    grid; inflation is the slack added outward: the smaller of the first- and
+    second-order sampling bounds, plus rounding, the part that covers
+    floating-point error (exactly 0 for a constant potential, whose values
+    are exact).  The true essential infimum and supremum satisfy
+    omega_minus <= inf V and sup V <= omega_plus.  The object carries the
+    same omega fields as PerturbBounds and converts via as_bounds().
     """
 
     omega_minus: float
@@ -434,6 +456,7 @@ class OmegaEnclosure:
     grid_min: float
     grid_max: float
     inflation: float
+    rounding: float
 
     @property
     def omega_L(self) -> float:
@@ -443,25 +466,79 @@ class OmegaEnclosure:
         return PerturbBounds(self.omega_minus, self.omega_plus)
 
 
+def _range_grid(potential: PotentialSpec, grid_n: int) -> np.ndarray:
+    """V at x1 = 2T k/N (0 <= k < N) by x2 = d l/(N-1) (0 <= l < N), N = grid_n
+    (T and d cancel from the phases).
+
+    Separable: the terms are summed by transverse frequency into
+    c_q(x1) = sum_j Re(v_{j,q} e^{i pi j x1/T}), and the grid is the one
+    product (N x Q) @ (Q x N) with the rows cos(pi q x2/d).  The phases are
+    reduced in integers, 2 pi (j k mod N)/N and pi (q l mod 2(N-1))/(N-1),
+    so each cosine is taken at an exact grid point and an angle in
+    [0, 2 pi), whatever the sizes of j and q.  Zero coefficients are skipped.
+    """
+    k = np.arange(grid_n)
+    rows: dict[int, np.ndarray] = {}
+    for j, q, v in potential.terms:
+        if v == 0:
+            continue
+        angle = (2.0 * math.pi / grid_n) * ((j % grid_n) * k % grid_n)
+        term = (complex(v) * np.exp(1j * angle)).real
+        rows[q] = rows[q] + term if q in rows else term
+    qs = sorted(rows)
+    period = 2 * (grid_n - 1)
+    c = np.array([rows[q] for q in qs]).reshape(len(qs), grid_n).T
+    phase = np.array([q % period for q in qs], dtype=np.int64)[:, None] * k % period
+    return c @ np.cos((math.pi / (grid_n - 1)) * phase)
+
+
 def omega_bounds(
     geom: StripGeometry, potential: PotentialSpec, grid_n: int = 1024
 ) -> OmegaEnclosure:
     """Rigorous enclosure of min/max of V over the cell (0, 2T) x [0, d].
 
-    Evaluates V on an N x N grid (periodic sampling in x1, endpoints included
-    in x2 where the extrema of the cosine factors can sit) and inflates both
-    extremes outward by gradient_bound * cell_diameter / N.
+    Evaluates V on the N x N grid of _range_grid (periodic in x1, endpoints
+    included in x2) and inflates both extremes outward by
+
+        min(first, second) + rounding.
+
+    first = gradient_bound * diam/N, diam = hypot(2T, d), is the mean-value
+    bound.  second = 1/2 sum |v| (pi |j|/T h1/2 + pi q/d h2/2)^2, with
+    h1 = 2T/N and h2 = d/(N-1), is Taylor's bound at a critical point: V
+    extends evenly in x2 to a smooth function on the torus
+    (0, 2T) x (-d, d) with the same range, so grad V = 0 at its extrema, the
+    nearest grid point lies within h1/2 and h2/2 in each coordinate, and each
+    term's second derivative along a step (s1, s2) is at most
+    |v| (pi |j| s1/T + pi q s2/d)^2.
+
+    rounding = RANGE_ROUNDING_C * K * (u * (sum |v| + min(first, second)) + s),
+    with K the number of nonzero terms other than (0, 0), u the unit roundoff
+    and s = 2^-1074 the smallest subnormal.  It covers the computed grid
+    values (each trigonometric factor within 20u, each term within 33u |v|,
+    and at most K + 1 additions per value, so within (55 + K) u sum |v| in
+    all, plus s for each operation that underflows) and the roundings of the
+    inflation and of the final subtraction.  With K = 0 the values are the
+    exact constant and rounding is 0.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    x1 = np.linspace(0.0, 2.0 * geom.T, grid_n, endpoint=False)
-    x2 = np.linspace(0.0, geom.d, grid_n)
-    values = potential.evaluate(geom, x1[:, None], x2[None, :])
-    inflation = (
+    values = _range_grid(potential, grid_n)
+    first = (
         potential.gradient_bound(geom)
         * math.hypot(2.0 * geom.T, geom.d)
         / grid_n
     )
+    h1, h2 = 2.0 * geom.T / grid_n, geom.d / (grid_n - 1)
+    second = 0.5 * sum(
+        abs(v) * (math.pi * abs(j) / geom.T * h1 / 2 + math.pi * q / geom.d * h2 / 2) ** 2
+        for j, q, v in potential.terms
+    )
+    sampling = min(first, second)
+    nonconstant = sum(1 for j, q, v in potential.terms if v != 0 and (j, q) != (0, 0))
+    rounding = RANGE_ROUNDING_C * nonconstant * (
+        _UNIT_ROUNDOFF * (sum(abs(v) for _, _, v in potential.terms) + sampling)
+        + _SMALLEST_SUBNORMAL)
+    inflation = sampling + rounding
     grid_min = float(values.min())
     grid_max = float(values.max())
     return OmegaEnclosure(
@@ -470,6 +547,7 @@ def omega_bounds(
         grid_min=grid_min,
         grid_max=grid_max,
         inflation=inflation,
+        rounding=rounding,
     )
 
 

@@ -18,6 +18,11 @@
 * ``Mode``, ``mode_energy``: one separable fiber eigenvalue by its formula.
 * ``write_potential_file``: the writer matching
   ``stripgaps.galerkin.read_potential_file``.
+* ``coefficient``, ``potential_values``, ``omega_bounds_first_order``: a
+  potential's coefficient by label, its values term by term on any grid, and
+  the enclosure of its range from those values inflated by the first-order
+  (gradient) bound, against the separable second-order
+  ``stripgaps.galerkin.omega_bounds``.
 * ``assemble_by_loop``: the Galerkin matrix entry by entry, one Python loop
   over modes and candidate rows, against the vectorised
   ``stripgaps.galerkin.assemble`` (which must agree bit for bit).
@@ -33,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from stripgaps.fourier import a0_closed, ap_closed, residual_bound
-from stripgaps.galerkin import PotentialSpec
+from stripgaps.galerkin import OmegaEnclosure, PotentialSpec
 from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
 from stripgaps.spectrum import counting_extremes, jump_events
 
@@ -248,7 +253,7 @@ def pde_residual(l: float, mu: float, truncation_n: int, h: float = 2e-3,
 
 
 # ---------------------------------------------------------------------------
-# separable modes and potential files
+# separable modes, potential files and potential values
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -278,6 +283,46 @@ def write_potential_file(
         fh.write(f"T={geom.T!r} d={geom.d!r}\n")
         for j, q, v in potential.terms:
             fh.write(f"{j} {q} {v.real!r} {v.imag!r}\n")
+
+
+def coefficient(potential: PotentialSpec, j: int, q: int) -> complex:
+    """v_{j,q}, zero when the term is absent."""
+    for jj, qq, v in potential.terms:
+        if jj == j and qq == q:
+            return complex(v)
+    return 0.0 + 0.0j
+
+
+def potential_values(
+    potential: PotentialSpec, geom: StripGeometry, x1: np.ndarray, x2: np.ndarray
+) -> np.ndarray:
+    """Pointwise values of V on the broadcast grid (x1, x2); real array.
+
+    Hermitian symmetry makes the sum real, so only real parts are kept:
+    Re(v e^{i pi j x1/T}) cos(pi q x2/d) equals the real part of the
+    complex product exactly, term by term.
+    """
+    total = np.zeros(np.broadcast(x1, x2).shape)
+    for j, q, v in potential.terms:
+        total += (
+            (v * np.exp(1j * math.pi * j * np.asarray(x1, dtype=float) / geom.T)).real
+            * np.cos(math.pi * q * np.asarray(x2, dtype=float) / geom.d)
+        )
+    return total
+
+
+def omega_bounds_first_order(
+    geom: StripGeometry, potential: PotentialSpec, grid_n: int = 1024
+) -> OmegaEnclosure:
+    """Extrema of potential_values on the N x N grid (periodic in x1,
+    endpoints included in x2), inflated outward by the mean-value bound
+    gradient_bound * hypot(2T, d) / N; no rounding term."""
+    x1 = np.linspace(0.0, 2.0 * geom.T, grid_n, endpoint=False)
+    x2 = np.linspace(0.0, geom.d, grid_n)
+    values = potential_values(potential, geom, x1[:, None], x2[None, :])
+    inflation = potential.gradient_bound(geom) * math.hypot(2.0 * geom.T, geom.d) / grid_n
+    lo, hi = float(values.min()), float(values.max())
+    return OmegaEnclosure(lo - inflation, hi + inflation, lo, hi, inflation, 0.0)
 
 
 # ---------------------------------------------------------------------------

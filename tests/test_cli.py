@@ -14,6 +14,7 @@ import pytest
 import stripgaps
 from oracles import write_potential_file
 from stripgaps.cli import MAX_GRID, MAX_SWEEP_STEPS, main
+import stripgaps.galerkin as galerkin
 from stripgaps.galerkin import PotentialSpec
 from stripgaps.geometry import resolve_geometry
 from stripgaps.oscillation import MAX_HARMONICS, phi_p, phi_sup
@@ -376,6 +377,34 @@ def test_sweep_caps_steps_times_the_inner_grid_before_any_cell_runs():
     assert (code, out) == (1, "")
 
 
+def test_sweep_spells_integer_flags_as_integers(capsys):
+    code, out = run(["sweep", "--param", "p", "--start", "1", "--stop", "2", "--steps", "2",
+                     "--", "phi", "--xi", "0.5", "--ell", "1.3"])
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+    assert [(r[0], r[1], r[4]) for r in rows] == [("1", "0", "1"), ("2", "0", "2")]
+    # a value between integers is refused before any cell runs
+    code = main(["sweep", "--param", "p", "--start", "1", "--stop", "2", "--steps", "3",
+                 "--", "phi", "--xi", "0.5", "--ell", "1.3"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: --p takes integers, but the sweep reaches 1.5\n")
+
+
+def test_sweeping_the_grid_flag_counts_every_cells_points(capsys):
+    inner = ["--", "galerkin", "--potential", str(DATA / "cosine.pot"), "--kmax", "1"]
+    code, out = run(["sweep", "--param", "grid", "--start", "1", "--stop", "3", "--steps", "3"]
+                    + inner)
+    assert code == 0
+    assert [l.split(",")[0] for l in out.splitlines() if not l.startswith("#")][1:] == [
+        "1", "2", "2", "3", "3", "3"]
+    # 4000 + 5000 + 6000 points: each cell is under the ceiling, the sweep is not
+    code = main(["sweep", "--param", "grid", "--start", "4000", "--stop", "6000",
+                 "--steps", "3"] + inner)
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: 3 sweep steps of --grid ask for 15000 galerkin "
+                                       f"points, over the ceiling of {MAX_GRID} points\n")
+
+
 def test_sweep_validation_failures_exit_one():
     inner = ["--", "count", "--ell", "1.3", "--tau", "0.0"]
     base = ["sweep", "--param", "xi", "--start", "0.1", "--stop", "0.5"]
@@ -425,8 +454,22 @@ def test_galerkin_command_names_the_failing_condition_when_declined(cosine_poten
     code, out = run(argv + ["--tol", "-0.5"])
     assert code == 2
     assert "enclosure_ok = false" in out
-    assert out.splitlines()[-1] == "failing = band 1 tau 0.5 lower margin 0.100525312381"
+    assert out.splitlines()[-1] == "failing = band 1 tau 0.5 lower margin 0.0991588739299"
     assert "failing" not in run(argv)[1]
+
+
+def test_galerkin_command_solves_each_plus_minus_tau_pair_once(cosine_potential_file, monkeypatch):
+    # --grid 9 gives tau = -7/18, ..., 7/18, 1/2: four exact pairs and 0.5
+    assembled, solved = [], []
+    real_assemble, real_eigenvalues = galerkin.assemble, galerkin.hermitian_eigenvalues
+    monkeypatch.setattr(galerkin, "assemble",
+                        lambda *a, **k: assembled.append(a[1]) or real_assemble(*a, **k))
+    monkeypatch.setattr(galerkin, "hermitian_eigenvalues",
+                        lambda H: solved.append(H.shape) or real_eigenvalues(H))
+    code, out = run(["galerkin", "--potential", cosine_potential_file, "--grid", "9"])
+    assert code == 0 and "tau_points = 9" in out
+    assert assembled == [-7 / 18, -5 / 18, -3 / 18, -1 / 18, 0.5]
+    assert len(solved) == 5
 
 
 def test_galerkin_command_csv_lists_band_values(cosine_potential_file):

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import stripgaps.galerkin as galerkin
-from oracles import Mode, assemble_by_loop, mode_energy, write_potential_file
+from oracles import (
+    Mode,
+    assemble_by_loop,
+    coefficient,
+    mode_energy,
+    omega_bounds_first_order,
+    potential_values,
+    write_potential_file,
+)
 from stripgaps.galerkin import (
     PotentialSpec,
     assemble,
@@ -57,6 +65,13 @@ def _hermitian(terms):
     return PotentialSpec(terms=tuple(out))
 
 
+# Labels for _hermitian: up to four (j, q) with |v| <= 1, |j| <= 2 and q <= 2.
+HERMITIAN_LABELS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2),
+              st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+    min_size=1, max_size=4, unique_by=lambda t: (t[0], t[1]))
+
+
 # ---------------------------------------------------------------------------
 # potential specifications
 # ---------------------------------------------------------------------------
@@ -80,8 +95,8 @@ def test_potential_lookup_and_frequency_ranges():
     spec = PotentialSpec(terms=((2, 3, 0.5), (-2, 3, 0.5), (0, 1, 1.5)))
     assert spec.j_max == 2
     assert spec.q_max == 3
-    assert spec.coefficient(2, 3) == 0.5
-    assert spec.coefficient(5, 5) == 0.0
+    assert coefficient(spec, 2, 3) == 0.5
+    assert coefficient(spec, 5, 5) == 0.0
     assert PotentialSpec().j_max == 0
     assert PotentialSpec().q_max == 0
 
@@ -89,7 +104,7 @@ def test_potential_lookup_and_frequency_ranges():
 def test_potential_evaluates_to_real_values():
     x1 = np.linspace(0.0, 2.0, 7)
     x2 = np.linspace(0.0, 1.0, 5)
-    vals = COSINE_X1.evaluate(GEOM, x1[:, None], x2[None, :])
+    vals = potential_values(COSINE_X1, GEOM, x1[:, None], x2[None, :])
     assert vals.dtype == np.float64
     expected = 0.2 * np.cos(math.pi * x1[:, None] / 1.0) * np.ones_like(x2[None, :])
     assert np.allclose(vals, expected, rtol=0, atol=1e-14)
@@ -104,7 +119,7 @@ def test_potential_evaluates_the_real_part_of_the_complex_sum_exactly():
         total = np.zeros((64, 64), dtype=complex)
         for j, q, v in spec.terms:
             total += v * np.exp(1j * math.pi * j * x1 / geom.T) * np.cos(math.pi * q * x2 / geom.d)
-        assert np.array_equal(spec.evaluate(geom, x1, x2), np.real(total))
+        assert np.array_equal(potential_values(spec, geom, x1, x2), np.real(total))
 
 
 def test_potential_gradient_bound():
@@ -293,10 +308,7 @@ def test_truncation_dropping_a_mode_below_a_band_is_refused():
 
 
 @given(
-    labels=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 2),
-                  st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
-        min_size=1, max_size=4, unique_by=lambda t: (t[0], t[1])),
+    labels=HERMITIAN_LABELS,
     tau=st.floats(min_value=-3.0, max_value=3.0),
 )
 @settings(max_examples=60, deadline=None)
@@ -329,7 +341,8 @@ def test_q0_potential_is_enclosed_by_its_separated_one_dimensional_bands():
         assert np.all(separated <= table.energies[i])
 
 
-def test_band_functions_solve_once_per_tau_at_the_requested_truncation(monkeypatch):
+def count_solves(monkeypatch):
+    """Record the dimension of every assembly and eigensolve band_functions makes."""
     assembled, solved = [], []
     real_assemble, real_eigenvalues = galerkin.assemble, galerkin.hermitian_eigenvalues
 
@@ -344,10 +357,49 @@ def test_band_functions_solve_once_per_tau_at_the_requested_truncation(monkeypat
 
     monkeypatch.setattr(galerkin, "assemble", counting_assemble)
     monkeypatch.setattr(galerkin, "hermitian_eigenvalues", counting_eigenvalues)
+    return assembled, solved
+
+
+def test_band_functions_solve_once_per_tau_class_at_the_requested_truncation(monkeypatch):
+    # -0.5 and 0.5 are one +-tau class
+    assembled, solved = count_solves(monkeypatch)
     taus = [-0.5, 0.0, 0.25, 0.5]
-    band_functions(GEOM, COSINE_X1, taus, 3, (3, 4), omega_bounds(GEOM, COSINE_X1))
-    assert assembled == [7 * 4] * len(taus)
-    assert solved == [7 * 4] * len(taus)
+    table = band_functions(GEOM, COSINE_X1, taus, 3, (3, 4), omega_bounds(GEOM, COSINE_X1))
+    assert assembled == [7 * 4] * 3
+    assert solved == [7 * 4] * 3
+    assert np.array_equal(table.energies[3], table.energies[0])
+
+
+@given(
+    labels=HERMITIAN_LABELS,
+    tau=st.floats(min_value=0.0, max_value=3.0, exclude_min=True, exclude_max=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_reused_rows_at_minus_tau_match_an_independent_solve(labels, tau):
+    spec = _hermitian(labels)
+    assert spec.conjugate_symmetric
+    try:
+        table = band_functions(GEOM, spec, [tau, -tau], 2, (2, 3),
+                               omega_bounds(GEOM, spec, grid_n=64))
+    except ValueError as exc:
+        assert "g = " in str(exc)
+        assume(False)
+    assert np.array_equal(table.energies[1], table.energies[0])
+    assert np.array_equal(table.lower[1], table.lower[0])
+    H = assemble(GEOM, -tau, spec, 2, 3)
+    eps = galerkin.EIG_ROUNDING_C * H.shape[0] * 2.0 ** -53 * np.abs(H).sum(axis=1).max()
+    ritz = hermitian_eigenvalues(H)[:2]
+    assert np.all(np.abs(table.energies[1] - eps - ritz) <= eps)
+
+
+def test_a_potential_symmetric_only_within_tolerance_is_solved_at_both_points(monkeypatch):
+    v = 0.1 + 0.05j
+    spec = PotentialSpec(terms=((1, 0, v), (-1, 0, v.conjugate() * (1.0 + 2e-16))))
+    assert v.conjugate() * (1.0 + 2e-16) != v.conjugate()
+    assert not spec.conjugate_symmetric
+    assembled, solved = count_solves(monkeypatch)
+    band_functions(GEOM, spec, [0.25, -0.25], 2, (3, 4), omega_bounds(GEOM, spec))
+    assert len(assembled) == len(solved) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +438,65 @@ def test_omega_bounds_enclosure_shrinks_with_the_grid():
     assert fine.omega_plus <= coarse.omega_plus
     with pytest.raises(ValueError):
         omega_bounds(GEOM, COSINE_X1, grid_n=1)
+
+
+def test_omega_bounds_rounding_vanishes_only_for_a_constant():
+    assert omega_bounds(GEOM, PotentialSpec(terms=((0, 0, 0.7),))).rounding == 0.0
+    assert omega_bounds(GEOM, PotentialSpec(terms=((0, 0, 0.7), (0, 1, 0.0)))).rounding == 0.0
+    assert omega_bounds(GEOM, PotentialSpec()).omega_L == 0.0
+    enc = omega_bounds(GEOM, COSINE_X1)
+    assert 0.0 < enc.rounding < 1e-13
+    # the second-order bound 1/2 sum |v| (pi |j| / N)^2, then the rounding term
+    assert enc.inflation == pytest.approx(0.5 * 0.2 * (math.pi / 1024) ** 2 + enc.rounding,
+                                          rel=1e-12, abs=0.0)
+
+
+def test_range_grid_reduces_the_phases_exactly():
+    # on N points j and j + 1000 N are the same exponential, and q and
+    # q + 1000 * 2(N - 1) the same cosine: the integer reduction makes the
+    # grids equal bit for bit, where float phases of size 1e6 would not
+    n = 64
+    small = PotentialSpec(terms=((1, 1, 0.3 + 0.1j), (-1, 1, 0.3 - 0.1j), (0, 3, 0.2)))
+    large = PotentialSpec(terms=((1 + 1000 * n, 1 + 1000 * 2 * (n - 1), 0.3 + 0.1j),
+                                 (-1 - 1000 * n, 1 + 1000 * 2 * (n - 1), 0.3 - 0.1j),
+                                 (0, 3 + 1000 * 2 * (n - 1), 0.2)))
+    assert np.array_equal(galerkin._range_grid(large, n), galerkin._range_grid(small, n))
+
+
+@given(
+    labels=HERMITIAN_LABELS,
+    cell=st.sampled_from([(1.0, 1.0), (1.0, 20.0), (0.7, 2.5)]),
+    grid_n=st.sampled_from([16, 64, 257, 1024]),
+)
+@settings(max_examples=60, deadline=None)
+def test_separable_range_grid_matches_the_term_by_term_oracle(labels, cell, grid_n):
+    spec, geom = _hermitian(labels), resolve_geometry(T=cell[0], d=cell[1])
+    x1 = np.linspace(0.0, 2.0 * geom.T, grid_n, endpoint=False)[:, None]
+    x2 = np.linspace(0.0, geom.d, grid_n)[None, :]
+    enc = omega_bounds(geom, spec, grid_n=grid_n)
+    separable = galerkin._range_grid(spec, grid_n)
+    assert np.max(np.abs(separable - potential_values(spec, geom, x1, x2))) <= enc.rounding
+    # never looser than the first-order enclosure beyond the rounding term,
+    # once more for the oracle's grid values, which agree only that closely
+    first = omega_bounds_first_order(geom, spec, grid_n=grid_n)
+    assert enc.omega_minus >= first.omega_minus - 2.0 * enc.rounding
+    assert enc.omega_plus <= first.omega_plus + 2.0 * enc.rounding
+
+
+def test_the_range_at_random_points_lies_inside_the_enclosure():
+    rng = np.random.default_rng(2018)
+    cases = [(resolve_geometry(T=1.0, d=20.0), spec) for spec in _benchmark_potentials()]
+    cases += [read_potential_file(DATA / "cosine.pot"),
+              (GEOM, _hermitian([(1, 2, 0.6, 0.3), (2, 1, 0.4, 2.5), (0, 1, 0.2, 0.0)]))]
+    for geom, spec in cases:
+        values = potential_values(spec, geom, rng.uniform(0.0, 2.0 * geom.T, 10 ** 5),
+                                  rng.uniform(0.0, geom.d, 10 ** 5))
+        for grid_n in (16, 1024):
+            enc = omega_bounds(geom, spec, grid_n=grid_n)
+            assert enc.omega_minus <= values.min() and values.max() <= enc.omega_plus
+    # the second-order bound is what makes the benchmark enclosures tight
+    for geom, spec in cases[:8]:
+        assert omega_bounds(geom, spec).inflation < 1e-5
 
 
 # ---------------------------------------------------------------------------
