@@ -15,10 +15,15 @@ One table, ``COMMANDS``, declares every command: its handler, help line,
 default output format and flags.  The parser, the canonical echo, the
 defaults each handler sees and the dispatch are all generated from it.
 
+Each invocation builds the parser of the command it names only (all of
+them when it names none, so help and the invalid-choice message list every
+command); the fixed cost of a call is then one command's flags.
+
 The ``sweep`` command re-runs an inner command over a parameter grid, in
-parallel when requested; rows are emitted in grid order whatever the worker
-count, and the worker count is deliberately excluded from the metadata echo,
-keeping output bytes independent of it.
+parallel when requested (the process pool is imported only then); rows are
+emitted in grid order whatever the worker count, and the worker count is
+deliberately excluded from the metadata echo, keeping output bytes independent
+of it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import io
 import math
 import shlex
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -427,7 +431,7 @@ def _cell_points(argv: list[str], dest: str) -> int:
     the cell does not parse (then no cell runs anything)."""
     with contextlib.redirect_stderr(io.StringIO()):
         try:
-            given = vars(_parser().parse_args(argv))
+            given = vars(_parser(argv).parse_args(argv))
         except SystemExit:
             return 0
     default = next(f.default for f in COMMANDS[argv[0]].flags if f.dest == dest)
@@ -483,6 +487,8 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
                     f"{steps} sweep steps x {points} {inner[0]} points exceed the "
                     f"ceiling of {MAX_GRID} points")
     if params["workers"] > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=params["workers"]) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
@@ -593,10 +599,13 @@ COMMANDS: dict[str, _Command] = {
 }
 
 
-def _parser() -> _Parser:
+def _parser(argv: list[str]) -> _Parser:
+    """The parser for argv: the subparser of the command argv[0] names only,
+    or all of them when it names none (no arguments, -h, an unknown name)."""
     parser = _Parser(prog="stripgaps", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, command in COMMANDS.items():
+    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
+        command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help, description=command.help,
                            argument_default=argparse.SUPPRESS)
         for spelling, kwargs in command.arguments:
@@ -609,7 +618,7 @@ def _parser() -> _Parser:
 
 def _run_argv(argv: list[str]) -> tuple[int, list[str]]:
     """Parse and dispatch one invocation, returning (status, output lines)."""
-    given = vars(_parser().parse_args(argv))
+    given = vars(_parser(argv).parse_args(argv))
     name = given.pop("command")
     command = COMMANDS[name]
     params = {f.dest: f.default for f in command.flags

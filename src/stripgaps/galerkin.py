@@ -96,9 +96,9 @@ class PotentialSpec:
     """Finite trigonometric potential: terms (j, q, coeff).
 
     Represents V(x1, x2) = sum v_{j,q} exp(i pi j x1/T) cos(pi q x2/d) with
-    q >= 0.  Duplicate (j, q) labels are rejected; Hermitian symmetry
-    v_{-j,q} = conj(v_{j,q}) is required term by term so V is real-valued.
-    The empty spec is V = 0.
+    q >= 0.  Duplicate (j, q) labels and non-finite coefficients are rejected;
+    Hermitian symmetry v_{-j,q} = conj(v_{j,q}) is required term by term so V
+    is real-valued.  The empty spec is V = 0.
     """
 
     terms: tuple[tuple[int, int, complex], ...] = ()
@@ -110,6 +110,8 @@ class PotentialSpec:
                 raise ValueError(f"transverse frequency q must be >= 0, got {q}")
             if (j, q) in seen:
                 raise ValueError(f"duplicate potential term (j={j}, q={q})")
+            if not np.isfinite(v):
+                raise ValueError(f"potential coefficient at (j={j}, q={q}) is not finite: {v}")
             seen[(j, q)] = complex(v)
         for (j, q), v in seen.items():
             mate = seen.get((-j, q), 0.0 + 0.0j)
@@ -147,11 +149,17 @@ class PotentialSpec:
 def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, PotentialSpec]:
     """Parse a potential file: header ``T=... d=...`` then lines ``j q re im``.
 
-    Blank lines and lines starting with ``#`` are ignored.
+    Blank lines and lines starting with ``#`` are ignored.  A file that cannot
+    be opened raises ValueError naming the path and the reason.
     """
+    try:
+        fh = open(path, "r", encoding="ascii")
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read potential file {path!r}: {exc.strerror or exc}") from exc
     geom: StripGeometry | None = None
     terms: list[tuple[int, int, complex]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -51,8 +51,9 @@ MAX_BAND_CROSSINGS = 20_000_000
 MAX_ROWS = 1 << 22
 # counting refuses rows holding more points than float64 counts exactly.
 _EXACT_COUNT = 2.0 ** 52
-# Elements per vectorized block of the crossing search (bounded memory).
-_BLOCK = 1 << 20
+# Elements per vectorized array of the crossing search (bounded memory): the
+# candidate pairs of one block, and the crossings x columns of one ranking chunk.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -253,9 +254,10 @@ def check_band_count(xi: float, ell: float) -> None:
     _check_band_cost((2.0 * math.sqrt(ell) + 1.0) * math.sqrt(ell) / xi + 1.0)
 
 
-def _heights(xi: float, c, x: np.ndarray) -> np.ndarray:
-    """Elementwise, the number of m >= 1 with x^2 + xi^2 m^2 <= c (as floats)."""
-    return np.floor(np.sqrt(np.maximum(c - x * x, 0.0)) / xi)
+def _heights(xi: float, c, x2: np.ndarray) -> np.ndarray:
+    """Elementwise, the number of m >= 1 with x2 + xi^2 m^2 <= c (as floats),
+    x2 the squared abscissae."""
+    return np.floor(np.sqrt(np.maximum(c - x2, 0.0)) / xi)
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +286,10 @@ def band_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     excess = max(0.25, min(2.0 * xi * k_max / math.pi, 0.25 * k_max * k_max))
     while True:
         j = np.arange(int(2.0 * math.sqrt(excess)) + 3)
-        if _heights(xi, xi2 + excess, 0.5 * j[1:]).sum() >= k_max:
+        if _heights(xi, xi2 + excess, (0.5 * j[1:]) ** 2).sum() >= k_max:
             break
         excess *= 1.25
-    lengths = _heights(xi, (xi2 + excess) * (1.0 + 1e-9), 0.5 * j)
+    lengths = _heights(xi, (xi2 + excess) * (1.0 + 1e-9), (0.5 * j) ** 2)
     _check_band_cost(lengths.sum())
     col, m = _ragged(np.ones(j.size, dtype=np.int64), lengths.astype(np.int64))
     maxima = (0.5 * (col + 1)) ** 2 + xi2 * m * m
@@ -295,6 +297,20 @@ def band_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     keep = (0.5 * col) ** 2 + xi2 * m * m <= cap
     col, m = col[keep], m[keep]
     return np.where(col % 2 == 0, col // 2, -(col + 1) // 2), m, cap
+
+
+def _fold_crossings(xi: float, t: np.ndarray, lam: np.ndarray, n_cols: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray) -> None:
+    """Fold the crossings (t, lam) into lo and hi of the bands 1..lo.size they rank as."""
+    k_max = lo.size
+    # levels below and at most lam, counted column by column
+    tie = (BOUNDARY_RTOL * np.maximum(1.0, lam))[:, None]
+    x2 = (t[:, None] + n_cols) ** 2
+    below = _heights(xi, lam[:, None] - tie, x2).sum(axis=1).astype(np.int64)
+    upto = _heights(xi, lam[:, None] + tie, x2).sum(axis=1).astype(np.int64)
+    owner, k = _ragged(below + 1, upto - below)
+    np.minimum.at(lo, k[k <= k_max] - 1, lam[owner[k <= k_max]])
+    np.maximum.at(hi, k[k <= k_max] - 1, lam[owner[k <= k_max]])
 
 
 def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:
@@ -323,21 +339,16 @@ def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:
     _check_band_cost(n.size, float(np.count_nonzero(up)) * np.count_nonzero(down))
     n_d, m2_d = n[down], m2[down]
     n_cols = np.arange(-math.ceil(math.sqrt(cap)) - 1, math.ceil(math.sqrt(cap)) + 2)
-    rows = max(1, _BLOCK // (max(1, n_d.size) * n_cols.size))
+    rows = max(1, _BLOCK // max(1, n_d.size))
+    chunk = max(1, _BLOCK // n_cols.size)
     for n_u, m2_u in ((c, m2[n == c][:, None]) for c in np.unique(n[up])):
         for r in range(0, m2_u.shape[0], rows):
             t = (xi2 * (m2_d - m2_u[r:r + rows]) / (n_u - n_d) - n_u - n_d) / 2.0
             lam = (t + n_u) ** 2 + xi2 * m2_u[r:r + rows]
             ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
             t, lam = t[ok], lam[ok]
-            # levels below and at most lam, counted column by column
-            tie = (BOUNDARY_RTOL * np.maximum(1.0, lam))[:, None]
-            x = t[:, None] + n_cols
-            below = _heights(xi, lam[:, None] - tie, x).sum(axis=1).astype(np.int64)
-            upto = _heights(xi, lam[:, None] + tie, x).sum(axis=1).astype(np.int64)
-            owner, k = _ragged(below + 1, upto - below)
-            np.minimum.at(lo, k[k <= k_max] - 1, lam[owner[k <= k_max]])
-            np.maximum.at(hi, k[k <= k_max] - 1, lam[owner[k <= k_max]])
+            for c in range(0, t.size, chunk):
+                _fold_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
     scale = math.pi * math.pi / (geom.T * geom.T)
     return [SpectralBand(k=k, lo=scale * float(a), hi=scale * float(b))
             for k, (a, b) in enumerate(zip(lo, hi), start=1)]

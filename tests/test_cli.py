@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, canonical echo, sweep."""
 
+import argparse
 import io
 import contextlib
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import stripgaps
 from oracles import write_potential_file
-from stripgaps.cli import MAX_GRID, MAX_SWEEP_STEPS, main
+from stripgaps.cli import COMMANDS, MAX_GRID, MAX_SWEEP_STEPS, _parser, main
 import stripgaps.galerkin as galerkin
 from stripgaps.galerkin import PotentialSpec
 from stripgaps.geometry import resolve_geometry
@@ -65,6 +66,58 @@ def test_usage_errors_exit_one():
     code, _ = run(["count", "--xi", "0.5", "--ell", "1.3", "--tau", "0.0",
                    "--representation", "rows"])
     assert code == 1
+
+
+def _parser_choices(argv):
+    sub = next(a for a in _parser(argv)._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_the_parser_holds_only_the_invoked_command():
+    assert len(COMMANDS) == 10
+    assert _parser_choices(["phi", "--xi", "0.5", "--ell", "1.3", "--p", "1"]) == ["phi"]
+    assert _parser_choices(["sweep", "--param", "xi", "--", "count"]) == ["sweep"]
+    # naming no command keeps every command for help and the usage error
+    for argv in ([], ["-h"], ["--help"], ["nosuch"], ["--seed", "1", "phi"]):
+        assert _parser_choices(argv) == list(COMMANDS), argv
+
+
+def test_an_unknown_command_is_refused_listing_every_command(capsys):
+    assert main(["nosuch"]) == 1
+    listed = ", ".join(repr(name) for name in COMMANDS)
+    assert capsys.readouterr() == ("", (
+        "usage: stripgaps [-h] command ...\n"
+        f"error: argument command: invalid choice: 'nosuch' (choose from {listed})\n"))
+
+
+def test_help_lists_every_command(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    for name, command in COMMANDS.items():
+        assert f"\n    {name}" in out and command.help in out, name
+
+
+def test_usage_lines_of_a_known_command_show_its_flags(capsys):
+    assert main(["phi", "--xi"]) == 1
+    assert capsys.readouterr().err == (
+        "usage: stripgaps phi [-h] [--xi XI] [--T T] [--d D] --ell ELL --p P\n"
+        "                     [--tol TOL] [--seed SEED] [--format {csv,report}]\n"
+        "error: argument --xi: expected one argument\n")
+
+
+def test_the_process_pool_is_imported_only_by_a_parallel_sweep():
+    probe = (
+        "import sys, stripgaps.cli as cli\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "cli.main(['sweep', '--param', 'xi', '--start', '0.3', '--stop', '0.5', '--steps', '2',\n"
+        "          '--', 'count', '--ell', '1.3', '--tau', '0'])\n"
+        "print([m for m in pool if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_validation_errors_exit_one():
@@ -181,11 +234,15 @@ _COSTLY = [
 ]
 
 
-def _subprocess_cli(argv):
+def _cli_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(stripgaps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-m", "stripgaps.cli", *argv], env=env,
+
+
+def _subprocess_cli(argv):
+    return subprocess.run([sys.executable, "-m", "stripgaps.cli", *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -488,6 +545,18 @@ def test_galerkin_command_rejects_conflicting_geometry(cosine_potential_file):
         "galerkin", "--potential", cosine_potential_file, "--T", "2.0", "--d", "1.0",
     ])
     assert code == 1
+
+
+def test_galerkin_command_fails_closed_on_an_unreadable_potential_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.pot")
+    assert main(["galerkin", "--potential", missing]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read potential file {missing!r}: No such file or directory\n")
+    # inside a sweep every cell becomes a status-1 row, and the sweep goes on
+    code, out = run(["sweep", "--param", "kmax", "--start", "1", "--stop", "2", "--steps", "2",
+                     "--", "galerkin", "--potential", missing])
+    assert code == 1
+    assert [l for l in out.splitlines() if not l.startswith("#")] == ["kmax,status", "1,1", "2,1"]
 
 
 def test_galerkin_command_requires_matching_truncation_flags(cosine_potential_file):

@@ -91,6 +91,15 @@ def test_potential_requires_hermitian_symmetry():
     PotentialSpec(terms=((1, 0, 0.5 + 0.2j), (-1, 0, 0.5 - 0.2j)))  # fine
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_potential_rejects_non_finite_coefficients(bad):
+    # nan passes the symmetry check (abs(nan) > tol is false), inf - inf is nan
+    with pytest.raises(ValueError, match=r"\(j=0, q=1\) is not finite"):
+        PotentialSpec(terms=((0, 1, bad),))
+    with pytest.raises(ValueError, match=r"\(j=2, q=0\) is not finite"):
+        PotentialSpec(terms=((0, 0, 1.0), (2, 0, bad), (-2, 0, bad)))
+
+
 def test_potential_lookup_and_frequency_ranges():
     spec = PotentialSpec(terms=((2, 3, 0.5), (-2, 3, 0.5), (0, 1, 1.5)))
     assert spec.j_max == 2
@@ -560,3 +569,20 @@ def test_potential_file_rejects_malformed_content(tmp_path):
     bad_record.write_text("T=1.0 d=2.0\n0 1 0.25\n")
     with pytest.raises(ValueError, match="record"):
         read_potential_file(bad_record)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_potential_file_rejects_non_finite_coefficients(tmp_path, text):
+    path = tmp_path / "potential.txt"
+    path.write_text(f"T=1.0 d=2.0\n0 0 0.5 0.0\n1 1 {text} 0.0\n-1 1 {text} 0.0\n")
+    with pytest.raises(ValueError, match=r"\(j=1, q=1\) is not finite"):
+        read_potential_file(path)
+
+
+def test_an_unreadable_potential_file_raises_a_value_error_naming_it(tmp_path):
+    missing = tmp_path / "missing.pot"
+    with pytest.raises(ValueError, match="cannot read potential file .*missing.pot.*: "
+                                         "No such file or directory"):
+        read_potential_file(missing)
+    with pytest.raises(ValueError, match="cannot read potential file .*: Is a directory"):
+        read_potential_file(tmp_path)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,20 @@ def test_band_table_fails_closed_above_its_cost_ceilings():
         band_table(resolve_geometry(xi=0.5), 100_000_000)
     with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CROSSINGS} curve crossings"):
         band_table(resolve_geometry(xi=0.5), 30_000)
+
+
+def test_band_table_ranks_crossings_in_bounded_memory():
+    # the gapchain case gaps --xi 0.03 --ell-max 40: 161,527 crossings ranked
+    # over 17 columns, which peaked at 6.5 MB when a block was ranked at once
+    geom = resolve_geometry(xi=0.03)
+    band_table(geom, 2113)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        band_table(geom, 2113)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_band_table_matches_single_band_calls():
