@@ -150,33 +150,36 @@ def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, Potenti
     """Parse a potential file: header ``T=... d=...`` then lines ``j q re im``.
 
     Blank lines and lines starting with ``#`` are ignored.  A file that cannot
-    be opened raises ValueError naming the path and the reason.
+    be opened raises ValueError naming the path and the reason, and a line
+    that cannot be parsed (non-ASCII, a bad number) one naming both the path
+    and the line number.
     """
     try:
-        fh = open(path, "r", encoding="ascii")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ValueError(
             f"cannot read potential file {path!r}: {exc.strerror or exc}") from exc
     geom: StripGeometry | None = None
     terms: list[tuple[int, int, complex]] = []
     with fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if geom is None:
-                fields = dict(item.split("=", 1) for item in line.split())
-                if set(fields) != {"T", "d"}:
-                    raise ValueError(
-                        f"potential header must be 'T=... d=...', got {line!r}"
-                    )
-                geom = StripGeometry(T=float(fields["T"]), d=float(fields["d"]))
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"potential record must be 'j q re im', got {line!r}")
-            j, q = int(parts[0]), int(parts[1])
-            terms.append((j, q, complex(float(parts[2]), float(parts[3]))))
+        for number, raw in enumerate(fh, 1):
+            try:  # UnicodeDecodeError is a ValueError
+                line = raw.decode("ascii").strip()
+                if not line or line.startswith("#"):
+                    continue
+                if geom is None:
+                    fields = dict(item.split("=", 1) for item in line.split())
+                    if set(fields) != {"T", "d"}:
+                        raise ValueError(f"potential header must be 'T=... d=...', got {line!r}")
+                    geom = StripGeometry(T=float(fields["T"]), d=float(fields["d"]))
+                    continue
+                parts = line.split()
+                if len(parts) != 4:
+                    raise ValueError(f"potential record must be 'j q re im', got {line!r}")
+                terms.append((int(parts[0]), int(parts[1]),
+                              complex(float(parts[2]), float(parts[3]))))
+            except ValueError as exc:
+                raise ValueError(f"potential file {path!r}, line {number}: {exc}") from exc
     if geom is None:
         raise ValueError(f"potential file {path!r} has no 'T=... d=...' header")
     return geom, PotentialSpec(terms=tuple(terms))
@@ -454,7 +457,8 @@ class OmegaEnclosure:
     grid; inflation is the slack added outward: the smaller of the first- and
     second-order sampling bounds, plus rounding, the part that covers
     floating-point error (exactly 0 for a constant potential, whose values
-    are exact).  The true essential infimum and supremum satisfy
+    are exact).  Clipping to the trivial range (see omega_bounds) can only
+    shrink either side's slack.  The true essential infimum and supremum satisfy
     omega_minus <= inf V and sup V <= omega_plus.  The object carries the
     same omega fields as PerturbBounds and converts via as_bounds().
     """
@@ -526,7 +530,10 @@ def omega_bounds(
     and at most K + 1 additions per value, so within (55 + K) u sum |v| in
     all, plus s for each operation that underflows) and the roundings of the
     inflation and of the final subtraction.  With K = 0 the values are the
-    exact constant and rounding is 0.
+    exact constant and rounding is 0.  The result is clipped to the trivial
+    range Re v_{0,0} +- sum' |v_{j,q}| (the other terms), widened by rounding
+    without its sampling share and by an ulp: the tighter side when the
+    sampling bound is large (huge j or q).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -543,15 +550,18 @@ def omega_bounds(
     )
     sampling = min(first, second)
     nonconstant = sum(1 for j, q, v in potential.terms if v != 0 and (j, q) != (0, 0))
+    total = sum(abs(v) for _, _, v in potential.terms)
     rounding = RANGE_ROUNDING_C * nonconstant * (
-        _UNIT_ROUNDOFF * (sum(abs(v) for _, _, v in potential.terms) + sampling)
-        + _SMALLEST_SUBNORMAL)
+        _UNIT_ROUNDOFF * (total + sampling) + _SMALLEST_SUBNORMAL)
     inflation = sampling + rounding
     grid_min = float(values.min())
     grid_max = float(values.max())
+    centre = sum(complex(v).real for j, q, v in potential.terms if (j, q) == (0, 0))
+    radius = (sum(abs(v) for j, q, v in potential.terms if (j, q) != (0, 0))
+              + RANGE_ROUNDING_C * nonconstant * (_UNIT_ROUNDOFF * total + _SMALLEST_SUBNORMAL))
     return OmegaEnclosure(
-        omega_minus=grid_min - inflation,
-        omega_plus=grid_max + inflation,
+        omega_minus=max(grid_min - inflation, math.nextafter(centre - radius, -math.inf)),
+        omega_plus=min(grid_max + inflation, math.nextafter(centre + radius, math.inf)),
         grid_min=grid_min,
         grid_max=grid_max,
         inflation=inflation,

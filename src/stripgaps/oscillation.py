@@ -53,6 +53,9 @@ MAX_TERMS = 1 << 28
 # Ceiling on the harmonics phi_sup scans, checked before any evaluation
 # (cutoff_c1 = 3 reaches it near ell = 1.1e7).
 MAX_HARMONICS = 10_000
+# Relative slack of phi_sup's stopping test: covers the rounding of
+# cutoff_bound (libm pow and gamma included) and of tail_bound <= tol.
+_ENVELOPE_RTOL = 1e-12
 # Slack of the uniform-bound margin >= 0, relative to max(c0, sup): covers the
 # rounding of c0(xi) and of the subtraction (each sum's own rounding is inside
 # its tail bound).
@@ -431,16 +434,18 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
                          truncation_n=n, route=route)
 
 
-def cutoff_bound(xi: float, p: int, beta: float | None = None) -> float:
-    """Decreasing-in-p envelope 1/(pi p^(3/2) xi) + B(1/4,1/2)/(pi p^(1/2)).
+def cutoff_bound(xi: float, p: int) -> float:
+    """Envelope 1/(pi p^(3/2) xi) + B(1/4,1/2)/(pi p^(1/2)) of the true |phi_p|.
 
-    Dominates |phi_p| for every p, so it certifies that harmonics beyond a
-    cutoff cannot beat an incumbent supremum.
+    |phi_p| <= (1/(pi xi)) sum_k s_k^(-3/2), s_k = sqrt(k^2/xi^2 + p^2).  The
+    k = 0 term gives the first part.  The terms k >= 1 decrease in k, so
+    their sum is at most the integral over (0, inf), which k = xi p t turns
+    into xi p^(-1/2) int_0^inf (1 + t^2)^(-3/4) dt = xi p^(-1/2) B(1/4,1/2)/2.
+    Both parts decrease in p: the envelope at q bounds |phi_p| for all p >= q.
     """
     if p < 1:
         raise ValueError(f"harmonic index must be >= 1, got {p}")
-    if beta is None:
-        beta = critical_constants().beta_quarter_half
+    beta = critical_constants().beta_quarter_half
     return 1.0 / (math.pi * p ** 1.5 * xi) + beta / (math.pi * math.sqrt(p))
 
 
@@ -452,22 +457,18 @@ class PhiSupResult(NamedTuple):
 
 
 def phi_sup(geom: StripGeometry, ell: float, cutoff_c1: float = 3.0,
-            tol: float = 1e-4, coarse_tol: float = 0.02) -> PhiSupResult:
-    """max of |phi_p(ell)| over p in {1..ceil(cutoff_c1 ell^(1/2))} u {1, 3}.
+            tol: float = 1e-4) -> PhiSupResult:
+    """max of |phi_p(ell)| over p = 1..p_max, p_max = max(3, ceil(cutoff_c1 ell^(1/2))).
 
-    Exactly reproduces the full scan at tail tolerance tol, but skips
-    harmonics that provably cannot attain the maximum:
-
-      * a coarse pre-pass at tolerance coarse_tol satisfies
-        |phi_p(tol) - phi_p(coarse_tol)| <= tol + coarse_tol, so any p whose
-        coarse value is more than that below the incumbent is dominated;
-      * candidates are visited in decreasing coarse order, so the first
-        domination terminates the scan.
-
-    Ties in |phi_p| resolve to the smallest p.  The returned cutoff_bound is
-    the envelope value at p_max: harmonics beyond the range are dominated
-    whenever cutoff_bound stays below the returned value.  Fails closed
-    (ValueError) above MAX_HARMONICS harmonics.
+    Equal to the full scan at tail tolerance tol, ties going to the smallest
+    p, but each harmonic is evaluated once, in increasing p, up to the first
+    q with (cutoff_bound(xi, q) + tol) (1 + _ENVELOPE_RTOL) < best so far.
+    Each evaluated |phi_p| is within its tail_bound <= tol of the true one,
+    which is at most cutoff_bound(xi, p) <= cutoff_bound(xi, q) for p >= q,
+    so every skipped harmonic lies strictly below the incumbent.  The
+    returned cutoff_bound is the envelope at p_max: harmonics beyond the
+    range are dominated whenever it stays below the returned value.  Fails
+    closed (ValueError) above MAX_HARMONICS harmonics.
     """
     if cutoff_c1 <= 0:
         raise ValueError(f"cutoff constant must be positive, got {cutoff_c1}")
@@ -478,28 +479,16 @@ def phi_sup(geom: StripGeometry, ell: float, cutoff_c1: float = 3.0,
         raise ValueError(
             f"supremum scan exceeds the ceiling of {MAX_HARMONICS} harmonics "
             f"({harmonics:.3g} estimated); ask for a lower energy or cutoff")
-    p_max = max(1, math.ceil(harmonics))
-    candidates = sorted({1, 3} | set(range(1, p_max + 1)))
-    best_p = -1
-    best = -math.inf
-    if tol >= coarse_tol:
-        # the pre-pass would cost as much as the scan itself
-        for q in candidates:
-            val = abs(phi_p(geom, ell, q, tol).value)
-            if val > best:
-                best, best_p = val, q
-    else:
-        coarse = {p: abs(phi_p(geom, ell, p, coarse_tol).value) for p in candidates}
-        slack = tol + coarse_tol
-        order = sorted(candidates, key=lambda q: (-coarse[q], q))
-        for q in order:
-            if coarse[q] + slack < best:
-                break
-            val = abs(phi_p(geom, ell, q, tol).value)
-            if val > best or (val == best and q < best_p):
-                best, best_p = val, q
-    return PhiSupResult(p_star=best_p, value=best, p_max=max(candidates),
-                        cutoff_bound=cutoff_bound(geom.xi, max(candidates)))
+    p_max = max(3, math.ceil(harmonics))
+    best_p, best = -1, -math.inf
+    for q in range(1, p_max + 1):
+        if (cutoff_bound(geom.xi, q) + tol) * (1.0 + _ENVELOPE_RTOL) < best:
+            break
+        val = abs(phi_p(geom, ell, q, tol).value)
+        if val > best:
+            best, best_p = val, q
+    return PhiSupResult(p_star=best_p, value=best, p_max=p_max,
+                        cutoff_bound=cutoff_bound(geom.xi, p_max))
 
 
 class UniformBoundRow(NamedTuple):

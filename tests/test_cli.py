@@ -511,7 +511,7 @@ def test_galerkin_command_names_the_failing_condition_when_declined(cosine_poten
     code, out = run(argv + ["--tol", "-0.5"])
     assert code == 2
     assert "enclosure_ok = false" in out
-    assert out.splitlines()[-1] == "failing = band 1 tau 0.5 lower margin 0.0991588739299"
+    assert out.splitlines()[-1] == "failing = band 1 tau 0.5 lower margin 0.0991579358753"
     assert "failing" not in run(argv)[1]
 
 

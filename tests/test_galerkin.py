@@ -4,6 +4,7 @@ import cmath
 import importlib.util
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -419,9 +420,12 @@ def test_omega_bounds_for_the_pure_cosine():
     enc = omega_bounds(GEOM, COSINE_X1)
     assert enc.grid_min == pytest.approx(-0.2, rel=1e-12)
     assert enc.grid_max == pytest.approx(0.2, rel=1e-12)
+    # the trivial range +-0.2, widened by its rounding only, is tighter than
+    # the grid extremes plus their inflation
     assert enc.omega_minus <= -0.2 < 0.2 <= enc.omega_plus
     assert enc.inflation > 0.0
-    assert enc.omega_plus - enc.grid_max == pytest.approx(enc.inflation, rel=1e-12)
+    assert enc.omega_plus - 0.2 <= 1e-14 < enc.inflation
+    assert -0.2 - enc.omega_minus <= 1e-14
     bounds = enc.as_bounds()
     assert bounds.omega_L == pytest.approx(enc.omega_L, rel=1e-14)
 
@@ -431,6 +435,21 @@ def test_omega_bounds_for_a_constant_are_exact():
     assert enc.omega_minus == enc.omega_plus == 0.7
     assert enc.omega_L == 0.0
     assert enc.inflation == 0.0
+
+
+def test_omega_bounds_are_clipped_to_the_trivial_range():
+    # a huge frequency makes the grid's sampling bound absurd (about 1e9); the
+    # enclosure never leaves v_00 +- sum' |v|, here 0.3 +- 1.5
+    for terms in (((10 ** 11, 0, 0.5), (-10 ** 11, 0, 0.5), (0, 0, 0.3), (0, 1, 0.5)),
+                  ((0, 10 ** 11, 1.0), (0, 0, 0.3), (1, 0, 0.25), (-1, 0, 0.25))):
+        enc = omega_bounds(GEOM, PotentialSpec(terms=terms))
+        assert enc.inflation > 1e8
+        assert -1.2 - 1e-13 <= enc.omega_minus <= -1.2
+        assert 1.8 <= enc.omega_plus <= 1.8 + 1e-13
+    # clipping never cuts into the range: V = 0.2 cos attains +-0.2 exactly
+    values = potential_values(COSINE_X1, GEOM, np.array([0.0, GEOM.T]), np.array([0.5, 0.5]))
+    enc = omega_bounds(GEOM, COSINE_X1)
+    assert enc.omega_minus <= values.min() and values.max() <= enc.omega_plus
 
 
 def test_omega_bounds_mixed_potential_attains_the_corner_extrema():
@@ -569,6 +588,22 @@ def test_potential_file_rejects_malformed_content(tmp_path):
     bad_record.write_text("T=1.0 d=2.0\n0 1 0.25\n")
     with pytest.raises(ValueError, match="record"):
         read_potential_file(bad_record)
+
+
+def test_a_non_ascii_potential_file_names_the_path_and_the_line(tmp_path):
+    path = tmp_path / "accent.pot"
+    path.write_bytes("T=1.0 d=2.0\n# fine\n0 1 0.25 0.0\u00e9\n".encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"potential file {path!r}, line 3: 'ascii' codec can't decode byte 0xc3")):
+        read_potential_file(path)
+
+
+def test_a_bad_header_float_names_the_path_and_the_line(tmp_path):
+    path = tmp_path / "header.pot"
+    path.write_text("# cell\n\nT=abc d=2.0\n0 1 0.25 0.0\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"potential file {path!r}, line 3: could not convert string to float: 'abc'")):
+        read_potential_file(path)
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -221,30 +222,104 @@ def test_cutoff_bound_decreases_and_dominates_sampled_harmonics():
         cutoff_bound(0.3, 0)
 
 
+def _full_scan(geom, ell, tol, cutoff_c1=3.0):
+    """Every harmonic of phi_sup's range at tol: (p_star, sup, {p: |phi_p|})."""
+    p_max = max(3, math.ceil(cutoff_c1 * math.sqrt(ell)))
+    values = {q: abs(phi_p(geom, ell, q, tol).value) for q in range(1, p_max + 1)}
+    best = max(values.values())
+    return min(q for q, v in values.items() if v == best), best, values
+
+
+def _recording_phi_p(monkeypatch):
+    """Record (p, tol) of every phi_p call phi_sup makes."""
+    calls = []
+
+    def record(geom, ell, p, tol=1e-4, **kwargs):
+        calls.append((p, tol))
+        return phi_p(geom, ell, p, tol, **kwargs)
+    monkeypatch.setattr(oscillation, "phi_p", record)
+    return calls
+
+
+# the resonant route is taken at perfect squares, where ell^(1/2)/xi is an
+# integer for xi = 0.02, 0.05, 0.1 and 0.5
+_SCAN_RATIOS = (0.02, 0.05, 0.09, 0.1, 0.5)
+_SCAN_ENERGIES = (1.0, 2.7, 4.0, 10.0, 49.0, 57.3, 81.0, 100.0)
+
+
 def test_sup_scan_matches_brute_force_over_the_candidate_range():
-    geom = resolve_geometry(xi=0.5)
-    for ell in (1.0, 2.7, 7.3):
-        res = phi_sup(geom, ell, tol=1e-3)
-        p_max = max(1, math.ceil(3.0 * math.sqrt(ell)))
-        candidates = sorted({1, 3} | set(range(1, p_max + 1)))
-        brute_p, brute = -1, -math.inf
-        for q in candidates:
-            v = abs(phi_p(geom, ell, q, tol=1e-3).value)
-            if v > brute:
-                brute, brute_p = v, q
-        assert res.value == brute
-        assert res.p_star == brute_p
-        assert res.p_max == max(candidates)
-        assert res.cutoff_bound == cutoff_bound(0.5, res.p_max)
+    for xi in _SCAN_RATIOS:
+        geom = resolve_geometry(xi=xi)
+        for ell in _SCAN_ENERGIES:
+            res = phi_sup(geom, ell)
+            p_star, best, values = _full_scan(geom, ell, 1e-4)
+            assert (res.p_star, res.value) == (p_star, best), (xi, ell)
+            assert res.p_max == max(values)
+            assert res.cutoff_bound == cutoff_bound(xi, res.p_max)
 
 
-def test_sup_scan_branches_agree():
-    # forcing the plain scan (pre-pass finer than tol) must not change anything
-    geom = resolve_geometry(xi=0.5)
-    fast = phi_sup(geom, 2.7, tol=1e-3, coarse_tol=0.02)
-    plain = phi_sup(geom, 2.7, tol=1e-3, coarse_tol=1e-4)
-    assert fast.value == plain.value
-    assert fast.p_star == plain.p_star
+@given(xi=st.sampled_from(_SCAN_RATIOS),
+       ell=st.one_of(st.floats(min_value=0.05, max_value=120.0),
+                     st.integers(min_value=1, max_value=10).map(lambda k: float(k * k))),
+       tol=st.sampled_from((1e-3, 3e-4)))
+@settings(max_examples=60, deadline=None)
+def test_sup_scan_equals_the_full_fine_scan_property(xi, ell, tol):
+    geom = resolve_geometry(xi=xi)
+    res = phi_sup(geom, ell, tol=tol)
+    p_star, best, _ = _full_scan(geom, ell, tol)
+    assert (res.p_star, res.value) == (p_star, best)
+
+
+@pytest.mark.parametrize("xi", _SCAN_RATIOS)
+def test_sup_scan_skips_only_harmonics_its_envelope_dominates(xi, monkeypatch):
+    geom = resolve_geometry(xi=xi)
+    calls = _recording_phi_p(monkeypatch)
+    for ell in _SCAN_ENERGIES:
+        calls.clear()
+        res = phi_sup(geom, ell)
+        visited = {p for p, _ in calls}
+        assert visited == set(range(1, len(visited) + 1))  # a prefix of 1..p_max
+        for q in range(1, res.p_max + 1):
+            ev = phi_p(geom, ell, q, tol=1e-4)
+            # the envelope bounds every evaluated value, visited or not
+            assert abs(ev.value) <= cutoff_bound(xi, q) + ev.tail_bound
+            if q not in visited:
+                assert cutoff_bound(xi, q) + 1e-4 < res.value
+                assert abs(ev.value) < res.value
+
+
+@pytest.mark.parametrize("tol", (1e-3, 2e-4, 1e-4))
+def test_sup_scan_evaluates_each_harmonic_once_at_tol(tol, monkeypatch):
+    calls = _recording_phi_p(monkeypatch)
+    for xi in (0.05, 0.5):
+        for ell in (2.7, 49.0):
+            calls.clear()
+            phi_sup(resolve_geometry(xi=xi), ell, tol=tol)
+            assert calls and all(t == tol for _, t in calls)
+            ps = [p for p, _ in calls]
+            assert ps == sorted(set(ps))
+
+
+def test_sup_scan_ties_resolve_to_the_smallest_harmonic(monkeypatch):
+    # equal values everywhere: the envelope at xi = 0.5 keeps p = 2, 3 in play
+    monkeypatch.setattr(oscillation, "phi_p", lambda geom, ell, p, tol: PhiEvaluation(
+        p=p, ell=ell, value=-1.0, tail_bound=0.0, truncation_n=0, route="fallback"))
+    res = phi_sup(resolve_geometry(xi=0.5), 1.0)
+    assert (res.p_star, res.value) == (1, 1.0)
+
+
+# phi_p calls of the envelope scan on the criterion-05 grid when it was
+# written; the guard allows three times as many
+_CRITERION_05_CALLS = {0.02: 136, 0.05: 164, 0.09: 233}
+
+
+@pytest.mark.parametrize("xi", sorted(_CRITERION_05_CALLS))
+def test_sup_scan_cost_on_the_criterion_05_grid(xi, monkeypatch):
+    calls = _recording_phi_p(monkeypatch)
+    geom = resolve_geometry(xi=xi)
+    for ell in np.linspace(1.0, 100.0, 100):
+        phi_sup(geom, float(ell), tol=1e-4)
+    assert len(calls) <= 3 * _CRITERION_05_CALLS[xi]
 
 
 def test_sup_scan_is_stable_under_tolerance_refinement():
