@@ -331,15 +331,15 @@ def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
         )
     windows: list[tuple[str, str]] = []
     if "ell_max" in params:
-        items.append(("bands", len(rep.bands)))
-        items.append(("candidate_windows", len(rep.candidate_gaps)))
-        items.append(
-            ("certified_absent", sum(g.certified_absent for g in rep.candidate_gaps))
-        )
-        items.append(("undecided", len(rep.undecided)))
+        pairs = rep.candidate_gaps
+        undecided = np.flatnonzero(~pairs.certified)
+        items.append(("bands", rep.band_lo.size))
+        items.append(("candidate_windows", len(pairs)))
+        items.append(("certified_absent", len(pairs) - undecided.size))
+        items.append(("undecided", undecided.size))
         windows = [
             (f"undecided_window_{g.k}", f"({_fmt(g.lo)}, {_fmt(g.hi)})")
-            for g in rep.undecided[:20]
+            for g in pairs.records(undecided[:20])
         ]
     items.append(
         ("verdict", "gapless-certified" if verdict.all_gapless else "not-certified")
@@ -581,7 +581,7 @@ COMMANDS: dict[str, _Command] = {
     "galerkin": _command(
         _cmd_galerkin, "finite-basis bands and enclosure check for a potential", "report", (
             *_GEOMETRY,
-            _Flag("tol", float, 1e-6, "enclosure slack"),
+            _Flag("tol", float, 1e-6, "a negative value demands an enclosure margin of -tol"),
             _Flag("kmax", int, 6, "bands"),
             _Flag("grid", int, 17, f"tau grid size, at most {MAX_GRID}"),
             _Flag("potential", str, _REQUIRED, "potential file path"),

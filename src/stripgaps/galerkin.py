@@ -596,7 +596,8 @@ def verify_enclosure(
     lower side of bands0 plus omega_+.  bands and bands0 must share the tau
     grid and band count (ValueError on mismatch).  Returns the worst signed
     margin over both inequalities and all entries, with where it sits; ok
-    when it is >= -tol.
+    when it is >= max(0, -tol): a negative tol demands a margin of -tol, and
+    no tol forgives a negative margin (both sides are certified bounds).
     """
     if bands.tau_grid != bands0.tau_grid:
         raise ValueError("tau grids differ between the two band tables")
@@ -611,6 +612,6 @@ def verify_enclosure(
     side, i, k = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[side, i, k])
     return EnclosureCheck(
-        ok=worst >= -tol, worst_margin=worst, tol=tol, band=int(k) + 1,
+        ok=worst >= max(0.0, -tol), worst_margin=worst, tol=tol, band=int(k) + 1,
         tau=bands.tau_grid[i], side=("lower", "upper")[side],
     )

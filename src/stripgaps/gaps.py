@@ -32,19 +32,23 @@ provable, existence never is):
 
 gap_report is the one implementation of the chain: it evaluates the
 conditions and thresholds, runs the low-energy grid and, given a ceiling,
-builds the unperturbed band table and certifies every band pair below it
-(certify_band_pairs).  The command line only renders its result.
+builds the unperturbed band endpoints and certifies every band pair below it
+(certify_band_pairs).  Bands and windows stay in endpoint arrays; records
+(SpectralBand, GapCandidate) are built only when asked for.  The command line
+only renders its result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from .geometry import StripGeometry, validate_ell
 from .oscillation import critical_constants
-from .spectrum import BOUNDARY_RTOL, SpectralBand, band_table, check_band_count, counting
+from .spectrum import BOUNDARY_RTOL, SpectralBand, band_edges, check_band_count, counting
 
 __all__ = [
     "PerturbBounds",
@@ -58,6 +62,7 @@ __all__ = [
     "LowSpectrumCheck",
     "low_spectrum_no_gap",
     "GapCandidate",
+    "BandPairs",
     "certify_band_pairs",
     "GapReport",
     "gap_report",
@@ -409,79 +414,127 @@ class GapCandidate:
     certified_absent: bool
 
 
+def _fields_equal(a, b):
+    """Field-by-field equality of two records of one dataclass, arrays compared by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+@dataclass(frozen=True, eq=False)
+class BandPairs:
+    """Candidate windows of the band pairs (k, k+1), k = 1..len(self), as arrays.
+
+    Entry k - 1 describes pair k: (lo, hi) is the open window
+    (theta0_k + omega_minus, eta0_{k+1} + omega_plus), overlap the unperturbed
+    overlap theta0_k - eta0_{k+1}, and certified whether the gap is certified
+    absent (see GapCandidate).  Iterating yields GapCandidate records, built
+    on demand; records(index) builds only those at the 0-based positions index.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    overlap: np.ndarray
+    certified: np.ndarray
+
+    __eq__ = _fields_equal
+
+    def __len__(self) -> int:
+        return self.lo.size
+
+    def __iter__(self):
+        return iter(self.records(np.arange(len(self))))
+
+    def records(self, index: np.ndarray) -> tuple[GapCandidate, ...]:
+        """GapCandidate records of the windows at the 0-based positions index."""
+        return tuple(
+            GapCandidate(k=i + 1, lo=a, hi=b, unperturbed_overlap=w, certified_absent=c)
+            for i, a, b, w, c in zip(index.tolist(), self.lo[index].tolist(),
+                                     self.hi[index].tolist(), self.overlap[index].tolist(),
+                                     self.certified[index].tolist()))
+
+
 def certify_band_pairs(
     geom: StripGeometry,
     bounds: PerturbBounds,
-    bands0: Sequence[SpectralBand],
+    bands0: tuple[np.ndarray, np.ndarray],
     ell_max: float,
-) -> tuple[GapCandidate, ...]:
+) -> BandPairs:
     """Candidate windows of the consecutive pairs of bands0 up to (pi^2/T^2) ell_max.
 
-    bands0 must be the unperturbed bands, indexed consecutively from k=1, and
-    must cover energies up to the ceiling (pi^2/T^2) ell_max; a window is
-    emitted for every consecutive pair whose upper band starts at or below
-    it.  A pair is certified when its overlap beats omega_L by the slack
-    OVERLAP_RTOL.  Output ordered by k.
+    bands0 = (eta0, theta0) must be the unperturbed band endpoints of the
+    bands k = 1, 2, ... (as spectrum.band_edges returns them), and must cover
+    energies up to the ceiling (pi^2/T^2) ell_max; a window is emitted for
+    every consecutive pair, in order of k, until the first upper band that
+    starts above it.  A pair is certified when its overlap beats omega_L by
+    the slack OVERLAP_RTOL.
     """
     validate_ell(ell_max)
-    if not bands0:
+    eta0, theta0 = (np.asarray(e, dtype=float) for e in bands0)
+    if eta0.size == 0:
         raise ValueError("bands0 must be nonempty")
-    ks = [b.k for b in bands0]
-    if ks != list(range(1, len(bands0) + 1)):
-        raise ValueError(f"bands0 must be indexed consecutively from 1, got {ks}")
+    if eta0.shape != theta0.shape or eta0.ndim != 1:
+        raise ValueError(
+            f"bands0 needs one lower and one upper endpoint per band, got "
+            f"{eta0.shape} and {theta0.shape}")
     scale = math.pi ** 2 / geom.T ** 2
     ceiling = scale * ell_max
-    if bands0[-1].hi < ceiling:
+    if theta0[-1] < ceiling:
         raise ValueError(
-            f"bands0 top {bands0[-1].hi} does not cover the ceiling {ceiling}; "
+            f"bands0 top {float(theta0[-1])} does not cover the ceiling {ceiling}; "
             "supply more bands"
         )
-    candidates = []
-    for below, above in zip(bands0, bands0[1:]):
-        if above.lo > ceiling:
-            break
-        overlap = below.hi - above.lo
-        slack = OVERLAP_RTOL * max(scale, abs(below.hi), abs(above.lo),
-                                   abs(bounds.omega_minus), abs(bounds.omega_plus))
-        candidates.append(
-            GapCandidate(
-                k=below.k,
-                lo=below.hi + bounds.omega_minus,
-                hi=above.lo + bounds.omega_plus,
-                unperturbed_overlap=overlap,
-                certified_absent=overlap >= bounds.omega_L + slack,
-            )
-        )
-    return tuple(candidates)
+    above = eta0[1:] > ceiling
+    pairs = int(np.argmax(above)) if above.any() else above.size
+    below_hi, above_lo = theta0[:pairs], eta0[1:pairs + 1]
+    overlap = below_hi - above_lo
+    floor = max(scale, abs(bounds.omega_minus), abs(bounds.omega_plus))
+    slack = OVERLAP_RTOL * np.maximum(np.maximum(np.abs(below_hi), np.abs(above_lo)), floor)
+    return BandPairs(
+        lo=below_hi + bounds.omega_minus,
+        hi=above_lo + bounds.omega_plus,
+        overlap=overlap,
+        certified=overlap >= bounds.omega_L + slack,
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapReport:
     """Consolidated certification artifact.
 
     conditions, ell_star and ell1 are the scalar verdicts and thresholds;
     low_spectrum holds the counting verdicts on a grid below the scaled
     energy 1 (empty when its preconditions fail, low_spectrum_applicable
-    records which).  Given a ceiling, bands holds the enclosures
+    records which).  Given a ceiling, band_lo and band_hi hold the enclosures
     [eta0_k + omega_minus, theta0_k + omega_plus] of the perturbed bands
-    (outer up to rounding: band_table's endpoints are exact within
-    BOUNDARY_RTOL * max(pi^2/T^2, |endpoint|), not inward-biased) and
+    k = 1, 2, ... (outer up to rounding: band_edges' endpoints are exact
+    within BOUNDARY_RTOL * max(pi^2/T^2, |endpoint|), not inward-biased) and
     candidate_gaps the pairwise windows with their certification status;
-    both are empty without a ceiling.
+    all are empty without a ceiling.
     """
 
     ell1: float
     ell_star: float
     conditions: ConditionsVerdict
-    bands: tuple[SpectralBand, ...]
-    candidate_gaps: tuple[GapCandidate, ...]
+    band_lo: np.ndarray
+    band_hi: np.ndarray
+    candidate_gaps: BandPairs
     low_spectrum: tuple[LowSpectrumCheck, ...]
     low_spectrum_applicable: bool
+
+    __eq__ = _fields_equal
+
+    @property
+    def bands(self) -> tuple[SpectralBand, ...]:
+        """The band enclosures as SpectralBand records, built on demand."""
+        return tuple(SpectralBand(k=k, lo=a, hi=b) for k, (a, b) in enumerate(
+            zip(self.band_lo.tolist(), self.band_hi.tolist()), start=1))
 
     @property
     def undecided(self) -> tuple[GapCandidate, ...]:
         """Candidate windows the enclosure argument could not close."""
-        return tuple(g for g in self.candidate_gaps if not g.certified_absent)
+        return self.candidate_gaps.records(np.flatnonzero(~self.candidate_gaps.certified))
 
 
 def gap_report(
@@ -497,7 +550,7 @@ def gap_report(
     energies in (1/4 + xi^2, 1) when the subcritical-ratio and budget
     conditions hold.  With ell_max, the unperturbed bands covering the
     scaled energy ell_max (one more than sup_tau N0(ell_max, tau)) come from
-    band_table, failing closed first above spectrum.MAX_BAND_CURVES, and
+    band_edges, failing closed first above spectrum.MAX_BAND_CURVES, and
     every band pair below that ceiling is certified (certify_band_pairs).
     Deterministic: output ordered by k.
     """
@@ -512,25 +565,22 @@ def gap_report(
         for i in range(low_spectrum_points):
             ell = lo + (1.0 - lo) * (i + 1) / (low_spectrum_points + 1)
             low_checks.append(low_spectrum_no_gap(geom, bounds, ell))
-    enclosures: tuple[SpectralBand, ...] = ()
-    candidates: tuple[GapCandidate, ...] = ()
+    eta0 = theta0 = np.empty(0)
+    candidates = BandPairs(eta0, eta0, eta0, np.empty(0, dtype=bool))
     if ell_max is not None:
         check_band_count(geom.xi, ell_max)
         # looked up on the spectrum module at call time, where instrumentation
         # wraps it
         from .spectrum import counting_extremes
 
-        bands0 = band_table(geom, counting_extremes(geom, ell_max)[0] + 1)
-        candidates = certify_band_pairs(geom, bounds, bands0, ell_max)
-        enclosures = tuple(
-            SpectralBand(k=b.k, lo=b.lo + bounds.omega_minus, hi=b.hi + bounds.omega_plus)
-            for b in bands0
-        )
+        eta0, theta0 = band_edges(geom, counting_extremes(geom, ell_max)[0] + 1)
+        candidates = certify_band_pairs(geom, bounds, (eta0, theta0), ell_max)
     return GapReport(
         ell1=ell1,
         ell_star=star,
         conditions=verdict,
-        bands=enclosures,
+        band_lo=eta0 + bounds.omega_minus,
+        band_hi=theta0 + bounds.omega_plus,
         candidate_gaps=candidates,
         low_spectrum=tuple(low_checks),
         low_spectrum_applicable=low_applicable,

@@ -53,7 +53,7 @@ MAX_ROWS = 1 << 22
 _EXACT_COUNT = 2.0 ** 52
 # Elements per vectorized array of the crossing search (bounded memory): the
 # candidate pairs of one block, and the crossings x columns of one ranking chunk.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -254,10 +254,14 @@ def check_band_count(xi: float, ell: float) -> None:
     _check_band_cost((2.0 * math.sqrt(ell) + 1.0) * math.sqrt(ell) / xi + 1.0)
 
 
-def _heights(xi: float, c, x2: np.ndarray) -> np.ndarray:
+def _heights(xi: float, c, x2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise, the number of m >= 1 with x2 + xi^2 m^2 <= c (as floats),
-    x2 the squared abscissae."""
-    return np.floor(np.sqrt(np.maximum(c - x2, 0.0)) / xi)
+    x2 the squared abscissae; computed in out when given."""
+    out = np.subtract(c, x2, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    np.divide(out, xi, out=out)
+    return np.floor(out, out=out)
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,33 +303,85 @@ def band_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     return np.where(col % 2 == 0, col // 2, -(col + 1) // 2), m, cap
 
 
+def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray):
+    """Pairs of an increasing and a decreasing level curve that can cross on [0, 1/2].
+
+    The curves (n, m) are band_curves', whose column n holds m = 1..M_n.  An
+    increasing curve (n_u, m_u) and a decreasing one (n_d, m_d) meet at some
+    tau in [0, 1/2] only if
+
+        m_d^2 in m_u^2 + (n_u - n_d) (n_u + n_d + [0, 1]) / xi^2,
+
+    so for each (n_u, m_u, n_d) only the m_d of that interval, widened by one
+    on each side, are enumerated.  A pair left out has its exact tau outside
+    [0, 1/2] by at least xi^2 / (2 (n_u - n_d)), far beyond the rounding of the
+    float tau, so the crossings kept by band_edges' float filter are those of
+    all pairs.  Yields blocks (n_u, m_u^2, n_d, m_d^2) of at most _BLOCK pairs,
+    squares as floats; a block belongs to one increasing column n_u.
+    """
+    cols, tops = np.unique(n, return_counts=True)
+    down = cols < 0
+    n_d, top_d = cols[down], tops[down]
+    for n_u, top_u in zip(cols[~down].tolist(), tops[~down].tolist()):
+        m2_u = (np.arange(1, top_u + 1) ** 2)[:, None]
+        step = (n_u - n_d) / (xi * xi)
+        first = np.ceil(np.sqrt(np.maximum(m2_u + step * (n_u + n_d), 0.0))) - 1.0
+        last = np.floor(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + 1), 0.0))) + 1.0
+        first = np.maximum(first, 1.0).astype(np.int64).ravel()
+        count = np.maximum(np.minimum(last, top_d).astype(np.int64).ravel() - first + 1, 0)
+        # one entry per (m_u, n_d); candidate j of the column has m_d = j - offset
+        ends = np.cumsum(count)
+        offset = ends - count - first
+        m2_uj = np.repeat(m2_u.ravel().astype(float), n_d.size)
+        n_dj = np.tile(n_d, top_u)
+        total = int(ends[-1]) if ends.size else 0
+        for start in range(0, total, _BLOCK):
+            j = np.arange(start, min(start + _BLOCK, total))
+            pair = np.searchsorted(ends, j, side="right")
+            j -= offset[pair]
+            yield n_u, m2_uj[pair], n_dj[pair], (j * j).astype(float)
+
+
 def _fold_crossings(xi: float, t: np.ndarray, lam: np.ndarray, n_cols: np.ndarray,
                     lo: np.ndarray, hi: np.ndarray) -> None:
     """Fold the crossings (t, lam) into lo and hi of the bands 1..lo.size they rank as."""
     k_max = lo.size
-    # levels below and at most lam, counted column by column
-    tie = (BOUNDARY_RTOL * np.maximum(1.0, lam))[:, None]
-    x2 = (t[:, None] + n_cols) ** 2
-    below = _heights(xi, lam[:, None] - tie, x2).sum(axis=1).astype(np.int64)
-    upto = _heights(xi, lam[:, None] + tie, x2).sum(axis=1).astype(np.int64)
+    # levels below and at most lam, counted with the columns on axis 0; the
+    # column sums add integer-valued floats, exact in any order
+    tie = BOUNDARY_RTOL * np.maximum(1.0, lam)
+    x2 = t + n_cols[:, None]
+    np.square(x2, out=x2)
+    scratch = np.empty_like(x2)
+    below = _heights(xi, lam - tie, x2, scratch).sum(axis=0).astype(np.int64)
+    upto = _heights(xi, lam + tie, x2, scratch).sum(axis=0).astype(np.int64)
     owner, k = _ragged(below + 1, upto - below)
     np.minimum.at(lo, k[k <= k_max] - 1, lam[owner[k <= k_max]])
     np.maximum.at(hi, k[k <= k_max] - 1, lam[owner[k <= k_max]])
 
 
-def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:
-    """Bands 1..k_max as SpectralBand records (energy units), endpoints exact.
+def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (eta_k, theta_k) of the bands k = 1..k_max as arrays (energy units), exact.
 
     On [0, 1/2] each level curve is monotone, so the extrema of E_k lie at
     tau = 0, 1/2, or where an increasing curve (n_u, m_u) crosses a decreasing
     one (n_d, m_d), at tau = (xi^2 (m_d^2 - m_u^2)/(n_u - n_d) - n_u - n_d)/2.
-    At a crossing (t, lambda) with lambda <= cap, E_k(t) = lambda for the
-    ranks k between the counts of levels below and at most lambda (ties within
-    BOUNDARY_RTOL * max(1, lambda)); lambda is folded into both endpoints of
-    those bands.  Each endpoint is an attained value of E_k, exact up to a
-    few ulps and that tie tolerance (scaled units) in either direction, with
-    no inward bias.  Fails closed (ValueError) above MAX_BAND_CURVES or
-    MAX_BAND_CROSSINGS, before allocating.
+
+    * Enumeration: only the pairs whose m_d lies in the closed-form interval
+      of a crossing on [0, 1/2] (_crossing_candidates), so the work follows
+      the crossing count, not the count of all increasing x decreasing pairs;
+      the float filter t in [0, 1/2], lambda <= cap keeps the crossings.
+    * Block bound: at most _BLOCK candidate pairs per block, and at most
+      _BLOCK crossings x columns per ranking chunk, whatever the table size.
+    * Ranking: at a crossing (t, lambda), E_k(t) = lambda for the ranks k
+      between the counts of levels below and at most lambda (ties within
+      BOUNDARY_RTOL * max(1, lambda)), column sums over an array with the
+      longitudinal columns n on axis 0 and the crossings on axis 1; lambda is
+      folded into both endpoints of those bands.
+
+    Each endpoint is an attained value of E_k, exact up to a few ulps and that
+    tie tolerance (scaled units) in either direction, with no inward bias.
+    Fails closed (ValueError) above MAX_BAND_CURVES, or above
+    MAX_BAND_CROSSINGS increasing x decreasing pairs, before allocating.
     """
     xi = geom.xi
     xi2 = xi * xi
@@ -335,20 +391,26 @@ def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:
     for tau in (0.0, 0.5):
         kth = np.sort(np.partition((tau + n) ** 2 + xi2 * m2, k_max - 1)[:k_max])
         lo, hi = np.minimum(lo, kth), np.maximum(hi, kth)
-    up, down = n >= 0, n < 0
-    _check_band_cost(n.size, float(np.count_nonzero(up)) * np.count_nonzero(down))
-    n_d, m2_d = n[down], m2[down]
+    _check_band_cost(n.size, float(np.count_nonzero(n >= 0)) * np.count_nonzero(n < 0))
     n_cols = np.arange(-math.ceil(math.sqrt(cap)) - 1, math.ceil(math.sqrt(cap)) + 2)
-    rows = max(1, _BLOCK // max(1, n_d.size))
     chunk = max(1, _BLOCK // n_cols.size)
-    for n_u, m2_u in ((c, m2[n == c][:, None]) for c in np.unique(n[up])):
-        for r in range(0, m2_u.shape[0], rows):
-            t = (xi2 * (m2_d - m2_u[r:r + rows]) / (n_u - n_d) - n_u - n_d) / 2.0
-            lam = (t + n_u) ** 2 + xi2 * m2_u[r:r + rows]
-            ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
-            t, lam = t[ok], lam[ok]
-            for c in range(0, t.size, chunk):
-                _fold_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
+    for n_u, m2_u, n_d, m2_d in _crossing_candidates(xi, n, m):
+        t = (xi2 * (m2_d - m2_u) / (n_u - n_d) - n_u - n_d) / 2.0
+        lam = (t + n_u) ** 2 + xi2 * m2_u
+        ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
+        t, lam = t[ok], lam[ok]
+        for c in range(0, t.size, chunk):
+            _fold_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
     scale = math.pi * math.pi / (geom.T * geom.T)
-    return [SpectralBand(k=k, lo=scale * float(a), hi=scale * float(b))
-            for k, (a, b) in enumerate(zip(lo, hi), start=1)]
+    return scale * lo, scale * hi
+
+
+def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:
+    """Bands 1..k_max as SpectralBand records (energy units), endpoints exact.
+
+    The endpoints are band_edges' (crossing enumeration, block bound and
+    ranking layout are documented there), one record per band.
+    """
+    lo, hi = band_edges(geom, k_max)
+    return [SpectralBand(k=k, lo=a, hi=b)
+            for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()), start=1)]

@@ -26,6 +26,10 @@
 * ``assemble_by_loop``: the Galerkin matrix entry by entry, one Python loop
   over modes and candidate rows, against the vectorised
   ``stripgaps.galerkin.assemble`` (which must agree bit for bit).
+* ``band_table_all_pairs``: the exact band endpoints from every pair of an
+  increasing and a decreasing level curve, ranked with the crossings on axis
+  0, against ``stripgaps.spectrum.band_edges``, which enumerates only the
+  pairs that can cross and ranks column-major (they must agree bit for bit).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from stripgaps.fourier import a0_closed, ap_closed, residual_bound
 from stripgaps.galerkin import OmegaEnclosure, PotentialSpec
 from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
-from stripgaps.spectrum import counting_extremes, jump_events
+from stripgaps.spectrum import BOUNDARY_RTOL, band_curves, counting_extremes, jump_events
 
 _QUARTER_PI = 0.25 * math.pi
 
@@ -379,3 +383,58 @@ def assemble_by_loop(
                 if w != 0.0:
                     H[row, col] += v * w
     return H
+
+
+# ---------------------------------------------------------------------------
+# exact band endpoints from all pairs of curves
+# ---------------------------------------------------------------------------
+
+def _rank_crossings(xi: float, t: np.ndarray, lam: np.ndarray, n_cols: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray) -> None:
+    """Fold crossings into the bands they rank as, one row of columns per crossing."""
+    k_max = lo.size
+    tie = (BOUNDARY_RTOL * np.maximum(1.0, lam))[:, None]
+    x2 = (t[:, None] + n_cols) ** 2
+    below = np.floor(np.sqrt(np.maximum(lam[:, None] - tie - x2, 0.0)) / xi)
+    upto = np.floor(np.sqrt(np.maximum(lam[:, None] + tie - x2, 0.0)) / xi)
+    below = below.sum(axis=1).astype(np.int64)
+    upto = upto.sum(axis=1).astype(np.int64)
+    counts = upto - below
+    owner = np.repeat(np.arange(lam.size), counts)
+    k = below[owner] + 1 + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    keep = k <= k_max
+    np.minimum.at(lo, k[keep] - 1, lam[owner[keep]])
+    np.maximum.at(hi, k[keep] - 1, lam[owner[keep]])
+
+
+def band_table_all_pairs(geom: StripGeometry, k_max: int,
+                         block: int = 1 << 16) -> tuple[np.ndarray, np.ndarray]:
+    """Band endpoints (eta_k, theta_k), k = 1..k_max (energy units), from all pairs.
+
+    The level values at tau = 0 and 1/2, then every increasing curve (n >= 0)
+    against every decreasing one (n < 0) of ``band_curves``, in blocks of about
+    ``block`` pairs, kept by the float filter t in [0, 1/2], lambda <= cap.
+    """
+    xi = geom.xi
+    xi2 = xi * xi
+    n, m, cap = band_curves(xi, k_max)
+    m2 = (m * m).astype(float)
+    lo, hi = np.full(k_max, np.inf), np.full(k_max, -np.inf)
+    for tau in (0.0, 0.5):
+        kth = np.sort(np.partition((tau + n) ** 2 + xi2 * m2, k_max - 1)[:k_max])
+        lo, hi = np.minimum(lo, kth), np.maximum(hi, kth)
+    up, down = n >= 0, n < 0
+    n_d, m2_d = n[down], m2[down]
+    n_cols = np.arange(-math.ceil(math.sqrt(cap)) - 1, math.ceil(math.sqrt(cap)) + 2)
+    rows = max(1, block // max(1, n_d.size))
+    chunk = max(1, block // n_cols.size)
+    for n_u, m2_u in ((c, m2[n == c][:, None]) for c in np.unique(n[up])):
+        for r in range(0, m2_u.shape[0], rows):
+            t = (xi2 * (m2_d - m2_u[r:r + rows]) / (n_u - n_d) - n_u - n_d) / 2.0
+            lam = (t + n_u) ** 2 + xi2 * m2_u[r:r + rows]
+            ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
+            t, lam = t[ok], lam[ok]
+            for c in range(0, t.size, chunk):
+                _rank_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
+    scale = math.pi * math.pi / (geom.T * geom.T)
+    return scale * lo, scale * hi

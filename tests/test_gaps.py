@@ -1,10 +1,16 @@
 """Gap certification: thresholds, overlap bound, low-energy test, consolidated report."""
 
+import contextlib
+import dataclasses
+import io
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stripgaps.gaps as gaps
+import stripgaps.spectrum as spectrum
+from stripgaps.cli import main
 from stripgaps.gaps import (
     OVERLAP_RTOL,
     GapParams,
@@ -22,7 +28,7 @@ from stripgaps.gaps import (
 )
 from stripgaps.geometry import resolve_geometry
 from stripgaps.oscillation import critical_constants
-from stripgaps.spectrum import SpectralBand, band_table
+from stripgaps.spectrum import band_edges, band_table
 
 NO_PERTURBATION = PerturbBounds()
 
@@ -316,7 +322,7 @@ def test_gap_report_certifies_exactly_the_wide_overlaps():
     geom = resolve_geometry(T=1.0, d=1.0)
     bands = band_table(geom, 12)
     bounds = PerturbBounds(omega_minus=0.0, omega_plus=2.0)
-    windows = certify_band_pairs(geom, bounds, bands, ell_max=8.0)
+    windows = certify_band_pairs(geom, bounds, band_edges(geom, 12), ell_max=8.0)
     for g in windows:
         below = bands[g.k - 1]
         above = bands[g.k]
@@ -345,7 +351,7 @@ def test_gap_report_runs_the_low_energy_grid_in_regime():
     lo = 0.25 + 0.01
     assert all(lo < c.ell < 1.0 for c in report.low_spectrum)
     # without a ceiling no band table is built
-    assert report.bands == () and report.candidate_gaps == ()
+    assert report.bands == () and len(report.candidate_gaps) == 0
 
 
 @pytest.mark.parametrize("omega_L, certified", [
@@ -353,10 +359,11 @@ def test_gap_report_runs_the_low_energy_grid_in_regime():
     (0.5 * (1 - 1e-15), False),  # overlap above omega_L only within rounding
     (0.5 * (1 + 1e-15), False),  # overlap below omega_L
     (0.5 * (1 - 1e-9), True),    # clear of the slack
+    (0.5 - 2e-11, False),        # within the slack, whose floor is pi^2/T^2
 ])
 def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega_L, certified):
     geom = resolve_geometry(T=1.0, d=1.0)
-    bands = [SpectralBand(k=1, lo=1.0, hi=2.0), SpectralBand(k=2, lo=1.5, hi=3.0)]
+    bands = ([1.0, 1.5], [2.0, 3.0])  # eta0 and theta0 of bands 1 and 2
     (g,) = certify_band_pairs(geom, PerturbBounds(0.0, omega_L), bands, ell_max=0.2)
     assert g.unperturbed_overlap == 0.5
     assert g.certified_absent is certified
@@ -364,11 +371,11 @@ def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega
 
 def test_gap_report_validates_the_band_input():
     geom = resolve_geometry(T=1.0, d=1.0)
-    bands = band_table(geom, 6)
+    eta0, theta0 = bands = band_edges(geom, 6)
     with pytest.raises(ValueError, match="nonempty"):
-        certify_band_pairs(geom, NO_PERTURBATION, [], ell_max=2.0)
-    with pytest.raises(ValueError, match="consecutively"):
-        certify_band_pairs(geom, NO_PERTURBATION, bands[1:], ell_max=2.0)
+        certify_band_pairs(geom, NO_PERTURBATION, ([], []), ell_max=2.0)
+    with pytest.raises(ValueError, match="one lower and one upper endpoint per band"):
+        certify_band_pairs(geom, NO_PERTURBATION, (eta0[1:], theta0), ell_max=2.0)
     with pytest.raises(ValueError, match="cover"):
         certify_band_pairs(geom, NO_PERTURBATION, bands, ell_max=50.0)
     # the report sizes its own table, failing closed above the band ceiling
@@ -383,3 +390,26 @@ def test_gap_report_is_deterministic():
     a = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
     b = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
     assert a == b
+    # equality compares the endpoint arrays by value
+    assert a.candidate_gaps
+    assert a != dataclasses.replace(b, band_hi=b.band_hi + 1.0)
+    pairs = b.candidate_gaps
+    assert pairs != dataclasses.replace(pairs, certified=~pairs.certified)
+
+
+def test_gaps_command_builds_records_only_for_printed_windows(monkeypatch):
+    # 525 bands and 523 windows, 32 of them undecided: only the 20 printed
+    # windows become records
+    built = []
+    for module, name in ((gaps, "GapCandidate"), (gaps, "SpectralBand"),
+                         (spectrum, "SpectralBand")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda real=real, name=name, **kw: built.append(name) or real(**kw))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gaps", "--xi", "0.09", "--ell-max", "30", "--omega-plus", "300"])
+    lines = out.getvalue().splitlines()
+    assert code == 2 and "bands = 525" in lines and "undecided = 32" in lines
+    assert sum(line.startswith("undecided_window_") for line in lines) == 20
+    assert built == ["GapCandidate"] * 20

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import Mode, mode_energy
+import stripgaps.spectrum as spectrum
+from oracles import Mode, band_table_all_pairs, mode_energy
 from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.spectrum import (
     BOUNDARY_RTOL,
     MAX_BAND_CROSSINGS,
     MAX_BAND_CURVES,
     MAX_ROWS,
+    band_edges,
     band_table,
     counting,
     counting_extremes,
@@ -322,6 +324,37 @@ def test_band_table_ranks_crossings_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+def test_band_table_enumerates_only_real_crossings(monkeypatch):
+    # gaps --xi 0.03 --ell-max 40: 161,527 crossings among 1.35e6 increasing x
+    # decreasing pairs; the closed-form m_d interval lists 179,711 candidates
+    blocks = []
+    real = spectrum._crossing_candidates
+
+    def counted(*args):
+        for block in real(*args):
+            blocks.append(block[3].size)
+            yield block
+
+    monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
+    band_table(resolve_geometry(xi=0.03), 2113)
+    assert sum(blocks) <= 1.25 * 161_527
+    assert max(blocks) <= 1 << 15
+
+
+@pytest.mark.parametrize("xi, k_max", [
+    (xi, k) for xi in (0.013, 0.02, 0.031, 0.05, 0.07, 0.1, 0.17, 0.3, 0.5, 1.0, 3.0)
+    for k in (1, 2, 7, 40, 300, 1500)
+] + [(0.03, 2113), (0.04, 1565), (0.05, 5324)])
+def test_band_edges_equal_the_all_pairs_oracle(xi, k_max):
+    # enumerating only the pairs that can cross, and ranking column-major,
+    # changes no bit of any endpoint
+    geom = resolve_geometry(xi=xi)
+    lo, hi = band_edges(geom, k_max)
+    exact_lo, exact_hi = band_table_all_pairs(geom, k_max)
+    assert np.array_equal(lo, exact_lo) and np.array_equal(hi, exact_hi)
+    assert [(b.lo, b.hi) for b in band_table(geom, k_max)] == list(zip(lo, hi))
 
 
 def test_band_table_matches_single_band_calls():
