@@ -333,7 +333,7 @@ def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
     if "ell_max" in params:
         pairs = rep.candidate_gaps
         undecided = np.flatnonzero(~pairs.certified)
-        items.append(("bands", rep.band_lo.size))
+        items.append(("bands", rep.band_count))
         items.append(("candidate_windows", len(pairs)))
         items.append(("certified_absent", len(pairs) - undecided.size))
         items.append(("undecided", undecided.size))
@@ -581,7 +581,7 @@ COMMANDS: dict[str, _Command] = {
     "galerkin": _command(
         _cmd_galerkin, "finite-basis bands and enclosure check for a potential", "report", (
             *_GEOMETRY,
-            _Flag("tol", float, 1e-6, "a negative value demands an enclosure margin of -tol"),
+            _Flag("tol", float, 0.0, "a negative value demands an enclosure margin of -tol"),
             _Flag("kmax", int, 6, "bands"),
             _Flag("grid", int, 17, f"tau grid size, at most {MAX_GRID}"),
             _Flag("potential", str, _REQUIRED, "potential file path"),

@@ -587,7 +587,7 @@ def verify_enclosure(
     bands: BandTable,
     bands0: BandTable,
     bounds: PerturbBounds | OmegaEnclosure,
-    tol: float = 1e-6,
+    tol: float = 0.0,
 ) -> EnclosureCheck:
     """Check E_k0(tau) + omega_- <= E_k(tau) <= E_k0(tau) + omega_+ entrywise.
 

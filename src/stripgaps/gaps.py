@@ -29,13 +29,16 @@ provable, existence never is):
   open window (theta0_k + omega_minus, eta0_{k+1} + omega_plus); the window is
   empty exactly when theta0_k - eta0_{k+1} >= omega_L, and the gap is
   certified absent when that holds with the rounding slack OVERLAP_RTOL.
+  Only a lower bound on the overlap is needed: the bands sampled at a few
+  quasimomenta give inner bounds on theta0_k and eta0_{k+1}, and a window
+  they already close is closed (_closes).  Exact endpoints are computed only
+  for the windows the samples leave open and at the ceiling.
 
 gap_report is the one implementation of the chain: it evaluates the
 conditions and thresholds, runs the low-energy grid and, given a ceiling,
-builds the unperturbed band endpoints and certifies every band pair below it
-(certify_band_pairs).  Bands and windows stay in endpoint arrays; records
-(SpectralBand, GapCandidate) are built only when asked for.  The command line
-only renders its result.
+sizes the unperturbed bands that cover it and certifies every band pair
+below it (_band_pairs).  Windows stay in arrays; GapCandidate records are
+built only when asked for.  The command line only renders its result.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 
 from .geometry import StripGeometry, validate_ell
 from .oscillation import critical_constants
-from .spectrum import BOUNDARY_RTOL, SpectralBand, band_edges, check_band_count, counting
+from .spectrum import BOUNDARY_RTOL, check_band_count, counting, sample_bands
 
 __all__ = [
     "PerturbBounds",
@@ -63,7 +66,6 @@ __all__ = [
     "low_spectrum_no_gap",
     "GapCandidate",
     "BandPairs",
-    "certify_band_pairs",
     "GapReport",
     "gap_report",
 ]
@@ -429,8 +431,11 @@ class BandPairs:
     Entry k - 1 describes pair k: (lo, hi) is the open window
     (theta0_k + omega_minus, eta0_{k+1} + omega_plus), overlap the unperturbed
     overlap theta0_k - eta0_{k+1}, and certified whether the gap is certified
-    absent (see GapCandidate).  Iterating yields GapCandidate records, built
-    on demand; records(index) builds only those at the 0-based positions index.
+    absent (see GapCandidate).  In gap_report's windows the entries are exact
+    for every window not certified from band samples; for a window certified
+    from samples, (lo, hi) may be an outer window and overlap a lower bound.
+    Iterating yields GapCandidate records, built on demand; records(index)
+    builds only those at the 0-based positions index.
     """
 
     lo: np.ndarray
@@ -439,6 +444,15 @@ class BandPairs:
     certified: np.ndarray
 
     __eq__ = _fields_equal
+
+    @classmethod
+    def of(cls, geom: StripGeometry, bounds: PerturbBounds, below_hi: np.ndarray,
+           above_lo: np.ndarray) -> "BandPairs":
+        """Windows of the pairs whose lower band ends at below_hi (theta0_k) and
+        upper band starts at above_lo (eta0_{k+1}), certified by _closes."""
+        return cls(lo=below_hi + bounds.omega_minus, hi=above_lo + bounds.omega_plus,
+                   overlap=below_hi - above_lo,
+                   certified=_closes(geom, bounds, below_hi, above_lo))
 
     def __len__(self) -> int:
         return self.lo.size
@@ -455,81 +469,94 @@ class BandPairs:
                                      self.certified[index].tolist()))
 
 
-def certify_band_pairs(
-    geom: StripGeometry,
-    bounds: PerturbBounds,
-    bands0: tuple[np.ndarray, np.ndarray],
-    ell_max: float,
-) -> BandPairs:
-    """Candidate windows of the consecutive pairs of bands0 up to (pi^2/T^2) ell_max.
+def _closes(geom: StripGeometry, bounds: PerturbBounds, below_hi: np.ndarray,
+            above_lo: np.ndarray) -> np.ndarray:
+    """The certification predicate of band-pair windows, elementwise.
 
-    bands0 = (eta0, theta0) must be the unperturbed band endpoints of the
-    bands k = 1, 2, ... (as spectrum.band_edges returns them), and must cover
-    energies up to the ceiling (pi^2/T^2) ell_max; a window is emitted for
-    every consecutive pair, in order of k, until the first upper band that
-    starts above it.  A pair is certified when its overlap beats omega_L by
-    the slack OVERLAP_RTOL.
+    True where the overlap below_hi - above_lo beats omega_L by the slack
+    OVERLAP_RTOL max(|below_hi|, |above_lo|, pi^2/T^2, |omega_minus|,
+    |omega_plus|).  Raising below_hi or lowering above_lo by some amount
+    raises the overlap by that amount and the slack by at most OVERLAP_RTOL
+    times it, so a pair certified at inner bounds of its endpoints stays
+    certified at the endpoints.
     """
-    validate_ell(ell_max)
-    eta0, theta0 = (np.asarray(e, dtype=float) for e in bands0)
-    if eta0.size == 0:
-        raise ValueError("bands0 must be nonempty")
-    if eta0.shape != theta0.shape or eta0.ndim != 1:
-        raise ValueError(
-            f"bands0 needs one lower and one upper endpoint per band, got "
-            f"{eta0.shape} and {theta0.shape}")
+    floor = max(math.pi ** 2 / geom.T ** 2, abs(bounds.omega_minus), abs(bounds.omega_plus))
+    slack = OVERLAP_RTOL * np.maximum(np.maximum(np.abs(below_hi), np.abs(above_lo)), floor)
+    return below_hi - above_lo >= bounds.omega_L + slack
+
+
+def _first(flags: np.ndarray) -> int:
+    """Position of the first set flag, or flags.size when none is set."""
+    return int(np.argmax(flags)) if flags.any() else flags.size
+
+
+def _band_pairs(geom: StripGeometry, bounds: PerturbBounds, k_max: int,
+                ell_max: float) -> BandPairs:
+    """Windows of the consecutive pairs of the bands 1..k_max up to (pi^2/T^2) ell_max.
+
+    A window is emitted for every pair, in order of k, until the first upper
+    band that starts above the ceiling; the bands must cover the ceiling
+    (ValueError otherwise).  The bands are sampled first (spectrum.sample_bands),
+    which brackets every endpoint:
+
+        eta - spread <= eta0 <= eta + tie,    theta - tie <= theta0 <= theta + spread.
+
+    A window whose inner bounds theta_k - tie and eta_{k+1} + tie already pass
+    the certification predicate is certified, as it is at the exact endpoints
+    (see _closes).  Exact endpoints are computed, in one pass over the
+    crossings inside their brackets, only where the samples leave something
+    open: both sides of every other window below the ceiling, the lower
+    endpoint of each band whose bracket straddles the ceiling, and the upper
+    endpoint of the top band when its bracket does not clear the ceiling.
+    So window count, flags and every window not certified from samples are
+    those of the exact endpoints of all bands.
+    """
     scale = math.pi ** 2 / geom.T ** 2
     ceiling = scale * ell_max
-    if theta0[-1] < ceiling:
+    samples = sample_bands(geom.xi, k_max)
+    eta, theta = scale * samples.eta, scale * samples.theta
+    spread, tie = scale * samples.spread, scale * samples.tie
+    above = eta - spread > ceiling
+    eta_at = ~above & (eta + tie > ceiling)
+    pairs = _first(above[1:])
+    open_ = ~_closes(geom, bounds, theta[:pairs] - tie, eta[1:pairs + 1] + tie)
+    theta_at = np.zeros(k_max, dtype=bool)
+    theta_at[:pairs] = open_
+    theta_at[-1] |= theta[-1] - tie < ceiling
+    straddles = eta_at.copy()
+    eta_at[1:pairs + 1] |= open_
+    eta0, theta0 = (scale * e for e in samples.edges(eta_at, theta_at))
+    if theta_at[-1] and theta0[-1] < ceiling:
         raise ValueError(
             f"bands0 top {float(theta0[-1])} does not cover the ceiling {ceiling}; "
             "supply more bands"
         )
-    above = eta0[1:] > ceiling
-    pairs = int(np.argmax(above)) if above.any() else above.size
-    below_hi, above_lo = theta0[:pairs], eta0[1:pairs + 1]
-    overlap = below_hi - above_lo
-    floor = max(scale, abs(bounds.omega_minus), abs(bounds.omega_plus))
-    slack = OVERLAP_RTOL * np.maximum(np.maximum(np.abs(below_hi), np.abs(above_lo)), floor)
-    return BandPairs(
-        lo=below_hi + bounds.omega_minus,
-        hi=above_lo + bounds.omega_plus,
-        overlap=overlap,
-        certified=overlap >= bounds.omega_L + slack,
-    )
+    pairs = _first((above | straddles & (eta0 > ceiling))[1:])
+    return BandPairs.of(geom, bounds, np.where(theta_at, theta0, theta - tie)[:pairs],
+                        np.where(eta_at, eta0, eta + tie)[1:pairs + 1])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GapReport:
     """Consolidated certification artifact.
 
     conditions, ell_star and ell1 are the scalar verdicts and thresholds;
     low_spectrum holds the counting verdicts on a grid below the scaled
     energy 1 (empty when its preconditions fail, low_spectrum_applicable
-    records which).  Given a ceiling, band_lo and band_hi hold the enclosures
-    [eta0_k + omega_minus, theta0_k + omega_plus] of the perturbed bands
-    k = 1, 2, ... (outer up to rounding: band_edges' endpoints are exact
-    within BOUNDARY_RTOL * max(pi^2/T^2, |endpoint|), not inward-biased) and
-    candidate_gaps the pairwise windows with their certification status;
-    all are empty without a ceiling.
+    records which).  Given a ceiling, band_count is the number of
+    unperturbed bands that cover it and candidate_gaps the windows of the
+    pairs below it with their certification status (exact for every window
+    not certified from band samples, see BandPairs); without a ceiling
+    band_count is 0 and candidate_gaps empty.
     """
 
     ell1: float
     ell_star: float
     conditions: ConditionsVerdict
-    band_lo: np.ndarray
-    band_hi: np.ndarray
+    band_count: int
     candidate_gaps: BandPairs
     low_spectrum: tuple[LowSpectrumCheck, ...]
     low_spectrum_applicable: bool
-
-    __eq__ = _fields_equal
-
-    @property
-    def bands(self) -> tuple[SpectralBand, ...]:
-        """The band enclosures as SpectralBand records, built on demand."""
-        return tuple(SpectralBand(k=k, lo=a, hi=b) for k, (a, b) in enumerate(
-            zip(self.band_lo.tolist(), self.band_hi.tolist()), start=1))
 
     @property
     def undecided(self) -> tuple[GapCandidate, ...]:
@@ -549,10 +576,10 @@ def gap_report(
     The low-energy grid takes low_spectrum_points equally spaced scaled
     energies in (1/4 + xi^2, 1) when the subcritical-ratio and budget
     conditions hold.  With ell_max, the unperturbed bands covering the
-    scaled energy ell_max (one more than sup_tau N0(ell_max, tau)) come from
-    band_edges, failing closed first above spectrum.MAX_BAND_CURVES, and
-    every band pair below that ceiling is certified (certify_band_pairs).
-    Deterministic: output ordered by k.
+    scaled energy ell_max are one more than sup_tau N0(ell_max, tau), failing
+    closed first above spectrum.MAX_BAND_CURVES, and every band pair below
+    that ceiling gets its window (_band_pairs).  Deterministic: output
+    ordered by k.
     """
     verdict = conditions_check(geom, bounds)
     star = ell_star(geom, bounds)
@@ -565,22 +592,22 @@ def gap_report(
         for i in range(low_spectrum_points):
             ell = lo + (1.0 - lo) * (i + 1) / (low_spectrum_points + 1)
             low_checks.append(low_spectrum_no_gap(geom, bounds, ell))
-    eta0 = theta0 = np.empty(0)
-    candidates = BandPairs(eta0, eta0, eta0, np.empty(0, dtype=bool))
+    band_count = 0
+    none = np.empty(0)
+    candidates = BandPairs(none, none, none, np.empty(0, dtype=bool))
     if ell_max is not None:
         check_band_count(geom.xi, ell_max)
         # looked up on the spectrum module at call time, where instrumentation
         # wraps it
         from .spectrum import counting_extremes
 
-        eta0, theta0 = band_edges(geom, counting_extremes(geom, ell_max)[0] + 1)
-        candidates = certify_band_pairs(geom, bounds, (eta0, theta0), ell_max)
+        band_count = counting_extremes(geom, ell_max)[0] + 1
+        candidates = _band_pairs(geom, bounds, band_count, ell_max)
     return GapReport(
         ell1=ell1,
         ell_star=star,
         conditions=verdict,
-        band_lo=eta0 + bounds.omega_minus,
-        band_hi=theta0 + bounds.omega_plus,
+        band_count=band_count,
         candidate_gaps=candidates,
         low_spectrum=tuple(low_checks),
         low_spectrum_applicable=low_applicable,

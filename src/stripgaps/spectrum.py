@@ -17,13 +17,14 @@ so the rescaled counting function
     N0(ell, tau) = #{(n, m) : n in Z, m >= 1, (tau + n)^2 + xi^2 m^2 <= ell}
 
 counts lattice points inside a half ellipse.  N0 is an even, 1-periodic step
-function of tau; this module provides it by row-wise floors, its exact jump
-structure on the Brillouin zone (used for exact integration and for sup/inf),
-and the band functions E_k(tau) with their extrema (band endpoints).
+function of tau; this module provides it by row-wise floors, its exact
+extremes over the Brillouin zone from its jump structure, the band functions
+E_k(tau) with their extrema (band endpoints), and band samples that bracket
+those endpoints.
 
 Floating-point boundary rule: a lattice point whose level differs from ell by
-at most ``1e-12 * max(1, ell)`` counts as inside.  counting and the jump
-structure share that predicate, so they agree exactly even at ties.
+at most ``1e-12 * max(1, ell)`` counts as inside.  counting and the zone
+extremes share that predicate, so they agree exactly even at ties.
 """
 
 from __future__ import annotations
@@ -51,9 +52,12 @@ MAX_BAND_CROSSINGS = 20_000_000
 MAX_ROWS = 1 << 22
 # counting refuses rows holding more points than float64 counts exactly.
 _EXACT_COUNT = 2.0 ** 52
-# Elements per vectorized array of the crossing search (bounded memory): the
-# candidate pairs of one block, and the crossings x columns of one ranking chunk.
+# Elements per vectorized array of the band computations (bounded memory): the
+# candidate pairs of one block, the crossings x columns of one ranking chunk,
+# and the sample points x curves of one sampling chunk.
 _BLOCK = 1 << 15
+# Band samples: E_k at tau_s = s / (2 (BAND_SAMPLES - 1)), s = 0..BAND_SAMPLES - 1.
+BAND_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -147,62 +151,49 @@ def row_radii(xi: float, ell: float) -> np.ndarray:
     return np.sqrt(np.maximum(ell - (xi * m) ** 2, 0.0))
 
 
-def jump_events(xi: float, ell: float, inclusive: bool = False):
-    """Jump structure of tau -> N0(ell, tau) on [-1/2, 1/2].
-
-    Each row-m interval |tau + n| <= r_m contributes a closed interval
-    [-r_m - n, r_m - n].  Returns (start_count, events) where start_count is
-    the number of intervals containing tau = -1/2 and events is a sorted list
-    of (tau_b, n_enter, n_leave): n_enter intervals begin at tau_b (the point
-    counts at tau_b) and n_leave intervals end at tau_b (the point still
-    counts at tau_b, not after).  Jump positions within 1e-12 of the zone
-    edges are clamped onto the edge.
-
-    inclusive=True builds the intervals from the same tie-tolerant threshold
-    counting uses, so pointwise walks (sup/inf) see exactly the lattice
-    points counting sees; the default keeps the exact radii, which is what
-    panel integration wants (boundary ties have measure zero there, and the
-    exact radii match the closed-form coefficient sums to full precision).
-    """
-    agg: dict[float, list[int]] = {}
-    start = 0
-    for r in row_radii(xi, _inclusive_threshold(ell) if inclusive else ell):
-        n_lo = math.ceil(-r - 0.5) - 1
-        n_hi = math.floor(r + 0.5) + 1
-        for n in range(n_lo, n_hi + 1):
-            left = -r - n
-            right = r - n
-            if right < -0.5 or left > 0.5:
-                continue
-            if left <= -0.5 + _EDGE_TOL:
-                start += 1
-            else:
-                agg.setdefault(left, [0, 0])[0] += 1
-            if right <= 0.5 - _EDGE_TOL:
-                agg.setdefault(right, [0, 0])[1] += 1
-    events = sorted((tau_b, pm[0], pm[1]) for tau_b, pm in agg.items())
-    return start, events
+def _first_below(x: np.ndarray, lim: float) -> np.ndarray:
+    """Elementwise, the least integer n with x - n <= lim in float arithmetic
+    (x - n only decreases with n; the guess is off by at most one)."""
+    n = np.ceil(x - lim)
+    return n + 1.0 - (x - n <= lim) - (x - (n - 1.0) <= lim)
 
 
 def counting_extremes(geom: StripGeometry, ell: float) -> tuple[int, int]:
     """Exact (sup, inf) of N0(ell, .) over the closed zone [-1/2, 1/2].
 
-    Walks the jump structure: the supremum can only occur at a jump position
-    (closed intervals gain points there), the infimum only on panel
-    interiors.  Uses the inclusive (tie-tolerant) intervals so the result is
-    consistent with counting at every tau, including exact boundary ties
-    such as band endpoints.
+    Each row-m interval |tau + n| <= r_m contributes the closed interval
+    [-r_m - n, r_m - n]; ends within 1e-12 of the zone edges are clamped onto
+    the edge.  Per row, the intervals meeting the zone, those holding its
+    left edge and those ending inside it are runs of n bounded by where the
+    float ends cross the edges, so only the ends inside the zone are built,
+    about two per row.  One sweep over the distinct ends (np.unique, then
+    bincount of the intervals entering and leaving at each, and a cumulative
+    run): the supremum can only occur at an end (closed intervals count
+    there, the leaving ones still and the entering ones already), the
+    infimum only on panel interiors.  The intervals come from the inclusive
+    (tie-tolerant) radii, so the result is consistent with counting at every
+    tau, including exact boundary ties such as band endpoints.
     """
     validate_ell(ell)
-    start, events = jump_events(geom.xi, ell, inclusive=True)
-    run = start
-    sup = inf = start
-    for _tau_b, n_enter, n_leave in events:
-        sup = max(sup, run + n_enter)
-        run += n_enter - n_leave
-        sup = max(sup, run)
-        inf = min(inf, run)
-    return sup, inf
+    r = row_radii(geom.xi, _inclusive_threshold(ell))
+    # per row, the intervals first_meet <= n < first_past meet the zone; from
+    # first_edge on they hold its left edge, from first_inside on they end in it
+    first_meet = _first_below(-r, 0.5)
+    first_edge = _first_below(-r, -0.5 + _EDGE_TOL)
+    first_inside = np.maximum(_first_below(r, 0.5 - _EDGE_TOL), first_meet)
+    first_past = _first_below(r, math.nextafter(-0.5, -1.0))
+    start = int(np.maximum(first_past - first_edge, 0.0).sum())
+    row, n = _ragged(first_meet, np.maximum(
+        np.minimum(first_edge, first_past) - first_meet, 0).astype(np.int64))
+    enter = -r[row] - n
+    row, n = _ragged(first_inside, np.maximum(first_past - first_inside, 0).astype(np.int64))
+    leave = r[row] - n
+    ends, slot = np.unique(np.concatenate((enter, leave)), return_inverse=True)
+    n_enter = np.bincount(slot[:enter.size], minlength=ends.size)
+    n_leave = np.bincount(slot[enter.size:], minlength=ends.size)
+    # the run of intervals on each panel, from tau = -1/2 on
+    run = start + np.concatenate(([0], np.cumsum(n_enter - n_leave)))
+    return int((run[:-1] + n_enter).max(initial=start)), int(run.min())
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +294,7 @@ def band_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     return np.where(col % 2 == 0, col // 2, -(col + 1) // 2), m, cap
 
 
-def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray):
+def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span=None):
     """Pairs of an increasing and a decreasing level curve that can cross on [0, 1/2].
 
     The curves (n, m) are band_curves', whose column n holds m = 1..M_n.  An
@@ -316,24 +307,41 @@ def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray):
     on each side, are enumerated.  A pair left out has its exact tau outside
     [0, 1/2] by at least xi^2 / (2 (n_u - n_d)), far beyond the rounding of the
     float tau, so the crossings kept by band_edges' float filter are those of
-    all pairs.  Yields blocks (n_u, m_u^2, n_d, m_d^2) of at most _BLOCK pairs,
-    squares as floats; a block belongs to one increasing column n_u.
+    all pairs.
+
+    With span = (a, b) only the crossings with lambda in [a, b] are sought.
+    On the increasing curve lambda = (tau + n_u)^2 + xi^2 m_u^2 grows with tau,
+    so that is tau in [t_a, t_b] = [sqrt(a - xi^2 m_u^2), sqrt(b - xi^2 m_u^2)]
+    - n_u: [0, 1] above narrows to 2 [t_a, t_b] clipped to [0, 1], still
+    widened by one m_d on each side, and the rows m_u where that is empty are
+    skipped.  A crossing inside the span by more than a few ulps is kept.
+
+    Yields blocks (n_u, m_u^2, n_d, m_d^2) of at most _BLOCK pairs, squares as
+    floats; a block belongs to one increasing column n_u.
     """
     cols, tops = np.unique(n, return_counts=True)
     down = cols < 0
     n_d, top_d = cols[down], tops[down]
+    xi2 = xi * xi
     for n_u, top_u in zip(cols[~down].tolist(), tops[~down].tolist()):
         m2_u = (np.arange(1, top_u + 1) ** 2)[:, None]
-        step = (n_u - n_d) / (xi * xi)
-        first = np.ceil(np.sqrt(np.maximum(m2_u + step * (n_u + n_d), 0.0))) - 1.0
-        last = np.floor(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + 1), 0.0))) + 1.0
+        lo, hi = 0.0, 1.0
+        if span is not None:
+            a, b = span
+            lo = np.maximum(2.0 * (np.sqrt(np.maximum(a - xi2 * m2_u, 0.0)) - n_u), 0.0)
+            hi = np.minimum(2.0 * (np.sqrt(np.maximum(b - xi2 * m2_u, 0.0)) - n_u), 1.0)
+            rows = (lo <= hi).ravel()
+            m2_u, lo, hi = m2_u[rows], lo[rows], hi[rows]
+        step = (n_u - n_d) / xi2
+        first = np.ceil(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + lo), 0.0))) - 1.0
+        last = np.floor(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + hi), 0.0))) + 1.0
         first = np.maximum(first, 1.0).astype(np.int64).ravel()
         count = np.maximum(np.minimum(last, top_d).astype(np.int64).ravel() - first + 1, 0)
         # one entry per (m_u, n_d); candidate j of the column has m_d = j - offset
         ends = np.cumsum(count)
         offset = ends - count - first
         m2_uj = np.repeat(m2_u.ravel().astype(float), n_d.size)
-        n_dj = np.tile(n_d, top_u)
+        n_dj = np.tile(n_d, m2_u.size)
         total = int(ends[-1]) if ends.size else 0
         for start in range(0, total, _BLOCK):
             j = np.arange(start, min(start + _BLOCK, total))
@@ -357,6 +365,71 @@ def _fold_crossings(xi: float, t: np.ndarray, lam: np.ndarray, n_cols: np.ndarra
     owner, k = _ragged(below + 1, upto - below)
     np.minimum.at(lo, k[k <= k_max] - 1, lam[owner[k <= k_max]])
     np.maximum.at(hi, k[k <= k_max] - 1, lam[owner[k <= k_max]])
+
+
+def _costed_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """band_curves(xi, k_max), failing closed (ValueError) above MAX_BAND_CROSSINGS
+    increasing x decreasing pairs of those curves."""
+    n, m, cap = band_curves(xi, k_max)
+    _check_band_cost(n.size, float(np.count_nonzero(n >= 0)) * np.count_nonzero(n < 0))
+    return n, m, cap
+
+
+def _level_extremes(xi: float, curves, k_max: int, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest E_k(tau), k = 1..k_max, over the points taus in [0, 1/2].
+
+    E_k(tau) is the k-th smallest level of the curves at tau; at most _BLOCK
+    levels are held at a time.
+    """
+    n, m, _cap = curves
+    xi2m2 = xi * xi * (m * m).astype(float)
+    lo, hi = np.full(k_max, np.inf), np.full(k_max, -np.inf)
+    rows = max(1, _BLOCK // n.size)
+    taus = np.asarray(taus, dtype=float)
+    for r in range(0, taus.size, rows):
+        levels = (taus[r:r + rows, None] + n) ** 2 + xi2m2
+        levels.sort(axis=1)
+        lo = np.minimum(lo, levels[:, :k_max].min(axis=0))
+        hi = np.maximum(hi, levels[:, :k_max].max(axis=0))
+    return lo, hi
+
+
+def _band_extrema(xi: float, curves, k_max: int, slices=None) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the bands 1..k_max (scaled units) from the tau = 0, 1/2 levels
+    and the crossings ranked on the given curves; band_edges documents the method.
+
+    slices = (a, b), closed intervals [a_i, b_i] of scaled energy with a
+    sorted and b its own running maximum (so lambda lies in one of them
+    exactly when it lies in [a_i, b_i] for the last a_i <= lambda), restricts
+    the work to one enumeration pass over the crossings in [a_0, b_last] and
+    to ranking those inside the slices.
+    Every crossing and level is evaluated as without slices, so an endpoint
+    whose attaining crossing lies in a slice has the same bits either way;
+    the other entries only lack crossings outside the slices.
+    """
+    n, m, cap = curves
+    xi2 = xi * xi
+    m2 = (m * m).astype(float)
+    lo, hi = _level_extremes(xi, curves, k_max, (0.0, 0.5))
+    span = None
+    if slices is not None:
+        a, b = slices
+        if a.size == 0:
+            return lo, hi
+        span = (float(a[0]), float(b[-1]))
+    n_cols = np.arange(-math.ceil(math.sqrt(cap)) - 1, math.ceil(math.sqrt(cap)) + 2)
+    chunk = max(1, _BLOCK // n_cols.size)
+    for n_u, m2_u, n_d, m2_d in _crossing_candidates(xi, n, m, span):
+        t = (xi2 * (m2_d - m2_u) / (n_u - n_d) - n_u - n_d) / 2.0
+        lam = (t + n_u) ** 2 + xi2 * m2_u
+        ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
+        if span is not None:
+            i = np.searchsorted(a, lam, side="right") - 1
+            ok &= (i >= 0) & (lam <= b[np.maximum(i, 0)])
+        t, lam = t[ok], lam[ok]
+        for c in range(0, t.size, chunk):
+            _fold_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
+    return lo, hi
 
 
 def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -383,26 +456,59 @@ def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]
     Fails closed (ValueError) above MAX_BAND_CURVES, or above
     MAX_BAND_CROSSINGS increasing x decreasing pairs, before allocating.
     """
-    xi = geom.xi
-    xi2 = xi * xi
-    n, m, cap = band_curves(xi, k_max)
-    m2 = (m * m).astype(float)
-    lo, hi = np.full(k_max, np.inf), np.full(k_max, -np.inf)
-    for tau in (0.0, 0.5):
-        kth = np.sort(np.partition((tau + n) ** 2 + xi2 * m2, k_max - 1)[:k_max])
-        lo, hi = np.minimum(lo, kth), np.maximum(hi, kth)
-    _check_band_cost(n.size, float(np.count_nonzero(n >= 0)) * np.count_nonzero(n < 0))
-    n_cols = np.arange(-math.ceil(math.sqrt(cap)) - 1, math.ceil(math.sqrt(cap)) + 2)
-    chunk = max(1, _BLOCK // n_cols.size)
-    for n_u, m2_u, n_d, m2_d in _crossing_candidates(xi, n, m):
-        t = (xi2 * (m2_d - m2_u) / (n_u - n_d) - n_u - n_d) / 2.0
-        lam = (t + n_u) ** 2 + xi2 * m2_u
-        ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
-        t, lam = t[ok], lam[ok]
-        for c in range(0, t.size, chunk):
-            _fold_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
+    lo, hi = _band_extrema(geom.xi, _costed_curves(geom.xi, k_max), k_max)
     scale = math.pi * math.pi / (geom.T * geom.T)
     return scale * lo, scale * hi
+
+
+@dataclass(frozen=True, eq=False)
+class BandSamples:
+    """The bands k = 1..k_max sampled at BAND_SAMPLES points of [0, 1/2] (scaled units).
+
+    eta and theta hold the smallest and largest sample of each E_k.  Every
+    piece of E_k is a level curve below the curves' cap, whose slope
+    |2 (tau + n)| is at most 2 sqrt(cap), so between samples h apart E_k
+    leaves the sampled range by at most sqrt(cap) h.  The endpoints eta0,
+    theta0 that band_edges computes therefore obey
+
+        eta - spread <= eta0 <= eta + tie,    theta - tie <= theta0 <= theta + spread,
+
+    spread = sqrt(cap) h + tie, with tie = 2 BOUNDARY_RTOL max(1, cap): twice
+    the rank tie tolerance, so it also covers the rounding of the levels and
+    of the crossings with room to spare.
+    """
+
+    xi: float
+    curves: tuple[np.ndarray, np.ndarray, float]
+    eta: np.ndarray
+    theta: np.ndarray
+    spread: float
+    tie: float
+
+    def edges(self, eta_at: np.ndarray, theta_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Band endpoints (scaled units), bit-identical to band_edges' at the
+        bands where the boolean masks eta_at (lower endpoint) and theta_at
+        (upper endpoint) are set; the other entries are meaningless.
+
+        Only crossings inside the brackets of the requested endpoints are
+        ranked, in one enumeration pass.
+        """
+        a = np.concatenate((self.eta[eta_at] - self.spread, self.theta[theta_at] - self.tie))
+        b = np.concatenate((self.eta[eta_at] + self.tie, self.theta[theta_at] + self.spread))
+        order = np.argsort(a)
+        slices = (a[order], np.maximum.accumulate(b[order]))
+        return _band_extrema(self.xi, self.curves, self.eta.size, slices)
+
+
+def sample_bands(xi: float, k_max: int) -> BandSamples:
+    """Sample the bands 1..k_max at tau_s = s / (2 (BAND_SAMPLES - 1)), one block
+    of points at a time.  Fails closed like band_edges, with the same checks in
+    the same order, before sampling."""
+    curves = _costed_curves(xi, k_max)
+    h = 1.0 / (2.0 * (BAND_SAMPLES - 1))
+    eta, theta = _level_extremes(xi, curves, k_max, h * np.arange(BAND_SAMPLES))
+    tie = 2.0 * BOUNDARY_RTOL * max(1.0, curves[2])
+    return BandSamples(xi, curves, eta, theta, math.sqrt(curves[2]) * h + tie, tie)
 
 
 def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:

@@ -1,5 +1,9 @@
 """Independent oracles and diagnostics the tests check the library against.
 
+* ``jump_events``, ``counting_extremes_by_walk``: the jump positions of the
+  step function N0(ell, .), row by row, and its zone extremes by walking
+  them one event at a time, against the one-sweep
+  ``stripgaps.spectrum.counting_extremes``.
 * ``ap_exact_integral``: a_p(ell) by exact panel-wise integration of the step
   function N0(ell, .), against the closed forms of ``stripgaps.fourier``.
 * ``a0_increment_check``, ``counting_extremes_check``, ``ap_residual_check``:
@@ -30,6 +34,11 @@
   increasing and a decreasing level curve, ranked with the crossings on axis
   0, against ``stripgaps.spectrum.band_edges``, which enumerates only the
   pairs that can cross and ranks column-major (they must agree bit for bit).
+* ``certify_band_pairs``, ``band_pairs_from_all_bands``: the band-pair windows
+  below a ceiling from the exact endpoints of every band, certified by
+  ``stripgaps.gaps``' one predicate, against ``gap_report``, which computes
+  exact endpoints only where band samples leave a window open (band count,
+  window count, flags and every undecided window must agree exactly).
 """
 
 from __future__ import annotations
@@ -43,10 +52,75 @@ import numpy as np
 
 from stripgaps.fourier import a0_closed, ap_closed, residual_bound
 from stripgaps.galerkin import OmegaEnclosure, PotentialSpec
+from stripgaps.gaps import BandPairs, PerturbBounds
 from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
-from stripgaps.spectrum import BOUNDARY_RTOL, band_curves, counting_extremes, jump_events
+from stripgaps.spectrum import (
+    _EDGE_TOL,
+    BOUNDARY_RTOL,
+    _inclusive_threshold,
+    band_curves,
+    band_edges,
+    check_band_count,
+    counting_extremes,
+    row_radii,
+)
 
 _QUARTER_PI = 0.25 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# jump structure of the counting function
+# ---------------------------------------------------------------------------
+
+def jump_events(xi: float, ell: float, inclusive: bool = False):
+    """Jump structure of tau -> N0(ell, tau) on [-1/2, 1/2], one row at a time.
+
+    Each row-m interval |tau + n| <= r_m contributes a closed interval
+    [-r_m - n, r_m - n].  Returns (start_count, events) where start_count is
+    the number of intervals containing tau = -1/2 and events is a sorted list
+    of (tau_b, n_enter, n_leave): n_enter intervals begin at tau_b (the point
+    counts at tau_b) and n_leave intervals end at tau_b (the point still
+    counts at tau_b, not after).  Jump positions within 1e-12 of the zone
+    edges are clamped onto the edge.
+
+    inclusive=True builds the intervals from the tie-tolerant threshold that
+    ``stripgaps.spectrum.counting`` uses; the default keeps the exact radii,
+    which is what panel integration wants.
+    """
+    agg: dict[float, list[int]] = {}
+    start = 0
+    for r in row_radii(xi, _inclusive_threshold(ell) if inclusive else ell):
+        n_lo = math.ceil(-r - 0.5) - 1
+        n_hi = math.floor(r + 0.5) + 1
+        for n in range(n_lo, n_hi + 1):
+            left = -r - n
+            right = r - n
+            if right < -0.5 or left > 0.5:
+                continue
+            if left <= -0.5 + _EDGE_TOL:
+                start += 1
+            else:
+                agg.setdefault(left, [0, 0])[0] += 1
+            if right <= 0.5 - _EDGE_TOL:
+                agg.setdefault(right, [0, 0])[1] += 1
+    events = sorted((tau_b, pm[0], pm[1]) for tau_b, pm in agg.items())
+    return start, events
+
+
+def counting_extremes_by_walk(geom: StripGeometry, ell: float) -> tuple[int, int]:
+    """(sup, inf) of N0(ell, .) on [-1/2, 1/2] by walking the inclusive jump
+    events one at a time, against the one-sweep
+    ``stripgaps.spectrum.counting_extremes`` (they must agree exactly)."""
+    validate_ell(ell)
+    start, events = jump_events(geom.xi, ell, inclusive=True)
+    run = start
+    sup = inf = start
+    for _tau_b, n_enter, n_leave in events:
+        sup = max(sup, run + n_enter)
+        run += n_enter - n_leave
+        sup = max(sup, run)
+        inf = min(inf, run)
+    return sup, inf
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +512,36 @@ def band_table_all_pairs(geom: StripGeometry, k_max: int,
                 _rank_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
     scale = math.pi * math.pi / (geom.T * geom.T)
     return scale * lo, scale * hi
+
+
+# ---------------------------------------------------------------------------
+# band-pair windows from the exact endpoints of all bands
+# ---------------------------------------------------------------------------
+
+def certify_band_pairs(geom: StripGeometry, bounds: PerturbBounds,
+                       bands0: tuple[np.ndarray, np.ndarray], ell_max: float) -> BandPairs:
+    """Windows of the consecutive pairs of bands0 up to (pi^2/T^2) ell_max.
+
+    bands0 = (eta0, theta0) are the unperturbed endpoints of the bands
+    k = 1, 2, ... (as ``band_edges`` returns them) and must cover the ceiling
+    (ValueError otherwise); a window is emitted for every pair, in order of k,
+    until the first upper band that starts above it, and certified by
+    ``BandPairs.of``.
+    """
+    eta0, theta0 = (np.asarray(e, dtype=float) for e in bands0)
+    ceiling = math.pi ** 2 / geom.T ** 2 * ell_max
+    if theta0[-1] < ceiling:
+        raise ValueError(f"bands0 top {float(theta0[-1])} does not cover the ceiling {ceiling}")
+    above = eta0[1:] > ceiling
+    pairs = int(np.argmax(above)) if above.any() else above.size
+    return BandPairs.of(geom, bounds, theta0[:pairs], eta0[1:pairs + 1])
+
+
+def band_pairs_from_all_bands(geom: StripGeometry, bounds: PerturbBounds,
+                              ell_max: float) -> tuple[int, BandPairs]:
+    """(band count, windows) below the ceiling (pi^2/T^2) ell_max, as
+    ``gap_report`` sizes the bands (one more than sup_tau N0(ell_max, tau)),
+    from the exact endpoints of all of them."""
+    check_band_count(geom.xi, ell_max)
+    k_max = counting_extremes(geom, ell_max)[0] + 1
+    return k_max, certify_band_pairs(geom, bounds, band_edges(geom, k_max), ell_max)

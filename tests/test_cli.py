@@ -25,13 +25,18 @@ from stripgaps.spectrum import MAX_BAND_CURVES, MAX_ROWS
 DATA = Path(__file__).parent / "data"
 
 
-def run(argv):
-    """Invoke the CLI in-process, returning (exit_code, stdout_text)."""
+def run_with_stderr(argv):
+    """Invoke the CLI in-process, returning (exit_code, stdout_text, stderr_text)."""
     buf = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, buf.getvalue(), err.getvalue()
+
+
+def run(argv):
+    """Invoke the CLI in-process, returning (exit_code, stdout_text)."""
+    return run_with_stderr(argv)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +267,17 @@ def test_count_walks_rows_not_lattice_points():
 
 
 def test_stdout_matches_the_recorded_corpus(monkeypatch):
-    """Exit status and stdout bytes of every recorded invocation (run from the
-    repository root, where the corpus' relative potential path resolves)."""
+    """Exit status, stdout and stderr bytes of every recorded invocation (run
+    from the repository root, where the corpus' relative potential path
+    resolves).  Refusals (status 1) carry their recorded message; every other
+    entry writes nothing to stderr."""
     monkeypatch.chdir(DATA.parent.parent)
     corpus = json.loads((DATA / "cli_corpus.json").read_text())
     assert len(corpus) >= 40
+    assert all(("stderr" in e) == (e["status"] == 1) for e in corpus)
     for entry in corpus:
-        assert run(entry["argv"]) == (entry["status"], entry["stdout"]), entry["argv"]
+        expected = (entry["status"], entry["stdout"], entry.get("stderr", ""))
+        assert run_with_stderr(entry["argv"]) == expected, entry["argv"]
 
 
 def test_fourier_command_handles_the_mean_and_harmonics():

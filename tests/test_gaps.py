@@ -4,18 +4,20 @@ import contextlib
 import dataclasses
 import io
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stripgaps.gaps as gaps
 import stripgaps.spectrum as spectrum
+from oracles import band_pairs_from_all_bands, certify_band_pairs
 from stripgaps.cli import main
 from stripgaps.gaps import (
     OVERLAP_RTOL,
     GapParams,
     PerturbBounds,
-    certify_band_pairs,
     conditions_check,
     ell1_threshold,
     ell2_threshold,
@@ -26,9 +28,9 @@ from stripgaps.gaps import (
     low_spectrum_no_gap,
     overlap_lower_bound,
 )
-from stripgaps.geometry import resolve_geometry
+from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.oscillation import critical_constants
-from stripgaps.spectrum import band_edges, band_table
+from stripgaps.spectrum import band_edges, band_table, sample_bands
 
 NO_PERTURBATION = PerturbBounds()
 
@@ -293,7 +295,7 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     geom = resolve_geometry(T=1.0, d=1.0)
     report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7),
                         ell_max=8.0, low_spectrum_points=0)
-    bands = band_table(geom, len(report.bands))
+    bands = band_table(geom, report.band_count)
     assert report.candidate_gaps
     for g in report.candidate_gaps:
         assert g.certified_absent == (g.unperturbed_overlap > 0.0)
@@ -301,7 +303,9 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     assert any(g.certified_absent for g in report.candidate_gaps)
     assert report.undecided == tuple(
         g for g in report.candidate_gaps if not g.certified_absent)
-    assert report.bands == tuple(bands)  # zero perturbation leaves enclosures alone
+    # zero perturbation: an undecided window is the exact gap between the bands
+    for g in report.undecided:
+        assert (g.lo, g.hi) == (bands[g.k - 1].hi, bands[g.k].lo)
     assert not report.low_spectrum_applicable  # xi = 1 far above the regime
 
 
@@ -310,12 +314,16 @@ def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
     bounds = PerturbBounds(omega_minus=-0.25, omega_plus=0.75)
     report = gap_report(geom, bounds, GapParams(c0=0.7),
                         ell_max=4.0, low_spectrum_points=0)
-    bands = band_table(geom, len(report.bands))
+    bands = band_table(geom, report.band_count)
     # the table covers the ceiling: one band more than sup_tau N0(4, tau)
     assert bands[-1].hi >= 4.0 * math.pi ** 2
-    for enc, b in zip(report.bands, bands):
-        assert enc.lo == pytest.approx(b.lo - 0.25, rel=1e-14)
-        assert enc.hi == pytest.approx(b.hi + 0.75, rel=1e-14)
+    assert report.undecided
+    for g in report.undecided:
+        assert g.lo == bands[g.k - 1].hi - 0.25
+        assert g.hi == bands[g.k].lo + 0.75
+    # a window certified from samples is an outer window
+    for g in report.candidate_gaps:
+        assert g.lo <= bands[g.k - 1].hi - 0.25 and g.hi >= bands[g.k].lo + 0.75
 
 
 def test_gap_report_certifies_exactly_the_wide_overlaps():
@@ -332,12 +340,12 @@ def test_gap_report_certifies_exactly_the_wide_overlaps():
         assert g.certified_absent == (g.unperturbed_overlap >= 2.0 + slack)
         assert g.lo == pytest.approx(below.hi + 0.0, rel=1e-14)
         assert g.hi == pytest.approx(above.lo + 2.0, rel=1e-14)
-    # the report built from its own covering table finds the same windows
+    # the report finds the same windows, flags and undecided windows
     report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=8.0,
                         low_spectrum_points=0)
-    assert report.candidate_gaps == windows
-    assert report.undecided == tuple(
-        g for g in report.candidate_gaps if not g.certified_absent)
+    assert len(report.candidate_gaps) == len(windows)
+    assert np.array_equal(report.candidate_gaps.certified, windows.certified)
+    assert report.undecided == tuple(g for g in windows if not g.certified_absent)
 
 
 def test_gap_report_runs_the_low_energy_grid_in_regime():
@@ -351,7 +359,7 @@ def test_gap_report_runs_the_low_energy_grid_in_regime():
     lo = 0.25 + 0.01
     assert all(lo < c.ell < 1.0 for c in report.low_spectrum)
     # without a ceiling no band table is built
-    assert report.bands == () and len(report.candidate_gaps) == 0
+    assert report.band_count == 0 and len(report.candidate_gaps) == 0
 
 
 @pytest.mark.parametrize("omega_L, certified", [
@@ -369,19 +377,18 @@ def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega
     assert g.certified_absent is certified
 
 
-def test_gap_report_validates_the_band_input():
-    geom = resolve_geometry(T=1.0, d=1.0)
-    eta0, theta0 = bands = band_edges(geom, 6)
-    with pytest.raises(ValueError, match="nonempty"):
-        certify_band_pairs(geom, NO_PERTURBATION, ([], []), ell_max=2.0)
-    with pytest.raises(ValueError, match="one lower and one upper endpoint per band"):
-        certify_band_pairs(geom, NO_PERTURBATION, (eta0[1:], theta0), ell_max=2.0)
-    with pytest.raises(ValueError, match="cover"):
-        certify_band_pairs(geom, NO_PERTURBATION, bands, ell_max=50.0)
+def test_gap_report_validates_the_band_input(monkeypatch):
     # the report sizes its own table, failing closed above the band ceiling
     with pytest.raises(ValueError, match="ceiling"):
         gap_report(resolve_geometry(xi=0.03), NO_PERTURBATION,
                    GapParams.from_small_ratio(0.03), ell_max=1e9)
+    # and refuses bands that do not reach the ceiling (counting_extremes is
+    # looked up on the spectrum module at call time)
+    geom = resolve_geometry(T=1.0, d=1.0)
+    monkeypatch.setattr(spectrum, "counting_extremes", lambda geom, ell: (5, 0))
+    with pytest.raises(ValueError, match="does not cover the ceiling"):
+        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0,
+                   low_spectrum_points=0)
 
 
 def test_gap_report_is_deterministic():
@@ -390,19 +397,20 @@ def test_gap_report_is_deterministic():
     a = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
     b = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
     assert a == b
-    # equality compares the endpoint arrays by value
+    # equality compares the window arrays by value
     assert a.candidate_gaps
-    assert a != dataclasses.replace(b, band_hi=b.band_hi + 1.0)
+    assert a != dataclasses.replace(b, band_count=b.band_count + 1)
     pairs = b.candidate_gaps
     assert pairs != dataclasses.replace(pairs, certified=~pairs.certified)
+    assert a != dataclasses.replace(b, candidate_gaps=dataclasses.replace(
+        pairs, hi=pairs.hi + 1.0))
 
 
 def test_gaps_command_builds_records_only_for_printed_windows(monkeypatch):
     # 525 bands and 523 windows, 32 of them undecided: only the 20 printed
     # windows become records
     built = []
-    for module, name in ((gaps, "GapCandidate"), (gaps, "SpectralBand"),
-                         (spectrum, "SpectralBand")):
+    for module, name in ((gaps, "GapCandidate"), (spectrum, "SpectralBand")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda real=real, name=name, **kw: built.append(name) or real(**kw))
@@ -413,3 +421,126 @@ def test_gaps_command_builds_records_only_for_printed_windows(monkeypatch):
     assert code == 2 and "bands = 525" in lines and "undecided = 32" in lines
     assert sum(line.startswith("undecided_window_") for line in lines) == 20
     assert built == ["GapCandidate"] * 20
+
+
+# ---------------------------------------------------------------------------
+# band-pair windows from band samples, against the all-bands oracle
+# ---------------------------------------------------------------------------
+
+def _seeded_gap_cases(count: int = 120, seed: int = 20181):
+    """(T, d, omega_minus, omega_plus, ell_max): ratios 0.02 to 1, depths other
+    than 1, omega_minus of either sign, and a quarter of the ceilings on a
+    lattice level at tau 0 or 1/2 (bit for bit as spectrum evaluates it)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        xi = rng.choice((0.02, 0.03, 0.05, 0.07, 0.09, 0.12, 0.2, 0.3, 0.5, 0.7, 1.0))
+        xi *= rng.choice((1.0, 1.0, rng.uniform(0.9, 1.1)))
+        d = rng.choice((1.0, 1.0, 0.5, 2.0, 3.7))
+        geom = StripGeometry(T=xi * d, d=d)
+        xi = geom.xi
+        ell = rng.uniform(2.0, min(40.0, 1500.0 * xi))
+        if rng.random() < 0.25:
+            t = rng.choice((0.0, 0.5))
+            n = rng.randint(0, int(math.sqrt(ell)))
+            m = rng.randint(1, max(1, int(math.sqrt(max(ell - (t + n) ** 2, 0.0)) / xi)))
+            ell = (t + n) ** 2 + xi * xi * float(m * m)
+        scale = math.pi ** 2 / geom.T ** 2
+        w = scale * rng.choice((1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0)) * rng.uniform(0.5, 1.5)
+        om = rng.choice((0.0, 0.0, -rng.uniform(0.0, 2.0) * w, rng.uniform(-3.0, 3.0) * scale))
+        cases.append((geom.T, d, om, om + w, ell))
+    return cases
+
+
+def _assert_matches_the_oracle(report, geom, bounds, ell_max):
+    k_max, windows = band_pairs_from_all_bands(geom, bounds, ell_max)
+    assert report.band_count == k_max
+    assert len(report.candidate_gaps) == len(windows)
+    assert np.array_equal(report.candidate_gaps.certified, windows.certified)
+    assert report.undecided == tuple(g for g in windows if not g.certified_absent)
+
+
+@pytest.mark.parametrize("T, d, omega_minus, omega_plus, ell_max", _seeded_gap_cases())
+def test_gap_report_windows_equal_the_all_bands_oracle(T, d, omega_minus, omega_plus, ell_max):
+    # band count, window count, flags and every undecided window (lo, hi,
+    # overlap) are those of the exact endpoints of all bands
+    geom = StripGeometry(T=T, d=d)
+    bounds = PerturbBounds(omega_minus, omega_plus)
+    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max, low_spectrum_points=0)
+    _assert_matches_the_oracle(report, geom, bounds, ell_max)
+    # windows certified from samples are outer windows with a lower overlap
+    eta0, theta0 = band_edges(geom, report.band_count)
+    pairs = report.candidate_gaps
+    k = len(pairs)
+    assert np.all(pairs.lo <= theta0[:k] + omega_minus)
+    assert np.all(pairs.hi >= eta0[1:k + 1] + omega_plus)
+    assert np.all(pairs.overlap <= theta0[:k] - eta0[1:k + 1])
+
+
+@pytest.mark.parametrize("side", ["optimistic", "pessimistic"])
+def test_gap_report_decides_like_the_oracle_for_samples_anywhere_in_their_brackets(
+        monkeypatch, side):
+    # sample_bands promises eta - spread <= eta0 <= eta + tie and
+    # theta - tie <= theta0 <= theta + spread; samples at the far ends of
+    # those brackets must not change a decision.  Optimistic samples widen
+    # every overlap by almost 2 tie: omega_L sits just above one exact
+    # overlap, so only the tie margin keeps that window undecided.
+    # Pessimistic samples narrow every overlap and blur the ceiling.
+    geom = resolve_geometry(xi=0.3)
+    ell_max = 20.0
+    scale = math.pi ** 2 / geom.T ** 2
+    real = gaps.sample_bands
+
+    def shifted(xi, k_max):
+        s = real(xi, k_max)
+        eta0, theta0 = s.edges(np.ones(k_max, dtype=bool), np.ones(k_max, dtype=bool))
+        if side == "optimistic":
+            return dataclasses.replace(s, eta=eta0 - 0.9 * s.tie, theta=theta0 + 0.9 * s.tie)
+        return dataclasses.replace(s, eta=eta0 + 0.9 * s.spread, theta=theta0 - 0.9 * s.spread)
+
+    monkeypatch.setattr(gaps, "sample_bands", shifted)
+    _, free = band_pairs_from_all_bands(geom, NO_PERTURBATION, ell_max)
+    k = int(np.argmax(free.overlap))
+    eta0, theta0 = band_edges(geom, len(free) + 1)
+    slack = OVERLAP_RTOL * max(theta0[k], eta0[k + 1], scale)
+    tie = scale * real(geom.xi, 2).tie
+    bounds = PerturbBounds(0.0, free.overlap[k] - slack + 0.5 * tie)
+    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max, low_spectrum_points=0)
+    _assert_matches_the_oracle(report, geom, bounds, ell_max)
+    assert not report.candidate_gaps.certified[k]
+
+
+@pytest.mark.parametrize("xi, omega_plus, ell_max, share", [
+    (0.03, 0.025, 40.0, 0.02),
+    (0.05, 0.02, 170.0, 0.02),
+    (0.09, 200.0, 10.0, 0.1),
+])
+def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
+        monkeypatch, xi, omega_plus, ell_max, share):
+    # when written: every window certified from samples, so only crossings
+    # near the ceiling ranked (759 of 161,527 and 864 of 482,999); and 9 open
+    # windows spread over 15 slices, 119 of 2,523 ranked
+    ranked = []
+    real = spectrum._fold_crossings
+    monkeypatch.setattr(spectrum, "_fold_crossings",
+                        lambda xi, t, *rest: ranked.append(t.size) or real(xi, t, *rest))
+    geom = resolve_geometry(xi=xi)
+    report = gap_report(geom, PerturbBounds(0.0, omega_plus), GapParams.from_small_ratio(xi),
+                        ell_max, low_spectrum_points=0)
+    in_report = sum(ranked)
+    ranked.clear()
+    band_edges(geom, report.band_count)
+    assert 0 < in_report <= share * sum(ranked)
+
+
+def test_band_samples_memory_stays_bounded():
+    # samples are taken a block of points at a time: at (0.05, 5341) the 33
+    # points x 5605 curves would take 1.5 MB at once
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        sample_bands(0.05, 5341)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stripgaps.spectrum as spectrum
-from oracles import Mode, band_table_all_pairs, mode_energy
+from oracles import Mode, band_table_all_pairs, counting_extremes_by_walk, mode_energy
 from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.spectrum import (
     BOUNDARY_RTOL,
@@ -22,6 +23,7 @@ from stripgaps.spectrum import (
     counting_extremes,
     kth_scaled_level,
     row_radii,
+    sample_bands,
     scaled_levels_below,
 )
 
@@ -212,6 +214,60 @@ def test_counting_extremes_empty_region():
     assert counting_extremes(geom, 0.2) == (0, 0)
 
 
+def test_counting_extremes_equal_the_event_walk():
+    # the one-sweep extremes equal the event-by-event walk on 400 seeded
+    # energies, 120 of them lattice levels at tau 0 or 1/2 (exact ties of the
+    # intervals at the zone edges and centre)
+    rng = random.Random(1807)
+    for i in range(400):
+        xi = rng.choice((0.01, 0.02, 0.03, 0.05, 0.09, 0.1, 0.25, 0.5, 1.0, 2.0,
+                         rng.uniform(0.01, 3.0)))
+        if i % 10 < 3:
+            n, t = rng.randint(0, 7), rng.choice((0.0, 0.5))
+            ell = (t + n) ** 2 + xi * xi * float(rng.randint(1, int(3.0 / xi) + 1) ** 2)
+        else:
+            ell = rng.uniform(0.0, 60.0)
+        geom = resolve_geometry(xi=xi)
+        assert counting_extremes(geom, ell) == counting_extremes_by_walk(geom, ell), (xi, ell)
+
+
+def test_interval_run_bounds_follow_the_float_predicate_at_ties():
+    # the per-row run bounds of counting_extremes are the least n with
+    # x - n <= lim in float arithmetic, also where x - lim rounds onto an
+    # integer (x = 1.5 against the strict edge nextafter(-0.5, -1) does)
+    limits = (0.5, -0.5 + 1e-12, 0.5 - 1e-12, math.nextafter(-0.5, -1.0))
+    xs = []
+    for k in range(-40, 41):
+        for lim in limits:
+            x = up = down = k + lim
+            for _ in range(6):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                xs += [up, down]
+            xs.append(x)
+        xs.append(k + 0.5)
+    for lim in limits:
+        got = spectrum._first_below(np.array(xs), lim)
+        for x, n in zip(xs, got.tolist()):
+            assert x - n <= lim and not x - (n - 1) <= lim, (x, lim, n)
+
+
+@pytest.mark.parametrize("xi, ell, extremes", [(0.03, 40.0, (2112, 2063)),
+                                               (0.01, 60.0, (9489, 9360))])
+def test_counting_extremes_memory_is_below_the_event_walk(xi, ell, extremes):
+    # only the interval ends inside the zone are built: 420 and 1,548 jump
+    # events over 210 and 774 rows
+    geom = resolve_geometry(xi=xi)
+    peaks = []
+    for routine in (counting_extremes, counting_extremes_by_walk):
+        tracemalloc.start()
+        try:
+            assert routine(geom, ell) == extremes
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 # ---------------------------------------------------------------------------
 # level helpers
 # ---------------------------------------------------------------------------
@@ -343,10 +399,13 @@ def test_band_table_enumerates_only_real_crossings(monkeypatch):
     assert max(blocks) <= 1 << 15
 
 
-@pytest.mark.parametrize("xi, k_max", [
+EDGE_CASES = [
     (xi, k) for xi in (0.013, 0.02, 0.031, 0.05, 0.07, 0.1, 0.17, 0.3, 0.5, 1.0, 3.0)
     for k in (1, 2, 7, 40, 300, 1500)
-] + [(0.03, 2113), (0.04, 1565), (0.05, 5324)])
+] + [(0.03, 2113), (0.04, 1565), (0.05, 5324)]
+
+
+@pytest.mark.parametrize("xi, k_max", EDGE_CASES)
 def test_band_edges_equal_the_all_pairs_oracle(xi, k_max):
     # enumerating only the pairs that can cross, and ranking column-major,
     # changes no bit of any endpoint
@@ -355,6 +414,39 @@ def test_band_edges_equal_the_all_pairs_oracle(xi, k_max):
     exact_lo, exact_hi = band_table_all_pairs(geom, k_max)
     assert np.array_equal(lo, exact_lo) and np.array_equal(hi, exact_hi)
     assert [(b.lo, b.hi) for b in band_table(geom, k_max)] == list(zip(lo, hi))
+
+
+@pytest.mark.parametrize("xi, k_max", EDGE_CASES)
+def test_band_samples_bracket_the_exact_endpoints(xi, k_max):
+    # eta - spread <= eta0 <= eta and theta <= theta0 <= theta + spread, the
+    # spread sqrt(cap) h (plus the tie) being the most a band can leave its
+    # sampled range between samples h apart
+    geom = resolve_geometry(xi=xi)
+    samples = sample_bands(xi, k_max)
+    eta0, theta0 = band_edges(geom, k_max)
+    scale = PI2 / geom.T ** 2
+    assert np.all(scale * (samples.eta - samples.spread) <= eta0)
+    assert np.all(eta0 <= scale * samples.eta)
+    assert np.all(scale * samples.theta <= theta0)
+    assert np.all(theta0 <= scale * (samples.theta + samples.spread))
+    # the samples include tau = 0 and 1/2, where the edges start
+    assert samples.eta.size == k_max and samples.tie < samples.spread
+
+
+def test_band_samples_slice_refined_edges_equal_band_edges():
+    # edges() ranks only the crossings in the brackets asked for; there it
+    # gives band_edges' bits
+    geom = resolve_geometry(xi=0.07)
+    k_max = 300
+    samples = sample_bands(geom.xi, k_max)
+    eta0, theta0 = band_edges(geom, k_max)
+    scale = PI2 / geom.T ** 2
+    rng = np.random.default_rng(7)
+    for share in (0.0, 0.02, 0.3, 1.0):
+        eta_at, theta_at = rng.random(k_max) < share, rng.random(k_max) < share
+        eta, theta = samples.edges(eta_at, theta_at)
+        assert np.array_equal(scale * eta[eta_at], eta0[eta_at])
+        assert np.array_equal(scale * theta[theta_at], theta0[theta_at])
 
 
 def test_band_table_matches_single_band_calls():
