@@ -51,7 +51,7 @@ from .galerkin import (
 from .gaps import GapParams, PerturbBounds, gap_report
 from .geometry import StripGeometry, resolve_geometry
 from .oscillation import critical_constants, phi_p, phi_sup, uniform_lower_bound_check
-from .spectrum import band_table, counting
+from .spectrum import band_edges, counting
 
 __all__ = ["main"]
 
@@ -204,9 +204,10 @@ def _cmd_count(params: dict, out: _Output) -> tuple[int, list[str]]:
 def _cmd_bands(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
     scale = geom.T ** 2 / math.pi ** 2
+    lo, hi = band_edges(geom, params["kmax"])
     rows = [
-        [b.k, b.lo, b.hi, b.lo * scale, b.hi * scale]
-        for b in band_table(geom, params["kmax"])
+        [k, a, b, a * scale, b * scale]
+        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()), start=1)
     ]
     return 0, _render(out, ["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows)
 
@@ -318,7 +319,7 @@ def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
         ("c0", gp.c0),
         ("gamma", gp.gamma),
         ("ell0", gp.ell0),
-        ("ell_star", rep.ell_star),
+        ("ell_star", verdict.ell_star),
         ("ell1", rep.ell1),
         ("low_spectrum_points", len(rep.low_spectrum)),
     ]
@@ -331,15 +332,15 @@ def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
         )
     windows: list[tuple[str, str]] = []
     if "ell_max" in params:
-        pairs = rep.candidate_gaps
-        undecided = np.flatnonzero(~pairs.certified)
+        pairs, undecided = rep.candidate_gaps, rep.undecided
+        shown = undecided[:20]
         items.append(("bands", rep.band_count))
         items.append(("candidate_windows", len(pairs)))
         items.append(("certified_absent", len(pairs) - undecided.size))
         items.append(("undecided", undecided.size))
         windows = [
-            (f"undecided_window_{g.k}", f"({_fmt(g.lo)}, {_fmt(g.hi)})")
-            for g in pairs.records(undecided[:20])
+            (f"undecided_window_{i + 1}", f"({_fmt(a)}, {_fmt(b)})")
+            for i, a, b in zip(shown.tolist(), pairs.lo[shown].tolist(), pairs.hi[shown].tolist())
         ]
     items.append(
         ("verdict", "gapless-certified" if verdict.all_gapless else "not-certified")

@@ -185,13 +185,11 @@ def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, Potenti
     return geom, PotentialSpec(terms=tuple(terms))
 
 
-def default_truncation(
-    geom: StripGeometry, k_max: int, slack: float = 1.0
-) -> tuple[int, int]:
+def default_truncation(geom: StripGeometry, k_max: int) -> tuple[int, int]:
     """Truncation (n_max, m_max) expected to resolve the lowest k_max bands.
 
-    Covers every mode whose scaled level can reach the k_max-th level plus
-    ``slack`` anywhere on the Brillouin zone.  It is a starting point, not a
+    Covers every mode whose scaled level can reach the k_max-th level plus 1
+    anywhere on the Brillouin zone.  It is a starting point, not a
     guarantee: band_functions certifies whatever truncation it is given, and
     refuses one that drops a mode as low as a requested band.
     """
@@ -199,14 +197,10 @@ def default_truncation(
 
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    ceiling = kth_scaled_level(geom.xi, k_max, 0.5) + slack
+    ceiling = kth_scaled_level(geom.xi, k_max, 0.5) + 1.0
     n_max = int(math.ceil(math.sqrt(ceiling) + 0.5)) + 1
     m_max = max(1, int(math.ceil(math.sqrt(ceiling) / geom.xi)) + 1)
     return n_max, m_max
-
-
-def _basis(n_max: int, m_max: int) -> list[tuple[int, int]]:
-    return [(n, m) for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)]
 
 
 def assemble(
@@ -215,33 +209,26 @@ def assemble(
     potential: PotentialSpec,
     n_max: int,
     m_max: int,
-    modes: Sequence[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Exact Galerkin matrix of the fiber operator at quasimomentum tau.
 
-    Basis: modes (n, m) with |n| <= n_max, 1 <= m <= m_max, or the explicit
-    ``modes`` list when given (ordered as supplied; duplicates rejected).
-    Diagonal entries are the unperturbed mode energies; the perturbation
-    contributes v_{n'-n, q} times the transverse weight.  The result is
-    Hermitian by construction.
+    Basis: modes (n, m) with |n| <= n_max, 1 <= m <= m_max, n-major, so mode
+    (n, m) is row (n + n_max) m_max + m - 1.  Diagonal entries are the
+    unperturbed mode energies; the perturbation contributes v_{n'-n, q}
+    times the transverse weight.  The result is Hermitian by construction.
     """
-    if modes is None:
-        if n_max < 0 or m_max < 1:
-            raise ValueError(
-                f"need n_max >= 0 and m_max >= 1, got ({n_max}, {m_max})"
-            )
-        mode_list = _basis(n_max, m_max)
-    else:
-        mode_list = [(int(n), int(m)) for n, m in modes]
-        if len(set(mode_list)) != len(mode_list):
-            raise ValueError("explicit mode list contains duplicates")
-    dim = len(mode_list)
+    if n_max < 0 or m_max < 1:
+        raise ValueError(
+            f"need n_max >= 0 and m_max >= 1, got ({n_max}, {m_max})"
+        )
+    dim = (2 * n_max + 1) * m_max
     if dim > MAX_BASIS_DIM:
         raise ValueError(
             f"basis dimension {dim} exceeds the ceiling {MAX_BASIS_DIM}"
         )
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
+    mode_list = [(n, m) for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)]
     H = np.zeros((dim, dim), dtype=complex)
     # Diagonal mode energies, as Python floats (numpy's square and libm's pow
     # can differ by an ulp); tau is not folded into the fundamental window
@@ -250,15 +237,7 @@ def assemble(
         (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (math.pi * m / geom.d) ** 2
         for n, m in mode_list
     ]
-    if not dim:
-        return H
     ns, ms = np.array(mode_list, dtype=np.int64).T
-    # Row lookup by sorted keys n * span + (m - m_lo), unique over the basis.
-    m_lo, m_hi = int(ms.min()), int(ms.max())
-    span = m_hi - m_lo + 1
-    keys = ns * span + (ms - m_lo)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
     cols = np.arange(dim)
     for j, q, v in potential.terms:
         if v == 0:
@@ -268,12 +247,10 @@ def assemble(
         # distinct rows per column, so each entry gets one addition per term,
         # in the order the terms are listed.
         candidates = ((ms, 1.0),) if q == 0 else ((ms + q, 0.5), (ms - q, 0.5), (q - ms, -0.5))
+        n_row = ns + j
         for m_row, w in candidates:
-            key = (ns + j) * span + (m_row - m_lo)
-            pos = np.minimum(np.searchsorted(sorted_keys, key), dim - 1)
-            hit = ((m_row >= max(1, m_lo)) & (m_row <= m_hi)
-                   & (sorted_keys[pos] == key))
-            H[order[pos[hit]], cols[hit]] += v * w
+            hit = (np.abs(n_row) <= n_max) & (m_row >= 1) & (m_row <= m_max)
+            H[(n_row[hit] + n_max) * m_max + m_row[hit] - 1, cols[hit]] += v * w
     return H
 
 

@@ -34,11 +34,13 @@ provable, existence never is):
   they already close is closed (_closes).  Exact endpoints are computed only
   for the windows the samples leave open and at the ceiling.
 
-gap_report is the one implementation of the chain: it evaluates the
-conditions and thresholds, runs the low-energy grid and, given a ceiling,
-sizes the unperturbed bands that cover it and certifies every band pair
-below it (_band_pairs).  Windows stay in arrays; GapCandidate records are
-built only when asked for.  The command line only renders its result.
+conditions_check is the one place the scalar verdicts are evaluated,
+ell_star among them; the low-energy test takes its verdict.  gap_report is
+the one implementation of the chain: it evaluates the conditions once and
+the threshold ell1, runs the low-energy grid and, given a ceiling, sizes the
+unperturbed bands that cover it and certifies every band pair below it
+(_band_pairs).  Windows are BandPairs arrays only.  The command line only
+renders the report.
 """
 
 from __future__ import annotations
@@ -58,13 +60,11 @@ __all__ = [
     "GapParams",
     "ConditionsVerdict",
     "conditions_check",
-    "ell_star",
     "ell1_threshold",
     "ell2_threshold",
     "overlap_lower_bound",
     "LowSpectrumCheck",
     "low_spectrum_no_gap",
-    "GapCandidate",
     "BandPairs",
     "GapReport",
     "gap_report",
@@ -179,6 +179,14 @@ class ConditionsVerdict:
                          (given the other two conditions).
     first_band_ok      : scaled oscillation below the first band height
                          1/4 + xi^2 (implied by low_energy_ok; re-checked).
+    ell_star           : low-energy crossing threshold A(xi)^2 + scaled
+                         oscillation, the positive root of
+
+                             2 sqrt(ell - w - 1/4) / xi - 1 = sqrt(ell - w) / xi,
+                             w = (T^2/pi^2) omega_L,
+
+                         the scaled energy at which the two tau strategies of
+                         the low-energy test exchange roles.
     """
 
     xi: float
@@ -189,11 +197,17 @@ class ConditionsVerdict:
     gapless_margin: float
     gapless_ok: bool
     first_band_ok: bool
+    ell_star: float
 
     @property
     def all_gapless(self) -> bool:
         """True when the full no-gap certification applies."""
         return self.xi_subcritical and self.low_energy_ok and self.gapless_ok
+
+    @property
+    def low_spectrum_applicable(self) -> bool:
+        """True when the low-energy counting test applies (low_spectrum_no_gap)."""
+        return self.xi_subcritical and self.low_energy_ok
 
 
 def gapless_margin(xi: float, T: float, omega_L: float) -> float:
@@ -212,9 +226,11 @@ def gapless_margin(xi: float, T: float, omega_L: float) -> float:
 def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVerdict:
     """Evaluate the gapless-certification conditions for (geometry, bounds).
 
-    Internal consistency: whenever the low-energy budget condition holds, the
-    first-band condition must hold too (the budget is the smaller quantity);
-    a violation would indicate an arithmetic error and raises AssertionError.
+    Internal consistency, checked on every verdict (AssertionError, which
+    would indicate an arithmetic error): whenever the low-energy budget
+    condition holds, the first-band condition holds too (the budget is the
+    smaller quantity); and whenever the first-band and subcritical-ratio
+    conditions hold, 1/4 + xi^2 < ell_star < 2/3.
     """
     xi = geom.xi
     cc = critical_constants()
@@ -223,44 +239,27 @@ def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVe
     low_ok = 0.0 <= scaled < budget
     margin = gapless_margin(xi, geom.T, bounds.omega_L)
     first_ok = 0.0 <= scaled < 0.25 + xi * xi
+    subcritical = xi < cc.xi_critical
+    star = _a_ratio(xi) ** 2 + scaled
     assert not low_ok or first_ok, (
         "low-energy budget accepted an oscillation above the first band height: "
         f"xi={xi}, scaled={scaled}, budget={budget}"
     )
+    assert not (first_ok and subcritical) or 0.25 + xi * xi < star < 2.0 / 3.0, (
+        f"crossing threshold {star} escaped its sandwich "
+        f"({0.25 + xi * xi}, {2/3}) at xi={xi}"
+    )
     return ConditionsVerdict(
         xi=xi,
         scaled_oscillation=scaled,
-        xi_subcritical=xi < cc.xi_critical,
+        xi_subcritical=subcritical,
         low_energy_budget=budget,
         low_energy_ok=low_ok,
         gapless_margin=margin,
         gapless_ok=margin >= GAPLESS_RTOL * cc.c1,
         first_band_ok=first_ok,
+        ell_star=star,
     )
-
-
-def ell_star(geom: StripGeometry, bounds: PerturbBounds) -> float:
-    """Low-energy crossing threshold ell_star = A(xi)^2 + (T^2/pi^2) omega_L.
-
-    ell_star is the positive root of
-
-        2 sqrt(ell - w - 1/4) / xi - 1 = sqrt(ell - w) / xi,
-        w = (T^2/pi^2) omega_L,
-
-    the scaled energy at which the two tau strategies of the low-energy test
-    exchange roles.  Whenever the first-band and subcritical-ratio conditions
-    hold, 1/4 + xi^2 < ell_star < 2/3 must hold as well; a violation indicates
-    an internal arithmetic error (AssertionError).
-    """
-    xi = geom.xi
-    value = _a_ratio(xi) ** 2 + geom.T ** 2 / math.pi ** 2 * bounds.omega_L
-    verdict = conditions_check(geom, bounds)
-    if verdict.first_band_ok and verdict.xi_subcritical:
-        assert 0.25 + xi * xi < value < 2.0 / 3.0, (
-            f"crossing threshold {value} escaped its sandwich "
-            f"({0.25 + xi * xi}, {2/3}) at xi={xi}"
-        )
-    return value
 
 
 def ell2_threshold(geom: StripGeometry, params: GapParams) -> float:
@@ -343,7 +342,6 @@ class LowSpectrumCheck(NamedTuple):
     """Outcome of the low-energy counting test at one scaled energy."""
 
     ell: float
-    ell_star: float
     tau_max: float
     tau_min: float
     shifted_count: int
@@ -353,20 +351,22 @@ class LowSpectrumCheck(NamedTuple):
 
 
 def low_spectrum_no_gap(
-    geom: StripGeometry, bounds: PerturbBounds, ell: float
+    geom: StripGeometry, verdict: ConditionsVerdict, ell: float
 ) -> LowSpectrumCheck:
     """Counting-difference test excluding gaps at scaled energy ell < 1.
 
+    verdict is conditions_check's for geom and the perturbation bounds.
     Evaluates N0(ell - (T^2/pi^2) omega_L, tau_max) - N0(ell, tau_min), with
-    tau_max = 0 for ell <= ell_star and tau_max = 1/2 above, and
+    tau_max = 0 for ell <= verdict.ell_star and tau_max = 1/2 above, and
     tau_min = 1 - sqrt(ell) in both cases.  A
     strictly positive difference certifies that the perturbed spectrum has no
     gap at energy (pi^2/T^2) ell.
 
-    Preconditions: 1/4 + xi^2 < ell < 1 and the subcritical-ratio plus
-    low-energy budget conditions; positivity is then guaranteed, so a
-    nonpositive difference is reported (positive=False) rather than raised,
-    letting property suites surface it.
+    Preconditions (ValueError otherwise): 1/4 + xi^2 < ell < 1, a verdict
+    evaluated at geom's ratio xi, and the subcritical-ratio plus low-energy
+    budget conditions; positivity is then guaranteed, so a nonpositive
+    difference is reported (positive=False) rather than raised, letting
+    property suites surface it.
     """
     validate_ell(ell)
     xi = geom.xi
@@ -374,21 +374,22 @@ def low_spectrum_no_gap(
         raise ValueError(
             f"low-spectrum test needs 1/4 + xi^2 < ell < 1, got ell={ell} at xi={xi}"
         )
-    verdict = conditions_check(geom, bounds)
-    if not (verdict.xi_subcritical and verdict.low_energy_ok):
+    if verdict.xi != xi:
+        raise ValueError(
+            f"low-spectrum test got a verdict at xi={verdict.xi} for a geometry at xi={xi}"
+        )
+    if not verdict.low_spectrum_applicable:
         raise ValueError(
             "low-spectrum test requires the subcritical-ratio and low-energy "
             f"budget conditions; got {verdict}"
         )
-    star = ell_star(geom, bounds)
-    tau_max = 0.0 if ell <= star else 0.5
+    tau_max = 0.0 if ell <= verdict.ell_star else 0.5
     tau_min = 1.0 - math.sqrt(ell)
     shifted = counting(geom, ell - verdict.scaled_oscillation, tau_max)
     reference = counting(geom, ell, tau_min)
     diff = shifted - reference
     return LowSpectrumCheck(
         ell=ell,
-        ell_star=star,
         tau_max=tau_max,
         tau_min=tau_min,
         shifted_count=shifted,
@@ -396,24 +397,6 @@ def low_spectrum_no_gap(
         difference=diff,
         positive=diff > 0,
     )
-
-
-@dataclass(frozen=True)
-class GapCandidate:
-    """Window between consecutive band enclosures that could host a gap.
-
-    Any perturbed gap between bands k and k+1 lies inside the open interval
-    (lo, hi) = (theta0_k + omega_minus, eta0_{k+1} + omega_plus).  The window
-    is empty (lo >= hi) exactly when theta0_k - eta0_{k+1} >= omega_L; the
-    gap is certified absent when that holds with the slack OVERLAP_RTOL, so
-    an overlap equal to omega_L only within rounding stays undecided.
-    """
-
-    k: int
-    lo: float
-    hi: float
-    unperturbed_overlap: float
-    certified_absent: bool
 
 
 def _fields_equal(a, b):
@@ -428,14 +411,15 @@ def _fields_equal(a, b):
 class BandPairs:
     """Candidate windows of the band pairs (k, k+1), k = 1..len(self), as arrays.
 
-    Entry k - 1 describes pair k: (lo, hi) is the open window
-    (theta0_k + omega_minus, eta0_{k+1} + omega_plus), overlap the unperturbed
-    overlap theta0_k - eta0_{k+1}, and certified whether the gap is certified
-    absent (see GapCandidate).  In gap_report's windows the entries are exact
-    for every window not certified from band samples; for a window certified
-    from samples, (lo, hi) may be an outer window and overlap a lower bound.
-    Iterating yields GapCandidate records, built on demand; records(index)
-    builds only those at the 0-based positions index.
+    Entry k - 1 describes pair k: any perturbed gap between bands k and k+1
+    lies inside the open window (lo, hi) = (theta0_k + omega_minus,
+    eta0_{k+1} + omega_plus); overlap is the unperturbed overlap
+    theta0_k - eta0_{k+1}, and certified whether the gap is certified absent
+    (_closes: the window is empty with the slack OVERLAP_RTOL, so an overlap
+    equal to omega_L only within rounding stays undecided).  In gap_report's
+    windows the entries are exact for every window not certified from band
+    samples; for a window certified from samples, (lo, hi) may be an outer
+    window and overlap a lower bound.
     """
 
     lo: np.ndarray
@@ -456,17 +440,6 @@ class BandPairs:
 
     def __len__(self) -> int:
         return self.lo.size
-
-    def __iter__(self):
-        return iter(self.records(np.arange(len(self))))
-
-    def records(self, index: np.ndarray) -> tuple[GapCandidate, ...]:
-        """GapCandidate records of the windows at the 0-based positions index."""
-        return tuple(
-            GapCandidate(k=i + 1, lo=a, hi=b, unperturbed_overlap=w, certified_absent=c)
-            for i, a, b, w, c in zip(index.tolist(), self.lo[index].tolist(),
-                                     self.hi[index].tolist(), self.overlap[index].tolist(),
-                                     self.certified[index].tolist()))
 
 
 def _closes(geom: StripGeometry, bounds: PerturbBounds, below_hi: np.ndarray,
@@ -540,28 +513,28 @@ def _band_pairs(geom: StripGeometry, bounds: PerturbBounds, k_max: int,
 class GapReport:
     """Consolidated certification artifact.
 
-    conditions, ell_star and ell1 are the scalar verdicts and thresholds;
-    low_spectrum holds the counting verdicts on a grid below the scaled
-    energy 1 (empty when its preconditions fail, low_spectrum_applicable
-    records which).  Given a ceiling, band_count is the number of
-    unperturbed bands that cover it and candidate_gaps the windows of the
-    pairs below it with their certification status (exact for every window
-    not certified from band samples, see BandPairs); without a ceiling
-    band_count is 0 and candidate_gaps empty.
+    conditions holds the scalar verdicts (ell_star among them) and ell1 the
+    high-energy threshold; low_spectrum holds the counting verdicts on a grid
+    below the scaled energy 1 (empty when
+    conditions.low_spectrum_applicable is false).  Given a ceiling,
+    band_count is the number of unperturbed bands that cover it and
+    candidate_gaps the windows of the pairs below it with their
+    certification status (exact for every window not certified from band
+    samples, see BandPairs); without a ceiling band_count is 0 and
+    candidate_gaps empty.
     """
 
     ell1: float
-    ell_star: float
     conditions: ConditionsVerdict
     band_count: int
     candidate_gaps: BandPairs
     low_spectrum: tuple[LowSpectrumCheck, ...]
-    low_spectrum_applicable: bool
 
     @property
-    def undecided(self) -> tuple[GapCandidate, ...]:
-        """Candidate windows the enclosure argument could not close."""
-        return self.candidate_gaps.records(np.flatnonzero(~self.candidate_gaps.certified))
+    def undecided(self) -> np.ndarray:
+        """0-based positions of the candidate windows the enclosure argument
+        could not close (window i belongs to the pair k = i + 1)."""
+        return np.flatnonzero(~self.candidate_gaps.certified)
 
 
 def gap_report(
@@ -582,16 +555,14 @@ def gap_report(
     ordered by k.
     """
     verdict = conditions_check(geom, bounds)
-    star = ell_star(geom, bounds)
     ell1 = ell1_threshold(geom, params, bounds)
-    low_applicable = verdict.xi_subcritical and verdict.low_energy_ok
-    low_checks: list[LowSpectrumCheck] = []
-    if low_applicable and low_spectrum_points > 0:
-        xi = geom.xi
-        lo = 0.25 + xi * xi
-        for i in range(low_spectrum_points):
-            ell = lo + (1.0 - lo) * (i + 1) / (low_spectrum_points + 1)
-            low_checks.append(low_spectrum_no_gap(geom, bounds, ell))
+    low_checks: tuple[LowSpectrumCheck, ...] = ()
+    if verdict.low_spectrum_applicable:
+        lo = 0.25 + geom.xi * geom.xi
+        low_checks = tuple(
+            low_spectrum_no_gap(geom, verdict,
+                                lo + (1.0 - lo) * (i + 1) / (low_spectrum_points + 1))
+            for i in range(low_spectrum_points))
     band_count = 0
     none = np.empty(0)
     candidates = BandPairs(none, none, none, np.empty(0, dtype=bool))
@@ -605,10 +576,8 @@ def gap_report(
         candidates = _band_pairs(geom, bounds, band_count, ell_max)
     return GapReport(
         ell1=ell1,
-        ell_star=star,
         conditions=verdict,
         band_count=band_count,
         candidate_gaps=candidates,
-        low_spectrum=tuple(low_checks),
-        low_spectrum_applicable=low_applicable,
+        low_spectrum=low_checks,
     )

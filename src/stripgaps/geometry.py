@@ -13,21 +13,32 @@ parameter ``ell`` corresponds to the energy ``pi^2 * ell / T^2``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class StripGeometry:
-    """Half-period ``T`` and strip width ``d`` (both in the same length unit)."""
+    """Half-period ``T`` and strip width ``d`` (both in the same length unit).
+
+    Both must be positive and finite, with squares of at least the smallest
+    normal float and finite energy scales pi^2/T^2, pi^2/d^2: below that the
+    energies underflow or overflow and no computed number means anything.
+    """
 
     T: float
     d: float
 
     def __post_init__(self) -> None:
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"half-period T must be positive and finite, got {self.T}")
-        if not (self.d > 0.0 and math.isfinite(self.d)):
-            raise ValueError(f"strip width d must be positive and finite, got {self.d}")
+        for name, symbol, value in (("half-period", "T", self.T),
+                                    ("strip width", "d", self.d)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} {symbol} must be positive and finite, got {value}")
+            square = value * value
+            if not (square >= sys.float_info.min and math.isfinite(math.pi ** 2 / square)):
+                raise ValueError(
+                    f"{name} {symbol} = {value} is too small: its energy scale "
+                    f"pi^2/{symbol}^2 is beyond float64 range")
 
     @property
     def xi(self) -> float:

@@ -48,7 +48,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # ulps of L = ell^(1/2)/xi given up to cover its rounding in the tail routes
 _SLACK_ULPS = 8.0
 _CHUNK = 1 << 21
-# Default ceiling on truncation length: tol = 1e-4 at xi = 0.9 needs ~1.5e8.
+# Ceiling on truncation length, read at call time: tol = 1e-4 at xi = 0.9
+# needs ~1.5e8.
 MAX_TERMS = 1 << 28
 # Ceiling on the harmonics phi_sup scans, checked before any evaluation
 # (cutoff_c1 = 3 reaches it near ell = 1.1e7).
@@ -372,7 +373,7 @@ def _phi_sum(xi: float, ell: float, p: int, truncation_n: int) -> float:
 
 
 def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
-          n_override: int | None = None, max_terms: int = MAX_TERMS) -> PhiEvaluation:
+          n_override: int | None = None) -> PhiEvaluation:
     """Certified evaluation of phi_p(ell) to tail tolerance tol.
 
     The truncation N is the least one certified by any of three tail routes
@@ -391,7 +392,8 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
     (_rounding_bound); it is refused with ValueError when that alone would
     use up tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.
     n_override pins N and takes the fallback bound (n_override = 0 keeps
-    only the k = 0 term and carries the crude zeta-comparison bound).
+    only the k = 0 term and carries the crude zeta-comparison bound).  An N
+    above MAX_TERMS is refused with ValueError before summing.
     """
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")
@@ -405,19 +407,19 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
         if n < 0:
             raise ValueError(f"n_override must be >= 0, got {n_override}")
         route, bound = "fallback", tail_bound(xi, n)
-        if n > max_terms:
+        if n > MAX_TERMS:
             raise ValueError(
-                f"truncation length {n} is above the ceiling {max_terms}")
+                f"truncation length {n} is above the ceiling {MAX_TERMS}")
     else:
         # The rounding term grows with N: size the budget by it at a cap, and
         # double the cap until the chosen N fits under it.
         cap, rounding = 0, 0.0
         while True:
             n, route, bound = _choose_truncation(xi, ell, p, tol - rounding)
-            if n > max_terms:
+            if n > MAX_TERMS:
                 raise ValueError(
                     f"tolerance {tol} needs a truncation length of {n} terms, above "
-                    f"the ceiling {max_terms}; raise max_terms or loosen tol")
+                    f"the ceiling {MAX_TERMS}; raise max_terms or loosen tol")
             if n <= cap:
                 break
             cap = 2 * n

@@ -60,21 +60,6 @@ _BLOCK = 1 << 15
 BAND_SAMPLES = 33
 
 
-@dataclass(frozen=True)
-class SpectralBand:
-    """Closed band [lo, hi] of the k-th band function (energy units)."""
-
-    k: int
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"band index must be >= 1, got {self.k}")
-        if not self.lo <= self.hi:
-            raise ValueError(f"band endpoints out of order: [{self.lo}, {self.hi}]")
-
-
 def _inclusive_threshold(ell: float) -> float:
     return ell + BOUNDARY_RTOL * max(1.0, ell)
 
@@ -510,13 +495,3 @@ def sample_bands(xi: float, k_max: int) -> BandSamples:
     tie = 2.0 * BOUNDARY_RTOL * max(1.0, curves[2])
     return BandSamples(xi, curves, eta, theta, math.sqrt(curves[2]) * h + tie, tie)
 
-
-def band_table(geom: StripGeometry, k_max: int) -> list[SpectralBand]:
-    """Bands 1..k_max as SpectralBand records (energy units), endpoints exact.
-
-    The endpoints are band_edges' (crossing enumeration, block bound and
-    ranking layout are documented there), one record per band.
-    """
-    lo, hi = band_edges(geom, k_max)
-    return [SpectralBand(k=k, lo=a, hi=b)
-            for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()), start=1)]

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -427,7 +427,6 @@ def assemble_by_loop(
     potential: PotentialSpec,
     n_max: int,
     m_max: int,
-    modes: Sequence[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """The fiber matrix of ``stripgaps.galerkin.assemble``, one entry at a time.
 
@@ -435,10 +434,7 @@ def assemble_by_loop(
     (n + j, m_row) with m_row in {m - q, m + q, q - m} receive v times the
     transverse weight; terms are added in the order the spec lists them.
     """
-    if modes is None:
-        mode_list = [(n, m) for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)]
-    else:
-        mode_list = [(int(n), int(m)) for n, m in modes]
+    mode_list = [(n, m) for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)]
     index = {nm: i for i, nm in enumerate(mode_list)}
     H = np.zeros((len(mode_list), len(mode_list)), dtype=complex)
     for i, (n, m) in enumerate(mode_list):

@@ -33,8 +33,8 @@ from stripgaps.galerkin import (
 from stripgaps.gaps import (
     GapParams,
     PerturbBounds,
+    conditions_check,
     ell1_threshold,
-    ell_star,
     gapless_margin,
     low_energy_budget,
     low_spectrum_no_gap,
@@ -206,12 +206,12 @@ def test_criterion_06_low_spectrum_suite():
     for xi in np.linspace(0.01, 0.1, 10):
         geom = resolve_geometry(T=1.0, xi=float(xi))
         omega_L = 0.5 * low_energy_budget(float(xi)) * math.pi ** 2
-        bounds = PerturbBounds(omega_minus=0.0, omega_plus=omega_L)
+        verdict = conditions_check(geom, PerturbBounds(omega_minus=0.0, omega_plus=omega_L))
         lo = 0.25 + float(xi) ** 2
         for i in range(1000):
             ell = lo + (1.0 - lo) * (i + 1) / 1001.0
             total += 1
-            if not low_spectrum_no_gap(geom, bounds, ell).positive:
+            if not low_spectrum_no_gap(geom, verdict, ell).positive:
                 nonpositive += 1
     ok = nonpositive == 0
     _verdict(
@@ -225,7 +225,7 @@ def test_criterion_07_condition_arithmetic():
     budget_err = abs(low_energy_budget(0.1) - 0.0222512)
     holds_small = gapless_margin(0.03, 1.0, 0.0) > 0.0
     fails_large = gapless_margin(0.1, 1.0, 0.0) < 0.0
-    star = ell_star(resolve_geometry(T=1.0, xi=0.1), PerturbBounds())
+    star = conditions_check(resolve_geometry(T=1.0, xi=0.1), PerturbBounds()).ell_star
     star_err = abs(star - 0.3776347)
     sandwich = 0.25 + 0.01 < star < 2.0 / 3.0
     ok = budget_err <= 1e-6 and holds_small and fails_large and star_err <= 1e-6 and sandwich

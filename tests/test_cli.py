@@ -207,11 +207,11 @@ _COSTLY = [
      "(6.67e+10 estimated)"),
     (["bands", "--xi", "1e200", "--kmax", "5"],
      "error: inputs out of floating-point range"),
-    (["gaps", "--xi", "1e-300", "--c0", "0.1", "--ell-max", "2"],
+    (["gaps", "--xi", "1e-300", "--T", "1", "--c0", "0.1", "--ell-max", "2"],
      "error: inputs out of floating-point range"),
     (["phi", "--xi", "0.05", "--ell", "1e300", "--p", "1"],
      "error: tolerance 0.0001 is below the floating-point error of the sum"),
-    (["count", "--xi", "1e-300", "--ell", "2", "--tau", "0"],
+    (["count", "--xi", "1e-300", "--T", "1", "--ell", "2", "--tau", "0"],
      "error: rows of 1.41e+300 points are beyond exact float64 counts"),
     (["fourier", "--xi", "1e-9", "--ell", "1e6", "--p", "1"],
      f"error: row computation exceeds the ceiling of {MAX_ROWS} rows (1e+12 estimated)"),

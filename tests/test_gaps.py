@@ -21,7 +21,6 @@ from stripgaps.gaps import (
     conditions_check,
     ell1_threshold,
     ell2_threshold,
-    ell_star,
     gap_report,
     gapless_margin,
     low_energy_budget,
@@ -30,7 +29,7 @@ from stripgaps.gaps import (
 )
 from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.oscillation import critical_constants
-from stripgaps.spectrum import band_edges, band_table, sample_bands
+from stripgaps.spectrum import band_edges, sample_bands
 
 NO_PERTURBATION = PerturbBounds()
 
@@ -141,15 +140,15 @@ def test_conditions_scaled_oscillation_bookkeeping():
 
 def test_ell_star_reference_value():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    assert ell_star(geom, NO_PERTURBATION) == pytest.approx(
+    assert conditions_check(geom, NO_PERTURBATION).ell_star == pytest.approx(
         0.37763465727591716, rel=1e-12)
 
 
 def test_ell_star_shifts_linearly_with_the_oscillation():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    base = ell_star(geom, NO_PERTURBATION)
+    base = conditions_check(geom, NO_PERTURBATION).ell_star
     w = 0.05
-    shifted = ell_star(geom, PerturbBounds(omega_minus=0.0, omega_plus=w))
+    shifted = conditions_check(geom, PerturbBounds(omega_minus=0.0, omega_plus=w)).ell_star
     assert shifted - base == pytest.approx(w / math.pi ** 2, rel=1e-12)
 
 
@@ -157,7 +156,7 @@ def test_ell_star_shifts_linearly_with_the_oscillation():
 @settings(max_examples=200, deadline=None)
 def test_ell_star_stays_in_its_sandwich(xi):
     geom = resolve_geometry(T=1.0, xi=xi)
-    value = ell_star(geom, NO_PERTURBATION)
+    value = conditions_check(geom, NO_PERTURBATION).ell_star
     assert 0.25 + xi * xi < value < 2.0 / 3.0
 
 
@@ -235,9 +234,13 @@ def test_overlap_bound_rejects_energies_below_threshold():
 # low-energy counting test
 # ---------------------------------------------------------------------------
 
+def unperturbed_verdict(geom):
+    return conditions_check(geom, NO_PERTURBATION)
+
+
 def test_low_spectrum_below_the_crossing_threshold():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    check = low_spectrum_no_gap(geom, NO_PERTURBATION, 0.30)
+    check = low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.30)
     assert check.tau_max == 0.0
     assert check.tau_min == pytest.approx(1.0 - math.sqrt(0.30), rel=1e-15)
     assert (check.shifted_count, check.reference_count) == (5, 3)
@@ -247,7 +250,7 @@ def test_low_spectrum_below_the_crossing_threshold():
 
 def test_low_spectrum_above_the_crossing_threshold():
     geom = resolve_geometry(T=1.0, xi=0.1)
-    check = low_spectrum_no_gap(geom, NO_PERTURBATION, 0.5)
+    check = low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.5)
     assert check.tau_max == 0.5
     assert (check.shifted_count, check.reference_count) == (10, 6)
     assert check.difference == 4
@@ -257,15 +260,26 @@ def test_low_spectrum_above_the_crossing_threshold():
 def test_low_spectrum_rejects_out_of_window_energies():
     geom = resolve_geometry(T=1.0, xi=0.1)
     with pytest.raises(ValueError):
-        low_spectrum_no_gap(geom, NO_PERTURBATION, 0.25 + 0.01)  # closed endpoint
+        low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.25 + 0.01)  # closed endpoint
     with pytest.raises(ValueError):
-        low_spectrum_no_gap(geom, NO_PERTURBATION, 1.0)
+        low_spectrum_no_gap(geom, unperturbed_verdict(geom), 1.0)
 
 
 def test_low_spectrum_rejects_out_of_regime_ratio():
     geom = resolve_geometry(T=1.0, xi=0.2)
     with pytest.raises(ValueError, match="subcritical"):
-        low_spectrum_no_gap(geom, NO_PERTURBATION, 0.5)
+        low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.5)
+    # over the low-energy budget at a subcritical ratio
+    geom = resolve_geometry(T=1.0, xi=0.05)
+    over = PerturbBounds(0.0, low_energy_budget(0.05) * math.pi ** 2)
+    with pytest.raises(ValueError, match="low-energy budget"):
+        low_spectrum_no_gap(geom, conditions_check(geom, over), 0.5)
+
+
+def test_low_spectrum_rejects_a_verdict_of_another_ratio():
+    verdict = unperturbed_verdict(resolve_geometry(T=1.0, xi=0.05))
+    with pytest.raises(ValueError, match="verdict at xi=0.05"):
+        low_spectrum_no_gap(resolve_geometry(T=1.0, xi=0.1), verdict, 0.5)
 
 
 @given(
@@ -279,14 +293,25 @@ def test_low_spectrum_is_always_positive_in_regime(xi, frac, wfrac):
     lo = 0.25 + xi * xi
     ell = lo + frac * (1.0 - lo)
     omega_L = wfrac * low_energy_budget(xi) * math.pi ** 2
-    check = low_spectrum_no_gap(
-        geom, PerturbBounds(omega_minus=0.0, omega_plus=omega_L), ell)
+    verdict = conditions_check(geom, PerturbBounds(omega_minus=0.0, omega_plus=omega_L))
+    check = low_spectrum_no_gap(geom, verdict, ell)
     assert check.positive, check
 
 
 # ---------------------------------------------------------------------------
 # consolidated report
 # ---------------------------------------------------------------------------
+
+def assert_same_undecided_windows(report, windows):
+    """The report has the windows' count and flags, and their (lo, hi,
+    overlap) at every undecided window."""
+    pairs, i = report.candidate_gaps, report.undecided
+    assert len(pairs) == len(windows)
+    assert np.array_equal(pairs.certified, windows.certified)
+    assert np.array_equal(i, np.flatnonzero(~windows.certified))
+    for name in ("lo", "hi", "overlap"):
+        assert np.array_equal(getattr(pairs, name)[i], getattr(windows, name)[i]), name
+
 
 def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     # with zero oscillation every pair with positive overlap certifies; pairs
@@ -295,18 +320,17 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     geom = resolve_geometry(T=1.0, d=1.0)
     report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7),
                         ell_max=8.0, low_spectrum_points=0)
-    bands = band_table(geom, report.band_count)
-    assert report.candidate_gaps
-    for g in report.candidate_gaps:
-        assert g.certified_absent == (g.unperturbed_overlap > 0.0)
-        assert g.certified_absent or g.unperturbed_overlap == 0.0
-    assert any(g.certified_absent for g in report.candidate_gaps)
-    assert report.undecided == tuple(
-        g for g in report.candidate_gaps if not g.certified_absent)
+    eta0, theta0 = band_edges(geom, report.band_count)
+    pairs = report.candidate_gaps
+    assert pairs
+    assert np.array_equal(pairs.certified, pairs.overlap > 0.0)
+    assert np.all(pairs.certified | (pairs.overlap == 0.0))
+    assert pairs.certified.any()
+    assert np.array_equal(report.undecided, np.flatnonzero(~pairs.certified))
     # zero perturbation: an undecided window is the exact gap between the bands
-    for g in report.undecided:
-        assert (g.lo, g.hi) == (bands[g.k - 1].hi, bands[g.k].lo)
-    assert not report.low_spectrum_applicable  # xi = 1 far above the regime
+    i = report.undecided
+    assert np.array_equal(pairs.lo[i], theta0[i]) and np.array_equal(pairs.hi[i], eta0[i + 1])
+    assert not report.conditions.low_spectrum_applicable  # xi = 1 far above the regime
 
 
 def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
@@ -314,48 +338,46 @@ def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
     bounds = PerturbBounds(omega_minus=-0.25, omega_plus=0.75)
     report = gap_report(geom, bounds, GapParams(c0=0.7),
                         ell_max=4.0, low_spectrum_points=0)
-    bands = band_table(geom, report.band_count)
+    eta0, theta0 = band_edges(geom, report.band_count)
     # the table covers the ceiling: one band more than sup_tau N0(4, tau)
-    assert bands[-1].hi >= 4.0 * math.pi ** 2
-    assert report.undecided
-    for g in report.undecided:
-        assert g.lo == bands[g.k - 1].hi - 0.25
-        assert g.hi == bands[g.k].lo + 0.75
+    assert theta0[-1] >= 4.0 * math.pi ** 2
+    pairs, i = report.candidate_gaps, report.undecided
+    assert i.size
+    assert np.array_equal(pairs.lo[i], theta0[i] - 0.25)
+    assert np.array_equal(pairs.hi[i], eta0[i + 1] + 0.75)
     # a window certified from samples is an outer window
-    for g in report.candidate_gaps:
-        assert g.lo <= bands[g.k - 1].hi - 0.25 and g.hi >= bands[g.k].lo + 0.75
+    k = len(pairs)
+    assert np.all(pairs.lo <= theta0[:k] - 0.25) and np.all(pairs.hi >= eta0[1:k + 1] + 0.75)
 
 
 def test_gap_report_certifies_exactly_the_wide_overlaps():
     geom = resolve_geometry(T=1.0, d=1.0)
-    bands = band_table(geom, 12)
+    eta0, theta0 = band_edges(geom, 12)
     bounds = PerturbBounds(omega_minus=0.0, omega_plus=2.0)
-    windows = certify_band_pairs(geom, bounds, band_edges(geom, 12), ell_max=8.0)
-    for g in windows:
-        below = bands[g.k - 1]
-        above = bands[g.k]
-        assert g.unperturbed_overlap == pytest.approx(
-            below.hi - above.lo, rel=1e-14)
-        slack = OVERLAP_RTOL * max(math.pi ** 2, below.hi, above.lo, 2.0)
-        assert g.certified_absent == (g.unperturbed_overlap >= 2.0 + slack)
-        assert g.lo == pytest.approx(below.hi + 0.0, rel=1e-14)
-        assert g.hi == pytest.approx(above.lo + 2.0, rel=1e-14)
+    windows = certify_band_pairs(geom, bounds, (eta0, theta0), ell_max=8.0)
+    assert len(windows)
+    for i in range(len(windows)):
+        below_hi, above_lo = theta0[i], eta0[i + 1]
+        overlap = windows.overlap[i]
+        assert overlap == pytest.approx(below_hi - above_lo, rel=1e-14)
+        slack = OVERLAP_RTOL * max(math.pi ** 2, below_hi, above_lo, 2.0)
+        assert windows.certified[i] == (overlap >= 2.0 + slack)
+        assert windows.lo[i] == pytest.approx(below_hi + 0.0, rel=1e-14)
+        assert windows.hi[i] == pytest.approx(above_lo + 2.0, rel=1e-14)
     # the report finds the same windows, flags and undecided windows
     report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=8.0,
                         low_spectrum_points=0)
-    assert len(report.candidate_gaps) == len(windows)
-    assert np.array_equal(report.candidate_gaps.certified, windows.certified)
-    assert report.undecided == tuple(g for g in windows if not g.certified_absent)
+    assert_same_undecided_windows(report, windows)
 
 
 def test_gap_report_runs_the_low_energy_grid_in_regime():
     geom = resolve_geometry(T=1.0, xi=0.1)
     report = gap_report(geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1),
                         low_spectrum_points=16)
-    assert report.low_spectrum_applicable
+    assert report.conditions.low_spectrum_applicable
     assert len(report.low_spectrum) == 16
     assert all(c.positive for c in report.low_spectrum)
-    assert report.ell_star == pytest.approx(0.37763465727591716, rel=1e-12)
+    assert report.conditions.ell_star == pytest.approx(0.37763465727591716, rel=1e-12)
     lo = 0.25 + 0.01
     assert all(lo < c.ell < 1.0 for c in report.low_spectrum)
     # without a ceiling no band table is built
@@ -372,9 +394,9 @@ def test_gap_report_runs_the_low_energy_grid_in_regime():
 def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega_L, certified):
     geom = resolve_geometry(T=1.0, d=1.0)
     bands = ([1.0, 1.5], [2.0, 3.0])  # eta0 and theta0 of bands 1 and 2
-    (g,) = certify_band_pairs(geom, PerturbBounds(0.0, omega_L), bands, ell_max=0.2)
-    assert g.unperturbed_overlap == 0.5
-    assert g.certified_absent is certified
+    windows = certify_band_pairs(geom, PerturbBounds(0.0, omega_L), bands, ell_max=0.2)
+    assert len(windows) == 1 and windows.overlap[0] == 0.5
+    assert windows.certified[0] == certified
 
 
 def test_gap_report_validates_the_band_input(monkeypatch):
@@ -406,21 +428,33 @@ def test_gap_report_is_deterministic():
         pairs, hi=pairs.hi + 1.0))
 
 
-def test_gaps_command_builds_records_only_for_printed_windows(monkeypatch):
-    # 525 bands and 523 windows, 32 of them undecided: only the 20 printed
-    # windows become records
-    built = []
-    for module, name in ((gaps, "GapCandidate"), (spectrum, "SpectralBand")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda real=real, name=name, **kw: built.append(name) or real(**kw))
+def test_gaps_command_prints_the_first_twenty_undecided_windows():
+    # 525 bands and 523 windows, 32 of them undecided: the first 20 are
+    # printed, numbered by k, from the report's arrays
+    geom = resolve_geometry(xi=0.09)
+    report = gap_report(geom, PerturbBounds(0.0, 300.0), GapParams.from_small_ratio(0.09), 30.0)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["gaps", "--xi", "0.09", "--ell-max", "30", "--omega-plus", "300"])
     lines = out.getvalue().splitlines()
     assert code == 2 and "bands = 525" in lines and "undecided = 32" in lines
-    assert sum(line.startswith("undecided_window_") for line in lines) == 20
-    assert built == ["GapCandidate"] * 20
+    printed = [line for line in lines if line.startswith("undecided_window_")]
+    i = report.undecided[:20]
+    assert printed == [f"undecided_window_{k} = ({a:.12g}, {b:.12g})" for k, a, b in
+                       zip(i + 1, report.candidate_gaps.lo[i], report.candidate_gaps.hi[i])]
+
+
+def test_gap_report_evaluates_the_conditions_once(monkeypatch):
+    # the low-energy grid takes the report's verdict: one evaluation for the
+    # 32 grid points and the band pairs together
+    calls = []
+    real = gaps.conditions_check
+    monkeypatch.setattr(gaps, "conditions_check",
+                        lambda *args: calls.append(args) or real(*args))
+    report = gap_report(resolve_geometry(xi=0.03), PerturbBounds(0.0, 0.02),
+                        GapParams.from_small_ratio(0.03), 40.0, low_spectrum_points=32)
+    assert len(report.low_spectrum) == 32 and len(report.candidate_gaps) == 2111
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +489,7 @@ def _seeded_gap_cases(count: int = 120, seed: int = 20181):
 def _assert_matches_the_oracle(report, geom, bounds, ell_max):
     k_max, windows = band_pairs_from_all_bands(geom, bounds, ell_max)
     assert report.band_count == k_max
-    assert len(report.candidate_gaps) == len(windows)
-    assert np.array_equal(report.candidate_gaps.certified, windows.certified)
-    assert report.undecided == tuple(g for g in windows if not g.certified_absent)
+    assert_same_undecided_windows(report, windows)
 
 
 @pytest.mark.parametrize("T, d, omega_minus, omega_plus, ell_max", _seeded_gap_cases())

@@ -27,6 +27,22 @@ def test_degenerate_strip_rejected(T, d):
         StripGeometry(T=T, d=d)
 
 
+@pytest.mark.parametrize("T, d, name", [(1e-170, 1.0, "T"), (1e-160, 1.0, "T"),
+                                        (2e-154, 1.0, "T"), (1.0, 1e-160, "d"),
+                                        (1.0, 5e-324, "d")])
+def test_tiny_length_scales_rejected(T, d, name):
+    # the square underflows below the smallest normal float, or pi^2 over it
+    # overflows: every energy would be 0, inf or nan
+    with pytest.raises(ValueError, match=f"energy scale pi\\^2/{name}\\^2"):
+        StripGeometry(T=T, d=d)
+
+
+def test_smallest_length_scales_keep_a_finite_energy_scale():
+    for T, d in [(2.4e-154, 1.0), (1.0, 2.4e-154), (1e-150, 1e-150)]:
+        geom = StripGeometry(T=T, d=d)
+        assert math.isfinite(geom.energy_from_scaled(1.0))
+
+
 def test_resolve_from_xi_only_defaults_unit_width():
     geom = resolve_geometry(xi=0.05)
     assert geom.d == 1.0

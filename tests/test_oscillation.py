@@ -78,7 +78,7 @@ def test_c0_vanishes_at_the_critical_ratio_and_flips_sign():
 # truncation machinery
 # ---------------------------------------------------------------------------
 
-def test_truncation_length_is_minimal():
+def test_truncation_length_is_minimal(monkeypatch):
     for xi, tol in [(0.5, 1e-2), (0.05, 1e-3), (0.9, 5e-3)]:
         n = truncation_length(xi, tol)
         assert tail_bound(xi, n) <= tol
@@ -91,8 +91,10 @@ def test_truncation_length_is_minimal():
                             (0.05, 49.0, 2, 1e-3), (0.9, 7.7, 2, 5e-3)]:
         geom = resolve_geometry(xi=xi)
         n = phi_p(geom, ell, p, tol=tol).truncation_n
+        monkeypatch.setattr(oscillation, "MAX_TERMS", n - 1)
         with pytest.raises(ValueError, match="ceiling"):
-            phi_p(geom, ell, p, tol=tol, max_terms=n - 1)
+            phi_p(geom, ell, p, tol=tol)
+        monkeypatch.undo()
 
 
 def test_tail_bound_degenerate_cut_uses_zeta_comparison():
@@ -111,7 +113,7 @@ def test_phi_single_term_cut():
     assert ev.tail_bound == pytest.approx(tail_bound(0.5, 0), rel=1e-14)
 
 
-def test_phi_rejects_bad_inputs():
+def test_phi_rejects_bad_inputs(monkeypatch):
     geom = resolve_geometry(xi=0.5)
     with pytest.raises(ValueError):
         phi_p(geom, 0.0, 1)
@@ -122,10 +124,13 @@ def test_phi_rejects_bad_inputs():
     with pytest.raises(ValueError):
         phi_p(geom, 1.0, 1, tol=0.0)
     # a tolerance whose certified cut exceeds the cost ceiling is refused
+    monkeypatch.setattr(oscillation, "MAX_TERMS", 10 ** 6)
     with pytest.raises(ValueError, match="ceiling"):
-        phi_p(geom, 1.0, 1, tol=1e-9, max_terms=10 ** 6)
+        phi_p(geom, 1.0, 1, tol=1e-9)
+    monkeypatch.setattr(oscillation, "MAX_TERMS", 10)
     with pytest.raises(ValueError, match="ceiling"):
-        phi_p(geom, 1.0, 1, n_override=11, max_terms=10)
+        phi_p(geom, 1.0, 1, n_override=11)
+    monkeypatch.undo()
     # far beyond float64 resolution of the phase: refused, not a wrong number
     with pytest.raises(ValueError, match="floating-point error"):
         phi_p(resolve_geometry(xi=0.05), 1e300, 1)

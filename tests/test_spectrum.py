@@ -18,7 +18,6 @@ from stripgaps.spectrum import (
     MAX_BAND_CURVES,
     MAX_ROWS,
     band_edges,
-    band_table,
     counting,
     counting_extremes,
     kth_scaled_level,
@@ -121,8 +120,9 @@ def test_counting_fails_closed_above_its_row_ceilings():
     with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
         counting(resolve_geometry(xi=0.5), float(MAX_ROWS) ** 2, 0.0)
     # xi^2 underflows: the rows would hold far more points than float64 counts
+    # (a unit half-period: a tiny T is refused by the geometry)
     with pytest.raises(ValueError, match="beyond exact float64 counts"):
-        counting(resolve_geometry(xi=1e-300), 2.0, 0.0)
+        counting(resolve_geometry(xi=1e-300, T=1.0), 2.0, 0.0)
     with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
         row_radii(1e-9, 1e6)
     assert row_radii(0.5, 1.3).size == 2
@@ -302,8 +302,8 @@ def test_kth_scaled_level_rejects_nonpositive_k():
 
 def band_endpoints(geom, k):
     """(eta_k, theta_k) in energy units, from the band table."""
-    band = band_table(geom, k)[k - 1]
-    return band.lo, band.hi
+    lo, hi = band_edges(geom, k)
+    return lo[k - 1], hi[k - 1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,24 +358,24 @@ def test_spectrum_bottom_is_first_transverse_threshold(T, d):
 def test_band_table_rejects_nonpositive_band_count():
     geom = StripGeometry(T=1.0, d=1.0)
     with pytest.raises(ValueError, match="k_max"):
-        band_table(geom, 0)
+        band_edges(geom, 0)
 
 
 def test_band_table_fails_closed_above_its_cost_ceilings():
     with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CURVES} level curves"):
-        band_table(resolve_geometry(xi=0.5), 100_000_000)
+        band_edges(resolve_geometry(xi=0.5), 100_000_000)
     with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CROSSINGS} curve crossings"):
-        band_table(resolve_geometry(xi=0.5), 30_000)
+        band_edges(resolve_geometry(xi=0.5), 30_000)
 
 
 def test_band_table_ranks_crossings_in_bounded_memory():
     # the gapchain case gaps --xi 0.03 --ell-max 40: 161,527 crossings ranked
     # over 17 columns, which peaked at 6.5 MB when a block was ranked at once
     geom = resolve_geometry(xi=0.03)
-    band_table(geom, 2113)  # first-call allocations stay out of the peak
+    band_edges(geom, 2113)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
-        band_table(geom, 2113)
+        band_edges(geom, 2113)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,7 +394,7 @@ def test_band_table_enumerates_only_real_crossings(monkeypatch):
             yield block
 
     monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
-    band_table(resolve_geometry(xi=0.03), 2113)
+    band_edges(resolve_geometry(xi=0.03), 2113)
     assert sum(blocks) <= 1.25 * 161_527
     assert max(blocks) <= 1 << 15
 
@@ -408,12 +408,12 @@ EDGE_CASES = [
 @pytest.mark.parametrize("xi, k_max", EDGE_CASES)
 def test_band_edges_equal_the_all_pairs_oracle(xi, k_max):
     # enumerating only the pairs that can cross, and ranking column-major,
-    # changes no bit of any endpoint
+    # changes no bit of any endpoint; every band is a closed interval
     geom = resolve_geometry(xi=xi)
     lo, hi = band_edges(geom, k_max)
     exact_lo, exact_hi = band_table_all_pairs(geom, k_max)
     assert np.array_equal(lo, exact_lo) and np.array_equal(hi, exact_hi)
-    assert [(b.lo, b.hi) for b in band_table(geom, k_max)] == list(zip(lo, hi))
+    assert lo.shape == hi.shape == (k_max,) and np.all(lo <= hi)
 
 
 @pytest.mark.parametrize("xi, k_max", EDGE_CASES)
@@ -452,26 +452,23 @@ def test_band_samples_slice_refined_edges_equal_band_edges():
 def test_band_table_matches_single_band_calls():
     # the table for k bands is the prefix of any larger table
     geom = resolve_geometry(xi=0.4)
-    bands = band_table(geom, 6)
-    for band in bands:
-        assert band_table(geom, band.k)[-1] == band
+    lo, hi = band_edges(geom, 6)
+    for k in range(1, 7):
+        lo_k, hi_k = band_edges(geom, k)
+        assert (lo_k[-1], hi_k[-1]) == (lo[k - 1], hi[k - 1])
 
 
 def test_band_table_monotone_in_band_index():
     geom = resolve_geometry(xi=0.17)
-    bands = band_table(geom, 12)
-    for below, above in zip(bands, bands[1:]):
-        assert below.lo <= above.lo
-        assert below.hi <= above.hi
+    lo, hi = band_edges(geom, 12)
+    assert np.all(np.diff(lo) >= 0.0) and np.all(np.diff(hi) >= 0.0)
 
 
 @pytest.mark.parametrize("xi, k_max", [(0.5, 30), (0.23, 8), (0.13, 40), (1.0, 12),
                                        (2.0, 10), (0.05, 200)])
 def test_band_table_matches_the_brute_force_oracle(xi, k_max):
     geom = resolve_geometry(T=1.0, xi=xi)
-    bands = band_table(geom, k_max)
-    lo = np.array([b.lo for b in bands]) / PI2
-    hi = np.array([b.hi for b in bands]) / PI2
+    lo, hi = (e / PI2 for e in band_edges(geom, k_max))
     exact_lo, exact_hi = brute_band_endpoints(xi, k_max)
     assert np.all(np.abs(lo - exact_lo) <= 1e-12 * np.maximum(1.0, exact_lo))
     assert np.all(np.abs(hi - exact_hi) <= 1e-12 * np.maximum(1.0, exact_hi))
@@ -480,11 +477,10 @@ def test_band_table_matches_the_brute_force_oracle(xi, k_max):
 def test_band_table_endpoints_lie_outside_the_sampled_ones():
     # sampled band functions only ever see values inside the band
     geom = resolve_geometry(T=1.0, xi=0.23)
-    bands = band_table(geom, 8)
+    lo, hi = band_edges(geom, 8)
     for tau in np.linspace(-0.5, 0.5, 101):
         levels = np.sort(scaled_levels_below(0.23, tau, 10.0))[:8] * PI2
-        for band, level in zip(bands, levels):
-            assert band.lo <= level * (1 + 1e-15) and level <= band.hi * (1 + 1e-15)
+        assert np.all(lo <= levels * (1 + 1e-15)) and np.all(levels <= hi * (1 + 1e-15))
 
 
 @pytest.mark.parametrize("xi, k_max, k, side, old", [
@@ -493,8 +489,8 @@ def test_band_table_endpoints_lie_outside_the_sampled_ones():
     (0.5, 30, 23, "hi", 8.5),
 ])
 def test_formerly_inward_endpoints_lie_outside_the_sampled_values(xi, k_max, k, side, old):
-    band = band_table(resolve_geometry(T=1.0, xi=xi), k_max)[k - 1]
-    value = getattr(band, side) / PI2
+    lo, hi = band_edges(resolve_geometry(T=1.0, xi=xi), k_max)
+    value = (lo if side == "lo" else hi)[k - 1] / PI2
     exact_lo, exact_hi = brute_band_endpoints(xi, k_max)
     exact = (exact_lo if side == "lo" else exact_hi)[k - 1]
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
