@@ -18,11 +18,13 @@ the fiber operator at quasimomentum tau has the exact matrix
     w(m', m, q) = (delta_{|m-m'|, q} (1 + delta_{q,0}) - delta_{m+m', q}) / 2,
 
 where w is the closed-form overlap of two Dirichlet sines against the cosine:
-no quadrature enters, so the only approximation is basis truncation.
-band_functions turns one eigensolve per quasimomentum into a certified pair
-of bounds on each band: the Ritz value (plus the eigensolver's backward
-error) from above, and a Feshbach/Schur bound from below that charges the
-dropped modes through the potential's range.
+no quadrature enters, so the only approximation is basis truncation.  Only
+the diagonal depends on tau, so band_functions builds the potential block
+once per call and rewrites its diagonal per quasimomentum, and turns one
+eigensolve per quasimomentum into a certified pair of bounds on each band:
+the Ritz value (plus the eigensolver's backward error) from above, and a
+Feshbach/Schur bound from below that charges the dropped modes through the
+potential's range.
 
 Time reversal saves half of the eigensolves.  With Pi the permutation
 n -> -n of the symmetric box |n| <= n_max, the matrix above gives
@@ -35,9 +37,10 @@ have the same spectrum, the same ||H||_inf and the same dropped-mode floor,
 so band_functions copies the certified rows of tau to an exact float -tau.
 
 The module also derives the perturbation's spectral bounds omega_-/omega_+
-for concrete potentials (extrema on a separable grid, inflated by a
-second-order Taylor bound at the critical point and a rounding term, giving
-a rigorous outer enclosure) and verifies the minimax band enclosures
+for concrete potentials (extrema on a separable grid, scanned in row blocks
+in O(N) memory per transverse frequency, inflated by a second-order Taylor
+bound at the critical point and a rounding term, giving a rigorous outer
+enclosure) and verifies the minimax band enclosures
 
     E_k^0(tau) + omega_-  <=  E_k(tau)  <=  E_k^0(tau) + omega_+ .
 """
@@ -53,6 +56,7 @@ import numpy as np
 
 from .gaps import PerturbBounds
 from .geometry import StripGeometry
+from .spectrum import _BLOCK
 
 __all__ = [
     "PotentialSpec",
@@ -203,6 +207,78 @@ def default_truncation(geom: StripGeometry, k_max: int) -> tuple[int, int]:
     return n_max, m_max
 
 
+def _potential_block(
+    potential: PotentialSpec, n_max: int, m_max: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, complex]]]:
+    """The tau-independent part of assemble's matrix, and its diagonal hits.
+
+    Returns (H, hits): H holds every off-diagonal entry of the Galerkin
+    matrix, summed in term order; its diagonal is left for _set_diagonal.
+    hits lists, in that order, the (diagonal positions, value) of each
+    addition that lands on the diagonal: the (0, 0) term on every mode, and
+    a (0, 2m) term on the modes of transverse index m.
+    """
+    if n_max < 0 or m_max < 1:
+        raise ValueError(
+            f"need n_max >= 0 and m_max >= 1, got ({n_max}, {m_max})"
+        )
+    dim = (2 * n_max + 1) * m_max
+    if dim > MAX_BASIS_DIM:
+        raise ValueError(
+            f"basis dimension {dim} exceeds the ceiling {MAX_BASIS_DIM}"
+        )
+    ns = np.repeat(np.arange(-n_max, n_max + 1), m_max)
+    ms = np.tile(np.arange(1, m_max + 1), 2 * n_max + 1)
+    cols = np.arange(dim)
+    H = np.zeros((dim, dim), dtype=complex)
+    hits = []
+    for j, q, v in potential.terms:
+        if v == 0:
+            continue
+        # Candidate rows (n + j, m_row) and their transverse weights
+        # (delta_{|m_row - m|, q} (1 + delta_{q,0}) - delta_{m_row + m, q}) / 2:
+        # distinct rows per column, so each entry gets one addition per term,
+        # in the order the terms are listed.
+        candidates = ((ms, 1.0),) if q == 0 else ((ms + q, 0.5), (ms - q, 0.5), (q - ms, -0.5))
+        n_row = ns + j
+        for m_row, w in candidates:
+            hit = (np.abs(n_row) <= n_max) & (m_row >= 1) & (m_row <= m_max)
+            rows, columns = (n_row[hit] + n_max) * m_max + m_row[hit] - 1, cols[hit]
+            H[rows, columns] += v * w
+            on_diagonal = rows == columns
+            if on_diagonal.any():
+                hits.append((rows[on_diagonal], v * w))
+    return H, hits
+
+
+def _set_diagonal(
+    H: np.ndarray,
+    geom: StripGeometry,
+    tau: float,
+    n_max: int,
+    m_max: int,
+    hits: list[tuple[np.ndarray, complex]],
+) -> None:
+    """Write the diagonal of assemble's matrix at tau into the block H.
+
+    The mode energies first, then the diagonal hits of _potential_block in
+    their order: the same additions on the same values as assembling the
+    whole matrix, so the result is bit-identical to it.
+    """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    # Mode energies as Python floats (numpy's square and libm's pow can
+    # differ by an ulp); tau is not folded into the fundamental window
+    # because the fiber family is 1-periodic and zone-edge values are useful.
+    diagonal = np.array([
+        (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (math.pi * m / geom.d) ** 2
+        for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)
+    ], dtype=complex)
+    for positions, value in hits:
+        diagonal[positions] += value
+    np.fill_diagonal(H, diagonal)
+
+
 def assemble(
     geom: StripGeometry,
     tau: float,
@@ -217,41 +293,18 @@ def assemble(
     unperturbed mode energies; the perturbation contributes v_{n'-n, q}
     times the transverse weight.  The result is Hermitian by construction.
     """
-    if n_max < 0 or m_max < 1:
-        raise ValueError(
-            f"need n_max >= 0 and m_max >= 1, got ({n_max}, {m_max})"
-        )
-    dim = (2 * n_max + 1) * m_max
-    if dim > MAX_BASIS_DIM:
-        raise ValueError(
-            f"basis dimension {dim} exceeds the ceiling {MAX_BASIS_DIM}"
-        )
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    mode_list = [(n, m) for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)]
-    H = np.zeros((dim, dim), dtype=complex)
-    # Diagonal mode energies, as Python floats (numpy's square and libm's pow
-    # can differ by an ulp); tau is not folded into the fundamental window
-    # because the fiber family is 1-periodic and zone-edge values are useful.
-    H[np.diag_indices(dim)] = [
-        (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (math.pi * m / geom.d) ** 2
-        for n, m in mode_list
-    ]
-    ns, ms = np.array(mode_list, dtype=np.int64).T
-    cols = np.arange(dim)
-    for j, q, v in potential.terms:
-        if v == 0:
-            continue
-        # Candidate rows (n + j, m_row) and their transverse weights
-        # (delta_{|m_row - m|, q} (1 + delta_{q,0}) - delta_{m_row + m, q}) / 2:
-        # distinct rows per column, so each entry gets one addition per term,
-        # in the order the terms are listed.
-        candidates = ((ms, 1.0),) if q == 0 else ((ms + q, 0.5), (ms - q, 0.5), (q - ms, -0.5))
-        n_row = ns + j
-        for m_row, w in candidates:
-            hit = (np.abs(n_row) <= n_max) & (m_row >= 1) & (m_row <= m_max)
-            H[(n_row[hit] + n_max) * m_max + m_row[hit] - 1, cols[hit]] += v * w
+    H, hits = _potential_block(potential, n_max, m_max)
+    _set_diagonal(H, geom, tau, n_max, m_max, hits)
     return H
+
+
+def _check_hermitian(H: np.ndarray) -> None:
+    """Fail (ValueError) unless H is square and Hermitian entrywise within 1e-12."""
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {H.shape}")
+    defect = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
+    if defect > _HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: entrywise defect {defect:.3e}")
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -261,11 +314,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     else is rejected rather than silently symmetrized.
     """
     H = np.asarray(matrix)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {H.shape}")
-    defect = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
-    if defect > _HERMITIAN_ATOL:
-        raise ValueError(f"matrix is not Hermitian: entrywise defect {defect:.3e}")
+    _check_hermitian(H)
     return np.linalg.eigvalsh(H)
 
 
@@ -340,11 +389,14 @@ def band_functions(
 ) -> BandTable:
     """Certified enclosures of the lowest k_max bands per grid tau.
 
-    One assembly and one eigensolve per tau (or per +-tau pair, below), on
-    the kept modes P
-    (|n| <= n_max, 1 <= m <= m_max; Q = 1 - P the dropped ones).  bounds must
-    enclose the range of V, omega_- <= V <= omega_+ (omega_bounds does).  With
-    mu_k the computed Ritz values and eps = EIG_ROUNDING_C * dim * u * ||H||_inf:
+    One eigensolve per tau (or per +-tau pair, below), on the kept modes P
+    (|n| <= n_max, 1 <= m <= m_max; Q = 1 - P the dropped ones).  The
+    tau-independent potential block is built and checked Hermitian once per
+    call; each solved tau only rewrites its diagonal (_set_diagonal), so every
+    matrix is bit-identical to assemble(tau) and one dim x dim buffer serves
+    the whole grid.  bounds must enclose the range of V,
+    omega_- <= V <= omega_+ (omega_bounds does).  With mu_k the computed Ritz
+    values and eps = EIG_ROUNDING_C * dim * u * ||H||_inf:
 
     * upper: E_k <= mu_k + eps, by min-max (Ritz values bound from above);
     * lower: QHQ >= Lambda = Lambda0(tau) + omega_-, Lambda0 the smallest
@@ -361,7 +413,7 @@ def band_functions(
     truncation then drops a mode as low as the band and must grow.
 
     A grid point that is the exact float negation of an earlier one gets
-    that point's rows without an assembly or eigensolve, when the potential
+    that point's rows without an eigensolve, when the potential
     is exactly conjugate-symmetric (PotentialSpec.conjugate_symmetric): then
     H(-tau) = Pi conj(H(tau)) Pi^T (module docstring), so the Ritz values,
     eps and Lambda0 agree between the two points.  Otherwise both are solved.
@@ -377,6 +429,8 @@ def band_functions(
     if not grid:
         raise ValueError("tau_grid must be nonempty")
     a = (0.5 * (bounds.omega_plus - bounds.omega_minus)) ** 2
+    H, hits = _potential_block(potential, n_max, m_max)
+    _check_hermitian(H)
     upper = np.empty((len(grid), k_max))
     lower = np.empty((len(grid), k_max))
     solved: dict[float, int] = {}  # tau -> its row, for reuse at -tau
@@ -387,8 +441,8 @@ def band_functions(
             upper[i], lower[i] = upper[mate], lower[mate]
             continue
         solved[tau] = i
-        H = assemble(geom, tau, potential, n_max, m_max)
-        ritz = hermitian_eigenvalues(H)[:k_max]
+        _set_diagonal(H, geom, tau, n_max, m_max, hits)
+        ritz = np.linalg.eigvalsh(H)[:k_max]
         norm = float(np.abs(H).sum(axis=1).max())
         eps = EIG_ROUNDING_C * H.shape[0] * _UNIT_ROUNDOFF * norm
         mu = ritz - eps
@@ -455,16 +509,18 @@ class OmegaEnclosure:
         return PerturbBounds(self.omega_minus, self.omega_plus)
 
 
-def _range_grid(potential: PotentialSpec, grid_n: int) -> np.ndarray:
-    """V at x1 = 2T k/N (0 <= k < N) by x2 = d l/(N-1) (0 <= l < N), N = grid_n
-    (T and d cancel from the phases).
+def _range_extremes(potential: PotentialSpec, grid_n: int) -> tuple[float, float]:
+    """Smallest and largest V at x1 = 2T k/N (0 <= k < N) by x2 = d l/(N-1)
+    (0 <= l < N), N = grid_n (T and d cancel from the phases).
 
     Separable: the terms are summed by transverse frequency into
-    c_q(x1) = sum_j Re(v_{j,q} e^{i pi j x1/T}), and the grid is the one
-    product (N x Q) @ (Q x N) with the rows cos(pi q x2/d).  The phases are
-    reduced in integers, 2 pi (j k mod N)/N and pi (q l mod 2(N-1))/(N-1),
-    so each cosine is taken at an exact grid point and an angle in
-    [0, 2 pi), whatever the sizes of j and q.  Zero coefficients are skipped.
+    c_q(x1) = sum_j Re(v_{j,q} e^{i pi j x1/T}), and each block of grid rows
+    is the product (rows x Q) @ (Q x N) with the rows cos(pi q x2/d).  The
+    phases are reduced in integers, 2 pi (j k mod N)/N and
+    pi (q l mod 2(N-1))/(N-1), so each cosine is taken at an exact grid point
+    and an angle in [0, 2 pi), whatever the sizes of j and q.  Zero
+    coefficients are skipped.  Blocks hold at most _BLOCK values (at least one
+    row), so memory is O(N Q), not O(N^2); only the running extremes are kept.
     """
     k = np.arange(grid_n)
     rows: dict[int, np.ndarray] = {}
@@ -478,7 +534,13 @@ def _range_grid(potential: PotentialSpec, grid_n: int) -> np.ndarray:
     period = 2 * (grid_n - 1)
     c = np.array([rows[q] for q in qs]).reshape(len(qs), grid_n).T
     phase = np.array([q % period for q in qs], dtype=np.int64)[:, None] * k % period
-    return c @ np.cos((math.pi / (grid_n - 1)) * phase)
+    cosines = np.cos((math.pi / (grid_n - 1)) * phase)
+    lo, hi = np.inf, -np.inf
+    step = max(1, _BLOCK // grid_n)
+    for r in range(0, grid_n, step):
+        block = c[r:r + step] @ cosines
+        lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
+    return float(lo), float(hi)
 
 
 def omega_bounds(
@@ -486,8 +548,10 @@ def omega_bounds(
 ) -> OmegaEnclosure:
     """Rigorous enclosure of min/max of V over the cell (0, 2T) x [0, d].
 
-    Evaluates V on the N x N grid of _range_grid (periodic in x1, endpoints
-    included in x2) and inflates both extremes outward by
+    Scans V on the N x N grid of _range_extremes (periodic in x1, endpoints
+    included in x2) in blocks of grid rows, keeping only the running minimum
+    and maximum (memory O(N) per transverse frequency, not O(N^2)), and
+    inflates both extremes outward by
 
         min(first, second) + rounding.
 
@@ -514,7 +578,7 @@ def omega_bounds(
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    values = _range_grid(potential, grid_n)
+    grid_min, grid_max = _range_extremes(potential, grid_n)
     first = (
         potential.gradient_bound(geom)
         * math.hypot(2.0 * geom.T, geom.d)
@@ -531,8 +595,6 @@ def omega_bounds(
     rounding = RANGE_ROUNDING_C * nonconstant * (
         _UNIT_ROUNDOFF * (total + sampling) + _SMALLEST_SUBNORMAL)
     inflation = sampling + rounding
-    grid_min = float(values.min())
-    grid_max = float(values.max())
     centre = sum(complex(v).real for j, q, v in potential.terms if (j, q) == (0, 0))
     radius = (sum(abs(v) for j, q, v in potential.terms if (j, q) != (0, 0))
               + RANGE_ROUNDING_C * nonconstant * (_UNIT_ROUNDOFF * total + _SMALLEST_SUBNORMAL))

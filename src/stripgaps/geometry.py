@@ -21,9 +21,10 @@ from dataclasses import dataclass
 class StripGeometry:
     """Half-period ``T`` and strip width ``d`` (both in the same length unit).
 
-    Both must be positive and finite, with squares of at least the smallest
-    normal float and finite energy scales pi^2/T^2, pi^2/d^2: below that the
-    energies underflow or overflow and no computed number means anything.
+    Both must be positive and finite, and so must their squares and the
+    energy scales pi^2/T^2, pi^2/d^2, each at least the smallest normal float:
+    beyond that the energies underflow (to subnormal digits or 0) or
+    overflow, and no computed number means anything.
     """
 
     T: float
@@ -36,9 +37,14 @@ class StripGeometry:
                 raise ValueError(f"{name} {symbol} must be positive and finite, got {value}")
             square = value * value
             if not (square >= sys.float_info.min and math.isfinite(math.pi ** 2 / square)):
-                raise ValueError(
-                    f"{name} {symbol} = {value} is too small: its energy scale "
-                    f"pi^2/{symbol}^2 is beyond float64 range")
+                size = "small"
+            elif not math.pi ** 2 / square >= sys.float_info.min:  # also when square is inf
+                size = "large"
+            else:
+                continue
+            raise ValueError(
+                f"{name} {symbol} = {value} is too {size}: its energy scale "
+                f"pi^2/{symbol}^2 is beyond float64 range")
 
     @property
     def xi(self) -> float:

@@ -419,7 +419,7 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
             if n > MAX_TERMS:
                 raise ValueError(
                     f"tolerance {tol} needs a truncation length of {n} terms, above "
-                    f"the ceiling {MAX_TERMS}; raise max_terms or loosen tol")
+                    f"the ceiling {MAX_TERMS}; loosen tol")
             if n <= cap:
                 break
             cap = 2 * n

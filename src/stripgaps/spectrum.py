@@ -43,9 +43,13 @@ _EDGE_TOL = 1e-12
 
 # Cost ceilings of the band computations, checked before allocating (like
 # galerkin.MAX_BASIS_DIM): level curves that can carry a requested band, and
-# pairs of an increasing and a decreasing curve (crossing candidates).
+# the crossing candidates of one enumeration pass (_crossing_candidates),
+# counted column by column as they are enumerated.  The crossing ceiling is
+# set from full band_edges runs on a 2-core VM: xi 0.06, k 19,127 lists 3.39e6
+# candidates in 4-5 s at a 4.3 MB peak, and xi 0.5, k 30,000 is refused after
+# 4.0e6 candidates and 8.5 s.
 MAX_BAND_CURVES = 200_000
-MAX_BAND_CROSSINGS = 20_000_000
+MAX_BAND_CROSSINGS = 4_000_000
 # Ceiling on the rows of a counting computation, checked the same way: the
 # transverse rows m <= sqrt(ell)/xi that row_radii allocates, and the
 # longitudinal rows n (about 2 sqrt(ell)) that counting walks.
@@ -211,14 +215,12 @@ def kth_scaled_level(xi: float, k: int, tau: float) -> float:
     return float(np.partition((n + t) ** 2 + xi * xi * m * m, k - 1)[k - 1])
 
 
-def _check_band_cost(curves: float, crossings: float = 0.0) -> None:
-    """Fail closed (ValueError) before a band computation above the ceilings."""
-    for what, value, ceiling in (("level curves", curves, MAX_BAND_CURVES),
-                                 ("curve crossings", crossings, MAX_BAND_CROSSINGS)):
-        if not value <= ceiling:
-            raise ValueError(
-                f"band computation exceeds the ceiling of {ceiling} {what} ({value:.3g} "
-                "estimated); ask for fewer bands or a lower energy")
+def _check_band_cost(curves: float) -> None:
+    """Fail closed (ValueError) before a band computation above MAX_BAND_CURVES."""
+    if not curves <= MAX_BAND_CURVES:
+        raise ValueError(
+            f"band computation exceeds the ceiling of {MAX_BAND_CURVES} level curves "
+            f"({curves:.3g} estimated); ask for fewer bands or a lower energy")
 
 
 def check_band_count(xi: float, ell: float) -> None:
@@ -302,8 +304,12 @@ def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span=None):
     skipped.  A crossing inside the span by more than a few ulps is kept.
 
     Yields blocks (n_u, m_u^2, n_d, m_d^2) of at most _BLOCK pairs, squares as
-    floats; a block belongs to one increasing column n_u.
+    floats; a block belongs to one increasing column n_u.  Fails closed
+    (ValueError) before the first block of the column that takes the running
+    count of candidates above MAX_BAND_CROSSINGS, so a refused pass has done
+    at most the work of one below the ceiling.
     """
+    enumerated = 0
     cols, tops = np.unique(n, return_counts=True)
     down = cols < 0
     n_d, top_d = cols[down], tops[down]
@@ -325,9 +331,15 @@ def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span=None):
         # one entry per (m_u, n_d); candidate j of the column has m_d = j - offset
         ends = np.cumsum(count)
         offset = ends - count - first
+        total = int(ends[-1]) if ends.size else 0
+        enumerated += total
+        if enumerated > MAX_BAND_CROSSINGS:
+            raise ValueError(
+                f"band computation exceeds the ceiling of {MAX_BAND_CROSSINGS} curve "
+                f"crossings (at least {enumerated} candidates); ask for fewer bands "
+                "or a lower energy")
         m2_uj = np.repeat(m2_u.ravel().astype(float), n_d.size)
         n_dj = np.tile(n_d, m2_u.size)
-        total = int(ends[-1]) if ends.size else 0
         for start in range(0, total, _BLOCK):
             j = np.arange(start, min(start + _BLOCK, total))
             pair = np.searchsorted(ends, j, side="right")
@@ -350,14 +362,6 @@ def _fold_crossings(xi: float, t: np.ndarray, lam: np.ndarray, n_cols: np.ndarra
     owner, k = _ragged(below + 1, upto - below)
     np.minimum.at(lo, k[k <= k_max] - 1, lam[owner[k <= k_max]])
     np.maximum.at(hi, k[k <= k_max] - 1, lam[owner[k <= k_max]])
-
-
-def _costed_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """band_curves(xi, k_max), failing closed (ValueError) above MAX_BAND_CROSSINGS
-    increasing x decreasing pairs of those curves."""
-    n, m, cap = band_curves(xi, k_max)
-    _check_band_cost(n.size, float(np.count_nonzero(n >= 0)) * np.count_nonzero(n < 0))
-    return n, m, cap
 
 
 def _level_extremes(xi: float, curves, k_max: int, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -438,10 +442,11 @@ def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]
 
     Each endpoint is an attained value of E_k, exact up to a few ulps and that
     tie tolerance (scaled units) in either direction, with no inward bias.
-    Fails closed (ValueError) above MAX_BAND_CURVES, or above
-    MAX_BAND_CROSSINGS increasing x decreasing pairs, before allocating.
+    Fails closed (ValueError) above MAX_BAND_CURVES before allocating, and
+    above MAX_BAND_CROSSINGS enumerated candidates before the block that
+    would pass it.
     """
-    lo, hi = _band_extrema(geom.xi, _costed_curves(geom.xi, k_max), k_max)
+    lo, hi = _band_extrema(geom.xi, band_curves(geom.xi, k_max), k_max)
     scale = math.pi * math.pi / (geom.T * geom.T)
     return scale * lo, scale * hi
 
@@ -487,9 +492,9 @@ class BandSamples:
 
 def sample_bands(xi: float, k_max: int) -> BandSamples:
     """Sample the bands 1..k_max at tau_s = s / (2 (BAND_SAMPLES - 1)), one block
-    of points at a time.  Fails closed like band_edges, with the same checks in
-    the same order, before sampling."""
-    curves = _costed_curves(xi, k_max)
+    of points at a time.  Fails closed above MAX_BAND_CURVES, like band_edges,
+    before sampling; edges() enumerates crossings under MAX_BAND_CROSSINGS."""
+    curves = band_curves(xi, k_max)
     h = 1.0 / (2.0 * (BAND_SAMPLES - 1))
     eta, theta = _level_extremes(xi, curves, k_max, h * np.arange(BAND_SAMPLES))
     tie = 2.0 * BOUNDARY_RTOL * max(1.0, curves[2])

@@ -27,9 +27,16 @@
   the enclosure of its range from those values inflated by the first-order
   (gradient) bound, against the separable second-order
   ``stripgaps.galerkin.omega_bounds``.
+* ``range_grid``: the whole N x N grid of V values that
+  ``stripgaps.galerkin.omega_bounds`` scans in row blocks (its extremes must
+  agree bit for bit).
 * ``assemble_by_loop``: the Galerkin matrix entry by entry, one Python loop
   over modes and candidate rows, against the vectorised
   ``stripgaps.galerkin.assemble`` (which must agree bit for bit).
+* ``band_functions_by_assembly``: the certified band table from one
+  ``assemble`` and one Hermitian eigensolve per tau, against
+  ``stripgaps.galerkin.band_functions``, which builds the potential block once
+  and rewrites only its diagonal per tau (they must agree bit for bit).
 * ``band_table_all_pairs``: the exact band endpoints from every pair of an
   increasing and a decreasing level curve, ranked with the crossings on axis
   0, against ``stripgaps.spectrum.band_edges``, which enumerates only the
@@ -51,7 +58,15 @@ from typing import NamedTuple
 import numpy as np
 
 from stripgaps.fourier import a0_closed, ap_closed, residual_bound
-from stripgaps.galerkin import OmegaEnclosure, PotentialSpec
+from stripgaps.galerkin import (
+    EIG_ROUNDING_C,
+    BandTable,
+    OmegaEnclosure,
+    PotentialSpec,
+    _dropped_floor,
+    assemble,
+    hermitian_eigenvalues,
+)
 from stripgaps.gaps import BandPairs, PerturbBounds
 from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
 from stripgaps.spectrum import (
@@ -403,6 +418,26 @@ def omega_bounds_first_order(
     return OmegaEnclosure(lo - inflation, hi + inflation, lo, hi, inflation, 0.0)
 
 
+def range_grid(potential: PotentialSpec, grid_n: int) -> np.ndarray:
+    """V at x1 = 2T k/N (0 <= k < N) by x2 = d l/(N-1) (0 <= l < N), N = grid_n,
+    as one N x N array: the separable product (N x Q) @ (Q x N) of
+    c_q(x1) = sum_j Re(v_{j,q} e^{i pi j x1/T}) with the rows cos(pi q x2/d),
+    phases reduced in integers, zero coefficients skipped."""
+    k = np.arange(grid_n)
+    rows: dict[int, np.ndarray] = {}
+    for j, q, v in potential.terms:
+        if v == 0:
+            continue
+        angle = (2.0 * math.pi / grid_n) * ((j % grid_n) * k % grid_n)
+        term = (complex(v) * np.exp(1j * angle)).real
+        rows[q] = rows[q] + term if q in rows else term
+    qs = sorted(rows)
+    period = 2 * (grid_n - 1)
+    c = np.array([rows[q] for q in qs]).reshape(len(qs), grid_n).T
+    phase = np.array([q % period for q in qs], dtype=np.int64)[:, None] * k % period
+    return c @ np.cos((math.pi / (grid_n - 1)) * phase)
+
+
 # ---------------------------------------------------------------------------
 # Galerkin assembly, entry by entry
 # ---------------------------------------------------------------------------
@@ -453,6 +488,27 @@ def assemble_by_loop(
                 if w != 0.0:
                     H[row, col] += v * w
     return H
+
+
+def band_functions_by_assembly(geom: StripGeometry, potential: PotentialSpec, tau_grid,
+                               k_max: int, truncation: tuple[int, int],
+                               bounds) -> BandTable:
+    """The certified table of ``stripgaps.galerkin.band_functions``, with one
+    full ``assemble`` and one ``hermitian_eigenvalues`` per tau (no reuse at
+    -tau): the same upper side mu_k + eps and Feshbach lower side."""
+    n_max, m_max = truncation
+    a = (0.5 * (bounds.omega_plus - bounds.omega_minus)) ** 2
+    upper, lower = [], []
+    for tau in tau_grid:
+        H = assemble(geom, tau, potential, n_max, m_max)
+        ritz = hermitian_eigenvalues(H)[:k_max]
+        eps = EIG_ROUNDING_C * H.shape[0] * 2.0 ** -53 * float(np.abs(H).sum(axis=1).max())
+        mu = ritz - eps
+        g = _dropped_floor(geom, tau, n_max, m_max) + bounds.omega_minus - mu
+        upper.append(ritz + eps)
+        lower.append(mu - 2.0 * a / (g + np.sqrt(g * g + 4.0 * a)))
+    return BandTable(tuple(float(t) for t in tau_grid), np.array(upper), np.array(lower),
+                     truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stripgaps
@@ -206,12 +207,13 @@ _COSTLY = [
      f"error: band computation exceeds the ceiling of {MAX_BAND_CURVES} level curves "
      "(6.67e+10 estimated)"),
     (["bands", "--xi", "1e200", "--kmax", "5"],
-     "error: inputs out of floating-point range"),
-    (["gaps", "--xi", "1e-300", "--T", "1", "--c0", "0.1", "--ell-max", "2"],
+     "error: half-period T = 1e+200 is too large: its energy scale pi^2/T^2 is beyond "
+     "float64 range"),
+    (["gaps", "--xi", "1e-300", "--T", "1e-150", "--c0", "0.1", "--ell-max", "2"],
      "error: inputs out of floating-point range"),
     (["phi", "--xi", "0.05", "--ell", "1e300", "--p", "1"],
      "error: tolerance 0.0001 is below the floating-point error of the sum"),
-    (["count", "--xi", "1e-300", "--T", "1", "--ell", "2", "--tau", "0"],
+    (["count", "--xi", "1e-300", "--T", "1e-150", "--ell", "2", "--tau", "0"],
      "error: rows of 1.41e+300 points are beyond exact float64 counts"),
     (["fourier", "--xi", "1e-9", "--ell", "1e6", "--p", "1"],
      f"error: row computation exceeds the ceiling of {MAX_ROWS} rows (1e+12 estimated)"),
@@ -526,12 +528,14 @@ def test_galerkin_command_names_the_failing_condition_when_declined(cosine_poten
 
 def test_galerkin_command_solves_each_plus_minus_tau_pair_once(cosine_potential_file, monkeypatch):
     # --grid 9 gives tau = -7/18, ..., 7/18, 1/2: four exact pairs and 0.5
+    # (band_functions rewrites the diagonal of its potential block once per
+    # solved tau, then solves)
     assembled, solved = [], []
-    real_assemble, real_eigenvalues = galerkin.assemble, galerkin.hermitian_eigenvalues
-    monkeypatch.setattr(galerkin, "assemble",
-                        lambda *a, **k: assembled.append(a[1]) or real_assemble(*a, **k))
-    monkeypatch.setattr(galerkin, "hermitian_eigenvalues",
-                        lambda H: solved.append(H.shape) or real_eigenvalues(H))
+    real_set_diagonal, real_eigvalsh = galerkin._set_diagonal, np.linalg.eigvalsh
+    monkeypatch.setattr(galerkin, "_set_diagonal",
+                        lambda *a: assembled.append(a[2]) or real_set_diagonal(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda H: solved.append(H.shape) or real_eigvalsh(H))
     code, out = run(["galerkin", "--potential", cosine_potential_file, "--grid", "9"])
     assert code == 0 and "tau_points = 9" in out
     assert assembled == [-7 / 18, -5 / 18, -3 / 18, -1 / 18, 0.5]

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,12 @@ import stripgaps.galerkin as galerkin
 from oracles import (
     Mode,
     assemble_by_loop,
+    band_functions_by_assembly,
     coefficient,
     mode_energy,
     omega_bounds_first_order,
     potential_values,
+    range_grid,
     write_potential_file,
 )
 from stripgaps.galerkin import (
@@ -350,21 +353,21 @@ def test_q0_potential_is_enclosed_by_its_separated_one_dimensional_bands():
 
 
 def count_solves(monkeypatch):
-    """Record the dimension of every assembly and eigensolve band_functions makes."""
+    """Record the dimension of every matrix band_functions forms (one diagonal
+    rewrite of its potential block per solved tau) and of every eigensolve."""
     assembled, solved = [], []
-    real_assemble, real_eigenvalues = galerkin.assemble, galerkin.hermitian_eigenvalues
+    real_set_diagonal, real_eigvalsh = galerkin._set_diagonal, np.linalg.eigvalsh
 
-    def counting_assemble(*args, **kwargs):
-        H = real_assemble(*args, **kwargs)
+    def counting_set_diagonal(H, *args):
         assembled.append(H.shape[0])
-        return H
+        return real_set_diagonal(H, *args)
 
-    def counting_eigenvalues(H):
+    def counting_eigvalsh(H, *args, **kwargs):
         solved.append(H.shape[0])
-        return real_eigenvalues(H)
+        return real_eigvalsh(H, *args, **kwargs)
 
-    monkeypatch.setattr(galerkin, "assemble", counting_assemble)
-    monkeypatch.setattr(galerkin, "hermitian_eigenvalues", counting_eigenvalues)
+    monkeypatch.setattr(galerkin, "_set_diagonal", counting_set_diagonal)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     return assembled, solved
 
 
@@ -400,6 +403,66 @@ def test_reused_rows_at_minus_tau_match_an_independent_solve(labels, tau):
     assert np.all(np.abs(table.energies[1] - eps - ritz) <= eps)
 
 
+def _random_potential(rng, symmetric):
+    """Terms at random labels |j| <= 2, q <= 4, always with (0, 0) and a (0, 2m)
+    term (diagonal hits on every mode and on the modes m), in shuffled order;
+    with symmetric false each j < 0 mate is off by a relative 2e-16, inside
+    the tolerance the spec accepts, so -tau is solved, not reused."""
+    labels = {(0, 0), (0, 2 * rng.randint(1, 2))}
+    labels |= {(rng.randint(0, 2), rng.randint(0, 4)) for _ in range(rng.randint(1, 5))}
+    terms = []
+    for j, q in labels:
+        v = cmath.rect(rng.uniform(0.01, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+        if j == 0:
+            terms.append((0, q, v.real))
+        else:
+            terms += [(j, q, v), (-j, q, v.conjugate() * (1.0 if symmetric else 1.0 + 2e-16))]
+    rng.shuffle(terms)
+    return PotentialSpec(terms=tuple(terms))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_band_functions_equal_one_assembly_and_eigensolve_per_tau(monkeypatch, symmetric):
+    # the potential block is built once and only its diagonal rewritten per
+    # tau: every matrix solved is the entry-by-entry assembly bit for bit, and
+    # every row equals assembling and solving that tau alone
+    solved = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: solved.append(H.copy()) or real_eigvalsh(H))
+    rng = random.Random(15 + symmetric)
+    geom = resolve_geometry(T=1.0, d=3.0)
+    # no exact +-tau pair when the rows of tau would be reused at -tau
+    taus = [-0.5, -0.3, 0.0, 0.1, 0.35, 0.45, 1.7] if symmetric else [-0.3, 0.0, 0.3, 0.5, -0.5]
+    for _ in range(12):
+        spec = _random_potential(rng, symmetric)
+        assert spec.conjugate_symmetric == symmetric
+        bounds = omega_bounds(geom, spec, grid_n=64)
+        solved.clear()
+        try:
+            table = band_functions(geom, spec, taus, 4, (3, 5), bounds)
+        except ValueError as exc:
+            assert "g = " in str(exc)
+            continue
+        assert len(solved) == len(taus)
+        for tau, H in zip(taus, solved):
+            assert np.array_equal(H, assemble_by_loop(geom, tau, spec, 3, 5))
+        expected = band_functions_by_assembly(geom, spec, taus, 4, (3, 5), bounds)
+        assert np.array_equal(table.energies, expected.energies)
+        assert np.array_equal(table.lower, expected.lower)
+
+
+def test_band_functions_refuse_a_non_hermitian_block_with_the_eigensolver_message():
+    # a mate off by 5e-12 passes the spec's 1e-14 |v| tolerance at |v| = 1000
+    # but not the 1e-12 Hermitian check of the assembled matrix
+    v = 600.0 + 800.0j
+    spec = PotentialSpec(terms=((1, 0, v), (-1, 0, v.conjugate() + 5e-12)))
+    with pytest.raises(ValueError, match="not Hermitian") as expected:
+        hermitian_eigenvalues(assemble(GEOM, 0.25, spec, 2, 2))
+    with pytest.raises(ValueError) as refused:
+        band_functions(GEOM, spec, [0.25, -0.25], 2, (2, 2), PerturbBounds(-2000.0, 2000.0))
+    assert str(refused.value) == str(expected.value)
+
+
 def test_a_potential_symmetric_only_within_tolerance_is_solved_at_both_points(monkeypatch):
     v = 0.1 + 0.05j
     spec = PotentialSpec(terms=((1, 0, v), (-1, 0, v.conjugate() * (1.0 + 2e-16))))
@@ -413,6 +476,38 @@ def test_a_potential_symmetric_only_within_tolerance_is_solved_at_both_points(mo
 # ---------------------------------------------------------------------------
 # potential range enclosures
 # ---------------------------------------------------------------------------
+
+_RANGE_CASES = [(resolve_geometry(T=1.0, d=20.0), spec) for spec in _benchmark_potentials()] + [
+    (GEOM, PotentialSpec()),
+    (GEOM, PotentialSpec(terms=((0, 0, 0.0), (1, 1, 0.0), (-1, 1, 0.0)))),
+    (GEOM, PotentialSpec(terms=((10 ** 11, 3, 0.5 + 0.25j), (-10 ** 11, 3, 0.5 - 0.25j),
+                                (0, 10 ** 11 + 1, 0.7), (2, 1, 0.1), (-2, 1, 0.1)))),
+]
+
+
+@pytest.mark.parametrize("grid_n", [2, 3, 64, 1024, 1500, 2048])
+def test_omega_bounds_scan_equals_the_full_grid_oracle(monkeypatch, grid_n):
+    # the grid rows are scanned in blocks of at most 2^15 values (1500 leaves
+    # a last block of 9 rows); every field equals the one from the whole grid
+    scanned = [omega_bounds(geom, spec, grid_n) for geom, spec in _RANGE_CASES]
+    monkeypatch.setattr(galerkin, "_range_extremes", lambda potential, n: (
+        float(range_grid(potential, n).min()), float(range_grid(potential, n).max())))
+    for (geom, spec), enc in zip(_RANGE_CASES, scanned):
+        assert enc == omega_bounds(geom, spec, grid_n)
+
+
+def test_omega_bounds_scans_the_grid_in_bounded_memory():
+    # the whole 1024 x 1024 grid was one 8 MB array
+    geom, spec = _RANGE_CASES[0]
+    omega_bounds(geom, spec)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        omega_bounds(geom, spec, grid_n=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
 
 def test_omega_bounds_for_the_pure_cosine():
     enc = omega_bounds(GEOM, COSINE_X1)
@@ -486,7 +581,9 @@ def test_range_grid_reduces_the_phases_exactly():
     large = PotentialSpec(terms=((1 + 1000 * n, 1 + 1000 * 2 * (n - 1), 0.3 + 0.1j),
                                  (-1 - 1000 * n, 1 + 1000 * 2 * (n - 1), 0.3 - 0.1j),
                                  (0, 3 + 1000 * 2 * (n - 1), 0.2)))
-    assert np.array_equal(galerkin._range_grid(large, n), galerkin._range_grid(small, n))
+    assert np.array_equal(range_grid(large, n), range_grid(small, n))
+    assert (galerkin._range_extremes(large, n) == galerkin._range_extremes(small, n)
+            == (range_grid(small, n).min(), range_grid(small, n).max()))
 
 
 @given(
@@ -500,8 +597,9 @@ def test_separable_range_grid_matches_the_term_by_term_oracle(labels, cell, grid
     x1 = np.linspace(0.0, 2.0 * geom.T, grid_n, endpoint=False)[:, None]
     x2 = np.linspace(0.0, geom.d, grid_n)[None, :]
     enc = omega_bounds(geom, spec, grid_n=grid_n)
-    separable = galerkin._range_grid(spec, grid_n)
+    separable = range_grid(spec, grid_n)
     assert np.max(np.abs(separable - potential_values(spec, geom, x1, x2))) <= enc.rounding
+    assert (enc.grid_min, enc.grid_max) == (separable.min(), separable.max())
     # never looser than the first-order enclosure beyond the rounding term,
     # once more for the oracle's grid values, which agree only that closely
     first = omega_bounds_first_order(geom, spec, grid_n=grid_n)

@@ -565,6 +565,25 @@ def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
     assert 0 < in_report <= share * sum(ranked)
 
 
+def test_gap_report_at_xi_006_needs_only_the_sliced_pass(monkeypatch):
+    # the full band table here enumerates 3.39e6 crossing candidates; the
+    # one sliced pass of gap_report enumerates 14,944, far below the ceiling
+    candidates = []
+    real = spectrum._crossing_candidates
+
+    def counted(*args):
+        for block in real(*args):
+            candidates.append(block[3].size)
+            yield block
+
+    monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
+    geom = resolve_geometry(xi=0.06)
+    report = gap_report(geom, PerturbBounds(0.0, 0.02), GapParams.from_small_ratio(0.06),
+                        731.0, low_spectrum_points=0)
+    assert report.band_count == 19_127 and report.undecided.size == 0
+    assert 0 < sum(candidates) <= 20_000 < spectrum.MAX_BAND_CROSSINGS
+
+
 def test_band_samples_memory_stays_bounded():
     # samples are taken a block of points at a time: at (0.05, 5341) the 33
     # points x 5605 curves would take 1.5 MB at once

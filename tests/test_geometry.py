@@ -1,6 +1,7 @@
 """Geometry resolution and parameter validation."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,31 @@ def test_smallest_length_scales_keep_a_finite_energy_scale():
     for T, d in [(2.4e-154, 1.0), (1.0, 2.4e-154), (1e-150, 1e-150)]:
         geom = StripGeometry(T=T, d=d)
         assert math.isfinite(geom.energy_from_scaled(1.0))
+
+
+# The largest length whose square is finite; its energy scale pi^2/T^2 is
+# 5.5e-308, still above the smallest normal float 2.2e-308.
+_LARGEST_LENGTH = 1.3407807929942596e154
+
+
+@pytest.mark.parametrize("T, d, name", [
+    (math.nextafter(_LARGEST_LENGTH, math.inf), 1.0, "T"),
+    (1.0, math.nextafter(_LARGEST_LENGTH, math.inf), "d"),
+    (1e300, 1.0, "T"),
+    (1.3e154, 1.3e157, "d"),  # bands --T 1.3e154 --xi 0.001: d = T/xi
+])
+def test_huge_length_scales_rejected(T, d, name):
+    # the square overflows, so pi^2 over it is 0: every energy would be 0 or
+    # a subnormal float with lost digits
+    with pytest.raises(ValueError, match=f"too large: its energy scale pi\\^2/{name}\\^2"):
+        StripGeometry(T=T, d=d)
+
+
+def test_largest_length_scales_keep_a_normal_energy_scale():
+    for T, d in [(_LARGEST_LENGTH, 1.0), (1.0, _LARGEST_LENGTH),
+                 (_LARGEST_LENGTH, _LARGEST_LENGTH)]:
+        geom = StripGeometry(T=T, d=d)
+        assert geom.energy_from_scaled(1.0) >= sys.float_info.min
 
 
 def test_resolve_from_xi_only_defaults_unit_width():

@@ -120,9 +120,10 @@ def test_counting_fails_closed_above_its_row_ceilings():
     with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
         counting(resolve_geometry(xi=0.5), float(MAX_ROWS) ** 2, 0.0)
     # xi^2 underflows: the rows would hold far more points than float64 counts
-    # (a unit half-period: a tiny T is refused by the geometry)
+    # (T = 1e-150 and d = 1e150: a smaller T or a larger d is refused by the
+    # geometry)
     with pytest.raises(ValueError, match="beyond exact float64 counts"):
-        counting(resolve_geometry(xi=1e-300, T=1.0), 2.0, 0.0)
+        counting(resolve_geometry(xi=1e-300, T=1e-150), 2.0, 0.0)
     with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
         row_radii(1e-9, 1e6)
     assert row_radii(0.5, 1.3).size == 2
@@ -366,6 +367,33 @@ def test_band_table_fails_closed_above_its_cost_ceilings():
         band_edges(resolve_geometry(xi=0.5), 100_000_000)
     with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CROSSINGS} curve crossings"):
         band_edges(resolve_geometry(xi=0.5), 30_000)
+
+
+def test_crossing_ceiling_counts_the_candidates_enumerated(monkeypatch):
+    # (xi 0.03, k 2113) enumerates 179,711 candidates in 9 increasing
+    # columns: the running count refuses before the block that passes the
+    # ceiling, so no more than the ceiling is ever yielded
+    geom = resolve_geometry(xi=0.03)
+    yielded = []
+    real = spectrum._crossing_candidates
+
+    def counted(*args):
+        for block in real(*args):
+            yielded.append(block[3].size)
+            yield block
+
+    monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
+    monkeypatch.setattr(spectrum, "MAX_BAND_CROSSINGS", 179_711)
+    lo, hi = band_edges(geom, 2113)
+    assert sum(yielded) == 179_711
+    assert np.array_equal(lo, band_table_all_pairs(geom, 2113)[0])
+    for ceiling in (179_710, 100_000, 1):
+        yielded.clear()
+        monkeypatch.setattr(spectrum, "MAX_BAND_CROSSINGS", ceiling)
+        with pytest.raises(ValueError, match=f"ceiling of {ceiling} curve crossings "
+                                             r"\(at least \d+ candidates\)"):
+            band_edges(geom, 2113)
+        assert sum(yielded) <= ceiling
 
 
 def test_band_table_ranks_crossings_in_bounded_memory():
