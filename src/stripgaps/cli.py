@@ -20,10 +20,10 @@ them when it names none, so help and the invalid-choice message list every
 command); the fixed cost of a call is then one command's flags.
 
 The ``sweep`` command re-runs an inner command over a parameter grid, in
-parallel when requested (the process pool is imported only then); rows are
-emitted in grid order whatever the worker count, and the worker count is
-deliberately excluded from the metadata echo, keeping output bytes independent
-of it.
+parallel when requested (the process pool is imported only then, and holds
+at most one process per cell and per core); rows are emitted in grid order
+whatever the worker count, and the worker count is deliberately excluded from
+the metadata echo, keeping output bytes independent of it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import shlex
 import sys
 from typing import Callable, NamedTuple
@@ -352,7 +353,9 @@ def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
 def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
     file_geom, potential = read_potential_file(params["potential"])
     if any(k in params for k in ("xi", "T", "d")):
-        given = _geometry(params)
+        # an absent flag takes the header's value
+        given = resolve_geometry(xi=params.get("xi"), T=params.get("T", file_geom.T),
+                                 d=params.get("d", file_geom.d))
         if (
             abs(given.T - file_geom.T) > 1e-9 * file_geom.T
             or abs(given.d - file_geom.d) > 1e-9 * file_geom.d
@@ -487,10 +490,12 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
                 raise ValueError(
                     f"{steps} sweep steps x {points} {inner[0]} points exceed the "
                     f"ceiling of {MAX_GRID} points")
-    if params["workers"] > 1:
+    # the pool starts all its processes at once: no more than cells or cores
+    workers = min(params["workers"], len(cells), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=params["workers"]) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(argv) for argv in cells]

@@ -56,14 +56,13 @@ import numpy as np
 
 from .gaps import PerturbBounds
 from .geometry import StripGeometry
-from .spectrum import _BLOCK
+from .spectrum import _BLOCK, band_curves
 
 __all__ = [
     "PotentialSpec",
     "read_potential_file",
     "default_truncation",
     "assemble",
-    "hermitian_eigenvalues",
     "BandTable",
     "band_functions",
     "unperturbed_band_functions",
@@ -124,14 +123,6 @@ class PotentialSpec:
                     f"potential is not real-valued: coefficient at (j={-j}, q={q}) "
                     f"must equal conj of the one at (j={j}, q={q})"
                 )
-
-    @property
-    def j_max(self) -> int:
-        return max((abs(j) for j, _, _ in self.terms), default=0)
-
-    @property
-    def q_max(self) -> int:
-        return max((q for _, q, _ in self.terms), default=0)
 
     @property
     def conjugate_symmetric(self) -> bool:
@@ -199,8 +190,6 @@ def default_truncation(geom: StripGeometry, k_max: int) -> tuple[int, int]:
     """
     from .spectrum import kth_scaled_level
 
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     ceiling = kth_scaled_level(geom.xi, k_max, 0.5) + 1.0
     n_max = int(math.ceil(math.sqrt(ceiling) + 0.5)) + 1
     m_max = max(1, int(math.ceil(math.sqrt(ceiling) / geom.xi)) + 1)
@@ -298,39 +287,18 @@ def assemble(
     return H
 
 
-def _check_hermitian(H: np.ndarray) -> None:
-    """Fail (ValueError) unless H is square and Hermitian entrywise within 1e-12."""
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {H.shape}")
-    defect = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
-    if defect > _HERMITIAN_ATOL:
-        raise ValueError(f"matrix is not Hermitian: entrywise defect {defect:.3e}")
-
-
-def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending, multiplicities kept.
-
-    The input must be Hermitian entrywise within 1e-12 (absolute); anything
-    else is rejected rather than silently symmetrized.
-    """
-    H = np.asarray(matrix)
-    _check_hermitian(H)
-    return np.linalg.eigvalsh(H)
-
-
 @dataclass(frozen=True)
 class BandTable:
     """Certified band enclosures on a tau grid.
 
     lower[i, k-1] <= E_k(tau_grid[i]) <= energies[i, k-1] for the k-th band
     (ascending); energies is the upper side, and the two sides coincide for
-    the exact V = 0 table.  truncation records (n_max, m_max).
+    the exact V = 0 table.
     """
 
     tau_grid: tuple[float, ...]
     energies: np.ndarray
     lower: np.ndarray
-    truncation: tuple[int, int]
 
     def __post_init__(self) -> None:
         e = self.energies
@@ -355,12 +323,6 @@ class BandTable:
         """Alias of max_enclosure_width, under the name of the former
         convergence-gate drift it replaces as the table's accuracy figure."""
         return self.max_enclosure_width
-
-    def band(self, k: int) -> np.ndarray:
-        """Upper values of the k-th band function on the grid."""
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"band index {k} outside 1..{self.k_max}")
-        return self.energies[:, k - 1]
 
 
 def _dropped_floor(geom: StripGeometry, tau: float, n_max: int, m_max: int) -> float:
@@ -428,9 +390,12 @@ def band_functions(
     grid = [float(t) for t in tau_grid]
     if not grid:
         raise ValueError("tau_grid must be nonempty")
-    a = (0.5 * (bounds.omega_plus - bounds.omega_minus)) ** 2
+    a = (0.5 * bounds.omega_L) ** 2
     H, hits = _potential_block(potential, n_max, m_max)
-    _check_hermitian(H)
+    # refused, not left to an eigensolver that reads one triangle only
+    defect = np.max(np.abs(H - H.conj().T))
+    if defect > _HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: entrywise defect {defect:.3e}")
     upper = np.empty((len(grid), k_max))
     lower = np.empty((len(grid), k_max))
     solved: dict[float, int] = {}  # tau -> its row, for reuse at -tau
@@ -455,7 +420,7 @@ def band_functions(
             )
         upper[i] = ritz + eps
         lower[i] = mu - 2.0 * a / (g + np.sqrt(g * g + 4.0 * a))
-    return BandTable(tuple(grid), upper, lower, truncation)
+    return BandTable(tuple(grid), upper, lower)
 
 
 def unperturbed_band_functions(
@@ -468,8 +433,6 @@ def unperturbed_band_functions(
     assemble's diagonal expression; no truncation enters, so the lower and
     upper sides are the same values.
     """
-    from .spectrum import band_curves
-
     n, m, _cap = band_curves(geom.xi, k_max)
     grid = tuple(float(t) for t in tau_grid)
     energies = np.array([
@@ -477,7 +440,7 @@ def unperturbed_band_functions(
             (math.pi / geom.T) ** 2 * (abs(tau) + n) ** 2 + (math.pi * m / geom.d) ** 2,
             k_max - 1)[:k_max])
         for tau in grid]).reshape(len(grid), k_max)
-    return BandTable(grid, energies, energies, (int(np.abs(n).max()), int(m.max())))
+    return BandTable(grid, energies, energies)
 
 
 @dataclass(frozen=True)
@@ -491,7 +454,8 @@ class OmegaEnclosure:
     are exact).  Clipping to the trivial range (see omega_bounds) can only
     shrink either side's slack.  The true essential infimum and supremum satisfy
     omega_minus <= inf V and sup V <= omega_plus.  The object carries the
-    same omega fields as PerturbBounds and converts via as_bounds().
+    same omega fields as PerturbBounds, so band_functions and
+    verify_enclosure take either.
     """
 
     omega_minus: float
@@ -504,9 +468,6 @@ class OmegaEnclosure:
     @property
     def omega_L(self) -> float:
         return self.omega_plus - self.omega_minus
-
-    def as_bounds(self) -> PerturbBounds:
-        return PerturbBounds(self.omega_minus, self.omega_plus)
 
 
 def _range_extremes(potential: PotentialSpec, grid_n: int) -> tuple[float, float]:
@@ -616,7 +577,6 @@ class EnclosureCheck(NamedTuple):
 
     ok: bool
     worst_margin: float
-    tol: float
     band: int
     tau: float
     side: str
@@ -651,6 +611,6 @@ def verify_enclosure(
     side, i, k = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[side, i, k])
     return EnclosureCheck(
-        ok=worst >= max(0.0, -tol), worst_margin=worst, tol=tol, band=int(k) + 1,
+        ok=worst >= max(0.0, -tol), worst_margin=worst, band=int(k) + 1,
         tau=bands.tau_grid[i], side=("lower", "upper")[side],
     )

@@ -62,7 +62,6 @@ __all__ = [
     "conditions_check",
     "ell1_threshold",
     "ell2_threshold",
-    "overlap_lower_bound",
     "LowSpectrumCheck",
     "low_spectrum_no_gap",
     "BandPairs",
@@ -297,8 +296,12 @@ def ell1_threshold(
                      + 3 xi T/(4 pi c0))^(4/(1-4 gamma)) }
     + omega_minus.
 
-    The first three terms are ell2_threshold; the fourth makes the overlap
-    bound beat the oscillation omega_L.
+    The first three terms are ell2_threshold.  The fourth is the scaled
+    energy ell where (4 pi xi c0 / T) ell^(1/4-gamma) - 2 pi xi / T - 3 xi^2
+    reaches omega_L.  That left side is 4/3 of the overlap lower bound
+    (3 pi xi c0 / T) ell^(1/4-gamma) - 3 pi xi / (2T) - 9 xi^2 / 4, so at that
+    energy the overlap bound is 3/4 omega_L, not omega_L; which constant the
+    paper's lemma intends is not settled here.
     """
     xi = geom.xi
     c0, g = params.c0, params.gamma
@@ -309,33 +312,6 @@ def ell1_threshold(
     ) ** (4.0 / (1.0 - 4.0 * g))
     base = max(ell2_threshold(geom, params), t4)
     return math.pi ** 2 / geom.T ** 2 * base + bounds.omega_minus
-
-
-def overlap_lower_bound(
-    geom: StripGeometry, params: GapParams, eta0_k: float
-) -> float:
-    """Certified overlap of consecutive unperturbed bands at height eta0_k.
-
-    Returns (3 pi xi c0 / T) (T^2 eta0_k / pi^2)^(1/4-gamma)
-            - 3 pi xi / (2T) - 9 xi^2 / 4,
-    a lower bound for theta0_k - eta0_{k+1}, valid once
-    eta0_k >= (pi^2/T^2) ell2_threshold (ValueError below that, reporting the
-    required threshold).  Monotone increasing in eta0_k for gamma < 1/4.
-    """
-    xi = geom.xi
-    ell2 = ell2_threshold(geom, params)
-    floor = math.pi ** 2 / geom.T ** 2 * ell2
-    if not eta0_k >= floor:
-        raise ValueError(
-            f"overlap bound needs eta0_k >= {floor!r} "
-            f"(scaled threshold ell2={ell2!r}), got {eta0_k!r}"
-        )
-    scaled = geom.T ** 2 * eta0_k / math.pi ** 2
-    return (
-        3.0 * math.pi * xi * params.c0 / geom.T * scaled ** (0.25 - params.gamma)
-        - 1.5 * math.pi * xi / geom.T
-        - 2.25 * xi * xi
-    )
 
 
 class LowSpectrumCheck(NamedTuple):
@@ -399,14 +375,6 @@ def low_spectrum_no_gap(
     )
 
 
-def _fields_equal(a, b):
-    """Field-by-field equality of two records of one dataclass, arrays compared by value."""
-    if type(a) is not type(b):
-        return NotImplemented
-    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-               for x, y in zip(vars(a).values(), vars(b).values()))
-
-
 @dataclass(frozen=True, eq=False)
 class BandPairs:
     """Candidate windows of the band pairs (k, k+1), k = 1..len(self), as arrays.
@@ -426,8 +394,6 @@ class BandPairs:
     hi: np.ndarray
     overlap: np.ndarray
     certified: np.ndarray
-
-    __eq__ = _fields_equal
 
     @classmethod
     def of(cls, geom: StripGeometry, bounds: PerturbBounds, below_hi: np.ndarray,

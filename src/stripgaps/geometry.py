@@ -51,14 +51,6 @@ class StripGeometry:
         """Aspect ratio T/d."""
         return self.T / self.d
 
-    def energy_from_scaled(self, ell: float) -> float:
-        """Energy corresponding to the dimensionless parameter ``ell``."""
-        return math.pi * math.pi * ell / (self.T * self.T)
-
-    def scaled_from_energy(self, energy: float) -> float:
-        """Dimensionless parameter ``ell`` corresponding to an energy."""
-        return energy * self.T * self.T / (math.pi * math.pi)
-
 
 def resolve_geometry(xi: float | None = None,
                      T: float | None = None,
@@ -76,6 +68,8 @@ def resolve_geometry(xi: float | None = None,
     if T is None and d is None:
         T, d = xi, 1.0
     elif T is None:
+        if xi is None:
+            raise ValueError("need xi or T together with d")
         T = xi * d
     elif d is None:
         if xi is None:

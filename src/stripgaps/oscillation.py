@@ -181,15 +181,9 @@ def truncation_length(xi: float, tol: float) -> int:
 
 
 def tail_bound(xi: float, truncation_n: int) -> float:
-    """Oscillation-blind truncation error of the symmetric sum |k| <= N.
-
-    4 xi^(1/2) / (pi N^(1/2)) for N >= 1 (integral comparison); for the
-    degenerate N = 0 cut (k = 0 term only) the crude comparison with
-    zeta(3/2) gives 2 xi^(1/2) zeta(3/2) / pi.
-    """
-    if truncation_n >= 1:
-        return 4.0 * math.sqrt(xi) / (math.pi * math.sqrt(truncation_n))
-    return 2.0 * math.sqrt(xi) * zeta_three_halves() / math.pi
+    """Oscillation-blind truncation error 4 xi^(1/2) / (pi N^(1/2)) of the
+    symmetric sum |k| <= N, N >= 1 (integral comparison)."""
+    return 4.0 * math.sqrt(xi) / (math.pi * math.sqrt(truncation_n))
 
 
 def _non_resonant_tail(xi: float, ell: float, p: int, n: int) -> float:
@@ -372,8 +366,7 @@ def _phi_sum(xi: float, ell: float, p: int, truncation_n: int) -> float:
     return (total + 2.0 * acc) / (math.pi * xi)
 
 
-def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
-          n_override: int | None = None) -> PhiEvaluation:
+def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEvaluation:
     """Certified evaluation of phi_p(ell) to tail tolerance tol.
 
     The truncation N is the least one certified by any of three tail routes
@@ -390,9 +383,7 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
 
     tail_bound adds to the route's bound the floating-point error of the sum
     (_rounding_bound); it is refused with ValueError when that alone would
-    use up tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.
-    n_override pins N and takes the fallback bound (n_override = 0 keeps
-    only the k = 0 term and carries the crude zeta-comparison bound).  An N
+    use up tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.  An N
     above MAX_TERMS is refused with ValueError before summing.
     """
     if not ell > 0:
@@ -402,32 +393,23 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4,
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     xi = geom.xi
-    if n_override is not None:
-        n = int(n_override)
-        if n < 0:
-            raise ValueError(f"n_override must be >= 0, got {n_override}")
-        route, bound = "fallback", tail_bound(xi, n)
+    # The rounding term grows with N: size the budget by it at a cap, and
+    # double the cap until the chosen N fits under it.
+    cap, rounding = 0, 0.0
+    while True:
+        n, route, bound = _choose_truncation(xi, ell, p, tol - rounding)
         if n > MAX_TERMS:
             raise ValueError(
-                f"truncation length {n} is above the ceiling {MAX_TERMS}")
-    else:
-        # The rounding term grows with N: size the budget by it at a cap, and
-        # double the cap until the chosen N fits under it.
-        cap, rounding = 0, 0.0
-        while True:
-            n, route, bound = _choose_truncation(xi, ell, p, tol - rounding)
-            if n > MAX_TERMS:
-                raise ValueError(
-                    f"tolerance {tol} needs a truncation length of {n} terms, above "
-                    f"the ceiling {MAX_TERMS}; loosen tol")
-            if n <= cap:
-                break
-            cap = 2 * n
-            rounding = _rounding_bound(xi, ell, p, cap)
-            if rounding >= tol:
-                raise ValueError(
-                    f"tolerance {tol} is below the floating-point error of the sum "
-                    f"({rounding:.3g}) at ell = {ell!r}")
+                f"tolerance {tol} needs a truncation length of {n} terms, above "
+                f"the ceiling {MAX_TERMS}; loosen tol")
+        if n <= cap:
+            break
+        cap = 2 * n
+        rounding = _rounding_bound(xi, ell, p, cap)
+        if rounding >= tol:
+            raise ValueError(
+                f"tolerance {tol} is below the floating-point error of the sum "
+                f"({rounding:.3g}) at ell = {ell!r}")
     value = _phi_sum(xi, ell, p, n)
     if route == "resonant":
         value -= 2.0 * _SIN_QUARTER_PI / (math.pi * xi) * _weight_tail(xi, p, n)
@@ -502,7 +484,6 @@ class UniformBoundRow(NamedTuple):
 
 
 class UniformBoundReport(NamedTuple):
-    xi: float
     c0: float
     tol: float
     rows: list[UniformBoundRow]
@@ -537,5 +518,5 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
         rows.append(UniformBoundRow(ell=ell, p_star=sup.p_star, value=sup.value,
                                     margin=margin,
                                     ok=margin >= UNIFORM_RTOL * max(c0, sup.value)))
-    return UniformBoundReport(xi=xi, c0=c0, tol=tol, rows=rows,
+    return UniformBoundReport(c0=c0, tol=tol, rows=rows,
                               all_ok=all(r.ok for r in rows))

@@ -44,10 +44,9 @@ _EDGE_TOL = 1e-12
 # Cost ceilings of the band computations, checked before allocating (like
 # galerkin.MAX_BASIS_DIM): level curves that can carry a requested band, and
 # the crossing candidates of one enumeration pass (_crossing_candidates),
-# counted column by column as they are enumerated.  The crossing ceiling is
-# set from full band_edges runs on a 2-core VM: xi 0.06, k 19,127 lists 3.39e6
-# candidates in 4-5 s at a 4.3 MB peak, and xi 0.5, k 30,000 is refused after
-# 4.0e6 candidates and 8.5 s.
+# summed from their closed-form column counts before any is enumerated.  The
+# crossing ceiling is set from full band_edges runs on a 2-core VM: xi 0.06,
+# k 19,127 lists 3.39e6 candidates in 4-5 s at a 4.3 MB peak.
 MAX_BAND_CURVES = 200_000
 MAX_BAND_CROSSINGS = 4_000_000
 # Ceiling on the rows of a counting computation, checked the same way: the
@@ -281,6 +280,25 @@ def band_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     return np.where(col % 2 == 0, col // 2, -(col + 1) // 2), m, cap
 
 
+def _column_counts(xi2: float, n_u: int, top_u: int, n_d: np.ndarray, top_d: np.ndarray, span):
+    """Rows m_u^2 of the increasing column n_u that the span reaches and, per
+    (m_u, n_d), the first m_d and the count of its candidates (_crossing_candidates)."""
+    m2_u = (np.arange(1, top_u + 1) ** 2)[:, None]
+    lo, hi = 0.0, 1.0
+    if span is not None:
+        a, b = span
+        lo = np.maximum(2.0 * (np.sqrt(np.maximum(a - xi2 * m2_u, 0.0)) - n_u), 0.0)
+        hi = np.minimum(2.0 * (np.sqrt(np.maximum(b - xi2 * m2_u, 0.0)) - n_u), 1.0)
+        rows = (lo <= hi).ravel()
+        m2_u, lo, hi = m2_u[rows], lo[rows], hi[rows]
+    step = (n_u - n_d) / xi2
+    first = np.ceil(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + lo), 0.0))) - 1.0
+    last = np.floor(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + hi), 0.0))) + 1.0
+    first = np.maximum(first, 1.0).astype(np.int64).ravel()
+    count = np.maximum(np.minimum(last, top_d).astype(np.int64).ravel() - first + 1, 0)
+    return m2_u, first, count
+
+
 def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span=None):
     """Pairs of an increasing and a decreasing level curve that can cross on [0, 1/2].
 
@@ -304,40 +322,34 @@ def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span=None):
     skipped.  A crossing inside the span by more than a few ulps is kept.
 
     Yields blocks (n_u, m_u^2, n_d, m_d^2) of at most _BLOCK pairs, squares as
-    floats; a block belongs to one increasing column n_u.  Fails closed
-    (ValueError) before the first block of the column that takes the running
-    count of candidates above MAX_BAND_CROSSINGS, so a refused pass has done
-    at most the work of one below the ceiling.
+    floats; a block belongs to one increasing column n_u.  Before the first
+    block, each column's candidates are counted from their closed-form
+    intervals (_column_counts) into a running total, and the pass fails
+    closed (ValueError) at the first column that takes it above
+    MAX_BAND_CROSSINGS, so a refused pass enumerates nothing.
     """
-    enumerated = 0
     cols, tops = np.unique(n, return_counts=True)
     down = cols < 0
     n_d, top_d = cols[down], tops[down]
+    up = list(zip(cols[~down].tolist(), tops[~down].tolist()))
     xi2 = xi * xi
-    for n_u, top_u in zip(cols[~down].tolist(), tops[~down].tolist()):
-        m2_u = (np.arange(1, top_u + 1) ** 2)[:, None]
-        lo, hi = 0.0, 1.0
-        if span is not None:
-            a, b = span
-            lo = np.maximum(2.0 * (np.sqrt(np.maximum(a - xi2 * m2_u, 0.0)) - n_u), 0.0)
-            hi = np.minimum(2.0 * (np.sqrt(np.maximum(b - xi2 * m2_u, 0.0)) - n_u), 1.0)
-            rows = (lo <= hi).ravel()
-            m2_u, lo, hi = m2_u[rows], lo[rows], hi[rows]
-        step = (n_u - n_d) / xi2
-        first = np.ceil(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + lo), 0.0))) - 1.0
-        last = np.floor(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + hi), 0.0))) + 1.0
-        first = np.maximum(first, 1.0).astype(np.int64).ravel()
-        count = np.maximum(np.minimum(last, top_d).astype(np.int64).ravel() - first + 1, 0)
+    # an (m_u, n_d) entry holds at most top_d candidates: below the ceiling in
+    # increasing x decreasing curves, no running total can pass it
+    if int(tops[~down].sum()) * int(top_d.sum()) > MAX_BAND_CROSSINGS:
+        enumerated = 0
+        for n_u, top_u in up:
+            enumerated += int(_column_counts(xi2, n_u, top_u, n_d, top_d, span)[2].sum())
+            if enumerated > MAX_BAND_CROSSINGS:
+                raise ValueError(
+                    f"band computation exceeds the ceiling of {MAX_BAND_CROSSINGS} curve "
+                    f"crossings (at least {enumerated} candidates); ask for fewer bands "
+                    "or a lower energy")
+    for n_u, top_u in up:
+        m2_u, first, count = _column_counts(xi2, n_u, top_u, n_d, top_d, span)
         # one entry per (m_u, n_d); candidate j of the column has m_d = j - offset
         ends = np.cumsum(count)
         offset = ends - count - first
         total = int(ends[-1]) if ends.size else 0
-        enumerated += total
-        if enumerated > MAX_BAND_CROSSINGS:
-            raise ValueError(
-                f"band computation exceeds the ceiling of {MAX_BAND_CROSSINGS} curve "
-                f"crossings (at least {enumerated} candidates); ask for fewer bands "
-                "or a lower energy")
         m2_uj = np.repeat(m2_u.ravel().astype(float), n_d.size)
         n_dj = np.tile(n_d, m2_u.size)
         for start in range(0, total, _BLOCK):
@@ -443,8 +455,7 @@ def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]
     Each endpoint is an attained value of E_k, exact up to a few ulps and that
     tie tolerance (scaled units) in either direction, with no inward bias.
     Fails closed (ValueError) above MAX_BAND_CURVES before allocating, and
-    above MAX_BAND_CROSSINGS enumerated candidates before the block that
-    would pass it.
+    above MAX_BAND_CROSSINGS candidates before enumerating any.
     """
     lo, hi = _band_extrema(geom.xi, band_curves(geom.xi, k_max), k_max)
     scale = math.pi * math.pi / (geom.T * geom.T)

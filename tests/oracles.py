@@ -11,6 +11,9 @@
   extremes and the residual envelope, each evaluated as an inequality.
 * ``beta_by_quadrature``: B(1/4, 1/2) by Gauss-Legendre quadrature, against
   the Gamma-function value of ``critical_constants``.
+* ``phi_reference``: phi_p as the plain sum to a given N with the
+  oscillation-blind tail, against the certified cuts of
+  ``stripgaps.oscillation.phi_p``.
 * ``stationary_phase_leading``, ``u_series``, ``pde_residual``: the
   stationary-phase leading term (which the full series visibly does not
   follow) and the residual of the characteristic PDE
@@ -41,15 +44,21 @@
   increasing and a decreasing level curve, ranked with the crossings on axis
   0, against ``stripgaps.spectrum.band_edges``, which enumerates only the
   pairs that can cross and ranks column-major (they must agree bit for bit).
+* ``overlap_lower_bound``: the paper's lower bound on the overlap of
+  consecutive unperturbed bands above ell2, whose constants
+  ``stripgaps.gaps.ell1_threshold`` uses.
 * ``certify_band_pairs``, ``band_pairs_from_all_bands``: the band-pair windows
   below a ceiling from the exact endpoints of every band, certified by
   ``stripgaps.gaps``' one predicate, against ``gap_report``, which computes
   exact endpoints only where band samples leave a window open (band count,
   window count, flags and every undecided window must agree exactly).
+* ``same_record``: value equality of two ``gap_report`` results, windows
+  included.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -65,10 +74,10 @@ from stripgaps.galerkin import (
     PotentialSpec,
     _dropped_floor,
     assemble,
-    hermitian_eigenvalues,
 )
-from stripgaps.gaps import BandPairs, PerturbBounds
+from stripgaps.gaps import BandPairs, GapParams, PerturbBounds, ell2_threshold
 from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
+from stripgaps.oscillation import _phi_sum, _rounding_bound, tail_bound
 from stripgaps.spectrum import (
     _EDGE_TOL,
     BOUNDARY_RTOL,
@@ -268,6 +277,14 @@ def beta_by_quadrature() -> float:
         x = nodes + (a + 1.0)
         total += float(np.dot(weights, np.cosh(x) ** -0.5))
     return 2.0 * total
+
+
+def phi_reference(xi: float, ell: float, p: int, truncation_n: int) -> tuple[float, float]:
+    """(value, bound) of phi_p(ell) as the plain sum |k| <= N, N >= 1, with the
+    oscillation-blind tail plus the sum's floating-point error as its bound:
+    independent of the tail routes ``stripgaps.oscillation.phi_p`` chooses."""
+    return (_phi_sum(xi, ell, p, truncation_n),
+            tail_bound(xi, truncation_n) + _rounding_bound(xi, ell, p, truncation_n))
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +511,20 @@ def band_functions_by_assembly(geom: StripGeometry, potential: PotentialSpec, ta
                                k_max: int, truncation: tuple[int, int],
                                bounds) -> BandTable:
     """The certified table of ``stripgaps.galerkin.band_functions``, with one
-    full ``assemble`` and one ``hermitian_eigenvalues`` per tau (no reuse at
+    full ``assemble`` and one ``np.linalg.eigvalsh`` per tau (no reuse at
     -tau): the same upper side mu_k + eps and Feshbach lower side."""
     n_max, m_max = truncation
     a = (0.5 * (bounds.omega_plus - bounds.omega_minus)) ** 2
     upper, lower = [], []
     for tau in tau_grid:
         H = assemble(geom, tau, potential, n_max, m_max)
-        ritz = hermitian_eigenvalues(H)[:k_max]
+        ritz = np.linalg.eigvalsh(H)[:k_max]
         eps = EIG_ROUNDING_C * H.shape[0] * 2.0 ** -53 * float(np.abs(H).sum(axis=1).max())
         mu = ritz - eps
         g = _dropped_floor(geom, tau, n_max, m_max) + bounds.omega_minus - mu
         upper.append(ritz + eps)
         lower.append(mu - 2.0 * a / (g + np.sqrt(g * g + 4.0 * a)))
-    return BandTable(tuple(float(t) for t in tau_grid), np.array(upper), np.array(lower),
-                     truncation)
+    return BandTable(tuple(float(t) for t in tau_grid), np.array(upper), np.array(lower))
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +586,32 @@ def band_table_all_pairs(geom: StripGeometry, k_max: int,
 # band-pair windows from the exact endpoints of all bands
 # ---------------------------------------------------------------------------
 
+def overlap_lower_bound(geom: StripGeometry, params: GapParams, eta0_k: float) -> float:
+    """Certified overlap of consecutive unperturbed bands at height eta0_k.
+
+    Returns (3 pi xi c0 / T) (T^2 eta0_k / pi^2)^(1/4-gamma)
+            - 3 pi xi / (2T) - 9 xi^2 / 4,
+    a lower bound for theta0_k - eta0_{k+1}, valid once
+    eta0_k >= (pi^2/T^2) ell2_threshold (ValueError below that, reporting the
+    required threshold).  Monotone increasing in eta0_k for gamma < 1/4.
+    ``stripgaps.gaps.ell1_threshold`` is built on the same constants.
+    """
+    xi = geom.xi
+    ell2 = ell2_threshold(geom, params)
+    floor = math.pi ** 2 / geom.T ** 2 * ell2
+    if not eta0_k >= floor:
+        raise ValueError(
+            f"overlap bound needs eta0_k >= {floor!r} "
+            f"(scaled threshold ell2={ell2!r}), got {eta0_k!r}"
+        )
+    scaled = geom.T ** 2 * eta0_k / math.pi ** 2
+    return (
+        3.0 * math.pi * xi * params.c0 / geom.T * scaled ** (0.25 - params.gamma)
+        - 1.5 * math.pi * xi / geom.T
+        - 2.25 * xi * xi
+    )
+
+
 def certify_band_pairs(geom: StripGeometry, bounds: PerturbBounds,
                        bands0: tuple[np.ndarray, np.ndarray], ell_max: float) -> BandPairs:
     """Windows of the consecutive pairs of bands0 up to (pi^2/T^2) ell_max.
@@ -587,6 +629,20 @@ def certify_band_pairs(geom: StripGeometry, bounds: PerturbBounds,
     above = eta0[1:] > ceiling
     pairs = int(np.argmax(above)) if above.any() else above.size
     return BandPairs.of(geom, bounds, theta0[:pairs], eta0[1:pairs + 1])
+
+
+def same_record(a, b) -> bool:
+    """Field-by-field equality of two records of one dataclass, nested records
+    and numpy arrays compared by value (``gap_report`` keeps its windows as
+    ``BandPairs`` arrays, which compare by identity)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return all(same_record(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return a == b
 
 
 def band_pairs_from_all_bands(geom: StripGeometry, bounds: PerturbBounds,

@@ -3,6 +3,7 @@
 import argparse
 import io
 import contextlib
+import itertools
 import json
 import os
 import shlex
@@ -131,6 +132,31 @@ def test_validation_errors_exit_one():
     assert code == 1
     code, _ = run(["count", "--xi", "0.5", "--ell", "1.3", "--tau", "0.7"])
     assert code == 1
+
+
+_GEOMETRY_FLAGS = (("--xi", "0.5"), ("--T", "1"), ("--d", "2"))
+
+
+@pytest.mark.parametrize("flags", [
+    flags for n in range(4) for flags in itertools.combinations(_GEOMETRY_FLAGS, n)])
+def test_count_resolves_or_refuses_every_subset_of_the_geometry_flags(flags):
+    # any two of xi, T, d (or xi alone, d = 1) fix the strip; none, T alone
+    # or d alone is refused with one error line, never a traceback
+    argv = ["count", *(token for flag in flags for token in flag), "--ell", "1", "--tau", "0"]
+    code, out, err = run_with_stderr(argv)
+    if flags in ((), _GEOMETRY_FLAGS[1:2], _GEOMETRY_FLAGS[2:3]):
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("0.5,1,0,")
+
+
+def test_sweeping_the_width_alone_fails_each_cell_not_the_sweep():
+    code, out = run(["sweep", "--param", "d", "--start", "1", "--stop", "2", "--steps", "2",
+                     "--", "count", "--ell", "1", "--tau", "0"])
+    assert code == 1
+    assert [l for l in out.splitlines() if not l.startswith("#")] == ["d,status", "1,1", "2,1"]
 
 
 def test_gaps_exit_codes_follow_the_certification():
@@ -422,6 +448,43 @@ def test_sweep_worker_count_never_changes_the_bytes():
     assert "--workers" not in serial[1]
 
 
+def test_sweep_pool_holds_at_most_one_process_per_cell_and_core(monkeypatch):
+    # a serial stand-in for the pool records the size asked for, so no
+    # process is started whatever --workers says
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+
+    def sweep(steps, workers):
+        return run(["sweep", "--param", "xi", "--start", "0.3", "--stop", "0.7",
+                    "--steps", str(steps), "--workers", str(workers),
+                    "--", "count", "--ell", "1.3", "--tau", "0"])
+
+    for cores, steps, workers, pool in [(4, 3, 10 ** 9, [3]), (4, 6, 10 ** 9, [4]),
+                                        (4, 6, 2, [2]), (4, 1, 10 ** 9, []),
+                                        (None, 6, 10 ** 9, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        serial = sweep(steps, 1)
+        sizes.clear()
+        assert sweep(steps, workers) == serial
+        assert sizes == pool
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_turns_an_inner_usage_error_into_failure_rows(workers):
     code, out = run([
@@ -558,6 +621,22 @@ def test_galerkin_command_rejects_conflicting_geometry(cosine_potential_file):
         "galerkin", "--potential", cosine_potential_file, "--T", "2.0", "--d", "1.0",
     ])
     assert code == 1
+
+
+def test_galerkin_command_fills_absent_geometry_flags_from_the_header(tmp_path):
+    path = tmp_path / "wide.txt"
+    write_potential_file(path, resolve_geometry(T=1.0, d=20.0),
+                         PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1))))
+    base = ["galerkin", "--potential", str(path), "--kmax", "2", "--grid", "3", "--format", "csv"]
+    code, out = run(base)
+    assert code == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    for flags in (["--xi", "0.05"], ["--d", "20"], ["--T", "1"], ["--xi", "0.05", "--T", "1"]):
+        code, out = run(base + flags)
+        assert code == 0, flags
+        assert [l for l in out.splitlines() if not l.startswith("#")] == rows
+    for flags in (["--xi", "0.1"], ["--T", "2"], ["--d", "1"]):
+        assert run(base + flags)[0] == 1, flags
 
 
 def test_galerkin_command_fails_closed_on_an_unreadable_potential_file(tmp_path, capsys):

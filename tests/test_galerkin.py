@@ -30,7 +30,6 @@ from stripgaps.galerkin import (
     assemble,
     band_functions,
     default_truncation,
-    hermitian_eigenvalues,
     omega_bounds,
     read_potential_file,
     unperturbed_band_functions,
@@ -106,12 +105,8 @@ def test_potential_rejects_non_finite_coefficients(bad):
 
 def test_potential_lookup_and_frequency_ranges():
     spec = PotentialSpec(terms=((2, 3, 0.5), (-2, 3, 0.5), (0, 1, 1.5)))
-    assert spec.j_max == 2
-    assert spec.q_max == 3
     assert coefficient(spec, 2, 3) == 0.5
     assert coefficient(spec, 5, 5) == 0.0
-    assert PotentialSpec().j_max == 0
-    assert PotentialSpec().q_max == 0
 
 
 def test_potential_evaluates_to_real_values():
@@ -148,7 +143,7 @@ def test_potential_gradient_bound():
 def test_assemble_without_potential_is_the_diagonal_of_mode_energies():
     H = assemble(GEOM, 0.25, PotentialSpec(), 3, 3)
     assert np.max(np.abs(H - np.diag(np.diag(H)))) == 0.0
-    eigs = hermitian_eigenvalues(H)
+    eigs = np.linalg.eigvalsh(H)
     expected = sorted(
         mode_energy(GEOM, 0.25, Mode(n, m)) for n in range(-3, 4) for m in range(1, 4)
     )
@@ -167,23 +162,23 @@ def test_assemble_places_the_transverse_coupling():
 
 def test_assemble_constant_term_shifts_the_diagonal_exactly():
     shift = PotentialSpec(terms=((0, 0, 0.7),))
-    base = hermitian_eigenvalues(assemble(GEOM, 0.1, PotentialSpec(), 2, 2))
-    moved = hermitian_eigenvalues(assemble(GEOM, 0.1, shift, 2, 2))
+    base = np.linalg.eigvalsh(assemble(GEOM, 0.1, PotentialSpec(), 2, 2))
+    moved = np.linalg.eigvalsh(assemble(GEOM, 0.1, shift, 2, 2))
     assert np.max(np.abs(moved - base - 0.7)) <= 1e-12
 
 
 def test_assemble_zone_edges_are_unitarily_equivalent():
     V = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1), (0, 1, 0.3)))
-    plus = hermitian_eigenvalues(assemble(GEOM, 0.5, V, 4, 4))
-    minus = hermitian_eigenvalues(assemble(GEOM, -0.5, V, 4, 4))
+    plus = np.linalg.eigvalsh(assemble(GEOM, 0.5, V, 4, 4))
+    minus = np.linalg.eigvalsh(assemble(GEOM, -0.5, V, 4, 4))
     assert np.max(np.abs(plus - minus)) <= 1e-11
 
 
 def test_assemble_eigenvalues_move_at_most_by_the_potential_sup():
     # Weyl: |E_k(V) - E_k(0)| <= sup|V| = 0.5 for this potential
     V = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1), (0, 1, 0.3)))
-    base = hermitian_eigenvalues(assemble(GEOM, 0.2, PotentialSpec(), 4, 4))
-    moved = hermitian_eigenvalues(assemble(GEOM, 0.2, V, 4, 4))
+    base = np.linalg.eigvalsh(assemble(GEOM, 0.2, PotentialSpec(), 4, 4))
+    moved = np.linalg.eigvalsh(assemble(GEOM, 0.2, V, 4, 4))
     assert np.max(np.abs(moved - base)) <= 0.5 + 1e-12
 
 
@@ -228,11 +223,11 @@ def test_assemble_is_always_hermitian(tau, v, q):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue solver front end
+# the eigensolver band_functions calls
 # ---------------------------------------------------------------------------
 
 def test_two_by_two_reference_eigenvalues():
-    eigs = hermitian_eigenvalues(np.array([[1.0, 1.0], [1.0, 2.0]]))
+    eigs = np.linalg.eigvalsh(np.array([[1.0, 1.0], [1.0, 2.0]]))
     assert eigs[0] == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-12)
     assert eigs[1] == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-12)
 
@@ -240,17 +235,10 @@ def test_two_by_two_reference_eigenvalues():
 @given(v=st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=100, deadline=None)
 def test_two_by_two_closed_form_family(v):
-    eigs = hermitian_eigenvalues(np.array([[1.0, v], [v, 2.0]]))
+    eigs = np.linalg.eigvalsh(np.array([[1.0, v], [v, 2.0]]))
     root = math.sqrt(1.0 + 4.0 * v * v)
     assert eigs[0] == pytest.approx((3.0 - root) / 2.0, abs=1e-12)
     assert eigs[1] == pytest.approx((3.0 + root) / 2.0, abs=1e-12)
-
-
-def test_eigenvalue_solver_rejects_non_hermitian_input():
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +257,7 @@ def test_band_functions_reproduce_the_unperturbed_spectrum():
             for m in range(1, 8)
         )[:3]
         assert np.max(np.abs(table.energies[i] - np.array(expected))) <= 1e-10
-    assert np.all(table.band(1) <= table.band(2))
-    with pytest.raises(ValueError):
-        table.band(4)
+    assert np.all(table.energies[:, 0] <= table.energies[:, 1])
 
 
 def test_unperturbed_band_functions_lie_in_the_certified_enclosure():
@@ -302,7 +288,7 @@ def test_inadequate_truncation_gives_a_wide_enclosure_of_the_converged_value():
     # problem: the enclosure is wide, and still holds the converged value
     strong = PotentialSpec(terms=((0, 1, 5.0),))
     table = band_functions(GEOM, strong, [0.0], 1, (0, 1), omega_bounds(GEOM, strong))
-    converged = hermitian_eigenvalues(assemble(GEOM, 0.0, strong, 8, 12))[0]
+    converged = np.linalg.eigvalsh(assemble(GEOM, 0.0, strong, 8, 12))[0]
     assert table.lower[0, 0] <= converged <= table.energies[0, 0]
     assert table.max_enclosure_width > 1.0
 
@@ -330,7 +316,7 @@ def test_enclosure_contains_the_ritz_values_of_a_larger_basis(labels, tau):
     except ValueError as exc:
         assert "g = " in str(exc)
         assume(False)
-    grown = hermitian_eigenvalues(assemble(GEOM, tau, spec, 8, 9))[:2]
+    grown = np.linalg.eigvalsh(assemble(GEOM, tau, spec, 8, 9))[:2]
     assert np.all(table.lower[0] <= grown)
     assert np.all(grown <= table.energies[0])
 
@@ -345,7 +331,7 @@ def test_q0_potential_is_enclosed_by_its_separated_one_dimensional_bands():
     table = band_functions(geom, spec, taus, 5, (3, 3), omega_bounds(geom, spec))
     transverse = [(math.pi * m / geom.d) ** 2 for m in range(1, 6)]
     for i, tau in enumerate(taus):
-        line = hermitian_eigenvalues(
+        line = np.linalg.eigvalsh(
             assemble(geom, tau, spec, 40, 1))
         separated = np.sort(np.add.outer(line[:8] - transverse[0], transverse).ravel())[:5]
         assert np.all(table.lower[i] <= separated)
@@ -399,7 +385,7 @@ def test_reused_rows_at_minus_tau_match_an_independent_solve(labels, tau):
     assert np.array_equal(table.lower[1], table.lower[0])
     H = assemble(GEOM, -tau, spec, 2, 3)
     eps = galerkin.EIG_ROUNDING_C * H.shape[0] * 2.0 ** -53 * np.abs(H).sum(axis=1).max()
-    ritz = hermitian_eigenvalues(H)[:2]
+    ritz = np.linalg.eigvalsh(H)[:2]
     assert np.all(np.abs(table.energies[1] - eps - ritz) <= eps)
 
 
@@ -456,11 +442,11 @@ def test_band_functions_refuse_a_non_hermitian_block_with_the_eigensolver_messag
     # but not the 1e-12 Hermitian check of the assembled matrix
     v = 600.0 + 800.0j
     spec = PotentialSpec(terms=((1, 0, v), (-1, 0, v.conjugate() + 5e-12)))
-    with pytest.raises(ValueError, match="not Hermitian") as expected:
-        hermitian_eigenvalues(assemble(GEOM, 0.25, spec, 2, 2))
+    H = assemble(GEOM, 0.25, spec, 2, 2)
+    defect = np.max(np.abs(H - H.conj().T))
     with pytest.raises(ValueError) as refused:
         band_functions(GEOM, spec, [0.25, -0.25], 2, (2, 2), PerturbBounds(-2000.0, 2000.0))
-    assert str(refused.value) == str(expected.value)
+    assert str(refused.value) == f"matrix is not Hermitian: entrywise defect {defect:.3e}"
 
 
 def test_a_potential_symmetric_only_within_tolerance_is_solved_at_both_points(monkeypatch):
@@ -519,8 +505,6 @@ def test_omega_bounds_for_the_pure_cosine():
     assert enc.inflation > 0.0
     assert enc.omega_plus - 0.2 <= 1e-14 < enc.inflation
     assert -0.2 - enc.omega_minus <= 1e-14
-    bounds = enc.as_bounds()
-    assert bounds.omega_L == pytest.approx(enc.omega_L, rel=1e-14)
 
 
 def test_omega_bounds_for_a_constant_are_exact():
@@ -641,16 +625,16 @@ def test_perturbed_bands_sit_inside_the_minimax_enclosure():
 def test_enclosure_verification_never_forgives_a_negative_margin():
     # band 1's certified lower bound sits 1e-9 below E0 + omega_-: declined at
     # the default tol and at any positive one; a negative tol demands a margin
-    bands0 = galerkin.BandTable((0.0,), np.array([[1.0]]), np.array([[1.0]]), (0, 1))
-    bands = galerkin.BandTable((0.0,), np.array([[1.5]]), np.array([[1.0 - 1e-9]]), (0, 1))
+    bands0 = galerkin.BandTable((0.0,), np.array([[1.0]]), np.array([[1.0]]))
+    bands = galerkin.BandTable((0.0,), np.array([[1.5]]), np.array([[1.0 - 1e-9]]))
     bounds = PerturbBounds(omega_minus=0.0, omega_plus=1.0)
     check = verify_enclosure(bands, bands0, bounds)
     assert check.worst_margin == pytest.approx(-1e-9, rel=1e-6)
     assert (check.ok, check.side, check.band) == (False, "lower", 1)
     assert not verify_enclosure(bands, bands0, bounds, tol=1.0).ok
-    touching = galerkin.BandTable((0.0,), np.array([[1.5]]), np.array([[1.0]]), (0, 1))
+    touching = galerkin.BandTable((0.0,), np.array([[1.5]]), np.array([[1.0]]))
     assert verify_enclosure(touching, bands0, bounds).ok
-    inside = galerkin.BandTable((0.0,), np.array([[1.5]]), np.array([[1.5]]), (0, 1))
+    inside = galerkin.BandTable((0.0,), np.array([[1.5]]), np.array([[1.5]]))
     assert verify_enclosure(inside, bands0, bounds, tol=-0.5).ok
     assert not verify_enclosure(inside, bands0, bounds, tol=-0.6).ok
 

@@ -14,13 +14,6 @@ def test_xi_is_aspect_ratio():
     assert geom.xi == pytest.approx(0.2, rel=1e-15)
 
 
-def test_scaled_energy_round_trip():
-    geom = StripGeometry(T=2.0, d=5.0)
-    energy = geom.energy_from_scaled(1.3)
-    assert energy == pytest.approx(math.pi ** 2 * 1.3 / 4.0, rel=1e-15)
-    assert geom.scaled_from_energy(energy) == pytest.approx(1.3, rel=1e-15)
-
-
 @pytest.mark.parametrize("T, d", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
                                   (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan)])
 def test_degenerate_strip_rejected(T, d):
@@ -41,7 +34,7 @@ def test_tiny_length_scales_rejected(T, d, name):
 def test_smallest_length_scales_keep_a_finite_energy_scale():
     for T, d in [(2.4e-154, 1.0), (1.0, 2.4e-154), (1e-150, 1e-150)]:
         geom = StripGeometry(T=T, d=d)
-        assert math.isfinite(geom.energy_from_scaled(1.0))
+        assert math.isfinite(math.pi * math.pi / (geom.T * geom.T))
 
 
 # The largest length whose square is finite; its energy scale pi^2/T^2 is
@@ -66,7 +59,7 @@ def test_largest_length_scales_keep_a_normal_energy_scale():
     for T, d in [(_LARGEST_LENGTH, 1.0), (1.0, _LARGEST_LENGTH),
                  (_LARGEST_LENGTH, _LARGEST_LENGTH)]:
         geom = StripGeometry(T=T, d=d)
-        assert geom.energy_from_scaled(1.0) >= sys.float_info.min
+        assert math.pi * math.pi / (geom.T * geom.T) >= sys.float_info.min
 
 
 def test_resolve_from_xi_only_defaults_unit_width():
@@ -96,6 +89,8 @@ def test_resolve_underdetermined_rejected():
         resolve_geometry()
     with pytest.raises(ValueError):
         resolve_geometry(T=1.0)
+    with pytest.raises(ValueError, match="need xi or T together with d"):
+        resolve_geometry(d=2.0)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import beta_by_quadrature, pde_residual, stationary_phase_leading, u_series
+from oracles import (
+    beta_by_quadrature,
+    pde_residual,
+    phi_reference,
+    stationary_phase_leading,
+    u_series,
+)
 from stripgaps.geometry import resolve_geometry
 from stripgaps import oscillation
 from stripgaps.oscillation import (
     MAX_HARMONICS,
     PhiEvaluation,
     PhiSupResult,
+    TAIL_ROUTES,
     critical_constants,
     cutoff_bound,
     phi_p,
@@ -84,6 +91,8 @@ def test_truncation_length_is_minimal(monkeypatch):
         assert tail_bound(xi, n) <= tol
         if n > 1:
             assert tail_bound(xi, n - 1) > tol
+    assert tail_bound(0.5, 4) == pytest.approx(
+        4.0 * math.sqrt(0.5) / (math.pi * 2.0), rel=1e-14)
     with pytest.raises(ValueError):
         truncation_length(0.5, 0.0)
     # phi_p's cut is the least any route certifies: one term fewer is refused
@@ -97,22 +106,6 @@ def test_truncation_length_is_minimal(monkeypatch):
         monkeypatch.undo()
 
 
-def test_tail_bound_degenerate_cut_uses_zeta_comparison():
-    expected = 2.0 * math.sqrt(0.5) * zeta_three_halves() / math.pi
-    assert tail_bound(0.5, 0) == pytest.approx(expected, rel=1e-14)
-    assert tail_bound(0.5, 4) == pytest.approx(
-        4.0 * math.sqrt(0.5) / (math.pi * 2.0), rel=1e-14)
-
-
-def test_phi_single_term_cut():
-    # k = 0 only: (1/(pi xi)) sin(2 pi sqrt(ell) p - pi/4) / p^(3/2)
-    geom = resolve_geometry(xi=0.5)
-    ev = phi_p(geom, 1.0, 1, n_override=0)
-    assert ev.truncation_n == 0
-    assert ev.value == pytest.approx(-math.sqrt(2.0) / math.pi, rel=1e-14)
-    assert ev.tail_bound == pytest.approx(tail_bound(0.5, 0), rel=1e-14)
-
-
 def test_phi_rejects_bad_inputs(monkeypatch):
     geom = resolve_geometry(xi=0.5)
     with pytest.raises(ValueError):
@@ -120,16 +113,11 @@ def test_phi_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         phi_p(geom, 1.0, 0)
     with pytest.raises(ValueError):
-        phi_p(geom, 1.0, 1, n_override=-1)
-    with pytest.raises(ValueError):
         phi_p(geom, 1.0, 1, tol=0.0)
     # a tolerance whose certified cut exceeds the cost ceiling is refused
     monkeypatch.setattr(oscillation, "MAX_TERMS", 10 ** 6)
     with pytest.raises(ValueError, match="ceiling"):
         phi_p(geom, 1.0, 1, tol=1e-9)
-    monkeypatch.setattr(oscillation, "MAX_TERMS", 10)
-    with pytest.raises(ValueError, match="ceiling"):
-        phi_p(geom, 1.0, 1, n_override=11)
     monkeypatch.undo()
     # far beyond float64 resolution of the phase: refused, not a wrong number
     with pytest.raises(ValueError, match="floating-point error"):
@@ -184,9 +172,8 @@ def test_every_route_agrees_with_a_long_reference_sum(xi, ell, p, route):
     ev = phi_p(geom, ell, p, tol=1e-4)
     assert ev.route == route
     assert ev.tail_bound <= 1e-4
-    ref = phi_p(geom, ell, p, n_override=_REFERENCE_N)
-    assert ref.route == "fallback"
-    assert abs(ev.value - ref.value) <= ev.tail_bound + ref.tail_bound
+    value, bound = phi_reference(xi, ell, p, _REFERENCE_N)
+    assert abs(ev.value - value) <= ev.tail_bound + bound
     if route != "fallback":
         assert ev.truncation_n < truncation_length(xi, 1e-4)
 
@@ -207,7 +194,7 @@ def test_routes_agree_with_a_tighter_evaluation(xi, ell, p):
 
 def test_routes_are_recorded_and_validated():
     geom = resolve_geometry(xi=0.5)
-    assert phi_p(geom, 1.0, 1, n_override=5).route == "fallback"
+    assert phi_p(geom, 1.0, 1).route in TAIL_ROUTES
     with pytest.raises(ValueError, match="route"):
         PhiEvaluation(p=1, ell=1.3, value=0.0, tail_bound=1.0, truncation_n=1, route="exact")
 

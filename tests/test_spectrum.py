@@ -371,8 +371,7 @@ def test_band_table_fails_closed_above_its_cost_ceilings():
 
 def test_crossing_ceiling_counts_the_candidates_enumerated(monkeypatch):
     # (xi 0.03, k 2113) enumerates 179,711 candidates in 9 increasing
-    # columns: the running count refuses before the block that passes the
-    # ceiling, so no more than the ceiling is ever yielded
+    # columns: the closed-form count refuses before any block is yielded
     geom = resolve_geometry(xi=0.03)
     yielded = []
     real = spectrum._crossing_candidates
@@ -393,7 +392,7 @@ def test_crossing_ceiling_counts_the_candidates_enumerated(monkeypatch):
         with pytest.raises(ValueError, match=f"ceiling of {ceiling} curve crossings "
                                              r"\(at least \d+ candidates\)"):
             band_edges(geom, 2113)
-        assert sum(yielded) <= ceiling
+        assert yielded == []
 
 
 def test_band_table_ranks_crossings_in_bounded_memory():
@@ -544,8 +543,8 @@ def test_band_endpoints_agree_with_counting_extremes(xi, k_top):
     cushion = 4.0 * BOUNDARY_RTOL
     for k in range(1, k_top + 1):
         lo, hi = band_endpoints(geom, k)
-        ell_lo = geom.scaled_from_energy(lo)
-        ell_hi = geom.scaled_from_energy(hi)
+        ell_lo = lo * geom.T ** 2 / PI2
+        ell_hi = hi * geom.T ** 2 / PI2
         assert counting_extremes(geom, ell_lo * (1 + cushion) + cushion)[0] >= k
         assert counting_extremes(geom, ell_lo * (1 - cushion) - cushion)[0] < k
         assert counting_extremes(geom, ell_hi * (1 + cushion) + cushion)[1] >= k
@@ -557,7 +556,7 @@ def test_band_edge_counting_identities_nondegenerate():
     geom = StripGeometry(T=1.0, d=1.0)
     for k, expect_lo, expect_hi in [(1, 1.0, 1.25), (2, 1.25, 2.0)]:
         lo, hi = band_endpoints(geom, k)
-        assert geom.scaled_from_energy(lo) == pytest.approx(expect_lo, rel=1e-12)
-        assert geom.scaled_from_energy(hi) == pytest.approx(expect_hi, rel=1e-12)
-        assert counting_extremes(geom, geom.scaled_from_energy(lo))[0] == k
-        assert counting_extremes(geom, geom.scaled_from_energy(hi))[1] == k
+        assert lo * geom.T ** 2 / PI2 == pytest.approx(expect_lo, rel=1e-12)
+        assert hi * geom.T ** 2 / PI2 == pytest.approx(expect_hi, rel=1e-12)
+        assert counting_extremes(geom, lo * geom.T ** 2 / PI2)[0] == k
+        assert counting_extremes(geom, hi * geom.T ** 2 / PI2)[1] == k
