@@ -14,6 +14,15 @@ inequality is violated).
 One table, ``COMMANDS``, declares every command: its handler, help line,
 default output format and flags.  The parser, the canonical echo, the
 defaults each handler sees and the dispatch are all generated from it.
+One parse (``_parse``) yields the flags given and the handler's options;
+``sweep`` also uses it to count a cell's grid points.  One spelling
+(``_spell``) writes every value of the echo and of sweep's cells, and it
+parses back to the same value: a float's exact repr, with negative numbers
+in exponent form (-1e-05, -1.5e+16) and -inf read as values, not options.
+So replaying the ``# argv=`` echo reproduces stdout byte for byte.  Handlers
+render verdicts the library decides (check-thm23's applicability, the
+``galerkin.zone_grid`` tau grid); non-finite numbers and numbers beyond
+float resolution are refused with exit 1 and a message naming them.
 
 Each invocation builds the parser of the command it names only (all of
 them when it names none, so help and the invalid-choice message list every
@@ -33,6 +42,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import shlex
 import sys
 from typing import Callable, NamedTuple
@@ -48,6 +58,7 @@ from .galerkin import (
     read_potential_file,
     unperturbed_band_functions,
     verify_enclosure,
+    zone_grid,
 )
 from .gaps import GapParams, PerturbBounds, gap_report
 from .geometry import StripGeometry, resolve_geometry
@@ -129,6 +140,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
+
+
+def _spell(value) -> str:
+    """Argv text that parses back to value (str of a float is its exact repr)."""
+    return str(value)
 
 
 def _fmt(value) -> str:
@@ -249,24 +265,24 @@ def _cmd_phi_sup(params: dict, out: _Output) -> tuple[int, list[str]]:
 
 def _cmd_check_thm23(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
-    cc = critical_constants()
-    if not geom.xi < cc.xi_critical:
-        excess = geom.xi - cc.xi_critical
-        return 2, _render(
-            out,
-            ["verdict", "margin"],
-            [["not-applicable", excess]],
-            [("verdict", "not-applicable"), ("xi_excess", excess)],
-        )
     lo, hi, n = params["ell_min"], params["ell_max"], _grid(params, "grid")
     if not 1.0 <= lo <= hi:
         raise ValueError(f"need 1 <= ell-min <= ell-max, got [{lo}, {hi}]")
+    if hi == math.inf:
+        raise ValueError("ell-max must be finite, got inf")
     grid = np.linspace(lo, hi, n) if n > 1 else np.array([lo])
     report = uniform_lower_bound_check(
         geom, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"]
     )
+    if report.c0 is None:
+        return 2, _render(
+            out,
+            ["verdict", "margin"],
+            [["not-applicable", report.xi_excess]],
+            [("verdict", "not-applicable"), ("xi_excess", report.xi_excess)],
+        )
     rows = [
-        [r.ell, r.p_star, r.value, report.c0 - 2 * report.tol, r.margin, r.ok]
+        [r.ell, r.p_star, r.value, report.threshold, r.margin, r.ok]
         for r in report.rows
     ]
     status = 0 if report.all_ok else 2
@@ -372,9 +388,7 @@ def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
         truncation = (params["nmax"], params["mmax"])
     else:
         truncation = default_truncation(geom, k_max)
-    # one division of integers per point, so the +-tau pairs are exact
-    # negations and band_functions solves each pair once
-    tau_grid = [(2 * (i + 1) - grid_n) / (2 * grid_n) for i in range(grid_n)]
+    tau_grid = zone_grid(grid_n)
     bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
     enclosure = omega_bounds(geom, potential)
     bands = band_functions(geom, potential, tau_grid, k_max, truncation, enclosure)
@@ -412,34 +426,12 @@ def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
         out, ["tau", "k", "energy0", "energy_lower", "energy"], rows, summary)
 
 
-def _error_text(exc: Exception) -> str:
-    """Message for a refused invocation; float overflow means out-of-range inputs."""
-    if isinstance(exc, OverflowError):
-        detail = exc.args[-1] if exc.args else "overflow"
-        return f"inputs out of floating-point range ({detail})"
-    return str(exc)
-
-
 def _sweep_cell(argv: list[str]) -> tuple[int, list[str]]:
-    """Run one inner invocation; never raises (failures become status 1)."""
+    """Run one inner invocation; never raises (a failure is status 1, no lines)."""
     try:
         return _run_argv(argv)
-    except (ValueError, OverflowError) as exc:
-        return 1, [f"# error={_error_text(exc)}"]
-    except SystemExit:
-        return 1, ["# error=usage"]
-
-
-def _cell_points(argv: list[str], dest: str) -> int:
-    """Grid points of one cell's flag dest, table default when absent; 0 when
-    the cell does not parse (then no cell runs anything)."""
-    with contextlib.redirect_stderr(io.StringIO()):
-        try:
-            given = vars(_parser(argv).parse_args(argv))
-        except SystemExit:
-            return 0
-    default = next(f.default for f in COMMANDS[argv[0]].flags if f.dest == dest)
-    return given.get(dest, default)
+    except (ValueError, OverflowError, SystemExit):
+        return 1, []
 
 
 def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
@@ -453,6 +445,8 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
         raise ValueError(f"{steps} sweep steps exceed the ceiling of {MAX_SWEEP_STEPS}")
     if not start <= stop:
         raise ValueError(f"range start {start} must not exceed stop {stop}")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"range [{start}, {stop}] must be finite")
     if not inner:
         raise ValueError("sweep needs an inner command after --")
     if inner[0] == "sweep":
@@ -469,10 +463,7 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
         bad = next((v for v in values if not v.is_integer()), None)
         if bad is not None:
             raise ValueError(f"{flag} takes integers, but the sweep reaches {bad!r}")
-        texts = [str(int(v)) for v in values]
-    else:
-        texts = [repr(v) for v in values]
-    cells = [inner + [flag, text, "--format", "csv"] for text in texts]
+    cells = [inner + [flag, _spell(kind(v)), "--format", "csv"] for v in values]
     if inner[0] in _GRID_FLAG:
         dest = _GRID_FLAG[inner[0]]
         if name == dest:
@@ -484,8 +475,12 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
                     f"points, over the ceiling of {MAX_GRID} points")
         else:
             # cells differ only in the swept value, so the first one tells
-            # how many grid points every cell asks for
-            points = _cell_points(cells[0], dest)
+            # how many grid points every cell asks for (none if it does not parse)
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    points = _parse(cells[0])[2][dest]
+                except SystemExit:
+                    points = 0
             if steps * points > MAX_GRID:
                 raise ValueError(
                     f"{steps} sweep steps x {points} {inner[0]} points exceed the "
@@ -614,6 +609,9 @@ def _parser(argv: list[str]) -> _Parser:
         command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help, description=command.help,
                            argument_default=argparse.SUPPRESS)
+        # every negative number _spell writes is a value, not an unknown
+        # option (argparse alone knows -5 and -0.5, not -1e-05 or -inf)
+        p._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf)$", re.I)
         for spelling, kwargs in command.arguments:
             p.add_argument(spelling, **kwargs)
         if name == "sweep":
@@ -622,26 +620,31 @@ def _parser(argv: list[str]) -> _Parser:
     return parser
 
 
-def _run_argv(argv: list[str]) -> tuple[int, list[str]]:
-    """Parse and dispatch one invocation, returning (status, output lines)."""
+def _parse(argv: list[str]) -> tuple[str, dict, dict]:
+    """(command, flags given, handler options: the given flags over the defaults)."""
     given = vars(_parser(argv).parse_args(argv))
     name = given.pop("command")
-    command = COMMANDS[name]
-    params = {f.dest: f.default for f in command.flags
+    params = {f.dest: f.default for f in COMMANDS[name].flags
               if f.default not in (None, _REQUIRED)}
     params.update(given)
+    if name == "sweep":
+        params["inner"] = [t for t in params["inner"] if t != "--"]
+    return name, given, params
+
+
+def _run_argv(argv: list[str]) -> tuple[int, list[str]]:
+    """Parse and dispatch one invocation, returning (status, output lines)."""
+    name, given, params = _parse(argv)
+    command = COMMANDS[name]
     # The canonical echo: every flag the user supplied, in table order, and
     # the resolved format always, so re-parsing it reproduces the options;
     # sweep's inner command stays the trailing section.
     echo = [name]
     for f in command.flags:
         if f.echo and (f.dest in given or f.dest == "format"):
-            value = params[f.dest]
-            echo += [f.spelling, repr(value) if isinstance(value, float) else str(value)]
-    if name == "sweep":
-        params["inner"] = [t for t in params["inner"] if t != "--"]
-        if params["inner"]:
-            echo += ["--", *params["inner"]]
+            echo += [f.spelling, _spell(params[f.dest])]
+    if params.get("inner"):
+        echo += ["--", *params["inner"]]
     out = _Output(params["format"], [
         "# tool=stripgaps",
         f"# version={__version__}",
@@ -658,8 +661,12 @@ def main(argv: list[str] | None = None) -> int:
         status, lines = _run_argv(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, OverflowError) as exc:
-        sys.stderr.write(f"error: {_error_text(exc)}\n")
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OverflowError as exc:
+        detail = exc.args[-1] if exc.args else "overflow"
+        sys.stderr.write(f"error: inputs out of floating-point range ({detail})\n")
         return 1
     sys.stdout.write("\n".join(lines) + "\n")
     return status

@@ -30,6 +30,8 @@ import numpy as np
 from .geometry import StripGeometry, validate_ell
 from .spectrum import row_radii
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 def a0_closed(geom: StripGeometry, ell: float) -> float:
     """Mean of the counting function over the zone: 2 sum_m r_m."""
@@ -39,10 +41,25 @@ def a0_closed(geom: StripGeometry, ell: float) -> float:
 
 
 def ap_closed(geom: StripGeometry, ell: float, p: int) -> float:
-    """Cosine coefficient a_p(ell) = (1/(pi p)) sum_m sin(2 pi p r_m), p >= 1."""
+    """Cosine coefficient a_p(ell) = (1/(pi p)) sum_m sin(2 pi p r_m), p >= 1.
+
+    Each computed radius r_m = sqrt(ell - xi^2 m^2) is within
+    2.01 (u ell)^(1/2) + u ell^(1/2) of the exact one, u = 2^-53 (the
+    subtraction cancels at a row near the rim), so each sine argument
+    2 pi p r_m is within 2 pi p ell^(1/2) (2.01 u^(1/2) + 7u).  Where that
+    reaches 1 radian a sine carries no correct digit (p ell^(1/2) above
+    about 7.5e6), and the request is refused with ValueError, before any row
+    is computed, like phi_p's sums beyond float resolution.
+    """
     validate_ell(ell)
     if p < 1:
         raise ValueError(f"harmonic index must be >= 1, got {p}")
+    error = (2.0 * math.pi * p * math.sqrt(ell)
+             * (2.01 * math.sqrt(_UNIT_ROUNDOFF) + 7.0 * _UNIT_ROUNDOFF))
+    if error >= 1.0:
+        raise ValueError(
+            f"harmonic p = {p} at ell = {ell!r} is beyond float64 resolution: "
+            f"the sine arguments 2 pi p r_m carry rounding errors up to {error:.3g} rad")
     radii = row_radii(geom.xi, ell)
     if radii.size == 0:
         return 0.0

@@ -64,6 +64,7 @@ __all__ = [
     "default_truncation",
     "assemble",
     "BandTable",
+    "zone_grid",
     "band_functions",
     "unperturbed_band_functions",
     "OmegaEnclosure",
@@ -341,13 +342,19 @@ def _dropped_floor(geom: StripGeometry, tau: float, n_max: int, m_max: int) -> f
     )
 
 
+def zone_grid(n: int) -> list[float]:
+    """The quasimomenta -1/2 + i/n, i = 1..n, each one division of integers, so
+    +-tau pairs are exact negations and band_functions solves each pair once."""
+    return [(2 * i - n) / (2 * n) for i in range(1, n + 1)]
+
+
 def band_functions(
     geom: StripGeometry,
     potential: PotentialSpec,
     tau_grid: Sequence[float],
     k_max: int,
     truncation: tuple[int, int],
-    bounds: PerturbBounds | OmegaEnclosure,
+    bounds: PerturbBounds,
 ) -> BandTable:
     """Certified enclosures of the lowest k_max bands per grid tau.
 
@@ -443,9 +450,10 @@ def unperturbed_band_functions(
     return BandTable(grid, energies, energies)
 
 
-@dataclass(frozen=True)
-class OmegaEnclosure:
-    """Outer enclosure of the potential's range over the cell.
+@dataclass(frozen=True, kw_only=True)
+class OmegaEnclosure(PerturbBounds):
+    """Outer enclosure of the potential's range over the cell: PerturbBounds
+    (finite and ordered, checked on construction) with how they were found.
 
     grid_min/grid_max are the extrema of the computed values on the sample
     grid; inflation is the slack added outward: the smaller of the first- and
@@ -453,21 +461,13 @@ class OmegaEnclosure:
     floating-point error (exactly 0 for a constant potential, whose values
     are exact).  Clipping to the trivial range (see omega_bounds) can only
     shrink either side's slack.  The true essential infimum and supremum satisfy
-    omega_minus <= inf V and sup V <= omega_plus.  The object carries the
-    same omega fields as PerturbBounds, so band_functions and
-    verify_enclosure take either.
+    omega_minus <= inf V and sup V <= omega_plus.
     """
 
-    omega_minus: float
-    omega_plus: float
     grid_min: float
     grid_max: float
     inflation: float
     rounding: float
-
-    @property
-    def omega_L(self) -> float:
-        return self.omega_plus - self.omega_minus
 
 
 def _range_extremes(potential: PotentialSpec, grid_n: int) -> tuple[float, float]:
@@ -585,7 +585,7 @@ class EnclosureCheck(NamedTuple):
 def verify_enclosure(
     bands: BandTable,
     bands0: BandTable,
-    bounds: PerturbBounds | OmegaEnclosure,
+    bounds: PerturbBounds,
     tol: float = 0.0,
 ) -> EnclosureCheck:
     """Check E_k0(tau) + omega_- <= E_k(tau) <= E_k0(tau) + omega_+ entrywise.
@@ -596,8 +596,11 @@ def verify_enclosure(
     grid and band count (ValueError on mismatch).  Returns the worst signed
     margin over both inequalities and all entries, with where it sits; ok
     when it is >= max(0, -tol): a negative tol demands a margin of -tol, and
-    no tol forgives a negative margin (both sides are certified bounds).
+    no tol forgives a negative margin (both sides are certified bounds).  A
+    nan tol is refused (ValueError).
     """
+    if math.isnan(tol):
+        raise ValueError("enclosure tolerance must be a number, got nan")
     if bands.tau_grid != bands0.tau_grid:
         raise ValueError("tau grids differ between the two band tables")
     if bands.k_max != bands0.k_max:

@@ -225,11 +225,11 @@ def gapless_margin(xi: float, T: float, omega_L: float) -> float:
 def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVerdict:
     """Evaluate the gapless-certification conditions for (geometry, bounds).
 
-    Internal consistency, checked on every verdict (AssertionError, which
-    would indicate an arithmetic error): whenever the low-energy budget
-    condition holds, the first-band condition holds too (the budget is the
-    smaller quantity); and whenever the first-band and subcritical-ratio
-    conditions hold, 1/4 + xi^2 < ell_star < 2/3.
+    Internal consistency, checked on every verdict, also under python -O
+    (AssertionError, which would indicate an arithmetic error): whenever the
+    low-energy budget condition holds, the first-band condition holds too
+    (the budget is the smaller quantity); and whenever the first-band and
+    subcritical-ratio conditions hold, 1/4 + xi^2 < ell_star < 2/3.
     """
     xi = geom.xi
     cc = critical_constants()
@@ -240,14 +240,14 @@ def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVe
     first_ok = 0.0 <= scaled < 0.25 + xi * xi
     subcritical = xi < cc.xi_critical
     star = _a_ratio(xi) ** 2 + scaled
-    assert not low_ok or first_ok, (
-        "low-energy budget accepted an oscillation above the first band height: "
-        f"xi={xi}, scaled={scaled}, budget={budget}"
-    )
-    assert not (first_ok and subcritical) or 0.25 + xi * xi < star < 2.0 / 3.0, (
-        f"crossing threshold {star} escaped its sandwich "
-        f"({0.25 + xi * xi}, {2/3}) at xi={xi}"
-    )
+    if low_ok and not first_ok:
+        raise AssertionError(
+            "low-energy budget accepted an oscillation above the first band height: "
+            f"xi={xi}, scaled={scaled}, budget={budget}")
+    if first_ok and subcritical and not 0.25 + xi * xi < star < 2.0 / 3.0:
+        raise AssertionError(
+            f"crossing threshold {star} escaped its sandwich "
+            f"({0.25 + xi * xi}, {2/3}) at xi={xi}")
     return ConditionsVerdict(
         xi=xi,
         scaled_oscillation=scaled,

@@ -57,7 +57,8 @@ def resolve_geometry(xi: float | None = None,
                      d: float | None = None) -> StripGeometry:
     """Build a StripGeometry from any two of (xi, T, d).
 
-    If all three are given they must be consistent to ~1e-9 relative.
+    If all three are given they must be consistent to ~1e-9 relative (a
+    non-finite xi never is).
     If only ``xi`` is given, ``d`` defaults to 1.
     """
     given = sum(v is not None for v in (xi, T, d))
@@ -76,7 +77,9 @@ def resolve_geometry(xi: float | None = None,
             raise ValueError("need xi or d together with T")
         d = T / xi
     geom = StripGeometry(T=T, d=d)
-    if xi is not None and abs(geom.xi - xi) > 1e-9 * max(1.0, abs(xi)):
+    # a nan or inf xi passes the tolerance test, so it is refused here
+    if xi is not None and not (math.isfinite(xi)
+                               and abs(geom.xi - xi) <= 1e-9 * max(1.0, abs(xi))):
         raise ValueError(f"inconsistent geometry: T/d = {geom.xi} but xi = {xi}")
     return geom
 

@@ -101,10 +101,14 @@ class CriticalConstants:
     beta_quarter_half: float
 
     def c0(self, xi: float) -> float:
-        """Uniform lower-bound constant c0(xi) = (c1 - 2 zeta(3/2) xi^(3/2))/(pi xi)."""
+        """Uniform lower-bound constant c0(xi) = (c1 - 2 zeta(3/2) xi^(3/2))/(pi xi);
+        ValueError for xi <= 0 and where c0 is not finite (xi nan, inf or tiny)."""
         if xi <= 0:
             raise ValueError(f"xi must be positive, got {xi}")
-        return (self.c1 - 2.0 * self.zeta32 * xi ** 1.5) / (math.pi * xi)
+        value = (self.c1 - 2.0 * self.zeta32 * xi ** 1.5) / (math.pi * xi)
+        if not math.isfinite(value):
+            raise ValueError(f"c0(xi) is not a finite number at xi = {xi}")
+        return value
 
 
 @lru_cache(maxsize=1)
@@ -169,10 +173,16 @@ class PhiEvaluation:
 
 
 def truncation_length(xi: float, tol: float) -> int:
-    """Minimal N >= 1 with tail bound 4 xi^(1/2) / (pi N^(1/2)) <= tol."""
+    """Minimal N >= 1 with tail bound 4 xi^(1/2) / (pi N^(1/2)) <= tol; ValueError
+    unless tol is positive and finite, and when N would pass 2^63."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    n = max(1, math.ceil(16.0 * xi / (math.pi * math.pi * tol * tol)))
+    if not tol < math.inf:
+        raise ValueError(f"tolerance must be finite, got {tol}")
+    guess = 16.0 * xi / (math.pi * tol) / (math.pi * tol)
+    if not guess < 2.0 ** 63:
+        raise ValueError(f"tolerance {tol} needs over 2^63 terms at xi = {xi}")
+    n = max(1, math.ceil(guess))
     while tail_bound(xi, n) > tol:
         n += 1
     while n > 1 and tail_bound(xi, n - 1) <= tol:
@@ -384,10 +394,13 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEval
     tail_bound adds to the route's bound the floating-point error of the sum
     (_rounding_bound); it is refused with ValueError when that alone would
     use up tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.  An N
-    above MAX_TERMS is refused with ValueError before summing.
+    above MAX_TERMS is refused with ValueError before summing, and so are an
+    ell or tol that is not positive and finite (tol by truncation_length).
     """
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")
+    if ell == math.inf:
+        raise ValueError("ell must be finite, got inf")
     if p < 1:
         raise ValueError(f"harmonic index must be >= 1, got {p}")
     if tol <= 0:
@@ -454,7 +467,7 @@ def phi_sup(geom: StripGeometry, ell: float, cutoff_c1: float = 3.0,
     range are dominated whenever it stays below the returned value.  Fails
     closed (ValueError) above MAX_HARMONICS harmonics.
     """
-    if cutoff_c1 <= 0:
+    if not cutoff_c1 > 0:
         raise ValueError(f"cutoff constant must be positive, got {cutoff_c1}")
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")
@@ -484,26 +497,31 @@ class UniformBoundRow(NamedTuple):
 
 
 class UniformBoundReport(NamedTuple):
-    c0: float
-    tol: float
+    """threshold = c0 - 2 tol; xi_excess = xi - xi_critical.  At or above the
+    critical ratio the verdict is not-applicable: c0 and threshold are None,
+    rows is empty, all_ok is False."""
+
+    c0: float | None
+    threshold: float | None
     rows: list[UniformBoundRow]
     all_ok: bool
+    xi_excess: float
 
 
 def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
                               cutoff_c1: float = 3.0) -> UniformBoundReport:
     """Verify sup_p |phi_p(ell)| >= c0(xi) - 2 tol over an energy grid.
 
-    Valid in the small-ratio regime xi < xi_critical with ell >= 1 (the
+    Valid (else not applicable) in the regime xi < xi_critical, ell >= 1 (the
     regime where the uniform bound holds with the certified constant c0; the
     margin reported per ell is value - (c0 - 2 tol), and a row holds when its
     margin is at least the rounding slack UNIFORM_RTOL * max(c0, value)).
     """
     consts = critical_constants()
     xi = geom.xi
+    excess = xi - consts.xi_critical
     if not xi < consts.xi_critical:
-        raise ValueError(
-            f"uniform lower bound needs xi < {consts.xi_critical:.7f}, got {xi}")
+        return UniformBoundReport(None, None, [], False, xi_excess=excess)
     ells = [float(e) for e in ell_grid]
     if not ells:
         raise ValueError("empty energy grid")
@@ -518,5 +536,5 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
         rows.append(UniformBoundRow(ell=ell, p_star=sup.p_star, value=sup.value,
                                     margin=margin,
                                     ok=margin >= UNIFORM_RTOL * max(c0, sup.value)))
-    return UniformBoundReport(c0=c0, tol=tol, rows=rows,
-                              all_ok=all(r.ok for r in rows))
+    return UniformBoundReport(c0=c0, threshold=threshold, rows=rows,
+                              all_ok=all(r.ok for r in rows), xi_excess=excess)

@@ -51,7 +51,8 @@ MAX_BAND_CURVES = 200_000
 MAX_BAND_CROSSINGS = 4_000_000
 # Ceiling on the rows of a counting computation, checked the same way: the
 # transverse rows m <= sqrt(ell)/xi that row_radii allocates, and the
-# longitudinal rows n (about 2 sqrt(ell)) that counting walks.
+# longitudinal rows n (about 2 sqrt(ell)) that counting walks and that
+# band_edges ranks each crossing against (ell = cap, at least xi^2).
 MAX_ROWS = 1 << 22
 # counting refuses rows holding more points than float64 counts exactly.
 _EXACT_COUNT = 2.0 ** 52
@@ -418,7 +419,9 @@ def _band_extrema(xi: float, curves, k_max: int, slices=None) -> tuple[np.ndarra
         if a.size == 0:
             return lo, hi
         span = (float(a[0]), float(b[-1]))
-    n_cols = np.arange(-math.ceil(math.sqrt(cap)) - 1, math.ceil(math.sqrt(cap)) + 2)
+    half = math.ceil(math.sqrt(cap))
+    _check_rows(2 * half + 3)
+    n_cols = np.arange(-half - 1, half + 2)
     chunk = max(1, _BLOCK // n_cols.size)
     for n_u, m2_u, n_d, m2_d in _crossing_candidates(xi, n, m, span):
         t = (xi2 * (m2_d - m2_u) / (n_u - n_d) - n_u - n_d) / 2.0
@@ -454,8 +457,9 @@ def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]
 
     Each endpoint is an attained value of E_k, exact up to a few ulps and that
     tie tolerance (scaled units) in either direction, with no inward bias.
-    Fails closed (ValueError) above MAX_BAND_CURVES before allocating, and
-    above MAX_BAND_CROSSINGS candidates before enumerating any.
+    Fails closed (ValueError) above MAX_BAND_CURVES before allocating, above
+    MAX_BAND_CROSSINGS candidates before enumerating any, and above MAX_ROWS
+    ranking columns (xi above about 2e6) before allocating them.
     """
     lo, hi = _band_extrema(geom.xi, band_curves(geom.xi, k_max), k_max)
     scale = math.pi * math.pi / (geom.T * geom.T)

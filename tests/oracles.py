@@ -432,7 +432,8 @@ def omega_bounds_first_order(
     values = potential_values(potential, geom, x1[:, None], x2[None, :])
     inflation = potential.gradient_bound(geom) * math.hypot(2.0 * geom.T, geom.d) / grid_n
     lo, hi = float(values.min()), float(values.max())
-    return OmegaEnclosure(lo - inflation, hi + inflation, lo, hi, inflation, 0.0)
+    return OmegaEnclosure(omega_minus=lo - inflation, omega_plus=hi + inflation, grid_min=lo,
+                          grid_max=hi, inflation=inflation, rounding=0.0)
 
 
 def range_grid(potential: PotentialSpec, grid_n: int) -> np.ndarray:

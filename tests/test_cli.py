@@ -5,6 +5,7 @@ import io
 import contextlib
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stripgaps
 from oracles import write_potential_file
-from stripgaps.cli import COMMANDS, MAX_GRID, MAX_SWEEP_STEPS, _parser, main
+from stripgaps.cli import COMMANDS, MAX_GRID, MAX_SWEEP_STEPS, _parse, _parser, main
 import stripgaps.galerkin as galerkin
 from stripgaps.galerkin import PotentialSpec
 from stripgaps.geometry import resolve_geometry
@@ -264,6 +266,34 @@ _COSTLY = [
     (["sweep", "--param", "tol", "--start", "1e-6", "--stop", "1e-5", "--steps", "10000",
       "--", "galerkin", "--potential", str(DATA / "cosine.pot")],
      f"error: 10000 sweep steps x 17 galerkin points exceed the ceiling of {MAX_GRID} points"),
+    # non-finite numbers, and numbers past float resolution, name the quantity
+    (["constants", "--xi", "nan"], "error: c0(xi) is not a finite number at xi = nan"),
+    (["constants", "--xi", "inf"], "error: c0(xi) is not a finite number at xi = inf"),
+    (["constants", "--xi", "5e-324"], "error: c0(xi) is not a finite number at xi = 5e-324"),
+    *[([command, "--xi", "0.05", *flags, "--tol", tol], f"error: tolerance must be finite, got {tol}")
+      for command, flags in (("phi", ["--ell", "1.3", "--p", "1"]), ("phi-sup", ["--ell", "1.3"]),
+                             ("check-thm23", ["--grid", "2"]))
+      for tol in ("nan", "inf")],
+    (["phi", "--xi", "0.5", "--ell", "1.3", "--p", "1", "--tol", "5e-324"],
+     "error: tolerance 5e-324 needs over 2^63 terms at xi = 0.5"),
+    (["phi", "--xi", "0.5", "--ell", "inf", "--p", "1"], "error: ell must be finite, got inf"),
+    (["phi-sup", "--xi", "0.5", "--ell", "1.3", "--cutoff-c1", "nan"],
+     "error: cutoff constant must be positive, got nan"),
+    (["check-thm23", "--xi", "0.05", "--ell-max", "inf"], "error: ell-max must be finite, got inf"),
+    (["fourier", "--xi", "0.5", "--ell", "1.3", "--p", "10000000000000000000000"],
+     "error: harmonic p = 10000000000000000000000 at ell = 1.3 is beyond float64 resolution: "
+     "the sine arguments 2 pi p r_m carry rounding errors up to 1.52e+15 rad"),
+    (["galerkin", "--potential", str(DATA / "cosine.pot"), "--xi", "nan"],
+     "error: inconsistent geometry: T/d = 1.0 but xi = nan"),
+    (["galerkin", "--potential", str(DATA / "cosine.pot"), "--xi", "inf"],
+     "error: inconsistent geometry: T/d = 1.0 but xi = inf"),
+    (["galerkin", "--potential", str(DATA / "cosine.pot"), "--tol", "nan"],
+     "error: enclosure tolerance must be a number, got nan"),
+    (["sweep", "--param", "xi", "--start", "-inf", "--stop", "0.5", "--steps", "2",
+      "--", "count", "--ell", "1.3", "--tau", "0"], "error: range [-inf, 0.5] must be finite"),
+    # each band crossing is ranked against 2 sqrt(cap) columns, cap >= xi^2
+    (["bands", "--xi", "625842014", "--kmax", "2"],
+     f"error: row computation exceeds the ceiling of {MAX_ROWS} rows (1.25e+09 estimated)"),
 ]
 
 
@@ -369,6 +399,65 @@ def test_canonical_echo_round_trips(monkeypatch):
         echo = next(l for l in out.splitlines() if l.startswith("# argv="))
         replay = shlex.split(echo[len("# argv=") :])
         assert run(replay) == (code, out), argv
+
+
+# A cheap invocation of every command, for the round-trip property below.
+_CHEAP = {
+    "constants": [],
+    "count": ["--xi", "0.5", "--ell", "1.3", "--tau", "0"],
+    "bands": ["--xi", "0.5", "--kmax", "2"],
+    "fourier": ["--xi", "0.5", "--ell", "1.3", "--p", "1"],
+    "phi": ["--xi", "0.5", "--ell", "1.3", "--p", "1", "--tol", "0.01"],
+    "phi-sup": ["--xi", "0.5", "--ell", "1.3", "--tol", "0.01"],
+    "check-thm23": ["--xi", "0.05", "--grid", "1", "--tol", "0.01"],
+    "gaps": ["--xi", "0.5", "--c0", "0.5", "--low-points", "2", "--ell-max", "2"],
+    "galerkin": ["--potential", str(DATA / "cosine.pot"), "--kmax", "1", "--grid", "2"],
+    "sweep": ["--param", "xi", "--start", "0.3", "--stop", "0.5", "--steps", "2",
+              "--", "count", "--ell", "1.3", "--tau", "0"],
+}
+_FLOAT_FLAGS = [(name, flag.spelling) for name, command in COMMANDS.items()
+                for flag in command.flags if flag.type is float]
+
+
+@pytest.mark.parametrize("name, spelling", _FLOAT_FLAGS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(value=st.one_of(st.sampled_from([-1e-05, -1.5e+16, -0.0, -math.inf]), st.floats()))
+def test_every_float_value_parses_and_its_echo_replays(name, spelling, value):
+    """Any float, in the spelling the echo uses, is read as that float, never
+    as an unknown option; and the echo of the run replays its stdout."""
+    argv = [name, *_CHEAP[name]]
+    inner = argv.index("--") if "--" in argv else len(argv)
+    if spelling in argv[:inner]:
+        argv[argv.index(spelling) + 1] = repr(value)
+    else:
+        argv[inner:inner] = [spelling, repr(value)]
+    parsed = _parse(argv)[2][spelling[2:].replace("-", "_")]
+    assert repr(parsed) == repr(value)
+    code, out, err = run_with_stderr(argv)
+    if out:
+        assert err == ""
+        echo = next(l for l in out.splitlines() if l.startswith("# argv="))
+        assert repr(value) in shlex.split(echo[len("# argv="):])
+        assert run(shlex.split(echo[len("# argv="):])) == (code, out)
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_exponent_and_decimal_spellings_of_a_negative_value_agree():
+    base = ["gaps", "--xi", "0.05", "--omega-plus", "0.01", "--omega-minus"]
+    code, out, err = run_with_stderr(base + ["-1e-3"])
+    assert (code, err) == (2, "")
+    assert run(base + ["-0.001"]) == (code, out)
+    assert "# argv=gaps --xi 0.05 --omega-minus -0.001 --omega-plus 0.01 --format report" in out
+
+
+def test_sweep_cells_take_negative_exponent_values():
+    code, out, err = run_with_stderr([
+        "sweep", "--param", "omega_minus", "--start", "-2e-05", "--stop", "0", "--steps", "3",
+        "--", "gaps", "--xi", "0.05", "--omega-plus", "0.01"])
+    assert (code, err) == (2, "")
+    assert [l for l in out.splitlines() if not l.startswith("#")] == [
+        "omega_minus,status", "-2e-05,2", "-1e-05,2", "0,2"]
 
 
 def test_seed_is_echoed():

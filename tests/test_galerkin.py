@@ -507,6 +507,24 @@ def test_omega_bounds_for_the_pure_cosine():
     assert -0.2 - enc.omega_minus <= 1e-14
 
 
+def test_the_enclosure_is_a_checked_perturbation_bound():
+    enc = omega_bounds(GEOM, COSINE_X1)
+    assert isinstance(enc, PerturbBounds)
+    assert enc.omega_L == enc.omega_plus - enc.omega_minus
+    record = dict(grid_min=0.0, grid_max=0.0, inflation=0.0, rounding=0.0)
+    with pytest.raises(ValueError, match="exceeds"):
+        galerkin.OmegaEnclosure(omega_minus=1.0, omega_plus=0.0, **record)
+    with pytest.raises(ValueError, match="finite"):
+        galerkin.OmegaEnclosure(omega_minus=-math.inf, omega_plus=0.0, **record)
+
+
+def test_zone_grid_pairs_are_exact_negations():
+    for n in range(1, 40):
+        grid = galerkin.zone_grid(n)
+        assert grid[-1] == 0.5 and len(grid) == n
+        assert all(-tau in grid for tau in grid[:-1])
+
+
 def test_omega_bounds_for_a_constant_are_exact():
     enc = omega_bounds(GEOM, PotentialSpec(terms=((0, 0, 0.7),)))
     assert enc.omega_minus == enc.omega_plus == 0.7

@@ -4,7 +4,11 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,42 @@ def test_conditions_scaled_oscillation_bookkeeping():
     verdict = conditions_check(geom, PerturbBounds(omega_minus=-0.5, omega_plus=0.5))
     assert verdict.scaled_oscillation == pytest.approx(
         4.0 / math.pi ** 2 * 1.0, rel=1e-14)
+
+
+# A budget above the first band height (omega_L = pi^2 at T = 1 is a scaled
+# oscillation of 1), or a crossing ratio that puts ell_star above 2/3: each
+# breaks one of conditions_check's consistency checks.
+_BROKEN_ARITHMETIC = [
+    ("low_energy_budget", math.pi ** 2, "low-energy budget accepted"),
+    ("_a_ratio", 0.0, "escaped its sandwich"),
+]
+
+
+@pytest.mark.parametrize("name, omega_L, message", _BROKEN_ARITHMETIC)
+def test_conditions_consistency_checks_raise(monkeypatch, name, omega_L, message):
+    monkeypatch.setattr(gaps, name, lambda xi: 10.0)
+    with pytest.raises(AssertionError, match=message):
+        conditions_check(resolve_geometry(T=1.0, xi=0.05), PerturbBounds(0.0, omega_L))
+
+
+def test_conditions_consistency_checks_survive_python_optimize():
+    probe = (
+        "import stripgaps.gaps as gaps\n"
+        "from stripgaps.geometry import resolve_geometry\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        f"for name, omega_L, message in {_BROKEN_ARITHMETIC!r}:\n"
+        "    saved = getattr(gaps, name)\n"
+        "    setattr(gaps, name, lambda xi: 10.0)\n"
+        "    try:\n"
+        "        gaps.conditions_check(resolve_geometry(T=1.0, xi=0.05),\n"
+        "                              gaps.PerturbBounds(0.0, omega_L))\n"
+        "    except AssertionError as exc:\n"
+        "        print(message in str(exc))\n"
+        "    setattr(gaps, name, saved)\n")
+    src = str(Path(gaps.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\nTrue\n", "")
 
 
 # ---------------------------------------------------------------------------

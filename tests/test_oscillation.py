@@ -366,10 +366,18 @@ def test_uniform_bound_margin_positive_only_within_rounding_is_declined(
     assert report.rows[0].ok is ok and report.all_ok is ok
 
 
-def test_uniform_bound_rejects_out_of_regime_inputs():
-    with pytest.raises(ValueError, match="xi"):
-        uniform_lower_bound_check(resolve_geometry(xi=0.2), [1.0])
+def test_uniform_bound_rejects_out_of_regime_inputs(monkeypatch):
+    # at or above the critical ratio the verdict is not-applicable, with the
+    # excess xi - xi_critical, and no harmonic is evaluated (nor the grid read)
+    monkeypatch.setattr(oscillation, "phi_sup", None)
+    xi_critical = critical_constants().xi_critical
+    for xi in (0.2, xi_critical):
+        report = uniform_lower_bound_check(resolve_geometry(xi=xi), [0.5])
+        assert report == (None, None, [], False, xi - xi_critical)
+    assert report.xi_excess == 0.0
+    monkeypatch.undo()
     geom = resolve_geometry(xi=0.05)
+    assert uniform_lower_bound_check(geom, [1.0], tol=1e-2).xi_excess == 0.05 - xi_critical
     with pytest.raises(ValueError):
         uniform_lower_bound_check(geom, [])
     with pytest.raises(ValueError):
