@@ -309,13 +309,8 @@ def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
     cc = critical_constants()
     if "c0" in params:
         gp = GapParams(c0=params["c0"], gamma=params["gamma"], ell0=params["ell0"])
-    elif geom.xi < cc.xi_critical:
-        gp = GapParams.from_small_ratio(geom.xi)
     else:
-        raise ValueError(
-            f"xi={geom.xi} is not below the critical ratio {cc.xi_critical:.7f}; "
-            "supply --c0 (and optionally --gamma, --ell0)"
-        )
+        gp = GapParams.from_small_ratio(geom.xi)
     rep = gap_report(geom, bounds, gp, params.get("ell_max"), low_points)
     verdict = rep.conditions
     items: list[tuple[str, object]] = [
@@ -496,16 +491,19 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
         results = [_sweep_cell(argv) for argv in cells]
     tables = [[l.split(",") for l in lines if not l.startswith("#")]
               for _, lines in results]
+    # the header of the first answered cell, else of the first that printed a
+    # table; a cell keeps its rows, declined or not, when its table has it
     inner_header = next(
-        (t[0] for (status, _), t in zip(results, tables) if status == 0 and t), []
+        (t[0] for (status, _), t in zip(results, tables) if status == 0 and t),
+        next((t[0] for t in tables if t), []),
     )
     rows = []
     for value, (status, _), table in zip(values, results, tables):
         prefix = [_fmt(value), str(status)]
-        if status != 0:
-            rows.append(prefix + [""] * len(inner_header))
-        else:
+        if table and table[0] == inner_header:
             rows.extend(prefix + row for row in table[1:])
+        else:
+            rows.append(prefix + [""] * len(inner_header))
     statuses = [status for status, _ in results]
     overall = 0 if all(s == 0 for s in statuses) else (2 if 2 in statuses else 1)
     # cells are CSV whatever the format, so the sweep table is too

@@ -56,7 +56,7 @@ import numpy as np
 
 from .gaps import PerturbBounds
 from .geometry import StripGeometry
-from .spectrum import _BLOCK, band_curves
+from .spectrum import _BLOCK, _level_extremes, band_curves
 
 __all__ = [
     "PotentialSpec",
@@ -189,9 +189,8 @@ def default_truncation(geom: StripGeometry, k_max: int) -> tuple[int, int]:
     guarantee: band_functions certifies whatever truncation it is given, and
     refuses one that drops a mode as low as a requested band.
     """
-    from .spectrum import kth_scaled_level
-
-    ceiling = kth_scaled_level(geom.xi, k_max, 0.5) + 1.0
+    level = _level_extremes(geom.xi, band_curves(geom.xi, k_max), k_max, (0.5,))[0][-1]
+    ceiling = float(level) + 1.0
     n_max = int(math.ceil(math.sqrt(ceiling) + 0.5)) + 1
     m_max = max(1, int(math.ceil(math.sqrt(ceiling) / geom.xi)) + 1)
     return n_max, m_max

@@ -132,13 +132,14 @@ class GapParams:
         """Certified minorant constants for xi below the critical ratio.
 
         c0 = (c1 - 2 zeta(3/2) xi^(3/2)) / (pi xi), gamma = 0, ell0 = 1.
-        Valid only for 0 < xi < xi_critical (where c0 > 0).
+        Valid only for 0 < xi < xi_critical (where c0 > 0); elsewhere c0 (and
+        optionally gamma, ell0) must be supplied.
         """
         cc = critical_constants()
         if not 0.0 < xi < cc.xi_critical:
             raise ValueError(
                 f"small-ratio constants require 0 < xi < {cc.xi_critical:.10f}, "
-                f"got xi={xi}"
+                f"got xi={xi}; supply c0 (and optionally gamma, ell0)"
             )
         return cls(c0=cc.c0(xi), gamma=0.0, ell0=1.0)
 

@@ -516,6 +516,9 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
     regime where the uniform bound holds with the certified constant c0; the
     margin reported per ell is value - (c0 - 2 tol), and a row holds when its
     margin is at least the rounding slack UNIFORM_RTOL * max(c0, value)).
+    A threshold c0 - 2 tol <= 0 (finite tol >= c0/2) certifies nothing and is
+    refused (ValueError) before any phi_sup call; a non-finite tol is refused
+    by phi_p.
     """
     consts = critical_constants()
     xi = geom.xi
@@ -529,6 +532,10 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
         raise ValueError(f"grid energies must be >= 1, got min {min(ells)}")
     c0 = consts.c0(xi)
     threshold = c0 - 2.0 * tol
+    if c0 / 2.0 <= tol < math.inf:
+        raise ValueError(
+            f"tol {tol} leaves no certificate: the threshold c0 - 2 tol = {threshold:.6g} "
+            f"with c0 = {c0:.6g} is not positive; ask for tol below c0/2")
     rows = []
     for ell in ells:
         sup = phi_sup(geom, ell, cutoff_c1=cutoff_c1, tol=tol)

@@ -46,7 +46,7 @@ _EDGE_TOL = 1e-12
 # the crossing candidates of one enumeration pass (_crossing_candidates),
 # summed from their closed-form column counts before any is enumerated.  The
 # crossing ceiling is set from full band_edges runs on a 2-core VM: xi 0.06,
-# k 19,127 lists 3.39e6 candidates in 4-5 s at a 4.3 MB peak.
+# k 19,127 lists 3.37e6 candidates in 4-5 s at a 4.3 MB peak.
 MAX_BAND_CURVES = 200_000
 MAX_BAND_CROSSINGS = 4_000_000
 # Ceiling on the rows of a counting computation, checked the same way: the
@@ -204,17 +204,6 @@ def scaled_levels_below(xi: float, tau: float, ceiling: float) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def kth_scaled_level(xi: float, k: int, tau: float) -> float:
-    """k-th smallest dimensionless level at quasimomentum tau, that is E_k(tau).
-
-    Levels are even and 1-periodic in tau; they are evaluated at the distance
-    of tau to the nearest integer, over the curves of band_curves.
-    """
-    n, m, _cap = band_curves(xi, k)
-    t = abs(tau - round(tau))
-    return float(np.partition((n + t) ** 2 + xi * xi * m * m, k - 1)[k - 1])
-
-
 def _check_band_cost(curves: float) -> None:
     """Fail closed (ValueError) before a band computation above MAX_BAND_CURVES."""
     if not curves <= MAX_BAND_CURVES:
@@ -284,14 +273,12 @@ def band_curves(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
 def _column_counts(xi2: float, n_u: int, top_u: int, n_d: np.ndarray, top_d: np.ndarray, span):
     """Rows m_u^2 of the increasing column n_u that the span reaches and, per
     (m_u, n_d), the first m_d and the count of its candidates (_crossing_candidates)."""
+    a, b = span
     m2_u = (np.arange(1, top_u + 1) ** 2)[:, None]
-    lo, hi = 0.0, 1.0
-    if span is not None:
-        a, b = span
-        lo = np.maximum(2.0 * (np.sqrt(np.maximum(a - xi2 * m2_u, 0.0)) - n_u), 0.0)
-        hi = np.minimum(2.0 * (np.sqrt(np.maximum(b - xi2 * m2_u, 0.0)) - n_u), 1.0)
-        rows = (lo <= hi).ravel()
-        m2_u, lo, hi = m2_u[rows], lo[rows], hi[rows]
+    lo = np.maximum(2.0 * (np.sqrt(np.maximum(a - xi2 * m2_u, 0.0)) - n_u), 0.0)
+    hi = np.minimum(2.0 * (np.sqrt(np.maximum(b - xi2 * m2_u, 0.0)) - n_u), 1.0)
+    rows = (lo <= hi).ravel()
+    m2_u, lo, hi = m2_u[rows], lo[rows], hi[rows]
     step = (n_u - n_d) / xi2
     first = np.ceil(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + lo), 0.0))) - 1.0
     last = np.floor(np.sqrt(np.maximum(m2_u + step * (n_u + n_d + hi), 0.0))) + 1.0
@@ -300,8 +287,9 @@ def _column_counts(xi2: float, n_u: int, top_u: int, n_d: np.ndarray, top_d: np.
     return m2_u, first, count
 
 
-def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span=None):
-    """Pairs of an increasing and a decreasing level curve that can cross on [0, 1/2].
+def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span):
+    """Pairs of an increasing and a decreasing level curve that can cross on [0, 1/2]
+    at a level lambda in span = (a, b).
 
     The curves (n, m) are band_curves', whose column n holds m = 1..M_n.  An
     increasing curve (n_u, m_u) and a decreasing one (n_d, m_d) meet at some
@@ -315,9 +303,9 @@ def _crossing_candidates(xi: float, n: np.ndarray, m: np.ndarray, span=None):
     float tau, so the crossings kept by band_edges' float filter are those of
     all pairs.
 
-    With span = (a, b) only the crossings with lambda in [a, b] are sought.
-    On the increasing curve lambda = (tau + n_u)^2 + xi^2 m_u^2 grows with tau,
-    so that is tau in [t_a, t_b] = [sqrt(a - xi^2 m_u^2), sqrt(b - xi^2 m_u^2)]
+    Only the crossings with lambda in the span [a, b] are sought.  On the
+    increasing curve lambda = (tau + n_u)^2 + xi^2 m_u^2 grows with tau, so
+    that is tau in [t_a, t_b] = [sqrt(a - xi^2 m_u^2), sqrt(b - xi^2 m_u^2)]
     - n_u: [0, 1] above narrows to 2 [t_a, t_b] clipped to [0, 1], still
     widened by one m_d on each side, and the rows m_u where that is empty are
     skipped.  A crossing inside the span by more than a few ulps is kept.
@@ -396,7 +384,7 @@ def _level_extremes(xi: float, curves, k_max: int, taus) -> tuple[np.ndarray, np
     return lo, hi
 
 
-def _band_extrema(xi: float, curves, k_max: int, slices=None) -> tuple[np.ndarray, np.ndarray]:
+def _band_extrema(xi: float, curves, k_max: int, slices) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of the bands 1..k_max (scaled units) from the tau = 0, 1/2 levels
     and the crossings ranked on the given curves; band_edges documents the method.
 
@@ -405,31 +393,26 @@ def _band_extrema(xi: float, curves, k_max: int, slices=None) -> tuple[np.ndarra
     exactly when it lies in [a_i, b_i] for the last a_i <= lambda), restricts
     the work to one enumeration pass over the crossings in [a_0, b_last] and
     to ranking those inside the slices.
-    Every crossing and level is evaluated as without slices, so an endpoint
-    whose attaining crossing lies in a slice has the same bits either way;
-    the other entries only lack crossings outside the slices.
+    Every crossing and level is evaluated whatever the slices, so an endpoint
+    whose attaining crossing lies in a slice has the same bits as with the
+    one slice [0, cap]; the other entries only lack crossings outside the
+    slices.
     """
     n, m, cap = curves
     xi2 = xi * xi
-    m2 = (m * m).astype(float)
     lo, hi = _level_extremes(xi, curves, k_max, (0.0, 0.5))
-    span = None
-    if slices is not None:
-        a, b = slices
-        if a.size == 0:
-            return lo, hi
-        span = (float(a[0]), float(b[-1]))
+    a, b = slices
+    if a.size == 0:
+        return lo, hi
     half = math.ceil(math.sqrt(cap))
     _check_rows(2 * half + 3)
     n_cols = np.arange(-half - 1, half + 2)
     chunk = max(1, _BLOCK // n_cols.size)
-    for n_u, m2_u, n_d, m2_d in _crossing_candidates(xi, n, m, span):
+    for n_u, m2_u, n_d, m2_d in _crossing_candidates(xi, n, m, (float(a[0]), float(b[-1]))):
         t = (xi2 * (m2_d - m2_u) / (n_u - n_d) - n_u - n_d) / 2.0
         lam = (t + n_u) ** 2 + xi2 * m2_u
-        ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap)
-        if span is not None:
-            i = np.searchsorted(a, lam, side="right") - 1
-            ok &= (i >= 0) & (lam <= b[np.maximum(i, 0)])
+        i = np.searchsorted(a, lam, side="right") - 1
+        ok = (t >= 0.0) & (t <= 0.5) & (lam <= cap) & (i >= 0) & (lam <= b[np.maximum(i, 0)])
         t, lam = t[ok], lam[ok]
         for c in range(0, t.size, chunk):
             _fold_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
@@ -446,7 +429,9 @@ def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]
     * Enumeration: only the pairs whose m_d lies in the closed-form interval
       of a crossing on [0, 1/2] (_crossing_candidates), so the work follows
       the crossing count, not the count of all increasing x decreasing pairs;
-      the float filter t in [0, 1/2], lambda <= cap keeps the crossings.
+      the float filter t in [0, 1/2], lambda <= cap keeps the crossings.  The
+      pass is _band_extrema's with the one slice [0, cap], which holds every
+      level of the bands 1..k_max.
     * Block bound: at most _BLOCK candidate pairs per block, and at most
       _BLOCK crossings x columns per ranking chunk, whatever the table size.
     * Ranking: at a crossing (t, lambda), E_k(t) = lambda for the ranks k
@@ -461,7 +446,8 @@ def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]
     MAX_BAND_CROSSINGS candidates before enumerating any, and above MAX_ROWS
     ranking columns (xi above about 2e6) before allocating them.
     """
-    lo, hi = _band_extrema(geom.xi, band_curves(geom.xi, k_max), k_max)
+    curves = band_curves(geom.xi, k_max)
+    lo, hi = _band_extrema(geom.xi, curves, k_max, (np.zeros(1), np.array([curves[2]])))
     scale = math.pi * math.pi / (geom.T * geom.T)
     return scale * lo, scale * hi
 

@@ -44,6 +44,11 @@
   increasing and a decreasing level curve, ranked with the crossings on axis
   0, against ``stripgaps.spectrum.band_edges``, which enumerates only the
   pairs that can cross and ranks column-major (they must agree bit for bit).
+* ``truncation_by_kth_level``: the Galerkin starting truncation from the
+  k-th level at tau = 1/2 by one partition of the curves' levels there,
+  against ``stripgaps.galerkin.default_truncation``, which reads that level
+  from the sorted levels of ``spectrum._level_extremes`` (they must agree
+  exactly).
 * ``overlap_lower_bound``: the paper's lower bound on the overlap of
   consecutive unperturbed bands above ell2, whose constants
   ``stripgaps.gaps.ell1_threshold`` uses.
@@ -581,6 +586,18 @@ def band_table_all_pairs(geom: StripGeometry, k_max: int,
                 _rank_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
     scale = math.pi * math.pi / (geom.T * geom.T)
     return scale * lo, scale * hi
+
+
+def truncation_by_kth_level(geom: StripGeometry, k_max: int) -> tuple[int, int]:
+    """(n_max, m_max) covering every mode that can reach E_k_max(1/2) + 1, with
+    E_k_max(1/2) the k_max-th smallest level of ``band_curves`` at tau = 1/2."""
+    xi = geom.xi
+    n, m, _cap = band_curves(xi, k_max)
+    level = np.partition((n + 0.5) ** 2 + xi * xi * m * m, k_max - 1)[k_max - 1]
+    ceiling = float(level) + 1.0
+    n_max = int(math.ceil(math.sqrt(ceiling) + 0.5)) + 1
+    m_max = max(1, int(math.ceil(math.sqrt(ceiling) / xi)) + 1)
+    return n_max, m_max
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 
 # Inputs beyond the corpus and the bench pool: negative values in exponent
-# form, non-finite numbers and numbers past float resolution.
+# form, non-finite numbers, numbers past float resolution, tolerances that
+# leave no certificate and sweeps with declined cells.
 EXTRA = [
     ["gaps", "--xi", "0.05", "--omega-minus", "-1e-3", "--omega-plus", "0.01"],
     ["gaps", "--xi", "0.05", "--omega-minus", "-0.001", "--omega-plus", "0.01"],
@@ -59,6 +60,10 @@ EXTRA = [
     ["sweep", "--param", "xi", "--start", "-inf", "--stop", "0.5", "--steps", "2",
      "--", "count", "--ell", "1.3", "--tau", "0"],
     ["bands", "--xi", "1e16", "--kmax", "2"],
+    *[["check-thm23", "--xi", "0.05", "--grid", "2", "--ell-max", "2", "--tol", tol]
+      for tol in ("1e300", "0.4", "1e308")],
+    *[["sweep", "--param", "xi", "--start", start, "--stop", "0.2", "--steps", "2",
+       "--", "check-thm23", "--grid", "2", "--ell-max", "2"] for start in ("0.05", "0.15")],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

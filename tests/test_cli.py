@@ -294,6 +294,16 @@ _COSTLY = [
     # each band crossing is ranked against 2 sqrt(cap) columns, cap >= xi^2
     (["bands", "--xi", "625842014", "--kmax", "2"],
      f"error: row computation exceeds the ceiling of {MAX_ROWS} rows (1.25e+09 estimated)"),
+    # a uniform-bound threshold c0 - 2 tol <= 0 certifies nothing
+    (["check-thm23", "--xi", "0.05", "--grid", "2", "--ell-max", "2", "--tol", "1e300"],
+     "error: tol 1e+300 leaves no certificate: the threshold c0 - 2 tol = -2e+300 with "
+     "c0 = 0.699114 is not positive"),
+    (["check-thm23", "--xi", "0.05", "--grid", "2", "--ell-max", "2", "--tol", "0.4"],
+     "error: tol 0.4 leaves no certificate: the threshold c0 - 2 tol = -0.100886 with "
+     "c0 = 0.699114 is not positive"),
+    (["check-thm23", "--xi", "0.05", "--grid", "2", "--ell-max", "2", "--tol", "1e308"],
+     "error: tol 1e+308 leaves no certificate: the threshold c0 - 2 tol = -inf with "
+     "c0 = 0.699114 is not positive"),
 ]
 
 
@@ -456,8 +466,10 @@ def test_sweep_cells_take_negative_exponent_values():
         "sweep", "--param", "omega_minus", "--start", "-2e-05", "--stop", "0", "--steps", "3",
         "--", "gaps", "--xi", "0.05", "--omega-plus", "0.01"])
     assert (code, err) == (2, "")
-    assert [l for l in out.splitlines() if not l.startswith("#")] == [
-        "omega_minus,status", "-2e-05,2", "-1e-05,2", "0,2"]
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == "omega_minus,status,key,value"
+    for value in ("-2e-05", "-1e-05", "0"):
+        assert f"{value},2,omega_minus,{value}" in rows
 
 
 def test_seed_is_echoed():
@@ -516,6 +528,32 @@ def test_sweep_keeps_failure_rows_in_place():
     rows = [l for l in out.splitlines() if not l.startswith("#")]
     assert rows[1] == "-0.1,1,,,,"
     assert rows[2] == "0.5,0,0.5,1.3,0,4"
+
+
+def test_sweep_keeps_the_rows_of_declined_cells_with_the_sweeps_header():
+    # a declined gaps cell keeps its report, margins included
+    code, out = run([
+        "sweep", "--param", "omega_plus", "--start", "0.01", "--stop", "0.02", "--steps", "2",
+        "--", "gaps", "--xi", "0.05"])
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert code == 2 and rows[0] == "omega_plus,status,key,value"
+    for value in ("0.01", "0.02"):
+        assert f"{value},2,verdict,not-certified" in rows
+        assert any(r.startswith(f"{value},2,gapless_margin,-") for r in rows)
+    # the header is the answered cell's; a table without it is padded
+    base = ["sweep", "--param", "xi", "--steps", "2", "--", "check-thm23", "--grid", "2",
+            "--ell-max", "2"]
+    code, out = run(base[:3] + ["--start", "0.05", "--stop", "0.2"] + base[3:])
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert code == 2 and rows[0] == "xi,status,ell,p_star,value,threshold,margin,ok"
+    assert [r.split(",")[:2] for r in rows[1:3]] == [["0.05", "0"], ["0.05", "0"]]
+    assert rows[3:] == ["0.2,2,,,,,,"]
+    # with no answered cell, the first table's header is the sweep's
+    code, out = run(base[:3] + ["--start", "0.15", "--stop", "0.2"] + base[3:])
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert code == 2 and rows == ["xi,status,verdict,margin",
+                                  "0.15,2,not-applicable,0.0487891456898",
+                                  "0.2,2,not-applicable,0.0987891456898"]
 
 
 def test_sweep_propagates_certification_failures_as_two():

@@ -23,6 +23,7 @@ from oracles import (
     omega_bounds_first_order,
     potential_values,
     range_grid,
+    truncation_by_kth_level,
     write_potential_file,
 )
 from stripgaps.galerkin import (
@@ -281,6 +282,15 @@ def test_band_functions_validate_their_inputs():
         band_functions(GEOM, PotentialSpec(), [], 1, (2, 2), ZERO)
     with pytest.raises(ValueError, match="k_max"):
         band_functions(GEOM, PotentialSpec(), [0.0], 0, (2, 2), ZERO)
+
+
+def test_default_truncation_matches_the_kth_level_oracle():
+    for xi in np.geomspace(0.003, 5.0, 40):
+        geom = resolve_geometry(T=1.0, xi=float(xi))
+        for k_max in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597,
+                      2584, 4181, 6765, 10946, 17711, 28657):
+            assert default_truncation(geom, k_max) == truncation_by_kth_level(geom, k_max), \
+                (float(xi), k_max)
 
 
 def test_inadequate_truncation_gives_a_wide_enclosure_of_the_converged_value():

@@ -610,7 +610,7 @@ def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
 
 
 def test_gap_report_at_xi_006_needs_only_the_sliced_pass(monkeypatch):
-    # the full band table here enumerates 3.39e6 crossing candidates; the
+    # the full band table here enumerates 3.37e6 crossing candidates; the
     # one sliced pass of gap_report enumerates 14,944, far below the ceiling
     candidates = []
     real = spectrum._crossing_candidates

@@ -384,6 +384,23 @@ def test_uniform_bound_rejects_out_of_regime_inputs(monkeypatch):
         uniform_lower_bound_check(geom, [0.5])
 
 
+def test_uniform_bound_refuses_a_threshold_that_certifies_nothing(monkeypatch):
+    # c0 - 2 tol <= 0 holds for every value: refused before any harmonic is
+    # evaluated, naming tol, c0 and the threshold
+    geom = resolve_geometry(xi=0.05)
+    c0 = critical_constants().c0(0.05)
+    monkeypatch.setattr(oscillation, "phi_sup", None)
+    for tol in (c0 / 2.0, 0.4, 1e300, 1e308):
+        with pytest.raises(ValueError) as info:
+            uniform_lower_bound_check(geom, [1.0], tol=tol)
+        assert str(info.value).startswith(
+            f"tol {tol} leaves no certificate: the threshold c0 - 2 tol = "
+            f"{c0 - 2.0 * tol:.6g} with c0 = 0.699114 is not positive")
+    monkeypatch.undo()
+    report = uniform_lower_bound_check(geom, [1.0], tol=0.34)
+    assert report.threshold == c0 - 0.68 and report.all_ok
+
+
 # ---------------------------------------------------------------------------
 # oracles: stationary phase and the characteristic equation
 # ---------------------------------------------------------------------------

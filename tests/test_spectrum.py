@@ -20,7 +20,6 @@ from stripgaps.spectrum import (
     band_edges,
     counting,
     counting_extremes,
-    kth_scaled_level,
     row_radii,
     sample_bands,
     scaled_levels_below,
@@ -281,20 +280,16 @@ def test_row_radii_values():
 
 @given(
     xi=st.floats(min_value=0.1, max_value=0.9),
-    tau=st.floats(min_value=-0.499, max_value=0.5),
+    tau=st.floats(min_value=0.0, max_value=0.5),
     k=st.integers(min_value=1, max_value=12),
 )
 @settings(max_examples=100, deadline=None)
-def test_kth_scaled_level_matches_sorted_enumeration(xi, tau, k):
-    value = kth_scaled_level(xi, k, tau)
-    pool = np.sort(scaled_levels_below(xi, tau, value * 2.0 + 1.0))
+def test_level_extremes_at_one_tau_match_sorted_enumeration(xi, tau, k):
+    lo, hi = spectrum._level_extremes(xi, spectrum.band_curves(xi, k), k, (tau,))
+    assert np.array_equal(lo, hi)
+    pool = np.sort(scaled_levels_below(xi, tau, float(lo[-1]) * 2.0 + 1.0))
     assert pool.size >= k
-    assert value == pytest.approx(float(pool[k - 1]), rel=1e-14)
-
-
-def test_kth_scaled_level_rejects_nonpositive_k():
-    with pytest.raises(ValueError):
-        kth_scaled_level(0.5, 0, 0.0)
+    np.testing.assert_allclose(lo, pool[:k], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +355,8 @@ def test_band_table_rejects_nonpositive_band_count():
     geom = StripGeometry(T=1.0, d=1.0)
     with pytest.raises(ValueError, match="k_max"):
         band_edges(geom, 0)
+    with pytest.raises(ValueError, match="k_max"):
+        spectrum.band_curves(0.5, 0)
 
 
 def test_band_table_fails_closed_above_its_cost_ceilings():
@@ -370,7 +367,7 @@ def test_band_table_fails_closed_above_its_cost_ceilings():
 
 
 def test_crossing_ceiling_counts_the_candidates_enumerated(monkeypatch):
-    # (xi 0.03, k 2113) enumerates 179,711 candidates in 9 increasing
+    # (xi 0.03, k 2113) enumerates 174,592 candidates in 9 increasing
     # columns: the closed-form count refuses before any block is yielded
     geom = resolve_geometry(xi=0.03)
     yielded = []
@@ -382,11 +379,11 @@ def test_crossing_ceiling_counts_the_candidates_enumerated(monkeypatch):
             yield block
 
     monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
-    monkeypatch.setattr(spectrum, "MAX_BAND_CROSSINGS", 179_711)
+    monkeypatch.setattr(spectrum, "MAX_BAND_CROSSINGS", 174_592)
     lo, hi = band_edges(geom, 2113)
-    assert sum(yielded) == 179_711
+    assert sum(yielded) == 174_592
     assert np.array_equal(lo, band_table_all_pairs(geom, 2113)[0])
-    for ceiling in (179_710, 100_000, 1):
+    for ceiling in (174_591, 100_000, 1):
         yielded.clear()
         monkeypatch.setattr(spectrum, "MAX_BAND_CROSSINGS", ceiling)
         with pytest.raises(ValueError, match=f"ceiling of {ceiling} curve crossings "
@@ -411,7 +408,7 @@ def test_band_table_ranks_crossings_in_bounded_memory():
 
 def test_band_table_enumerates_only_real_crossings(monkeypatch):
     # gaps --xi 0.03 --ell-max 40: 161,527 crossings among 1.35e6 increasing x
-    # decreasing pairs; the closed-form m_d interval lists 179,711 candidates
+    # decreasing pairs; the closed-form m_d interval lists 174,592 candidates
     blocks = []
     real = spectrum._crossing_candidates
 
