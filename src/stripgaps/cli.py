@@ -232,6 +232,8 @@ def _cmd_bands(params: dict, out: _Output) -> tuple[int, list[str]]:
 def _cmd_fourier(params: dict, out: _Output) -> tuple[int, list[str]]:
     geom = _geometry(params)
     ell, p = params["ell"], params["p"]
+    if p < 0:
+        raise ValueError(f"harmonic index must be >= 0, got {p}")
     if p == 0:
         value, bound = a0_closed(geom, ell), None
     else:

@@ -25,6 +25,10 @@ derivative, which increases to L = ell^(1/2)/xi, keeps a distance lam from
 the integers beyond N; near an integer L, a closed form for the
 non-oscillating leading tail plus an O(N^(-3/2)) remainder and a drift term
 in |L - round(L)|; otherwise the oscillation-blind 4 xi^(1/2) / (pi N^(1/2)).
+Each route bound is non-increasing in N, and each inverts in closed form to
+a floor, a value at or below the least N it certifies.  One search per route
+starts at its floor, gallops upward and bisects the last bracket, so a cut
+costs a few bound evaluations, not a bisection over [1, N].
 The bound also covers the floating-point error of the sum, and evaluations
 whose rounding alone would exceed the tolerance are refused.  zeta(3/2) comes
 from Euler-Maclaurin summation (error below 5e-17), the Beta value
@@ -47,6 +51,9 @@ _SIN_QUARTER_PI = math.sqrt(0.5)
 _UNIT_ROUNDOFF = 2.0 ** -53
 # ulps of L = ell^(1/2)/xi given up to cover its rounding in the tail routes
 _SLACK_ULPS = 8.0
+# Relative amount by which each closed-form floor of a least cut is lowered,
+# far above the few roundings of its evaluation
+_FLOOR_RTOL = 1e-9
 _CHUNK = 1 << 21
 # Ceiling on truncation length, read at call time: tol = 1e-4 at xi = 0.9
 # needs ~1.5e8.
@@ -175,19 +182,7 @@ class PhiEvaluation:
 def truncation_length(xi: float, tol: float) -> int:
     """Minimal N >= 1 with tail bound 4 xi^(1/2) / (pi N^(1/2)) <= tol; ValueError
     unless tol is positive and finite, and when N would pass 2^63."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if not tol < math.inf:
-        raise ValueError(f"tolerance must be finite, got {tol}")
-    guess = 16.0 * xi / (math.pi * tol) / (math.pi * tol)
-    if not guess < 2.0 ** 63:
-        raise ValueError(f"tolerance {tol} needs over 2^63 terms at xi = {xi}")
-    n = max(1, math.ceil(guess))
-    while tail_bound(xi, n) > tol:
-        n += 1
-    while n > 1 and tail_bound(xi, n - 1) <= tol:
-        n -= 1
-    return n
+    return _least_cut(lambda n: tail_bound(xi, n), _fallback_floor(xi, tol), None, tol)[0]
 
 
 def tail_bound(xi: float, truncation_n: int) -> float:
@@ -317,35 +312,168 @@ def _rounding_bound(xi: float, ell: float, p: int, n: int) -> float:
             * (16.0 * c * weighted_s + (n + 32.0) * weights))
 
 
-def _smallest(bound, hi: int, budget: float) -> int | None:
-    """Least N in [1, hi] with bound(N) <= budget, for bound non-increasing
-    in N; None when even bound(hi) exceeds the budget."""
-    lo = 1
-    if hi < 1 or not bound(hi) <= budget:
+def _lowered(x: float) -> int:
+    """An integer N >= 1 at or below every integer at or above x, with a
+    relative _FLOOR_RTOL and one unit to spare for the rounding of x; 1, the
+    trivial floor, when x is not finite."""
+    if not abs(x) < math.inf:
+        return 1
+    return max(1, math.ceil(x * (1.0 - _FLOOR_RTOL)) - 1)
+
+
+def _fallback_floor(xi: float, tol: float) -> int:
+    """Floor of the fallback's least cut: 4 xi^(1/2)/(pi N^(1/2)) <= tol needs
+    N >= 16 xi/(pi tol)^2.  ValueError unless tol is positive and finite, and
+    when that N would pass 2^63."""
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not tol < math.inf:
+        raise ValueError(f"tolerance must be finite, got {tol}")
+    guess = 16.0 * xi / (math.pi * tol) / (math.pi * tol)
+    if not guess < 2.0 ** 63:
+        raise ValueError(f"tolerance {tol} needs over 2^63 terms at xi = {xi}")
+    return _lowered(guess)
+
+
+def _non_resonant_floor(xi: float, ell: float, p: int, budget: float) -> int | None:
+    """Floor of the non-resonant route's least cut; None when no N certifies.
+
+    Both terms of lam(N) = min(f'(N+1) - floor(L), ceil(L) - L) - slack in
+    _non_resonant_tail give one:
+
+      * f'(N+1) <= L, so lam(N) <= lam_inf = min(L - floor(L), ceil(L) - L)
+        - slack, evaluated with the same operations, and the bound is at
+        least (2/(pi xi)) s_{N+1}^(-3/2) cot(pi lam_inf / 2).  Within budget
+        it needs s_{N+1} >= s* = ((2/(pi xi)) cot(pi lam_inf / 2) /
+        budget)^(2/3), that is N + 1 >= xi (s*^2 - p^2)^(1/2); s* is lowered
+        by _FLOOR_RTOL before the difference, which may cancel.
+        lam_inf <= 0 leaves every bound infinite;
+      * lam(N) > 0 needs the computed f'(N+1) = L (1 + (p xi /
+        (N+1))^2)^(-1/2) above floor(L) + slack.  Its rounding, a few ulps
+        of L, and that of h = floor(L) + slack/4 take less than the rest of
+        slack, so the exact quotient is above h, that is
+        N + 1 > p xi / ((r - 1)(r + 1))^(1/2) with r = L / h.
+    """
+    big_l = math.sqrt(ell) / xi
+    floor_l = math.floor(big_l)
+    slack = _SLACK_ULPS * _UNIT_ROUNDOFF * big_l
+    lam = min(big_l - floor_l, floor_l + 1.0 - big_l) - slack
+    if not lam > 0.0:
         return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bound(mid) <= budget:
-            hi = mid
+    s_star = ((2.0 / (math.pi * xi) / math.tan(0.5 * math.pi * lam) / budget) ** (2.0 / 3.0)
+              * (1.0 - _FLOOR_RTOL))
+    weight = (_lowered(xi * math.sqrt((s_star - p) * (s_star + p)) - 1.0)
+              if p < s_star < math.inf else 1)
+    h = floor_l + 0.25 * slack
+    excess = (big_l - h) / h
+    return max(weight, _lowered(p * xi / math.sqrt(excess * (excess + 2.0)) - 1.0))
+
+
+def _resonant_floor(xi: float, ell: float, p: int, budget: float) -> int | None:
+    """Floor of the resonant route's least cut; None when no N certifies.
+
+    The route needs N >= max(1, 2 p xi), compared exactly as _resonant_tail
+    does, and each of its two leading terms alone bounds it from below:
+
+      * the phase term (2/(pi xi)) (2/3) pi ell^(1/2) p^2 xi^(5/2) N^(-3/2)
+        <= budget needs N >= ((4/3) ell^(1/2) p^2 xi^(3/2) / budget)^(2/3);
+      * the drift term is (2/(pi xi)) xi^(3/2) D(N) with D(N) = 4 pi delta
+        (m^(1/2) - N^(1/2)) + 4 m^(-1/2), m = max(N, K).  With b = budget
+        pi / (2 xi^(1/2)), D(N) <= b needs N^(1/2) >= K^(1/2) - (b - 4
+        K^(-1/2)) / (4 pi delta) when b >= 4 K^(-1/2), and otherwise
+        N > K and N >= 16 / b^2.
+
+    b is raised by _FLOOR_RTOL, which only lowers both drift floors, and the
+    root by _FLOOR_RTOL of its two parts, which may cancel.
+    """
+    gate = max(1.0, 2.0 * (p * xi))
+    if not gate < math.inf:
+        return None
+    phase = ((4.0 / 3.0) * math.sqrt(ell) * p * p * xi ** 1.5 / budget) ** (2.0 / 3.0)
+    big_l = math.sqrt(ell) / xi
+    delta = abs(big_l - round(big_l)) + _SLACK_ULPS * _UNIT_ROUNDOFF * big_l
+    big_k = math.floor(1.0 / (math.pi * delta))
+    b = budget * math.pi / (2.0 * math.sqrt(xi)) * (1.0 + _FLOOR_RTOL)
+    edge = 4.0 / math.sqrt(big_k) if big_k > 0 else math.inf
+    if b >= edge:
+        reach = (b - edge) / (4.0 * math.pi * delta)
+        root = math.sqrt(big_k) - reach - _FLOOR_RTOL * (math.sqrt(big_k) + reach)
+        drift = root * root if root > 0.0 else 1.0
+    else:
+        drift = 16.0 / (b * b)
+    return max(math.ceil(gate), _lowered(phase), _lowered(drift))
+
+
+def _least_cut(bound, lo: int, hi: int | None, budget: float) -> tuple[int, float] | None:
+    """(N, bound(N)) for the least N in [lo, hi] with bound(N) <= budget, for
+    bound non-increasing in N; None when there is none (hi None: no upper end).
+
+    One search from the floor lo: it checks lo, gallops upward in doubling
+    steps until an N certifies (or hi fails), then bisects the last bracket.
+    That is one evaluation when lo certifies and about 2 log2(N - lo) + 1
+    otherwise, so a tight floor makes the search short.
+    """
+    failed, n, step = lo - 1, lo, 1
+    while True:
+        if hi is not None and n > hi:
+            if failed >= hi:
+                return None
+            n = hi
+        value = bound(n)
+        if value <= budget:
+            break
+        if n == hi:
+            return None
+        failed, n, step = n, n + step, 2 * step
+    while n - failed > 1:
+        mid = (failed + n) // 2
+        mid_value = bound(mid)
+        if mid_value <= budget:
+            n, value = mid, mid_value
         else:
-            lo = mid + 1
-    return hi
+            failed = mid
+    return n, value
 
 
-def _choose_truncation(xi: float, ell: float, p: int, budget: float) -> tuple[int, str, float]:
+def _choose_truncation(xi: float, ell: float, p: int, budget: float,
+                       previous: tuple[int, str] | None = None) -> tuple[int, str, float]:
     """(N, route, tail bound) with the least N any route certifies for budget.
 
     The fallback is the oscillation-blind bound; the non-resonant and
-    resonant routes are taken only where they certify a shorter cut.  Each
-    route bound is non-increasing in N, so bisection finds its least N.
+    resonant routes are taken, in that order, only where they certify a
+    strictly shorter cut.  Each route bound is non-increasing in N (a
+    premise the tests check), so its least N is found by one _least_cut
+    search from the route's closed-form floor, a value at or below that
+    least N (_fallback_floor, _non_resonant_floor, _resonant_floor).
+
+    previous is the (N, route) chosen for a larger budget.  Every route's
+    least cut can only grow as the budget shrinks, so no route certifies
+    below that N, and the searches start there.  When the previous route
+    still certifies that N, it is the answer after one evaluation: routes
+    before it in the order needed more before, and routes after it would
+    need strictly less to win.  The fallback's refusals (a budget that is
+    not positive and finite, or a cut past 2^63) come first either way.
     """
+    bounds = {"fallback": lambda m: tail_bound(xi, m),
+              "non-resonant": lambda m: _non_resonant_tail(xi, ell, p, m),
+              "resonant": lambda m: _resonant_tail(xi, ell, p, m)}
+    least = 1
+    if previous is not None:
+        _fallback_floor(xi, budget)  # the fallback's refusals come first
+        least, route = previous
+        value = bounds[route](least)
+        if value <= budget:
+            return least, route, value
     n = truncation_length(xi, budget)
     best = (n, "fallback", tail_bound(xi, n))
-    for route, bound in (("non-resonant", _non_resonant_tail), ("resonant", _resonant_tail)):
-        fn = lambda m, bound=bound: bound(xi, ell, p, m)
-        m = _smallest(fn, best[0] - 1, budget)
-        if m is not None:
-            best = (m, route, fn(m))
+    for route, floor in (("non-resonant", _non_resonant_floor), ("resonant", _resonant_floor)):
+        if best[0] <= least:
+            break
+        lo = floor(xi, ell, p, budget)
+        found = None if lo is None else _least_cut(bounds[route], max(lo, least),
+                                                   best[0] - 1, budget)
+        if found is not None:
+            best = (found[0], route, found[1])
     return best
 
 
@@ -391,9 +519,14 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEval
         |L - M| are bounded (see _resonant_tail);
       * "fallback": the oscillation-blind 4 xi^(1/2)/(pi N^(1/2)).
 
-    tail_bound adds to the route's bound the floating-point error of the sum
-    (_rounding_bound); it is refused with ValueError when that alone would
-    use up tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.  An N
+    Each route's least N is searched from its closed-form floor
+    (_choose_truncation).  tail_bound adds to the route's bound the
+    floating-point error of the sum (_rounding_bound), which grows with N:
+    the budget is tol less that error at a cap, and the cap doubles until
+    the cut fits under it.  Each re-search starts from the previous cut and
+    returns it after one evaluation when its route still certifies it.  The
+    cut is refused with ValueError when the rounding alone would use up
+    tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.  An N
     above MAX_TERMS is refused with ValueError before summing, and so are an
     ell or tol that is not positive and finite (tol by truncation_length).
     """
@@ -407,16 +540,18 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEval
         raise ValueError(f"tolerance must be positive, got {tol}")
     xi = geom.xi
     # The rounding term grows with N: size the budget by it at a cap, and
-    # double the cap until the chosen N fits under it.
-    cap, rounding = 0, 0.0
+    # double the cap until the chosen N fits under it.  The budget only
+    # shrinks, so each re-search starts from the previous cut.
+    cap, rounding, previous = 0, 0.0, None
     while True:
-        n, route, bound = _choose_truncation(xi, ell, p, tol - rounding)
+        n, route, bound = _choose_truncation(xi, ell, p, tol - rounding, previous)
         if n > MAX_TERMS:
             raise ValueError(
                 f"tolerance {tol} needs a truncation length of {n} terms, above "
                 f"the ceiling {MAX_TERMS}; loosen tol")
         if n <= cap:
             break
+        previous = (n, route)
         cap = 2 * n
         rounding = _rounding_bound(xi, ell, p, cap)
         if rounding >= tol:

@@ -14,6 +14,11 @@
 * ``phi_reference``: phi_p as the plain sum to a given N with the
   oscillation-blind tail, against the certified cuts of
   ``stripgaps.oscillation.phi_p``.
+* ``choose_truncation_by_bisection``: phi_p's cut, route and route bound by
+  the earlier search, the fallback walked one step at a time from its
+  closed form and each shorter route bisected over [1, N - 1], against
+  ``stripgaps.oscillation._choose_truncation``, which searches once from
+  closed-form floors (they must agree exactly).
 * ``stationary_phase_leading``, ``u_series``, ``pde_residual``: the
   stationary-phase leading term (which the full series visibly does not
   follow) and the residual of the characteristic PDE
@@ -82,7 +87,13 @@ from stripgaps.galerkin import (
 )
 from stripgaps.gaps import BandPairs, GapParams, PerturbBounds, ell2_threshold
 from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
-from stripgaps.oscillation import _phi_sum, _rounding_bound, tail_bound
+from stripgaps.oscillation import (
+    _non_resonant_tail,
+    _phi_sum,
+    _resonant_tail,
+    _rounding_bound,
+    tail_bound,
+)
 from stripgaps.spectrum import (
     _EDGE_TOL,
     BOUNDARY_RTOL,
@@ -290,6 +301,41 @@ def phi_reference(xi: float, ell: float, p: int, truncation_n: int) -> tuple[flo
     independent of the tail routes ``stripgaps.oscillation.phi_p`` chooses."""
     return (_phi_sum(xi, ell, p, truncation_n),
             tail_bound(xi, truncation_n) + _rounding_bound(xi, ell, p, truncation_n))
+
+
+def _smallest(bound, hi: int, budget: float) -> int | None:
+    """Least N in [1, hi] with bound(N) <= budget, for bound non-increasing
+    in N; None when even bound(hi) exceeds the budget."""
+    lo = 1
+    if hi < 1 or not bound(hi) <= budget:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bound(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def choose_truncation_by_bisection(xi: float, ell: float, p: int,
+                                   budget: float) -> tuple[int, str, float]:
+    """(N, route, tail bound) with the least N any route certifies for budget,
+    for a positive finite budget: the fallback's least N walked one step at a
+    time from ceil(16 xi / (pi budget)^2), then the non-resonant and the
+    resonant route each bisected over [1, N - 1] of the best cut so far."""
+    n = max(1, math.ceil(16.0 * xi / (math.pi * budget) / (math.pi * budget)))
+    while tail_bound(xi, n) > budget:
+        n += 1
+    while n > 1 and tail_bound(xi, n - 1) <= budget:
+        n -= 1
+    best = (n, "fallback", tail_bound(xi, n))
+    for route, bound in (("non-resonant", _non_resonant_tail), ("resonant", _resonant_tail)):
+        fn = lambda m, bound=bound: bound(xi, ell, p, m)
+        m = _smallest(fn, best[0] - 1, budget)
+        if m is not None:
+            best = (m, route, fn(m))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,21 @@ EXTRA = [
       for tol in ("1e300", "0.4", "1e308")],
     *[["sweep", "--param", "xi", "--start", start, "--stop", "0.2", "--steps", "2",
        "--", "check-thm23", "--grid", "2", "--ell-max", "2"] for start in ("0.05", "0.15")],
+    # every tail route of phi_p's cut: ell^(1/2)/xi an integer at ell = 49,
+    # and 1e-9, 1e-6 and 1e-3 relative off it; the fallback; the 4.3e6-term
+    # near-resonant cut; and cuts that the rounding re-search moves
+    *[[command, "--xi", xi, "--ell", ell, *flags]
+      for xi in ("0.02", "0.05")
+      for ell in ("49", "49.000000049", "49.000049", "49.049")
+      for command, flags in (("phi", ["--p", "1"]), ("phi", ["--p", "13"]),
+                             ("phi", ["--p", "30"]), ("phi-sup", []))],
+    ["phi", "--xi", "0.05", "--ell", "49.0001", "--p", "1", "--tol", "1e-2"],
+    ["phi", "--xi", "0.05", "--ell", "49.00000007", "--p", "1"],
+    *[["phi", "--xi", xi, "--ell", ell, "--p", p, "--tol", tol]
+      for xi, ell, p, tol in (("0.005", "318.80102531880107", "1", "5e-4"),
+                              ("0.02", "5282.382400000001", "13", "5e-5"),
+                              ("0.09", "39668.72856868889", "2", "5e-5"),
+                              ("0.3", "617325.1073244899", "2", "1e-4"))],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

@@ -304,6 +304,9 @@ _COSTLY = [
     (["check-thm23", "--xi", "0.05", "--grid", "2", "--ell-max", "2", "--tol", "1e308"],
      "error: tol 1e+308 leaves no certificate: the threshold c0 - 2 tol = -inf with "
      "c0 = 0.699114 is not positive"),
+    # fourier takes p = 0 (the mean a0), so the refusal names >= 0
+    (["fourier", "--xi", "0.5", "--ell", "1.3", "--p", "-1"],
+     "error: harmonic index must be >= 0, got -1"),
 ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     beta_by_quadrature,
+    choose_truncation_by_bisection,
     pde_residual,
     phi_reference,
     stationary_phase_leading,
@@ -197,6 +198,122 @@ def test_routes_are_recorded_and_validated():
     assert phi_p(geom, 1.0, 1).route in TAIL_ROUTES
     with pytest.raises(ValueError, match="route"):
         PhiEvaluation(p=1, ell=1.3, value=0.0, tail_bound=1.0, truncation_n=1, route="exact")
+
+
+# ---------------------------------------------------------------------------
+# the cut search: closed-form floors, one search, warm start
+# ---------------------------------------------------------------------------
+
+_ROUTE_BOUNDS = {
+    "fallback": lambda xi, ell, p: lambda n: tail_bound(xi, n),
+    "non-resonant": lambda xi, ell, p: lambda n: oscillation._non_resonant_tail(xi, ell, p, n),
+    "resonant": lambda xi, ell, p: lambda n: oscillation._resonant_tail(xi, ell, p, n),
+}
+
+
+def _grid_energies(xi):
+    """Generic energies, squares (k xi)^2 (ell^(1/2)/xi = k) and energies
+    1e-12 to 1e-3 relative off those squares, on both sides."""
+    squares = [(k * xi) ** 2 for k in (round(2.0 / xi), round(7.0 / xi))]
+    return [2.7182, 57.3512] + [square * (1.0 + sign * rel) for square in squares
+                                for rel in (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+                                for sign in ((1,) if rel == 0.0 else (1, -1))]
+
+
+@pytest.mark.parametrize("xi", (0.005, 0.02, 0.05, 0.09, 0.3, 0.9))
+def test_the_cut_equals_the_bisection_searchs(xi):
+    # the floors and the warm start change the cost of the search, never its
+    # answer: (N, route, bound) equal the bisection oracle's, for the budget
+    # and for the smaller budget of phi_p's rounding re-search
+    for ell in _grid_energies(xi):
+        for p in (1, 2, 5, 13, 30):
+            for tol in (5e-5, 1e-4, 5e-4, 1e-2):
+                case = (xi, ell, p, tol)
+                first = oscillation._choose_truncation(xi, ell, p, tol)
+                assert first == choose_truncation_by_bisection(xi, ell, p, tol), case
+                budget = tol - oscillation._rounding_bound(xi, ell, p, 2 * first[0])
+                again = oscillation._choose_truncation(xi, ell, p, budget, first[:2])
+                assert again == choose_truncation_by_bisection(xi, ell, p, budget), case
+
+
+# inputs whose rounding re-search moves the cut, one per route; the cut of
+# the first search is below the final one
+_RESEARCH_CASES = [
+    (0.005, 318.80102531880107, 1, 5e-4, "fallback"),
+    (0.02, 5282.382400000001, 13, 5e-5, "resonant"),
+    (0.09, 39668.72856868889, 2, 5e-5, "non-resonant"),
+    (0.3, 617325.1073244899, 2, 1e-4, "non-resonant"),
+]
+
+
+@pytest.mark.parametrize("xi, ell, p, tol, route", _RESEARCH_CASES)
+def test_phi_p_after_a_moved_cut_equals_the_bisection_searchs(xi, ell, p, tol, route,
+                                                              monkeypatch):
+    geom = resolve_geometry(xi=xi)
+    ev = phi_p(geom, ell, p, tol)
+    assert ev.route == route
+    assert ev.truncation_n > oscillation._choose_truncation(xi, ell, p, tol)[0]
+    monkeypatch.setattr(oscillation, "_choose_truncation",
+                        lambda xi, ell, p, budget, previous=None:
+                        choose_truncation_by_bisection(xi, ell, p, budget))
+    assert phi_p(geom, ell, p, tol) == ev
+
+
+_PREMISE_INPUTS = dict(
+    xi=st.floats(min_value=0.005, max_value=0.9),
+    m=st.integers(min_value=1, max_value=400),
+    delta=st.sampled_from((0.0, 1e-12, -1e-9, 1e-6, -1e-3, 0.31)),
+    p=st.integers(min_value=1, max_value=30),
+)
+
+
+@given(**_PREMISE_INPUTS)
+@settings(max_examples=40, deadline=None)
+def test_route_bounds_are_non_increasing_in_the_cut(xi, m, delta, p):
+    # the premise of the search: a least certifying N exists for every budget
+    ell = _near(xi, m, delta)
+    for route, make in _ROUTE_BOUNDS.items():
+        bound = make(xi, ell, p)
+        values = [bound(n) for n in range(1, 4097)]
+        assert all(a >= b for a, b in zip(values, values[1:])), route
+
+
+@given(**_PREMISE_INPUTS, budget=st.floats(min_value=-6.0, max_value=-1.0).map(
+    lambda e: 10.0 ** e))
+@settings(max_examples=200, deadline=None)
+def test_each_floor_is_at_or_below_its_least_cut(xi, m, delta, p, budget):
+    ell = _near(xi, m, delta)
+    floors = {"fallback": oscillation._fallback_floor(xi, budget),
+              "non-resonant": oscillation._non_resonant_floor(xi, ell, p, budget),
+              "resonant": oscillation._resonant_floor(xi, ell, p, budget)}
+    for route, floor in floors.items():
+        bound = _ROUTE_BOUNDS[route](xi, ell, p)
+        if floor is None:
+            assert all(bound(n) > budget for n in (1, 2, 16, 4096, 1 << 20, 1 << 28)), route
+        elif floor > 1:
+            assert bound(floor - 1) > budget, route
+
+
+# one call per route, at the workload's tolerances
+_COST_CASES = [
+    (0.05, 59.216, 1, 2e-4, "non-resonant"),
+    (0.05, 49.0, 2, 2e-4, "resonant"),
+    (0.05, 49.0001, 1, 1e-2, "fallback"),
+]
+
+
+def test_each_phi_p_call_makes_few_route_bound_evaluations(monkeypatch):
+    # bisecting every route over [1, N_fallback], twice per call, took about 51
+    count = [0]
+    for name in ("tail_bound", "_non_resonant_tail", "_resonant_tail"):
+        def counted(*args, bound=getattr(oscillation, name)):
+            count[0] += 1
+            return bound(*args)
+        monkeypatch.setattr(oscillation, name, counted)
+    for xi, ell, p, tol, route in _COST_CASES:
+        count[0] = 0
+        assert phi_p(resolve_geometry(xi=xi), ell, p, tol).route == route
+        assert count[0] <= 12, (xi, ell, p, tol, count[0])
 
 
 # ---------------------------------------------------------------------------
