@@ -14,8 +14,9 @@ inequality is violated).
 One table, ``COMMANDS``, declares every command: its handler, help line,
 default output format and flags.  The parser, the canonical echo, the
 defaults each handler sees and the dispatch are all generated from it.
-One parse (``_parse``) yields the flags given and the handler's options;
-``sweep`` also uses it to count a cell's grid points.  One spelling
+One parse (``_parse``) yields the flags given and the handler's options.
+Each handler returns its status and a table (``_Table``), which
+``_run_argv`` renders once, below the metadata block.  One spelling
 (``_spell``) writes every value of the echo and of sweep's cells, and it
 parses back to the same value: a float's exact repr, with negative numbers
 in exponent form (-1e-05, -1.5e+16) and -inf read as values, not options.
@@ -28,8 +29,11 @@ Each invocation builds the parser of the command it names only (all of
 them when it names none, so help and the invalid-choice message list every
 command); the fixed cost of a call is then one command's flags.
 
-The ``sweep`` command re-runs an inner command over a parameter grid, in
-parallel when requested (the process pool is imported only then, and holds
+The ``sweep`` command runs an inner command over a parameter grid.  It
+parses the inner command once, at the first value, and calls its handler per
+cell on those options with the swept value replaced; an inner command that
+does not parse prints its usage error once and fails every cell.  Cells run
+in parallel when requested (the process pool is imported only then, and holds
 at most one process per cell and per core); rows are emitted in grid order
 whatever the worker count, and the worker count is deliberately excluded from
 the metadata echo, keeping output bytes independent of it.
@@ -38,8 +42,6 @@ the metadata echo, keeping output bytes independent of it.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import math
 import os
 import re
@@ -126,11 +128,15 @@ def _command(handler: Callable, help_: str, fmt: str, flags: tuple) -> _Command:
     return _Command(handler, help_, flags, tuple(arguments))
 
 
-class _Output(NamedTuple):
-    """Resolved output style and the metadata block that heads it."""
+class _Table(NamedTuple):
+    """What a command prints: a CSV header and rows; the report's (key,
+    value) items, or None to print each row as a block; and notes, (key,
+    value) items printed as ``# key=value`` lines above the CSV header."""
 
-    fmt: str
-    meta: list[str]
+    header: list[str]
+    rows: list
+    report: list | None = None
+    notes: list | tuple = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,19 +164,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render(out: _Output, header: list[str], rows: list, report=None) -> list[str]:
-    """The metadata block, then CSV (header and rows) or a report.
+def _render(table: _Table, fmt: str) -> list[str]:
+    """CSV (notes, header and rows) or a report.
 
-    A report prints the ``(key, value)`` items of report, or without them
-    each row as a block of ``header = value`` lines, blocks separated by a
-    blank line.
+    A report prints the ``(key, value)`` items of table.report, or without
+    them each row as a block of ``header = value`` lines, blocks separated
+    by a blank line.
     """
-    lines = list(out.meta)
-    if out.fmt == "csv":
-        lines.append(",".join(header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    if fmt == "csv":
+        lines = [f"# {key}={_fmt(value)}" for key, value in table.notes]
+        lines.append(",".join(table.header))
+        lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
         return lines
-    blocks = [report] if report is not None else [zip(header, row) for row in rows]
+    lines = []
+    blocks = ([table.report] if table.report is not None
+              else [zip(table.header, row) for row in table.rows])
     for i, items in enumerate(blocks):
         if i:
             lines.append("")
@@ -194,7 +202,7 @@ def _grid(params: dict, dest: str, least: int = 1) -> int:
     return n
 
 
-def _cmd_constants(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_constants(params: dict) -> tuple[int, _Table]:
     cc = critical_constants()
     items: list[tuple[str, object]] = [
         ("c2", cc.c2),
@@ -205,20 +213,17 @@ def _cmd_constants(params: dict, out: _Output) -> tuple[int, list[str]]:
     ]
     if "xi" in params:
         items.append(("c0", cc.c0(params["xi"])))
-    return 0, _render(out, ["name", "value"], items, items)
+    return 0, _Table(["name", "value"], items, items)
 
 
-def _cmd_count(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_count(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     value = counting(geom, params["ell"], params["tau"])
-    return 0, _render(
-        out,
-        ["xi", "ell", "tau", "count"],
-        [[geom.xi, params["ell"], params["tau"], value]],
-    )
+    return 0, _Table(["xi", "ell", "tau", "count"],
+                     [[geom.xi, params["ell"], params["tau"], value]])
 
 
-def _cmd_bands(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_bands(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     scale = geom.T ** 2 / math.pi ** 2
     lo, hi = band_edges(geom, params["kmax"])
@@ -226,10 +231,10 @@ def _cmd_bands(params: dict, out: _Output) -> tuple[int, list[str]]:
         [k, a, b, a * scale, b * scale]
         for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()), start=1)
     ]
-    return 0, _render(out, ["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows)
+    return 0, _Table(["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows)
 
 
-def _cmd_fourier(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_fourier(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     ell, p = params["ell"], params["p"]
     if p < 0:
@@ -238,34 +243,25 @@ def _cmd_fourier(params: dict, out: _Output) -> tuple[int, list[str]]:
         value, bound = a0_closed(geom, ell), None
     else:
         value, bound = ap_closed(geom, ell, p), residual_bound(geom.xi, ell, p)
-    return 0, _render(
-        out,
-        ["xi", "ell", "p", "value", "residual_bound"],
-        [[geom.xi, ell, p, value, bound]],
-    )
+    return 0, _Table(["xi", "ell", "p", "value", "residual_bound"],
+                     [[geom.xi, ell, p, value, bound]])
 
 
-def _cmd_phi(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_phi(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     ev = phi_p(geom, params["ell"], params["p"], tol=params["tol"])
-    return 0, _render(
-        out,
-        ["xi", "ell", "p", "value", "tail_bound", "truncation_n"],
-        [[geom.xi, ev.ell, ev.p, ev.value, ev.tail_bound, ev.truncation_n]],
-    )
+    return 0, _Table(["xi", "ell", "p", "value", "tail_bound", "truncation_n"],
+                     [[geom.xi, ev.ell, ev.p, ev.value, ev.tail_bound, ev.truncation_n]])
 
 
-def _cmd_phi_sup(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_phi_sup(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     res = phi_sup(geom, params["ell"], cutoff_c1=params["cutoff_c1"], tol=params["tol"])
-    return 0, _render(
-        out,
-        ["xi", "ell", "p_star", "value", "p_max", "cutoff_bound"],
-        [[geom.xi, params["ell"], res.p_star, res.value, res.p_max, res.cutoff_bound]],
-    )
+    row = [geom.xi, params["ell"], res.p_star, res.value, res.p_max, res.cutoff_bound]
+    return 0, _Table(["xi", "ell", "p_star", "value", "p_max", "cutoff_bound"], [row])
 
 
-def _cmd_check_thm23(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_check_thm23(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     lo, hi, n = params["ell_min"], params["ell_max"], _grid(params, "grid")
     if not 1.0 <= lo <= hi:
@@ -277,20 +273,14 @@ def _cmd_check_thm23(params: dict, out: _Output) -> tuple[int, list[str]]:
         geom, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"]
     )
     if report.c0 is None:
-        return 2, _render(
-            out,
-            ["verdict", "margin"],
-            [["not-applicable", report.xi_excess]],
-            [("verdict", "not-applicable"), ("xi_excess", report.xi_excess)],
-        )
+        return 2, _Table(["verdict", "margin"], [["not-applicable", report.xi_excess]],
+                         [("verdict", "not-applicable"), ("xi_excess", report.xi_excess)])
     rows = [
         [r.ell, r.p_star, r.value, report.threshold, r.margin, r.ok]
         for r in report.rows
     ]
     status = 0 if report.all_ok else 2
-    return status, _render(
-        out, ["ell", "p_star", "value", "threshold", "margin", "ok"], rows
-    )
+    return status, _Table(["ell", "p_star", "value", "threshold", "margin", "ok"], rows)
 
 
 def _resolve_bounds(params: dict) -> PerturbBounds:
@@ -304,7 +294,7 @@ def _resolve_bounds(params: dict) -> PerturbBounds:
     return PerturbBounds(**pair)
 
 
-def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_gaps(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     bounds = _resolve_bounds(params)
     low_points = _grid(params, "low_points", least=0)
@@ -360,10 +350,10 @@ def _cmd_gaps(params: dict, out: _Output) -> tuple[int, list[str]]:
         ("verdict", "gapless-certified" if verdict.all_gapless else "not-certified")
     )
     status = 0 if verdict.all_gapless else 2
-    return status, _render(out, ["key", "value"], items, items + windows)
+    return status, _Table(["key", "value"], items, items + windows)
 
 
-def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
     file_geom, potential = read_potential_file(params["potential"])
     if any(k in params for k in ("xi", "T", "d")):
         # an absent flag takes the header's value
@@ -410,28 +400,26 @@ def _cmd_galerkin(params: dict, out: _Output) -> tuple[int, list[str]]:
         summary.append(("failing", f"band {check.band} tau {_fmt(check.tau)} "
                                    f"{check.side} margin {_fmt(check.worst_margin)}"))
     status = 0 if check.ok else 2
-    if out.fmt == "csv":
-        # the summary rides along as comment lines above the band values
-        notes = [f"# {key}={_fmt(value)}" for key, value in summary]
-        out = out._replace(meta=out.meta + notes)
     rows = [
         [tau, k, bands0.energies[i, k - 1], bands.lower[i, k - 1], bands.energies[i, k - 1]]
         for i, tau in enumerate(bands.tau_grid)
         for k in range(1, k_max + 1)
     ]
-    return status, _render(
-        out, ["tau", "k", "energy0", "energy_lower", "energy"], rows, summary)
+    # the summary rides along as notes above the band values
+    return status, _Table(
+        ["tau", "k", "energy0", "energy_lower", "energy"], rows, summary, summary)
 
 
-def _sweep_cell(argv: list[str]) -> tuple[int, list[str]]:
-    """Run one inner invocation; never raises (a failure is status 1, no lines)."""
+def _sweep_cell(cell: tuple[str, dict]) -> tuple[int, _Table | None]:
+    """One inner handler call; never raises (a failure is status 1, no table)."""
+    name, params = cell
     try:
-        return _run_argv(argv)
-    except (ValueError, OverflowError, SystemExit):
-        return 1, []
+        return COMMANDS[name].handler(params)
+    except (ValueError, OverflowError):
+        return 1, None
 
 
-def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
+def _cmd_sweep(params: dict) -> tuple[int, _Table]:
     name, start, stop, steps = (params[k] for k in ("param", "start", "stop", "steps"))
     inner = params["inner"]
     if params["workers"] < 1:
@@ -452,66 +440,69 @@ def _cmd_sweep(params: dict, out: _Output) -> tuple[int, list[str]]:
         raise ValueError(f"unknown inner command {inner[0]!r}")
     step = (stop - start) / (steps - 1) if steps > 1 else 0.0
     values = [start + step * i for i in range(steps)] if steps > 1 else [start]
-    # Each value is spelled for the swept flag's type (float for a flag the
-    # inner command lacks, whose cells then fail as usage errors).
-    kind = next((f.type for f in COMMANDS[inner[0]].flags if f.dest == name), float)
+    # Each value is spelled for the swept flag's type (float for a name no
+    # inner flag has, such as an unknown flag, whose parse then fails).
+    flags = COMMANDS[inner[0]].flags
+    kind = next((f.type for f in flags if f.dest == name), float)
     flag = _Flag(name, kind).spelling
     if kind is int:
         bad = next((v for v in values if not v.is_integer()), None)
         if bad is not None:
             raise ValueError(f"{flag} takes integers, but the sweep reaches {bad!r}")
-    cells = [inner + [flag, _spell(kind(v)), "--format", "csv"] for v in values]
-    if inner[0] in _GRID_FLAG:
-        dest = _GRID_FLAG[inner[0]]
-        if name == dest:
-            # the swept flag is the grid size itself: every cell counts
-            points = sum(max(int(v), 0) for v in values)
-            if points > MAX_GRID:
-                raise ValueError(
-                    f"{steps} sweep steps of {flag} ask for {points} {inner[0]} "
-                    f"points, over the ceiling of {MAX_GRID} points")
-        else:
-            # cells differ only in the swept value, so the first one tells
-            # how many grid points every cell asks for (none if it does not parse)
-            with contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    points = _parse(cells[0])[2][dest]
-                except SystemExit:
-                    points = 0
-            if steps * points > MAX_GRID:
-                raise ValueError(
-                    f"{steps} sweep steps x {points} {inner[0]} points exceed the "
-                    f"ceiling of {MAX_GRID} points")
-    # the pool starts all its processes at once: no more than cells or cores
-    workers = min(params["workers"], len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+    grid = _GRID_FLAG.get(inner[0])
+    if name == grid:
+        # the swept flag is the grid size itself: every cell counts
+        points = sum(max(int(v), 0) for v in values)
+        if points > MAX_GRID:
+            raise ValueError(
+                f"{steps} sweep steps of {flag} ask for {points} {inner[0]} "
+                f"points, over the ceiling of {MAX_GRID} points")
+    # One parse of the inner command, at the first value.  When it fails, its
+    # usage error (or help) is printed once and every cell fails.
+    try:
+        base = _parse(inner + [flag, _spell(kind(values[0]))])[2]
+    except SystemExit:
+        base = None
+    if base is None:
+        results = [(1, None)] * steps
     else:
-        results = [_sweep_cell(argv) for argv in cells]
-    tables = [[l.split(",") for l in lines if not l.startswith("#")]
-              for _, lines in results]
-    # the header of the first answered cell, else of the first that printed a
-    # table; a cell keeps its rows, declined or not, when its table has it
+        # cells differ only in the swept value, so the first one tells how
+        # many grid points every cell asks for
+        if grid and name != grid and steps * base[grid] > MAX_GRID:
+            raise ValueError(
+                f"{steps} sweep steps x {base[grid]} {inner[0]} points exceed the "
+                f"ceiling of {MAX_GRID} points")
+        # a spelled value parses back to itself: a cell is the parsed options
+        # with the swept flag (or the one flag it abbreviates) set to the
+        # value argparse reads from its spelling
+        swept = min((f for f in flags if f.spelling.startswith(flag)),
+                    key=lambda f: f.spelling != flag)
+        cells = [(inner[0], {**base, swept.dest: swept.type(_spell(kind(v)))})
+                 for v in values]
+        # the pool starts all its processes at once: no more than cells or cores
+        workers = min(params["workers"], steps, os.cpu_count() or 1)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sweep_cell, cells))
+        else:
+            results = [_sweep_cell(cell) for cell in cells]
+    # the header of the first answered cell, else of the first with a table;
+    # a cell keeps its rows, declined or not, when its table has it
     inner_header = next(
-        (t[0] for (status, _), t in zip(results, tables) if status == 0 and t),
-        next((t[0] for t in tables if t), []),
+        (table.header for status, table in results if status == 0 and table),
+        next((table.header for _, table in results if table), []),
     )
     rows = []
-    for value, (status, _), table in zip(values, results, tables):
-        prefix = [_fmt(value), str(status)]
-        if table and table[0] == inner_header:
-            rows.extend(prefix + row for row in table[1:])
+    for value, (status, table) in zip(values, results):
+        if table and table.header == inner_header:
+            rows.extend([value, status, *row] for row in table.rows)
         else:
-            rows.append(prefix + [""] * len(inner_header))
+            rows.append([value, status] + [""] * len(inner_header))
     statuses = [status for status, _ in results]
     overall = 0 if all(s == 0 for s in statuses) else (2 if 2 in statuses else 1)
-    # cells are CSV whatever the format, so the sweep table is too
-    return overall, _render(
-        out._replace(fmt="csv"), [name, "status"] + inner_header, rows
-    )
+    return overall, _Table([name, "status"] + inner_header, rows)
 
 
 _GEOMETRY = (
@@ -645,15 +636,17 @@ def _run_argv(argv: list[str]) -> tuple[int, list[str]]:
             echo += [f.spelling, _spell(params[f.dest])]
     if params.get("inner"):
         echo += ["--", *params["inner"]]
-    out = _Output(params["format"], [
+    status, table = command.handler(params)
+    return status, [
         "# tool=stripgaps",
         f"# version={__version__}",
         f"# command={name}",
         f"# argv={shlex.join(echo)}",
         f"# seed={params['seed']}",
         f"# format={params['format']}",
-    ])
-    return command.handler(params, out)
+        # a sweep's rows are its cells' CSV rows: it prints CSV whatever the format
+        *_render(table, "csv" if name == "sweep" else params["format"]),
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -61,6 +61,9 @@ MAX_TERMS = 1 << 28
 # Ceiling on the harmonics phi_sup scans, checked before any evaluation
 # (cutoff_c1 = 3 reaches it near ell = 1.1e7).
 MAX_HARMONICS = 10_000
+# Ceiling on phi_p's harmonic index, checked before any search: from p = 2^512
+# on, p^2 is beyond float range.
+MAX_HARMONIC_INDEX = 2 ** 511
 # Relative slack of phi_sup's stopping test: covers the rounding of
 # cutoff_bound (libm pow and gamma included) and of tail_bound <= tol.
 _ENVELOPE_RTOL = 1e-12
@@ -528,7 +531,8 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEval
     cut is refused with ValueError when the rounding alone would use up
     tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.  An N
     above MAX_TERMS is refused with ValueError before summing, and so are an
-    ell or tol that is not positive and finite (tol by truncation_length).
+    ell or tol that is not positive and finite (tol by truncation_length)
+    and, before any search, a p at or above MAX_HARMONIC_INDEX.
     """
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")
@@ -536,9 +540,9 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEval
         raise ValueError("ell must be finite, got inf")
     if p < 1:
         raise ValueError(f"harmonic index must be >= 1, got {p}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     xi = geom.xi
+    if p >= MAX_HARMONIC_INDEX:
+        raise ValueError(f"harmonic index {p} at xi = {xi} reaches the ceiling 2^511")
     # The rounding term grows with N: size the budget by it at a cap, and
     # double the cap until the chosen N fits under it.  The budget only
     # shrinks, so each re-search starts from the previous cut.

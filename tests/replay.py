@@ -79,6 +79,34 @@ EXTRA = [
                               ("0.02", "5282.382400000001", "13", "5e-5"),
                               ("0.09", "39668.72856868889", "2", "5e-5"),
                               ("0.3", "617325.1073244899", "2", "1e-4"))],
+    # a sweep of every inner command, each cell running on the parsed options
+    *[["sweep", "--param", name, "--start", start, "--stop", stop, "--steps", "3", "--", *inner]
+      for inner, name, start, stop in (
+          (["constants"], "xi", "0.02", "0.2"),
+          (["count", "--xi", "0.5", "--tau", "0.25"], "ell", "1.3", "9.9"),
+          (["bands", "--xi", "0.05"], "kmax", "1", "5"),
+          (["fourier", "--xi", "0.5", "--ell", "1.3"], "p", "0", "2"),
+          (["phi", "--xi", "0.05", "--ell", "49"], "p", "1", "3"),
+          (["phi-sup", "--xi", "0.05", "--tol", "1e-3"], "ell", "2.7", "59.216"),
+          (["check-thm23", "--xi", "0.05", "--grid", "3", "--ell-max", "5"], "tol",
+           "1e-4", "0.1"),
+          (["gaps", "--xi", "0.05", "--omega-plus", "0.01", "--ell-max", "40"], "xi",
+           "0.04", "0.06"),
+          (["galerkin", "--potential", "tests/data/cosine.pot", "--kmax", "2", "--grid", "3"],
+           "tol", "-0.1", "0.1"),
+          # an inner report format: the sweep stays CSV
+          (["gaps", "--xi", "0.05", "--format", "report"], "omega_plus", "0.01", "0.02"),
+          # every cell fails: a format that is no choice, a potential file
+          # that is not there
+          (["count", "--xi", "0.5", "--ell", "1.3", "--tau", "0"], "format", "0", "1"),
+          (["galerkin", "--kmax", "1"], "potential", "0", "1"),
+          # the grid flag itself
+          (["check-thm23", "--xi", "0.05", "--ell-max", "2"], "grid", "1", "3"),
+          # a flag abbreviated (--e for --ell), and one spelled with a dash
+          (["count", "--xi", "0.5", "--tau", "0"], "e", "1.3", "2.3"),
+          (["check-thm23", "--xi", "0.05", "--grid", "2"], "ell-max", "2", "4"))],
+    ["sweep", "--param", "xi", "--start", "0.3", "--stop", "0.7", "--steps", "5",
+     "--workers", "2", "--", "phi", "--ell", "2.7", "--p", "2"],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stripgaps
+import stripgaps.cli as cli
 from oracles import write_potential_file
 from stripgaps.cli import COMMANDS, MAX_GRID, MAX_SWEEP_STEPS, _parse, _parser, main
 import stripgaps.galerkin as galerkin
@@ -624,6 +625,75 @@ def test_sweep_turns_an_inner_usage_error_into_failure_rows(workers):
     assert code == 1
     assert [l for l in out.splitlines() if not l.startswith("#")] == [
         "foo,status", "0,1", "1,1"]
+
+
+def test_an_inner_usage_error_is_printed_once():
+    code, out, err = run_with_stderr([
+        "sweep", "--param", "foo", "--start", "0", "--stop", "4", "--steps", "5",
+        "--", "count", "--xi", "0.5", "--ell", "1", "--tau", "0"])
+    assert code == 1
+    assert [l for l in out.splitlines() if not l.startswith("#")] == [
+        "foo,status", "0,1", "1,1", "2,1", "3,1", "4,1"]
+    assert err.count("error: unrecognized arguments") == 1, err
+
+
+def test_a_sweep_parses_its_inner_command_once(monkeypatch):
+    calls, parser = [], cli._parser
+
+    def counted(argv):
+        calls.append(argv)
+        return parser(argv)
+
+    monkeypatch.setattr(cli, "_parser", counted)
+    code, out = run(["sweep", "--param", "ell", "--start", "1", "--stop", "50", "--steps", "50",
+                     "--", "count", "--xi", "0.5", "--tau", "0"])
+    assert code == 0 and len(out.splitlines()) == 6 + 1 + 50
+    assert [argv[0] for argv in calls] == ["sweep", "count"]
+
+
+# inner command, swept flag and its three values (each value spelled as the
+# sweep prints it, and reached exactly by its float steps)
+_CELL_SWEEPS = [
+    (["constants"], "xi", ("0.03125", "0.0625", "0.09375")),
+    (["count", "--xi", "0.5", "--tau", "0"], "ell", ("1.5", "2.5", "3.5")),
+    (["bands", "--xi", "0.5"], "kmax", ("1", "2", "3")),
+    (["fourier", "--xi", "0.5", "--ell", "1.3"], "p", ("0", "1", "2")),
+    (["phi", "--xi", "0.5", "--ell", "1.3", "--tol", "0.01"], "p", ("1", "2", "3")),
+    (["phi-sup", "--xi", "0.5", "--tol", "0.01"], "ell", ("1.5", "2.5", "3.5")),
+    (["check-thm23", "--xi", "0.05", "--grid", "2", "--ell-max", "2"], "tol",
+     ("0.0625", "0.125", "0.1875")),
+    (["gaps", "--xi", "0.05"], "omega_plus", ("0.015625", "0.03125", "0.046875")),
+    (["galerkin", "--potential", str(DATA / "cosine.pot"), "--kmax", "1", "--grid", "2"], "tol",
+     ("-0.25", "0", "0.25")),
+    # a flag abbreviated as argparse allows (--e for --ell), one spelled with a dash
+    (["count", "--xi", "0.5", "--tau", "0"], "e", ("1.5", "2.5", "3.5")),
+    (["check-thm23", "--xi", "0.05", "--grid", "2"], "ell-max", ("2", "3", "4")),
+]
+
+
+def test_every_command_but_sweep_has_a_cell_case():
+    assert {inner[0] for inner, _, _ in _CELL_SWEEPS} == set(COMMANDS) - {"sweep"}
+
+
+@pytest.mark.parametrize("inner, name, values", _CELL_SWEEPS,
+                         ids=[f"{inner[0]}-{name}" for inner, name, _ in _CELL_SWEEPS])
+def test_a_sweep_cell_prints_the_rows_of_the_direct_call(inner, name, values):
+    code, out = run(["sweep", "--param", name, "--start", values[0], "--stop", values[-1],
+                     "--steps", "3", "--", *inner])
+    header, *rows = [l for l in out.splitlines() if not l.startswith("#")]
+    expected, statuses = [], []
+    for value in values:
+        status, direct = run(inner + ["--" + name.replace("_", "-"), value, "--format", "csv"])
+        direct_header, *direct_rows = [l for l in direct.splitlines() if not l.startswith("#")]
+        assert header == f"{name},status,{direct_header}"
+        expected += [f"{value},{status},{row}" for row in direct_rows]
+        statuses.append(status)
+    assert rows == expected
+    assert code == (0 if set(statuses) == {0} else 2)
+    if inner[0] == "gaps":
+        assert statuses == [2, 2, 2]  # declined cells keep their rows
+    if inner[0] == "galerkin":
+        assert statuses == [2, 0, 0]
 
 
 def test_sweep_caps_steps_times_the_inner_grid_before_any_cell_runs():

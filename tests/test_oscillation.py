@@ -1,5 +1,6 @@
 """Oscillatory amplitude series: constants, certified truncation, supremum scan."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from oracles import (
 from stripgaps.geometry import resolve_geometry
 from stripgaps import oscillation
 from stripgaps.oscillation import (
+    MAX_HARMONIC_INDEX,
     MAX_HARMONICS,
     PhiEvaluation,
     PhiSupResult,
@@ -123,6 +125,29 @@ def test_phi_rejects_bad_inputs(monkeypatch):
     # far beyond float64 resolution of the phase: refused, not a wrong number
     with pytest.raises(ValueError, match="floating-point error"):
         phi_p(resolve_geometry(xi=0.05), 1e300, 1)
+
+
+def test_harmonic_indices_past_float_range_are_refused_and_nothing_overflows(monkeypatch):
+    # from p = 2^512 on p^2 is beyond float range, and the bound that
+    # overflowed first used to decide the error; now p >= 2^511 is refused
+    # before any search, naming p and xi
+    geom = resolve_geometry(xi=0.05)
+    assert phi_p(geom, 2.7, MAX_HARMONIC_INDEX - 1, tol=3.0).route == "fallback"
+    for p in (MAX_HARMONIC_INDEX, 10 ** 160):
+        with pytest.raises(ValueError, match=rf"harmonic index {p} at xi = 0.05 .* 2\^511"):
+            phi_p(geom, 2.7, p, tol=3.0)
+    # below the ceiling every request is answered or refused with ValueError,
+    # never OverflowError (cuts are held short: the search is what overflowed)
+    monkeypatch.setattr(oscillation, "MAX_TERMS", 1 << 12)
+    harmonics = [int(10.0 ** e) for e in range(0, 301, 10)] + [MAX_HARMONIC_INDEX - 1]
+    for xi in [10.0 ** e for e in range(-6, 7)] + [0.05]:
+        geom = resolve_geometry(xi=xi)
+        for ell, tol, p in itertools.product((2.7, 49.0, 59.216, 1e6), (1e-9, 1e-4, 3.0),
+                                             harmonics):
+            try:
+                phi_p(geom, ell, p, tol)
+            except ValueError:
+                pass
 
 
 @given(
