@@ -440,17 +440,23 @@ def _cmd_sweep(params: dict) -> tuple[int, _Table]:
         raise ValueError(f"unknown inner command {inner[0]!r}")
     step = (stop - start) / (steps - 1) if steps > 1 else 0.0
     values = [start + step * i for i in range(steps)] if steps > 1 else [start]
-    # Each value is spelled for the swept flag's type (float for a name no
-    # inner flag has, such as an unknown flag, whose parse then fails).
+    # The swept flag is resolved once, as argparse resolves it: the exact
+    # spelling (dest with underscores as dashes), else the one flag it
+    # abbreviates.  A name that resolves to none or several keeps its own
+    # spelling and a float type, and the inner parse then fails.
     flags = COMMANDS[inner[0]].flags
-    kind = next((f.type for f in flags if f.dest == name), float)
-    flag = _Flag(name, kind).spelling
+    swept = _Flag(name, float)
+    matches = ([f for f in flags if f.spelling == swept.spelling]
+               or [f for f in flags if f.spelling.startswith(swept.spelling)])
+    if len(matches) == 1:
+        swept = matches[0]
+    kind, flag = swept.type, swept.spelling
     if kind is int:
         bad = next((v for v in values if not v.is_integer()), None)
         if bad is not None:
             raise ValueError(f"{flag} takes integers, but the sweep reaches {bad!r}")
     grid = _GRID_FLAG.get(inner[0])
-    if name == grid:
+    if swept.dest == grid:
         # the swept flag is the grid size itself: every cell counts
         points = sum(max(int(v), 0) for v in values)
         if points > MAX_GRID:
@@ -468,17 +474,13 @@ def _cmd_sweep(params: dict) -> tuple[int, _Table]:
     else:
         # cells differ only in the swept value, so the first one tells how
         # many grid points every cell asks for
-        if grid and name != grid and steps * base[grid] > MAX_GRID:
+        if grid and swept.dest != grid and steps * base[grid] > MAX_GRID:
             raise ValueError(
                 f"{steps} sweep steps x {base[grid]} {inner[0]} points exceed the "
                 f"ceiling of {MAX_GRID} points")
         # a spelled value parses back to itself: a cell is the parsed options
-        # with the swept flag (or the one flag it abbreviates) set to the
-        # value argparse reads from its spelling
-        swept = min((f for f in flags if f.spelling.startswith(flag)),
-                    key=lambda f: f.spelling != flag)
-        cells = [(inner[0], {**base, swept.dest: swept.type(_spell(kind(v)))})
-                 for v in values]
+        # with the swept flag set to the value argparse reads from its spelling
+        cells = [(inner[0], {**base, swept.dest: kind(v)}) for v in values]
         # the pool starts all its processes at once: no more than cells or cores
         workers = min(params["workers"], steps, os.cpu_count() or 1)
         if workers > 1:

@@ -32,15 +32,17 @@ provable, existence never is):
   Only a lower bound on the overlap is needed: the bands sampled at a few
   quasimomenta give inner bounds on theta0_k and eta0_{k+1}, and a window
   they already close is closed (_closes).  Exact endpoints are computed only
-  for the windows the samples leave open and at the ceiling.
+  for the windows the samples leave open.  The ceiling is the count: the
+  S = sup_tau N0(ell_max, tau) bands that start at or below it give the
+  pairs k = 1..S - 1.
 
 conditions_check is the one place the scalar verdicts are evaluated,
 ell_star among them; the low-energy test takes its verdict.  gap_report is
 the one implementation of the chain: it evaluates the conditions once and
-the threshold ell1, runs the low-energy grid and, given a ceiling, sizes the
-unperturbed bands that cover it and certifies every band pair below it
-(_band_pairs).  Windows are BandPairs arrays only.  The command line only
-renders the report.
+the threshold ell1, runs the low-energy grid and, given a ceiling, counts
+the unperturbed bands that start below it and certifies every band pair
+below it (_band_pairs).  Windows are BandPairs arrays only.  The command
+line only renders the report.
 """
 
 from __future__ import annotations
@@ -425,55 +427,51 @@ def _closes(geom: StripGeometry, bounds: PerturbBounds, below_hi: np.ndarray,
     return below_hi - above_lo >= bounds.omega_L + slack
 
 
-def _first(flags: np.ndarray) -> int:
-    """Position of the first set flag, or flags.size when none is set."""
-    return int(np.argmax(flags)) if flags.any() else flags.size
-
-
-def _band_pairs(geom: StripGeometry, bounds: PerturbBounds, k_max: int,
+def _band_pairs(geom: StripGeometry, bounds: PerturbBounds, band_count: int,
                 ell_max: float) -> BandPairs:
-    """Windows of the consecutive pairs of the bands 1..k_max up to (pi^2/T^2) ell_max.
+    """Windows of the pairs k = 1..S - 1 below the ceiling (pi^2/T^2) ell_max.
 
-    A window is emitted for every pair, in order of k, until the first upper
-    band that starts above the ceiling; the bands must cover the ceiling
-    (ValueError otherwise).  The bands are sampled first (spectrum.sample_bands),
-    which brackets every endpoint:
+    band_count = S + 1, where S = sup_tau N0(ell_max, tau) is the number of
+    bands that start at or below the ceiling (counting's inclusive rule), so
+    the pairs whose upper band starts below it are exactly k = 1..S - 1.  The
+    bands are sampled (spectrum.sample_bands), which brackets every endpoint:
 
         eta - spread <= eta0 <= eta + tie,    theta - tie <= theta0 <= theta + spread.
+
+    The count is cross-checked against those brackets: ValueError when band
+    S + 1 certainly starts below the ceiling, eta_{S+1} + tie < ceiling, or
+    band S certainly starts above it, eta_S - spread > ceiling + tie (tie
+    exceeds counting's inclusive margin).
 
     A window whose inner bounds theta_k - tie and eta_{k+1} + tie already pass
     the certification predicate is certified, as it is at the exact endpoints
     (see _closes).  Exact endpoints are computed, in one pass over the
-    crossings inside their brackets, only where the samples leave something
-    open: both sides of every other window below the ceiling, the lower
-    endpoint of each band whose bracket straddles the ceiling, and the upper
-    endpoint of the top band when its bracket does not clear the ceiling.
-    So window count, flags and every window not certified from samples are
-    those of the exact endpoints of all bands.
+    crossings inside their brackets, only for the windows the samples leave
+    open (no pass at all when there are none).  So flags and every window not
+    certified from samples are those of the exact endpoints of all bands.
     """
     scale = math.pi ** 2 / geom.T ** 2
     ceiling = scale * ell_max
-    samples = sample_bands(geom.xi, k_max)
+    samples = sample_bands(geom.xi, band_count)
     eta, theta = scale * samples.eta, scale * samples.theta
     spread, tie = scale * samples.spread, scale * samples.tie
-    above = eta - spread > ceiling
-    eta_at = ~above & (eta + tie > ceiling)
-    pairs = _first(above[1:])
-    open_ = ~_closes(geom, bounds, theta[:pairs] - tie, eta[1:pairs + 1] + tie)
-    theta_at = np.zeros(k_max, dtype=bool)
-    theta_at[:pairs] = open_
-    theta_at[-1] |= theta[-1] - tie < ceiling
-    straddles = eta_at.copy()
-    eta_at[1:pairs + 1] |= open_
-    eta0, theta0 = (scale * e for e in samples.edges(eta_at, theta_at))
-    if theta_at[-1] and theta0[-1] < ceiling:
-        raise ValueError(
-            f"bands0 top {float(theta0[-1])} does not cover the ceiling {ceiling}; "
-            "supply more bands"
-        )
-    pairs = _first((above | straddles & (eta0 > ceiling))[1:])
-    return BandPairs.of(geom, bounds, np.where(theta_at, theta0, theta - tie)[:pairs],
-                        np.where(eta_at, eta0, eta + tie)[1:pairs + 1])
+    top = band_count - 1
+    if eta[top] + tie < ceiling:
+        raise ValueError(f"band count {band_count} does not cover the ceiling {ceiling}: "
+                         f"band {band_count} starts below it")
+    if top and eta[top - 1] - spread > ceiling + tie:
+        raise ValueError(f"band count {band_count} overshoots the ceiling {ceiling}: "
+                         f"band {top} starts above it")
+    pairs = max(top - 1, 0)
+    below_hi, above_lo = theta[:pairs] - tie, eta[1:pairs + 1] + tie
+    open_ = ~_closes(geom, bounds, below_hi, above_lo)
+    if open_.any():
+        theta_at, eta_at = np.zeros((2, band_count), dtype=bool)
+        theta_at[:pairs] = eta_at[1:pairs + 1] = open_
+        eta0, theta0 = samples.edges(eta_at, theta_at)
+        below_hi = np.where(open_, scale * theta0[:pairs], below_hi)
+        above_lo = np.where(open_, scale * eta0[1:pairs + 1], above_lo)
+    return BandPairs.of(geom, bounds, below_hi, above_lo)
 
 
 @dataclass(frozen=True)
@@ -484,11 +482,11 @@ class GapReport:
     high-energy threshold; low_spectrum holds the counting verdicts on a grid
     below the scaled energy 1 (empty when
     conditions.low_spectrum_applicable is false).  Given a ceiling,
-    band_count is the number of unperturbed bands that cover it and
-    candidate_gaps the windows of the pairs below it with their
-    certification status (exact for every window not certified from band
-    samples, see BandPairs); without a ceiling band_count is 0 and
-    candidate_gaps empty.
+    band_count is one more than the number S of unperturbed bands that
+    start at or below it, and candidate_gaps the windows of the pairs
+    k = 1..S - 1 with their certification status (exact for every window not
+    certified from band samples, see BandPairs); without a ceiling
+    band_count is 0 and candidate_gaps empty.
     """
 
     ell1: float
@@ -515,11 +513,11 @@ def gap_report(
 
     The low-energy grid takes low_spectrum_points equally spaced scaled
     energies in (1/4 + xi^2, 1) when the subcritical-ratio and budget
-    conditions hold.  With ell_max, the unperturbed bands covering the
-    scaled energy ell_max are one more than sup_tau N0(ell_max, tau), failing
-    closed first above spectrum.MAX_BAND_CURVES, and every band pair below
-    that ceiling gets its window (_band_pairs).  Deterministic: output
-    ordered by k.
+    conditions hold.  With ell_max, S = sup_tau N0(ell_max, tau) bands start
+    at or below the scaled energy ell_max; the S + 1 bands up to the first
+    that starts above it are sampled, failing closed first above
+    spectrum.MAX_BAND_CURVES, and every pair k = 1..S - 1 gets its window
+    (_band_pairs).  Deterministic: output ordered by k.
     """
     verdict = conditions_check(geom, bounds)
     ell1 = ell1_threshold(geom, params, bounds)

@@ -325,9 +325,8 @@ def _lowered(x: float) -> int:
 
 
 def _fallback_floor(xi: float, tol: float) -> int:
-    """Floor of the fallback's least cut: 4 xi^(1/2)/(pi N^(1/2)) <= tol needs
-    N >= 16 xi/(pi tol)^2.  ValueError unless tol is positive and finite, and
-    when that N would pass 2^63."""
+    """Floor of the fallback's least cut, N >= 16 xi/(pi tol)^2.  ValueError
+    unless tol is positive and finite, and when that N would pass 2^63."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not tol < math.inf:
@@ -339,23 +338,18 @@ def _fallback_floor(xi: float, tol: float) -> int:
 
 
 def _non_resonant_floor(xi: float, ell: float, p: int, budget: float) -> int | None:
-    """Floor of the non-resonant route's least cut; None when no N certifies.
+    """Floor of the non-resonant route's least cut; None when no N certifies
+    (test_each_floor_is_at_or_below_its_least_cut checks both outcomes).
 
-    Both terms of lam(N) = min(f'(N+1) - floor(L), ceil(L) - L) - slack in
-    _non_resonant_tail give one:
+    The larger of the floors of the two terms of lam(N) in _non_resonant_tail:
 
-      * f'(N+1) <= L, so lam(N) <= lam_inf = min(L - floor(L), ceil(L) - L)
-        - slack, evaluated with the same operations, and the bound is at
-        least (2/(pi xi)) s_{N+1}^(-3/2) cot(pi lam_inf / 2).  Within budget
-        it needs s_{N+1} >= s* = ((2/(pi xi)) cot(pi lam_inf / 2) /
-        budget)^(2/3), that is N + 1 >= xi (s*^2 - p^2)^(1/2); s* is lowered
-        by _FLOOR_RTOL before the difference, which may cancel.
-        lam_inf <= 0 leaves every bound infinite;
-      * lam(N) > 0 needs the computed f'(N+1) = L (1 + (p xi /
-        (N+1))^2)^(-1/2) above floor(L) + slack.  Its rounding, a few ulps
-        of L, and that of h = floor(L) + slack/4 take less than the rest of
-        slack, so the exact quotient is above h, that is
-        N + 1 > p xi / ((r - 1)(r + 1))^(1/2) with r = L / h.
+      * f'(N+1) <= L gives lam(N) <= lam_inf = min(L - floor(L), ceil(L) - L)
+        - slack, so the bound needs N + 1 >= xi (s*^2 - p^2)^(1/2),
+        s* = ((2/(pi xi)) cot(pi lam_inf / 2) / budget)^(2/3), with s*
+        lowered by _FLOOR_RTOL; lam_inf <= 0 leaves every bound infinite;
+      * lam(N) > 0 needs f'(N+1) = L (1 + (p xi / (N+1))^2)^(-1/2) above
+        h = floor(L) + slack/4 (rounding takes less than the rest of slack),
+        that is N + 1 > p xi / ((r - 1)(r + 1))^(1/2), r = L / h.
     """
     big_l = math.sqrt(ell) / xi
     floor_l = math.floor(big_l)
@@ -373,21 +367,19 @@ def _non_resonant_floor(xi: float, ell: float, p: int, budget: float) -> int | N
 
 
 def _resonant_floor(xi: float, ell: float, p: int, budget: float) -> int | None:
-    """Floor of the resonant route's least cut; None when no N certifies.
+    """Floor of the resonant route's least cut; None when no N certifies
+    (test_each_floor_is_at_or_below_its_least_cut checks both outcomes).
 
-    The route needs N >= max(1, 2 p xi), compared exactly as _resonant_tail
-    does, and each of its two leading terms alone bounds it from below:
+    The largest of the route's gate N >= max(1, 2 p xi), compared as
+    _resonant_tail does, and the floors of its two leading terms:
 
-      * the phase term (2/(pi xi)) (2/3) pi ell^(1/2) p^2 xi^(5/2) N^(-3/2)
-        <= budget needs N >= ((4/3) ell^(1/2) p^2 xi^(3/2) / budget)^(2/3);
-      * the drift term is (2/(pi xi)) xi^(3/2) D(N) with D(N) = 4 pi delta
-        (m^(1/2) - N^(1/2)) + 4 m^(-1/2), m = max(N, K).  With b = budget
-        pi / (2 xi^(1/2)), D(N) <= b needs N^(1/2) >= K^(1/2) - (b - 4
-        K^(-1/2)) / (4 pi delta) when b >= 4 K^(-1/2), and otherwise
-        N > K and N >= 16 / b^2.
+      * phase: N >= ((4/3) ell^(1/2) p^2 xi^(3/2) / budget)^(2/3);
+      * drift: D(N) = 4 pi delta (m^(1/2) - N^(1/2)) + 4 m^(-1/2),
+        m = max(N, K), within b = budget pi / (2 xi^(1/2)) needs
+        N^(1/2) >= K^(1/2) - (b - 4 K^(-1/2)) / (4 pi delta) when
+        b >= 4 K^(-1/2), and N >= 16 / b^2 otherwise.
 
-    b is raised by _FLOOR_RTOL, which only lowers both drift floors, and the
-    root by _FLOOR_RTOL of its two parts, which may cancel.
+    b and the root are moved by _FLOOR_RTOL toward the smaller floor.
     """
     gate = max(1.0, 2.0 * (p * xi))
     if not gate < math.inf:
@@ -444,18 +436,15 @@ def _choose_truncation(xi: float, ell: float, p: int, budget: float,
 
     The fallback is the oscillation-blind bound; the non-resonant and
     resonant routes are taken, in that order, only where they certify a
-    strictly shorter cut.  Each route bound is non-increasing in N (a
-    premise the tests check), so its least N is found by one _least_cut
-    search from the route's closed-form floor, a value at or below that
-    least N (_fallback_floor, _non_resonant_floor, _resonant_floor).
+    strictly shorter cut.  Each route bound is non-increasing in N
+    (test_route_bounds_are_non_increasing_in_the_cut), so its least N is one
+    _least_cut search from the route's closed-form floor.
 
-    previous is the (N, route) chosen for a larger budget.  Every route's
-    least cut can only grow as the budget shrinks, so no route certifies
-    below that N, and the searches start there.  When the previous route
-    still certifies that N, it is the answer after one evaluation: routes
-    before it in the order needed more before, and routes after it would
-    need strictly less to win.  The fallback's refusals (a budget that is
-    not positive and finite, or a cut past 2^63) come first either way.
+    previous is the (N, route) chosen for a larger budget.  No route's least
+    cut shrinks with the budget, so the searches start at that N, and when
+    the previous route still certifies it, it is the answer after one
+    evaluation.  The fallback's refusals (a budget that is not positive and
+    finite, or a cut past 2^63) come first either way.
     """
     bounds = {"fallback": lambda m: tail_bound(xi, m),
               "non-resonant": lambda m: _non_resonant_tail(xi, ell, p, m),
@@ -523,16 +512,13 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEval
       * "fallback": the oscillation-blind 4 xi^(1/2)/(pi N^(1/2)).
 
     Each route's least N is searched from its closed-form floor
-    (_choose_truncation).  tail_bound adds to the route's bound the
-    floating-point error of the sum (_rounding_bound), which grows with N:
-    the budget is tol less that error at a cap, and the cap doubles until
-    the cut fits under it.  Each re-search starts from the previous cut and
-    returns it after one evaluation when its route still certifies it.  The
-    cut is refused with ValueError when the rounding alone would use up
-    tol, e.g. when ell^(1/2) s_k is beyond float64 resolution.  An N
-    above MAX_TERMS is refused with ValueError before summing, and so are an
-    ell or tol that is not positive and finite (tol by truncation_length)
-    and, before any search, a p at or above MAX_HARMONIC_INDEX.
+    (_choose_truncation).  tail_bound adds the floating-point error of the
+    sum (_rounding_bound), which grows with N: the budget is tol less that
+    error at a cap, and the cap doubles until the cut fits under it.
+    ValueError when the rounding alone would use up tol (e.g. ell^(1/2) s_k
+    beyond float64 resolution), for an N above MAX_TERMS before summing, an
+    ell or tol that is not positive and finite, and, before any search, a p
+    at or above MAX_HARMONIC_INDEX.
     """
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")

@@ -107,6 +107,16 @@ EXTRA = [
           (["check-thm23", "--xi", "0.05", "--grid", "2"], "ell-max", "2", "4"))],
     ["sweep", "--param", "xi", "--start", "0.3", "--stop", "0.7", "--steps", "5",
      "--workers", "2", "--", "phi", "--ell", "2.7", "--p", "2"],
+    # integer flags swept by their dashed spelling and by an abbreviation
+    ["sweep", "--param", "low-points", "--start", "2", "--stop", "4", "--steps", "2",
+     "--", "gaps", "--xi", "0.05", "--omega-plus", "0.01"],
+    ["sweep", "--param", "kma", "--start", "2", "--stop", "3", "--steps", "2",
+     "--", "bands", "--xi", "0.5"],
+    # ceilings on a tie that the band count decides: a lattice level at tau 0,
+    # (0 + 1)^2 + 0.25 * 2^2, one at tau 1/2, (1/2 + 1)^2 + 0.25 * 1^2, and
+    # the top of band 2 (a crossing at tau 1/8)
+    *[["gaps", "--xi", "0.5", "--c0", "0.5", "--ell-max", ell]
+      for ell in ("2", "2.5", "1.015625")],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

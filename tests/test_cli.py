@@ -668,6 +668,12 @@ _CELL_SWEEPS = [
     # a flag abbreviated as argparse allows (--e for --ell), one spelled with a dash
     (["count", "--xi", "0.5", "--tau", "0"], "e", ("1.5", "2.5", "3.5")),
     (["check-thm23", "--xi", "0.05", "--grid", "2"], "ell-max", ("2", "3", "4")),
+    # an integer flag by its dest, dashed spelling and abbreviation, and one
+    # abbreviated on its own: each is typed as the flag it names
+    (["gaps", "--xi", "0.05", "--omega-plus", "0.01"], "low_points", ("2", "3", "4")),
+    (["gaps", "--xi", "0.05", "--omega-plus", "0.01"], "low-points", ("2", "3", "4")),
+    (["gaps", "--xi", "0.05", "--omega-plus", "0.01"], "low", ("2", "3", "4")),
+    (["bands", "--xi", "0.5"], "kma", ("1", "2", "3")),
 ]
 
 
@@ -733,6 +739,16 @@ def test_sweeping_the_grid_flag_counts_every_cells_points(capsys):
                  "--steps", "3"] + inner)
     assert code == 1
     assert capsys.readouterr() == ("", f"error: 3 sweep steps of --grid ask for 15000 galerkin "
+                                       f"points, over the ceiling of {MAX_GRID} points\n")
+
+
+def test_an_abbreviated_grid_flag_counts_every_cells_points(capsys):
+    # 1000 + 4500 + 8000 points: --gri names --grid, so the sum is capped,
+    # not steps times the first cell's 1000
+    code = main(["sweep", "--param", "gri", "--start", "1000", "--stop", "8000", "--steps", "3",
+                 "--", "galerkin", "--potential", str(DATA / "cosine.pot"), "--kmax", "1"])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: 3 sweep steps of --grid ask for 13500 galerkin "
                                        f"points, over the ceiling of {MAX_GRID} points\n")
 
 

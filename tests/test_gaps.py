@@ -457,6 +457,17 @@ def test_gap_report_validates_the_band_input(monkeypatch):
                    low_spectrum_points=0)
 
 
+def test_gap_report_refuses_a_band_count_above_the_ceiling(monkeypatch):
+    # the count is cross-checked in the other direction too: bands that
+    # certainly start above the ceiling are not counted below it
+    geom = resolve_geometry(T=1.0, d=1.0)
+    top = spectrum.counting_extremes(geom, 50.0)[0]
+    monkeypatch.setattr(spectrum, "counting_extremes", lambda geom, ell: (2 * top, 0))
+    with pytest.raises(ValueError, match=f"band {2 * top} starts above it"):
+        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0,
+                   low_spectrum_points=0)
+
+
 def test_gap_report_is_deterministic():
     geom = resolve_geometry(T=1.0, xi=0.1)
     args = (geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
@@ -593,9 +604,10 @@ def test_gap_report_decides_like_the_oracle_for_samples_anywhere_in_their_bracke
 ])
 def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
         monkeypatch, xi, omega_plus, ell_max, share):
-    # when written: every window certified from samples, so only crossings
-    # near the ceiling ranked (759 of 161,527 and 864 of 482,999); and 9 open
-    # windows spread over 15 slices, 119 of 2,523 ranked
+    # when written: every window certified from samples at the first two
+    # cases, and the window count taken from sup N0, so no crossing ranked;
+    # and 9 open windows spread over 15 slices, 119 of 2,523 ranked (share
+    # bounds the ranked part of the full table where windows stay open)
     ranked = []
     real = spectrum._fold_crossings
     monkeypatch.setattr(spectrum, "_fold_crossings",
@@ -604,6 +616,9 @@ def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
     report = gap_report(geom, PerturbBounds(0.0, omega_plus), GapParams.from_small_ratio(xi),
                         ell_max, low_spectrum_points=0)
     in_report = sum(ranked)
+    if report.undecided.size == 0:
+        assert in_report == 0
+        return
     ranked.clear()
     band_edges(geom, report.band_count)
     assert 0 < in_report <= share * sum(ranked)
@@ -611,7 +626,8 @@ def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
 
 def test_gap_report_at_xi_006_needs_only_the_sliced_pass(monkeypatch):
     # the full band table here enumerates 3.37e6 crossing candidates; the
-    # one sliced pass of gap_report enumerates 14,944, far below the ceiling
+    # samples certify every window below the ceiling, so gap_report
+    # enumerates none
     candidates = []
     real = spectrum._crossing_candidates
 
@@ -625,7 +641,7 @@ def test_gap_report_at_xi_006_needs_only_the_sliced_pass(monkeypatch):
     report = gap_report(geom, PerturbBounds(0.0, 0.02), GapParams.from_small_ratio(0.06),
                         731.0, low_spectrum_points=0)
     assert report.band_count == 19_127 and report.undecided.size == 0
-    assert 0 < sum(candidates) <= 20_000 < spectrum.MAX_BAND_CROSSINGS
+    assert sum(candidates) == 0
 
 
 def test_band_samples_memory_stays_bounded():
