@@ -71,12 +71,12 @@ __all__ = ["main"]
 
 # Ceilings checked before any cell or grid point is allocated (like
 # oscillation.MAX_TERMS): sweep cells, and the points of check-thm23's energy
-# grid, galerkin's tau grid and gaps' low-energy grid.
+# grid and galerkin's tau grid.
 MAX_SWEEP_STEPS = 10_000
 MAX_GRID = 10_000
-# The flag giving each command's grid size, capped by MAX_GRID; inside a
-# sweep, steps times that size is capped.
-_GRID_FLAG = {"check-thm23": "grid", "galerkin": "grid", "gaps": "low_points"}
+# The flag giving a command's grid size, capped by MAX_GRID; inside a sweep,
+# steps times that size is capped.
+_GRID_FLAG = "grid"
 
 _REQUIRED = object()
 
@@ -192,13 +192,13 @@ def _geometry(params: dict) -> StripGeometry:
     )
 
 
-def _grid(params: dict, dest: str, least: int = 1) -> int:
-    """Grid size of flag dest, failing closed outside [least, MAX_GRID]."""
-    n, name = params[dest], dest.replace("_", "-")
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
+def _grid(params: dict) -> int:
+    """Grid size of the grid flag, failing closed outside [1, MAX_GRID]."""
+    n = params[_GRID_FLAG]
+    if n < 1:
+        raise ValueError(f"{_GRID_FLAG} must be >= 1, got {n}")
     if n > MAX_GRID:
-        raise ValueError(f"--{name} {n} exceeds the ceiling of {MAX_GRID} points")
+        raise ValueError(f"--{_GRID_FLAG} {n} exceeds the ceiling of {MAX_GRID} points")
     return n
 
 
@@ -263,7 +263,7 @@ def _cmd_phi_sup(params: dict) -> tuple[int, _Table]:
 
 def _cmd_check_thm23(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
-    lo, hi, n = params["ell_min"], params["ell_max"], _grid(params, "grid")
+    lo, hi, n = params["ell_min"], params["ell_max"], _grid(params)
     if not 1.0 <= lo <= hi:
         raise ValueError(f"need 1 <= ell-min <= ell-max, got [{lo}, {hi}]")
     if hi == math.inf:
@@ -297,13 +297,12 @@ def _resolve_bounds(params: dict) -> PerturbBounds:
 def _cmd_gaps(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     bounds = _resolve_bounds(params)
-    low_points = _grid(params, "low_points", least=0)
     cc = critical_constants()
     if "c0" in params:
         gp = GapParams(c0=params["c0"], gamma=params["gamma"], ell0=params["ell0"])
     else:
         gp = GapParams.from_small_ratio(geom.xi)
-    rep = gap_report(geom, bounds, gp, params.get("ell_max"), low_points)
+    rep = gap_report(geom, bounds, gp, params.get("ell_max"))
     verdict = rep.conditions
     items: list[tuple[str, object]] = [
         ("xi", geom.xi),
@@ -325,15 +324,7 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
         ("ell0", gp.ell0),
         ("ell_star", verdict.ell_star),
         ("ell1", rep.ell1),
-        ("low_spectrum_points", len(rep.low_spectrum)),
     ]
-    if rep.low_spectrum:
-        items.append(
-            ("low_spectrum_all_positive", all(c.positive for c in rep.low_spectrum))
-        )
-        items.append(
-            ("low_spectrum_min_difference", min(c.difference for c in rep.low_spectrum))
-        )
     windows: list[tuple[str, str]] = []
     if "ell_max" in params:
         pairs, undecided = rep.candidate_gaps, rep.undecided
@@ -368,7 +359,7 @@ def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
             )
     geom = file_geom
     k_max = params["kmax"]
-    grid_n = _grid(params, "grid")
+    grid_n = _grid(params)
     if "nmax" in params or "mmax" in params:
         if not ("nmax" in params and "mmax" in params):
             raise ValueError("--nmax and --mmax must be given together")
@@ -455,8 +446,7 @@ def _cmd_sweep(params: dict) -> tuple[int, _Table]:
         bad = next((v for v in values if not v.is_integer()), None)
         if bad is not None:
             raise ValueError(f"{flag} takes integers, but the sweep reaches {bad!r}")
-    grid = _GRID_FLAG.get(inner[0])
-    if swept.dest == grid:
+    if swept.dest == _GRID_FLAG and swept in flags:
         # the swept flag is the grid size itself: every cell counts
         points = sum(max(int(v), 0) for v in values)
         if points > MAX_GRID:
@@ -474,9 +464,9 @@ def _cmd_sweep(params: dict) -> tuple[int, _Table]:
     else:
         # cells differ only in the swept value, so the first one tells how
         # many grid points every cell asks for
-        if grid and swept.dest != grid and steps * base[grid] > MAX_GRID:
+        if swept.dest != _GRID_FLAG and steps * base.get(_GRID_FLAG, 0) > MAX_GRID:
             raise ValueError(
-                f"{steps} sweep steps x {base[grid]} {inner[0]} points exceed the "
+                f"{steps} sweep steps x {base[_GRID_FLAG]} {inner[0]} points exceed the "
                 f"ceiling of {MAX_GRID} points")
         # a spelled value parses back to itself: a cell is the parsed options
         # with the swept flag set to the value argparse reads from its spelling
@@ -570,7 +560,6 @@ COMMANDS: dict[str, _Command] = {
             _Flag("c0", float, None, "minorant constant"),
             _Flag("gamma", float, 0.0, "minorant decay exponent, with --c0"),
             _Flag("ell0", float, 1.0, "minorant base energy, with --c0"),
-            _Flag("low_points", int, 32, f"low-energy verdict grid size, at most {MAX_GRID}"),
         )),
     "galerkin": _command(
         _cmd_galerkin, "finite-basis bands and enclosure check for a potential", "report", (

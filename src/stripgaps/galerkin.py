@@ -452,7 +452,8 @@ def unperturbed_band_functions(
 @dataclass(frozen=True, kw_only=True)
 class OmegaEnclosure(PerturbBounds):
     """Outer enclosure of the potential's range over the cell: PerturbBounds
-    (finite and ordered, checked on construction) with how they were found.
+    (finite, ordered and of finite oscillation, checked on construction)
+    with how they were found.
 
     grid_min/grid_max are the extrema of the computed values on the sample
     grid; inflation is the slack added outward: the smaller of the first- and

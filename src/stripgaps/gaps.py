@@ -21,9 +21,12 @@ provable, existence never is):
   survive above the explicit threshold ell1 (a four-term maximum plus
   omega_minus).
 
-* Low energy.  For scaled energies 1/4 + xi^2 < ell < 1, a counting-function
-  difference is strictly positive whenever the oscillation fits the
-  low-energy budget; positivity certifies that no gap opens in that window.
+* Low energy.  For xi below the critical ratio and a scaled oscillation
+  within the low-energy budget (the verdict low_energy_ok), the paper's
+  lemma makes the counting difference N0(ell - w, tau_max) - N0(ell, tau_min)
+  strictly positive on all of 1/4 + xi^2 < ell < 1, so no gap opens there.
+  The verdict is the budget; the counting test itself is the oracle that
+  acceptance criterion 06 runs (tests/oracles.low_spectrum_no_gap).
 
 * Band pairs.  Between bands k and k+1 any perturbed gap is confined to the
   open window (theta0_k + omega_minus, eta0_{k+1} + omega_plus); the window is
@@ -37,11 +40,10 @@ provable, existence never is):
   pairs k = 1..S - 1.
 
 conditions_check is the one place the scalar verdicts are evaluated,
-ell_star among them; the low-energy test takes its verdict.  gap_report is
-the one implementation of the chain: it evaluates the conditions once and
-the threshold ell1, runs the low-energy grid and, given a ceiling, counts
-the unperturbed bands that start below it and certifies every band pair
-below it (_band_pairs).  Windows are BandPairs arrays only.  The command
+ell_star among them.  gap_report is the one implementation of the chain: it
+evaluates the conditions once and the threshold ell1 and, given a ceiling,
+counts the unperturbed bands that start below it and certifies every band
+pair below it (_band_pairs).  Windows are BandPairs arrays only.  The command
 line only renders the report.
 """
 
@@ -49,13 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import StripGeometry, validate_ell
+from .geometry import StripGeometry
 from .oscillation import critical_constants
-from .spectrum import BOUNDARY_RTOL, check_band_count, counting, sample_bands
+from .spectrum import BOUNDARY_RTOL, check_band_count, sample_bands
 
 __all__ = [
     "PerturbBounds",
@@ -64,8 +65,6 @@ __all__ = [
     "conditions_check",
     "ell1_threshold",
     "ell2_threshold",
-    "LowSpectrumCheck",
-    "low_spectrum_no_gap",
     "BandPairs",
     "GapReport",
     "gap_report",
@@ -86,8 +85,8 @@ class PerturbBounds:
 
     omega_minus (infimum) and omega_plus (supremum) of the perturbation's
     quadratic form; omega_L = omega_plus - omega_minus is the oscillation.
-    Everything downstream is monotone in the enclosure, so conservative
-    (outer) values stay sound.
+    All three must be finite (ValueError otherwise).  Everything downstream
+    is monotone in the enclosure, so conservative (outer) values stay sound.
     """
 
     omega_minus: float = 0.0
@@ -100,6 +99,9 @@ class PerturbBounds:
             raise ValueError(
                 f"omega_minus={self.omega_minus} exceeds omega_plus={self.omega_plus}"
             )
+        if not math.isfinite(self.omega_L):
+            raise ValueError(f"oscillation omega_plus - omega_minus overflows: omega_minus="
+                             f"{self.omega_minus}, omega_plus={self.omega_plus}")
 
     @property
     def omega_L(self) -> float:
@@ -206,11 +208,6 @@ class ConditionsVerdict:
         """True when the full no-gap certification applies."""
         return self.xi_subcritical and self.low_energy_ok and self.gapless_ok
 
-    @property
-    def low_spectrum_applicable(self) -> bool:
-        """True when the low-energy counting test applies (low_spectrum_no_gap)."""
-        return self.xi_subcritical and self.low_energy_ok
-
 
 def gapless_margin(xi: float, T: float, omega_L: float) -> float:
     """Scalar margin of the small-period gapless criterion (see ConditionsVerdict)."""
@@ -295,87 +292,32 @@ def ell1_threshold(
     (pi^2/T^2) max{ ell0,
                     ((4 sqrt(2) pi + 6)/(3 pi c0))^(4/(1-4 gamma)),
                     ((1/(8 pi^2 xi c0)) sqrt(9 + 25/(1024 pi^2)))^(2/(1-2 gamma)),
-                    ((T/(4 pi c0 xi)) omega_L + 1/(2 c0)
+                    ((T/(3 pi c0 xi)) omega_L + 1/(2 c0)
                      + 3 xi T/(4 pi c0))^(4/(1-4 gamma)) }
     + omega_minus.
 
     The first three terms are ell2_threshold.  The fourth is the scaled
-    energy ell where (4 pi xi c0 / T) ell^(1/4-gamma) - 2 pi xi / T - 3 xi^2
-    reaches omega_L.  That left side is 4/3 of the overlap lower bound
-    (3 pi xi c0 / T) ell^(1/4-gamma) - 3 pi xi / (2T) - 9 xi^2 / 4, so at that
-    energy the overlap bound is 3/4 omega_L, not omega_L; which constant the
-    paper's lemma intends is not settled here.
+    energy ell at which the overlap lower bound of consecutive unperturbed
+    bands, (3 pi xi c0 / T) ell^(1/4-gamma) - 3 pi xi / (2T) - 9 xi^2 / 4,
+    reaches omega_L: its root ((omega_L + 3 pi xi/(2T) + 9 xi^2/4)
+    T/(3 pi xi c0))^(4/(1-4 gamma)).  Above ell1 the bound applies (ell >=
+    ell2) and, increasing in ell, is at least omega_L, so no band-pair window
+    is open.  The constant is the bound's own.  The reading with 4/3 of the
+    bound on the left, (4 pi xi c0 / T) ell^(1/4-gamma) - 2 pi xi / T - 3 xi^2
+    = omega_L (coefficient T/(4 pi c0 xi)), gives a smaller root, at which
+    the bound is only 3/4 omega_L; the larger root is sound under either
+    reading.  test_ell1_fourth_term_reaches_the_overlap_bound checks the
+    bound at ell1 against omega_L.
     """
     xi = geom.xi
     c0, g = params.c0, params.gamma
     t4 = (
-        geom.T / (4.0 * math.pi * c0 * xi) * bounds.omega_L
+        geom.T / (3.0 * math.pi * c0 * xi) * bounds.omega_L
         + 1.0 / (2.0 * c0)
         + 3.0 * xi * geom.T / (4.0 * math.pi * c0)
     ) ** (4.0 / (1.0 - 4.0 * g))
     base = max(ell2_threshold(geom, params), t4)
     return math.pi ** 2 / geom.T ** 2 * base + bounds.omega_minus
-
-
-class LowSpectrumCheck(NamedTuple):
-    """Outcome of the low-energy counting test at one scaled energy."""
-
-    ell: float
-    tau_max: float
-    tau_min: float
-    shifted_count: int
-    reference_count: int
-    difference: int
-    positive: bool
-
-
-def low_spectrum_no_gap(
-    geom: StripGeometry, verdict: ConditionsVerdict, ell: float
-) -> LowSpectrumCheck:
-    """Counting-difference test excluding gaps at scaled energy ell < 1.
-
-    verdict is conditions_check's for geom and the perturbation bounds.
-    Evaluates N0(ell - (T^2/pi^2) omega_L, tau_max) - N0(ell, tau_min), with
-    tau_max = 0 for ell <= verdict.ell_star and tau_max = 1/2 above, and
-    tau_min = 1 - sqrt(ell) in both cases.  A
-    strictly positive difference certifies that the perturbed spectrum has no
-    gap at energy (pi^2/T^2) ell.
-
-    Preconditions (ValueError otherwise): 1/4 + xi^2 < ell < 1, a verdict
-    evaluated at geom's ratio xi, and the subcritical-ratio plus low-energy
-    budget conditions; positivity is then guaranteed, so a nonpositive
-    difference is reported (positive=False) rather than raised, letting
-    property suites surface it.
-    """
-    validate_ell(ell)
-    xi = geom.xi
-    if not 0.25 + xi * xi < ell < 1.0:
-        raise ValueError(
-            f"low-spectrum test needs 1/4 + xi^2 < ell < 1, got ell={ell} at xi={xi}"
-        )
-    if verdict.xi != xi:
-        raise ValueError(
-            f"low-spectrum test got a verdict at xi={verdict.xi} for a geometry at xi={xi}"
-        )
-    if not verdict.low_spectrum_applicable:
-        raise ValueError(
-            "low-spectrum test requires the subcritical-ratio and low-energy "
-            f"budget conditions; got {verdict}"
-        )
-    tau_max = 0.0 if ell <= verdict.ell_star else 0.5
-    tau_min = 1.0 - math.sqrt(ell)
-    shifted = counting(geom, ell - verdict.scaled_oscillation, tau_max)
-    reference = counting(geom, ell, tau_min)
-    diff = shifted - reference
-    return LowSpectrumCheck(
-        ell=ell,
-        tau_max=tau_max,
-        tau_min=tau_min,
-        shifted_count=shifted,
-        reference_count=reference,
-        difference=diff,
-        positive=diff > 0,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,21 +421,18 @@ class GapReport:
     """Consolidated certification artifact.
 
     conditions holds the scalar verdicts (ell_star among them) and ell1 the
-    high-energy threshold; low_spectrum holds the counting verdicts on a grid
-    below the scaled energy 1 (empty when
-    conditions.low_spectrum_applicable is false).  Given a ceiling,
-    band_count is one more than the number S of unperturbed bands that
-    start at or below it, and candidate_gaps the windows of the pairs
-    k = 1..S - 1 with their certification status (exact for every window not
-    certified from band samples, see BandPairs); without a ceiling
-    band_count is 0 and candidate_gaps empty.
+    high-energy threshold.  Given a ceiling, band_count is one more than the
+    number S of unperturbed bands that start at or below it, and
+    candidate_gaps the windows of the pairs k = 1..S - 1 with their
+    certification status (exact for every window not certified from band
+    samples, see BandPairs); without a ceiling band_count is 0 and
+    candidate_gaps empty.
     """
 
     ell1: float
     conditions: ConditionsVerdict
     band_count: int
     candidate_gaps: BandPairs
-    low_spectrum: tuple[LowSpectrumCheck, ...]
 
     @property
     def undecided(self) -> np.ndarray:
@@ -507,27 +446,18 @@ def gap_report(
     bounds: PerturbBounds,
     params: GapParams,
     ell_max: float | None = None,
-    low_spectrum_points: int = 32,
 ) -> GapReport:
-    """Run the certification chain: conditions, thresholds, low energy, band pairs.
+    """Run the certification chain: conditions, thresholds, band pairs.
 
-    The low-energy grid takes low_spectrum_points equally spaced scaled
-    energies in (1/4 + xi^2, 1) when the subcritical-ratio and budget
-    conditions hold.  With ell_max, S = sup_tau N0(ell_max, tau) bands start
-    at or below the scaled energy ell_max; the S + 1 bands up to the first
-    that starts above it are sampled, failing closed first above
+    The low-energy conclusion is the verdict's low_energy_ok; no counting
+    function is evaluated for it.  With ell_max, S = sup_tau N0(ell_max, tau)
+    bands start at or below the scaled energy ell_max; the S + 1 bands up to
+    the first that starts above it are sampled, failing closed first above
     spectrum.MAX_BAND_CURVES, and every pair k = 1..S - 1 gets its window
     (_band_pairs).  Deterministic: output ordered by k.
     """
     verdict = conditions_check(geom, bounds)
     ell1 = ell1_threshold(geom, params, bounds)
-    low_checks: tuple[LowSpectrumCheck, ...] = ()
-    if verdict.low_spectrum_applicable:
-        lo = 0.25 + geom.xi * geom.xi
-        low_checks = tuple(
-            low_spectrum_no_gap(geom, verdict,
-                                lo + (1.0 - lo) * (i + 1) / (low_spectrum_points + 1))
-            for i in range(low_spectrum_points))
     band_count = 0
     none = np.empty(0)
     candidates = BandPairs(none, none, none, np.empty(0, dtype=bool))
@@ -544,5 +474,4 @@ def gap_report(
         conditions=verdict,
         band_count=band_count,
         candidate_gaps=candidates,
-        low_spectrum=low_checks,
     )

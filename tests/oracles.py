@@ -55,8 +55,8 @@
   from the sorted levels of ``spectrum._level_extremes`` (they must agree
   exactly).
 * ``overlap_lower_bound``: the paper's lower bound on the overlap of
-  consecutive unperturbed bands above ell2, whose constants
-  ``stripgaps.gaps.ell1_threshold`` uses.
+  consecutive unperturbed bands above ell2, whose root at omega_L is the
+  fourth term of ``stripgaps.gaps.ell1_threshold``.
 * ``certify_band_pairs``, ``band_pairs_from_all_bands``: the band-pair windows
   below a ceiling from the exact endpoints of every band, certified by
   ``stripgaps.gaps``' one predicate, against ``gap_report``, which computes
@@ -64,6 +64,10 @@
   window count, flags and every undecided window must agree exactly).
 * ``same_record``: value equality of two ``gap_report`` results, windows
   included.
+* ``LowSpectrumCheck``, ``low_spectrum_no_gap``: the paper's low-energy
+  counting test at one scaled energy in (1/4 + xi^2, 1), against the verdict
+  ``low_energy_ok`` of ``stripgaps.gaps.conditions_check``, which the chain
+  reads instead (acceptance criterion 06 runs it at 10,000 points).
 """
 
 from __future__ import annotations
@@ -85,7 +89,13 @@ from stripgaps.galerkin import (
     _dropped_floor,
     assemble,
 )
-from stripgaps.gaps import BandPairs, GapParams, PerturbBounds, ell2_threshold
+from stripgaps.gaps import (
+    BandPairs,
+    ConditionsVerdict,
+    GapParams,
+    PerturbBounds,
+    ell2_threshold,
+)
 from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
 from stripgaps.oscillation import (
     _non_resonant_tail,
@@ -101,6 +111,7 @@ from stripgaps.spectrum import (
     band_curves,
     band_edges,
     check_band_count,
+    counting,
     counting_extremes,
     row_radii,
 )
@@ -658,7 +669,8 @@ def overlap_lower_bound(geom: StripGeometry, params: GapParams, eta0_k: float) -
     a lower bound for theta0_k - eta0_{k+1}, valid once
     eta0_k >= (pi^2/T^2) ell2_threshold (ValueError below that, reporting the
     required threshold).  Monotone increasing in eta0_k for gamma < 1/4.
-    ``stripgaps.gaps.ell1_threshold`` is built on the same constants.
+    The fourth term of ``stripgaps.gaps.ell1_threshold`` is the scaled energy
+    at which it reaches omega_L.
     """
     xi = geom.xi
     ell2 = ell2_threshold(geom, params)
@@ -717,3 +729,68 @@ def band_pairs_from_all_bands(geom: StripGeometry, bounds: PerturbBounds,
     check_band_count(geom.xi, ell_max)
     k_max = counting_extremes(geom, ell_max)[0] + 1
     return k_max, certify_band_pairs(geom, bounds, band_edges(geom, k_max), ell_max)
+
+
+# ---------------------------------------------------------------------------
+# the paper's low-energy counting test
+# ---------------------------------------------------------------------------
+
+class LowSpectrumCheck(NamedTuple):
+    """Outcome of the low-energy counting test at one scaled energy."""
+
+    ell: float
+    tau_max: float
+    tau_min: float
+    shifted_count: int
+    reference_count: int
+    difference: int
+    positive: bool
+
+
+def low_spectrum_no_gap(
+    geom: StripGeometry, verdict: ConditionsVerdict, ell: float
+) -> LowSpectrumCheck:
+    """Counting-difference test excluding gaps at scaled energy ell < 1.
+
+    verdict is conditions_check's for geom and the perturbation bounds.
+    Evaluates N0(ell - (T^2/pi^2) omega_L, tau_max) - N0(ell, tau_min), with
+    tau_max = 0 for ell <= verdict.ell_star and tau_max = 1/2 above, and
+    tau_min = 1 - sqrt(ell) in both cases.  A
+    strictly positive difference certifies that the perturbed spectrum has no
+    gap at energy (pi^2/T^2) ell.
+
+    Preconditions (ValueError otherwise): 1/4 + xi^2 < ell < 1, a verdict
+    evaluated at geom's ratio xi, and the subcritical-ratio plus low-energy
+    budget conditions; positivity is then guaranteed, so a nonpositive
+    difference is reported (positive=False) rather than raised, letting
+    property suites surface it.
+    """
+    validate_ell(ell)
+    xi = geom.xi
+    if not 0.25 + xi * xi < ell < 1.0:
+        raise ValueError(
+            f"low-spectrum test needs 1/4 + xi^2 < ell < 1, got ell={ell} at xi={xi}"
+        )
+    if verdict.xi != xi:
+        raise ValueError(
+            f"low-spectrum test got a verdict at xi={verdict.xi} for a geometry at xi={xi}"
+        )
+    if not (verdict.xi_subcritical and verdict.low_energy_ok):
+        raise ValueError(
+            "low-spectrum test requires the subcritical-ratio and low-energy "
+            f"budget conditions; got {verdict}"
+        )
+    tau_max = 0.0 if ell <= verdict.ell_star else 0.5
+    tau_min = 1.0 - math.sqrt(ell)
+    shifted = counting(geom, ell - verdict.scaled_oscillation, tau_max)
+    reference = counting(geom, ell, tau_min)
+    diff = shifted - reference
+    return LowSpectrumCheck(
+        ell=ell,
+        tau_max=tau_max,
+        tau_min=tau_min,
+        shifted_count=shifted,
+        reference_count=reference,
+        difference=diff,
+        positive=diff > 0,
+    )

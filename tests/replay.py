@@ -107,7 +107,8 @@ EXTRA = [
           (["check-thm23", "--xi", "0.05", "--grid", "2"], "ell-max", "2", "4"))],
     ["sweep", "--param", "xi", "--start", "0.3", "--stop", "0.7", "--steps", "5",
      "--workers", "2", "--", "phi", "--ell", "2.7", "--p", "2"],
-    # integer flags swept by their dashed spelling and by an abbreviation
+    # the removed --low-points swept (every cell fails), and an integer flag
+    # swept by an abbreviation
     ["sweep", "--param", "low-points", "--start", "2", "--stop", "4", "--steps", "2",
      "--", "gaps", "--xi", "0.05", "--omega-plus", "0.01"],
     ["sweep", "--param", "kma", "--start", "2", "--stop", "3", "--steps", "2",
@@ -117,6 +118,11 @@ EXTRA = [
     # the top of band 2 (a crossing at tau 1/8)
     *[["gaps", "--xi", "0.5", "--c0", "0.5", "--ell-max", ell]
       for ell in ("2", "2.5", "1.015625")],
+    # finite bounds whose oscillation overflows; the removed --low-points; an
+    # ell1 whose fourth term (the overlap bound's root) dominates
+    ["gaps", "--xi", "0.03", "--omega-minus", "-1e308", "--omega-plus", "1e308"],
+    ["gaps", "--xi", "0.03", "--omega-plus", "0.02", "--low-points", "8"],
+    ["gaps", "--xi", "0.05", "--omega-plus", "100"],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

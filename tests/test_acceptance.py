@@ -18,6 +18,7 @@ from oracles import (
     ap_exact_integral,
     ap_residual_check,
     counting_extremes_check,
+    low_spectrum_no_gap,
     pde_residual,
 )
 from stripgaps.cli import main as cli_main
@@ -36,7 +37,6 @@ from stripgaps.gaps import (
     ell1_threshold,
     gapless_margin,
     low_energy_budget,
-    low_spectrum_no_gap,
 )
 from stripgaps.geometry import resolve_geometry
 from stripgaps.oscillation import critical_constants, phi_p, uniform_lower_bound_check

@@ -166,7 +166,8 @@ def test_gaps_exit_codes_follow_the_certification():
     code, out = run(["gaps", "--T", "1.0", "--xi", "0.03"])
     assert code == 0
     assert "verdict = gapless-certified" in out
-    assert "low_spectrum_all_positive = true" in out
+    assert "low_energy_ok = true" in out
+    assert "low_spectrum" not in out  # the low-energy verdict is low_energy_ok alone
     code, out = run(["gaps", "--T", "1.0", "--xi", "0.1"])
     assert code == 2
     assert "verdict = not-certified" in out
@@ -256,10 +257,13 @@ _COSTLY = [
      f"error: --grid 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
     (["galerkin", "--potential", str(DATA / "cosine.pot"), "--grid", "1000000000000"],
      f"error: --grid 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
+    # --low-points is not a gaps flag: a usage error
     (["gaps", "--xi", "0.03", "--low-points", "1000000000000"],
-     f"error: --low-points 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
+     "usage: stripgaps [-h] command ...\n"
+     "error: unrecognized arguments: --low-points 1000000000000\n"),
     (["gaps", "--xi", "0.03", "--low-points", "-5"],
-     "error: low-points must be >= 0, got -5"),
+     "usage: stripgaps [-h] command ...\n"
+     "error: unrecognized arguments: --low-points -5\n"),
     (["sweep", "--param", "xi", "--start", "0.02", "--stop", "0.09", "--steps", "10000",
       "--", "check-thm23", "--grid", "10000"],
      f"error: 10000 sweep steps x 10000 check-thm23 points exceed the ceiling of "
@@ -308,6 +312,10 @@ _COSTLY = [
     # fourier takes p = 0 (the mean a0), so the refusal names >= 0
     (["fourier", "--xi", "0.5", "--ell", "1.3", "--p", "-1"],
      "error: harmonic index must be >= 0, got -1"),
+    # finite bounds whose oscillation omega_+ - omega_- overflows
+    (["gaps", "--xi", "0.03", "--omega-minus", "-1e308", "--omega-plus", "1e308"],
+     "error: oscillation omega_plus - omega_minus overflows: omega_minus=-1e+308, "
+     "omega_plus=1e+308"),
 ]
 
 
@@ -424,7 +432,7 @@ _CHEAP = {
     "phi": ["--xi", "0.5", "--ell", "1.3", "--p", "1", "--tol", "0.01"],
     "phi-sup": ["--xi", "0.5", "--ell", "1.3", "--tol", "0.01"],
     "check-thm23": ["--xi", "0.05", "--grid", "1", "--tol", "0.01"],
-    "gaps": ["--xi", "0.5", "--c0", "0.5", "--low-points", "2", "--ell-max", "2"],
+    "gaps": ["--xi", "0.5", "--c0", "0.5", "--ell-max", "2"],
     "galerkin": ["--potential", str(DATA / "cosine.pot"), "--kmax", "1", "--grid", "2"],
     "sweep": ["--param", "xi", "--start", "0.3", "--stop", "0.5", "--steps", "2",
               "--", "count", "--ell", "1.3", "--tau", "0"],
@@ -668,11 +676,7 @@ _CELL_SWEEPS = [
     # a flag abbreviated as argparse allows (--e for --ell), one spelled with a dash
     (["count", "--xi", "0.5", "--tau", "0"], "e", ("1.5", "2.5", "3.5")),
     (["check-thm23", "--xi", "0.05", "--grid", "2"], "ell-max", ("2", "3", "4")),
-    # an integer flag by its dest, dashed spelling and abbreviation, and one
-    # abbreviated on its own: each is typed as the flag it names
-    (["gaps", "--xi", "0.05", "--omega-plus", "0.01"], "low_points", ("2", "3", "4")),
-    (["gaps", "--xi", "0.05", "--omega-plus", "0.01"], "low-points", ("2", "3", "4")),
-    (["gaps", "--xi", "0.05", "--omega-plus", "0.01"], "low", ("2", "3", "4")),
+    # an integer flag abbreviated: typed as the flag it names
     (["bands", "--xi", "0.5"], "kma", ("1", "2", "3")),
 ]
 
@@ -703,14 +707,16 @@ def test_a_sweep_cell_prints_the_rows_of_the_direct_call(inner, name, values):
 
 
 def test_sweep_caps_steps_times_the_inner_grid_before_any_cell_runs():
-    base = ["sweep", "--param", "omega_plus", "--start", "0", "--stop", "0.03"]
-    inner = ["--", "gaps", "--xi", "0.03"]
-    # gaps' table default of 32 low-energy points counts: 313 x 32 > 10000
-    code, out = run(base + ["--steps", "313"] + inner)
+    # xi at or above xi_critical: each cell checks its grid and answers
+    # not-applicable without evaluating
+    base = ["sweep", "--param", "xi", "--start", "0.2", "--stop", "0.3"]
+    inner = ["--", "check-thm23"]
+    # check-thm23's table default of 100 grid points counts: 101 x 100 > 10000
+    code, out = run(base + ["--steps", "101"] + inner)
     assert (code, out) == (1, "")
-    code, out = run(base + ["--steps", "2"] + inner + ["--low-points", "5000"])
-    assert code == 0
-    code, out = run(base + ["--steps", "3"] + inner + ["--low-points", "5000"])
+    code, out = run(base + ["--steps", "2"] + inner + ["--grid", "5000"])
+    assert code == 2
+    code, out = run(base + ["--steps", "3"] + inner + ["--grid", "5000"])
     assert (code, out) == (1, "")
 
 

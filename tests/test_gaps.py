@@ -19,6 +19,7 @@ import stripgaps.spectrum as spectrum
 from oracles import (
     band_pairs_from_all_bands,
     certify_band_pairs,
+    low_spectrum_no_gap,
     overlap_lower_bound,
     same_record,
 )
@@ -33,7 +34,6 @@ from stripgaps.gaps import (
     gap_report,
     gapless_margin,
     low_energy_budget,
-    low_spectrum_no_gap,
 )
 from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.oscillation import critical_constants
@@ -59,6 +59,9 @@ def test_perturb_bounds_rejects_bad_values():
         PerturbBounds(omega_minus=1.0, omega_plus=0.5)
     with pytest.raises(ValueError):
         PerturbBounds(omega_minus=math.inf, omega_plus=math.inf)
+    # finite bounds whose difference overflows: omega_L would be inf
+    with pytest.raises(ValueError, match="omega_minus=-1e.308, omega_plus=1e.308"):
+        PerturbBounds(omega_minus=-1e308, omega_plus=1e308)
 
 
 def test_gap_params_validation():
@@ -246,6 +249,27 @@ def test_ell1_threshold_scales_like_inverse_fourth_power_of_c0():
     assert doubled / base == pytest.approx(2.0 ** -4, rel=1e-12)
 
 
+@pytest.mark.parametrize("xi", [0.03, 0.05, 0.08])
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_ell1_fourth_term_reaches_the_overlap_bound(xi, T, gamma):
+    # at ell1 the overlap lower bound is at least omega_L, whichever term of
+    # the maximum wins; where the fourth term wins it equals omega_L (the
+    # root), up to the rounding of the closed forms
+    geom = resolve_geometry(T=T, xi=xi)
+    fourth_won = 0
+    for c0 in (0.1, 0.5, 1.5):
+        params = GapParams(c0=c0, gamma=gamma)
+        for omega_L in (0.0, 1e-3, 1.0, 100.0, 1e4):
+            ell1 = ell1_threshold(geom, params, PerturbBounds(0.0, omega_L))
+            bound = overlap_lower_bound(geom, params, ell1)
+            assert bound >= omega_L * (1.0 - 1e-12), (c0, omega_L)
+            if ell1 > math.pi ** 2 / T ** 2 * ell2_threshold(geom, params):
+                fourth_won += 1
+                assert bound == pytest.approx(omega_L, rel=1e-9, abs=1e-12), (c0, omega_L)
+    assert fourth_won
+
+
 # ---------------------------------------------------------------------------
 # overlap lower bound
 # ---------------------------------------------------------------------------
@@ -362,8 +386,7 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     # whose bands merely touch meet exactly (overlap 0.0), which equals
     # omega_L = 0 only within rounding, so they stay undecided
     geom = resolve_geometry(T=1.0, d=1.0)
-    report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7),
-                        ell_max=8.0, low_spectrum_points=0)
+    report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=8.0)
     eta0, theta0 = band_edges(geom, report.band_count)
     pairs = report.candidate_gaps
     assert pairs
@@ -374,14 +397,13 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     # zero perturbation: an undecided window is the exact gap between the bands
     i = report.undecided
     assert np.array_equal(pairs.lo[i], theta0[i]) and np.array_equal(pairs.hi[i], eta0[i + 1])
-    assert not report.conditions.low_spectrum_applicable  # xi = 1 far above the regime
+    assert not report.conditions.xi_subcritical  # xi = 1 far above the regime
 
 
 def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
     geom = resolve_geometry(T=1.0, d=1.0)
     bounds = PerturbBounds(omega_minus=-0.25, omega_plus=0.75)
-    report = gap_report(geom, bounds, GapParams(c0=0.7),
-                        ell_max=4.0, low_spectrum_points=0)
+    report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=4.0)
     eta0, theta0 = band_edges(geom, report.band_count)
     # the table covers the ceiling: one band more than sup_tau N0(4, tau)
     assert theta0[-1] >= 4.0 * math.pi ** 2
@@ -409,21 +431,23 @@ def test_gap_report_certifies_exactly_the_wide_overlaps():
         assert windows.lo[i] == pytest.approx(below_hi + 0.0, rel=1e-14)
         assert windows.hi[i] == pytest.approx(above_lo + 2.0, rel=1e-14)
     # the report finds the same windows, flags and undecided windows
-    report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=8.0,
-                        low_spectrum_points=0)
+    report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=8.0)
     assert_same_undecided_windows(report, windows)
 
 
-def test_gap_report_runs_the_low_energy_grid_in_regime():
+def test_gap_report_in_regime_makes_no_counting_call(monkeypatch):
+    # the low-energy conclusion is the verdict low_energy_ok: the chain
+    # evaluates no counting function for it (the counting test is the
+    # oracle low_spectrum_no_gap)
+    def refuse(*args):
+        raise AssertionError("gap_report called spectrum.counting")
+
+    monkeypatch.setattr(spectrum, "counting", refuse)
+    monkeypatch.setattr(gaps, "counting", refuse, raising=False)  # a copy imported by name
     geom = resolve_geometry(T=1.0, xi=0.1)
-    report = gap_report(geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1),
-                        low_spectrum_points=16)
-    assert report.conditions.low_spectrum_applicable
-    assert len(report.low_spectrum) == 16
-    assert all(c.positive for c in report.low_spectrum)
+    report = gap_report(geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
+    assert report.conditions.xi_subcritical and report.conditions.low_energy_ok
     assert report.conditions.ell_star == pytest.approx(0.37763465727591716, rel=1e-12)
-    lo = 0.25 + 0.01
-    assert all(lo < c.ell < 1.0 for c in report.low_spectrum)
     # without a ceiling no band table is built
     assert report.band_count == 0 and len(report.candidate_gaps) == 0
 
@@ -453,8 +477,7 @@ def test_gap_report_validates_the_band_input(monkeypatch):
     geom = resolve_geometry(T=1.0, d=1.0)
     monkeypatch.setattr(spectrum, "counting_extremes", lambda geom, ell: (5, 0))
     with pytest.raises(ValueError, match="does not cover the ceiling"):
-        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0,
-                   low_spectrum_points=0)
+        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
 
 
 def test_gap_report_refuses_a_band_count_above_the_ceiling(monkeypatch):
@@ -464,15 +487,14 @@ def test_gap_report_refuses_a_band_count_above_the_ceiling(monkeypatch):
     top = spectrum.counting_extremes(geom, 50.0)[0]
     monkeypatch.setattr(spectrum, "counting_extremes", lambda geom, ell: (2 * top, 0))
     with pytest.raises(ValueError, match=f"band {2 * top} starts above it"):
-        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0,
-                   low_spectrum_points=0)
+        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
 
 
 def test_gap_report_is_deterministic():
     geom = resolve_geometry(T=1.0, xi=0.1)
     args = (geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
-    a = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
-    b = gap_report(*args, ell_max=1.5, low_spectrum_points=8)
+    a = gap_report(*args, ell_max=1.5)
+    b = gap_report(*args, ell_max=1.5)
     assert same_record(a, b)
     # the comparison reads the window arrays by value
     assert a.candidate_gaps
@@ -500,15 +522,14 @@ def test_gaps_command_prints_the_first_twenty_undecided_windows():
 
 
 def test_gap_report_evaluates_the_conditions_once(monkeypatch):
-    # the low-energy grid takes the report's verdict: one evaluation for the
-    # 32 grid points and the band pairs together
+    # one evaluation for the scalar verdicts and the band pairs together
     calls = []
     real = gaps.conditions_check
     monkeypatch.setattr(gaps, "conditions_check",
                         lambda *args: calls.append(args) or real(*args))
     report = gap_report(resolve_geometry(xi=0.03), PerturbBounds(0.0, 0.02),
-                        GapParams.from_small_ratio(0.03), 40.0, low_spectrum_points=32)
-    assert len(report.low_spectrum) == 32 and len(report.candidate_gaps) == 2111
+                        GapParams.from_small_ratio(0.03), 40.0)
+    assert len(report.candidate_gaps) == 2111
     assert len(calls) == 1
 
 
@@ -553,7 +574,7 @@ def test_gap_report_windows_equal_the_all_bands_oracle(T, d, omega_minus, omega_
     # overlap) are those of the exact endpoints of all bands
     geom = StripGeometry(T=T, d=d)
     bounds = PerturbBounds(omega_minus, omega_plus)
-    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max, low_spectrum_points=0)
+    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max)
     _assert_matches_the_oracle(report, geom, bounds, ell_max)
     # windows certified from samples are outer windows with a lower overlap
     eta0, theta0 = band_edges(geom, report.band_count)
@@ -592,7 +613,7 @@ def test_gap_report_decides_like_the_oracle_for_samples_anywhere_in_their_bracke
     slack = OVERLAP_RTOL * max(theta0[k], eta0[k + 1], scale)
     tie = scale * real(geom.xi, 2).tie
     bounds = PerturbBounds(0.0, free.overlap[k] - slack + 0.5 * tie)
-    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max, low_spectrum_points=0)
+    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max)
     _assert_matches_the_oracle(report, geom, bounds, ell_max)
     assert not report.candidate_gaps.certified[k]
 
@@ -614,7 +635,7 @@ def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
                         lambda xi, t, *rest: ranked.append(t.size) or real(xi, t, *rest))
     geom = resolve_geometry(xi=xi)
     report = gap_report(geom, PerturbBounds(0.0, omega_plus), GapParams.from_small_ratio(xi),
-                        ell_max, low_spectrum_points=0)
+                        ell_max)
     in_report = sum(ranked)
     if report.undecided.size == 0:
         assert in_report == 0
@@ -639,7 +660,7 @@ def test_gap_report_at_xi_006_needs_only_the_sliced_pass(monkeypatch):
     monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
     geom = resolve_geometry(xi=0.06)
     report = gap_report(geom, PerturbBounds(0.0, 0.02), GapParams.from_small_ratio(0.06),
-                        731.0, low_spectrum_points=0)
+                        731.0)
     assert report.band_count == 19_127 and report.undecided.size == 0
     assert sum(candidates) == 0
 
