@@ -283,25 +283,13 @@ def _cmd_check_thm23(params: dict) -> tuple[int, _Table]:
     return status, _Table(["ell", "p_star", "value", "threshold", "margin", "ok"], rows)
 
 
-def _resolve_bounds(params: dict) -> PerturbBounds:
-    pair = {k: params[k] for k in ("omega_minus", "omega_plus") if k in params}
-    if "omega_l" in params:
-        if pair:
-            raise ValueError(
-                "--omega-l cannot be combined with --omega-minus/--omega-plus"
-            )
-        return PerturbBounds(0.0, params["omega_l"])
-    return PerturbBounds(**pair)
-
-
 def _cmd_gaps(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
-    bounds = _resolve_bounds(params)
-    cc = critical_constants()
-    if "c0" in params:
-        gp = GapParams(c0=params["c0"], gamma=params["gamma"], ell0=params["ell0"])
-    else:
-        gp = GapParams.from_small_ratio(geom.xi)
+    bounds = PerturbBounds(**{k: params[k] for k in ("omega_minus", "omega_plus") if k in params})
+    minorant = {k: params[k] for k in ("c0", "gamma", "ell0") if k in params}
+    if minorant and "c0" not in minorant:
+        raise ValueError(f"--c0 is required with {' and '.join('--' + k for k in minorant)}")
+    gp = GapParams(**minorant) if minorant else GapParams.from_small_ratio(geom.xi)
     rep = gap_report(geom, bounds, gp, params.get("ell_max"))
     verdict = rep.conditions
     items: list[tuple[str, object]] = [
@@ -312,7 +300,7 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
         ("omega_plus", bounds.omega_plus),
         ("omega_L", bounds.omega_L),
         ("scaled_oscillation", verdict.scaled_oscillation),
-        ("xi_critical", cc.xi_critical),
+        ("xi_critical", critical_constants().xi_critical),
         ("xi_subcritical", verdict.xi_subcritical),
         ("low_energy_budget", verdict.low_energy_budget),
         ("low_energy_ok", verdict.low_energy_ok),
@@ -345,32 +333,17 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
 
 
 def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
-    file_geom, potential = read_potential_file(params["potential"])
-    if any(k in params for k in ("xi", "T", "d")):
-        # an absent flag takes the header's value
-        given = resolve_geometry(xi=params.get("xi"), T=params.get("T", file_geom.T),
-                                 d=params.get("d", file_geom.d))
-        if (
-            abs(given.T - file_geom.T) > 1e-9 * file_geom.T
-            or abs(given.d - file_geom.d) > 1e-9 * file_geom.d
-        ):
-            raise ValueError(
-                f"geometry flags {given} conflict with potential file header {file_geom}"
-            )
-    geom = file_geom
+    geom, potential = read_potential_file(params["potential"])
     k_max = params["kmax"]
-    grid_n = _grid(params)
-    if "nmax" in params or "mmax" in params:
-        if not ("nmax" in params and "mmax" in params):
-            raise ValueError("--nmax and --mmax must be given together")
-        truncation = (params["nmax"], params["mmax"])
-    else:
-        truncation = default_truncation(geom, k_max)
-    tau_grid = zone_grid(grid_n)
+    tau_grid = zone_grid(_grid(params))
+    if ("nmax" in params) != ("mmax" in params):
+        raise ValueError("--nmax and --mmax must be given together")
+    truncation = ((params["nmax"], params["mmax"]) if "nmax" in params
+                  else default_truncation(geom, k_max))
     bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
     enclosure = omega_bounds(geom, potential)
     bands = band_functions(geom, potential, tau_grid, k_max, truncation, enclosure)
-    check = verify_enclosure(bands, bands0, enclosure, tol=params["tol"])
+    check = verify_enclosure(bands, bands0, enclosure)
     summary: list[tuple[str, object]] = [
         ("xi", geom.xi),
         ("T", geom.T),
@@ -379,7 +352,7 @@ def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
         ("n_max", truncation[0]),
         ("m_max", truncation[1]),
         ("k_max", k_max),
-        ("tau_points", grid_n),
+        ("tau_points", len(tau_grid)),
         ("max_enclosure_width", bands.max_enclosure_width),
         ("omega_minus", enclosure.omega_minus),
         ("omega_plus", enclosure.omega_plus),
@@ -556,15 +529,12 @@ COMMANDS: dict[str, _Command] = {
             _Flag("ell_max", float, None, "also build band enclosures up to this scaled energy"),
             _Flag("omega_minus", float, None, "infimum omega_- of the perturbation"),
             _Flag("omega_plus", float, None, "supremum omega_+ of the perturbation"),
-            _Flag("omega_l", float, None, "shorthand for --omega-minus 0 --omega-plus VALUE"),
             _Flag("c0", float, None, "minorant constant"),
-            _Flag("gamma", float, 0.0, "minorant decay exponent, with --c0"),
-            _Flag("ell0", float, 1.0, "minorant base energy, with --c0"),
+            _Flag("gamma", float, None, "minorant decay exponent, with --c0 (default 0)"),
+            _Flag("ell0", float, None, "minorant base energy, with --c0 (default 1)"),
         )),
     "galerkin": _command(
         _cmd_galerkin, "finite-basis bands and enclosure check for a potential", "report", (
-            *_GEOMETRY,
-            _Flag("tol", float, 0.0, "a negative value demands an enclosure margin of -tol"),
             _Flag("kmax", int, 6, "bands"),
             _Flag("grid", int, 17, f"tau grid size, at most {MAX_GRID}"),
             _Flag("potential", str, _REQUIRED, "potential file path"),
@@ -604,7 +574,13 @@ def _parser(argv: list[str]) -> _Parser:
 
 def _parse(argv: list[str]) -> tuple[str, dict, dict]:
     """(command, flags given, handler options: the given flags over the defaults)."""
-    given = vars(_parser(argv).parse_args(argv))
+    parser = _parser(argv)
+    namespace, extra = parser.parse_known_args(argv)
+    if extra:
+        # reported by the command's own parser, whose usage lists its flags
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices[namespace.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    given = vars(namespace)
     name = given.pop("command")
     params = {f.dest: f.default for f in COMMANDS[name].flags
               if f.default not in (None, _REQUIRED)}
@@ -635,8 +611,7 @@ def _run_argv(argv: list[str]) -> tuple[int, list[str]]:
         f"# argv={shlex.join(echo)}",
         f"# seed={params['seed']}",
         f"# format={params['format']}",
-        # a sweep's rows are its cells' CSV rows: it prints CSV whatever the format
-        *_render(table, "csv" if name == "sweep" else params["format"]),
+        *_render(table, params["format"]),
     ]
 
 

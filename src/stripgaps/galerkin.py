@@ -586,7 +586,6 @@ def verify_enclosure(
     bands: BandTable,
     bands0: BandTable,
     bounds: PerturbBounds,
-    tol: float = 0.0,
 ) -> EnclosureCheck:
     """Check E_k0(tau) + omega_- <= E_k(tau) <= E_k0(tau) + omega_+ entrywise.
 
@@ -595,12 +594,9 @@ def verify_enclosure(
     lower side of bands0 plus omega_+.  bands and bands0 must share the tau
     grid and band count (ValueError on mismatch).  Returns the worst signed
     margin over both inequalities and all entries, with where it sits; ok
-    when it is >= max(0, -tol): a negative tol demands a margin of -tol, and
-    no tol forgives a negative margin (both sides are certified bounds).  A
-    nan tol is refused (ValueError).
+    when it is >= 0 (both sides are certified bounds, so no negative margin
+    is forgiven).
     """
-    if math.isnan(tol):
-        raise ValueError("enclosure tolerance must be a number, got nan")
     if bands.tau_grid != bands0.tau_grid:
         raise ValueError("tau grids differ between the two band tables")
     if bands.k_max != bands0.k_max:
@@ -614,6 +610,6 @@ def verify_enclosure(
     side, i, k = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[side, i, k])
     return EnclosureCheck(
-        ok=worst >= max(0.0, -tol), worst_margin=worst, band=int(k) + 1,
+        ok=worst >= 0.0, worst_margin=worst, band=int(k) + 1,
         tau=bands.tau_grid[i], side=("lower", "upper")[side],
     )

@@ -123,6 +123,23 @@ EXTRA = [
     ["gaps", "--xi", "0.03", "--omega-minus", "-1e308", "--omega-plus", "1e308"],
     ["gaps", "--xi", "0.03", "--omega-plus", "0.02", "--low-points", "8"],
     ["gaps", "--xi", "0.05", "--omega-plus", "100"],
+    # removed flags: gaps --omega-l (alone and with the pair it stood for),
+    # galerkin's geometry (matching and conflicting with the header) and tol
+    ["gaps", "--xi", "0.03", "--omega-l", "0.01"],
+    ["gaps", "--T", "1.0", "--xi", "0.03", "--omega-l", "0.01", "--omega-minus", "0.0"],
+    *[["galerkin", "--potential", "tests/data/cosine.pot", *flags]
+      for flags in (["--xi", "1.0"], ["--T", "1.0", "--d", "1.0"], ["--T", "2.0", "--d", "1.0"],
+                    ["--d", "1"], ["--tol", "-0.5"], ["--tol", "0"])],
+    # a sweep in report format: one block per row
+    ["sweep", "--param", "omega_plus", "--start", "0.01", "--stop", "0.02", "--steps", "2",
+     "--format", "report", "--", "gaps", "--xi", "0.05"],
+    ["sweep", "--param", "kmax", "--start", "1", "--stop", "2", "--steps", "2",
+     "--format", "report", "--", "galerkin", "--potential", "tests/data/cosine.pot",
+     "--grid", "2"],
+    # minorant constants without --c0, and with it
+    *[["gaps", "--xi", "0.03", *flags]
+      for flags in (["--gamma", "0.2"], ["--ell0", "5"], ["--gamma", "0.2", "--ell0", "5"],
+                    ["--c0", "0.5", "--gamma", "0.2", "--ell0", "5"])],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

@@ -174,16 +174,38 @@ def test_gaps_exit_codes_follow_the_certification():
     assert "gapless_ok = false" in out
 
 
-def test_gaps_omega_l_shorthand_and_conflict():
-    code, out = run(["gaps", "--T", "1.0", "--xi", "0.03", "--omega-l", "0.01"])
+def _unrecognized(name, extra):
+    """The usage error of an argument the command does not take: the
+    command's own usage line, then the arguments left over."""
+    sub = next(a for a in _parser([name])._actions if isinstance(a, argparse._SubParsersAction))
+    usage = sub.choices[name].format_usage()
+    return f"{usage}error: unrecognized arguments: {extra}\n"
+
+
+def test_an_unknown_flag_prints_the_commands_usage(capsys):
+    for argv, extra in (
+        (["gaps", "--xi", "0.03", "--omega-l", "0.01"], "--omega-l 0.01"),
+        (["galerkin", "--potential", str(DATA / "cosine.pot"), "--xi", "0.05"], "--xi 0.05"),
+        (["sweep", "--param", "xi", "--start", "0.1", "--stop", "0.5", "--steps", "2", "--bogus",
+          "--", "count", "--ell", "1.3", "--tau", "0"], "--bogus"),
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err == _unrecognized(argv[0], extra), argv
+        assert err.startswith(f"usage: stripgaps {argv[0]} [-h]")
+    # naming no command keeps the top-level usage
+    assert main(["--xi", "0.05"]) == 1
+    assert capsys.readouterr().err.startswith("usage: stripgaps [-h] command ...\n")
+
+
+def test_gaps_refuses_minorant_constants_without_c0(capsys):
+    for flags, named in ((["--gamma", "0.2"], "--gamma"), (["--ell0", "5"], "--ell0"),
+                         (["--gamma", "0.2", "--ell0", "5"], "--gamma and --ell0")):
+        assert main(["gaps", "--xi", "0.03", *flags]) == 1, flags
+        assert capsys.readouterr() == ("", f"error: --c0 is required with {named}\n")
+    code, out = run(["gaps", "--xi", "0.03", "--c0", "0.5", "--gamma", "0.2", "--ell0", "5"])
     assert code == 0
-    assert "omega_plus = 0.01" in out
-    assert "omega_minus = 0" in out
-    code, _ = run([
-        "gaps", "--T", "1.0", "--xi", "0.03",
-        "--omega-l", "0.01", "--omega-minus", "0.0",
-    ])
-    assert code == 1
+    assert "gamma = 0.2" in out and "ell0 = 5" in out
 
 
 def test_gaps_out_of_regime_needs_explicit_c0():
@@ -259,16 +281,13 @@ _COSTLY = [
      f"error: --grid 1000000000000 exceeds the ceiling of {MAX_GRID} points"),
     # --low-points is not a gaps flag: a usage error
     (["gaps", "--xi", "0.03", "--low-points", "1000000000000"],
-     "usage: stripgaps [-h] command ...\n"
-     "error: unrecognized arguments: --low-points 1000000000000\n"),
-    (["gaps", "--xi", "0.03", "--low-points", "-5"],
-     "usage: stripgaps [-h] command ...\n"
-     "error: unrecognized arguments: --low-points -5\n"),
+     _unrecognized("gaps", "--low-points 1000000000000")),
+    (["gaps", "--xi", "0.03", "--low-points", "-5"], _unrecognized("gaps", "--low-points -5")),
     (["sweep", "--param", "xi", "--start", "0.02", "--stop", "0.09", "--steps", "10000",
       "--", "check-thm23", "--grid", "10000"],
      f"error: 10000 sweep steps x 10000 check-thm23 points exceed the ceiling of "
      f"{MAX_GRID} points"),
-    (["sweep", "--param", "tol", "--start", "1e-6", "--stop", "1e-5", "--steps", "10000",
+    (["sweep", "--param", "kmax", "--start", "1", "--stop", "10000", "--steps", "10000",
       "--", "galerkin", "--potential", str(DATA / "cosine.pot")],
      f"error: 10000 sweep steps x 17 galerkin points exceed the ceiling of {MAX_GRID} points"),
     # non-finite numbers, and numbers past float resolution, name the quantity
@@ -288,12 +307,13 @@ _COSTLY = [
     (["fourier", "--xi", "0.5", "--ell", "1.3", "--p", "10000000000000000000000"],
      "error: harmonic p = 10000000000000000000000 at ell = 1.3 is beyond float64 resolution: "
      "the sine arguments 2 pi p r_m carry rounding errors up to 1.52e+15 rad"),
+    # galerkin's geometry is its potential file's header, and it takes no tol
     (["galerkin", "--potential", str(DATA / "cosine.pot"), "--xi", "nan"],
-     "error: inconsistent geometry: T/d = 1.0 but xi = nan"),
+     _unrecognized("galerkin", "--xi nan")),
     (["galerkin", "--potential", str(DATA / "cosine.pot"), "--xi", "inf"],
-     "error: inconsistent geometry: T/d = 1.0 but xi = inf"),
+     _unrecognized("galerkin", "--xi inf")),
     (["galerkin", "--potential", str(DATA / "cosine.pot"), "--tol", "nan"],
-     "error: enclosure tolerance must be a number, got nan"),
+     _unrecognized("galerkin", "--tol nan")),
     (["sweep", "--param", "xi", "--start", "-inf", "--stop", "0.5", "--steps", "2",
       "--", "count", "--ell", "1.3", "--tau", "0"], "error: range [-inf, 0.5] must be finite"),
     # each band crossing is ranked against 2 sqrt(cap) columns, cap >= xi^2
@@ -350,8 +370,10 @@ def test_stdout_matches_the_recorded_corpus(monkeypatch):
     """Exit status, stdout and stderr bytes of every recorded invocation (run
     from the repository root, where the corpus' relative potential path
     resolves).  Refusals (status 1) carry their recorded message; every other
-    entry writes nothing to stderr."""
+    entry writes nothing to stderr.  Usage errors are wrapped at the 80
+    columns they were recorded at."""
     monkeypatch.chdir(DATA.parent.parent)
+    monkeypatch.setenv("COLUMNS", "80")
     corpus = json.loads((DATA / "cli_corpus.json").read_text())
     assert len(corpus) >= 40
     assert all(("stderr" in e) == (e["status"] == 1) for e in corpus)
@@ -395,6 +417,25 @@ def test_phi_sup_command_matches_the_library():
 # ---------------------------------------------------------------------------
 # determinism and the canonical echo
 # ---------------------------------------------------------------------------
+
+def _readme_examples():
+    """Every ``stripgaps ...`` line of the README's code blocks, continuation
+    lines joined, as an argv without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(l)[1:] for l in lines if l.startswith("stripgaps ")]
+
+
+def test_every_readme_example_parses():
+    examples = _readme_examples()
+    assert len(examples) >= 8
+    for argv in examples:
+        name, _, params = _parse(argv)
+        assert name == argv[0], argv
+        if name == "sweep":
+            _parse(params["inner"])
+
 
 def test_repeated_runs_are_byte_identical():
     argv = ["count", "--xi", "0.5", "--ell", "1.3", "--tau", "0.0"]
@@ -671,8 +712,8 @@ _CELL_SWEEPS = [
     (["check-thm23", "--xi", "0.05", "--grid", "2", "--ell-max", "2"], "tol",
      ("0.0625", "0.125", "0.1875")),
     (["gaps", "--xi", "0.05"], "omega_plus", ("0.015625", "0.03125", "0.046875")),
-    (["galerkin", "--potential", str(DATA / "cosine.pot"), "--kmax", "1", "--grid", "2"], "tol",
-     ("-0.25", "0", "0.25")),
+    (["galerkin", "--potential", str(DATA / "cosine.pot"), "--grid", "2"], "kmax",
+     ("1", "2", "3")),
     # a flag abbreviated as argparse allows (--e for --ell), one spelled with a dash
     (["count", "--xi", "0.5", "--tau", "0"], "e", ("1.5", "2.5", "3.5")),
     (["check-thm23", "--xi", "0.05", "--grid", "2"], "ell-max", ("2", "3", "4")),
@@ -702,8 +743,6 @@ def test_a_sweep_cell_prints_the_rows_of_the_direct_call(inner, name, values):
     assert code == (0 if set(statuses) == {0} else 2)
     if inner[0] == "gaps":
         assert statuses == [2, 2, 2]  # declined cells keep their rows
-    if inner[0] == "galerkin":
-        assert statuses == [2, 0, 0]
 
 
 def test_sweep_caps_steps_times_the_inner_grid_before_any_cell_runs():
@@ -800,15 +839,24 @@ def test_galerkin_command_verifies_the_enclosure(cosine_potential_file):
     assert "terms = 2" in out
 
 
-def test_galerkin_command_names_the_failing_condition_when_declined(cosine_potential_file):
-    # a negative slack demands that much margin; the cosine's zone-edge
-    # splitting leaves band 1 only 0.1 above E0 + omega_-
+def test_galerkin_command_names_the_failing_condition_when_declined(cosine_potential_file,
+                                                                    monkeypatch):
+    # the cosine's zone-edge splitting leaves band 1 only 0.1 above E0 +
+    # omega_-; a V = 0 table shifted up by 0.5 puts it 0.4 below, and the
+    # real check declines it
     argv = ["galerkin", "--potential", cosine_potential_file, "--kmax", "2", "--grid", "5"]
-    code, out = run(argv + ["--tol", "-0.5"])
+    assert "failing" not in run(argv)[1]
+    real = cli.unperturbed_band_functions
+
+    def shifted(*args):
+        table = real(*args)
+        return galerkin.BandTable(table.tau_grid, table.energies + 0.5, table.lower + 0.5)
+
+    monkeypatch.setattr(cli, "unperturbed_band_functions", shifted)
+    code, out = run(argv)
     assert code == 2
     assert "enclosure_ok = false" in out
-    assert out.splitlines()[-1] == "failing = band 1 tau 0.5 lower margin 0.0991579358753"
-    assert "failing" not in run(argv)[1]
+    assert out.splitlines()[-1] == "failing = band 1 tau 0.5 lower margin -0.400842064125"
 
 
 def test_galerkin_command_solves_each_plus_minus_tau_pair_once(cosine_potential_file, monkeypatch):
@@ -845,20 +893,18 @@ def test_galerkin_command_rejects_conflicting_geometry(cosine_potential_file):
     assert code == 1
 
 
-def test_galerkin_command_fills_absent_geometry_flags_from_the_header(tmp_path):
+def test_galerkin_command_takes_its_geometry_from_the_header(tmp_path, capsys):
     path = tmp_path / "wide.txt"
     write_potential_file(path, resolve_geometry(T=1.0, d=20.0),
                          PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1))))
-    base = ["galerkin", "--potential", str(path), "--kmax", "2", "--grid", "3", "--format", "csv"]
+    base = ["galerkin", "--potential", str(path), "--kmax", "2", "--grid", "3"]
     code, out = run(base)
     assert code == 0
-    rows = [l for l in out.splitlines() if not l.startswith("#")]
-    for flags in (["--xi", "0.05"], ["--d", "20"], ["--T", "1"], ["--xi", "0.05", "--T", "1"]):
-        code, out = run(base + flags)
-        assert code == 0, flags
-        assert [l for l in out.splitlines() if not l.startswith("#")] == rows
-    for flags in (["--xi", "0.1"], ["--T", "2"], ["--d", "1"]):
-        assert run(base + flags)[0] == 1, flags
+    assert ["xi = 0.05", "T = 1", "d = 20"] == [
+        l for l in out.splitlines() if l.split(" = ")[0] in ("xi", "T", "d")]
+    for flag, value in (("--xi", "0.05"), ("--T", "1"), ("--d", "20")):
+        assert main(base + [flag, value]) == 1, flag
+        assert capsys.readouterr().err == _unrecognized("galerkin", f"{flag} {value}")
 
 
 def test_galerkin_command_fails_closed_on_an_unreadable_potential_file(tmp_path, capsys):

@@ -298,6 +298,21 @@ def test_overlap_bound_rejects_energies_below_threshold():
         overlap_lower_bound(geom, params, 1000.0)
 
 
+@pytest.mark.parametrize("xi, k_max", [(0.03, 2435), (0.05, 7323)])
+def test_exact_unperturbed_overlaps_reach_the_overlap_bound(xi, k_max):
+    # every band k < k_max from the bound's floor (pi^2/T^2) ell2 up: the
+    # exact V = 0 overlap theta0_k - eta0_{k+1} is at least the bound (about
+    # 133 and 121 times it at the least, at xi 0.03 and 0.05)
+    geom = resolve_geometry(xi=xi)
+    params = GapParams.from_small_ratio(xi)
+    eta, theta = band_edges(geom, k_max)
+    floor = math.pi ** 2 / geom.T ** 2 * ell2_threshold(geom, params)
+    ks = np.flatnonzero(eta[:-1] >= floor)
+    assert ks.size == 1999
+    for k in ks.tolist():
+        assert theta[k] - eta[k + 1] >= overlap_lower_bound(geom, params, eta[k]), k + 1
+
+
 # ---------------------------------------------------------------------------
 # low-energy counting test
 # ---------------------------------------------------------------------------
