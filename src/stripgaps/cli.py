@@ -140,7 +140,11 @@ class _Table(NamedTuple):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit status 1 (2 is reserved)."""
+    """argparse with usage errors mapped to exit status 1 (2 is reserved), and
+    usage and help wrapped at 78 columns whatever the terminal width."""
+
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(self.prog, width=78)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

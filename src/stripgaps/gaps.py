@@ -7,6 +7,12 @@ oscillation omega_L.  By the minimax principle every perturbed band endpoint
 lies within [unperturbed + omega_minus, unperturbed + omega_plus], which is
 all the certification below ever uses.
 
+Units.  The paper's constants are read at d = 1.  Every formula takes only xi,
+scaled energies ell = (T^2/pi^2) E and the scaled oscillation w = (T^2/pi^2)
+omega_L; energies are converted only by pi^2/T^2.  So (T, d, omega) and
+(sT, sd, omega/s^2), a unitarily equivalent operator times 1/s^2, get the same
+verdicts.
+
 Three certified conclusions are available, all one-sided (absence of gaps is
 provable, existence never is):
 
@@ -15,11 +21,11 @@ provable, existence never is):
   critical ratio the certified uniform bound provides c0 = c0(xi), gamma = 0,
   ell0 = 1), then consecutive unperturbed bands overlap by at least
 
-      (3 pi xi c0 / T) (T^2 eta0_k / pi^2)^(1/4-gamma) - 3 pi xi / (2T) - 9 xi^2/4
+      (xi^2/pi^2) (3 pi c0 ell^(1/4-gamma) - 3 pi/2 - 9 xi^2/4)
 
-  once eta0_k >= (pi^2/T^2) ell2, and no gap of the perturbed operator can
-  survive above the explicit threshold ell1 (a four-term maximum plus
-  omega_minus).
+  in scaled energy, ell the scaled eta0_k, once ell >= ell2, and no gap of
+  the perturbed operator can survive above the threshold ell1 (a four-term
+  maximum plus omega_minus).
 
 * Low energy.  For xi below the critical ratio and a scaled oscillation
   within the low-energy budget (the verdict low_energy_ok), the paper's
@@ -161,7 +167,7 @@ def low_energy_budget(xi: float) -> float:
     """Upper budget for the scaled oscillation in the low-energy argument.
 
     Returns ((A(xi) - xi)^2 + 1)^2 / 4 - A(xi)^2 with A as in _a_ratio.  The
-    low-energy no-gap test requires (T^2/pi^2) omega_L below this value.
+    low-energy no-gap test requires the scaled oscillation w below it.
     """
     a = _a_ratio(xi)
     return ((a - xi) ** 2 + 1.0) ** 2 / 4.0 - a * a
@@ -172,12 +178,12 @@ class ConditionsVerdict:
     """Boolean verdicts (with margins) of the gapless-certification conditions.
 
     xi_subcritical     : xi < xi_critical (small-ratio regime applies).
-    low_energy_ok      : scaled oscillation (T^2/pi^2) omega_L is nonnegative
-                         and strictly below low_energy_budget(xi).
+    low_energy_ok      : scaled oscillation w is nonnegative and strictly
+                         below low_energy_budget(xi).
     gapless_margin/ok  : sign of the scalar small-period margin
                          c1 - 2 zeta(3/2) xi^(3/2) - ((3+2 sqrt 2) pi + 3)/6 xi
                          - (3 pi/4) xi^2 - (xi/(32 pi)) sqrt(9 + 25/(1024 pi^2))
-                         - T omega_L / 4;
+                         - pi^2 w / (4 xi);
                          a margin of at least GAPLESS_RTOL c1 (rounding
                          slack) certifies a completely gapless spectrum
                          (given the other two conditions).
@@ -187,7 +193,6 @@ class ConditionsVerdict:
                          oscillation, the positive root of
 
                              2 sqrt(ell - w - 1/4) / xi - 1 = sqrt(ell - w) / xi,
-                             w = (T^2/pi^2) omega_L,
 
                          the scaled energy at which the two tau strategies of
                          the low-energy test exchange roles.
@@ -209,8 +214,8 @@ class ConditionsVerdict:
         return self.xi_subcritical and self.low_energy_ok and self.gapless_ok
 
 
-def gapless_margin(xi: float, T: float, omega_L: float) -> float:
-    """Scalar margin of the small-period gapless criterion (see ConditionsVerdict)."""
+def gapless_margin(xi: float, scaled: float) -> float:
+    """Small-period gapless margin at scaled = w (see ConditionsVerdict)."""
     cc = critical_constants()
     return (
         cc.c1
@@ -218,7 +223,7 @@ def gapless_margin(xi: float, T: float, omega_L: float) -> float:
         - ((3.0 + 2.0 * math.sqrt(2.0)) * math.pi + 3.0) / 6.0 * xi
         - 0.75 * math.pi * xi * xi
         - xi / (32.0 * math.pi) * math.sqrt(9.0 + 25.0 / (1024.0 * math.pi ** 2))
-        - T * omega_L / 4.0
+        - math.pi ** 2 * scaled / (4.0 * xi)
     )
 
 
@@ -236,7 +241,7 @@ def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVe
     scaled = geom.T ** 2 / math.pi ** 2 * bounds.omega_L
     budget = low_energy_budget(xi)
     low_ok = 0.0 <= scaled < budget
-    margin = gapless_margin(xi, geom.T, bounds.omega_L)
+    margin = gapless_margin(xi, scaled)
     first_ok = 0.0 <= scaled < 0.25 + xi * xi
     subcritical = xi < cc.xi_critical
     star = _a_ratio(xi) ** 2 + scaled
@@ -261,7 +266,7 @@ def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVe
     )
 
 
-def ell2_threshold(geom: StripGeometry, params: GapParams) -> float:
+def ell2_threshold(xi: float, params: GapParams) -> float:
     """Scaled energy beyond which the residual bound fits under (c0/2) ell^(1/4-gamma).
 
     Three-term maximum
@@ -273,7 +278,6 @@ def ell2_threshold(geom: StripGeometry, params: GapParams) -> float:
     Above it the counting-function extremes clear a0 by (c0/2) ell^(1/4-gamma)
     on each side, which feeds the band-overlap bound.
     """
-    xi = geom.xi
     c0, g = params.c0, params.gamma
     t2 = ((4.0 * math.sqrt(2.0) * math.pi + 6.0) / (3.0 * math.pi * c0)) ** (
         4.0 / (1.0 - 4.0 * g)
@@ -292,32 +296,28 @@ def ell1_threshold(
     (pi^2/T^2) max{ ell0,
                     ((4 sqrt(2) pi + 6)/(3 pi c0))^(4/(1-4 gamma)),
                     ((1/(8 pi^2 xi c0)) sqrt(9 + 25/(1024 pi^2)))^(2/(1-2 gamma)),
-                    ((T/(3 pi c0 xi)) omega_L + 1/(2 c0)
-                     + 3 xi T/(4 pi c0))^(4/(1-4 gamma)) }
-    + omega_minus.
+                    (pi w/(3 c0 xi^2) + 1/(2 c0) + 3 xi^2/(4 pi c0))^(4/(1-4 gamma)) }
+    + omega_minus;  OverflowError where that is not finite.
 
-    The first three terms are ell2_threshold.  The fourth is the scaled
-    energy ell at which the overlap lower bound of consecutive unperturbed
-    bands, (3 pi xi c0 / T) ell^(1/4-gamma) - 3 pi xi / (2T) - 9 xi^2 / 4,
-    reaches omega_L: its root ((omega_L + 3 pi xi/(2T) + 9 xi^2/4)
-    T/(3 pi xi c0))^(4/(1-4 gamma)).  Above ell1 the bound applies (ell >=
-    ell2) and, increasing in ell, is at least omega_L, so no band-pair window
-    is open.  The constant is the bound's own.  The reading with 4/3 of the
-    bound on the left, (4 pi xi c0 / T) ell^(1/4-gamma) - 2 pi xi / T - 3 xi^2
-    = omega_L (coefficient T/(4 pi c0 xi)), gives a smaller root, at which
-    the bound is only 3/4 omega_L; the larger root is sound under either
-    reading.  test_ell1_fourth_term_reaches_the_overlap_bound checks the
-    bound at ell1 against omega_L.
+    The first three terms are ell2_threshold.  The fourth is the root in ell
+    of the scaled overlap bound (module docstring) at w: above ell1 the bound
+    applies (ell >= ell2) and, increasing in ell, is at least w, so no
+    band-pair window is open (test_ell1_fourth_term_reaches_the_overlap_bound).
+    The constant is the bound's own; 4/3 of the bound on the left (coefficient
+    pi/(4 c0 xi^2) of w) gives a smaller root, at which the bound is 3/4 w.
     """
     xi = geom.xi
     c0, g = params.c0, params.gamma
+    w = geom.T ** 2 / math.pi ** 2 * bounds.omega_L
     t4 = (
-        geom.T / (3.0 * math.pi * c0 * xi) * bounds.omega_L
-        + 1.0 / (2.0 * c0)
-        + 3.0 * xi * geom.T / (4.0 * math.pi * c0)
+        math.pi * w / (3.0 * c0 * xi) / xi  # not by xi * xi, which is 0 at xi 1e-300
+        + 1.0 / (2.0 * c0) + 3.0 * xi * xi / (4.0 * math.pi * c0)
     ) ** (4.0 / (1.0 - 4.0 * g))
-    base = max(ell2_threshold(geom, params), t4)
-    return math.pi ** 2 / geom.T ** 2 * base + bounds.omega_minus
+    base = max(ell2_threshold(xi, params), t4)
+    ell1 = math.pi ** 2 / geom.T ** 2 * base + bounds.omega_minus
+    if not math.isfinite(ell1):  # a division overflows to inf where a pow raises
+        raise OverflowError(f"threshold ell1 = {ell1} at scaled oscillation {w}")
+    return ell1
 
 
 @dataclass(frozen=True, eq=False)

@@ -664,16 +664,17 @@ def truncation_by_kth_level(geom: StripGeometry, k_max: int) -> tuple[int, int]:
 def overlap_lower_bound(geom: StripGeometry, params: GapParams, eta0_k: float) -> float:
     """Certified overlap of consecutive unperturbed bands at height eta0_k.
 
-    Returns (3 pi xi c0 / T) (T^2 eta0_k / pi^2)^(1/4-gamma)
-            - 3 pi xi / (2T) - 9 xi^2 / 4,
-    a lower bound for theta0_k - eta0_{k+1}, valid once
-    eta0_k >= (pi^2/T^2) ell2_threshold (ValueError below that, reporting the
-    required threshold).  Monotone increasing in eta0_k for gamma < 1/4.
-    The fourth term of ``stripgaps.gaps.ell1_threshold`` is the scaled energy
-    at which it reaches omega_L.
+    Returns (pi^2/T^2) (xi^2/pi^2) (3 pi c0 ell^(1/4-gamma) - 3 pi/2 - 9 xi^2/4),
+    ell = (T^2/pi^2) eta0_k: the scaled bound of ``stripgaps.gaps`` (the
+    paper's, read at d = 1) taken to energy.  A lower bound for
+    theta0_k - eta0_{k+1}, valid once eta0_k >= (pi^2/T^2) ell2_threshold
+    (ValueError below that, reporting the required threshold).  Monotone
+    increasing in eta0_k for gamma < 1/4.  The fourth term of
+    ``stripgaps.gaps.ell1_threshold`` is the scaled energy at which it
+    reaches omega_L.
     """
     xi = geom.xi
-    ell2 = ell2_threshold(geom, params)
+    ell2 = ell2_threshold(xi, params)
     floor = math.pi ** 2 / geom.T ** 2 * ell2
     if not eta0_k >= floor:
         raise ValueError(
@@ -681,11 +682,12 @@ def overlap_lower_bound(geom: StripGeometry, params: GapParams, eta0_k: float) -
             f"(scaled threshold ell2={ell2!r}), got {eta0_k!r}"
         )
     scaled = geom.T ** 2 * eta0_k / math.pi ** 2
-    return (
-        3.0 * math.pi * xi * params.c0 / geom.T * scaled ** (0.25 - params.gamma)
-        - 1.5 * math.pi * xi / geom.T
+    bound = xi * xi / math.pi ** 2 * (
+        3.0 * math.pi * params.c0 * scaled ** (0.25 - params.gamma)
+        - 1.5 * math.pi
         - 2.25 * xi * xi
     )
+    return math.pi ** 2 / geom.T ** 2 * bound
 
 
 def certify_band_pairs(geom: StripGeometry, bounds: PerturbBounds,

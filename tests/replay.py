@@ -140,6 +140,15 @@ EXTRA = [
     *[["gaps", "--xi", "0.03", *flags]
       for flags in (["--gamma", "0.2"], ["--ell0", "5"], ["--gamma", "0.2", "--ell0", "5"],
                     ["--c0", "0.5", "--gamma", "0.2", "--ell0", "5"])],
+    # one scaled oscillation in the units d = 1 and 4 (the corpus has d = 2),
+    # and windows at T = 1 (d = 20)
+    ["gaps", "--xi", "0.02", "--omega-plus", "20"],
+    ["gaps", "--xi", "0.02", "--d", "4", "--omega-plus", "1.25"],
+    ["gaps", "--T", "1.0", "--xi", "0.05", "--omega-plus", "0.02", "--ell-max", "20"],
+    # ell1 past float range: the scaled oscillation overflows, or only its
+    # quotient by xi^2 does
+    ["gaps", "--xi", "0.03", "--d", "1e154", "--omega-plus", "1e10"],
+    ["gaps", "--T", "1", "--d", "1e150", "--omega-plus", "1e200"],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

@@ -222,8 +222,8 @@ def test_criterion_06_low_spectrum_suite():
 
 def test_criterion_07_condition_arithmetic():
     budget_err = abs(low_energy_budget(0.1) - 0.0222512)
-    holds_small = gapless_margin(0.03, 1.0, 0.0) > 0.0
-    fails_large = gapless_margin(0.1, 1.0, 0.0) < 0.0
+    holds_small = gapless_margin(0.03, 0.0) > 0.0
+    fails_large = gapless_margin(0.1, 0.0) < 0.0
     star = conditions_check(resolve_geometry(T=1.0, xi=0.1), PerturbBounds()).ell_star
     star_err = abs(star - 0.3776347)
     sandwich = 0.25 + 0.01 < star < 2.0 / 3.0

@@ -115,6 +115,17 @@ def test_usage_lines_of_a_known_command_show_its_flags(capsys):
         "error: argument --xi: expected one argument\n")
 
 
+@pytest.mark.parametrize("argv", [["phi", "--xi"], ["gaps", "--help"], ["-h"]])
+def test_usage_and_help_do_not_depend_on_the_terminal_width(monkeypatch, argv):
+    # argparse wraps at COLUMNS - 2 unless told a width: the 80-column bytes
+    # on stdout and stderr at every terminal width
+    outputs = {}
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outputs[columns] = run_with_stderr(argv)
+    assert outputs["40"] == outputs["80"] == outputs["200"]
+
+
 def test_the_process_pool_is_imported_only_by_a_parallel_sweep():
     probe = (
         "import sys, stripgaps.cli as cli\n"
@@ -336,6 +347,14 @@ _COSTLY = [
     (["gaps", "--xi", "0.03", "--omega-minus", "-1e308", "--omega-plus", "1e308"],
      "error: oscillation omega_plus - omega_minus overflows: omega_minus=-1e+308, "
      "omega_plus=1e+308"),
+    # ell1 whose fourth term divides to inf: the scaled oscillation itself
+    # overflows, or it is finite and its quotient by xi^2 is not
+    (["gaps", "--xi", "0.03", "--d", "1e154", "--omega-plus", "1e10"],
+     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
+     "inf)"),
+    (["gaps", "--T", "1", "--d", "1e150", "--omega-plus", "1e200"],
+     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
+     "1.0132118364233778e+199)"),
 ]
 
 

@@ -97,11 +97,11 @@ def test_low_energy_budget_reference_value():
 
 
 def test_gapless_margin_reference_values_and_flip():
-    assert gapless_margin(0.03, 1.0, 0.0) == pytest.approx(0.0315138058, abs=1e-9)
-    assert gapless_margin(0.1, 1.0, 0.0) == pytest.approx(-0.3787122943, abs=1e-9)
-    # linear in the oscillation with slope -T/4
-    drop = gapless_margin(0.03, 2.0, 0.0) - gapless_margin(0.03, 2.0, 0.1)
-    assert drop == pytest.approx(2.0 * 0.1 / 4.0, rel=1e-12)
+    assert gapless_margin(0.03, 0.0) == pytest.approx(0.0315138058, abs=1e-9)
+    assert gapless_margin(0.1, 0.0) == pytest.approx(-0.3787122943, abs=1e-9)
+    # linear in the scaled oscillation w with slope -pi^2/(4 xi)
+    drop = gapless_margin(0.03, 0.0) - gapless_margin(0.03, 0.1)
+    assert drop == pytest.approx(math.pi ** 2 * 0.1 / (4.0 * 0.03), rel=1e-12)
 
 
 def test_conditions_fully_gapless_at_small_ratio():
@@ -131,9 +131,10 @@ def test_conditions_partial_at_larger_ratio():
 def test_gapless_margin_positive_only_within_rounding_is_declined(target, certified):
     geom = resolve_geometry(T=1.0, xi=0.03)
     c1 = critical_constants().c1
-    # the margin falls with slope T/4 in omega_L: land it on target * c1
-    omega_L = 4.0 / geom.T * (gapless_margin(geom.xi, geom.T, 0.0) - target * c1)
-    verdict = conditions_check(geom, PerturbBounds(0.0, omega_L))
+    # the margin falls with slope pi^2/(4 xi) in the scaled oscillation w:
+    # land it on target * c1
+    w = 4.0 * geom.xi / math.pi ** 2 * (gapless_margin(geom.xi, 0.0) - target * c1)
+    verdict = conditions_check(geom, PerturbBounds(0.0, math.pi ** 2 / geom.T ** 2 * w))
     assert verdict.gapless_margin == pytest.approx(target * c1, abs=1e-16)
     assert verdict.gapless_ok is certified
 
@@ -208,9 +209,8 @@ def test_ell_star_stays_in_its_sandwich(xi):
 
 
 def test_ell2_threshold_reference_value_and_terms():
-    geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
-    assert ell2_threshold(geom, params) == pytest.approx(
+    assert ell2_threshold(0.05, params) == pytest.approx(
         169.4112405453856, rel=1e-12)
     # the three competing terms, recomputed from scratch
     c0 = 0.699118
@@ -219,7 +219,7 @@ def test_ell2_threshold_reference_value_and_terms():
           / (8.0 * math.pi ** 2 * 0.05 * c0)) ** 2
     assert t2 == pytest.approx(169.4112405453856, rel=1e-12)
     assert t3 == pytest.approx(1.1817930133445782, rel=1e-12)
-    assert ell2_threshold(geom, params) == max(1.0, t2, t3)
+    assert ell2_threshold(0.05, params) == max(1.0, t2, t3)
 
 
 def test_ell1_threshold_reference_value():
@@ -227,10 +227,12 @@ def test_ell1_threshold_reference_value():
     params = GapParams(c0=0.699118)
     value = ell1_threshold(geom, params, NO_PERTURBATION)
     assert value == pytest.approx(1672.0219252807456, rel=1e-12)
-    # the oscillation-free fourth term stays dominated
+    # the oscillation-free fourth term, (1/(2 c0) + 3 xi^2/(4 pi c0))^4,
+    # stays dominated
     c0 = 0.699118
-    t4 = (1.0 / (2.0 * c0) + 3.0 * 0.05 / (4.0 * math.pi * c0)) ** 4
-    assert t4 == pytest.approx(0.2875165534090492, rel=1e-12)
+    t4 = (1.0 / (2.0 * c0) + 3.0 * 0.05 * 0.05 / (4.0 * math.pi * c0)) ** 4
+    assert t4 == pytest.approx(0.2628757037815209, rel=1e-12)
+    assert value == math.pi ** 2 * ell2_threshold(0.05, params) > math.pi ** 2 * t4
 
 
 def test_ell1_threshold_shifts_with_omega_minus():
@@ -264,10 +266,62 @@ def test_ell1_fourth_term_reaches_the_overlap_bound(xi, T, gamma):
             ell1 = ell1_threshold(geom, params, PerturbBounds(0.0, omega_L))
             bound = overlap_lower_bound(geom, params, ell1)
             assert bound >= omega_L * (1.0 - 1e-12), (c0, omega_L)
-            if ell1 > math.pi ** 2 / T ** 2 * ell2_threshold(geom, params):
+            if ell1 > math.pi ** 2 / T ** 2 * ell2_threshold(xi, params):
                 fourth_won += 1
                 assert bound == pytest.approx(omega_L, rel=1e-9, abs=1e-12), (c0, omega_L)
     assert fourth_won
+
+
+# (xi, (omega_minus, omega_plus) at d = 1, params or None for the small-ratio
+# constants, ell_max); the last two leave windows undecided
+_UNIT_CASES = [
+    (0.02, (0.0, 20.0), None, None),
+    (0.03, (0.0, 0.02), None, 40.0),
+    (0.09, (0.0, 100.0), None, 10.0),
+    (0.3, (-1.0, 5.0), GapParams(c0=0.1, gamma=0.1, ell0=2.0), 20.0),
+]
+
+
+@pytest.mark.parametrize("xi, omega, params, ell_max", _UNIT_CASES)
+def test_no_verdict_depends_on_the_unit_of_length(xi, omega, params, ell_max):
+    # lengths times s and the perturbation times 1/s^2 is the operator times
+    # 1/s^2: the scaled verdicts, the band count and the flags are the same
+    # bits, and ell1 and the windows are the d = 1 energies over s^2 (exact
+    # at s a power of 2)
+    params = params or GapParams.from_small_ratio(xi)
+    reports = {}
+    for j in range(-4, 5):
+        s = 2.0 ** j
+        geom = resolve_geometry(xi=xi, d=s)
+        reports[s] = gap_report(geom, PerturbBounds(omega[0] / s ** 2, omega[1] / s ** 2),
+                                params, ell_max)
+    one = reports[1.0]
+    for s, report in reports.items():
+        assert dataclasses.astuple(report.conditions) == dataclasses.astuple(one.conditions), s
+        assert report.band_count == one.band_count, s
+        assert report.ell1 * s ** 2 == one.ell1, s
+        pairs = report.candidate_gaps
+        assert np.array_equal(pairs.certified, one.candidate_gaps.certified), s
+        for name in ("lo", "hi", "overlap"):
+            assert np.array_equal(getattr(pairs, name) * s ** 2,
+                                  getattr(one.candidate_gaps, name)), (s, name)
+
+
+@pytest.mark.parametrize("d, omega_plus, ell1", [
+    ("1", "20", "32786.3154274"),
+    ("2", "5", "8196.57885685"),
+    ("4", "1.25", "2049.14471421"),
+])
+def test_gaps_command_declines_every_unit_of_a_declined_operator(d, omega_plus, ell1):
+    # one scaled oscillation, 8.1e-4, in three units of length: each is
+    # declined with the same margin, and ell1 is 32786.3154274 / d^2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gaps", "--xi", "0.02", "--d", d, "--omega-plus", omega_plus])
+    lines = out.getvalue().splitlines()
+    assert code == 2
+    assert "gapless_margin = -0.0191212929832" in lines and "verdict = not-certified" in lines
+    assert f"ell1 = {ell1}" in lines
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +331,23 @@ def test_ell1_fourth_term_reaches_the_overlap_bound(xi, T, gamma):
 def test_overlap_bound_reference_value():
     geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
-    assert overlap_lower_bound(geom, params, 1e4) == pytest.approx(
-        1.6174871379868092, rel=1e-12)
+    # from scratch: (xi^2/pi^2) (3 pi c0 ell^(1/4) - 3 pi/2 - 9 xi^2/4) at
+    # ell = 1e4/pi^2, taken to energy by pi^2 (T = 1)
+    ell = 1e4 / math.pi ** 2
+    scratch = 0.05 ** 2 * (3.0 * math.pi * 0.699118 * ell ** 0.25 - 1.5 * math.pi
+                           - 2.25 * 0.05 ** 2)
+    assert scratch == pytest.approx(0.08114154439934047, rel=1e-12)
+    assert overlap_lower_bound(geom, params, 1e4) == pytest.approx(scratch, rel=1e-12)
 
 
 def test_overlap_bound_is_monotone_in_energy():
     geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
-    floor = math.pi ** 2 * ell2_threshold(geom, params)
+    floor = math.pi ** 2 * ell2_threshold(0.05, params)
     values = [overlap_lower_bound(geom, params, floor * s)
               for s in (1.0, 1.5, 2.0, 6.0)]
     assert values == sorted(values)
-    assert values[0] == pytest.approx(0.9473321386124387, rel=1e-12)
+    assert values[0] == pytest.approx(0.04763379443062196, rel=1e-12)
 
 
 def test_overlap_bound_rejects_energies_below_threshold():
@@ -298,15 +357,22 @@ def test_overlap_bound_rejects_energies_below_threshold():
         overlap_lower_bound(geom, params, 1000.0)
 
 
-@pytest.mark.parametrize("xi, k_max", [(0.03, 2435), (0.05, 7323)])
-def test_exact_unperturbed_overlaps_reach_the_overlap_bound(xi, k_max):
+@pytest.mark.parametrize("xi, d, k_max", [
+    (0.03, 1.0, 2435),
+    (0.05, 1.0, 7323),
+    (0.05, 1.0 / 16.0, 7323),
+    (0.05, 20.0, 7323),   # T = 1
+    (0.05, 256.0, 7323),
+])
+def test_exact_unperturbed_overlaps_reach_the_overlap_bound(xi, d, k_max):
     # every band k < k_max from the bound's floor (pi^2/T^2) ell2 up: the
     # exact V = 0 overlap theta0_k - eta0_{k+1} is at least the bound (about
-    # 133 and 121 times it at the least, at xi 0.03 and 0.05)
-    geom = resolve_geometry(xi=xi)
+    # 133 and 121 times it at the least, at xi 0.03 and 0.05, whatever the
+    # unit of length: the bound is read in scaled energy)
+    geom = resolve_geometry(xi=xi, d=d)
     params = GapParams.from_small_ratio(xi)
     eta, theta = band_edges(geom, k_max)
-    floor = math.pi ** 2 / geom.T ** 2 * ell2_threshold(geom, params)
+    floor = math.pi ** 2 / geom.T ** 2 * ell2_threshold(xi, params)
     ks = np.flatnonzero(eta[:-1] >= floor)
     assert ks.size == 1999
     for k in ks.tolist():
