@@ -222,17 +222,17 @@ def _cmd_constants(params: dict) -> tuple[int, _Table]:
 
 def _cmd_count(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
-    value = counting(geom, params["ell"], params["tau"])
+    value = counting(geom.xi, params["ell"], params["tau"])
     return 0, _Table(["xi", "ell", "tau", "count"],
                      [[geom.xi, params["ell"], params["tau"], value]])
 
 
 def _cmd_bands(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
-    scale = geom.T ** 2 / math.pi ** 2
-    lo, hi = band_edges(geom, params["kmax"])
+    lo, hi = band_edges(geom.xi, params["kmax"])
+    scale = math.pi * math.pi / (geom.T * geom.T)
     rows = [
-        [k, a, b, a * scale, b * scale]
+        [k, scale * a, scale * b, a, b]
         for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()), start=1)
     ]
     return 0, _Table(["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows)
@@ -244,23 +244,23 @@ def _cmd_fourier(params: dict) -> tuple[int, _Table]:
     if p < 0:
         raise ValueError(f"harmonic index must be >= 0, got {p}")
     if p == 0:
-        value, bound = a0_closed(geom, ell), None
+        value, bound = a0_closed(geom.xi, ell), None
     else:
-        value, bound = ap_closed(geom, ell, p), residual_bound(geom.xi, ell, p)
+        value, bound = ap_closed(geom.xi, ell, p), residual_bound(geom.xi, ell, p)
     return 0, _Table(["xi", "ell", "p", "value", "residual_bound"],
                      [[geom.xi, ell, p, value, bound]])
 
 
 def _cmd_phi(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
-    ev = phi_p(geom, params["ell"], params["p"], tol=params["tol"])
+    ev = phi_p(geom.xi, params["ell"], params["p"], tol=params["tol"])
     return 0, _Table(["xi", "ell", "p", "value", "tail_bound", "truncation_n"],
                      [[geom.xi, ev.ell, ev.p, ev.value, ev.tail_bound, ev.truncation_n]])
 
 
 def _cmd_phi_sup(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
-    res = phi_sup(geom, params["ell"], cutoff_c1=params["cutoff_c1"], tol=params["tol"])
+    res = phi_sup(geom.xi, params["ell"], cutoff_c1=params["cutoff_c1"], tol=params["tol"])
     row = [geom.xi, params["ell"], res.p_star, res.value, res.p_max, res.cutoff_bound]
     return 0, _Table(["xi", "ell", "p_star", "value", "p_max", "cutoff_bound"], [row])
 
@@ -274,7 +274,7 @@ def _cmd_check_thm23(params: dict) -> tuple[int, _Table]:
         raise ValueError("ell-max must be finite, got inf")
     grid = np.linspace(lo, hi, n) if n > 1 else np.array([lo])
     report = uniform_lower_bound_check(
-        geom, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"]
+        geom.xi, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"]
     )
     if report.c0 is None:
         return 2, _Table(["verdict", "margin"], [["not-applicable", report.xi_excess]],
@@ -343,7 +343,7 @@ def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
     if ("nmax" in params) != ("mmax" in params):
         raise ValueError("--nmax and --mmax must be given together")
     truncation = ((params["nmax"], params["mmax"]) if "nmax" in params
-                  else default_truncation(geom, k_max))
+                  else default_truncation(geom.xi, k_max))
     bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
     enclosure = omega_bounds(geom, potential)
     bands = band_functions(geom, potential, tau_grid, k_max, truncation, enclosure)
@@ -589,8 +589,8 @@ def _parse(argv: list[str]) -> tuple[str, dict, dict]:
     params = {f.dest: f.default for f in COMMANDS[name].flags
               if f.default not in (None, _REQUIRED)}
     params.update(given)
-    if name == "sweep":
-        params["inner"] = [t for t in params["inner"] if t != "--"]
+    if name == "sweep" and params["inner"][:1] == ["--"]:
+        params["inner"] = params["inner"][1:]
     return name, given, params
 
 

@@ -27,20 +27,20 @@ import math
 
 import numpy as np
 
-from .geometry import StripGeometry, validate_ell
+from .geometry import validate_ell
 from .spectrum import row_radii
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def a0_closed(geom: StripGeometry, ell: float) -> float:
+def a0_closed(xi: float, ell: float) -> float:
     """Mean of the counting function over the zone: 2 sum_m r_m."""
     validate_ell(ell)
-    radii = row_radii(geom.xi, ell)
+    radii = row_radii(xi, ell)
     return 2.0 * math.fsum(radii.tolist())
 
 
-def ap_closed(geom: StripGeometry, ell: float, p: int) -> float:
+def ap_closed(xi: float, ell: float, p: int) -> float:
     """Cosine coefficient a_p(ell) = (1/(pi p)) sum_m sin(2 pi p r_m), p >= 1.
 
     Each computed radius r_m = sqrt(ell - xi^2 m^2) is within
@@ -60,7 +60,7 @@ def ap_closed(geom: StripGeometry, ell: float, p: int) -> float:
         raise ValueError(
             f"harmonic p = {p} at ell = {ell!r} is beyond float64 resolution: "
             f"the sine arguments 2 pi p r_m carry rounding errors up to {error:.3g} rad")
-    radii = row_radii(geom.xi, ell)
+    radii = row_radii(xi, ell)
     if radii.size == 0:
         return 0.0
     return math.fsum(np.sin((2.0 * math.pi * p) * radii).tolist()) / (math.pi * p)

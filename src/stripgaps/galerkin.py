@@ -181,7 +181,7 @@ def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, Potenti
     return geom, PotentialSpec(terms=tuple(terms))
 
 
-def default_truncation(geom: StripGeometry, k_max: int) -> tuple[int, int]:
+def default_truncation(xi: float, k_max: int) -> tuple[int, int]:
     """Truncation (n_max, m_max) expected to resolve the lowest k_max bands.
 
     Covers every mode whose scaled level can reach the k_max-th level plus 1
@@ -189,10 +189,10 @@ def default_truncation(geom: StripGeometry, k_max: int) -> tuple[int, int]:
     guarantee: band_functions certifies whatever truncation it is given, and
     refuses one that drops a mode as low as a requested band.
     """
-    level = _level_extremes(geom.xi, band_curves(geom.xi, k_max), k_max, (0.5,))[0][-1]
+    level = _level_extremes(xi, band_curves(xi, k_max), k_max, (0.5,))[0][-1]
     ceiling = float(level) + 1.0
     n_max = int(math.ceil(math.sqrt(ceiling) + 0.5)) + 1
-    m_max = max(1, int(math.ceil(math.sqrt(ceiling) / geom.xi)) + 1)
+    m_max = max(1, int(math.ceil(math.sqrt(ceiling) / xi)) + 1)
     return n_max, m_max
 
 

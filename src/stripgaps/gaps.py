@@ -467,7 +467,7 @@ def gap_report(
         # wraps it
         from .spectrum import counting_extremes
 
-        band_count = counting_extremes(geom, ell_max)[0] + 1
+        band_count = counting_extremes(geom.xi, ell_max)[0] + 1
         candidates = _band_pairs(geom, bounds, band_count, ell_max)
     return GapReport(
         ell1=ell1,

@@ -44,8 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import StripGeometry
-
 _QUARTER_PI = 0.25 * math.pi
 _SIN_QUARTER_PI = math.sqrt(0.5)
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -496,7 +494,7 @@ def _phi_sum(xi: float, ell: float, p: int, truncation_n: int) -> float:
     return (total + 2.0 * acc) / (math.pi * xi)
 
 
-def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEvaluation:
+def phi_p(xi: float, ell: float, p: int, tol: float = 1e-4) -> PhiEvaluation:
     """Certified evaluation of phi_p(ell) to tail tolerance tol.
 
     The truncation N is the least one certified by any of three tail routes
@@ -526,7 +524,6 @@ def phi_p(geom: StripGeometry, ell: float, p: int, tol: float = 1e-4) -> PhiEval
         raise ValueError("ell must be finite, got inf")
     if p < 1:
         raise ValueError(f"harmonic index must be >= 1, got {p}")
-    xi = geom.xi
     if p >= MAX_HARMONIC_INDEX:
         raise ValueError(f"harmonic index {p} at xi = {xi} reaches the ceiling 2^511")
     # The rounding term grows with N: size the budget by it at a cap, and
@@ -578,7 +575,7 @@ class PhiSupResult(NamedTuple):
     cutoff_bound: float
 
 
-def phi_sup(geom: StripGeometry, ell: float, cutoff_c1: float = 3.0,
+def phi_sup(xi: float, ell: float, cutoff_c1: float = 3.0,
             tol: float = 1e-4) -> PhiSupResult:
     """max of |phi_p(ell)| over p = 1..p_max, p_max = max(3, ceil(cutoff_c1 ell^(1/2))).
 
@@ -604,13 +601,13 @@ def phi_sup(geom: StripGeometry, ell: float, cutoff_c1: float = 3.0,
     p_max = max(3, math.ceil(harmonics))
     best_p, best = -1, -math.inf
     for q in range(1, p_max + 1):
-        if (cutoff_bound(geom.xi, q) + tol) * (1.0 + _ENVELOPE_RTOL) < best:
+        if (cutoff_bound(xi, q) + tol) * (1.0 + _ENVELOPE_RTOL) < best:
             break
-        val = abs(phi_p(geom, ell, q, tol).value)
+        val = abs(phi_p(xi, ell, q, tol).value)
         if val > best:
             best, best_p = val, q
     return PhiSupResult(p_star=best_p, value=best, p_max=p_max,
-                        cutoff_bound=cutoff_bound(geom.xi, p_max))
+                        cutoff_bound=cutoff_bound(xi, p_max))
 
 
 class UniformBoundRow(NamedTuple):
@@ -633,7 +630,7 @@ class UniformBoundReport(NamedTuple):
     xi_excess: float
 
 
-def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
+def uniform_lower_bound_check(xi: float, ell_grid, tol: float = 1e-4,
                               cutoff_c1: float = 3.0) -> UniformBoundReport:
     """Verify sup_p |phi_p(ell)| >= c0(xi) - 2 tol over an energy grid.
 
@@ -646,7 +643,6 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
     by phi_p.
     """
     consts = critical_constants()
-    xi = geom.xi
     excess = xi - consts.xi_critical
     if not xi < consts.xi_critical:
         return UniformBoundReport(None, None, [], False, xi_excess=excess)
@@ -663,7 +659,7 @@ def uniform_lower_bound_check(geom: StripGeometry, ell_grid, tol: float = 1e-4,
             f"with c0 = {c0:.6g} is not positive; ask for tol below c0/2")
     rows = []
     for ell in ells:
-        sup = phi_sup(geom, ell, cutoff_c1=cutoff_c1, tol=tol)
+        sup = phi_sup(xi, ell, cutoff_c1=cutoff_c1, tol=tol)
         margin = sup.value - threshold
         rows.append(UniformBoundRow(ell=ell, p_star=sup.p_star, value=sup.value,
                                     margin=margin,

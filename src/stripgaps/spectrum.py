@@ -20,7 +20,8 @@ counts lattice points inside a half ellipse.  N0 is an even, 1-periodic step
 function of tau; this module provides it by row-wise floors, its exact
 extremes over the Brillouin zone from its jump structure, the band functions
 E_k(tau) with their extrema (band endpoints), and band samples that bracket
-those endpoints.
+those endpoints.  Every function takes xi and scaled energies; a caller forms
+an energy, where it needs one, as pi^2/T^2 times the scaled value.
 
 Floating-point boundary rule: a lattice point whose level differs from ell by
 at most ``1e-12 * max(1, ell)`` counts as inside.  counting and the zone
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import StripGeometry, validate_ell, validate_tau
+from .geometry import validate_ell, validate_tau
 
 # Inclusive-boundary tolerances: relative for lattice levels, absolute (in tau
 # units) for clamping jump positions onto the Brillouin-zone edges.
@@ -76,7 +77,7 @@ def _check_rows(rows: float) -> None:
             "estimated); ask for a lower energy or a larger ratio")
 
 
-def counting(geom: StripGeometry, ell: float, tau: float) -> int:
+def counting(xi: float, ell: float, tau: float) -> int:
     """Rescaled counting function N0(ell, tau).
 
     Sums, over each longitudinal index n, the number of transverse indices m
@@ -86,7 +87,6 @@ def counting(geom: StripGeometry, ell: float, tau: float) -> int:
     """
     validate_ell(ell)
     validate_tau(tau)
-    xi = geom.xi
     thresh = _inclusive_threshold(ell)
     root = math.sqrt(thresh)
     _check_rows(2.0 * root + 3.0)
@@ -147,7 +147,7 @@ def _first_below(x: np.ndarray, lim: float) -> np.ndarray:
     return n + 1.0 - (x - n <= lim) - (x - (n - 1.0) <= lim)
 
 
-def counting_extremes(geom: StripGeometry, ell: float) -> tuple[int, int]:
+def counting_extremes(xi: float, ell: float) -> tuple[int, int]:
     """Exact (sup, inf) of N0(ell, .) over the closed zone [-1/2, 1/2].
 
     Each row-m interval |tau + n| <= r_m contributes the closed interval
@@ -164,7 +164,7 @@ def counting_extremes(geom: StripGeometry, ell: float) -> tuple[int, int]:
     tau, including exact boundary ties such as band endpoints.
     """
     validate_ell(ell)
-    r = row_radii(geom.xi, _inclusive_threshold(ell))
+    r = row_radii(xi, _inclusive_threshold(ell))
     # per row, the intervals first_meet <= n < first_past meet the zone; from
     # first_edge on they hold its left edge, from first_inside on they end in it
     first_meet = _first_below(-r, 0.5)
@@ -419,8 +419,8 @@ def _band_extrema(xi: float, curves, k_max: int, slices) -> tuple[np.ndarray, np
     return lo, hi
 
 
-def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (eta_k, theta_k) of the bands k = 1..k_max as arrays (energy units), exact.
+def band_edges(xi: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (eta_k, theta_k) of the bands k = 1..k_max as arrays (scaled units), exact.
 
     On [0, 1/2] each level curve is monotone, so the extrema of E_k lie at
     tau = 0, 1/2, or where an increasing curve (n_u, m_u) crosses a decreasing
@@ -441,15 +441,13 @@ def band_edges(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]
       folded into both endpoints of those bands.
 
     Each endpoint is an attained value of E_k, exact up to a few ulps and that
-    tie tolerance (scaled units) in either direction, with no inward bias.
+    tie tolerance in either direction, with no inward bias.
     Fails closed (ValueError) above MAX_BAND_CURVES before allocating, above
     MAX_BAND_CROSSINGS candidates before enumerating any, and above MAX_ROWS
     ranking columns (xi above about 2e6) before allocating them.
     """
-    curves = band_curves(geom.xi, k_max)
-    lo, hi = _band_extrema(geom.xi, curves, k_max, (np.zeros(1), np.array([curves[2]])))
-    scale = math.pi * math.pi / (geom.T * geom.T)
-    return scale * lo, scale * hi
+    curves = band_curves(xi, k_max)
+    return _band_extrema(xi, curves, k_max, (np.zeros(1), np.array([curves[2]])))
 
 
 @dataclass(frozen=True, eq=False)

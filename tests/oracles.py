@@ -57,6 +57,7 @@
 * ``overlap_lower_bound``: the paper's lower bound on the overlap of
   consecutive unperturbed bands above ell2, whose root at omega_L is the
   fourth term of ``stripgaps.gaps.ell1_threshold``.
+* ``band_energies``: ``band_edges``' scaled endpoints in energy units.
 * ``certify_band_pairs``, ``band_pairs_from_all_bands``: the band-pair windows
   below a ceiling from the exact endpoints of every band, certified by
   ``stripgaps.gaps``' one predicate, against ``gap_report``, which computes
@@ -158,12 +159,12 @@ def jump_events(xi: float, ell: float, inclusive: bool = False):
     return start, events
 
 
-def counting_extremes_by_walk(geom: StripGeometry, ell: float) -> tuple[int, int]:
+def counting_extremes_by_walk(xi: float, ell: float) -> tuple[int, int]:
     """(sup, inf) of N0(ell, .) on [-1/2, 1/2] by walking the inclusive jump
     events one at a time, against the one-sweep
     ``stripgaps.spectrum.counting_extremes`` (they must agree exactly)."""
     validate_ell(ell)
-    start, events = jump_events(geom.xi, ell, inclusive=True)
+    start, events = jump_events(xi, ell, inclusive=True)
     run = start
     sup = inf = start
     for _tau_b, n_enter, n_leave in events:
@@ -178,7 +179,7 @@ def counting_extremes_by_walk(geom: StripGeometry, ell: float) -> tuple[int, int
 # Fourier coefficients of the counting function
 # ---------------------------------------------------------------------------
 
-def ap_exact_integral(geom: StripGeometry, ell: float, p: int) -> float:
+def ap_exact_integral(xi: float, ell: float, p: int) -> float:
     """a_p(ell) by exact piecewise integration of the step function N0(ell, .).
 
     Enumerates the jump positions of N0(ell, .), keeps the running count on
@@ -188,7 +189,7 @@ def ap_exact_integral(geom: StripGeometry, ell: float, p: int) -> float:
     validate_ell(ell)
     if p < 0:
         raise ValueError(f"harmonic index must be >= 0, got {p}")
-    start, events = jump_events(geom.xi, ell)
+    start, events = jump_events(xi, ell)
     if p == 0:
         antider = lambda t: t
     else:
@@ -213,8 +214,7 @@ class IncrementCheck(NamedTuple):
     holds: bool
 
 
-def a0_increment_check(geom: StripGeometry, ell: float,
-                       ell_tilde: float) -> IncrementCheck:
+def a0_increment_check(xi: float, ell: float, ell_tilde: float) -> IncrementCheck:
     """Growth bound of the mean: a0(ell~) - a0(ell) <= (pi/(2 xi)) (ell~ - ell)
     + 2 sqrt(ell~ - ell), valid for xi^2 <= ell <= ell~ (must always hold).
 
@@ -226,11 +226,10 @@ def a0_increment_check(geom: StripGeometry, ell: float,
     constant 1 fail, e.g. xi = 0.5, ell = 1 -> 1.125 gives increment
     0.84588... > (pi/(2 xi)) 0.125 + sqrt(0.125) = 0.74625...
     """
-    xi = geom.xi
     if not (xi * xi <= ell <= ell_tilde):
         raise ValueError(
             f"need xi^2 <= ell <= ell_tilde, got xi^2={xi*xi}, ell={ell}, ell_tilde={ell_tilde}")
-    lhs = a0_closed(geom, ell_tilde) - a0_closed(geom, ell)
+    lhs = a0_closed(xi, ell_tilde) - a0_closed(xi, ell)
     diff = ell_tilde - ell
     rhs = math.pi / (2.0 * xi) * diff + 2.0 * math.sqrt(diff)
     return IncrementCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
@@ -244,15 +243,14 @@ class ExtremesCheck(NamedTuple):
     holds: bool
 
 
-def counting_extremes_check(geom: StripGeometry, ell: float,
-                            p: int) -> ExtremesCheck:
+def counting_extremes_check(xi: float, ell: float, p: int) -> ExtremesCheck:
     """Oscillation lower bound on the counting extremes:
     sup_tau N0 >= a0 + |a_p|/2 and inf_tau N0 <= a0 - |a_p|/2 (always holds)."""
     if p < 1:
         raise ValueError(f"harmonic index must be >= 1, got {p}")
-    sup_count, inf_count = counting_extremes(geom, ell)
-    a0 = a0_closed(geom, ell)
-    ap_abs = abs(ap_closed(geom, ell, p))
+    sup_count, inf_count = counting_extremes(xi, ell)
+    a0 = a0_closed(xi, ell)
+    ap_abs = abs(ap_closed(xi, ell, p))
     holds = (sup_count >= a0 + 0.5 * ap_abs) and (inf_count <= a0 - 0.5 * ap_abs)
     return ExtremesCheck(sup_count=sup_count, inf_count=inf_count, a0=a0,
                          ap_abs=ap_abs, holds=holds)
@@ -264,7 +262,7 @@ class ResidualCheck(NamedTuple):
     holds: bool
 
 
-def ap_residual_check(geom: StripGeometry, ell: float, p: int,
+def ap_residual_check(xi: float, ell: float, p: int,
                       phi_value: float, phi_tail: float) -> ResidualCheck:
     """Check |a_p - (1/2) ell^(1/4) phi_value| against the certified envelope.
 
@@ -282,8 +280,8 @@ def ap_residual_check(geom: StripGeometry, ell: float, p: int,
     if phi_tail < 0:
         raise ValueError(f"need phi_tail >= 0, got {phi_tail}")
     half_quarter = 0.5 * ell ** 0.25
-    residual = abs(ap_closed(geom, ell, p) - half_quarter * phi_value)
-    bound = residual_bound(geom.xi, ell, p) + half_quarter * phi_tail
+    residual = abs(ap_closed(xi, ell, p) - half_quarter * phi_value)
+    bound = residual_bound(xi, ell, p) + half_quarter * phi_tail
     return ResidualCheck(residual=residual, bound=bound, holds=residual <= bound)
 
 
@@ -612,15 +610,14 @@ def _rank_crossings(xi: float, t: np.ndarray, lam: np.ndarray, n_cols: np.ndarra
     np.maximum.at(hi, k[keep] - 1, lam[owner[keep]])
 
 
-def band_table_all_pairs(geom: StripGeometry, k_max: int,
+def band_table_all_pairs(xi: float, k_max: int,
                          block: int = 1 << 16) -> tuple[np.ndarray, np.ndarray]:
-    """Band endpoints (eta_k, theta_k), k = 1..k_max (energy units), from all pairs.
+    """Band endpoints (eta_k, theta_k), k = 1..k_max (scaled units), from all pairs.
 
     The level values at tau = 0 and 1/2, then every increasing curve (n >= 0)
     against every decreasing one (n < 0) of ``band_curves``, in blocks of about
     ``block`` pairs, kept by the float filter t in [0, 1/2], lambda <= cap.
     """
-    xi = geom.xi
     xi2 = xi * xi
     n, m, cap = band_curves(xi, k_max)
     m2 = (m * m).astype(float)
@@ -641,14 +638,12 @@ def band_table_all_pairs(geom: StripGeometry, k_max: int,
             t, lam = t[ok], lam[ok]
             for c in range(0, t.size, chunk):
                 _rank_crossings(xi, t[c:c + chunk], lam[c:c + chunk], n_cols, lo, hi)
-    scale = math.pi * math.pi / (geom.T * geom.T)
-    return scale * lo, scale * hi
+    return lo, hi
 
 
-def truncation_by_kth_level(geom: StripGeometry, k_max: int) -> tuple[int, int]:
+def truncation_by_kth_level(xi: float, k_max: int) -> tuple[int, int]:
     """(n_max, m_max) covering every mode that can reach E_k_max(1/2) + 1, with
     E_k_max(1/2) the k_max-th smallest level of ``band_curves`` at tau = 1/2."""
-    xi = geom.xi
     n, m, _cap = band_curves(xi, k_max)
     level = np.partition((n + 0.5) ** 2 + xi * xi * m * m, k_max - 1)[k_max - 1]
     ceiling = float(level) + 1.0
@@ -690,15 +685,23 @@ def overlap_lower_bound(geom: StripGeometry, params: GapParams, eta0_k: float) -
     return math.pi ** 2 / geom.T ** 2 * bound
 
 
+def band_energies(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``band_edges``' endpoints of the bands 1..k_max taken to energy units
+    by the factor pi^2/T^2 the ``bands`` command forms its energy columns with."""
+    scale = math.pi * math.pi / (geom.T * geom.T)
+    eta0, theta0 = band_edges(geom.xi, k_max)
+    return scale * eta0, scale * theta0
+
+
 def certify_band_pairs(geom: StripGeometry, bounds: PerturbBounds,
                        bands0: tuple[np.ndarray, np.ndarray], ell_max: float) -> BandPairs:
     """Windows of the consecutive pairs of bands0 up to (pi^2/T^2) ell_max.
 
     bands0 = (eta0, theta0) are the unperturbed endpoints of the bands
-    k = 1, 2, ... (as ``band_edges`` returns them) and must cover the ceiling
-    (ValueError otherwise); a window is emitted for every pair, in order of k,
-    until the first upper band that starts above it, and certified by
-    ``BandPairs.of``.
+    k = 1, 2, ... in energy units (as ``band_energies`` returns them) and must
+    cover the ceiling (ValueError otherwise); a window is emitted for every
+    pair, in order of k, until the first upper band that starts above it, and
+    certified by ``BandPairs.of``.
     """
     eta0, theta0 = (np.asarray(e, dtype=float) for e in bands0)
     ceiling = math.pi ** 2 / geom.T ** 2 * ell_max
@@ -729,8 +732,8 @@ def band_pairs_from_all_bands(geom: StripGeometry, bounds: PerturbBounds,
     ``gap_report`` sizes the bands (one more than sup_tau N0(ell_max, tau)),
     from the exact endpoints of all of them."""
     check_band_count(geom.xi, ell_max)
-    k_max = counting_extremes(geom, ell_max)[0] + 1
-    return k_max, certify_band_pairs(geom, bounds, band_edges(geom, k_max), ell_max)
+    k_max = counting_extremes(geom.xi, ell_max)[0] + 1
+    return k_max, certify_band_pairs(geom, bounds, band_energies(geom, k_max), ell_max)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +787,8 @@ def low_spectrum_no_gap(
         )
     tau_max = 0.0 if ell <= verdict.ell_star else 0.5
     tau_min = 1.0 - math.sqrt(ell)
-    shifted = counting(geom, ell - verdict.scaled_oscillation, tau_max)
-    reference = counting(geom, ell, tau_min)
+    shifted = counting(xi, ell - verdict.scaled_oscillation, tau_max)
+    reference = counting(xi, ell, tau_min)
     diff = shifted - reference
     return LowSpectrumCheck(
         ell=ell,

@@ -149,6 +149,11 @@ EXTRA = [
     # quotient by xi^2 does
     ["gaps", "--xi", "0.03", "--d", "1e154", "--omega-plus", "1e10"],
     ["gaps", "--T", "1", "--d", "1e150", "--omega-plus", "1e200"],
+    # band endpoints at T = 1, whose energy scale pi^2 is not a power of two
+    ["bands", "--T", "1.0", "--xi", "0.03", "--kmax", "1000"],
+    # a second -- inside a sweep's inner command stays there
+    ["sweep", "--param", "ell", "--start", "1.3", "--stop", "1.3", "--steps", "1",
+     "--", "count", "--xi", "0.5", "--", "--tau", "0"],
 ]
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list

@@ -90,9 +90,8 @@ def test_criterion_02_fourier_oracle_equivalence():
         xi = rng.uniform(0.02, 0.9)
         ell = rng.uniform(xi * xi, 100.0)
         p = int(rng.integers(0, 11))
-        geom = resolve_geometry(xi=xi)
-        closed = a0_closed(geom, ell) if p == 0 else ap_closed(geom, ell, p)
-        exact = ap_exact_integral(geom, ell, p)
+        closed = a0_closed(xi, ell) if p == 0 else ap_closed(xi, ell, p)
+        exact = ap_exact_integral(xi, ell, p)
         err = abs(closed - exact)
         tol = 1e-10 * max(1.0, abs(closed))
         worst = max(worst, err / tol)
@@ -117,14 +116,14 @@ def test_criterion_03_growth_and_oscillation_property_suites():
         xi = rng.uniform(0.02, 0.9)
         ell = rng.uniform(xi * xi, 60.0)
         bump = rng.uniform(0.0, 40.0)
-        if not a0_increment_check(resolve_geometry(xi=xi), ell, ell + bump).holds:
+        if not a0_increment_check(xi, ell, ell + bump).holds:
             growth_bad += 1
     extremes_bad = 0
     for _ in range(1000):
         xi = rng.uniform(0.05, 0.9)
         ell = rng.uniform(0.0, 30.0)
         p = int(rng.integers(1, 11))
-        if not counting_extremes_check(resolve_geometry(xi=xi), ell, p).holds:
+        if not counting_extremes_check(xi, ell, p).holds:
             extremes_bad += 1
     elapsed = time.perf_counter() - t0
     ok = growth_bad == 0 and extremes_bad == 0 and elapsed < 60.0
@@ -145,11 +144,10 @@ def test_criterion_04_residual_bound_grid():
     disagreements = 0
     worst = 0.0
     for xi in (0.02, 0.05, 0.09, 0.3):
-        geom = resolve_geometry(xi=xi)
         for p in range(1, 11):
             for ell in ells:
-                ev = phi_p(geom, ell, p, tol=1e-4)
-                check = ap_residual_check(geom, ell, p, ev.value, ev.tail_bound)
+                ev = phi_p(xi, ell, p, tol=1e-4)
+                check = ap_residual_check(xi, ell, p, ev.value, ev.tail_bound)
                 worst = max(worst, check.residual / check.bound)
                 if not check.holds:
                     violations += 1
@@ -176,13 +174,12 @@ def test_criterion_05_uniform_lower_bound_evidence():
     disagreements = 0
     worst_margin = math.inf
     for xi in (0.02, 0.05, 0.09):
-        geom = resolve_geometry(xi=xi)
-        report = uniform_lower_bound_check(geom, grid, tol=1e-4)
+        report = uniform_lower_bound_check(xi, grid, tol=1e-4)
         worst_margin = min(worst_margin, min(r.margin for r in report.rows))
         bad += sum(not r.ok for r in report.rows)
         for r in report.rows:
             # each supremum is within the largest tail (<= tol) of the true one
-            ev = phi_p(geom, r.ell, r.p_star, tol=1e-4)
+            ev = phi_p(xi, r.ell, r.p_star, tol=1e-4)
             if not (abs(ev.value) == r.value and ev.tail_bound <= 1e-4
                     and abs(r.value - blind[(xi, r.ell)]) <= 2e-4):
                 disagreements += 1
@@ -243,7 +240,7 @@ def test_criterion_08_galerkin_validation():
     # V = 0 reduction against the lattice of mode energies
     geom1 = resolve_geometry(T=1.0, d=1.0)
     taus = [-0.4, -0.1, 0.0, 0.2, 0.5]
-    table = band_functions(geom1, PotentialSpec(), taus, 4, default_truncation(geom1, 4),
+    table = band_functions(geom1, PotentialSpec(), taus, 4, default_truncation(geom1.xi, 4),
                            PerturbBounds())
     lattice_err = 0.0
     for i, tau in enumerate(taus):
@@ -262,7 +259,7 @@ def test_criterion_08_galerkin_validation():
     # enclosure for 0.2 cos(pi x1 / T) at xi = 0.05
     geom = resolve_geometry(T=1.0, xi=0.05)
     cosine = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1)))
-    trunc = default_truncation(geom, 4)
+    trunc = default_truncation(geom.xi, 4)
     tau_grid = [-0.5, -0.25, 0.0, 0.25, 0.5]
     enclosure = omega_bounds(geom, cosine)
     bands0 = band_functions(geom, PotentialSpec(), tau_grid, 4, trunc, PerturbBounds())

@@ -24,7 +24,7 @@ import stripgaps.galerkin as galerkin
 from stripgaps.galerkin import PotentialSpec
 from stripgaps.geometry import resolve_geometry
 from stripgaps.oscillation import MAX_HARMONICS, phi_p, phi_sup
-from stripgaps.spectrum import MAX_BAND_CURVES, MAX_ROWS
+from stripgaps.spectrum import MAX_BAND_CURVES, MAX_ROWS, band_edges
 
 
 DATA = Path(__file__).parent / "data"
@@ -259,6 +259,24 @@ def test_bands_command_reports_the_first_band_bottom():
     assert run(["gaps", "--xi", "0.03", "--ell-max", "2", "--grid", "51"])[0] == 1
 
 
+@pytest.mark.parametrize("argv, geom", [
+    (["bands", "--xi", "0.05", "--kmax", "200"], resolve_geometry(xi=0.05)),
+    (["bands", "--T", "1.0", "--xi", "0.03", "--kmax", "1000"], resolve_geometry(xi=0.03, T=1.0)),
+])
+def test_bands_prints_the_endpoints_band_edges_computed(argv, geom):
+    # the scaled columns are band_edges' endpoints as computed (no round trip
+    # through energy units), the energy columns pi^2/T^2 times them
+    code, out = run(argv)
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()[7:]]
+    eta, theta = band_edges(geom.xi, int(argv[-1]))
+    scale = math.pi * math.pi / (geom.T * geom.T)
+    assert len(rows) == eta.size
+    for k, (row, a, b) in enumerate(zip(rows, eta.tolist(), theta.tolist()), start=1):
+        assert row == [str(k), cli._fmt(scale * a), cli._fmt(scale * b),
+                       cli._fmt(a), cli._fmt(b)], k
+
+
 # Requests too costly to serve, beyond float range or beyond float precision:
 # each must exit 1 with a message before any large allocation, never hang,
 # end in a traceback or print a meaningless number.
@@ -418,7 +436,7 @@ def test_phi_command_matches_the_library():
     code, out = run(["phi", "--xi", "0.5", "--ell", "1.3", "--p", "2", "--tol", "1e-3"])
     assert code == 0
     row = out.splitlines()[-1].split(",")
-    ev = phi_p(resolve_geometry(xi=0.5), 1.3, 2, tol=1e-3)
+    ev = phi_p(0.5, 1.3, 2, tol=1e-3)
     assert float(row[3]) == pytest.approx(ev.value, rel=1e-11)
     assert float(row[4]) == pytest.approx(ev.tail_bound, rel=1e-11)
     assert int(row[5]) == ev.truncation_n
@@ -428,7 +446,7 @@ def test_phi_sup_command_matches_the_library():
     code, out = run(["phi-sup", "--xi", "0.5", "--ell", "2.7", "--tol", "1e-3"])
     assert code == 0
     row = out.splitlines()[-1].split(",")
-    res = phi_sup(resolve_geometry(xi=0.5), 2.7, tol=1e-3)
+    res = phi_sup(0.5, 2.7, tol=1e-3)
     assert int(row[2]) == res.p_star
     assert float(row[3]) == pytest.approx(res.value, rel=1e-11)
 
@@ -703,6 +721,20 @@ def test_an_inner_usage_error_is_printed_once():
     assert [l for l in out.splitlines() if not l.startswith("#")] == [
         "foo,status", "0,1", "1,1", "2,1", "3,1", "4,1"]
     assert err.count("error: unrecognized arguments") == 1, err
+
+
+def test_a_sweep_keeps_a_separator_inside_its_inner_command():
+    # only the -- that opens the inner command is dropped: a second one stays
+    # in the inner command, which then fails as the direct call does
+    inner = ["count", "--xi", "0.5", "--", "--tau", "0"]
+    code, out, err = run_with_stderr(["sweep", "--param", "ell", "--start", "1.3", "--stop",
+                                      "1.3", "--steps", "1", "--", *inner])
+    assert code == 1
+    assert f"# argv=sweep --param ell --start 1.3 --stop 1.3 --steps 1 --format csv -- " \
+           f"{shlex.join(inner)}" in out.splitlines()
+    assert [l for l in out.splitlines() if not l.startswith("#")] == ["ell,status", "1.3,1"]
+    assert err.count("error: ") == 1, err
+    assert run_with_stderr(["count", "--xi", "0.5", "--ell", "1.3", "--", "--tau", "0"])[0] == 1
 
 
 def test_a_sweep_parses_its_inner_command_once(monkeypatch):

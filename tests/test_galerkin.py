@@ -248,7 +248,7 @@ def test_two_by_two_closed_form_family(v):
 
 def test_band_functions_reproduce_the_unperturbed_spectrum():
     taus = [-0.5, -0.2, 0.0, 0.3, 0.5]
-    table = band_functions(GEOM, PotentialSpec(), taus, 3, default_truncation(GEOM, 3), ZERO)
+    table = band_functions(GEOM, PotentialSpec(), taus, 3, default_truncation(GEOM.xi, 3), ZERO)
     assert table.k_max == 3
     assert table.max_drift < 1e-6
     for i, tau in enumerate(taus):
@@ -267,7 +267,7 @@ def test_unperturbed_band_functions_lie_in_the_certified_enclosure():
     for k_max in (1, 6, 12):
         exact = unperturbed_band_functions(geom, taus, k_max)
         table = band_functions(geom, PotentialSpec(), taus, k_max,
-                               default_truncation(geom, k_max), ZERO)
+                               default_truncation(geom.xi, k_max), ZERO)
         assert exact.tau_grid == table.tau_grid
         assert exact.max_enclosure_width == 0.0
         assert np.all(table.lower <= exact.energies)
@@ -289,7 +289,7 @@ def test_default_truncation_matches_the_kth_level_oracle():
         geom = resolve_geometry(T=1.0, xi=float(xi))
         for k_max in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597,
                       2584, 4181, 6765, 10946, 17711, 28657):
-            assert default_truncation(geom, k_max) == truncation_by_kth_level(geom, k_max), \
+            assert default_truncation(geom.xi, k_max) == truncation_by_kth_level(geom.xi, k_max), \
                 (float(xi), k_max)
 
 
@@ -641,7 +641,7 @@ def test_the_range_at_random_points_lies_inside_the_enclosure():
 
 def test_perturbed_bands_sit_inside_the_minimax_enclosure():
     taus = [-0.5, -0.25, 0.0, 0.25, 0.5]
-    trunc = default_truncation(GEOM, 3)
+    trunc = default_truncation(GEOM.xi, 3)
     enclosure = omega_bounds(GEOM, COSINE_X1)
     bands0 = band_functions(GEOM, PotentialSpec(), taus, 3, trunc, ZERO)
     bands = band_functions(GEOM, COSINE_X1, taus, 3, trunc, enclosure)
@@ -663,7 +663,7 @@ def test_enclosure_verification_never_forgives_a_negative_margin():
 
 
 def test_enclosure_verification_rejects_mismatched_tables():
-    trunc = default_truncation(GEOM, 2)
+    trunc = default_truncation(GEOM.xi, 2)
     a = band_functions(GEOM, PotentialSpec(), [0.0, 0.5], 2, trunc, ZERO)
     b = band_functions(GEOM, PotentialSpec(), [0.0, 0.25], 2, trunc, ZERO)
     with pytest.raises(ValueError, match="grids"):

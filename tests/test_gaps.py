@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import stripgaps.gaps as gaps
 import stripgaps.spectrum as spectrum
 from oracles import (
+    band_energies,
     band_pairs_from_all_bands,
     certify_band_pairs,
     low_spectrum_no_gap,
@@ -371,7 +372,7 @@ def test_exact_unperturbed_overlaps_reach_the_overlap_bound(xi, d, k_max):
     # unit of length: the bound is read in scaled energy)
     geom = resolve_geometry(xi=xi, d=d)
     params = GapParams.from_small_ratio(xi)
-    eta, theta = band_edges(geom, k_max)
+    eta, theta = band_energies(geom, k_max)
     floor = math.pi ** 2 / geom.T ** 2 * ell2_threshold(xi, params)
     ks = np.flatnonzero(eta[:-1] >= floor)
     assert ks.size == 1999
@@ -468,7 +469,7 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     # omega_L = 0 only within rounding, so they stay undecided
     geom = resolve_geometry(T=1.0, d=1.0)
     report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=8.0)
-    eta0, theta0 = band_edges(geom, report.band_count)
+    eta0, theta0 = band_energies(geom, report.band_count)
     pairs = report.candidate_gaps
     assert pairs
     assert np.array_equal(pairs.certified, pairs.overlap > 0.0)
@@ -485,7 +486,7 @@ def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
     geom = resolve_geometry(T=1.0, d=1.0)
     bounds = PerturbBounds(omega_minus=-0.25, omega_plus=0.75)
     report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=4.0)
-    eta0, theta0 = band_edges(geom, report.band_count)
+    eta0, theta0 = band_energies(geom, report.band_count)
     # the table covers the ceiling: one band more than sup_tau N0(4, tau)
     assert theta0[-1] >= 4.0 * math.pi ** 2
     pairs, i = report.candidate_gaps, report.undecided
@@ -499,7 +500,7 @@ def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
 
 def test_gap_report_certifies_exactly_the_wide_overlaps():
     geom = resolve_geometry(T=1.0, d=1.0)
-    eta0, theta0 = band_edges(geom, 12)
+    eta0, theta0 = band_energies(geom, 12)
     bounds = PerturbBounds(omega_minus=0.0, omega_plus=2.0)
     windows = certify_band_pairs(geom, bounds, (eta0, theta0), ell_max=8.0)
     assert len(windows)
@@ -556,7 +557,7 @@ def test_gap_report_validates_the_band_input(monkeypatch):
     # and refuses bands that do not reach the ceiling (counting_extremes is
     # looked up on the spectrum module at call time)
     geom = resolve_geometry(T=1.0, d=1.0)
-    monkeypatch.setattr(spectrum, "counting_extremes", lambda geom, ell: (5, 0))
+    monkeypatch.setattr(spectrum, "counting_extremes", lambda xi, ell: (5, 0))
     with pytest.raises(ValueError, match="does not cover the ceiling"):
         gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
 
@@ -565,8 +566,8 @@ def test_gap_report_refuses_a_band_count_above_the_ceiling(monkeypatch):
     # the count is cross-checked in the other direction too: bands that
     # certainly start above the ceiling are not counted below it
     geom = resolve_geometry(T=1.0, d=1.0)
-    top = spectrum.counting_extremes(geom, 50.0)[0]
-    monkeypatch.setattr(spectrum, "counting_extremes", lambda geom, ell: (2 * top, 0))
+    top = spectrum.counting_extremes(geom.xi, 50.0)[0]
+    monkeypatch.setattr(spectrum, "counting_extremes", lambda xi, ell: (2 * top, 0))
     with pytest.raises(ValueError, match=f"band {2 * top} starts above it"):
         gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
 
@@ -658,7 +659,7 @@ def test_gap_report_windows_equal_the_all_bands_oracle(T, d, omega_minus, omega_
     report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max)
     _assert_matches_the_oracle(report, geom, bounds, ell_max)
     # windows certified from samples are outer windows with a lower overlap
-    eta0, theta0 = band_edges(geom, report.band_count)
+    eta0, theta0 = band_energies(geom, report.band_count)
     pairs = report.candidate_gaps
     k = len(pairs)
     assert np.all(pairs.lo <= theta0[:k] + omega_minus)
@@ -690,7 +691,7 @@ def test_gap_report_decides_like_the_oracle_for_samples_anywhere_in_their_bracke
     monkeypatch.setattr(gaps, "sample_bands", shifted)
     _, free = band_pairs_from_all_bands(geom, NO_PERTURBATION, ell_max)
     k = int(np.argmax(free.overlap))
-    eta0, theta0 = band_edges(geom, len(free) + 1)
+    eta0, theta0 = band_energies(geom, len(free) + 1)
     slack = OVERLAP_RTOL * max(theta0[k], eta0[k + 1], scale)
     tie = scale * real(geom.xi, 2).tie
     bounds = PerturbBounds(0.0, free.overlap[k] - slack + 0.5 * tie)
@@ -722,7 +723,7 @@ def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
         assert in_report == 0
         return
     ranked.clear()
-    band_edges(geom, report.band_count)
+    band_edges(geom.xi, report.band_count)
     assert 0 < in_report <= share * sum(ranked)
 
 

@@ -15,7 +15,6 @@ from oracles import (
     stationary_phase_leading,
     u_series,
 )
-from stripgaps.geometry import resolve_geometry
 from stripgaps import oscillation
 from stripgaps.oscillation import (
     MAX_HARMONIC_INDEX,
@@ -101,51 +100,48 @@ def test_truncation_length_is_minimal(monkeypatch):
     # phi_p's cut is the least any route certifies: one term fewer is refused
     for xi, ell, p, tol in [(0.5, 1.3, 1, 1e-2), (0.05, 57.3512, 3, 1e-3),
                             (0.05, 49.0, 2, 1e-3), (0.9, 7.7, 2, 5e-3)]:
-        geom = resolve_geometry(xi=xi)
-        n = phi_p(geom, ell, p, tol=tol).truncation_n
+        n = phi_p(xi, ell, p, tol=tol).truncation_n
         monkeypatch.setattr(oscillation, "MAX_TERMS", n - 1)
         with pytest.raises(ValueError, match="ceiling"):
-            phi_p(geom, ell, p, tol=tol)
+            phi_p(xi, ell, p, tol=tol)
         monkeypatch.undo()
 
 
 def test_phi_rejects_bad_inputs(monkeypatch):
-    geom = resolve_geometry(xi=0.5)
+    xi = 0.5
     with pytest.raises(ValueError):
-        phi_p(geom, 0.0, 1)
+        phi_p(xi, 0.0, 1)
     with pytest.raises(ValueError):
-        phi_p(geom, 1.0, 0)
+        phi_p(xi, 1.0, 0)
     with pytest.raises(ValueError):
-        phi_p(geom, 1.0, 1, tol=0.0)
+        phi_p(xi, 1.0, 1, tol=0.0)
     # a tolerance whose certified cut exceeds the cost ceiling is refused
     monkeypatch.setattr(oscillation, "MAX_TERMS", 10 ** 6)
     with pytest.raises(ValueError, match="ceiling"):
-        phi_p(geom, 1.0, 1, tol=1e-9)
+        phi_p(xi, 1.0, 1, tol=1e-9)
     monkeypatch.undo()
     # far beyond float64 resolution of the phase: refused, not a wrong number
     with pytest.raises(ValueError, match="floating-point error"):
-        phi_p(resolve_geometry(xi=0.05), 1e300, 1)
+        phi_p(0.05, 1e300, 1)
 
 
 def test_harmonic_indices_past_float_range_are_refused_and_nothing_overflows(monkeypatch):
     # from p = 2^512 on p^2 is beyond float range, and the bound that
     # overflowed first used to decide the error; now p >= 2^511 is refused
     # before any search, naming p and xi
-    geom = resolve_geometry(xi=0.05)
-    assert phi_p(geom, 2.7, MAX_HARMONIC_INDEX - 1, tol=3.0).route == "fallback"
+    assert phi_p(0.05, 2.7, MAX_HARMONIC_INDEX - 1, tol=3.0).route == "fallback"
     for p in (MAX_HARMONIC_INDEX, 10 ** 160):
         with pytest.raises(ValueError, match=rf"harmonic index {p} at xi = 0.05 .* 2\^511"):
-            phi_p(geom, 2.7, p, tol=3.0)
+            phi_p(0.05, 2.7, p, tol=3.0)
     # below the ceiling every request is answered or refused with ValueError,
     # never OverflowError (cuts are held short: the search is what overflowed)
     monkeypatch.setattr(oscillation, "MAX_TERMS", 1 << 12)
     harmonics = [int(10.0 ** e) for e in range(0, 301, 10)] + [MAX_HARMONIC_INDEX - 1]
     for xi in [10.0 ** e for e in range(-6, 7)] + [0.05]:
-        geom = resolve_geometry(xi=xi)
         for ell, tol, p in itertools.product((2.7, 49.0, 59.216, 1e6), (1e-9, 1e-4, 3.0),
                                              harmonics):
             try:
-                phi_p(geom, ell, p, tol)
+                phi_p(xi, ell, p, tol)
             except ValueError:
                 pass
 
@@ -158,9 +154,8 @@ def test_harmonic_indices_past_float_range_are_refused_and_nothing_overflows(mon
 @settings(max_examples=30, deadline=None)
 def test_truncation_certificate_controls_refinement(xi, ell, p):
     # two certified evaluations differ by at most the sum of their tails
-    geom = resolve_geometry(xi=xi)
-    coarse = phi_p(geom, ell, p, tol=5e-2)
-    fine = phi_p(geom, ell, p, tol=5e-4)
+    coarse = phi_p(xi, ell, p, tol=5e-2)
+    fine = phi_p(xi, ell, p, tol=5e-4)
     assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound
 
 
@@ -194,8 +189,7 @@ _REFERENCE_N = 2_000_000
 def test_every_route_agrees_with_a_long_reference_sum(xi, ell, p, route):
     # the reference is the plain sum to 2e6 terms with the oscillation-blind
     # tail, independent of the routes under test
-    geom = resolve_geometry(xi=xi)
-    ev = phi_p(geom, ell, p, tol=1e-4)
+    ev = phi_p(xi, ell, p, tol=1e-4)
     assert ev.route == route
     assert ev.tail_bound <= 1e-4
     value, bound = phi_reference(xi, ell, p, _REFERENCE_N)
@@ -211,16 +205,15 @@ def test_every_route_agrees_with_a_long_reference_sum(xi, ell, p, route):
 def test_routes_agree_with_a_tighter_evaluation(xi, ell, p):
     # a sharper check than the long sum allows: 1e-4 against 2e-6, away from
     # near resonance (where 2e-6 would need more than the ceiling)
-    geom = resolve_geometry(xi=xi)
-    coarse = phi_p(geom, ell, p, tol=1e-4)
-    fine = phi_p(geom, ell, p, tol=2e-6)
+    coarse = phi_p(xi, ell, p, tol=1e-4)
+    fine = phi_p(xi, ell, p, tol=2e-6)
     assert fine.tail_bound <= 2e-6
     assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound
 
 
 def test_routes_are_recorded_and_validated():
-    geom = resolve_geometry(xi=0.5)
-    assert phi_p(geom, 1.0, 1).route in TAIL_ROUTES
+    xi = 0.5
+    assert phi_p(xi, 1.0, 1).route in TAIL_ROUTES
     with pytest.raises(ValueError, match="route"):
         PhiEvaluation(p=1, ell=1.3, value=0.0, tail_bound=1.0, truncation_n=1, route="exact")
 
@@ -274,14 +267,13 @@ _RESEARCH_CASES = [
 @pytest.mark.parametrize("xi, ell, p, tol, route", _RESEARCH_CASES)
 def test_phi_p_after_a_moved_cut_equals_the_bisection_searchs(xi, ell, p, tol, route,
                                                               monkeypatch):
-    geom = resolve_geometry(xi=xi)
-    ev = phi_p(geom, ell, p, tol)
+    ev = phi_p(xi, ell, p, tol)
     assert ev.route == route
     assert ev.truncation_n > oscillation._choose_truncation(xi, ell, p, tol)[0]
     monkeypatch.setattr(oscillation, "_choose_truncation",
                         lambda xi, ell, p, budget, previous=None:
                         choose_truncation_by_bisection(xi, ell, p, budget))
-    assert phi_p(geom, ell, p, tol) == ev
+    assert phi_p(xi, ell, p, tol) == ev
 
 
 _PREMISE_INPUTS = dict(
@@ -337,7 +329,7 @@ def test_each_phi_p_call_makes_few_route_bound_evaluations(monkeypatch):
         monkeypatch.setattr(oscillation, name, counted)
     for xi, ell, p, tol, route in _COST_CASES:
         count[0] = 0
-        assert phi_p(resolve_geometry(xi=xi), ell, p, tol).route == route
+        assert phi_p(xi, ell, p, tol).route == route
         assert count[0] <= 12, (xi, ell, p, tol, count[0])
 
 
@@ -346,20 +338,20 @@ def test_each_phi_p_call_makes_few_route_bound_evaluations(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_cutoff_bound_decreases_and_dominates_sampled_harmonics():
-    geom = resolve_geometry(xi=0.3)
+    xi = 0.3
     values = [cutoff_bound(0.3, p) for p in range(1, 12)]
     assert values == sorted(values, reverse=True)
     for p in (1, 2, 5, 11):
-        ev = phi_p(geom, 7.3, p, tol=1e-3)
+        ev = phi_p(xi, 7.3, p, tol=1e-3)
         assert abs(ev.value) - ev.tail_bound <= cutoff_bound(0.3, p)
     with pytest.raises(ValueError):
         cutoff_bound(0.3, 0)
 
 
-def _full_scan(geom, ell, tol, cutoff_c1=3.0):
+def _full_scan(xi, ell, tol, cutoff_c1=3.0):
     """Every harmonic of phi_sup's range at tol: (p_star, sup, {p: |phi_p|})."""
     p_max = max(3, math.ceil(cutoff_c1 * math.sqrt(ell)))
-    values = {q: abs(phi_p(geom, ell, q, tol).value) for q in range(1, p_max + 1)}
+    values = {q: abs(phi_p(xi, ell, q, tol).value) for q in range(1, p_max + 1)}
     best = max(values.values())
     return min(q for q, v in values.items() if v == best), best, values
 
@@ -368,9 +360,9 @@ def _recording_phi_p(monkeypatch):
     """Record (p, tol) of every phi_p call phi_sup makes."""
     calls = []
 
-    def record(geom, ell, p, tol=1e-4, **kwargs):
+    def record(xi, ell, p, tol=1e-4, **kwargs):
         calls.append((p, tol))
-        return phi_p(geom, ell, p, tol, **kwargs)
+        return phi_p(xi, ell, p, tol, **kwargs)
     monkeypatch.setattr(oscillation, "phi_p", record)
     return calls
 
@@ -383,10 +375,9 @@ _SCAN_ENERGIES = (1.0, 2.7, 4.0, 10.0, 49.0, 57.3, 81.0, 100.0)
 
 def test_sup_scan_matches_brute_force_over_the_candidate_range():
     for xi in _SCAN_RATIOS:
-        geom = resolve_geometry(xi=xi)
         for ell in _SCAN_ENERGIES:
-            res = phi_sup(geom, ell)
-            p_star, best, values = _full_scan(geom, ell, 1e-4)
+            res = phi_sup(xi, ell)
+            p_star, best, values = _full_scan(xi, ell, 1e-4)
             assert (res.p_star, res.value) == (p_star, best), (xi, ell)
             assert res.p_max == max(values)
             assert res.cutoff_bound == cutoff_bound(xi, res.p_max)
@@ -398,23 +389,21 @@ def test_sup_scan_matches_brute_force_over_the_candidate_range():
        tol=st.sampled_from((1e-3, 3e-4)))
 @settings(max_examples=60, deadline=None)
 def test_sup_scan_equals_the_full_fine_scan_property(xi, ell, tol):
-    geom = resolve_geometry(xi=xi)
-    res = phi_sup(geom, ell, tol=tol)
-    p_star, best, _ = _full_scan(geom, ell, tol)
+    res = phi_sup(xi, ell, tol=tol)
+    p_star, best, _ = _full_scan(xi, ell, tol)
     assert (res.p_star, res.value) == (p_star, best)
 
 
 @pytest.mark.parametrize("xi", _SCAN_RATIOS)
 def test_sup_scan_skips_only_harmonics_its_envelope_dominates(xi, monkeypatch):
-    geom = resolve_geometry(xi=xi)
     calls = _recording_phi_p(monkeypatch)
     for ell in _SCAN_ENERGIES:
         calls.clear()
-        res = phi_sup(geom, ell)
+        res = phi_sup(xi, ell)
         visited = {p for p, _ in calls}
         assert visited == set(range(1, len(visited) + 1))  # a prefix of 1..p_max
         for q in range(1, res.p_max + 1):
-            ev = phi_p(geom, ell, q, tol=1e-4)
+            ev = phi_p(xi, ell, q, tol=1e-4)
             # the envelope bounds every evaluated value, visited or not
             assert abs(ev.value) <= cutoff_bound(xi, q) + ev.tail_bound
             if q not in visited:
@@ -428,7 +417,7 @@ def test_sup_scan_evaluates_each_harmonic_once_at_tol(tol, monkeypatch):
     for xi in (0.05, 0.5):
         for ell in (2.7, 49.0):
             calls.clear()
-            phi_sup(resolve_geometry(xi=xi), ell, tol=tol)
+            phi_sup(xi, ell, tol=tol)
             assert calls and all(t == tol for _, t in calls)
             ps = [p for p, _ in calls]
             assert ps == sorted(set(ps))
@@ -436,9 +425,9 @@ def test_sup_scan_evaluates_each_harmonic_once_at_tol(tol, monkeypatch):
 
 def test_sup_scan_ties_resolve_to_the_smallest_harmonic(monkeypatch):
     # equal values everywhere: the envelope at xi = 0.5 keeps p = 2, 3 in play
-    monkeypatch.setattr(oscillation, "phi_p", lambda geom, ell, p, tol: PhiEvaluation(
+    monkeypatch.setattr(oscillation, "phi_p", lambda xi, ell, p, tol: PhiEvaluation(
         p=p, ell=ell, value=-1.0, tail_bound=0.0, truncation_n=0, route="fallback"))
-    res = phi_sup(resolve_geometry(xi=0.5), 1.0)
+    res = phi_sup(0.5, 1.0)
     assert (res.p_star, res.value) == (1, 1.0)
 
 
@@ -450,29 +439,28 @@ _CRITERION_05_CALLS = {0.02: 136, 0.05: 164, 0.09: 233}
 @pytest.mark.parametrize("xi", sorted(_CRITERION_05_CALLS))
 def test_sup_scan_cost_on_the_criterion_05_grid(xi, monkeypatch):
     calls = _recording_phi_p(monkeypatch)
-    geom = resolve_geometry(xi=xi)
     for ell in np.linspace(1.0, 100.0, 100):
-        phi_sup(geom, float(ell), tol=1e-4)
+        phi_sup(xi, float(ell), tol=1e-4)
     assert len(calls) <= 3 * _CRITERION_05_CALLS[xi]
 
 
 def test_sup_scan_is_stable_under_tolerance_refinement():
-    geom = resolve_geometry(xi=0.05)
-    a = phi_sup(geom, 10.0, tol=1e-3)
-    b = phi_sup(geom, 10.0, tol=1e-4)
+    xi = 0.05
+    a = phi_sup(xi, 10.0, tol=1e-3)
+    b = phi_sup(xi, 10.0, tol=1e-4)
     assert abs(a.value - b.value) <= 1e-3 + 1e-4
 
 
 def test_sup_scan_rejects_bad_inputs():
-    geom = resolve_geometry(xi=0.5)
+    xi = 0.5
     with pytest.raises(ValueError):
-        phi_sup(geom, 0.0)
+        phi_sup(xi, 0.0)
     with pytest.raises(ValueError):
-        phi_sup(geom, 1.0, cutoff_c1=0.0)
+        phi_sup(xi, 1.0, cutoff_c1=0.0)
     # the harmonic count is refused before any evaluation
     ell = (MAX_HARMONICS / 3.0 + 1.0) ** 2
     with pytest.raises(ValueError, match=f"ceiling of {MAX_HARMONICS} harmonics"):
-        phi_sup(geom, ell)
+        phi_sup(xi, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +468,8 @@ def test_sup_scan_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_uniform_bound_holds_on_a_small_grid():
-    geom = resolve_geometry(xi=0.05)
-    report = uniform_lower_bound_check(geom, [1.0, 2.7, 10.0], tol=1e-3)
+    xi = 0.05
+    report = uniform_lower_bound_check(xi, [1.0, 2.7, 10.0], tol=1e-3)
     assert report.all_ok
     assert report.c0 == pytest.approx(0.6991140740687283, rel=1e-12)
     assert len(report.rows) == 3
@@ -499,11 +487,11 @@ def test_uniform_bound_holds_on_a_small_grid():
 ])
 def test_uniform_bound_margin_positive_only_within_rounding_is_declined(
         monkeypatch, target, ok):
-    geom = resolve_geometry(xi=0.05)
-    c0 = critical_constants().c0(geom.xi)
+    xi = 0.05
+    c0 = critical_constants().c0(xi)
     sup = PhiSupResult(p_star=1, value=c0 - 2e-3 + target * c0, p_max=1, cutoff_bound=0.0)
     monkeypatch.setattr(oscillation, "phi_sup", lambda *args, **kwargs: sup)
-    report = uniform_lower_bound_check(geom, [2.0], tol=1e-3)
+    report = uniform_lower_bound_check(xi, [2.0], tol=1e-3)
     assert report.rows[0].margin == pytest.approx(target * c0, abs=1e-16)
     assert report.rows[0].ok is ok and report.all_ok is ok
 
@@ -514,32 +502,31 @@ def test_uniform_bound_rejects_out_of_regime_inputs(monkeypatch):
     monkeypatch.setattr(oscillation, "phi_sup", None)
     xi_critical = critical_constants().xi_critical
     for xi in (0.2, xi_critical):
-        report = uniform_lower_bound_check(resolve_geometry(xi=xi), [0.5])
+        report = uniform_lower_bound_check(xi, [0.5])
         assert report == (None, None, [], False, xi - xi_critical)
     assert report.xi_excess == 0.0
     monkeypatch.undo()
-    geom = resolve_geometry(xi=0.05)
-    assert uniform_lower_bound_check(geom, [1.0], tol=1e-2).xi_excess == 0.05 - xi_critical
+    assert uniform_lower_bound_check(0.05, [1.0], tol=1e-2).xi_excess == 0.05 - xi_critical
     with pytest.raises(ValueError):
-        uniform_lower_bound_check(geom, [])
+        uniform_lower_bound_check(0.05, [])
     with pytest.raises(ValueError):
-        uniform_lower_bound_check(geom, [0.5])
+        uniform_lower_bound_check(0.05, [0.5])
 
 
 def test_uniform_bound_refuses_a_threshold_that_certifies_nothing(monkeypatch):
     # c0 - 2 tol <= 0 holds for every value: refused before any harmonic is
     # evaluated, naming tol, c0 and the threshold
-    geom = resolve_geometry(xi=0.05)
+    xi = 0.05
     c0 = critical_constants().c0(0.05)
     monkeypatch.setattr(oscillation, "phi_sup", None)
     for tol in (c0 / 2.0, 0.4, 1e300, 1e308):
         with pytest.raises(ValueError) as info:
-            uniform_lower_bound_check(geom, [1.0], tol=tol)
+            uniform_lower_bound_check(xi, [1.0], tol=tol)
         assert str(info.value).startswith(
             f"tol {tol} leaves no certificate: the threshold c0 - 2 tol = "
             f"{c0 - 2.0 * tol:.6g} with c0 = 0.699114 is not positive")
     monkeypatch.undo()
-    report = uniform_lower_bound_check(geom, [1.0], tol=0.34)
+    report = uniform_lower_bound_check(xi, [1.0], tol=0.34)
     assert report.threshold == c0 - 0.68 and report.all_ok
 
 

@@ -44,3 +44,26 @@ def test_every_public_name_in_src_is_referenced_in_src():
                for where, line in references.get(name, []))
     }
     assert unreferenced == set(UNREFERENCED)
+
+
+# Modules whose public functions read the geometry only through xi = T/d:
+# they take xi and scaled energies, and the last of them imports nothing of
+# the geometry at all.
+UNIT_FREE = ("spectrum.py", "fourier.py", "oscillation.py")
+
+
+def test_the_unit_free_kernels_take_no_geometry():
+    trees = {module: ast.parse((SRC / module).read_text()) for module in UNIT_FREE}
+    taking_geometry = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.annotation is not None and "StripGeometry" in ast.unparse(arg.annotation)
+    ]
+    assert taking_geometry == []
+    geometry_imports = [
+        node.lineno for node in ast.walk(trees["oscillation.py"])
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry")
+    ]
+    assert geometry_imports == []

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stripgaps.spectrum as spectrum
-from oracles import Mode, band_table_all_pairs, counting_extremes_by_walk, mode_energy
+from oracles import (Mode, band_energies, band_table_all_pairs, counting_extremes_by_walk,
+                     mode_energy)
 from stripgaps.geometry import StripGeometry, resolve_geometry
 from stripgaps.spectrum import (
     BOUNDARY_RTOL,
@@ -43,14 +44,13 @@ def brute_count(xi: float, ell: float, tau: float) -> int:
     return total
 
 
-def brute_extremes(geom: StripGeometry, ell: float) -> tuple[int, int]:
+def brute_extremes(xi: float, ell: float) -> tuple[int, int]:
     """Sup/inf of the counting function by sampling every constancy panel.
 
     Each lattice point occupies a closed tau interval, so the sup is attained
     at an interval endpoint and the inf on a panel interior; sampling all
     breakpoints plus all midpoints covers every attained value.
     """
-    xi = geom.xi
     thresh = ell + BOUNDARY_RTOL * max(1.0, ell)
     taus = {0.5}
     m = 1
@@ -70,7 +70,7 @@ def brute_extremes(geom: StripGeometry, ell: float) -> tuple[int, int]:
         if -0.5 < mid <= 0.5:
             probes.append(mid)
         prev = t
-    values = [counting(geom, ell, t) for t in probes]
+    values = [counting(xi, ell, t) for t in probes]
     return max(values), min(values)
 
 
@@ -105,24 +105,24 @@ def test_mode_requires_positive_transverse_index():
 # ---------------------------------------------------------------------------
 
 def test_counting_empty_below_first_row():
-    geom = resolve_geometry(xi=0.5)
-    assert counting(geom, 0.2, 0.3) == 0
+    xi = 0.5
+    assert counting(xi, 0.2, 0.3) == 0
 
 
 def test_counting_known_small_cases():
-    geom = resolve_geometry(xi=0.5)
-    assert counting(geom, 1.3, 0.0) == 4
-    assert counting(geom, 1.3, 0.25) == 3
+    xi = 0.5
+    assert counting(xi, 1.3, 0.0) == 4
+    assert counting(xi, 1.3, 0.25) == 3
 
 
 def test_counting_fails_closed_above_its_row_ceilings():
     with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
-        counting(resolve_geometry(xi=0.5), float(MAX_ROWS) ** 2, 0.0)
+        counting(0.5, float(MAX_ROWS) ** 2, 0.0)
     # xi^2 underflows: the rows would hold far more points than float64 counts
     # (T = 1e-150 and d = 1e150: a smaller T or a larger d is refused by the
     # geometry)
     with pytest.raises(ValueError, match="beyond exact float64 counts"):
-        counting(resolve_geometry(xi=1e-300, T=1e-150), 2.0, 0.0)
+        counting(resolve_geometry(xi=1e-300, T=1e-150).xi, 2.0, 0.0)
     with pytest.raises(ValueError, match=f"ceiling of {MAX_ROWS} rows"):
         row_radii(1e-9, 1e6)
     assert row_radii(0.5, 1.3).size == 2
@@ -131,10 +131,10 @@ def test_counting_fails_closed_above_its_row_ceilings():
 
 
 def test_counting_boundary_ties_are_inside():
-    geom = resolve_geometry(xi=0.5)
+    xi = 0.5
     # (n, m) = (+-1, 2) sits exactly on the level set at ell = 2
-    assert counting(geom, 2.0, 0.0) == 6
-    assert counting(geom, 2.0 - 1e-6, 0.0) == 4
+    assert counting(xi, 2.0, 0.0) == 6
+    assert counting(xi, 2.0 - 1e-6, 0.0) == 4
 
 
 @given(
@@ -145,19 +145,16 @@ def test_counting_boundary_ties_are_inside():
 @settings(max_examples=300, deadline=None)
 def test_counting_matches_brute_force_both_representations(xi, ell, tau):
     # rows (the library) against the lattice enumeration (brute_count)
-    geom = resolve_geometry(xi=xi)
-    assert counting(geom, ell, tau) == brute_count(xi, ell, tau)
+    assert counting(xi, ell, tau) == brute_count(xi, ell, tau)
 
 
 def test_representation_equivalence_large_sample():
     rng = np.random.default_rng(20260815)
-    geom_cache = {}
     for _ in range(10_000):
         xi = float(rng.uniform(0.05, 0.9))
         ell = float(rng.uniform(0.0, 20.0))
         tau = float(rng.uniform(-0.499, 0.5))
-        geom = geom_cache.setdefault(xi, resolve_geometry(xi=xi))
-        assert counting(geom, ell, tau) == brute_count(xi, ell, tau), (xi, ell, tau)
+        assert counting(xi, ell, tau) == brute_count(xi, ell, tau), (xi, ell, tau)
 
 
 @given(
@@ -167,8 +164,7 @@ def test_representation_equivalence_large_sample():
 )
 @settings(max_examples=200, deadline=None)
 def test_counting_is_even_in_tau(xi, ell, tau):
-    geom = resolve_geometry(xi=xi)
-    assert counting(geom, ell, tau) == counting(geom, ell, -tau)
+    assert counting(xi, ell, tau) == counting(xi, ell, -tau)
 
 
 @given(
@@ -179,8 +175,7 @@ def test_counting_is_even_in_tau(xi, ell, tau):
 )
 @settings(max_examples=200, deadline=None)
 def test_counting_nondecreasing_in_energy(xi, ell_lo, bump, tau):
-    geom = resolve_geometry(xi=xi)
-    assert counting(geom, ell_lo, tau) <= counting(geom, ell_lo + bump, tau)
+    assert counting(xi, ell_lo, tau) <= counting(xi, ell_lo + bump, tau)
 
 
 @given(
@@ -190,9 +185,8 @@ def test_counting_nondecreasing_in_energy(xi, ell_lo, bump, tau):
 )
 @settings(max_examples=100, deadline=None)
 def test_counting_zero_below_first_row(xi, frac, tau):
-    geom = resolve_geometry(xi=xi)
     ell = frac * xi * xi * (1.0 - 1e-9)
-    assert counting(geom, ell, tau) == 0
+    assert counting(xi, ell, tau) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +199,12 @@ def test_counting_zero_below_first_row(xi, frac, tau):
 )
 @settings(max_examples=150, deadline=None)
 def test_counting_extremes_match_panel_scan(xi, ell):
-    geom = resolve_geometry(xi=xi)
-    assert counting_extremes(geom, ell) == brute_extremes(geom, ell)
+    assert counting_extremes(xi, ell) == brute_extremes(xi, ell)
 
 
 def test_counting_extremes_empty_region():
-    geom = resolve_geometry(xi=0.5)
-    assert counting_extremes(geom, 0.2) == (0, 0)
+    xi = 0.5
+    assert counting_extremes(xi, 0.2) == (0, 0)
 
 
 def test_counting_extremes_equal_the_event_walk():
@@ -227,8 +220,7 @@ def test_counting_extremes_equal_the_event_walk():
             ell = (t + n) ** 2 + xi * xi * float(rng.randint(1, int(3.0 / xi) + 1) ** 2)
         else:
             ell = rng.uniform(0.0, 60.0)
-        geom = resolve_geometry(xi=xi)
-        assert counting_extremes(geom, ell) == counting_extremes_by_walk(geom, ell), (xi, ell)
+        assert counting_extremes(xi, ell) == counting_extremes_by_walk(xi, ell), (xi, ell)
 
 
 def test_interval_run_bounds_follow_the_float_predicate_at_ties():
@@ -256,12 +248,11 @@ def test_interval_run_bounds_follow_the_float_predicate_at_ties():
 def test_counting_extremes_memory_is_below_the_event_walk(xi, ell, extremes):
     # only the interval ends inside the zone are built: 420 and 1,548 jump
     # events over 210 and 774 rows
-    geom = resolve_geometry(xi=xi)
     peaks = []
     for routine in (counting_extremes, counting_extremes_by_walk):
         tracemalloc.start()
         try:
-            assert routine(geom, ell) == extremes
+            assert routine(xi, ell) == extremes
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -298,7 +289,7 @@ def test_level_extremes_at_one_tau_match_sorted_enumeration(xi, tau, k):
 
 def band_endpoints(geom, k):
     """(eta_k, theta_k) in energy units, from the band table."""
-    lo, hi = band_edges(geom, k)
+    lo, hi = band_energies(geom, k)
     return lo[k - 1], hi[k - 1]
 
 
@@ -354,22 +345,22 @@ def test_spectrum_bottom_is_first_transverse_threshold(T, d):
 def test_band_table_rejects_nonpositive_band_count():
     geom = StripGeometry(T=1.0, d=1.0)
     with pytest.raises(ValueError, match="k_max"):
-        band_edges(geom, 0)
+        band_edges(geom.xi, 0)
     with pytest.raises(ValueError, match="k_max"):
         spectrum.band_curves(0.5, 0)
 
 
 def test_band_table_fails_closed_above_its_cost_ceilings():
     with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CURVES} level curves"):
-        band_edges(resolve_geometry(xi=0.5), 100_000_000)
+        band_edges(0.5, 100_000_000)
     with pytest.raises(ValueError, match=f"ceiling of {MAX_BAND_CROSSINGS} curve crossings"):
-        band_edges(resolve_geometry(xi=0.5), 30_000)
+        band_edges(0.5, 30_000)
 
 
 def test_crossing_ceiling_counts_the_candidates_enumerated(monkeypatch):
     # (xi 0.03, k 2113) enumerates 174,592 candidates in 9 increasing
     # columns: the closed-form count refuses before any block is yielded
-    geom = resolve_geometry(xi=0.03)
+    xi = 0.03
     yielded = []
     real = spectrum._crossing_candidates
 
@@ -380,26 +371,26 @@ def test_crossing_ceiling_counts_the_candidates_enumerated(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
     monkeypatch.setattr(spectrum, "MAX_BAND_CROSSINGS", 174_592)
-    lo, hi = band_edges(geom, 2113)
+    lo, hi = band_edges(xi, 2113)
     assert sum(yielded) == 174_592
-    assert np.array_equal(lo, band_table_all_pairs(geom, 2113)[0])
+    assert np.array_equal(lo, band_table_all_pairs(xi, 2113)[0])
     for ceiling in (174_591, 100_000, 1):
         yielded.clear()
         monkeypatch.setattr(spectrum, "MAX_BAND_CROSSINGS", ceiling)
         with pytest.raises(ValueError, match=f"ceiling of {ceiling} curve crossings "
                                              r"\(at least \d+ candidates\)"):
-            band_edges(geom, 2113)
+            band_edges(xi, 2113)
         assert yielded == []
 
 
 def test_band_table_ranks_crossings_in_bounded_memory():
     # the gapchain case gaps --xi 0.03 --ell-max 40: 161,527 crossings ranked
     # over 17 columns, which peaked at 6.5 MB when a block was ranked at once
-    geom = resolve_geometry(xi=0.03)
-    band_edges(geom, 2113)  # first-call allocations stay out of the peak
+    xi = 0.03
+    band_edges(xi, 2113)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
-        band_edges(geom, 2113)
+        band_edges(xi, 2113)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,7 +409,7 @@ def test_band_table_enumerates_only_real_crossings(monkeypatch):
             yield block
 
     monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
-    band_edges(resolve_geometry(xi=0.03), 2113)
+    band_edges(0.03, 2113)
     assert sum(blocks) <= 1.25 * 161_527
     assert max(blocks) <= 1 << 15
 
@@ -433,9 +424,8 @@ EDGE_CASES = [
 def test_band_edges_equal_the_all_pairs_oracle(xi, k_max):
     # enumerating only the pairs that can cross, and ranking column-major,
     # changes no bit of any endpoint; every band is a closed interval
-    geom = resolve_geometry(xi=xi)
-    lo, hi = band_edges(geom, k_max)
-    exact_lo, exact_hi = band_table_all_pairs(geom, k_max)
+    lo, hi = band_edges(xi, k_max)
+    exact_lo, exact_hi = band_table_all_pairs(xi, k_max)
     assert np.array_equal(lo, exact_lo) and np.array_equal(hi, exact_hi)
     assert lo.shape == hi.shape == (k_max,) and np.all(lo <= hi)
 
@@ -445,14 +435,12 @@ def test_band_samples_bracket_the_exact_endpoints(xi, k_max):
     # eta - spread <= eta0 <= eta and theta <= theta0 <= theta + spread, the
     # spread sqrt(cap) h (plus the tie) being the most a band can leave its
     # sampled range between samples h apart
-    geom = resolve_geometry(xi=xi)
     samples = sample_bands(xi, k_max)
-    eta0, theta0 = band_edges(geom, k_max)
-    scale = PI2 / geom.T ** 2
-    assert np.all(scale * (samples.eta - samples.spread) <= eta0)
-    assert np.all(eta0 <= scale * samples.eta)
-    assert np.all(scale * samples.theta <= theta0)
-    assert np.all(theta0 <= scale * (samples.theta + samples.spread))
+    eta0, theta0 = band_edges(xi, k_max)
+    assert np.all(samples.eta - samples.spread <= eta0)
+    assert np.all(eta0 <= samples.eta)
+    assert np.all(samples.theta <= theta0)
+    assert np.all(theta0 <= samples.theta + samples.spread)
     # the samples include tau = 0 and 1/2, where the edges start
     assert samples.eta.size == k_max and samples.tie < samples.spread
 
@@ -460,31 +448,30 @@ def test_band_samples_bracket_the_exact_endpoints(xi, k_max):
 def test_band_samples_slice_refined_edges_equal_band_edges():
     # edges() ranks only the crossings in the brackets asked for; there it
     # gives band_edges' bits
-    geom = resolve_geometry(xi=0.07)
+    xi = 0.07
     k_max = 300
-    samples = sample_bands(geom.xi, k_max)
-    eta0, theta0 = band_edges(geom, k_max)
-    scale = PI2 / geom.T ** 2
+    samples = sample_bands(xi, k_max)
+    eta0, theta0 = band_edges(xi, k_max)
     rng = np.random.default_rng(7)
     for share in (0.0, 0.02, 0.3, 1.0):
         eta_at, theta_at = rng.random(k_max) < share, rng.random(k_max) < share
         eta, theta = samples.edges(eta_at, theta_at)
-        assert np.array_equal(scale * eta[eta_at], eta0[eta_at])
-        assert np.array_equal(scale * theta[theta_at], theta0[theta_at])
+        assert np.array_equal(eta[eta_at], eta0[eta_at])
+        assert np.array_equal(theta[theta_at], theta0[theta_at])
 
 
 def test_band_table_matches_single_band_calls():
     # the table for k bands is the prefix of any larger table
-    geom = resolve_geometry(xi=0.4)
-    lo, hi = band_edges(geom, 6)
+    xi = 0.4
+    lo, hi = band_edges(xi, 6)
     for k in range(1, 7):
-        lo_k, hi_k = band_edges(geom, k)
+        lo_k, hi_k = band_edges(xi, k)
         assert (lo_k[-1], hi_k[-1]) == (lo[k - 1], hi[k - 1])
 
 
 def test_band_table_monotone_in_band_index():
-    geom = resolve_geometry(xi=0.17)
-    lo, hi = band_edges(geom, 12)
+    xi = 0.17
+    lo, hi = band_edges(xi, 12)
     assert np.all(np.diff(lo) >= 0.0) and np.all(np.diff(hi) >= 0.0)
 
 
@@ -492,7 +479,7 @@ def test_band_table_monotone_in_band_index():
                                        (2.0, 10), (0.05, 200)])
 def test_band_table_matches_the_brute_force_oracle(xi, k_max):
     geom = resolve_geometry(T=1.0, xi=xi)
-    lo, hi = (e / PI2 for e in band_edges(geom, k_max))
+    lo, hi = band_edges(geom.xi, k_max)
     exact_lo, exact_hi = brute_band_endpoints(xi, k_max)
     assert np.all(np.abs(lo - exact_lo) <= 1e-12 * np.maximum(1.0, exact_lo))
     assert np.all(np.abs(hi - exact_hi) <= 1e-12 * np.maximum(1.0, exact_hi))
@@ -501,9 +488,9 @@ def test_band_table_matches_the_brute_force_oracle(xi, k_max):
 def test_band_table_endpoints_lie_outside_the_sampled_ones():
     # sampled band functions only ever see values inside the band
     geom = resolve_geometry(T=1.0, xi=0.23)
-    lo, hi = band_edges(geom, 8)
+    lo, hi = band_edges(geom.xi, 8)
     for tau in np.linspace(-0.5, 0.5, 101):
-        levels = np.sort(scaled_levels_below(0.23, tau, 10.0))[:8] * PI2
+        levels = np.sort(scaled_levels_below(0.23, tau, 10.0))[:8]
         assert np.all(lo <= levels * (1 + 1e-15)) and np.all(levels <= hi * (1 + 1e-15))
 
 
@@ -513,8 +500,8 @@ def test_band_table_endpoints_lie_outside_the_sampled_ones():
     (0.5, 30, 23, "hi", 8.5),
 ])
 def test_formerly_inward_endpoints_lie_outside_the_sampled_values(xi, k_max, k, side, old):
-    lo, hi = band_edges(resolve_geometry(T=1.0, xi=xi), k_max)
-    value = (lo if side == "lo" else hi)[k - 1] / PI2
+    lo, hi = band_edges(resolve_geometry(T=1.0, xi=xi).xi, k_max)
+    value = (lo if side == "lo" else hi)[k - 1]
     exact_lo, exact_hi = brute_band_endpoints(xi, k_max)
     exact = (exact_lo if side == "lo" else exact_hi)[k - 1]
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
@@ -536,24 +523,21 @@ def test_band_endpoints_agree_with_counting_extremes(xi, k_top):
     energy, so the transition is bracketed with a cushion of a few
     BOUNDARY_RTOL on both sides rather than probed exactly at the point.
     """
-    geom = resolve_geometry(xi=xi)
     cushion = 4.0 * BOUNDARY_RTOL
     for k in range(1, k_top + 1):
-        lo, hi = band_endpoints(geom, k)
-        ell_lo = lo * geom.T ** 2 / PI2
-        ell_hi = hi * geom.T ** 2 / PI2
-        assert counting_extremes(geom, ell_lo * (1 + cushion) + cushion)[0] >= k
-        assert counting_extremes(geom, ell_lo * (1 - cushion) - cushion)[0] < k
-        assert counting_extremes(geom, ell_hi * (1 + cushion) + cushion)[1] >= k
-        assert counting_extremes(geom, ell_hi * (1 - cushion) - cushion)[1] < k
+        ell_lo, ell_hi = (e[k - 1] for e in band_edges(xi, k))
+        assert counting_extremes(xi, ell_lo * (1 + cushion) + cushion)[0] >= k
+        assert counting_extremes(xi, ell_lo * (1 - cushion) - cushion)[0] < k
+        assert counting_extremes(xi, ell_hi * (1 + cushion) + cushion)[1] >= k
+        assert counting_extremes(xi, ell_hi * (1 - cushion) - cushion)[1] < k
 
 
 def test_band_edge_counting_identities_nondegenerate():
     """With all band edges distinct the two-sided form collapses to equality."""
     geom = StripGeometry(T=1.0, d=1.0)
     for k, expect_lo, expect_hi in [(1, 1.0, 1.25), (2, 1.25, 2.0)]:
-        lo, hi = band_endpoints(geom, k)
-        assert lo * geom.T ** 2 / PI2 == pytest.approx(expect_lo, rel=1e-12)
-        assert hi * geom.T ** 2 / PI2 == pytest.approx(expect_hi, rel=1e-12)
-        assert counting_extremes(geom, lo * geom.T ** 2 / PI2)[0] == k
-        assert counting_extremes(geom, hi * geom.T ** 2 / PI2)[1] == k
+        lo, hi = (e[k - 1] for e in band_edges(geom.xi, k))
+        assert lo == pytest.approx(expect_lo, rel=1e-12)
+        assert hi == pytest.approx(expect_hi, rel=1e-12)
+        assert counting_extremes(geom.xi, lo)[0] == k
+        assert counting_extremes(geom.xi, hi)[1] == k
