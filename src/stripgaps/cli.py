@@ -216,7 +216,11 @@ def _cmd_constants(params: dict) -> tuple[int, _Table]:
         ("beta_quarter_half", cc.beta_quarter_half),
     ]
     if "xi" in params:
-        items.append(("c0", cc.c0(params["xi"])))
+        c0 = cc.c0(params["xi"])
+        if not c0 > 0.0:
+            raise ValueError(f"c0(xi) = {c0:.6g} at xi = {params['xi']} is not positive "
+                             f"(xi_critical = {cc.xi_critical:.12g}): no certified constant")
+        items.append(("c0", c0))
     return 0, _Table(["name", "value"], items, items)
 
 
@@ -294,8 +298,17 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
     if minorant and "c0" not in minorant:
         raise ValueError(f"--c0 is required with {' and '.join('--' + k for k in minorant)}")
     gp = GapParams(**minorant) if minorant else GapParams.from_small_ratio(geom.xi)
-    rep = gap_report(geom, bounds, gp, params.get("ell_max"))
-    verdict = rep.conditions
+    # the chain takes scaled bounds and returns a scaled ell1 and windows
+    to_scaled, to_energy = geom.T ** 2 / math.pi ** 2, math.pi ** 2 / geom.T ** 2
+    w = (to_scaled * bounds.omega_minus, to_scaled * bounds.omega_plus)
+    if not math.isfinite(w[1] - w[0]):
+        raise OverflowError(f"the scaled bounds (T^2/pi^2) (omega_minus, omega_plus) = {w} "
+                            f"overflow at T = {geom.T}")
+    rep = gap_report(geom.xi, PerturbBounds(*w), gp, params.get("ell_max"))
+    verdict, ell1 = rep.conditions, to_energy * rep.ell1
+    if not math.isfinite(ell1):
+        raise OverflowError(
+            f"threshold ell1 = {ell1} at scaled oscillation {verdict.scaled_oscillation}")
     items: list[tuple[str, object]] = [
         ("xi", geom.xi),
         ("T", geom.T),
@@ -315,7 +328,7 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
         ("gamma", gp.gamma),
         ("ell0", gp.ell0),
         ("ell_star", verdict.ell_star),
-        ("ell1", rep.ell1),
+        ("ell1", ell1),
     ]
     windows: list[tuple[str, str]] = []
     if "ell_max" in params:
@@ -326,7 +339,7 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
         items.append(("certified_absent", len(pairs) - undecided.size))
         items.append(("undecided", undecided.size))
         windows = [
-            (f"undecided_window_{i + 1}", f"({_fmt(a)}, {_fmt(b)})")
+            (f"undecided_window_{i + 1}", f"({_fmt(to_energy * a)}, {_fmt(to_energy * b)})")
             for i, a, b in zip(shown.tolist(), pairs.lo[shown].tolist(), pairs.hi[shown].tolist())
         ]
     items.append(

@@ -7,11 +7,12 @@ oscillation omega_L.  By the minimax principle every perturbed band endpoint
 lies within [unperturbed + omega_minus, unperturbed + omega_plus], which is
 all the certification below ever uses.
 
-Units.  The paper's constants are read at d = 1.  Every formula takes only xi,
-scaled energies ell = (T^2/pi^2) E and the scaled oscillation w = (T^2/pi^2)
-omega_L; energies are converted only by pi^2/T^2.  So (T, d, omega) and
-(sT, sd, omega/s^2), a unitarily equivalent operator times 1/s^2, get the same
-verdicts.
+Units.  The paper's constants are read at d = 1, and the module is unit-free:
+every function takes xi, scaled energies ell = (T^2/pi^2) E and bounds in
+scaled units, T^2/pi^2 times omega (their omega_L is the scaled oscillation
+w), and returns ell1 and the windows in scaled energy; the command line forms
+the energies.  So (T, d, omega) and (sT, sd, omega/s^2), a unitarily
+equivalent operator times 1/s^2, get the same verdicts.
 
 Three certified conclusions are available, all one-sided (absence of gaps is
 provable, existence never is):
@@ -25,7 +26,7 @@ provable, existence never is):
 
   in scaled energy, ell the scaled eta0_k, once ell >= ell2, and no gap of
   the perturbed operator can survive above the threshold ell1 (a four-term
-  maximum plus omega_minus).
+  maximum plus the scaled omega_minus).
 
 * Low energy.  For xi below the critical ratio and a scaled oscillation
   within the low-energy budget (the verdict low_energy_ok), the paper's
@@ -50,7 +51,7 @@ ell_star among them.  gap_report is the one implementation of the chain: it
 evaluates the conditions once and the threshold ell1 and, given a ceiling,
 counts the unperturbed bands that start below it and certifies every band
 pair below it (_band_pairs).  Windows are BandPairs arrays only.  The command
-line only renders the report.
+line renders the report and forms its energies.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import StripGeometry
 from .oscillation import critical_constants
 from .spectrum import BOUNDARY_RTOL, check_band_count, sample_bands
 
@@ -76,8 +76,8 @@ __all__ = [
     "gap_report",
 ]
 
-# Slack of overlap >= omega_L, relative to its largest magnitude (at least
-# pi^2/T^2): covers each endpoint's tie tolerance BOUNDARY_RTOL and rounding.
+# Slack of overlap >= omega_L, relative to its largest magnitude (at least 1 in
+# scaled energy): covers each endpoint's tie tolerance BOUNDARY_RTOL and rounding.
 OVERLAP_RTOL = 4.0 * BOUNDARY_RTOL
 # Slack of gapless_margin >= 0, relative to c1: whenever the margin is
 # positive its subtracted terms sum to less than c1, so c1 scales every term;
@@ -91,6 +91,7 @@ class PerturbBounds:
 
     omega_minus (infimum) and omega_plus (supremum) of the perturbation's
     quadratic form; omega_L = omega_plus - omega_minus is the oscillation.
+    Built in energy units (galerkin, the command line); read here scaled.
     All three must be finite (ValueError otherwise).  Everything downstream
     is monotone in the enclosure, so conservative (outer) values stay sound.
     """
@@ -175,7 +176,7 @@ def low_energy_budget(xi: float) -> float:
 
 @dataclass(frozen=True)
 class ConditionsVerdict:
-    """Boolean verdicts (with margins) of the gapless-certification conditions.
+    """Verdicts (with margins) of the gapless conditions at xi and scaled oscillation w.
 
     xi_subcritical     : xi < xi_critical (small-ratio regime applies).
     low_energy_ok      : scaled oscillation w is nonnegative and strictly
@@ -227,8 +228,8 @@ def gapless_margin(xi: float, scaled: float) -> float:
     )
 
 
-def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVerdict:
-    """Evaluate the gapless-certification conditions for (geometry, bounds).
+def conditions_check(xi: float, bounds: PerturbBounds) -> ConditionsVerdict:
+    """Evaluate the gapless-certification conditions at xi for scaled bounds.
 
     Internal consistency, checked on every verdict, also under python -O
     (AssertionError, which would indicate an arithmetic error): whenever the
@@ -236,9 +237,8 @@ def conditions_check(geom: StripGeometry, bounds: PerturbBounds) -> ConditionsVe
     (the budget is the smaller quantity); and whenever the first-band and
     subcritical-ratio conditions hold, 1/4 + xi^2 < ell_star < 2/3.
     """
-    xi = geom.xi
     cc = critical_constants()
-    scaled = geom.T ** 2 / math.pi ** 2 * bounds.omega_L
+    scaled = bounds.omega_L
     budget = low_energy_budget(xi)
     low_ok = 0.0 <= scaled < budget
     margin = gapless_margin(xi, scaled)
@@ -288,16 +288,15 @@ def ell2_threshold(xi: float, params: GapParams) -> float:
     return max(params.ell0, t2, t3)
 
 
-def ell1_threshold(
-    geom: StripGeometry, params: GapParams, bounds: PerturbBounds
-) -> float:
-    """Energy above which the perturbed spectrum certainly has no gaps.
+def ell1_threshold(xi: float, params: GapParams, bounds: PerturbBounds) -> float:
+    """Scaled energy above which the perturbed spectrum certainly has no gaps.
 
-    (pi^2/T^2) max{ ell0,
-                    ((4 sqrt(2) pi + 6)/(3 pi c0))^(4/(1-4 gamma)),
-                    ((1/(8 pi^2 xi c0)) sqrt(9 + 25/(1024 pi^2)))^(2/(1-2 gamma)),
-                    (pi w/(3 c0 xi^2) + 1/(2 c0) + 3 xi^2/(4 pi c0))^(4/(1-4 gamma)) }
-    + omega_minus;  OverflowError where that is not finite.
+    max{ ell0,
+         ((4 sqrt(2) pi + 6)/(3 pi c0))^(4/(1-4 gamma)),
+         ((1/(8 pi^2 xi c0)) sqrt(9 + 25/(1024 pi^2)))^(2/(1-2 gamma)),
+         (pi w/(3 c0 xi^2) + 1/(2 c0) + 3 xi^2/(4 pi c0))^(4/(1-4 gamma)) }
+    + omega_minus of the scaled bounds, w their omega_L; OverflowError naming
+    ell1 and w where that is not finite (a division overflows, a pow raises).
 
     The first three terms are ell2_threshold.  The fourth is the root in ell
     of the scaled overlap bound (module docstring) at w: above ell1 the bound
@@ -306,23 +305,24 @@ def ell1_threshold(
     The constant is the bound's own; 4/3 of the bound on the left (coefficient
     pi/(4 c0 xi^2) of w) gives a smaller root, at which the bound is 3/4 w.
     """
-    xi = geom.xi
     c0, g = params.c0, params.gamma
-    w = geom.T ** 2 / math.pi ** 2 * bounds.omega_L
-    t4 = (
-        math.pi * w / (3.0 * c0 * xi) / xi  # not by xi * xi, which is 0 at xi 1e-300
-        + 1.0 / (2.0 * c0) + 3.0 * xi * xi / (4.0 * math.pi * c0)
-    ) ** (4.0 / (1.0 - 4.0 * g))
-    base = max(ell2_threshold(xi, params), t4)
-    ell1 = math.pi ** 2 / geom.T ** 2 * base + bounds.omega_minus
-    if not math.isfinite(ell1):  # a division overflows to inf where a pow raises
+    w = bounds.omega_L
+    try:
+        t4 = (
+            math.pi * w / (3.0 * c0 * xi) / xi  # not by xi * xi, which is 0 at xi 1e-300
+            + 1.0 / (2.0 * c0) + 3.0 * xi * xi / (4.0 * math.pi * c0)
+        ) ** (4.0 / (1.0 - 4.0 * g))
+        ell1 = max(ell2_threshold(xi, params), t4) + bounds.omega_minus
+    except OverflowError:
+        ell1 = math.inf
+    if not math.isfinite(ell1):
         raise OverflowError(f"threshold ell1 = {ell1} at scaled oscillation {w}")
     return ell1
 
 
 @dataclass(frozen=True, eq=False)
 class BandPairs:
-    """Candidate windows of the band pairs (k, k+1), k = 1..len(self), as arrays.
+    """Candidate windows of the band pairs (k, k+1), k = 1..len(self), as scaled arrays.
 
     Entry k - 1 describes pair k: any perturbed gap between bands k and k+1
     lies inside the open window (lo, hi) = (theta0_k + omega_minus,
@@ -341,37 +341,34 @@ class BandPairs:
     certified: np.ndarray
 
     @classmethod
-    def of(cls, geom: StripGeometry, bounds: PerturbBounds, below_hi: np.ndarray,
-           above_lo: np.ndarray) -> "BandPairs":
+    def of(cls, bounds: PerturbBounds, below_hi: np.ndarray, above_lo: np.ndarray) -> "BandPairs":
         """Windows of the pairs whose lower band ends at below_hi (theta0_k) and
         upper band starts at above_lo (eta0_{k+1}), certified by _closes."""
         return cls(lo=below_hi + bounds.omega_minus, hi=above_lo + bounds.omega_plus,
                    overlap=below_hi - above_lo,
-                   certified=_closes(geom, bounds, below_hi, above_lo))
+                   certified=_closes(bounds, below_hi, above_lo))
 
     def __len__(self) -> int:
         return self.lo.size
 
 
-def _closes(geom: StripGeometry, bounds: PerturbBounds, below_hi: np.ndarray,
-            above_lo: np.ndarray) -> np.ndarray:
+def _closes(bounds: PerturbBounds, below_hi: np.ndarray, above_lo: np.ndarray) -> np.ndarray:
     """The certification predicate of band-pair windows, elementwise.
 
     True where the overlap below_hi - above_lo beats omega_L by the slack
-    OVERLAP_RTOL max(|below_hi|, |above_lo|, pi^2/T^2, |omega_minus|,
-    |omega_plus|).  Raising below_hi or lowering above_lo by some amount
+    OVERLAP_RTOL max(|below_hi|, |above_lo|, 1, |omega_minus|, |omega_plus|),
+    all scaled.  Raising below_hi or lowering above_lo by some amount
     raises the overlap by that amount and the slack by at most OVERLAP_RTOL
     times it, so a pair certified at inner bounds of its endpoints stays
     certified at the endpoints.
     """
-    floor = max(math.pi ** 2 / geom.T ** 2, abs(bounds.omega_minus), abs(bounds.omega_plus))
+    floor = max(1.0, abs(bounds.omega_minus), abs(bounds.omega_plus))
     slack = OVERLAP_RTOL * np.maximum(np.maximum(np.abs(below_hi), np.abs(above_lo)), floor)
     return below_hi - above_lo >= bounds.omega_L + slack
 
 
-def _band_pairs(geom: StripGeometry, bounds: PerturbBounds, band_count: int,
-                ell_max: float) -> BandPairs:
-    """Windows of the pairs k = 1..S - 1 below the ceiling (pi^2/T^2) ell_max.
+def _band_pairs(xi: float, bounds: PerturbBounds, band_count: int, ell_max: float) -> BandPairs:
+    """Windows of the pairs k = 1..S - 1 below the scaled ceiling ell_max.
 
     band_count = S + 1, where S = sup_tau N0(ell_max, tau) is the number of
     bands that start at or below the ceiling (counting's inclusive rule), so
@@ -383,7 +380,7 @@ def _band_pairs(geom: StripGeometry, bounds: PerturbBounds, band_count: int,
     The count is cross-checked against those brackets: ValueError when band
     S + 1 certainly starts below the ceiling, eta_{S+1} + tie < ceiling, or
     band S certainly starts above it, eta_S - spread > ceiling + tie (tie
-    exceeds counting's inclusive margin).
+    exceeds counting's inclusive margin), ceiling = ell_max.
 
     A window whose inner bounds theta_k - tie and eta_{k+1} + tie already pass
     the certification predicate is certified, as it is at the exact endpoints
@@ -392,28 +389,25 @@ def _band_pairs(geom: StripGeometry, bounds: PerturbBounds, band_count: int,
     open (no pass at all when there are none).  So flags and every window not
     certified from samples are those of the exact endpoints of all bands.
     """
-    scale = math.pi ** 2 / geom.T ** 2
-    ceiling = scale * ell_max
-    samples = sample_bands(geom.xi, band_count)
-    eta, theta = scale * samples.eta, scale * samples.theta
-    spread, tie = scale * samples.spread, scale * samples.tie
+    samples = sample_bands(xi, band_count)
+    eta, theta, spread, tie = samples.eta, samples.theta, samples.spread, samples.tie
     top = band_count - 1
-    if eta[top] + tie < ceiling:
-        raise ValueError(f"band count {band_count} does not cover the ceiling {ceiling}: "
+    if eta[top] + tie < ell_max:
+        raise ValueError(f"band count {band_count} does not cover the ceiling {ell_max}: "
                          f"band {band_count} starts below it")
-    if top and eta[top - 1] - spread > ceiling + tie:
-        raise ValueError(f"band count {band_count} overshoots the ceiling {ceiling}: "
+    if top and eta[top - 1] - spread > ell_max + tie:
+        raise ValueError(f"band count {band_count} overshoots the ceiling {ell_max}: "
                          f"band {top} starts above it")
     pairs = max(top - 1, 0)
     below_hi, above_lo = theta[:pairs] - tie, eta[1:pairs + 1] + tie
-    open_ = ~_closes(geom, bounds, below_hi, above_lo)
+    open_ = ~_closes(bounds, below_hi, above_lo)
     if open_.any():
         theta_at, eta_at = np.zeros((2, band_count), dtype=bool)
         theta_at[:pairs] = eta_at[1:pairs + 1] = open_
         eta0, theta0 = samples.edges(eta_at, theta_at)
-        below_hi = np.where(open_, scale * theta0[:pairs], below_hi)
-        above_lo = np.where(open_, scale * eta0[1:pairs + 1], above_lo)
-    return BandPairs.of(geom, bounds, below_hi, above_lo)
+        below_hi = np.where(open_, theta0[:pairs], below_hi)
+        above_lo = np.where(open_, eta0[1:pairs + 1], above_lo)
+    return BandPairs.of(bounds, below_hi, above_lo)
 
 
 @dataclass(frozen=True)
@@ -421,12 +415,12 @@ class GapReport:
     """Consolidated certification artifact.
 
     conditions holds the scalar verdicts (ell_star among them) and ell1 the
-    high-energy threshold.  Given a ceiling, band_count is one more than the
-    number S of unperturbed bands that start at or below it, and
-    candidate_gaps the windows of the pairs k = 1..S - 1 with their
-    certification status (exact for every window not certified from band
-    samples, see BandPairs); without a ceiling band_count is 0 and
-    candidate_gaps empty.
+    high-energy threshold, in scaled energy like the windows.  Given a
+    ceiling, band_count is one more than the number S of unperturbed bands
+    that start at or below it, and candidate_gaps the windows of the pairs
+    k = 1..S - 1 with their certification status (exact for every window not
+    certified from band samples, see BandPairs); without a ceiling band_count
+    is 0 and candidate_gaps empty.
     """
 
     ell1: float
@@ -441,13 +435,10 @@ class GapReport:
         return np.flatnonzero(~self.candidate_gaps.certified)
 
 
-def gap_report(
-    geom: StripGeometry,
-    bounds: PerturbBounds,
-    params: GapParams,
-    ell_max: float | None = None,
-) -> GapReport:
-    """Run the certification chain: conditions, thresholds, band pairs.
+def gap_report(xi: float, bounds: PerturbBounds, params: GapParams,
+               ell_max: float | None = None) -> GapReport:
+    """Run the certification chain at xi for scaled bounds: conditions,
+    thresholds, band pairs.
 
     The low-energy conclusion is the verdict's low_energy_ok; no counting
     function is evaluated for it.  With ell_max, S = sup_tau N0(ell_max, tau)
@@ -456,19 +447,19 @@ def gap_report(
     spectrum.MAX_BAND_CURVES, and every pair k = 1..S - 1 gets its window
     (_band_pairs).  Deterministic: output ordered by k.
     """
-    verdict = conditions_check(geom, bounds)
-    ell1 = ell1_threshold(geom, params, bounds)
+    verdict = conditions_check(xi, bounds)
+    ell1 = ell1_threshold(xi, params, bounds)
     band_count = 0
     none = np.empty(0)
     candidates = BandPairs(none, none, none, np.empty(0, dtype=bool))
     if ell_max is not None:
-        check_band_count(geom.xi, ell_max)
+        check_band_count(xi, ell_max)
         # looked up on the spectrum module at call time, where instrumentation
         # wraps it
         from .spectrum import counting_extremes
 
-        band_count = counting_extremes(geom.xi, ell_max)[0] + 1
-        candidates = _band_pairs(geom, bounds, band_count, ell_max)
+        band_count = counting_extremes(xi, ell_max)[0] + 1
+        candidates = _band_pairs(xi, bounds, band_count, ell_max)
     return GapReport(
         ell1=ell1,
         conditions=verdict,

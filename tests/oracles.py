@@ -55,14 +55,16 @@
   from the sorted levels of ``spectrum._level_extremes`` (they must agree
   exactly).
 * ``overlap_lower_bound``: the paper's lower bound on the overlap of
-  consecutive unperturbed bands above ell2, whose root at omega_L is the
-  fourth term of ``stripgaps.gaps.ell1_threshold``.
+  consecutive unperturbed bands above ell2, in scaled energy, whose root at
+  the scaled oscillation w is the fourth term of
+  ``stripgaps.gaps.ell1_threshold``.
 * ``band_energies``: ``band_edges``' scaled endpoints in energy units.
 * ``certify_band_pairs``, ``band_pairs_from_all_bands``: the band-pair windows
   below a ceiling from the exact endpoints of every band, certified by
   ``stripgaps.gaps``' one predicate, against ``gap_report``, which computes
   exact endpoints only where band samples leave a window open (band count,
-  window count, flags and every undecided window must agree exactly).
+  window count, flags and every undecided window must agree exactly).  Like
+  ``gap_report`` they take xi and scaled bounds and energies.
 * ``same_record``: value equality of two ``gap_report`` results, windows
   included.
 * ``LowSpectrumCheck``, ``low_spectrum_no_gap``: the paper's low-energy
@@ -656,33 +658,25 @@ def truncation_by_kth_level(xi: float, k_max: int) -> tuple[int, int]:
 # band-pair windows from the exact endpoints of all bands
 # ---------------------------------------------------------------------------
 
-def overlap_lower_bound(geom: StripGeometry, params: GapParams, eta0_k: float) -> float:
-    """Certified overlap of consecutive unperturbed bands at height eta0_k.
+def overlap_lower_bound(xi: float, params: GapParams, ell: float) -> float:
+    """Certified overlap of consecutive unperturbed bands at scaled height ell.
 
-    Returns (pi^2/T^2) (xi^2/pi^2) (3 pi c0 ell^(1/4-gamma) - 3 pi/2 - 9 xi^2/4),
-    ell = (T^2/pi^2) eta0_k: the scaled bound of ``stripgaps.gaps`` (the
-    paper's, read at d = 1) taken to energy.  A lower bound for
-    theta0_k - eta0_{k+1}, valid once eta0_k >= (pi^2/T^2) ell2_threshold
-    (ValueError below that, reporting the required threshold).  Monotone
-    increasing in eta0_k for gamma < 1/4.  The fourth term of
-    ``stripgaps.gaps.ell1_threshold`` is the scaled energy at which it
-    reaches omega_L.
+    Returns (xi^2/pi^2) (3 pi c0 ell^(1/4-gamma) - 3 pi/2 - 9 xi^2/4), the
+    scaled bound of ``stripgaps.gaps`` (the paper's, read at d = 1), ell the
+    scaled eta0_k.  A lower bound for the scaled theta0_k - eta0_{k+1}, valid
+    once ell >= ell2_threshold (ValueError below that, reporting the required
+    threshold).  Monotone increasing in ell for gamma < 1/4.  The fourth term
+    of ``stripgaps.gaps.ell1_threshold`` is the scaled energy at which it
+    reaches the scaled oscillation w.
     """
-    xi = geom.xi
     ell2 = ell2_threshold(xi, params)
-    floor = math.pi ** 2 / geom.T ** 2 * ell2
-    if not eta0_k >= floor:
-        raise ValueError(
-            f"overlap bound needs eta0_k >= {floor!r} "
-            f"(scaled threshold ell2={ell2!r}), got {eta0_k!r}"
-        )
-    scaled = geom.T ** 2 * eta0_k / math.pi ** 2
-    bound = xi * xi / math.pi ** 2 * (
-        3.0 * math.pi * params.c0 * scaled ** (0.25 - params.gamma)
+    if not ell >= ell2:
+        raise ValueError(f"overlap bound needs ell >= ell2={ell2!r}, got {ell!r}")
+    return xi * xi / math.pi ** 2 * (
+        3.0 * math.pi * params.c0 * ell ** (0.25 - params.gamma)
         - 1.5 * math.pi
         - 2.25 * xi * xi
     )
-    return math.pi ** 2 / geom.T ** 2 * bound
 
 
 def band_energies(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -693,23 +687,22 @@ def band_energies(geom: StripGeometry, k_max: int) -> tuple[np.ndarray, np.ndarr
     return scale * eta0, scale * theta0
 
 
-def certify_band_pairs(geom: StripGeometry, bounds: PerturbBounds,
-                       bands0: tuple[np.ndarray, np.ndarray], ell_max: float) -> BandPairs:
-    """Windows of the consecutive pairs of bands0 up to (pi^2/T^2) ell_max.
+def certify_band_pairs(bounds: PerturbBounds, bands0: tuple[np.ndarray, np.ndarray],
+                       ell_max: float) -> BandPairs:
+    """Windows of the consecutive pairs of bands0 up to the scaled ceiling ell_max.
 
     bands0 = (eta0, theta0) are the unperturbed endpoints of the bands
-    k = 1, 2, ... in energy units (as ``band_energies`` returns them) and must
+    k = 1, 2, ... in scaled energy (as ``band_edges`` returns them) and must
     cover the ceiling (ValueError otherwise); a window is emitted for every
     pair, in order of k, until the first upper band that starts above it, and
-    certified by ``BandPairs.of``.
+    certified by ``BandPairs.of`` for the scaled bounds.
     """
     eta0, theta0 = (np.asarray(e, dtype=float) for e in bands0)
-    ceiling = math.pi ** 2 / geom.T ** 2 * ell_max
-    if theta0[-1] < ceiling:
-        raise ValueError(f"bands0 top {float(theta0[-1])} does not cover the ceiling {ceiling}")
-    above = eta0[1:] > ceiling
+    if theta0[-1] < ell_max:
+        raise ValueError(f"bands0 top {float(theta0[-1])} does not cover the ceiling {ell_max}")
+    above = eta0[1:] > ell_max
     pairs = int(np.argmax(above)) if above.any() else above.size
-    return BandPairs.of(geom, bounds, theta0[:pairs], eta0[1:pairs + 1])
+    return BandPairs.of(bounds, theta0[:pairs], eta0[1:pairs + 1])
 
 
 def same_record(a, b) -> bool:
@@ -726,14 +719,14 @@ def same_record(a, b) -> bool:
     return a == b
 
 
-def band_pairs_from_all_bands(geom: StripGeometry, bounds: PerturbBounds,
+def band_pairs_from_all_bands(xi: float, bounds: PerturbBounds,
                               ell_max: float) -> tuple[int, BandPairs]:
-    """(band count, windows) below the ceiling (pi^2/T^2) ell_max, as
-    ``gap_report`` sizes the bands (one more than sup_tau N0(ell_max, tau)),
-    from the exact endpoints of all of them."""
-    check_band_count(geom.xi, ell_max)
-    k_max = counting_extremes(geom.xi, ell_max)[0] + 1
-    return k_max, certify_band_pairs(geom, bounds, band_energies(geom, k_max), ell_max)
+    """(band count, windows) below the scaled ceiling ell_max for scaled
+    bounds, as ``gap_report`` sizes the bands (one more than
+    sup_tau N0(ell_max, tau)), from the exact endpoints of all of them."""
+    check_band_count(xi, ell_max)
+    k_max = counting_extremes(xi, ell_max)[0] + 1
+    return k_max, certify_band_pairs(bounds, band_edges(xi, k_max), ell_max)
 
 
 # ---------------------------------------------------------------------------
@@ -752,33 +745,31 @@ class LowSpectrumCheck(NamedTuple):
     positive: bool
 
 
-def low_spectrum_no_gap(
-    geom: StripGeometry, verdict: ConditionsVerdict, ell: float
-) -> LowSpectrumCheck:
+def low_spectrum_no_gap(xi: float, verdict: ConditionsVerdict, ell: float) -> LowSpectrumCheck:
     """Counting-difference test excluding gaps at scaled energy ell < 1.
 
-    verdict is conditions_check's for geom and the perturbation bounds.
-    Evaluates N0(ell - (T^2/pi^2) omega_L, tau_max) - N0(ell, tau_min), with
+    verdict is conditions_check's for xi and the scaled perturbation bounds.
+    Evaluates N0(ell - w, tau_max) - N0(ell, tau_min), w the scaled
+    oscillation, with
     tau_max = 0 for ell <= verdict.ell_star and tau_max = 1/2 above, and
     tau_min = 1 - sqrt(ell) in both cases.  A
     strictly positive difference certifies that the perturbed spectrum has no
-    gap at energy (pi^2/T^2) ell.
+    gap at scaled energy ell.
 
     Preconditions (ValueError otherwise): 1/4 + xi^2 < ell < 1, a verdict
-    evaluated at geom's ratio xi, and the subcritical-ratio plus low-energy
+    evaluated at xi, and the subcritical-ratio plus low-energy
     budget conditions; positivity is then guaranteed, so a nonpositive
     difference is reported (positive=False) rather than raised, letting
     property suites surface it.
     """
     validate_ell(ell)
-    xi = geom.xi
     if not 0.25 + xi * xi < ell < 1.0:
         raise ValueError(
             f"low-spectrum test needs 1/4 + xi^2 < ell < 1, got ell={ell} at xi={xi}"
         )
     if verdict.xi != xi:
         raise ValueError(
-            f"low-spectrum test got a verdict at xi={verdict.xi} for a geometry at xi={xi}"
+            f"low-spectrum test got a verdict at xi={verdict.xi} for xi={xi}"
         )
     if not (verdict.xi_subcritical and verdict.low_energy_ok):
         raise ValueError(

@@ -149,6 +149,15 @@ EXTRA = [
     # quotient by xi^2 does
     ["gaps", "--xi", "0.03", "--d", "1e154", "--omega-plus", "1e10"],
     ["gaps", "--T", "1", "--d", "1e150", "--omega-plus", "1e200"],
+    # ell1 whose pow raises: a tiny c0, a gamma just below 1/4, a scaled
+    # oscillation whose fourth power overflows
+    ["gaps", "--xi", "0.05", "--c0", "1e-300"],
+    ["gaps", "--xi", "0.05", "--c0", "0.1", "--gamma", "0.2499999999"],
+    ["gaps", "--xi", "0.05", "--omega-minus", "1e308", "--omega-plus", "1.7e308"],
+    # a finite scaled ell1 whose energy overflows
+    ["gaps", "--xi", "0.03", "--T", "5e-154"],
+    # c0(xi) above xi_critical, finite but negative
+    ["constants", "--xi", "0.2"],
     # band endpoints at T = 1, whose energy scale pi^2 is not a power of two
     ["bands", "--T", "1.0", "--xi", "0.03", "--kmax", "1000"],
     # a second -- inside a sweep's inner command stays there

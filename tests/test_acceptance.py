@@ -202,12 +202,13 @@ def test_criterion_06_low_spectrum_suite():
     for xi in np.linspace(0.01, 0.1, 10):
         geom = resolve_geometry(T=1.0, xi=float(xi))
         omega_L = 0.5 * low_energy_budget(float(xi)) * math.pi ** 2
-        verdict = conditions_check(geom, PerturbBounds(omega_minus=0.0, omega_plus=omega_L))
+        verdict = conditions_check(geom.xi, PerturbBounds(
+            omega_minus=0.0, omega_plus=geom.T ** 2 / math.pi ** 2 * omega_L))
         lo = 0.25 + float(xi) ** 2
         for i in range(1000):
             ell = lo + (1.0 - lo) * (i + 1) / 1001.0
             total += 1
-            if not low_spectrum_no_gap(geom, verdict, ell).positive:
+            if not low_spectrum_no_gap(geom.xi, verdict, ell).positive:
                 nonpositive += 1
     ok = nonpositive == 0
     _verdict(
@@ -221,7 +222,7 @@ def test_criterion_07_condition_arithmetic():
     budget_err = abs(low_energy_budget(0.1) - 0.0222512)
     holds_small = gapless_margin(0.03, 0.0) > 0.0
     fails_large = gapless_margin(0.1, 0.0) < 0.0
-    star = conditions_check(resolve_geometry(T=1.0, xi=0.1), PerturbBounds()).ell_star
+    star = conditions_check(0.1, PerturbBounds()).ell_star
     star_err = abs(star - 0.3776347)
     sandwich = 0.25 + 0.01 < star < 2.0 / 3.0
     ok = budget_err <= 1e-6 and holds_small and fails_large and star_err <= 1e-6 and sandwich
@@ -299,7 +300,7 @@ def test_criterion_10_high_energy_threshold_arithmetic():
     geom = resolve_geometry(T=1.0, xi=0.05)
     c0 = 0.699118
     params = GapParams(c0=c0, gamma=0.0, ell0=1.0)
-    value = ell1_threshold(geom, params, PerturbBounds())
+    value = math.pi ** 2 / geom.T ** 2 * ell1_threshold(geom.xi, params, PerturbBounds())
     # the four competing terms, from scratch
     t1 = 1.0
     t2 = ((4.0 * math.sqrt(2.0) * math.pi + 6.0) / (3.0 * math.pi * c0)) ** 4

@@ -365,14 +365,34 @@ _COSTLY = [
     (["gaps", "--xi", "0.03", "--omega-minus", "-1e308", "--omega-plus", "1e308"],
      "error: oscillation omega_plus - omega_minus overflows: omega_minus=-1e+308, "
      "omega_plus=1e+308"),
-    # ell1 whose fourth term divides to inf: the scaled oscillation itself
-    # overflows, or it is finite and its quotient by xi^2 is not
+    # finite bounds whose scaled bounds (T^2/pi^2) omega overflow
     (["gaps", "--xi", "0.03", "--d", "1e154", "--omega-plus", "1e10"],
-     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
-     "inf)"),
+     "error: inputs out of floating-point range (the scaled bounds (T^2/pi^2) (omega_minus, "
+     "omega_plus) = (0.0, inf) overflow at T = 3e+152)"),
+    # ell1 whose fourth term divides to inf: the scaled oscillation is finite
+    # and its quotient by xi^2 is not
     (["gaps", "--T", "1", "--d", "1e150", "--omega-plus", "1e200"],
      "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
      "1.0132118364233778e+199)"),
+    # c0(xi) above xi_critical is finite but negative: no certified constant
+    (["constants", "--xi", "0.2"],
+     "error: c0(xi) = -0.476008 at xi = 0.2 is not positive (xi_critical = 0.10121085431): "
+     "no certified constant"),
+    # ell1 whose pow raises: a tiny c0, a gamma just below 1/4, a scaled
+    # oscillation whose fourth power overflows; each named like an inf ell1
+    (["gaps", "--xi", "0.05", "--c0", "1e-300"],
+     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
+     "0.0)"),
+    (["gaps", "--xi", "0.05", "--c0", "0.1", "--gamma", "0.2499999999"],
+     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
+     "0.0)"),
+    (["gaps", "--xi", "0.05", "--omega-minus", "1e308", "--omega-plus", "1.7e308"],
+     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
+     "1.7731207137409113e+304)"),
+    # a finite scaled ell1 (about 8) whose energy, times pi^2/T^2, overflows
+    (["gaps", "--xi", "0.03", "--T", "5e-154"],
+     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
+     "0.0)"),
 ]
 
 

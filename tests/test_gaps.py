@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stripgaps.cli as cli
 import stripgaps.gaps as gaps
 import stripgaps.spectrum as spectrum
 from oracles import (
-    band_energies,
     band_pairs_from_all_bands,
     certify_band_pairs,
     low_spectrum_no_gap,
@@ -106,7 +106,7 @@ def test_gapless_margin_reference_values_and_flip():
 
 
 def test_conditions_fully_gapless_at_small_ratio():
-    verdict = conditions_check(resolve_geometry(T=1.0, xi=0.03), NO_PERTURBATION)
+    verdict = conditions_check(0.03, NO_PERTURBATION)
     assert verdict.xi_subcritical
     assert verdict.low_energy_ok
     assert verdict.gapless_ok
@@ -115,11 +115,11 @@ def test_conditions_fully_gapless_at_small_ratio():
 
 
 def test_conditions_partial_at_larger_ratio():
-    verdict = conditions_check(resolve_geometry(T=1.0, xi=0.1), NO_PERTURBATION)
+    verdict = conditions_check(0.1, NO_PERTURBATION)
     assert verdict.xi_subcritical and verdict.low_energy_ok
     assert not verdict.gapless_ok
     assert not verdict.all_gapless
-    above = conditions_check(resolve_geometry(T=1.0, xi=0.2), NO_PERTURBATION)
+    above = conditions_check(0.2, NO_PERTURBATION)
     assert not above.xi_subcritical
 
 
@@ -130,26 +130,27 @@ def test_conditions_partial_at_larger_ratio():
     (1e-9, True),     # clear of the slack
 ])
 def test_gapless_margin_positive_only_within_rounding_is_declined(target, certified):
-    geom = resolve_geometry(T=1.0, xi=0.03)
+    xi = 0.03
     c1 = critical_constants().c1
     # the margin falls with slope pi^2/(4 xi) in the scaled oscillation w:
     # land it on target * c1
-    w = 4.0 * geom.xi / math.pi ** 2 * (gapless_margin(geom.xi, 0.0) - target * c1)
-    verdict = conditions_check(geom, PerturbBounds(0.0, math.pi ** 2 / geom.T ** 2 * w))
+    w = 4.0 * xi / math.pi ** 2 * (gapless_margin(xi, 0.0) - target * c1)
+    verdict = conditions_check(xi, PerturbBounds(0.0, w))
     assert verdict.gapless_margin == pytest.approx(target * c1, abs=1e-16)
     assert verdict.gapless_ok is certified
 
 
 def test_conditions_scaled_oscillation_bookkeeping():
-    geom = resolve_geometry(T=2.0, xi=0.05)
-    verdict = conditions_check(geom, PerturbBounds(omega_minus=-0.5, omega_plus=0.5))
+    # the scaled bounds of omega = (-0.5, 0.5) at T = 2: w is their difference
+    scale = 2.0 ** 2 / math.pi ** 2
+    verdict = conditions_check(0.05, PerturbBounds(-0.5 * scale, 0.5 * scale))
     assert verdict.scaled_oscillation == pytest.approx(
         4.0 / math.pi ** 2 * 1.0, rel=1e-14)
 
 
-# A budget above the first band height (omega_L = pi^2 at T = 1 is a scaled
-# oscillation of 1), or a crossing ratio that puts ell_star above 2/3: each
-# breaks one of conditions_check's consistency checks.
+# A budget above the first band height (omega_L = pi^2 at T = 1, the scaled
+# oscillation omega_L/pi^2 = 1), or a crossing ratio that puts ell_star above
+# 2/3: each breaks one of conditions_check's consistency checks.
 _BROKEN_ARITHMETIC = [
     ("low_energy_budget", math.pi ** 2, "low-energy budget accepted"),
     ("_a_ratio", 0.0, "escaped its sandwich"),
@@ -160,20 +161,19 @@ _BROKEN_ARITHMETIC = [
 def test_conditions_consistency_checks_raise(monkeypatch, name, omega_L, message):
     monkeypatch.setattr(gaps, name, lambda xi: 10.0)
     with pytest.raises(AssertionError, match=message):
-        conditions_check(resolve_geometry(T=1.0, xi=0.05), PerturbBounds(0.0, omega_L))
+        conditions_check(0.05, PerturbBounds(0.0, omega_L / math.pi ** 2))
 
 
 def test_conditions_consistency_checks_survive_python_optimize():
     probe = (
+        "import math\n"
         "import stripgaps.gaps as gaps\n"
-        "from stripgaps.geometry import resolve_geometry\n"
         "assert False, 'asserts are stripped under -O'\n"
         f"for name, omega_L, message in {_BROKEN_ARITHMETIC!r}:\n"
         "    saved = getattr(gaps, name)\n"
         "    setattr(gaps, name, lambda xi: 10.0)\n"
         "    try:\n"
-        "        gaps.conditions_check(resolve_geometry(T=1.0, xi=0.05),\n"
-        "                              gaps.PerturbBounds(0.0, omega_L))\n"
+        "        gaps.conditions_check(0.05, gaps.PerturbBounds(0.0, omega_L / math.pi ** 2))\n"
         "    except AssertionError as exc:\n"
         "        print(message in str(exc))\n"
         "    setattr(gaps, name, saved)\n")
@@ -188,24 +188,21 @@ def test_conditions_consistency_checks_survive_python_optimize():
 # ---------------------------------------------------------------------------
 
 def test_ell_star_reference_value():
-    geom = resolve_geometry(T=1.0, xi=0.1)
-    assert conditions_check(geom, NO_PERTURBATION).ell_star == pytest.approx(
+    assert conditions_check(0.1, NO_PERTURBATION).ell_star == pytest.approx(
         0.37763465727591716, rel=1e-12)
 
 
 def test_ell_star_shifts_linearly_with_the_oscillation():
-    geom = resolve_geometry(T=1.0, xi=0.1)
-    base = conditions_check(geom, NO_PERTURBATION).ell_star
-    w = 0.05
-    shifted = conditions_check(geom, PerturbBounds(omega_minus=0.0, omega_plus=w)).ell_star
+    base = conditions_check(0.1, NO_PERTURBATION).ell_star
+    w = 0.05  # an energy at T = 1, the scaled w / pi^2
+    shifted = conditions_check(0.1, PerturbBounds(0.0, w / math.pi ** 2)).ell_star
     assert shifted - base == pytest.approx(w / math.pi ** 2, rel=1e-12)
 
 
 @given(xi=st.floats(min_value=0.02, max_value=0.101))
 @settings(max_examples=200, deadline=None)
 def test_ell_star_stays_in_its_sandwich(xi):
-    geom = resolve_geometry(T=1.0, xi=xi)
-    value = conditions_check(geom, NO_PERTURBATION).ell_star
+    value = conditions_check(xi, NO_PERTURBATION).ell_star
     assert 0.25 + xi * xi < value < 2.0 / 3.0
 
 
@@ -224,9 +221,8 @@ def test_ell2_threshold_reference_value_and_terms():
 
 
 def test_ell1_threshold_reference_value():
-    geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
-    value = ell1_threshold(geom, params, NO_PERTURBATION)
+    value = math.pi ** 2 * ell1_threshold(0.05, params, NO_PERTURBATION)  # energy at T = 1
     assert value == pytest.approx(1672.0219252807456, rel=1e-12)
     # the oscillation-free fourth term, (1/(2 c0) + 3 xi^2/(4 pi c0))^4,
     # stays dominated
@@ -237,18 +233,16 @@ def test_ell1_threshold_reference_value():
 
 
 def test_ell1_threshold_shifts_with_omega_minus():
-    geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
-    base = ell1_threshold(geom, params, NO_PERTURBATION)
+    base = ell1_threshold(0.05, params, NO_PERTURBATION)
     shifted = ell1_threshold(
-        geom, params, PerturbBounds(omega_minus=5.0, omega_plus=5.0))
+        0.05, params, PerturbBounds(omega_minus=5.0, omega_plus=5.0))
     assert shifted == pytest.approx(base + 5.0, rel=1e-12)
 
 
 def test_ell1_threshold_scales_like_inverse_fourth_power_of_c0():
-    geom = resolve_geometry(T=1.0, xi=0.05)
-    base = ell1_threshold(geom, GapParams(c0=0.699118), NO_PERTURBATION)
-    doubled = ell1_threshold(geom, GapParams(c0=2 * 0.699118), NO_PERTURBATION)
+    base = ell1_threshold(0.05, GapParams(c0=0.699118), NO_PERTURBATION)
+    doubled = ell1_threshold(0.05, GapParams(c0=2 * 0.699118), NO_PERTURBATION)
     assert doubled / base == pytest.approx(2.0 ** -4, rel=1e-12)
 
 
@@ -256,20 +250,21 @@ def test_ell1_threshold_scales_like_inverse_fourth_power_of_c0():
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 def test_ell1_fourth_term_reaches_the_overlap_bound(xi, T, gamma):
-    # at ell1 the overlap lower bound is at least omega_L, whichever term of
-    # the maximum wins; where the fourth term wins it equals omega_L (the
-    # root), up to the rounding of the closed forms
-    geom = resolve_geometry(T=T, xi=xi)
+    # at ell1 the overlap lower bound is at least the scaled oscillation w,
+    # whichever term of the maximum wins; where the fourth term wins it equals
+    # w (the root), up to the rounding of the closed forms.  T sets the scaled
+    # oscillations, w = (T^2/pi^2) omega_L.
     fourth_won = 0
     for c0 in (0.1, 0.5, 1.5):
         params = GapParams(c0=c0, gamma=gamma)
         for omega_L in (0.0, 1e-3, 1.0, 100.0, 1e4):
-            ell1 = ell1_threshold(geom, params, PerturbBounds(0.0, omega_L))
-            bound = overlap_lower_bound(geom, params, ell1)
-            assert bound >= omega_L * (1.0 - 1e-12), (c0, omega_L)
-            if ell1 > math.pi ** 2 / T ** 2 * ell2_threshold(xi, params):
+            w = T ** 2 / math.pi ** 2 * omega_L
+            ell1 = ell1_threshold(xi, params, PerturbBounds(0.0, w))
+            bound = overlap_lower_bound(xi, params, ell1)
+            assert bound >= w * (1.0 - 1e-12), (c0, omega_L)
+            if ell1 > ell2_threshold(xi, params):
                 fourth_won += 1
-                assert bound == pytest.approx(omega_L, rel=1e-9, abs=1e-12), (c0, omega_L)
+                assert bound == pytest.approx(w, rel=1e-9, abs=1e-12), (c0, omega_L)
     assert fourth_won
 
 
@@ -283,29 +278,54 @@ _UNIT_CASES = [
 ]
 
 
+def _gaps_lines(argv, monkeypatch):
+    """(status, {key: value}) of the gaps report, every float at full precision."""
+    real = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: repr(v) if type(v) is float else real(v))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gaps", *argv])
+    lines = out.getvalue().splitlines()
+    return code, dict(line.split(" = ", 1) for line in lines if " = " in line)
+
+
+# report lines in energy units (times 1/s^2), in units of length (times s),
+# and the undecided windows (energies, as "(lo, hi)")
+_ENERGY_LINES = ("omega_minus", "omega_plus", "omega_L", "ell1")
+_LENGTH_LINES = ("T", "d")
+
+
 @pytest.mark.parametrize("xi, omega, params, ell_max", _UNIT_CASES)
-def test_no_verdict_depends_on_the_unit_of_length(xi, omega, params, ell_max):
+def test_no_verdict_depends_on_the_unit_of_length(monkeypatch, xi, omega, params, ell_max):
     # lengths times s and the perturbation times 1/s^2 is the operator times
-    # 1/s^2: the scaled verdicts, the band count and the flags are the same
-    # bits, and ell1 and the windows are the d = 1 energies over s^2 (exact
-    # at s a power of 2)
-    params = params or GapParams.from_small_ratio(xi)
-    reports = {}
+    # 1/s^2: through the command, where units enter, the exit status and every
+    # scaled line (the scaled oscillation, the flags, the margin, c0, ell_star,
+    # the window counts and the verdict) are the same bits, and each energy
+    # line is its d = 1 value over s^2, to one ulp (s a power of 2)
+    flags = [] if ell_max is None else ["--ell-max", repr(ell_max)]
+    if params is not None:
+        flags += ["--c0", repr(params.c0), "--gamma", repr(params.gamma),
+                  "--ell0", repr(params.ell0)]
+    runs = {}
     for j in range(-4, 5):
         s = 2.0 ** j
-        geom = resolve_geometry(xi=xi, d=s)
-        reports[s] = gap_report(geom, PerturbBounds(omega[0] / s ** 2, omega[1] / s ** 2),
-                                params, ell_max)
-    one = reports[1.0]
-    for s, report in reports.items():
-        assert dataclasses.astuple(report.conditions) == dataclasses.astuple(one.conditions), s
-        assert report.band_count == one.band_count, s
-        assert report.ell1 * s ** 2 == one.ell1, s
-        pairs = report.candidate_gaps
-        assert np.array_equal(pairs.certified, one.candidate_gaps.certified), s
-        for name in ("lo", "hi", "overlap"):
-            assert np.array_equal(getattr(pairs, name) * s ** 2,
-                                  getattr(one.candidate_gaps, name)), (s, name)
+        runs[s] = _gaps_lines(["--xi", repr(xi), "--d", repr(s), "--omega-minus",
+                               repr(omega[0] / s ** 2), "--omega-plus",
+                               repr(omega[1] / s ** 2), *flags], monkeypatch)
+    code, one = runs[1.0]
+    assert one["verdict"] in ("gapless-certified", "not-certified")
+    windows = [key for key in one if key.startswith("undecided_window_")]
+    assert (ell_max is None) == ("bands" not in one) and (len(windows) > 0) == (xi >= 0.09)
+    for s, (status, lines) in runs.items():
+        assert status == code and lines.keys() == one.keys(), s
+        for key, value in lines.items():
+            if key in _LENGTH_LINES:
+                assert float(value) == s * float(one[key]), (s, key)
+            elif key in _ENERGY_LINES or key in windows:
+                for a, b in zip(value.strip("()").split(", "), one[key].strip("()").split(", ")):
+                    assert abs(float(a) * s ** 2 - float(b)) <= math.ulp(float(b)), (s, key)
+            else:
+                assert value == one[key], (s, key)
 
 
 @pytest.mark.parametrize("d, omega_plus, ell1", [
@@ -330,7 +350,6 @@ def test_gaps_command_declines_every_unit_of_a_declined_operator(d, omega_plus, 
 # ---------------------------------------------------------------------------
 
 def test_overlap_bound_reference_value():
-    geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
     # from scratch: (xi^2/pi^2) (3 pi c0 ell^(1/4) - 3 pi/2 - 9 xi^2/4) at
     # ell = 1e4/pi^2, taken to energy by pi^2 (T = 1)
@@ -338,59 +357,49 @@ def test_overlap_bound_reference_value():
     scratch = 0.05 ** 2 * (3.0 * math.pi * 0.699118 * ell ** 0.25 - 1.5 * math.pi
                            - 2.25 * 0.05 ** 2)
     assert scratch == pytest.approx(0.08114154439934047, rel=1e-12)
-    assert overlap_lower_bound(geom, params, 1e4) == pytest.approx(scratch, rel=1e-12)
+    energy = math.pi ** 2 * overlap_lower_bound(0.05, params, ell)
+    assert energy == pytest.approx(scratch, rel=1e-12)
 
 
 def test_overlap_bound_is_monotone_in_energy():
-    geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
-    floor = math.pi ** 2 * ell2_threshold(0.05, params)
-    values = [overlap_lower_bound(geom, params, floor * s)
+    floor = ell2_threshold(0.05, params)
+    # energies at T = 1
+    values = [math.pi ** 2 * overlap_lower_bound(0.05, params, floor * s)
               for s in (1.0, 1.5, 2.0, 6.0)]
     assert values == sorted(values)
     assert values[0] == pytest.approx(0.04763379443062196, rel=1e-12)
 
 
 def test_overlap_bound_rejects_energies_below_threshold():
-    geom = resolve_geometry(T=1.0, xi=0.05)
     params = GapParams(c0=0.699118)
     with pytest.raises(ValueError, match="ell2=169.411"):
-        overlap_lower_bound(geom, params, 1000.0)
+        overlap_lower_bound(0.05, params, 1000.0 / math.pi ** 2)
 
 
-@pytest.mark.parametrize("xi, d, k_max", [
-    (0.03, 1.0, 2435),
-    (0.05, 1.0, 7323),
-    (0.05, 1.0 / 16.0, 7323),
-    (0.05, 20.0, 7323),   # T = 1
-    (0.05, 256.0, 7323),
-])
-def test_exact_unperturbed_overlaps_reach_the_overlap_bound(xi, d, k_max):
-    # every band k < k_max from the bound's floor (pi^2/T^2) ell2 up: the
-    # exact V = 0 overlap theta0_k - eta0_{k+1} is at least the bound (about
-    # 133 and 121 times it at the least, at xi 0.03 and 0.05, whatever the
-    # unit of length: the bound is read in scaled energy)
-    geom = resolve_geometry(xi=xi, d=d)
+@pytest.mark.parametrize("xi, k_max", [(0.03, 2435), (0.05, 7323)])
+def test_exact_unperturbed_overlaps_reach_the_overlap_bound(xi, k_max):
+    # every band k < k_max from the bound's floor ell2 up: the exact V = 0
+    # overlap theta0_k - eta0_{k+1} is at least the bound (about 133 and 121
+    # times it at the least, at xi 0.03 and 0.05), all in scaled energy
     params = GapParams.from_small_ratio(xi)
-    eta, theta = band_energies(geom, k_max)
-    floor = math.pi ** 2 / geom.T ** 2 * ell2_threshold(xi, params)
-    ks = np.flatnonzero(eta[:-1] >= floor)
+    eta, theta = band_edges(xi, k_max)
+    ks = np.flatnonzero(eta[:-1] >= ell2_threshold(xi, params))
     assert ks.size == 1999
     for k in ks.tolist():
-        assert theta[k] - eta[k + 1] >= overlap_lower_bound(geom, params, eta[k]), k + 1
+        assert theta[k] - eta[k + 1] >= overlap_lower_bound(xi, params, eta[k]), k + 1
 
 
 # ---------------------------------------------------------------------------
 # low-energy counting test
 # ---------------------------------------------------------------------------
 
-def unperturbed_verdict(geom):
-    return conditions_check(geom, NO_PERTURBATION)
+def unperturbed_verdict(xi):
+    return conditions_check(xi, NO_PERTURBATION)
 
 
 def test_low_spectrum_below_the_crossing_threshold():
-    geom = resolve_geometry(T=1.0, xi=0.1)
-    check = low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.30)
+    check = low_spectrum_no_gap(0.1, unperturbed_verdict(0.1), 0.30)
     assert check.tau_max == 0.0
     assert check.tau_min == pytest.approx(1.0 - math.sqrt(0.30), rel=1e-15)
     assert (check.shifted_count, check.reference_count) == (5, 3)
@@ -399,8 +408,7 @@ def test_low_spectrum_below_the_crossing_threshold():
 
 
 def test_low_spectrum_above_the_crossing_threshold():
-    geom = resolve_geometry(T=1.0, xi=0.1)
-    check = low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.5)
+    check = low_spectrum_no_gap(0.1, unperturbed_verdict(0.1), 0.5)
     assert check.tau_max == 0.5
     assert (check.shifted_count, check.reference_count) == (10, 6)
     assert check.difference == 4
@@ -408,28 +416,24 @@ def test_low_spectrum_above_the_crossing_threshold():
 
 
 def test_low_spectrum_rejects_out_of_window_energies():
-    geom = resolve_geometry(T=1.0, xi=0.1)
     with pytest.raises(ValueError):
-        low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.25 + 0.01)  # closed endpoint
+        low_spectrum_no_gap(0.1, unperturbed_verdict(0.1), 0.25 + 0.01)  # closed endpoint
     with pytest.raises(ValueError):
-        low_spectrum_no_gap(geom, unperturbed_verdict(geom), 1.0)
+        low_spectrum_no_gap(0.1, unperturbed_verdict(0.1), 1.0)
 
 
 def test_low_spectrum_rejects_out_of_regime_ratio():
-    geom = resolve_geometry(T=1.0, xi=0.2)
     with pytest.raises(ValueError, match="subcritical"):
-        low_spectrum_no_gap(geom, unperturbed_verdict(geom), 0.5)
+        low_spectrum_no_gap(0.2, unperturbed_verdict(0.2), 0.5)
     # over the low-energy budget at a subcritical ratio
-    geom = resolve_geometry(T=1.0, xi=0.05)
-    over = PerturbBounds(0.0, low_energy_budget(0.05) * math.pi ** 2)
+    over = PerturbBounds(0.0, low_energy_budget(0.05))
     with pytest.raises(ValueError, match="low-energy budget"):
-        low_spectrum_no_gap(geom, conditions_check(geom, over), 0.5)
+        low_spectrum_no_gap(0.05, conditions_check(0.05, over), 0.5)
 
 
 def test_low_spectrum_rejects_a_verdict_of_another_ratio():
-    verdict = unperturbed_verdict(resolve_geometry(T=1.0, xi=0.05))
     with pytest.raises(ValueError, match="verdict at xi=0.05"):
-        low_spectrum_no_gap(resolve_geometry(T=1.0, xi=0.1), verdict, 0.5)
+        low_spectrum_no_gap(0.1, unperturbed_verdict(0.05), 0.5)
 
 
 @given(
@@ -439,12 +443,11 @@ def test_low_spectrum_rejects_a_verdict_of_another_ratio():
 )
 @settings(max_examples=300, deadline=None)
 def test_low_spectrum_is_always_positive_in_regime(xi, frac, wfrac):
-    geom = resolve_geometry(T=1.0, xi=xi)
     lo = 0.25 + xi * xi
     ell = lo + frac * (1.0 - lo)
-    omega_L = wfrac * low_energy_budget(xi) * math.pi ** 2
-    verdict = conditions_check(geom, PerturbBounds(omega_minus=0.0, omega_plus=omega_L))
-    check = low_spectrum_no_gap(geom, verdict, ell)
+    w = wfrac * low_energy_budget(xi)
+    verdict = conditions_check(xi, PerturbBounds(omega_minus=0.0, omega_plus=w))
+    check = low_spectrum_no_gap(xi, verdict, ell)
     assert check.positive, check
 
 
@@ -467,9 +470,8 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
     # with zero oscillation every pair with positive overlap certifies; pairs
     # whose bands merely touch meet exactly (overlap 0.0), which equals
     # omega_L = 0 only within rounding, so they stay undecided
-    geom = resolve_geometry(T=1.0, d=1.0)
-    report = gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=8.0)
-    eta0, theta0 = band_energies(geom, report.band_count)
+    report = gap_report(1.0, NO_PERTURBATION, GapParams(c0=0.7), ell_max=8.0)
+    eta0, theta0 = band_edges(1.0, report.band_count)
     pairs = report.candidate_gaps
     assert pairs
     assert np.array_equal(pairs.certified, pairs.overlap > 0.0)
@@ -483,12 +485,11 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
 
 
 def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
-    geom = resolve_geometry(T=1.0, d=1.0)
     bounds = PerturbBounds(omega_minus=-0.25, omega_plus=0.75)
-    report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=4.0)
-    eta0, theta0 = band_energies(geom, report.band_count)
+    report = gap_report(1.0, bounds, GapParams(c0=0.7), ell_max=4.0)
+    eta0, theta0 = band_edges(1.0, report.band_count)
     # the table covers the ceiling: one band more than sup_tau N0(4, tau)
-    assert theta0[-1] >= 4.0 * math.pi ** 2
+    assert theta0[-1] >= 4.0
     pairs, i = report.candidate_gaps, report.undecided
     assert i.size
     assert np.array_equal(pairs.lo[i], theta0[i] - 0.25)
@@ -499,21 +500,20 @@ def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
 
 
 def test_gap_report_certifies_exactly_the_wide_overlaps():
-    geom = resolve_geometry(T=1.0, d=1.0)
-    eta0, theta0 = band_energies(geom, 12)
+    eta0, theta0 = band_edges(1.0, 12)
     bounds = PerturbBounds(omega_minus=0.0, omega_plus=2.0)
-    windows = certify_band_pairs(geom, bounds, (eta0, theta0), ell_max=8.0)
+    windows = certify_band_pairs(bounds, (eta0, theta0), ell_max=8.0)
     assert len(windows)
     for i in range(len(windows)):
         below_hi, above_lo = theta0[i], eta0[i + 1]
         overlap = windows.overlap[i]
         assert overlap == pytest.approx(below_hi - above_lo, rel=1e-14)
-        slack = OVERLAP_RTOL * max(math.pi ** 2, below_hi, above_lo, 2.0)
+        slack = OVERLAP_RTOL * max(1.0, below_hi, above_lo, 2.0)
         assert windows.certified[i] == (overlap >= 2.0 + slack)
         assert windows.lo[i] == pytest.approx(below_hi + 0.0, rel=1e-14)
         assert windows.hi[i] == pytest.approx(above_lo + 2.0, rel=1e-14)
     # the report finds the same windows, flags and undecided windows
-    report = gap_report(geom, bounds, GapParams(c0=0.7), ell_max=8.0)
+    report = gap_report(1.0, bounds, GapParams(c0=0.7), ell_max=8.0)
     assert_same_undecided_windows(report, windows)
 
 
@@ -526,8 +526,7 @@ def test_gap_report_in_regime_makes_no_counting_call(monkeypatch):
 
     monkeypatch.setattr(spectrum, "counting", refuse)
     monkeypatch.setattr(gaps, "counting", refuse, raising=False)  # a copy imported by name
-    geom = resolve_geometry(T=1.0, xi=0.1)
-    report = gap_report(geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
+    report = gap_report(0.1, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
     assert report.conditions.xi_subcritical and report.conditions.low_energy_ok
     assert report.conditions.ell_star == pytest.approx(0.37763465727591716, rel=1e-12)
     # without a ceiling no band table is built
@@ -539,42 +538,39 @@ def test_gap_report_in_regime_makes_no_counting_call(monkeypatch):
     (0.5 * (1 - 1e-15), False),  # overlap above omega_L only within rounding
     (0.5 * (1 + 1e-15), False),  # overlap below omega_L
     (0.5 * (1 - 1e-9), True),    # clear of the slack
-    (0.5 - 2e-11, False),        # within the slack, whose floor is pi^2/T^2
+    (0.5 - 2e-11, False),        # within the slack, whose floor is 1 (scaled)
 ])
 def test_gap_report_overlap_equal_to_omega_within_rounding_stays_undecided(omega_L, certified):
-    geom = resolve_geometry(T=1.0, d=1.0)
-    bands = ([1.0, 1.5], [2.0, 3.0])  # eta0 and theta0 of bands 1 and 2
-    windows = certify_band_pairs(geom, PerturbBounds(0.0, omega_L), bands, ell_max=0.2)
-    assert len(windows) == 1 and windows.overlap[0] == 0.5
+    # the bands and the oscillation over 8 (exact), in scaled energy: every
+    # endpoint below 1, so the slack is OVERLAP_RTOL times its floor
+    bands = ([0.125, 0.1875], [0.25, 0.375])  # eta0 and theta0 of bands 1 and 2
+    windows = certify_band_pairs(PerturbBounds(0.0, omega_L / 8.0), bands, ell_max=0.2)
+    assert len(windows) == 1 and windows.overlap[0] == 0.5 / 8.0
     assert windows.certified[0] == certified
 
 
 def test_gap_report_validates_the_band_input(monkeypatch):
     # the report sizes its own table, failing closed above the band ceiling
     with pytest.raises(ValueError, match="ceiling"):
-        gap_report(resolve_geometry(xi=0.03), NO_PERTURBATION,
-                   GapParams.from_small_ratio(0.03), ell_max=1e9)
+        gap_report(0.03, NO_PERTURBATION, GapParams.from_small_ratio(0.03), ell_max=1e9)
     # and refuses bands that do not reach the ceiling (counting_extremes is
     # looked up on the spectrum module at call time)
-    geom = resolve_geometry(T=1.0, d=1.0)
     monkeypatch.setattr(spectrum, "counting_extremes", lambda xi, ell: (5, 0))
     with pytest.raises(ValueError, match="does not cover the ceiling"):
-        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
+        gap_report(1.0, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
 
 
 def test_gap_report_refuses_a_band_count_above_the_ceiling(monkeypatch):
     # the count is cross-checked in the other direction too: bands that
     # certainly start above the ceiling are not counted below it
-    geom = resolve_geometry(T=1.0, d=1.0)
-    top = spectrum.counting_extremes(geom.xi, 50.0)[0]
+    top = spectrum.counting_extremes(1.0, 50.0)[0]
     monkeypatch.setattr(spectrum, "counting_extremes", lambda xi, ell: (2 * top, 0))
     with pytest.raises(ValueError, match=f"band {2 * top} starts above it"):
-        gap_report(geom, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
+        gap_report(1.0, NO_PERTURBATION, GapParams(c0=0.7), ell_max=50.0)
 
 
 def test_gap_report_is_deterministic():
-    geom = resolve_geometry(T=1.0, xi=0.1)
-    args = (geom, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
+    args = (0.1, NO_PERTURBATION, GapParams.from_small_ratio(0.1))
     a = gap_report(*args, ell_max=1.5)
     b = gap_report(*args, ell_max=1.5)
     assert same_record(a, b)
@@ -589,9 +585,11 @@ def test_gap_report_is_deterministic():
 
 def test_gaps_command_prints_the_first_twenty_undecided_windows():
     # 525 bands and 523 windows, 32 of them undecided: the first 20 are
-    # printed, numbered by k, from the report's arrays
+    # printed, numbered by k, from the report's arrays taken to energy
     geom = resolve_geometry(xi=0.09)
-    report = gap_report(geom, PerturbBounds(0.0, 300.0), GapParams.from_small_ratio(0.09), 30.0)
+    report = gap_report(0.09, PerturbBounds(0.0, geom.T ** 2 / math.pi ** 2 * 300.0),
+                        GapParams.from_small_ratio(0.09), 30.0)
+    scale = math.pi ** 2 / geom.T ** 2
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["gaps", "--xi", "0.09", "--ell-max", "30", "--omega-plus", "300"])
@@ -599,8 +597,8 @@ def test_gaps_command_prints_the_first_twenty_undecided_windows():
     assert code == 2 and "bands = 525" in lines and "undecided = 32" in lines
     printed = [line for line in lines if line.startswith("undecided_window_")]
     i = report.undecided[:20]
-    assert printed == [f"undecided_window_{k} = ({a:.12g}, {b:.12g})" for k, a, b in
-                       zip(i + 1, report.candidate_gaps.lo[i], report.candidate_gaps.hi[i])]
+    assert printed == [f"undecided_window_{k} = ({scale * a:.12g}, {scale * b:.12g})" for k, a, b
+                       in zip(i + 1, report.candidate_gaps.lo[i], report.candidate_gaps.hi[i])]
 
 
 def test_gap_report_evaluates_the_conditions_once(monkeypatch):
@@ -609,7 +607,7 @@ def test_gap_report_evaluates_the_conditions_once(monkeypatch):
     real = gaps.conditions_check
     monkeypatch.setattr(gaps, "conditions_check",
                         lambda *args: calls.append(args) or real(*args))
-    report = gap_report(resolve_geometry(xi=0.03), PerturbBounds(0.0, 0.02),
+    report = gap_report(0.03, PerturbBounds(0.0, 0.03 ** 2 / math.pi ** 2 * 0.02),
                         GapParams.from_small_ratio(0.03), 40.0)
     assert len(report.candidate_gaps) == 2111
     assert len(calls) == 1
@@ -644,8 +642,8 @@ def _seeded_gap_cases(count: int = 120, seed: int = 20181):
     return cases
 
 
-def _assert_matches_the_oracle(report, geom, bounds, ell_max):
-    k_max, windows = band_pairs_from_all_bands(geom, bounds, ell_max)
+def _assert_matches_the_oracle(report, xi, bounds, ell_max):
+    k_max, windows = band_pairs_from_all_bands(xi, bounds, ell_max)
     assert report.band_count == k_max
     assert_same_undecided_windows(report, windows)
 
@@ -653,17 +651,18 @@ def _assert_matches_the_oracle(report, geom, bounds, ell_max):
 @pytest.mark.parametrize("T, d, omega_minus, omega_plus, ell_max", _seeded_gap_cases())
 def test_gap_report_windows_equal_the_all_bands_oracle(T, d, omega_minus, omega_plus, ell_max):
     # band count, window count, flags and every undecided window (lo, hi,
-    # overlap) are those of the exact endpoints of all bands
-    geom = StripGeometry(T=T, d=d)
-    bounds = PerturbBounds(omega_minus, omega_plus)
-    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max)
-    _assert_matches_the_oracle(report, geom, bounds, ell_max)
+    # overlap) are those of the exact endpoints of all bands; the bounds are
+    # taken to scaled units as the command does
+    xi, scale = StripGeometry(T=T, d=d).xi, T ** 2 / math.pi ** 2
+    bounds = PerturbBounds(scale * omega_minus, scale * omega_plus)
+    report = gap_report(xi, bounds, GapParams(c0=0.5), ell_max)
+    _assert_matches_the_oracle(report, xi, bounds, ell_max)
     # windows certified from samples are outer windows with a lower overlap
-    eta0, theta0 = band_energies(geom, report.band_count)
+    eta0, theta0 = band_edges(xi, report.band_count)
     pairs = report.candidate_gaps
     k = len(pairs)
-    assert np.all(pairs.lo <= theta0[:k] + omega_minus)
-    assert np.all(pairs.hi >= eta0[1:k + 1] + omega_plus)
+    assert np.all(pairs.lo <= theta0[:k] + bounds.omega_minus)
+    assert np.all(pairs.hi >= eta0[1:k + 1] + bounds.omega_plus)
     assert np.all(pairs.overlap <= theta0[:k] - eta0[1:k + 1])
 
 
@@ -676,9 +675,7 @@ def test_gap_report_decides_like_the_oracle_for_samples_anywhere_in_their_bracke
     # every overlap by almost 2 tie: omega_L sits just above one exact
     # overlap, so only the tie margin keeps that window undecided.
     # Pessimistic samples narrow every overlap and blur the ceiling.
-    geom = resolve_geometry(xi=0.3)
-    ell_max = 20.0
-    scale = math.pi ** 2 / geom.T ** 2
+    xi, ell_max = 0.3, 20.0
     real = gaps.sample_bands
 
     def shifted(xi, k_max):
@@ -689,14 +686,14 @@ def test_gap_report_decides_like_the_oracle_for_samples_anywhere_in_their_bracke
         return dataclasses.replace(s, eta=eta0 + 0.9 * s.spread, theta=theta0 - 0.9 * s.spread)
 
     monkeypatch.setattr(gaps, "sample_bands", shifted)
-    _, free = band_pairs_from_all_bands(geom, NO_PERTURBATION, ell_max)
+    _, free = band_pairs_from_all_bands(xi, NO_PERTURBATION, ell_max)
     k = int(np.argmax(free.overlap))
-    eta0, theta0 = band_energies(geom, len(free) + 1)
-    slack = OVERLAP_RTOL * max(theta0[k], eta0[k + 1], scale)
-    tie = scale * real(geom.xi, 2).tie
+    eta0, theta0 = band_edges(xi, len(free) + 1)
+    slack = OVERLAP_RTOL * max(theta0[k], eta0[k + 1], 1.0)
+    tie = real(xi, 2).tie
     bounds = PerturbBounds(0.0, free.overlap[k] - slack + 0.5 * tie)
-    report = gap_report(geom, bounds, GapParams(c0=0.5), ell_max)
-    _assert_matches_the_oracle(report, geom, bounds, ell_max)
+    report = gap_report(xi, bounds, GapParams(c0=0.5), ell_max)
+    _assert_matches_the_oracle(report, xi, bounds, ell_max)
     assert not report.candidate_gaps.certified[k]
 
 
@@ -715,15 +712,15 @@ def test_gap_report_ranks_only_the_crossings_the_samples_leave_open(
     real = spectrum._fold_crossings
     monkeypatch.setattr(spectrum, "_fold_crossings",
                         lambda xi, t, *rest: ranked.append(t.size) or real(xi, t, *rest))
-    geom = resolve_geometry(xi=xi)
-    report = gap_report(geom, PerturbBounds(0.0, omega_plus), GapParams.from_small_ratio(xi),
-                        ell_max)
+    # omega_plus at d = 1 (T = xi), in scaled units
+    report = gap_report(xi, PerturbBounds(0.0, xi ** 2 / math.pi ** 2 * omega_plus),
+                        GapParams.from_small_ratio(xi), ell_max)
     in_report = sum(ranked)
     if report.undecided.size == 0:
         assert in_report == 0
         return
     ranked.clear()
-    band_edges(geom.xi, report.band_count)
+    band_edges(xi, report.band_count)
     assert 0 < in_report <= share * sum(ranked)
 
 
@@ -740,9 +737,8 @@ def test_gap_report_at_xi_006_needs_only_the_sliced_pass(monkeypatch):
             yield block
 
     monkeypatch.setattr(spectrum, "_crossing_candidates", counted)
-    geom = resolve_geometry(xi=0.06)
-    report = gap_report(geom, PerturbBounds(0.0, 0.02), GapParams.from_small_ratio(0.06),
-                        731.0)
+    report = gap_report(0.06, PerturbBounds(0.0, 0.06 ** 2 / math.pi ** 2 * 0.02),
+                        GapParams.from_small_ratio(0.06), 731.0)
     assert report.band_count == 19_127 and report.undecided.size == 0
     assert sum(candidates) == 0
 

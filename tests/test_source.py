@@ -46,24 +46,35 @@ def test_every_public_name_in_src_is_referenced_in_src():
     assert unreferenced == set(UNREFERENCED)
 
 
-# Modules whose public functions read the geometry only through xi = T/d:
-# they take xi and scaled energies, and the last of them imports nothing of
-# the geometry at all.
-UNIT_FREE = ("spectrum.py", "fourier.py", "oscillation.py")
+# Modules whose functions read the geometry only through xi = T/d: they take
+# xi and scaled energies, and the last two of them import nothing of the
+# geometry at all.
+UNIT_FREE = ("spectrum.py", "fourier.py", "oscillation.py", "gaps.py")
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function below node, methods as
+    Class.method."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(child, ast.FunctionDef):
+                yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
 
 
 def test_the_unit_free_kernels_take_no_geometry():
     trees = {module: ast.parse((SRC / module).read_text()) for module in UNIT_FREE}
     taking_geometry = [
-        f"{module}:{node.name}"
+        f"{module}:{name}"
         for module, tree in trees.items()
-        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        for name, node in _functions(tree)
         for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
         if arg.annotation is not None and "StripGeometry" in ast.unparse(arg.annotation)
     ]
     assert taking_geometry == []
     geometry_imports = [
-        node.lineno for node in ast.walk(trees["oscillation.py"])
+        f"{module}:{node.lineno}"
+        for module in UNIT_FREE[-2:] for node in ast.walk(trees[module])
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry")
     ]
     assert geometry_imports == []
