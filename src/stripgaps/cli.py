@@ -62,7 +62,7 @@ from .galerkin import (
     verify_enclosure,
     zone_grid,
 )
-from .gaps import GapParams, PerturbBounds, gap_report
+from .gaps import GapParams, PerturbBounds, ell1_threshold, gap_report
 from .geometry import StripGeometry, resolve_geometry
 from .oscillation import critical_constants, phi_p, phi_sup, uniform_lower_bound_check
 from .spectrum import band_edges, counting
@@ -304,11 +304,12 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
     if not math.isfinite(w[1] - w[0]):
         raise OverflowError(f"the scaled bounds (T^2/pi^2) (omega_minus, omega_plus) = {w} "
                             f"overflow at T = {geom.T}")
-    rep = gap_report(geom.xi, PerturbBounds(*w), gp, params.get("ell_max"))
-    verdict, ell1 = rep.conditions, to_energy * rep.ell1
+    scaled = PerturbBounds(*w)
+    ell1 = to_energy * ell1_threshold(geom.xi, gp, scaled)  # refused before any band work
     if not math.isfinite(ell1):
-        raise OverflowError(
-            f"threshold ell1 = {ell1} at scaled oscillation {verdict.scaled_oscillation}")
+        raise OverflowError(f"threshold ell1 = {ell1} at scaled oscillation {scaled.omega_L}")
+    rep = gap_report(geom.xi, scaled, gp, params.get("ell_max"))
+    verdict = rep.conditions
     items: list[tuple[str, object]] = [
         ("xi", geom.xi),
         ("T", geom.T),
@@ -338,10 +339,11 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
         items.append(("candidate_windows", len(pairs)))
         items.append(("certified_absent", len(pairs) - undecided.size))
         items.append(("undecided", undecided.size))
-        windows = [
-            (f"undecided_window_{i + 1}", f"({_fmt(to_energy * a)}, {_fmt(to_energy * b)})")
-            for i, a, b in zip(shown.tolist(), pairs.lo[shown].tolist(), pairs.hi[shown].tolist())
-        ]
+        energy = [(i, to_energy * a, to_energy * b) for i, a, b in
+                  zip(shown.tolist(), pairs.lo[shown].tolist(), pairs.hi[shown].tolist())]
+        if not all(math.isfinite(a) and math.isfinite(b) for _, a, b in energy):
+            raise OverflowError(f"an undecided window overflows in energy at T = {geom.T}")
+        windows = [(f"undecided_window_{i + 1}", f"({_fmt(a)}, {_fmt(b)})") for i, a, b in energy]
     items.append(
         ("verdict", "gapless-certified" if verdict.all_gapless else "not-certified")
     )

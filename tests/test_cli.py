@@ -393,6 +393,12 @@ _COSTLY = [
     (["gaps", "--xi", "0.03", "--T", "5e-154"],
      "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
      "0.0)"),
+    # a finite energy ell1 (about 1.3e308) below an undecided window whose
+    # energy overflows: a --c0 far above c0(0.3) is not a certified minorant
+    (["gaps", "--xi", "0.3", "--T", "1e-153", "--c0", "100", "--omega-minus", "-1.97e307",
+      "--omega-plus", "1.48e308", "--ell-max", "10"],
+     "error: inputs out of floating-point range (an undecided window overflows in energy at "
+     "T = 1e-153)"),
 ]
 
 

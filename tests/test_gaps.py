@@ -235,9 +235,9 @@ def test_ell1_threshold_reference_value():
 def test_ell1_threshold_shifts_with_omega_minus():
     params = GapParams(c0=0.699118)
     base = ell1_threshold(0.05, params, NO_PERTURBATION)
-    shifted = ell1_threshold(
-        0.05, params, PerturbBounds(omega_minus=5.0, omega_plus=5.0))
-    assert shifted == pytest.approx(base + 5.0, rel=1e-12)
+    w = 5.0 / math.pi ** 2  # omega = (5, 5) at T = 1, in scaled units
+    shifted = ell1_threshold(0.05, params, PerturbBounds(omega_minus=w, omega_plus=w))
+    assert shifted == pytest.approx(base + w, rel=1e-12)
 
 
 def test_ell1_threshold_scales_like_inverse_fourth_power_of_c0():
@@ -485,33 +485,37 @@ def test_gap_report_unperturbed_certifies_every_overlapping_pair():
 
 
 def test_gap_report_enclosures_shift_by_the_perturbation_bounds():
-    bounds = PerturbBounds(omega_minus=-0.25, omega_plus=0.75)
-    report = gap_report(1.0, bounds, GapParams(c0=0.7), ell_max=4.0)
+    # omega = (-0.25, 0.75) at T = 1, in scaled units
+    w_minus, w_plus = -0.25 / math.pi ** 2, 0.75 / math.pi ** 2
+    report = gap_report(1.0, PerturbBounds(w_minus, w_plus), GapParams(c0=0.7), ell_max=4.0)
     eta0, theta0 = band_edges(1.0, report.band_count)
     # the table covers the ceiling: one band more than sup_tau N0(4, tau)
     assert theta0[-1] >= 4.0
     pairs, i = report.candidate_gaps, report.undecided
     assert i.size
-    assert np.array_equal(pairs.lo[i], theta0[i] - 0.25)
-    assert np.array_equal(pairs.hi[i], eta0[i + 1] + 0.75)
+    assert np.array_equal(pairs.lo[i], theta0[i] + w_minus)
+    assert np.array_equal(pairs.hi[i], eta0[i + 1] + w_plus)
     # a window certified from samples is an outer window
     k = len(pairs)
-    assert np.all(pairs.lo <= theta0[:k] - 0.25) and np.all(pairs.hi >= eta0[1:k + 1] + 0.75)
+    assert np.all(pairs.lo <= theta0[:k] + w_minus) and np.all(pairs.hi >= eta0[1:k + 1] + w_plus)
 
 
 def test_gap_report_certifies_exactly_the_wide_overlaps():
     eta0, theta0 = band_edges(1.0, 12)
-    bounds = PerturbBounds(omega_minus=0.0, omega_plus=2.0)
+    w_L = 2.0 / math.pi ** 2  # omega = (0, 2) at T = 1, in scaled units
+    bounds = PerturbBounds(omega_minus=0.0, omega_plus=w_L)
     windows = certify_band_pairs(bounds, (eta0, theta0), ell_max=8.0)
     assert len(windows)
+    # both branches: overlaps wider than w_L certify, the rest stay undecided
+    assert windows.certified.any() and (~windows.certified).any()
     for i in range(len(windows)):
         below_hi, above_lo = theta0[i], eta0[i + 1]
         overlap = windows.overlap[i]
         assert overlap == pytest.approx(below_hi - above_lo, rel=1e-14)
-        slack = OVERLAP_RTOL * max(1.0, below_hi, above_lo, 2.0)
-        assert windows.certified[i] == (overlap >= 2.0 + slack)
+        slack = OVERLAP_RTOL * max(1.0, below_hi, above_lo, w_L)
+        assert windows.certified[i] == (overlap >= w_L + slack)
         assert windows.lo[i] == pytest.approx(below_hi + 0.0, rel=1e-14)
-        assert windows.hi[i] == pytest.approx(above_lo + 2.0, rel=1e-14)
+        assert windows.hi[i] == pytest.approx(above_lo + w_L, rel=1e-14)
     # the report finds the same windows, flags and undecided windows
     report = gap_report(1.0, bounds, GapParams(c0=0.7), ell_max=8.0)
     assert_same_undecided_windows(report, windows)
