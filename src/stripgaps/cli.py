@@ -77,6 +77,11 @@ MAX_GRID = 10_000
 # The flag giving a command's grid size, capped by MAX_GRID; inside a sweep,
 # steps times that size is capped.
 _GRID_FLAG = "grid"
+# Ulps a certified energy bound moves outward after its conversion from
+# scaled units: math.pi ** 2 / T ** 2 is within 5 units of roundoff of
+# pi^2/T^2 (math.pi, two squares, one division), the product adds one, and
+# an ulp is at least a unit of roundoff of the value.
+_ENERGY_ULPS = 8
 
 _REQUIRED = object()
 
@@ -351,6 +356,20 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
     return status, _Table(["key", "value"], items, items + windows)
 
 
+def _energies(geom: StripGeometry, scaled, toward: float = 0.0):
+    """pi^2/T^2 times scaled values, as floats.  Bounds from below (toward
+    -inf) or above (inf) move _ENERGY_ULPS ulps that way, unless exact (a
+    scaled 0); an energy beyond float range is refused."""
+    scaled = np.asarray(scaled, dtype=float)
+    with np.errstate(over="ignore"):
+        energy = math.pi ** 2 / geom.T ** 2 * scaled
+        for _ in range(_ENERGY_ULPS if toward else 0):
+            energy = np.where(scaled == 0.0, energy, np.nextafter(energy, toward))
+    if not np.isfinite(energy).all():
+        raise OverflowError(f"galerkin energies overflow at T = {geom.T}")
+    return energy.tolist()
+
+
 def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
     geom, potential = read_potential_file(params["potential"])
     k_max = params["kmax"]
@@ -359,35 +378,35 @@ def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
         raise ValueError("--nmax and --mmax must be given together")
     truncation = ((params["nmax"], params["mmax"]) if "nmax" in params
                   else default_truncation(geom.xi, k_max))
-    bands0 = unperturbed_band_functions(geom, tau_grid, k_max)
-    enclosure = omega_bounds(geom, potential)
-    bands = band_functions(geom, potential, tau_grid, k_max, truncation, enclosure)
+    # the library takes the scaled operator (T^2/pi^2) H and returns scaled
+    # bands and bounds; band_functions refuses before any band work
+    scaled = potential.scaled(geom.T ** 2 / math.pi ** 2)
+    enclosure = omega_bounds(geom.xi, scaled)
+    bands = band_functions(geom.xi, scaled, tau_grid, k_max, truncation, enclosure)
+    bands0 = unperturbed_band_functions(geom.xi, tau_grid, k_max)
     check = verify_enclosure(bands, bands0, enclosure)
+    # certified bounds round outward; widths, margins and inflation to nearest
+    omega = _energies(geom, [enclosure.omega_minus, enclosure.omega_plus], [-math.inf, math.inf])
+    margin = _energies(geom, check.worst_margin)
     summary: list[tuple[str, object]] = [
-        ("xi", geom.xi),
-        ("T", geom.T),
-        ("d", geom.d),
-        ("terms", len(potential.terms)),
-        ("n_max", truncation[0]),
-        ("m_max", truncation[1]),
-        ("k_max", k_max),
+        ("xi", geom.xi), ("T", geom.T), ("d", geom.d), ("terms", len(potential.terms)),
+        ("n_max", truncation[0]), ("m_max", truncation[1]), ("k_max", k_max),
         ("tau_points", len(tau_grid)),
-        ("max_enclosure_width", bands.max_enclosure_width),
-        ("omega_minus", enclosure.omega_minus),
-        ("omega_plus", enclosure.omega_plus),
-        ("omega_inflation", enclosure.inflation),
-        ("worst_margin", check.worst_margin),
+        ("max_enclosure_width", _energies(geom, bands.max_enclosure_width)),
+        ("omega_minus", omega[0]), ("omega_plus", omega[1]),
+        ("omega_inflation", _energies(geom, enclosure.inflation)),
+        ("worst_margin", margin),
         ("enclosure_ok", check.ok),
     ]
     if not check.ok:
         summary.append(("failing", f"band {check.band} tau {_fmt(check.tau)} "
-                                   f"{check.side} margin {_fmt(check.worst_margin)}"))
+                                   f"{check.side} margin {_fmt(margin)}"))
     status = 0 if check.ok else 2
-    rows = [
-        [tau, k, bands0.energies[i, k - 1], bands.lower[i, k - 1], bands.energies[i, k - 1]]
-        for i, tau in enumerate(bands.tau_grid)
-        for k in range(1, k_max + 1)
-    ]
+    energy0 = _energies(geom, bands0.energies)
+    lower = _energies(geom, bands.lower, -math.inf)
+    upper = _energies(geom, bands.energies, math.inf)
+    rows = [[tau, k, *values] for i, tau in enumerate(bands.tau_grid)
+            for k, values in enumerate(zip(energy0[i], lower[i], upper[i]), start=1)]
     # the summary rides along as notes above the band values
     return status, _Table(
         ["tau", "k", "energy0", "energy_lower", "energy"], rows, summary, summary)

@@ -10,31 +10,33 @@ In the orthonormal fiber basis
 
     b_{n,m}(x) proportional to exp(i pi n x1 / T) sin(pi m x2 / d),
 
-the fiber operator at quasimomentum tau has the exact matrix
+the scaled fiber operator (T^2/pi^2) H at quasimomentum tau has the exact matrix
 
-    H[(n', m'), (n, m)] = delta diag((pi^2/T^2)(tau+n)^2 + pi^2 m^2 / d^2)
-                          + v_{n'-n, q} w(m', m, q),
+    H[(n', m'), (n, m)] = delta ((tau+n)^2 + xi^2 m^2) + v_{n'-n, q} w(m', m, q),
 
     w(m', m, q) = (delta_{|m-m'|, q} (1 + delta_{q,0}) - delta_{m+m', q}) / 2,
 
-where w is the closed-form overlap of two Dirichlet sines against the cosine:
-no quadrature enters, so the only approximation is basis truncation.  Only
-the diagonal depends on tau, so band_functions builds the potential block
-once per call and rewrites its diagonal per quasimomentum, and turns one
-eigensolve per quasimomentum into a certified pair of bounds on each band:
-the Ritz value (plus the eigensolver's backward error) from above, and a
-Feshbach/Schur bound from below that charges the dropped modes through the
-potential's range.
+with xi = T/d, v the coefficients times T^2/pi^2 and w the closed-form
+overlap of two Dirichlet sines against the cosine.  So the module is
+unit-free: it takes xi and scaled coefficients and returns scaled energies,
+and the command line forms the energies.  No quadrature enters, so the only
+approximation is basis truncation.  Only the diagonal depends on tau, so
+band_functions builds the potential block once per call and rewrites its
+diagonal per quasimomentum, and turns one eigensolve per quasimomentum into a
+certified pair of bounds on each band: the Ritz value (plus the eigensolver's
+backward error) from above, and a Feshbach/Schur bound from below that
+charges the dropped modes through the potential's range.
 
 Time reversal saves half of the eigensolves.  With Pi the permutation
 n -> -n of the symmetric box |n| <= n_max, the matrix above gives
 
     H(-tau) = Pi conj(H(tau)) Pi^T   entry for entry
 
-whenever v_{-j,q} == conj(v_{j,q}) holds exactly ((tau + n)^2 is unchanged
-by (tau, n) -> (-tau, -n), and conj turns v_{n'-n,q} into v_{n-n',q}).  The two fibers then
-have the same spectrum, the same ||H||_inf and the same dropped-mode floor,
-so band_functions copies the certified rows of tau to an exact float -tau.
+whenever v_{-j,q} == conj(v_{j,q}) holds exactly ((tau + n)^2 is unchanged by
+(tau, n) -> (-tau, -n), and conj turns v_{n'-n,q} into v_{n-n',q}).  The two
+fibers then have the same spectrum, the same ||H||_inf and the same
+dropped-mode floor, so band_functions copies the certified rows of tau to an
+exact float -tau.
 
 The module also derives the perturbation's spectral bounds omega_-/omega_+
 for concrete potentials (extrema on a separable grid, scanned in row blocks
@@ -47,6 +49,8 @@ enclosure) and verifies the minimax band enclosures
 
 from __future__ import annotations
 
+import cmath
+import copy
 import math
 import os
 from dataclasses import dataclass
@@ -59,22 +63,16 @@ from .geometry import StripGeometry
 from .spectrum import _BLOCK, _level_extremes, band_curves
 
 __all__ = [
-    "PotentialSpec",
-    "read_potential_file",
-    "default_truncation",
-    "assemble",
-    "BandTable",
-    "zone_grid",
-    "band_functions",
-    "unperturbed_band_functions",
-    "OmegaEnclosure",
-    "omega_bounds",
-    "EnclosureCheck",
-    "verify_enclosure",
+    "PotentialSpec", "read_potential_file", "default_truncation", "assemble", "BandTable",
+    "zone_grid", "band_functions", "unperturbed_band_functions", "OmegaEnclosure",
+    "omega_bounds", "EnclosureCheck", "verify_enclosure",
 ]
 
 # Hard ceiling on the Galerkin matrix dimension (memory and eigensolver cost).
 MAX_BASIS_DIM = 4096
+# Ceiling on band_functions' eigensolve work, solved tau points x dim^3: about
+# 10 s of solves at the 0.2 ns per unit measured for dims 1,000-3,000 (2 cores).
+MAX_EIGEN_WORK = 5e10
 
 # Entrywise tolerance for accepting a matrix as Hermitian.
 _HERMITIAN_ATOL = 1e-12
@@ -134,12 +132,20 @@ class PotentialSpec:
         coeffs = {(j, q): complex(v) for j, q, v in self.terms}
         return all(coeffs.get((-j, q), 0.0) == v.conjugate() for (j, q), v in coeffs.items())
 
-    def gradient_bound(self, geom: StripGeometry) -> float:
-        """Upper bound sum |v_{j,q}| pi (|j|/T + q/d) for |grad V| on the cell."""
-        return sum(
-            abs(v) * math.pi * (abs(j) / geom.T + q / geom.d)
-            for j, q, v in self.terms
-        )
+    def scaled(self, factor: float) -> PotentialSpec:
+        """The spec of factor V, factor real.  The symmetry tolerance is not
+        scale-free, so the product is not checked against it again (V passed
+        it); exact conjugate symmetry is kept, and a coefficient the product
+        takes past float range is refused (OverflowError)."""
+        terms = tuple((j, q, complex(factor * v.real, factor * v.imag))
+                      for j, q, v in self.terms)
+        for (j, q, v), (_, _, product) in zip(self.terms, terms):
+            if not cmath.isfinite(product):
+                raise OverflowError(f"the scaled coefficient at (j={j}, q={q}), {factor!r} times "
+                                    f"{v!r}, is not finite")
+        spec = copy.copy(self)
+        object.__setattr__(spec, "terms", terms)
+        return spec
 
 
 def read_potential_file(path: str | os.PathLike) -> tuple[StripGeometry, PotentialSpec]:
@@ -196,6 +202,16 @@ def default_truncation(xi: float, k_max: int) -> tuple[int, int]:
     return n_max, m_max
 
 
+def _basis_dim(n_max: int, m_max: int) -> int:
+    """The number of modes |n| <= n_max, 1 <= m <= m_max, within MAX_BASIS_DIM."""
+    if n_max < 0 or m_max < 1:
+        raise ValueError(f"need n_max >= 0 and m_max >= 1, got ({n_max}, {m_max})")
+    dim = (2 * n_max + 1) * m_max
+    if dim > MAX_BASIS_DIM:
+        raise ValueError(f"basis dimension {dim} exceeds the ceiling {MAX_BASIS_DIM}")
+    return dim
+
+
 def _potential_block(
     potential: PotentialSpec, n_max: int, m_max: int
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, complex]]]:
@@ -207,15 +223,7 @@ def _potential_block(
     addition that lands on the diagonal: the (0, 0) term on every mode, and
     a (0, 2m) term on the modes of transverse index m.
     """
-    if n_max < 0 or m_max < 1:
-        raise ValueError(
-            f"need n_max >= 0 and m_max >= 1, got ({n_max}, {m_max})"
-        )
-    dim = (2 * n_max + 1) * m_max
-    if dim > MAX_BASIS_DIM:
-        raise ValueError(
-            f"basis dimension {dim} exceeds the ceiling {MAX_BASIS_DIM}"
-        )
+    dim = _basis_dim(n_max, m_max)
     ns = np.repeat(np.arange(-n_max, n_max + 1), m_max)
     ms = np.tile(np.arange(1, m_max + 1), 2 * n_max + 1)
     cols = np.arange(dim)
@@ -240,50 +248,40 @@ def _potential_block(
     return H, hits
 
 
-def _set_diagonal(
-    H: np.ndarray,
-    geom: StripGeometry,
-    tau: float,
-    n_max: int,
-    m_max: int,
-    hits: list[tuple[np.ndarray, complex]],
-) -> None:
+def _set_diagonal(H: np.ndarray, xi: float, tau: float, n_max: int, m_max: int,
+                  hits: list[tuple[np.ndarray, complex]]) -> None:
     """Write the diagonal of assemble's matrix at tau into the block H.
 
-    The mode energies first, then the diagonal hits of _potential_block in
+    The mode levels first, then the diagonal hits of _potential_block in
     their order: the same additions on the same values as assembling the
     whole matrix, so the result is bit-identical to it.
     """
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    # Mode energies as Python floats (numpy's square and libm's pow can
+    # Mode levels as Python floats (numpy's square and libm's pow can
     # differ by an ulp); tau is not folded into the fundamental window
     # because the fiber family is 1-periodic and zone-edge values are useful.
-    diagonal = np.array([
-        (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (math.pi * m / geom.d) ** 2
-        for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)
-    ], dtype=complex)
+    xi2 = xi * xi
+    diagonal = np.array([(tau + n) ** 2 + xi2 * (m * m)
+                         for n in range(-n_max, n_max + 1) for m in range(1, m_max + 1)],
+                        dtype=complex)
     for positions, value in hits:
         diagonal[positions] += value
     np.fill_diagonal(H, diagonal)
 
 
-def assemble(
-    geom: StripGeometry,
-    tau: float,
-    potential: PotentialSpec,
-    n_max: int,
-    m_max: int,
-) -> np.ndarray:
-    """Exact Galerkin matrix of the fiber operator at quasimomentum tau.
+def assemble(xi: float, tau: float, potential: PotentialSpec, n_max: int,
+             m_max: int) -> np.ndarray:
+    """Exact Galerkin matrix of the scaled fiber operator at quasimomentum tau.
 
     Basis: modes (n, m) with |n| <= n_max, 1 <= m <= m_max, n-major, so mode
     (n, m) is row (n + n_max) m_max + m - 1.  Diagonal entries are the
-    unperturbed mode energies; the perturbation contributes v_{n'-n, q}
-    times the transverse weight.  The result is Hermitian by construction.
+    unperturbed scaled mode levels (tau + n)^2 + xi^2 m^2; the (scaled)
+    perturbation contributes v_{n'-n, q} times the transverse weight.  The
+    result is Hermitian by construction.
     """
     H, hits = _potential_block(potential, n_max, m_max)
-    _set_diagonal(H, geom, tau, n_max, m_max, hits)
+    _set_diagonal(H, xi, tau, n_max, m_max, hits)
     return H
 
 
@@ -325,8 +323,8 @@ class BandTable:
         return self.max_enclosure_width
 
 
-def _dropped_floor(geom: StripGeometry, tau: float, n_max: int, m_max: int) -> float:
-    """Smallest unperturbed mode energy outside |n| <= n_max, m <= m_max.
+def _dropped_floor(xi: float, tau: float, n_max: int, m_max: int) -> float:
+    """Smallest unperturbed scaled mode level outside |n| <= n_max, m <= m_max.
 
     Exact for any finite tau: a dropped mode has m > m_max (any n), or
     |n| > n_max (any m >= 1), and (tau + n)^2 over the integers of a ray is
@@ -334,11 +332,9 @@ def _dropped_floor(geom: StripGeometry, tau: float, n_max: int, m_max: int) -> f
     """
     near = (math.floor(-tau), math.ceil(-tau))
     beyond = min((tau + n) ** 2 for n in (n_max + 1, -n_max - 1) + near if abs(n) > n_max)
-    scale = (math.pi / geom.T) ** 2
-    return min(
-        scale * min((tau + n) ** 2 for n in near) + (math.pi * (m_max + 1) / geom.d) ** 2,
-        scale * beyond + (math.pi / geom.d) ** 2,
-    )
+    xi2 = xi * xi
+    return min(min((tau + n) ** 2 for n in near) + xi2 * ((m_max + 1) * (m_max + 1)),
+               beyond + xi2)
 
 
 def zone_grid(n: int) -> list[float]:
@@ -347,15 +343,9 @@ def zone_grid(n: int) -> list[float]:
     return [(2 * i - n) / (2 * n) for i in range(1, n + 1)]
 
 
-def band_functions(
-    geom: StripGeometry,
-    potential: PotentialSpec,
-    tau_grid: Sequence[float],
-    k_max: int,
-    truncation: tuple[int, int],
-    bounds: PerturbBounds,
-) -> BandTable:
-    """Certified enclosures of the lowest k_max bands per grid tau.
+def band_functions(xi: float, potential: PotentialSpec, tau_grid: Sequence[float], k_max: int,
+                   truncation: tuple[int, int], bounds: PerturbBounds) -> BandTable:
+    """Certified enclosures of the lowest k_max scaled bands per grid tau.
 
     One eigensolve per tau (or per +-tau pair, below), on the kept modes P
     (|n| <= n_max, 1 <= m <= m_max; Q = 1 - P the dropped ones).  The
@@ -378,7 +368,9 @@ def band_functions(
       g = Lambda - mu.
 
     Fails closed (ValueError naming band, tau and g) when g <= 0: the
-    truncation then drops a mode as low as the band and must grow.
+    truncation then drops a mode as low as the band and must grow.  Before
+    anything is allocated it refuses a basis above MAX_BASIS_DIM and
+    eigensolve work, solved points x dim^3, above MAX_EIGEN_WORK.
 
     A grid point that is the exact float negation of an earlier one gets
     that point's rows without an eigensolve, when the potential
@@ -390,62 +382,61 @@ def band_functions(
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if (2 * n_max + 1) * m_max < k_max:
-        raise ValueError(
-            f"truncation ({n_max}, {m_max}) has fewer than k_max={k_max} modes"
-        )
+        raise ValueError(f"truncation ({n_max}, {m_max}) has fewer than k_max={k_max} modes")
     grid = [float(t) for t in tau_grid]
     if not grid:
         raise ValueError("tau_grid must be nonempty")
+    reuse = potential.conjugate_symmetric
+    solved: dict[float, int] = {}  # tau -> its row, for reuse at -tau
+    mates = []  # per point, the solved row at -tau it copies, or None
+    for i, tau in enumerate(grid):
+        mates.append(solved.get(-tau) if reuse else None)
+        if mates[-1] is None:
+            solved[tau] = i
+    dim = _basis_dim(n_max, m_max)
+    work = len(solved) * float(dim) ** 3
+    if work > MAX_EIGEN_WORK:
+        raise ValueError(f"eigensolve work of {len(solved)} solves at basis dimension {dim} "
+                         f"({work:.3g} dim^3) exceeds the ceiling {MAX_EIGEN_WORK:.3g}")
     a = (0.5 * bounds.omega_L) ** 2
     H, hits = _potential_block(potential, n_max, m_max)
     # refused, not left to an eigensolver that reads one triangle only
     defect = np.max(np.abs(H - H.conj().T))
     if defect > _HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian: entrywise defect {defect:.3e}")
-    upper = np.empty((len(grid), k_max))
-    lower = np.empty((len(grid), k_max))
-    solved: dict[float, int] = {}  # tau -> its row, for reuse at -tau
-    reuse = potential.conjugate_symmetric
-    for i, tau in enumerate(grid):
-        mate = solved.get(-tau) if reuse else None
+    upper, lower = np.empty((2, len(grid), k_max))
+    for i, (tau, mate) in enumerate(zip(grid, mates)):
         if mate is not None:
             upper[i], lower[i] = upper[mate], lower[mate]
             continue
-        solved[tau] = i
-        _set_diagonal(H, geom, tau, n_max, m_max, hits)
+        _set_diagonal(H, xi, tau, n_max, m_max, hits)
         ritz = np.linalg.eigvalsh(H)[:k_max]
         norm = float(np.abs(H).sum(axis=1).max())
         eps = EIG_ROUNDING_C * H.shape[0] * _UNIT_ROUNDOFF * norm
         mu = ritz - eps
-        g = _dropped_floor(geom, tau, n_max, m_max) + bounds.omega_minus - mu
+        g = _dropped_floor(xi, tau, n_max, m_max) + bounds.omega_minus - mu
         if np.any(g <= 0):
             k = int(np.argmax(g <= 0))
-            raise ValueError(
-                f"band {k + 1} at tau {tau!r} reaches the dropped modes: "
-                f"g = {g[k]:.3e} <= 0 under truncation {truncation}; enlarge it"
-            )
+            raise ValueError(f"band {k + 1} at tau {tau!r} reaches the dropped modes: "
+                             f"g = {g[k]:.3e} <= 0 under truncation {truncation}; enlarge it")
         upper[i] = ritz + eps
         lower[i] = mu - 2.0 * a / (g + np.sqrt(g * g + 4.0 * a))
     return BandTable(tuple(grid), upper, lower)
 
 
-def unperturbed_band_functions(
-    geom: StripGeometry, tau_grid: Sequence[float], k_max: int
-) -> BandTable:
-    """Exact V = 0 bands: the k_max smallest mode energies per grid tau.
+def unperturbed_band_functions(xi: float, tau_grid: Sequence[float], k_max: int) -> BandTable:
+    """Exact V = 0 bands: the k_max smallest scaled mode levels per grid tau.
 
     The modes are spectrum.band_curves (every curve bands 1..k_max can
     follow, enumerated on [0, 1/2], so each tau is taken as |tau|) with
     assemble's diagonal expression; no truncation enters, so the lower and
     upper sides are the same values.
     """
-    n, m, _cap = band_curves(geom.xi, k_max)
+    n, m, _cap = band_curves(xi, k_max)
     grid = tuple(float(t) for t in tau_grid)
-    energies = np.array([
-        np.sort(np.partition(
-            (math.pi / geom.T) ** 2 * (abs(tau) + n) ** 2 + (math.pi * m / geom.d) ** 2,
-            k_max - 1)[:k_max])
-        for tau in grid]).reshape(len(grid), k_max)
+    xi2m2 = xi * xi * (m * m)
+    energies = np.array([np.sort(np.partition((abs(tau) + n) ** 2 + xi2m2, k_max - 1)[:k_max])
+                         for tau in grid]).reshape(len(grid), k_max)
     return BandTable(grid, energies, energies)
 
 
@@ -504,10 +495,9 @@ def _range_extremes(potential: PotentialSpec, grid_n: int) -> tuple[float, float
     return float(lo), float(hi)
 
 
-def omega_bounds(
-    geom: StripGeometry, potential: PotentialSpec, grid_n: int = 1024
-) -> OmegaEnclosure:
-    """Rigorous enclosure of min/max of V over the cell (0, 2T) x [0, d].
+def omega_bounds(xi: float, potential: PotentialSpec, grid_n: int = 1024) -> OmegaEnclosure:
+    """Rigorous enclosure of min/max of V over the cell (0, 2T) x [0, d], in
+    the units of V's coefficients (scaled, as everywhere here).
 
     Scans V on the N x N grid of _range_extremes (periodic in x1, endpoints
     included in x2) in blocks of grid rows, keeping only the running minimum
@@ -516,14 +506,16 @@ def omega_bounds(
 
         min(first, second) + rounding.
 
-    first = gradient_bound * diam/N, diam = hypot(2T, d), is the mean-value
-    bound.  second = 1/2 sum |v| (pi |j|/T h1/2 + pi q/d h2/2)^2, with
-    h1 = 2T/N and h2 = d/(N-1), is Taylor's bound at a critical point: V
-    extends evenly in x2 to a smooth function on the torus
-    (0, 2T) x (-d, d) with the same range, so grad V = 0 at its extrema, the
-    nearest grid point lies within h1/2 and h2/2 in each coordinate, and each
-    term's second derivative along a step (s1, s2) is at most
-    |v| (pi |j| s1/T + pi q s2/d)^2.
+    Both sampling bounds are free of T:
+
+    first = sum |v| pi (|j| + q xi) hypot(2, 1/xi)/N is the mean-value bound,
+    |grad V| <= sum |v| pi (|j|/T + q/d) times hypot(2T, d)/N, at least the
+    distance to the nearest grid point.  second = 1/2 sum |v| (pi |j|/N + pi q/(2(N-1)))^2 is
+    Taylor's bound at a critical point: V extends evenly in x2 to a smooth
+    function on the torus (0, 2T) x (-d, d) with the same range, so
+    grad V = 0 at its extrema, the nearest grid point lies within T/N and
+    d/(2(N-1)) in each coordinate, and each term's second derivative along a
+    step (s1, s2) is at most |v| (pi |j| s1/T + pi q s2/d)^2.
 
     rounding = RANGE_ROUNDING_C * K * (u * (sum |v| + min(first, second)) + s),
     with K the number of nonzero terms other than (0, 0), u the unit roundoff
@@ -540,16 +532,10 @@ def omega_bounds(
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     grid_min, grid_max = _range_extremes(potential, grid_n)
-    first = (
-        potential.gradient_bound(geom)
-        * math.hypot(2.0 * geom.T, geom.d)
-        / grid_n
-    )
-    h1, h2 = 2.0 * geom.T / grid_n, geom.d / (grid_n - 1)
-    second = 0.5 * sum(
-        abs(v) * (math.pi * abs(j) / geom.T * h1 / 2 + math.pi * q / geom.d * h2 / 2) ** 2
-        for j, q, v in potential.terms
-    )
+    first = (sum(abs(v) * math.pi * (abs(j) + q * xi) for j, q, v in potential.terms)
+             * math.hypot(2.0, 1.0 / xi) / grid_n)
+    second = 0.5 * sum(abs(v) * (math.pi * abs(j) / grid_n + math.pi * q / (2 * (grid_n - 1))) ** 2
+                       for j, q, v in potential.terms)
     sampling = min(first, second)
     nonconstant = sum(1 for j, q, v in potential.terms if v != 0 and (j, q) != (0, 0))
     total = sum(abs(v) for _, _, v in potential.terms)
@@ -582,11 +568,7 @@ class EnclosureCheck(NamedTuple):
     side: str
 
 
-def verify_enclosure(
-    bands: BandTable,
-    bands0: BandTable,
-    bounds: PerturbBounds,
-) -> EnclosureCheck:
+def verify_enclosure(bands: BandTable, bands0: BandTable, bounds: PerturbBounds) -> EnclosureCheck:
     """Check E_k0(tau) + omega_- <= E_k(tau) <= E_k0(tau) + omega_+ entrywise.
 
     Each side is checked on the certified bounds: bands.lower against the
@@ -600,9 +582,7 @@ def verify_enclosure(
     if bands.tau_grid != bands0.tau_grid:
         raise ValueError("tau grids differ between the two band tables")
     if bands.k_max != bands0.k_max:
-        raise ValueError(
-            f"band counts differ: {bands.k_max} vs {bands0.k_max}"
-        )
+        raise ValueError(f"band counts differ: {bands.k_max} vs {bands0.k_max}")
     margins = np.stack((
         bands.lower - (bands0.energies + bounds.omega_minus),
         (bands0.lower + bounds.omega_plus) - bands.energies,

@@ -91,7 +91,8 @@ class PerturbBounds:
 
     omega_minus (infimum) and omega_plus (supremum) of the perturbation's
     quadratic form; omega_L = omega_plus - omega_minus is the oscillation.
-    Built in energy units (galerkin, the command line); read here scaled.
+    In scaled units, T^2/pi^2 times the energy bounds, wherever they are
+    built (galerkin.omega_bounds) or read.
     All three must be finite (ValueError otherwise).  Everything downstream
     is monotone in the enclosure, so conservative (outer) values stay sound.
     """

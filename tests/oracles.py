@@ -33,8 +33,8 @@
 * ``coefficient``, ``potential_values``, ``omega_bounds_first_order``: a
   potential's coefficient by label, its values term by term on any grid, and
   the enclosure of its range from those values inflated by the first-order
-  (gradient) bound, against the separable second-order
-  ``stripgaps.galerkin.omega_bounds``.
+  (gradient) bound in the cell's own lengths, against the separable
+  ``stripgaps.galerkin.omega_bounds``, whose sampling bounds read xi only.
 * ``range_grid``: the whole N x N grid of V values that
   ``stripgaps.galerkin.omega_bounds`` scans in row blocks (its extremes must
   agree bit for bit).
@@ -487,12 +487,15 @@ def omega_bounds_first_order(
     geom: StripGeometry, potential: PotentialSpec, grid_n: int = 1024
 ) -> OmegaEnclosure:
     """Extrema of potential_values on the N x N grid (periodic in x1,
-    endpoints included in x2), inflated outward by the mean-value bound
-    gradient_bound * hypot(2T, d) / N; no rounding term."""
+    endpoints included in x2), inflated outward by the mean-value bound, the
+    gradient bound sum |v| pi (|j|/T + q/d) times hypot(2T, d) / N, in the
+    units of the coefficients; no rounding term."""
     x1 = np.linspace(0.0, 2.0 * geom.T, grid_n, endpoint=False)
     x2 = np.linspace(0.0, geom.d, grid_n)
     values = potential_values(potential, geom, x1[:, None], x2[None, :])
-    inflation = potential.gradient_bound(geom) * math.hypot(2.0 * geom.T, geom.d) / grid_n
+    gradient = sum(abs(v) * math.pi * (abs(j) / geom.T + q / geom.d)
+                   for j, q, v in potential.terms)
+    inflation = gradient * math.hypot(2.0 * geom.T, geom.d) / grid_n
     lo, hi = float(values.min()), float(values.max())
     return OmegaEnclosure(omega_minus=lo - inflation, omega_plus=hi + inflation, grid_min=lo,
                           grid_max=hi, inflation=inflation, rounding=0.0)
@@ -537,13 +540,13 @@ def _transverse_weight(m_row: int, m_col: int, q: int) -> float:
 
 
 def assemble_by_loop(
-    geom: StripGeometry,
+    xi: float,
     tau: float,
     potential: PotentialSpec,
     n_max: int,
     m_max: int,
 ) -> np.ndarray:
-    """The fiber matrix of ``stripgaps.galerkin.assemble``, one entry at a time.
+    """The scaled fiber matrix of ``stripgaps.galerkin.assemble``, one entry at a time.
 
     For every term and every column mode (n, m), the candidate rows
     (n + j, m_row) with m_row in {m - q, m + q, q - m} receive v times the
@@ -553,7 +556,7 @@ def assemble_by_loop(
     index = {nm: i for i, nm in enumerate(mode_list)}
     H = np.zeros((len(mode_list), len(mode_list)), dtype=complex)
     for i, (n, m) in enumerate(mode_list):
-        H[i, i] = (math.pi / geom.T) ** 2 * (tau + n) ** 2 + (math.pi * m / geom.d) ** 2
+        H[i, i] = (tau + n) ** 2 + xi * xi * (m * m)
     for j, q, v in potential.terms:
         if v == 0:
             continue
@@ -570,7 +573,7 @@ def assemble_by_loop(
     return H
 
 
-def band_functions_by_assembly(geom: StripGeometry, potential: PotentialSpec, tau_grid,
+def band_functions_by_assembly(xi: float, potential: PotentialSpec, tau_grid,
                                k_max: int, truncation: tuple[int, int],
                                bounds) -> BandTable:
     """The certified table of ``stripgaps.galerkin.band_functions``, with one
@@ -580,11 +583,11 @@ def band_functions_by_assembly(geom: StripGeometry, potential: PotentialSpec, ta
     a = (0.5 * (bounds.omega_plus - bounds.omega_minus)) ** 2
     upper, lower = [], []
     for tau in tau_grid:
-        H = assemble(geom, tau, potential, n_max, m_max)
+        H = assemble(xi, tau, potential, n_max, m_max)
         ritz = np.linalg.eigvalsh(H)[:k_max]
         eps = EIG_ROUNDING_C * H.shape[0] * 2.0 ** -53 * float(np.abs(H).sum(axis=1).max())
         mu = ritz - eps
-        g = _dropped_floor(geom, tau, n_max, m_max) + bounds.omega_minus - mu
+        g = _dropped_floor(xi, tau, n_max, m_max) + bounds.omega_minus - mu
         upper.append(ritz + eps)
         lower.append(mu - 2.0 * a / (g + np.sqrt(g * g + 4.0 * a)))
     return BandTable(tuple(float(t) for t in tau_grid), np.array(upper), np.array(lower))

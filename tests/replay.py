@@ -5,7 +5,8 @@
 compares PARENT_CHECKOUT with the checkout this file belongs to.  The
 invocations are every entry of tests/data/cli_corpus.json, every invocation
 of bench.workloads.pool() (which only writes its potential files, to a
-temporary directory) and EXTRA below.  Each checkout runs all of them in one
+temporary directory), EXTRA below and galerkin on the potential files that
+potential_extra writes to that directory.  Each checkout runs all of them in one
 interpreter, calling stripgaps.cli.main in-process with OPENBLAS_NUM_THREADS=1,
 its own src/ first on the path and its root as working directory (where the
 corpus' relative potential path resolves).  Exit status, stdout and stderr
@@ -163,7 +164,31 @@ EXTRA = [
     # a second -- inside a sweep's inner command stays there
     ["sweep", "--param", "ell", "--start", "1.3", "--stop", "1.3", "--steps", "1",
      "--", "count", "--xi", "0.5", "--", "--tau", "0"],
+    # galerkin requests refused before any band work: a basis dimension of
+    # 26,565, and 26 solves at dimension 2,926
+    ["galerkin", "--potential", "tests/data/cosine.pot", "--kmax", "20000", "--grid", "200"],
+    ["galerkin", "--potential", "tests/data/cosine.pot", "--kmax", "2000", "--grid", "50"],
 ]
+
+
+def potential_extra(workdir: Path) -> list[list[str]]:
+    """galerkin on tests/data/cosine.pot with lengths times s and V over s^2
+    (s = 1/4 and 4), on a file whose scaled coefficient (T^2/pi^2) v
+    overflows and on one whose energies pi^2/T^2 ell overflow, each written
+    to workdir."""
+    header, *records = (HERE / "tests" / "data" / "cosine.pot").read_text().splitlines()
+    T, d = (float(field.split("=")[1]) for field in header.split())
+    files = {"overflow.pot": ["T=1e150 d=1.0", "1 0 1e10 0.0", "-1 0 1e10 0.0"],
+             "energy_overflow.pot": ["T=1e-153 d=1e-153", "1 0 1.0 0.0", "-1 0 1.0 0.0"]}
+    for s in (0.25, 4.0):
+        files[f"cosine_{s!r}.pot"] = [f"T={s * T!r} d={s * d!r}"] + [
+            f"{j} {q} {float(re) / s ** 2!r} {float(im) / s ** 2!r}"
+            for j, q, re, im in (record.split() for record in records)]
+    for name, lines in files.items():
+        (workdir / name).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return [["galerkin", "--potential", str(workdir / name), "--kmax",
+             "30" if name == "energy_overflow.pot" else "2", "--grid", "5"] for name in files]
+
 
 # Run in each checkout: read a JSON list of argvs on stdin, write a JSON list
 # of [status, stdout, stderr] on stdout.
@@ -190,7 +215,7 @@ def invocations(workdir: Path) -> list[list[str]]:
     from bench.workloads import pool
 
     return ([entry["argv"] for entry in corpus]
-            + [list(inv.argv) for inv in pool(workdir)] + EXTRA)
+            + [list(inv.argv) for inv in pool(workdir)] + EXTRA + potential_extra(workdir))
 
 
 def record(checkout: Path, argvs: list[list[str]]) -> list[list]:

@@ -238,15 +238,14 @@ def test_criterion_07_condition_arithmetic():
 
 
 def test_criterion_08_galerkin_validation():
-    # V = 0 reduction against the lattice of mode energies
-    geom1 = resolve_geometry(T=1.0, d=1.0)
+    # V = 0 reduction against the lattice of scaled mode energies (xi = 1)
     taus = [-0.4, -0.1, 0.0, 0.2, 0.5]
-    table = band_functions(geom1, PotentialSpec(), taus, 4, default_truncation(geom1.xi, 4),
+    table = band_functions(1.0, PotentialSpec(), taus, 4, default_truncation(1.0, 4),
                            PerturbBounds())
     lattice_err = 0.0
     for i, tau in enumerate(taus):
         expected = sorted(
-            math.pi ** 2 * ((tau + n) ** 2 + m * m)
+            (tau + n) ** 2 + m * m
             for n in range(-8, 9)
             for m in range(1, 10)
         )[:4]
@@ -257,14 +256,13 @@ def test_criterion_08_galerkin_validation():
         abs(eigs[0] - (3.0 - math.sqrt(5.0)) / 2.0),
         abs(eigs[1] - (3.0 + math.sqrt(5.0)) / 2.0),
     )
-    # enclosure for 0.2 cos(pi x1 / T) at xi = 0.05
-    geom = resolve_geometry(T=1.0, xi=0.05)
-    cosine = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1)))
-    trunc = default_truncation(geom.xi, 4)
+    # enclosure for 0.2 cos(pi x1 / T) at xi = 0.05 and T = 1, scaled by 1/pi^2
+    cosine = PotentialSpec(terms=((1, 0, 0.1), (-1, 0, 0.1))).scaled(1.0 / math.pi ** 2)
+    trunc = default_truncation(0.05, 4)
     tau_grid = [-0.5, -0.25, 0.0, 0.25, 0.5]
-    enclosure = omega_bounds(geom, cosine)
-    bands0 = band_functions(geom, PotentialSpec(), tau_grid, 4, trunc, PerturbBounds())
-    bands = band_functions(geom, cosine, tau_grid, 4, trunc, enclosure)
+    enclosure = omega_bounds(0.05, cosine)
+    bands0 = band_functions(0.05, PotentialSpec(), tau_grid, 4, trunc, PerturbBounds())
+    bands = band_functions(0.05, cosine, tau_grid, 4, trunc, enclosure)
     check = verify_enclosure(bands, bands0, enclosure)
     ok = lattice_err <= 1e-10 and two_err <= 1e-10 and check.worst_margin >= -1e-6
     _verdict(

@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -278,8 +279,19 @@ def test_bands_prints_the_endpoints_band_edges_computed(argv, geom):
 
 
 # Requests too costly to serve, beyond float range or beyond float precision:
-# each must exit 1 with a message before any large allocation, never hang,
-# end in a traceback or print a meaningless number.
+# each must exit 1 with a message before any large allocation, within
+# _REFUSAL_SECONDS (interpreter start included), never hang, end in a
+# traceback or print a meaningless number.
+_REFUSAL_SECONDS = 10.0
+_GALERKIN_COSTLY = [
+    # dimension 26,565: refused before the V = 0 reference (68.5 MB) is built
+    (["--kmax", "20000", "--grid", "200"],
+     f"error: basis dimension 26565 exceeds the ceiling {galerkin.MAX_BASIS_DIM}"),
+    # dimension 2,926 at 26 solves: about 7 min of eigensolves
+    (["--kmax", "2000", "--grid", "50"],
+     "error: eigensolve work of 26 solves at basis dimension 2926 (6.51e+11 dim^3) exceeds "
+     "the ceiling 5e+10"),
+]
 _COSTLY = [
     (["bands", "--xi", "0.5", "--kmax", "100000000"],
      f"error: band computation exceeds the ceiling of {MAX_BAND_CURVES} level curves "
@@ -399,6 +411,8 @@ _COSTLY = [
       "--omega-plus", "1.48e308", "--ell-max", "10"],
      "error: inputs out of floating-point range (an undecided window overflows in energy at "
      "T = 1e-153)"),
+    *[(["galerkin", "--potential", str(DATA / "cosine.pot"), *flags], message)
+      for flags, message in _GALERKIN_COSTLY],
 ]
 
 
@@ -416,7 +430,9 @@ def _subprocess_cli(argv):
 
 @pytest.mark.parametrize("argv, message", _COSTLY)
 def test_costly_requests_fail_closed(argv, message):
+    start = time.perf_counter()
     proc = _subprocess_cli(argv)
+    assert time.perf_counter() - start <= _REFUSAL_SECONDS
     assert proc.returncode == 1
     assert proc.stderr.startswith(message), proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
@@ -919,15 +935,16 @@ def test_galerkin_command_verifies_the_enclosure(cosine_potential_file):
 def test_galerkin_command_names_the_failing_condition_when_declined(cosine_potential_file,
                                                                     monkeypatch):
     # the cosine's zone-edge splitting leaves band 1 only 0.1 above E0 +
-    # omega_-; a V = 0 table shifted up by 0.5 puts it 0.4 below, and the
-    # real check declines it
+    # omega_-; a V = 0 table shifted up by 0.5 (0.5/pi^2 scaled, T = 1) puts
+    # it 0.4 below, and the real check declines it
     argv = ["galerkin", "--potential", cosine_potential_file, "--kmax", "2", "--grid", "5"]
     assert "failing" not in run(argv)[1]
     real = cli.unperturbed_band_functions
 
     def shifted(*args):
         table = real(*args)
-        return galerkin.BandTable(table.tau_grid, table.energies + 0.5, table.lower + 0.5)
+        shift = 0.5 / math.pi ** 2
+        return galerkin.BandTable(table.tau_grid, table.energies + shift, table.lower + shift)
 
     monkeypatch.setattr(cli, "unperturbed_band_functions", shifted)
     code, out = run(argv)
@@ -994,6 +1011,38 @@ def test_galerkin_command_fails_closed_on_an_unreadable_potential_file(tmp_path,
                      "--", "galerkin", "--potential", missing])
     assert code == 1
     assert [l for l in out.splitlines() if not l.startswith("#")] == ["kmax,status", "1,1", "2,1"]
+
+
+@pytest.mark.parametrize("flags, message", _GALERKIN_COSTLY)
+def test_galerkin_refuses_costly_requests_before_any_band_work(monkeypatch, capsys, flags,
+                                                              message):
+    # neither the V = 0 reference nor the potential block is ever built
+    built = []
+    monkeypatch.setattr(cli, "unperturbed_band_functions", lambda *a: built.append(a))
+    monkeypatch.setattr(galerkin, "_potential_block", lambda *a: built.append(a))
+    assert main(["galerkin", "--potential", str(DATA / "cosine.pot"), *flags]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert built == []
+
+
+def test_galerkin_refuses_a_scaled_coefficient_beyond_float_range(tmp_path, capsys):
+    # 1e10 is a finite energy coefficient, but (T^2/pi^2) 1e10 at T = 1e150 is not
+    path = tmp_path / "overflow.pot"
+    path.write_text("T=1e150 d=1.0\n1 0 1e10 0.0\n-1 0 1e10 0.0\n")
+    assert main(["galerkin", "--potential", str(path)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: inputs out of floating-point range (the scaled coefficient at (j=1, q=0), "
+        "1.0132118364233777e+299 times (10000000000+0j), is not finite)\n"))
+
+
+def test_galerkin_refuses_energies_beyond_float_range(tmp_path, capsys):
+    # pi^2/T^2 is about 1e307 at T = 1e-153: band 30's scaled level, about
+    # 20, has no float energy, so no inf is printed
+    path = tmp_path / "small.pot"
+    path.write_text("T=1e-153 d=1e-153\n1 0 1.0 0.0\n-1 0 1.0 0.0\n")
+    assert main(["galerkin", "--potential", str(path), "--kmax", "30", "--grid", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: inputs out of floating-point range (galerkin "
+                                       "energies overflow at T = 1e-153)\n")
 
 
 def test_galerkin_command_requires_matching_truncation_flags(cosine_potential_file):

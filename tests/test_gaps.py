@@ -123,6 +123,18 @@ def test_conditions_partial_at_larger_ratio():
     assert not above.xi_subcritical
 
 
+def test_xi_subcritical_is_strict_at_xi_critical():
+    # the regime is xi < xi_critical: at xi_critical itself the command
+    # prints false, one float below it true
+    xi = critical_constants().xi_critical
+    assert xi == 0.10121085431023998
+    for value, expected in ((xi, "false"), (math.nextafter(xi, 0.0), "true")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["gaps", "--xi", repr(value), "--c0", "0.1"])
+        assert f"xi_subcritical = {expected}" in out.getvalue().splitlines(), value
+
+
 @pytest.mark.parametrize("target, certified", [
     (-1e-15, False),  # negative margin
     (0.0, False),     # zero margin, up to rounding
