@@ -7,6 +7,11 @@ Computed floating-point values are printed with 12 significant digits; no
 timestamps or locale-dependent formatting enter the output, so identical
 configurations produce byte-identical bytes.
 
+A command takes a length only if it prints an energy (bands and gaps any two
+of --xi, --T, --d; galerkin its file's header); the others take --xi alone.
+Every printed energy is formed by ``_energies``, which refuses one past float
+range; certified bounds print rounded outward (lower down, upper up).
+
 Exit status contract: 0 on success, 1 on usage or validation errors, 2 when
 the mathematics answers no (a certification condition fails or a checked
 inequality is violated).
@@ -47,6 +52,7 @@ import os
 import re
 import shlex
 import sys
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -162,15 +168,36 @@ def _spell(value) -> str:
     return str(value)
 
 
+class _Down(float):
+    """A certified lower bound: printed rounded down, in this context."""
+
+    context = Context(prec=12, rounding=ROUND_FLOOR)
+
+
+class _Up(float):
+    """A certified upper bound: printed rounded up, in this context."""
+
+    context = Context(prec=12, rounding=ROUND_CEILING)
+
+
 def _fmt(value) -> str:
-    """Render a value for output: floats at 12 significant digits."""
+    """Render a value for output: floats at 12 significant digits, to nearest
+    or, for a nonzero bound (_Down, _Up), outward."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
+    if not isinstance(value, float):
+        return str(value)
+    if not isinstance(value, (_Down, _Up)) or not value:
         return f"{value:.12g}"
-    return str(value)
+    # the bound's exact value rounded at 12 digits, in the layout of .12g
+    digits = value.context.plus(Decimal(value))
+    exp = digits.adjusted()
+    fixed = -4 <= exp < 12
+    text = f"{digits:.{11 - exp}f}" if fixed else f"{digits.scaleb(-exp):.11f}"
+    text = text.rstrip("0").rstrip(".") if "." in text else text
+    return text if fixed else f"{text}e{exp:+03d}"
 
 
 def _render(table: _Table, fmt: str) -> list[str]:
@@ -196,9 +223,15 @@ def _render(table: _Table, fmt: str) -> list[str]:
 
 
 def _geometry(params: dict) -> StripGeometry:
-    return resolve_geometry(
-        xi=params.get("xi"), T=params.get("T"), d=params.get("d")
-    )
+    return resolve_geometry(xi=params.get("xi"), T=params.get("T"), d=params.get("d"))
+
+
+def _xi(params: dict) -> float:
+    """The ratio of a command that forms no energy, checked positive and finite."""
+    xi = params["xi"]
+    if not 0 < xi < math.inf:
+        raise ValueError(f"xi must be positive{'' if xi <= 0 else ' and finite'}, got {xi}")
+    return xi
 
 
 def _grid(params: dict) -> int:
@@ -230,61 +263,53 @@ def _cmd_constants(params: dict) -> tuple[int, _Table]:
 
 
 def _cmd_count(params: dict) -> tuple[int, _Table]:
-    geom = _geometry(params)
-    value = counting(geom.xi, params["ell"], params["tau"])
-    return 0, _Table(["xi", "ell", "tau", "count"],
-                     [[geom.xi, params["ell"], params["tau"], value]])
+    xi = _xi(params)
+    value = counting(xi, params["ell"], params["tau"])
+    return 0, _Table(["xi", "ell", "tau", "count"], [[xi, params["ell"], params["tau"], value]])
 
 
 def _cmd_bands(params: dict) -> tuple[int, _Table]:
     geom = _geometry(params)
     lo, hi = band_edges(geom.xi, params["kmax"])
-    scale = math.pi * math.pi / (geom.T * geom.T)
-    rows = [
-        [k, scale * a, scale * b, a, b]
-        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()), start=1)
-    ]
+    rows = [[k, *values] for k, values in enumerate(
+        zip(_energies(geom, lo), _energies(geom, hi), lo.tolist(), hi.tolist()), start=1)]
     return 0, _Table(["k", "eta", "theta", "eta_scaled", "theta_scaled"], rows)
 
 
 def _cmd_fourier(params: dict) -> tuple[int, _Table]:
-    geom = _geometry(params)
-    ell, p = params["ell"], params["p"]
+    xi, ell, p = _xi(params), params["ell"], params["p"]
     if p < 0:
         raise ValueError(f"harmonic index must be >= 0, got {p}")
     if p == 0:
-        value, bound = a0_closed(geom.xi, ell), None
+        value, bound = a0_closed(xi, ell), None
     else:
-        value, bound = ap_closed(geom.xi, ell, p), residual_bound(geom.xi, ell, p)
-    return 0, _Table(["xi", "ell", "p", "value", "residual_bound"],
-                     [[geom.xi, ell, p, value, bound]])
+        value, bound = ap_closed(xi, ell, p), residual_bound(xi, ell, p)
+    return 0, _Table(["xi", "ell", "p", "value", "residual_bound"], [[xi, ell, p, value, bound]])
 
 
 def _cmd_phi(params: dict) -> tuple[int, _Table]:
-    geom = _geometry(params)
-    ev = phi_p(geom.xi, params["ell"], params["p"], tol=params["tol"])
+    xi = _xi(params)
+    ev = phi_p(xi, params["ell"], params["p"], tol=params["tol"])
     return 0, _Table(["xi", "ell", "p", "value", "tail_bound", "truncation_n"],
-                     [[geom.xi, ev.ell, ev.p, ev.value, ev.tail_bound, ev.truncation_n]])
+                     [[xi, ev.ell, ev.p, ev.value, ev.tail_bound, ev.truncation_n]])
 
 
 def _cmd_phi_sup(params: dict) -> tuple[int, _Table]:
-    geom = _geometry(params)
-    res = phi_sup(geom.xi, params["ell"], cutoff_c1=params["cutoff_c1"], tol=params["tol"])
-    row = [geom.xi, params["ell"], res.p_star, res.value, res.p_max, res.cutoff_bound]
+    xi = _xi(params)
+    res = phi_sup(xi, params["ell"], cutoff_c1=params["cutoff_c1"], tol=params["tol"])
+    row = [xi, params["ell"], res.p_star, res.value, res.p_max, res.cutoff_bound]
     return 0, _Table(["xi", "ell", "p_star", "value", "p_max", "cutoff_bound"], [row])
 
 
 def _cmd_check_thm23(params: dict) -> tuple[int, _Table]:
-    geom = _geometry(params)
+    xi = _xi(params)
     lo, hi, n = params["ell_min"], params["ell_max"], _grid(params)
     if not 1.0 <= lo <= hi:
         raise ValueError(f"need 1 <= ell-min <= ell-max, got [{lo}, {hi}]")
     if hi == math.inf:
         raise ValueError("ell-max must be finite, got inf")
     grid = np.linspace(lo, hi, n) if n > 1 else np.array([lo])
-    report = uniform_lower_bound_check(
-        geom.xi, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"]
-    )
+    report = uniform_lower_bound_check(xi, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"])
     if report.c0 is None:
         return 2, _Table(["verdict", "margin"], [["not-applicable", report.xi_excess]],
                          [("verdict", "not-applicable"), ("xi_excess", report.xi_excess)])
@@ -304,15 +329,14 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
         raise ValueError(f"--c0 is required with {' and '.join('--' + k for k in minorant)}")
     gp = GapParams(**minorant) if minorant else GapParams.from_small_ratio(geom.xi)
     # the chain takes scaled bounds and returns a scaled ell1 and windows
-    to_scaled, to_energy = geom.T ** 2 / math.pi ** 2, math.pi ** 2 / geom.T ** 2
+    to_scaled = geom.T ** 2 / math.pi ** 2
     w = (to_scaled * bounds.omega_minus, to_scaled * bounds.omega_plus)
     if not math.isfinite(w[1] - w[0]):
         raise OverflowError(f"the scaled bounds (T^2/pi^2) (omega_minus, omega_plus) = {w} "
                             f"overflow at T = {geom.T}")
     scaled = PerturbBounds(*w)
-    ell1 = to_energy * ell1_threshold(geom.xi, gp, scaled)  # refused before any band work
-    if not math.isfinite(ell1):
-        raise OverflowError(f"threshold ell1 = {ell1} at scaled oscillation {scaled.omega_L}")
+    # ell1 is an upper bound, refused before any band work
+    ell1 = _energies(geom, ell1_threshold(geom.xi, gp, scaled), math.inf, "threshold ell1")
     rep = gap_report(geom.xi, scaled, gp, params.get("ell_max"))
     verdict = rep.conditions
     items: list[tuple[str, object]] = [
@@ -344,11 +368,10 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
         items.append(("candidate_windows", len(pairs)))
         items.append(("certified_absent", len(pairs) - undecided.size))
         items.append(("undecided", undecided.size))
-        energy = [(i, to_energy * a, to_energy * b) for i, a, b in
-                  zip(shown.tolist(), pairs.lo[shown].tolist(), pairs.hi[shown].tolist())]
-        if not all(math.isfinite(a) and math.isfinite(b) for _, a, b in energy):
-            raise OverflowError(f"an undecided window overflows in energy at T = {geom.T}")
-        windows = [(f"undecided_window_{i + 1}", f"({_fmt(a)}, {_fmt(b)})") for i, a, b in energy]
+        lo, hi = (_energies(geom, ends[shown], toward, "an undecided window")
+                  for ends, toward in ((pairs.lo, -math.inf), (pairs.hi, math.inf)))
+        windows = [(f"undecided_window_{i + 1}", f"({_fmt(a)}, {_fmt(b)})")
+                   for i, a, b in zip(shown.tolist(), lo, hi)]
     items.append(
         ("verdict", "gapless-certified" if verdict.all_gapless else "not-certified")
     )
@@ -356,18 +379,22 @@ def _cmd_gaps(params: dict) -> tuple[int, _Table]:
     return status, _Table(["key", "value"], items, items + windows)
 
 
-def _energies(geom: StripGeometry, scaled, toward: float = 0.0):
-    """pi^2/T^2 times scaled values, as floats.  Bounds from below (toward
-    -inf) or above (inf) move _ENERGY_ULPS ulps that way, unless exact (a
-    scaled 0); an energy beyond float range is refused."""
+def _energies(geom: StripGeometry, scaled, toward: float = 0.0, name: str = "a scaled value"):
+    """pi^2/T^2 times scaled values, as floats (the one conversion to energy).
+    Bounds from below (toward -inf) or above (inf) move _ENERGY_ULPS ulps
+    that way, unless exact (a scaled 0), and print rounded that way (_Down,
+    _Up); an energy beyond float range is refused, naming the value."""
     scaled = np.asarray(scaled, dtype=float)
     with np.errstate(over="ignore"):
-        energy = math.pi ** 2 / geom.T ** 2 * scaled
+        energy = moved = math.pi ** 2 / geom.T ** 2 * scaled
         for _ in range(_ENERGY_ULPS if toward else 0):
-            energy = np.where(scaled == 0.0, energy, np.nextafter(energy, toward))
-    if not np.isfinite(energy).all():
-        raise OverflowError(f"galerkin energies overflow at T = {geom.T}")
-    return energy.tolist()
+            moved = np.nextafter(moved, toward)
+    if not np.isfinite(moved).all():
+        raise OverflowError(f"{name} overflows in energy at T = {geom.T}")
+    if not toward:
+        return energy.tolist()
+    bound = np.frompyfunc(_Down if toward < 0 else _Up, 1, 1)  # a bare object at ndim 0
+    return np.array(bound(np.where(scaled == 0.0, energy, moved)), dtype=object).tolist()
 
 
 def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
@@ -386,7 +413,8 @@ def _cmd_galerkin(params: dict) -> tuple[int, _Table]:
     bands0 = unperturbed_band_functions(geom.xi, tau_grid, k_max)
     check = verify_enclosure(bands, bands0, enclosure)
     # certified bounds round outward; widths, margins and inflation to nearest
-    omega = _energies(geom, [enclosure.omega_minus, enclosure.omega_plus], [-math.inf, math.inf])
+    omega = (_energies(geom, enclosure.omega_minus, -math.inf),
+             _energies(geom, enclosure.omega_plus, math.inf))
     margin = _energies(geom, check.worst_margin)
     summary: list[tuple[str, object]] = [
         ("xi", geom.xi), ("T", geom.T), ("d", geom.d), ("terms", len(potential.terms)),
@@ -513,6 +541,7 @@ _GEOMETRY = (
     _Flag("T", float, None, "half period"),
     _Flag("d", float, None, "strip width"),
 )
+_XI = _Flag("xi", float, _REQUIRED, "aspect ratio T/d")
 _TOL = _Flag("tol", float, 1e-4, "tail tolerance")
 _CUTOFF = _Flag("cutoff_c1", float, 3.0, "harmonic cutoff constant")
 
@@ -523,7 +552,7 @@ COMMANDS: dict[str, _Command] = {
         )),
     "count": _command(
         _cmd_count, "lattice counting function N0(ell, tau)", "csv", (
-            *_GEOMETRY,
+            _XI,
             _Flag("ell", float, _REQUIRED),
             _Flag("tau", float, _REQUIRED),
         )),
@@ -534,27 +563,27 @@ COMMANDS: dict[str, _Command] = {
         )),
     "fourier": _command(
         _cmd_fourier, "Fourier coefficient a_p of the counting function", "csv", (
-            *_GEOMETRY,
+            _XI,
             _Flag("ell", float, _REQUIRED),
             _Flag("p", int, _REQUIRED),
         )),
     "phi": _command(
         _cmd_phi, "oscillatory series phi_p(ell) with certified tail", "csv", (
-            *_GEOMETRY,
+            _XI,
             _Flag("ell", float, _REQUIRED),
             _Flag("p", int, _REQUIRED),
             _TOL,
         )),
     "phi-sup": _command(
         _cmd_phi_sup, "sup over harmonics of |phi_p(ell)|", "csv", (
-            *_GEOMETRY,
+            _XI,
             _Flag("ell", float, _REQUIRED),
             _TOL,
             _CUTOFF,
         )),
     "check-thm23": _command(
         _cmd_check_thm23, "uniform lower bound sup_p |phi_p| >= c0(xi) - 2 tol", "csv", (
-            *_GEOMETRY,
+            _XI,
             _TOL,
             _CUTOFF,
             _Flag("grid", int, 100, f"energy grid points, at most {MAX_GRID}"),

@@ -27,8 +27,7 @@ import math
 
 import numpy as np
 
-from .geometry import validate_ell
-from .spectrum import row_radii
+from .spectrum import row_radii, validate_ell
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 

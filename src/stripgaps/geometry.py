@@ -6,8 +6,8 @@ downstream is controlled by the single dimensionless aspect ratio
 
     xi = T / d.
 
-Energies are usually handled in rescaled form: the dimensionless spectral
-parameter ``ell`` corresponds to the energy ``pi^2 * ell / T^2``.
+Energies are handled in rescaled form, ``ell`` for the energy ``pi^2 ell / T^2``;
+this module, the unit of length, is read only by the CLI and galerkin's file header.
 """
 
 from __future__ import annotations
@@ -82,17 +82,3 @@ def resolve_geometry(xi: float | None = None,
                                and abs(geom.xi - xi) <= 1e-9 * max(1.0, abs(xi))):
         raise ValueError(f"inconsistent geometry: T/d = {geom.xi} but xi = {xi}")
     return geom
-
-
-def validate_tau(tau: float) -> float:
-    """Check that a quasimomentum lies in the Brillouin zone (-1/2, 1/2]."""
-    if not (-0.5 < tau <= 0.5):
-        raise ValueError(f"quasimomentum must lie in (-1/2, 1/2], got {tau}")
-    return float(tau)
-
-
-def validate_ell(ell: float) -> float:
-    """Check that a dimensionless spectral parameter is finite and >= 0."""
-    if not (ell >= 0.0 and math.isfinite(ell)):
-        raise ValueError(f"scaled energy must be finite and >= 0, got {ell}")
-    return float(ell)

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import validate_ell, validate_tau
-
 # Inclusive-boundary tolerances: relative for lattice levels, absolute (in tau
 # units) for clamping jump positions onto the Brillouin-zone edges.
 BOUNDARY_RTOL = 1e-12
@@ -63,6 +61,20 @@ _EXACT_COUNT = 2.0 ** 52
 _BLOCK = 1 << 15
 # Band samples: E_k at tau_s = s / (2 (BAND_SAMPLES - 1)), s = 0..BAND_SAMPLES - 1.
 BAND_SAMPLES = 33
+
+
+def validate_tau(tau: float) -> float:
+    """Check that a quasimomentum lies in the Brillouin zone (-1/2, 1/2]."""
+    if not (-0.5 < tau <= 0.5):
+        raise ValueError(f"quasimomentum must lie in (-1/2, 1/2], got {tau}")
+    return float(tau)
+
+
+def validate_ell(ell: float) -> float:
+    """Check that a dimensionless spectral parameter is finite and >= 0."""
+    if not (ell >= 0.0 and math.isfinite(ell)):
+        raise ValueError(f"scaled energy must be finite and >= 0, got {ell}")
+    return float(ell)
 
 
 def _inclusive_threshold(ell: float) -> float:

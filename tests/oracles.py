@@ -99,7 +99,7 @@ from stripgaps.gaps import (
     PerturbBounds,
     ell2_threshold,
 )
-from stripgaps.geometry import StripGeometry, validate_ell, validate_tau
+from stripgaps.geometry import StripGeometry
 from stripgaps.oscillation import (
     _non_resonant_tail,
     _phi_sum,
@@ -117,6 +117,8 @@ from stripgaps.spectrum import (
     counting,
     counting_extremes,
     row_radii,
+    validate_ell,
+    validate_tau,
 )
 
 _QUARTER_PI = 0.25 * math.pi

@@ -168,6 +168,21 @@ EXTRA = [
     # 26,565, and 26 solves at dimension 2,926
     ["galerkin", "--potential", "tests/data/cosine.pot", "--kmax", "20000", "--grid", "200"],
     ["galerkin", "--potential", "tests/data/cosine.pot", "--kmax", "2000", "--grid", "50"],
+    # the commands that form no energy take the ratio alone: lengths are a
+    # usage error, even where T/d is a ratio they answer (0.1, 2/0.7)
+    ["count", "--T", "2", "--d", "0.7", "--ell", "9.5", "--tau", "-0.3"],
+    ["phi", "--T", "1e-160", "--d", "1e-159", "--ell", "2", "--p", "1"],
+    ["phi", "--xi", "0.1", "--ell", "2", "--p", "1"],
+    # band endpoints whose energies overflow
+    ["bands", "--xi", "0.5", "--T", "1e-153", "--kmax", "3000"],
+    # ratios that no d = 1 strip holds in floats, on each command forming no energy
+    *[[command, "--xi", xi, *flags]
+      for xi in ("5e-324", "1e-310", "1e-308", "1e-200", "1e200", "1.7e308")
+      for command, flags in (("count", ["--ell", "1.3", "--tau", "0"]),
+                             ("fourier", ["--ell", "1.3", "--p", "1"]),
+                             ("phi", ["--ell", "1.3", "--p", "1", "--tol", "0.01"]),
+                             ("phi-sup", ["--ell", "1.3", "--tol", "0.01"]),
+                             ("check-thm23", ["--grid", "1", "--tol", "0.01"]))],
 ]
 
 

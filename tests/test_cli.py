@@ -11,6 +11,8 @@ import shlex
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -111,8 +113,8 @@ def test_help_lists_every_command(capsys):
 def test_usage_lines_of_a_known_command_show_its_flags(capsys):
     assert main(["phi", "--xi"]) == 1
     assert capsys.readouterr().err == (
-        "usage: stripgaps phi [-h] [--xi XI] [--T T] [--d D] --ell ELL --p P\n"
-        "                     [--tol TOL] [--seed SEED] [--format {csv,report}]\n"
+        "usage: stripgaps phi [-h] --xi XI --ell ELL --p P [--tol TOL] [--seed SEED]\n"
+        "                     [--format {csv,report}]\n"
         "error: argument --xi: expected one argument\n")
 
 
@@ -150,28 +152,86 @@ def test_validation_errors_exit_one():
 
 
 _GEOMETRY_FLAGS = (("--xi", "0.5"), ("--T", "1"), ("--d", "2"))
+_SUBSETS = [flags for n in range(4) for flags in itertools.combinations(_GEOMETRY_FLAGS, n)]
 
 
-@pytest.mark.parametrize("flags", [
-    flags for n in range(4) for flags in itertools.combinations(_GEOMETRY_FLAGS, n)])
-def test_count_resolves_or_refuses_every_subset_of_the_geometry_flags(flags):
+@pytest.mark.parametrize("flags", _SUBSETS)
+def test_bands_resolves_or_refuses_every_subset_of_the_geometry_flags(flags):
     # any two of xi, T, d (or xi alone, d = 1) fix the strip; none, T alone
     # or d alone is refused with one error line, never a traceback
-    argv = ["count", *(token for flag in flags for token in flag), "--ell", "1", "--tau", "0"]
+    argv = ["bands", *(token for flag in flags for token in flag), "--kmax", "1"]
     code, out, err = run_with_stderr(argv)
     if flags in ((), _GEOMETRY_FLAGS[1:2], _GEOMETRY_FLAGS[2:3]):
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith(",0.25,0.5")
+
+
+@pytest.mark.parametrize("flags", _SUBSETS)
+def test_count_resolves_or_refuses_every_subset_of_the_geometry_flags(flags):
+    # count forms no energy: it takes the ratio alone, and a length, or no
+    # ratio, is a usage error under its own usage line
+    argv = ["count", *(token for flag in flags for token in flag), "--ell", "1", "--tau", "0"]
+    code, out, err = run_with_stderr(argv)
+    if flags == _GEOMETRY_FLAGS[:1]:
+        assert (code, err) == (0, "")
         assert out.splitlines()[-1].startswith("0.5,1,0,")
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: stripgaps count [-h] --xi XI ") and "Traceback" not in err
 
 
 def test_sweeping_the_width_alone_fails_each_cell_not_the_sweep():
     code, out = run(["sweep", "--param", "d", "--start", "1", "--stop", "2", "--steps", "2",
-                     "--", "count", "--ell", "1", "--tau", "0"])
+                     "--", "bands", "--kmax", "1"])
     assert code == 1
     assert [l for l in out.splitlines() if not l.startswith("#")] == ["d,status", "1,1", "2,1"]
+
+
+_RATIO_ONLY = ("count", "fourier", "phi", "phi-sup", "check-thm23")
+
+
+def test_the_commands_that_form_no_energy_take_no_length(capsys):
+    # lengths instead of the ratio are refused under the command's own usage
+    # line (with it, test_every_float_value_parses_and_its_echo_replays)
+    for name in _RATIO_ONLY:
+        base = [name, *_CHEAP[name]]
+        xi = base.index("--xi")
+        assert main(base[:xi] + ["--T", "1", "--d", "2"] + base[xi + 2:]) == 1, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: stripgaps {name} [-h] --xi XI "), name
+        assert err.endswith("error: the following arguments are required: --xi\n"), name
+        # the handler checks the ratio, so a bad cell of a sweep fails alone
+        for value, message in (("-0.5", "positive"), ("0.0", "positive"),
+                               ("inf", "positive and finite"), ("nan", "positive and finite")):
+            base[xi + 1] = value
+            assert main(base) == 1, (name, value)
+            assert capsys.readouterr() == ("", f"error: xi must be {message}, got {value}\n")
+    # only bands and gaps take a length: 64 flags in all
+    takes = {name for name, command in COMMANDS.items()
+             if {"--T", "--d"} & {f.spelling for f in command.flags}}
+    assert takes == {"bands", "gaps"}
+    assert sum(len(command.flags) for command in COMMANDS.values()) == 64
+
+
+@pytest.mark.parametrize("name", _RATIO_ONLY)
+@pytest.mark.parametrize("xi", ["5e-324", "1e-308", "1e200", "1.7e308"])
+def test_the_ratio_only_commands_answer_or_refuse_at_extreme_ratios(name, xi):
+    # the d = 1 geometry refused these ratios; now each reaches the library,
+    # which answers with finite numbers (status 2 is check-thm23's answer
+    # not-applicable, above xi_critical) or refuses with one error line
+    argv = [name, *_CHEAP[name]]
+    argv[argv.index("--xi") + 1] = xi
+    code, out, err = run_with_stderr(argv)  # an exception escaping main fails the test
+    if code in (0, 2):
+        assert err == ""
+        values = [v for line in out.splitlines()[7:] for v in line.split(",")]
+        assert values and not {"nan", "inf", "-inf"} & set(values), out
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_gaps_exit_codes_follow_the_certification():
@@ -271,11 +331,31 @@ def test_bands_prints_the_endpoints_band_edges_computed(argv, geom):
     assert code == 0
     rows = [l.split(",") for l in out.splitlines()[7:]]
     eta, theta = band_edges(geom.xi, int(argv[-1]))
-    scale = math.pi * math.pi / (geom.T * geom.T)
+    scale = math.pi ** 2 / geom.T ** 2
     assert len(rows) == eta.size
     for k, (row, a, b) in enumerate(zip(rows, eta.tolist(), theta.tolist()), start=1):
         assert row == [str(k), cli._fmt(scale * a), cli._fmt(scale * b),
                        cli._fmt(a), cli._fmt(b)], k
+
+
+@pytest.mark.parametrize("xi, k_max", [(0.05, 200), (0.5, 30), (0.03, 1000)])
+def test_no_bands_line_depends_on_the_unit_of_length(monkeypatch, xi, k_max):
+    # lengths times s (a power of 2) is the operator times 1/s^2: the scaled
+    # columns are the same bits, and each energy column, at full precision,
+    # is its d = 1 value times exactly 1/s^2
+    real = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: repr(v) if type(v) is float else real(v))
+    runs = {}
+    for j in range(-4, 5):
+        s = 2.0 ** j
+        code, out = run(["bands", "--xi", repr(xi), "--d", repr(s), "--kmax", str(k_max)])
+        assert code == 0
+        runs[s] = [line.split(",") for line in out.splitlines()[7:]]
+    for s, rows in runs.items():
+        assert len(rows) == k_max, s
+        for row, base in zip(rows, runs[1.0]):
+            assert row[0] == base[0] and row[3:] == base[3:], (s, row)
+            assert [float(v) for v in row[1:3]] == [float(v) / s ** 2 for v in base[1:3]], (s, row)
 
 
 # Requests too costly to serve, beyond float range or beyond float precision:
@@ -306,7 +386,7 @@ _COSTLY = [
      "error: inputs out of floating-point range"),
     (["phi", "--xi", "0.05", "--ell", "1e300", "--p", "1"],
      "error: tolerance 0.0001 is below the floating-point error of the sum"),
-    (["count", "--xi", "1e-300", "--T", "1e-150", "--ell", "2", "--tau", "0"],
+    (["count", "--xi", "1e-300", "--ell", "2", "--tau", "0"],
      "error: rows of 1.41e+300 points are beyond exact float64 counts"),
     (["fourier", "--xi", "1e-9", "--ell", "1e6", "--p", "1"],
      f"error: row computation exceeds the ceiling of {MAX_ROWS} rows (1e+12 estimated)"),
@@ -403,8 +483,8 @@ _COSTLY = [
      "1.7731207137409113e+304)"),
     # a finite scaled ell1 (about 8) whose energy, times pi^2/T^2, overflows
     (["gaps", "--xi", "0.03", "--T", "5e-154"],
-     "error: inputs out of floating-point range (threshold ell1 = inf at scaled oscillation "
-     "0.0)"),
+     "error: inputs out of floating-point range (threshold ell1 overflows in energy at "
+     "T = 5e-154)"),
     # a finite energy ell1 (about 1.3e308) below an undecided window whose
     # energy overflows: a --c0 far above c0(0.3) is not a certified minorant
     (["gaps", "--xi", "0.3", "--T", "1e-153", "--c0", "100", "--omega-minus", "-1.97e307",
@@ -413,6 +493,10 @@ _COSTLY = [
      "T = 1e-153)"),
     *[(["galerkin", "--potential", str(DATA / "cosine.pot"), *flags], message)
       for flags, message in _GALERKIN_COSTLY],
+    # band endpoints whose energies, times pi^2/T^2 (about 1e307), overflow
+    (["bands", "--xi", "0.5", "--T", "1e-153", "--kmax", "3000"],
+     "error: inputs out of floating-point range (a scaled value overflows in energy at "
+     "T = 1e-153)"),
 ]
 
 
@@ -512,8 +596,8 @@ def test_every_readme_example_parses():
     for argv in examples:
         name, _, params = _parse(argv)
         assert name == argv[0], argv
-        if name == "sweep":
-            _parse(params["inner"])
+        if name == "sweep":  # as the sweep parses it: the swept flag appended
+            _parse(params["inner"] + [f"--{params['param']}", repr(params["start"])])
 
 
 def test_repeated_runs_are_byte_identical():
@@ -559,15 +643,23 @@ _CHEAP = {
 }
 _FLOAT_FLAGS = [(name, flag.spelling) for name, command in COMMANDS.items()
                 for flag in command.flags if flag.type is float]
+# the lengths that the commands forming no energy do not take
+_REFUSED_LENGTHS = [(name, spelling) for name in _RATIO_ONLY for spelling in ("--T", "--d")]
 
 
-@pytest.mark.parametrize("name, spelling", _FLOAT_FLAGS)
+@pytest.mark.parametrize("name, spelling", _FLOAT_FLAGS + _REFUSED_LENGTHS)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(value=st.one_of(st.sampled_from([-1e-05, -1.5e+16, -0.0, -math.inf]), st.floats()))
 def test_every_float_value_parses_and_its_echo_replays(name, spelling, value):
     """Any float, in the spelling the echo uses, is read as that float, never
-    as an unknown option; and the echo of the run replays its stdout."""
+    as an unknown option; and the echo of the run replays its stdout.  Given
+    to a length the command does not take, the value is refused with it,
+    under the command's usage line."""
     argv = [name, *_CHEAP[name]]
+    if (name, spelling) in _REFUSED_LENGTHS:
+        assert run_with_stderr(argv + [spelling, repr(value)]) == (
+            1, "", _unrecognized(name, f"{spelling} {repr(value)}"))
+        return
     inner = argv.index("--") if "--" in argv else len(argv)
     if spelling in argv[:inner]:
         argv[argv.index(spelling) + 1] = repr(value)
@@ -1041,8 +1133,8 @@ def test_galerkin_refuses_energies_beyond_float_range(tmp_path, capsys):
     path = tmp_path / "small.pot"
     path.write_text("T=1e-153 d=1e-153\n1 0 1.0 0.0\n-1 0 1.0 0.0\n")
     assert main(["galerkin", "--potential", str(path), "--kmax", "30", "--grid", "2"]) == 1
-    assert capsys.readouterr() == ("", "error: inputs out of floating-point range (galerkin "
-                                       "energies overflow at T = 1e-153)\n")
+    assert capsys.readouterr() == ("", "error: inputs out of floating-point range (a scaled "
+                                       "value overflows in energy at T = 1e-153)\n")
 
 
 def test_galerkin_command_requires_matching_truncation_flags(cosine_potential_file):
@@ -1050,3 +1142,113 @@ def test_galerkin_command_requires_matching_truncation_flags(cosine_potential_fi
         "galerkin", "--potential", cosine_potential_file, "--nmax", "4",
     ])
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# certified bounds print rounded outward
+# ---------------------------------------------------------------------------
+
+# pi to 36 digits, below and above: an exact rational enclosure of pi^2/T^2
+# times a scaled value
+_PI = (Fraction("3.14159265358979323846264338327950288"),
+       Fraction("3.14159265358979323846264338327950289"))
+
+
+def _assert_outward(printed, T, scaled, toward, where):
+    """The printed 12 digits lie on the side toward of the float the command
+    formed and of the exact energy pi^2/T^2 times scaled, and within one unit
+    in their 12th digit of that float."""
+    value = cli._energies(resolve_geometry(T=T, d=1.0), scaled, toward)
+    exact = [pi * pi * Fraction(scaled) / Fraction(T) ** 2 for pi in _PI]
+    side, bound = (-1, min(exact)) if toward < 0 else (1, max(exact))
+    got = Decimal(printed)
+    assert side * (Fraction(got) - Fraction(value)) >= 0, (where, printed, value)
+    assert side * (Fraction(got) - bound) >= 0, (where, printed)
+    assert abs(got - Decimal(value)) < Decimal(10) ** (got.adjusted() - 11), (where, printed)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+def test_a_bound_prints_rounded_outward_in_the_layout_of_twelve_digits(value):
+    # down and up enclose the value within a unit in the 12th digit, and a
+    # text that reads as a normal float is laid out as .12g lays it out
+    down, up = cli._fmt(cli._Down(value)), cli._fmt(cli._Up(value))
+    assert Decimal(down) <= Decimal(value) <= Decimal(up)
+    unit = Decimal(10) ** (Decimal(f"{value:.11e}").adjusted() - 11)
+    assert Decimal(up) - Decimal(down) <= unit, (down, up)
+    for text in (down, up):
+        if sys.float_info.min <= abs(float(text)) <= sys.float_info.max:
+            assert f"{float(text):.12g}" == text
+    near = cli._fmt(value)
+    assert near in (down, up)
+
+
+def _record(monkeypatch, *names):
+    """Replace cli's functions names by ones that also record their result
+    (the first call's, until the record is cleared)."""
+    seen = {}
+    for name in names:
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k:
+                            seen.setdefault(_name, _real(*a, **k)))
+    return seen
+
+
+def _printed(out):
+    """{key: text} of the report lines, the CSV notes and the key,value rows."""
+    items = {}
+    for line in out.splitlines():
+        for sep in (" = ", "="):
+            if sep in line:
+                key, text = line.removeprefix("# ").split(sep, 1)
+                items.setdefault(key, text)
+                break
+        else:
+            if line.count(",") == 1:
+                items.setdefault(*line.split(","))
+    return items
+
+
+def _corpus(name):
+    corpus = json.loads((DATA / "cli_corpus.json").read_text())
+    return [e["argv"] for e in corpus if e["argv"][0] == name and e["status"] in (0, 2)]
+
+
+def test_gaps_prints_ell1_and_the_undecided_windows_rounded_outward(monkeypatch):
+    argvs = _corpus("gaps")
+    assert len(argvs) >= 19
+    seen, windows = _record(monkeypatch, "_geometry", "ell1_threshold", "gap_report"), 0
+    for argv in argvs:
+        seen.clear()
+        code, out = run(argv)
+        items, T = _printed(out), seen["_geometry"].T
+        _assert_outward(items["ell1"], T, seen["ell1_threshold"], math.inf, argv)
+        pairs = seen["gap_report"].candidate_gaps
+        for key, text in items.items():
+            if key.startswith("undecided_window_"):
+                i = int(key.rsplit("_", 1)[1]) - 1
+                lo, hi = text.strip("()").split(", ")
+                _assert_outward(lo, T, pairs.lo[i], -math.inf, (argv, key))
+                _assert_outward(hi, T, pairs.hi[i], math.inf, (argv, key))
+                windows += 1
+    assert windows >= 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["galerkin", "--potential", "tests/data/cosine.pot", "--kmax", "6", "--grid", "17",
+     "--format", "csv"],
+    *_corpus("galerkin")])
+def test_galerkin_prints_its_certified_bounds_rounded_outward(monkeypatch, argv):
+    monkeypatch.chdir(DATA.parent.parent)
+    seen = _record(monkeypatch, "read_potential_file", "omega_bounds", "band_functions")
+    code, out = run(argv)
+    assert code == 0
+    items, T = _printed(out), seen["read_potential_file"][0].T
+    enclosure, bands = seen["omega_bounds"], seen["band_functions"]
+    _assert_outward(items["omega_minus"], T, enclosure.omega_minus, -math.inf, argv)
+    _assert_outward(items["omega_plus"], T, enclosure.omega_plus, math.inf, argv)
+    rows = [l.split(",") for l in out.splitlines() if l[:1] in "-0123456789"]
+    assert len(rows) == (bands.lower.size if "csv" in argv else 0)
+    for row, lower, upper in zip(rows, bands.lower.ravel(), bands.energies.ravel()):
+        _assert_outward(row[3], T, lower, -math.inf, row)
+        _assert_outward(row[4], T, upper, math.inf, row)

@@ -720,7 +720,8 @@ _LENGTH_NOTES = ("T", "d")
 def _galerkin_lines(path, monkeypatch):
     """(status, stdout lines) of the galerkin CSV, every float at full precision."""
     real = cli._fmt
-    monkeypatch.setattr(cli, "_fmt", lambda v: repr(v) if type(v) is float else real(v))
+    monkeypatch.setattr(cli, "_fmt", lambda v: repr(v) if type(v) in (float, cli._Down, cli._Up)
+                        else real(v))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["galerkin", "--potential", str(path), "--kmax", "4", "--grid", "5",

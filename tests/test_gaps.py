@@ -293,7 +293,8 @@ _UNIT_CASES = [
 def _gaps_lines(argv, monkeypatch):
     """(status, {key: value}) of the gaps report, every float at full precision."""
     real = cli._fmt
-    monkeypatch.setattr(cli, "_fmt", lambda v: repr(v) if type(v) is float else real(v))
+    monkeypatch.setattr(cli, "_fmt", lambda v: repr(v) if type(v) in (float, cli._Down, cli._Up)
+                        else real(v))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["gaps", *argv])
@@ -343,11 +344,12 @@ def test_no_verdict_depends_on_the_unit_of_length(monkeypatch, xi, omega, params
 @pytest.mark.parametrize("d, omega_plus, ell1", [
     ("1", "20", "32786.3154274"),
     ("2", "5", "8196.57885685"),
-    ("4", "1.25", "2049.14471421"),
+    ("4", "1.25", "2049.14471422"),
 ])
 def test_gaps_command_declines_every_unit_of_a_declined_operator(d, omega_plus, ell1):
     # one scaled oscillation, 8.1e-4, in three units of length: each is
-    # declined with the same margin, and ell1 is 32786.3154274 / d^2
+    # declined with the same margin, and ell1 is 32786.3154274 / d^2, printed
+    # rounded up (2049.1447142125 at d = 4)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["gaps", "--xi", "0.02", "--d", d, "--omega-plus", omega_plus])
@@ -601,11 +603,11 @@ def test_gap_report_is_deterministic():
 
 def test_gaps_command_prints_the_first_twenty_undecided_windows():
     # 525 bands and 523 windows, 32 of them undecided: the first 20 are
-    # printed, numbered by k, from the report's arrays taken to energy
+    # printed, numbered by k, from the report's arrays taken to energy, each
+    # end rounded outward
     geom = resolve_geometry(xi=0.09)
     report = gap_report(0.09, PerturbBounds(0.0, geom.T ** 2 / math.pi ** 2 * 300.0),
                         GapParams.from_small_ratio(0.09), 30.0)
-    scale = math.pi ** 2 / geom.T ** 2
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["gaps", "--xi", "0.09", "--ell-max", "30", "--omega-plus", "300"])
@@ -613,8 +615,10 @@ def test_gaps_command_prints_the_first_twenty_undecided_windows():
     assert code == 2 and "bands = 525" in lines and "undecided = 32" in lines
     printed = [line for line in lines if line.startswith("undecided_window_")]
     i = report.undecided[:20]
-    assert printed == [f"undecided_window_{k} = ({scale * a:.12g}, {scale * b:.12g})" for k, a, b
-                       in zip(i + 1, report.candidate_gaps.lo[i], report.candidate_gaps.hi[i])]
+    lo = cli._energies(geom, report.candidate_gaps.lo[i], -math.inf)
+    hi = cli._energies(geom, report.candidate_gaps.hi[i], math.inf)
+    assert printed == [f"undecided_window_{k} = ({cli._fmt(a)}, {cli._fmt(b)})"
+                       for k, a, b in zip(i + 1, lo, hi)]
 
 
 def test_gap_report_evaluates_the_conditions_once(monkeypatch):

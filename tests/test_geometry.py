@@ -6,7 +6,8 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from stripgaps.geometry import StripGeometry, resolve_geometry, validate_ell, validate_tau
+from stripgaps.geometry import StripGeometry, resolve_geometry
+from stripgaps.spectrum import validate_ell, validate_tau
 
 
 def test_xi_is_aspect_ratio():

@@ -49,9 +49,11 @@ def test_every_public_name_in_src_is_referenced_in_src():
 # Modules whose functions read the geometry only through xi = T/d: they take
 # xi and scaled energies.  Of them, GEOMETRY_FREE import nothing of the
 # geometry at all; galerkin builds a StripGeometry from a potential file's
-# header, which the command line reads.
+# header, which the command line reads.  The command line and that header
+# are the only importers of geometry, the unit of length.
 UNIT_FREE = ("spectrum.py", "fourier.py", "oscillation.py", "gaps.py", "galerkin.py")
-GEOMETRY_FREE = ("oscillation.py", "gaps.py")
+GEOMETRY_FREE = ("spectrum.py", "fourier.py", "oscillation.py", "gaps.py")
+GEOMETRY_IMPORTERS = {"cli.py", "galerkin.py"}
 
 
 def _functions(node, prefix=""):
@@ -80,3 +82,8 @@ def test_the_unit_free_kernels_take_no_geometry():
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry")
     ]
     assert geometry_imports == []
+    importers = {
+        path.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry")
+    }
+    assert importers == GEOMETRY_IMPORTERS
