@@ -88,6 +88,8 @@ _GRID_FLAG = "grid"
 # pi^2/T^2 (math.pi, two squares, one division), the product adds one, and
 # an ulp is at least a unit of roundoff of the value.
 _ENERGY_ULPS = 8
+# The largest bound whose 12-digit outward text (_fmt) reads back finite
+_PRINTED_MAX = 1.79769313486e308
 
 _REQUIRED = object()
 
@@ -254,9 +256,10 @@ def _cmd_constants(params: dict) -> tuple[int, _Table]:
         ("beta_quarter_half", cc.beta_quarter_half),
     ]
     if "xi" in params:
-        c0 = cc.c0(params["xi"])
-        if not c0 > 0.0:
-            raise ValueError(f"c0(xi) = {c0:.6g} at xi = {params['xi']} is not positive "
+        xi = params["xi"]
+        c0 = cc.certified_c0(xi)
+        if c0 is None:
+            raise ValueError(f"c0(xi) = {cc.c0(xi):.6g} at xi = {xi} is not positive "
                              f"(xi_critical = {cc.xi_critical:.12g}): no certified constant")
         items.append(("c0", c0))
     return 0, _Table(["name", "value"], items, items)
@@ -296,7 +299,7 @@ def _cmd_phi(params: dict) -> tuple[int, _Table]:
 
 def _cmd_phi_sup(params: dict) -> tuple[int, _Table]:
     xi = _xi(params)
-    res = phi_sup(xi, params["ell"], cutoff_c1=params["cutoff_c1"], tol=params["tol"])
+    res = phi_sup(xi, params["ell"], tol=params["tol"])
     row = [xi, params["ell"], res.p_star, res.value, res.p_max, res.cutoff_bound]
     return 0, _Table(["xi", "ell", "p_star", "value", "p_max", "cutoff_bound"], [row])
 
@@ -309,7 +312,7 @@ def _cmd_check_thm23(params: dict) -> tuple[int, _Table]:
     if hi == math.inf:
         raise ValueError("ell-max must be finite, got inf")
     grid = np.linspace(lo, hi, n) if n > 1 else np.array([lo])
-    report = uniform_lower_bound_check(xi, grid, tol=params["tol"], cutoff_c1=params["cutoff_c1"])
+    report = uniform_lower_bound_check(xi, grid, tol=params["tol"])
     if report.c0 is None:
         return 2, _Table(["verdict", "margin"], [["not-applicable", report.xi_excess]],
                          [("verdict", "not-applicable"), ("xi_excess", report.xi_excess)])
@@ -383,13 +386,13 @@ def _energies(geom: StripGeometry, scaled, toward: float = 0.0, name: str = "a s
     """pi^2/T^2 times scaled values, as floats (the one conversion to energy).
     Bounds from below (toward -inf) or above (inf) move _ENERGY_ULPS ulps
     that way, unless exact (a scaled 0), and print rounded that way (_Down,
-    _Up); an energy beyond float range is refused, naming the value."""
+    _Up); an energy past float range, as a float or as printed, is refused."""
     scaled = np.asarray(scaled, dtype=float)
     with np.errstate(over="ignore"):
         energy = moved = math.pi ** 2 / geom.T ** 2 * scaled
         for _ in range(_ENERGY_ULPS if toward else 0):
             moved = np.nextafter(moved, toward)
-    if not np.isfinite(moved).all():
+    if not (np.abs(moved) <= (_PRINTED_MAX if toward else sys.float_info.max)).all():
         raise OverflowError(f"{name} overflows in energy at T = {geom.T}")
     if not toward:
         return energy.tolist()
@@ -543,7 +546,6 @@ _GEOMETRY = (
 )
 _XI = _Flag("xi", float, _REQUIRED, "aspect ratio T/d")
 _TOL = _Flag("tol", float, 1e-4, "tail tolerance")
-_CUTOFF = _Flag("cutoff_c1", float, 3.0, "harmonic cutoff constant")
 
 COMMANDS: dict[str, _Command] = {
     "constants": _command(
@@ -579,13 +581,11 @@ COMMANDS: dict[str, _Command] = {
             _XI,
             _Flag("ell", float, _REQUIRED),
             _TOL,
-            _CUTOFF,
         )),
     "check-thm23": _command(
         _cmd_check_thm23, "uniform lower bound sup_p |phi_p| >= c0(xi) - 2 tol", "csv", (
             _XI,
             _TOL,
-            _CUTOFF,
             _Flag("grid", int, 100, f"energy grid points, at most {MAX_GRID}"),
             _Flag("ell_min", float, 1.0, "lowest scaled energy"),
             _Flag("ell_max", float, 100.0, "highest scaled energy"),

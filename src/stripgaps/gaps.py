@@ -144,16 +144,16 @@ class GapParams:
         """Certified minorant constants for xi below the critical ratio.
 
         c0 = (c1 - 2 zeta(3/2) xi^(3/2)) / (pi xi), gamma = 0, ell0 = 1.
-        Valid only for 0 < xi < xi_critical (where c0 > 0); elsewhere c0 (and
+        Valid only where c0 is positive (certified_c0); elsewhere c0 (and
         optionally gamma, ell0) must be supplied.
         """
         cc = critical_constants()
-        if not 0.0 < xi < cc.xi_critical:
+        c0 = cc.certified_c0(xi) if xi > 0.0 else None
+        if c0 is None:
             raise ValueError(
                 f"small-ratio constants require 0 < xi < {cc.xi_critical:.10f}, "
-                f"got xi={xi}; supply c0 (and optionally gamma, ell0)"
-            )
-        return cls(c0=cc.c0(xi), gamma=0.0, ell0=1.0)
+                f"got xi={xi}; supply c0 (and optionally gamma, ell0)")
+        return cls(c0=c0, gamma=0.0, ell0=1.0)
 
 
 def _a_ratio(xi: float) -> float:
@@ -179,7 +179,7 @@ def low_energy_budget(xi: float) -> float:
 class ConditionsVerdict:
     """Verdicts (with margins) of the gapless conditions at xi and scaled oscillation w.
 
-    xi_subcritical     : xi < xi_critical (small-ratio regime applies).
+    xi_subcritical     : c0(xi) > 0, the small-ratio regime (certified_c0).
     low_energy_ok      : scaled oscillation w is nonnegative and strictly
                          below low_energy_budget(xi).
     gapless_margin/ok  : sign of the scalar small-period margin
@@ -244,7 +244,7 @@ def conditions_check(xi: float, bounds: PerturbBounds) -> ConditionsVerdict:
     low_ok = 0.0 <= scaled < budget
     margin = gapless_margin(xi, scaled)
     first_ok = 0.0 <= scaled < 0.25 + xi * xi
-    subcritical = xi < cc.xi_critical
+    subcritical = cc.certified_c0(xi) is not None
     star = _a_ratio(xi) ** 2 + scaled
     if low_ok and not first_ok:
         raise AssertionError(

@@ -16,7 +16,7 @@ small-ratio regime has the explicit threshold constants computed here:
     c1 = c2 / sqrt(c2^2 + 1)
        = min over z in [0, pi] of max{|sin z|, 3^(-3/2) |cos 3z|},
     xi_critical = (c1 / (2 zeta(3/2)))^(2/3) ~ 0.10121,
-    c0(xi) = (c1 - 2 zeta(3/2) xi^(3/2)) / (pi xi)   (positive for xi < xi_critical).
+    c0(xi) = (c1 - 2 zeta(3/2) xi^(3/2)) / (pi xi)   (the regime: c0 > 0, certified_c0).
 
 Everything is certified at the level tests need.  The series is cut at the
 least N that one of three tail bounds certifies (phi_p records which): the
@@ -56,8 +56,9 @@ _CHUNK = 1 << 21
 # Ceiling on truncation length, read at call time: tol = 1e-4 at xi = 0.9
 # needs ~1.5e8.
 MAX_TERMS = 1 << 28
-# Ceiling on the harmonics phi_sup scans, checked before any evaluation
-# (cutoff_c1 = 3 reaches it near ell = 1.1e7).
+# phi_sup scans p = 1..max(3, ceil(CUTOFF_C1 ell^(1/2))), at most
+# MAX_HARMONICS, checked before any evaluation (reached near ell = 1.1e7).
+CUTOFF_C1 = 3.0
 MAX_HARMONICS = 10_000
 # Ceiling on phi_p's harmonic index, checked before any search: from p = 2^512
 # on, p^2 is beyond float range.
@@ -118,6 +119,12 @@ class CriticalConstants:
             raise ValueError(f"c0(xi) is not a finite number at xi = {xi}")
         return value
 
+    def certified_c0(self, xi: float) -> float | None:
+        """c0(xi) where positive, else None: the one decision of the small-ratio
+        regime.  No c0 is evaluated at xi >= xi_critical; c0's refusals stand."""
+        value = self.c0(xi) if xi < self.xi_critical else 0.0
+        return value if value > 0.0 else None
+
 
 @lru_cache(maxsize=1)
 def critical_constants() -> CriticalConstants:
@@ -137,8 +144,6 @@ def critical_constants() -> CriticalConstants:
 
     c1 = c2 / math.sqrt(c2 * c2 + 1.0)
     xi_critical = (c1 / (2.0 * zeta32)) ** (2.0 / 3.0)
-    if not 0.0 < xi_critical < 1.0:
-        raise AssertionError(f"critical ratio out of range: {xi_critical}")
 
     beta = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75)
     return CriticalConstants(c2=c2, c1=c1, xi_critical=xi_critical,
@@ -575,9 +580,8 @@ class PhiSupResult(NamedTuple):
     cutoff_bound: float
 
 
-def phi_sup(xi: float, ell: float, cutoff_c1: float = 3.0,
-            tol: float = 1e-4) -> PhiSupResult:
-    """max of |phi_p(ell)| over p = 1..p_max, p_max = max(3, ceil(cutoff_c1 ell^(1/2))).
+def phi_sup(xi: float, ell: float, tol: float = 1e-4) -> PhiSupResult:
+    """max of |phi_p(ell)| over p = 1..p_max, p_max = max(3, ceil(3 ell^(1/2))).
 
     Equal to the full scan at tail tolerance tol, ties going to the smallest
     p, but each harmonic is evaluated once, in increasing p, up to the first
@@ -589,15 +593,13 @@ def phi_sup(xi: float, ell: float, cutoff_c1: float = 3.0,
     range are dominated whenever it stays below the returned value.  Fails
     closed (ValueError) above MAX_HARMONICS harmonics.
     """
-    if not cutoff_c1 > 0:
-        raise ValueError(f"cutoff constant must be positive, got {cutoff_c1}")
     if not ell > 0:
         raise ValueError(f"need ell > 0, got {ell}")
-    harmonics = cutoff_c1 * math.sqrt(ell)
+    harmonics = CUTOFF_C1 * math.sqrt(ell)
     if not harmonics <= MAX_HARMONICS:
         raise ValueError(
             f"supremum scan exceeds the ceiling of {MAX_HARMONICS} harmonics "
-            f"({harmonics:.3g} estimated); ask for a lower energy or cutoff")
+            f"({harmonics:.3g} estimated); ask for a lower energy")
     p_max = max(3, math.ceil(harmonics))
     best_p, best = -1, -math.inf
     for q in range(1, p_max + 1):
@@ -606,8 +608,7 @@ def phi_sup(xi: float, ell: float, cutoff_c1: float = 3.0,
         val = abs(phi_p(xi, ell, q, tol).value)
         if val > best:
             best, best_p = val, q
-    return PhiSupResult(p_star=best_p, value=best, p_max=p_max,
-                        cutoff_bound=cutoff_bound(xi, p_max))
+    return PhiSupResult(best_p, best, p_max, cutoff_bound(xi, p_max))
 
 
 class UniformBoundRow(NamedTuple):
@@ -619,9 +620,9 @@ class UniformBoundRow(NamedTuple):
 
 
 class UniformBoundReport(NamedTuple):
-    """threshold = c0 - 2 tol; xi_excess = xi - xi_critical.  At or above the
-    critical ratio the verdict is not-applicable: c0 and threshold are None,
-    rows is empty, all_ok is False."""
+    """threshold = c0 - 2 tol; xi_excess = xi - xi_critical.  Outside the
+    small-ratio regime (c0(xi) not positive) the verdict is not-applicable:
+    c0 and threshold are None, rows is empty, all_ok is False."""
 
     c0: float | None
     threshold: float | None
@@ -630,12 +631,11 @@ class UniformBoundReport(NamedTuple):
     xi_excess: float
 
 
-def uniform_lower_bound_check(xi: float, ell_grid, tol: float = 1e-4,
-                              cutoff_c1: float = 3.0) -> UniformBoundReport:
+def uniform_lower_bound_check(xi: float, ell_grid, tol: float = 1e-4) -> UniformBoundReport:
     """Verify sup_p |phi_p(ell)| >= c0(xi) - 2 tol over an energy grid.
 
-    Valid (else not applicable) in the regime xi < xi_critical, ell >= 1 (the
-    regime where the uniform bound holds with the certified constant c0; the
+    Valid (else not applicable) where c0(xi) is positive (certified_c0), for
+    ell >= 1 (the regime where the uniform bound holds with that c0; the
     margin reported per ell is value - (c0 - 2 tol), and a row holds when its
     margin is at least the rounding slack UNIFORM_RTOL * max(c0, value)).
     A threshold c0 - 2 tol <= 0 (finite tol >= c0/2) certifies nothing and is
@@ -644,14 +644,14 @@ def uniform_lower_bound_check(xi: float, ell_grid, tol: float = 1e-4,
     """
     consts = critical_constants()
     excess = xi - consts.xi_critical
-    if not xi < consts.xi_critical:
+    c0 = consts.certified_c0(xi)
+    if c0 is None:
         return UniformBoundReport(None, None, [], False, xi_excess=excess)
     ells = [float(e) for e in ell_grid]
     if not ells:
         raise ValueError("empty energy grid")
     if min(ells) < 1.0:
         raise ValueError(f"grid energies must be >= 1, got min {min(ells)}")
-    c0 = consts.c0(xi)
     threshold = c0 - 2.0 * tol
     if c0 / 2.0 <= tol < math.inf:
         raise ValueError(
@@ -659,10 +659,9 @@ def uniform_lower_bound_check(xi: float, ell_grid, tol: float = 1e-4,
             f"with c0 = {c0:.6g} is not positive; ask for tol below c0/2")
     rows = []
     for ell in ells:
-        sup = phi_sup(xi, ell, cutoff_c1=cutoff_c1, tol=tol)
+        sup = phi_sup(xi, ell, tol=tol)
         margin = sup.value - threshold
-        rows.append(UniformBoundRow(ell=ell, p_star=sup.p_star, value=sup.value,
-                                    margin=margin,
+        rows.append(UniformBoundRow(ell=ell, p_star=sup.p_star, value=sup.value, margin=margin,
                                     ok=margin >= UNIFORM_RTOL * max(c0, sup.value)))
     return UniformBoundReport(c0=c0, threshold=threshold, rows=rows,
                               all_ok=all(r.ok for r in rows), xi_excess=excess)

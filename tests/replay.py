@@ -183,6 +183,15 @@ EXTRA = [
                              ("phi", ["--ell", "1.3", "--p", "1", "--tol", "0.01"]),
                              ("phi-sup", ["--ell", "1.3", "--tol", "0.01"]),
                              ("check-thm23", ["--grid", "1", "--tol", "0.01"]))],
+    # the small-ratio regime at xi_critical (c0 -8.7e-17), one float below
+    # (c0 0.0) and two below (c0 8.7e-17), on every command that reads it
+    *[[command, "--xi", xi, *flags]
+      for xi in ("0.10121085431023998", "0.10121085431023996", "0.10121085431023995")
+      for command, flags in (("constants", []), ("gaps", []), ("gaps", ["--c0", "0.1"]),
+                             ("check-thm23", ["--grid", "2"]))],
+    # the harmonic cutoff is a constant, not a flag
+    ["phi-sup", "--xi", "0.05", "--ell", "10", "--cutoff-c1", "3"],
+    ["check-thm23", "--xi", "0.05", "--grid", "2", "--cutoff-c1", "3"],
 ]
 
 

@@ -25,6 +25,7 @@ from oracles import write_potential_file
 from stripgaps.cli import COMMANDS, MAX_GRID, MAX_SWEEP_STEPS, _parse, _parser, main
 import stripgaps.galerkin as galerkin
 from stripgaps.galerkin import PotentialSpec
+from stripgaps.gaps import GapParams, PerturbBounds, ell1_threshold
 from stripgaps.geometry import resolve_geometry
 from stripgaps.oscillation import MAX_HARMONICS, phi_p, phi_sup
 from stripgaps.spectrum import MAX_BAND_CURVES, MAX_ROWS, band_edges
@@ -209,11 +210,11 @@ def test_the_commands_that_form_no_energy_take_no_length(capsys):
             base[xi + 1] = value
             assert main(base) == 1, (name, value)
             assert capsys.readouterr() == ("", f"error: xi must be {message}, got {value}\n")
-    # only bands and gaps take a length: 64 flags in all
+    # only bands and gaps take a length: 62 flags in all
     takes = {name for name, command in COMMANDS.items()
              if {"--T", "--d"} & {f.spelling for f in command.flags}}
     assert takes == {"bands", "gaps"}
-    assert sum(len(command.flags) for command in COMMANDS.values()) == 64
+    assert sum(len(command.flags) for command in COMMANDS.values()) == 62
 
 
 @pytest.mark.parametrize("name", _RATIO_ONLY)
@@ -422,8 +423,9 @@ _COSTLY = [
     (["phi", "--xi", "0.5", "--ell", "1.3", "--p", "1", "--tol", "5e-324"],
      "error: tolerance 5e-324 needs over 2^63 terms at xi = 0.5"),
     (["phi", "--xi", "0.5", "--ell", "inf", "--p", "1"], "error: ell must be finite, got inf"),
+    # the harmonic cutoff is the constant oscillation.CUTOFF_C1, not a flag
     (["phi-sup", "--xi", "0.5", "--ell", "1.3", "--cutoff-c1", "nan"],
-     "error: cutoff constant must be positive, got nan"),
+     _unrecognized("phi-sup", "--cutoff-c1 nan")),
     (["check-thm23", "--xi", "0.05", "--ell-max", "inf"], "error: ell-max must be finite, got inf"),
     (["fourier", "--xi", "0.5", "--ell", "1.3", "--p", "10000000000000000000000"],
      "error: harmonic p = 10000000000000000000000 at ell = 1.3 is beyond float64 resolution: "
@@ -643,20 +645,22 @@ _CHEAP = {
 }
 _FLOAT_FLAGS = [(name, flag.spelling) for name, command in COMMANDS.items()
                 for flag in command.flags if flag.type is float]
-# the lengths that the commands forming no energy do not take
-_REFUSED_LENGTHS = [(name, spelling) for name in _RATIO_ONLY for spelling in ("--T", "--d")]
+# the lengths that the commands forming no energy do not take, and the
+# harmonic cutoff, now the constant oscillation.CUTOFF_C1
+_REFUSED_FLAGS = ([(name, spelling) for name in _RATIO_ONLY for spelling in ("--T", "--d")]
+                  + [(name, "--cutoff-c1") for name in ("phi-sup", "check-thm23")])
 
 
-@pytest.mark.parametrize("name, spelling", _FLOAT_FLAGS + _REFUSED_LENGTHS)
+@pytest.mark.parametrize("name, spelling", _FLOAT_FLAGS + _REFUSED_FLAGS)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(value=st.one_of(st.sampled_from([-1e-05, -1.5e+16, -0.0, -math.inf]), st.floats()))
 def test_every_float_value_parses_and_its_echo_replays(name, spelling, value):
     """Any float, in the spelling the echo uses, is read as that float, never
     as an unknown option; and the echo of the run replays its stdout.  Given
-    to a length the command does not take, the value is refused with it,
-    under the command's usage line."""
+    to a flag the command does not take (a length, the harmonic cutoff), the
+    value is refused with it, under the command's usage line."""
     argv = [name, *_CHEAP[name]]
-    if (name, spelling) in _REFUSED_LENGTHS:
+    if (name, spelling) in _REFUSED_FLAGS:
         assert run_with_stderr(argv + [spelling, repr(value)]) == (
             1, "", _unrecognized(name, f"{spelling} {repr(value)}"))
         return
@@ -1181,6 +1185,35 @@ def test_a_bound_prints_rounded_outward_in_the_layout_of_twelve_digits(value):
             assert f"{float(text):.12g}" == text
     near = cli._fmt(value)
     assert near in (down, up)
+
+
+def test_a_bound_whose_printed_text_passes_float_range_is_refused(capsys):
+    # a bound just below the largest float prints, rounded outward at 12
+    # digits, as 1.79769313487e+308, which reads back as inf
+    assert cli._fmt(cli._Up(1.7976931348600001e308)) == "1.79769313487e+308"
+    geom = resolve_geometry(T=1.0, d=1.0)
+    scale = math.pi ** 2 / geom.T ** 2
+    for target in (1.7976931348600001e308, sys.float_info.max):
+        scaled = target / scale
+        with pytest.raises(OverflowError, match="^a scaled value overflows in energy at T = 1.0$"):
+            cli._energies(geom, scaled, math.inf)
+        with pytest.raises(OverflowError):
+            cli._energies(geom, -scaled, -math.inf)
+        assert math.isfinite(cli._energies(geom, scaled))  # to nearest it prints finite
+    # the largest accepted bound prints a finite float either way
+    for bound in (cli._energies(geom, cli._PRINTED_MAX / scale / (1 + 1e-14), math.inf),
+                  cli._energies(geom, -cli._PRINTED_MAX / scale / (1 + 1e-14), -math.inf)):
+        assert math.isfinite(float(cli._fmt(bound)))
+    # through gaps: an ell1 whose energy, moved up 8 ulps, is a finite float
+    # that prints past float range exits 1 with the overflow message
+    ell1 = ell1_threshold(0.05, GapParams.from_small_ratio(0.05), PerturbBounds())
+    T = math.pi * math.sqrt(ell1 / 1.797693134861e308)
+    geom = resolve_geometry(xi=0.05, T=T)
+    energy = math.pi ** 2 / geom.T ** 2 * ell1
+    assert cli._PRINTED_MAX < energy * (1 + 1e-14) < sys.float_info.max
+    assert main(["gaps", "--xi", "0.05", "--T", repr(T)]) == 1
+    assert capsys.readouterr() == ("", "error: inputs out of floating-point range (threshold "
+                                       f"ell1 overflows in energy at T = {geom.T})\n")
 
 
 def _record(monkeypatch, *names):

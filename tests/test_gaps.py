@@ -37,7 +37,7 @@ from stripgaps.gaps import (
     low_energy_budget,
 )
 from stripgaps.geometry import StripGeometry, resolve_geometry
-from stripgaps.oscillation import critical_constants
+from stripgaps.oscillation import critical_constants, uniform_lower_bound_check
 from stripgaps.spectrum import band_edges, sample_bands
 
 NO_PERTURBATION = PerturbBounds()
@@ -124,15 +124,59 @@ def test_conditions_partial_at_larger_ratio():
 
 
 def test_xi_subcritical_is_strict_at_xi_critical():
-    # the regime is xi < xi_critical: at xi_critical itself the command
-    # prints false, one float below it true
+    # the regime is c0(xi) > 0: at xi_critical itself the command prints
+    # false, and one float below it too, where c0 is exactly 0.0
     xi = critical_constants().xi_critical
     assert xi == 0.10121085431023998
-    for value, expected in ((xi, "false"), (math.nextafter(xi, 0.0), "true")):
+    for value, expected in ((xi, "false"), (math.nextafter(xi, 0.0), "false")):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             main(["gaps", "--xi", repr(value), "--c0", "0.1"])
         assert f"xi_subcritical = {expected}" in out.getvalue().splitlines(), value
+
+
+_BELOW = math.nextafter(critical_constants().xi_critical, 0.0)
+
+
+@pytest.mark.parametrize("xi, c0, regime", [
+    (critical_constants().xi_critical, -8.72917650521e-17, False),
+    (_BELOW, 0.0, False),
+    (math.nextafter(_BELOW, 0.0), 8.72917650521e-17, True),
+])
+def test_every_reader_of_the_regime_agrees_one_ulp_from_xi_critical(xi, c0, regime, capsys):
+    # certified_c0 decides the small-ratio regime once; the library and the
+    # commands that read it agree with it float for float
+    cc = critical_constants()
+    assert float(f"{cc.c0(xi):.12g}") == c0
+    assert (cc.certified_c0(xi) is not None) is regime
+    assert conditions_check(xi, NO_PERTURBATION).xi_subcritical is regime
+    if regime:
+        assert GapParams.from_small_ratio(xi).c0 == cc.c0(xi)
+        # c0 - 2 tol <= 0 at any tol phi_p can meet: applicable, and refused
+        with pytest.raises(ValueError, match="leaves no certificate"):
+            uniform_lower_bound_check(xi, [1.0])
+    else:
+        with pytest.raises(ValueError, match="small-ratio constants require"):
+            GapParams.from_small_ratio(xi)
+        assert uniform_lower_bound_check(xi, [1.0]).c0 is None
+    text = repr(xi)
+    assert main(["constants", "--xi", text]) == (0 if regime else 1)
+    out, err = capsys.readouterr()
+    assert (f"c0 = {c0:.12g}" in out.splitlines()) is regime
+    assert err == ("" if regime else f"error: c0(xi) = {c0:.6g} at xi = {text} is not positive "
+                   "(xi_critical = 0.10121085431): no certified constant\n")
+    assert main(["gaps", "--xi", text]) == (2 if regime else 1)
+    out, err = capsys.readouterr()
+    assert ("xi_subcritical = true" in out.splitlines()) is regime
+    assert err.startswith("error: small-ratio constants require") is not regime
+    assert main(["gaps", "--xi", text, "--c0", "0.1"]) == 2
+    assert f"xi_subcritical = {str(regime).lower()}" in capsys.readouterr().out.splitlines()
+    assert main(["check-thm23", "--xi", text, "--grid", "2"]) == (1 if regime else 2)
+    out, err = capsys.readouterr()
+    if regime:
+        assert out == "" and "leaves no certificate" in err
+    else:
+        assert out.splitlines()[-1] == f"not-applicable,{xi - cc.xi_critical:.12g}"
 
 
 @pytest.mark.parametrize("target, certified", [

@@ -83,6 +83,22 @@ def test_c0_vanishes_at_the_critical_ratio_and_flips_sign():
         cc.c0(0.0)
 
 
+def test_certified_c0_is_c0_where_positive_and_keeps_its_refusals():
+    cc = critical_constants()
+    assert cc.certified_c0(0.05) == cc.c0(0.05)
+    # no c0 is evaluated at or above xi_critical: at 1e300 it would overflow
+    for xi in (0.2, cc.xi_critical, 1e300, math.inf, math.nan):
+        assert cc.certified_c0(xi) is None, xi
+    with pytest.raises(OverflowError):
+        cc.c0(1e300)
+    for xi, message in ((0.0, "xi must be positive, got 0.0"),
+                        (-0.5, "xi must be positive, got -0.5"),
+                        (5e-324, "c0(xi) is not a finite number at xi = 5e-324")):
+        with pytest.raises(ValueError) as info:
+            cc.certified_c0(xi)
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # truncation machinery
 # ---------------------------------------------------------------------------
@@ -348,9 +364,9 @@ def test_cutoff_bound_decreases_and_dominates_sampled_harmonics():
         cutoff_bound(0.3, 0)
 
 
-def _full_scan(xi, ell, tol, cutoff_c1=3.0):
+def _full_scan(xi, ell, tol):
     """Every harmonic of phi_sup's range at tol: (p_star, sup, {p: |phi_p|})."""
-    p_max = max(3, math.ceil(cutoff_c1 * math.sqrt(ell)))
+    p_max = max(3, math.ceil(3.0 * math.sqrt(ell)))
     values = {q: abs(phi_p(xi, ell, q, tol).value) for q in range(1, p_max + 1)}
     best = max(values.values())
     return min(q for q, v in values.items() if v == best), best, values
@@ -455,8 +471,6 @@ def test_sup_scan_rejects_bad_inputs():
     xi = 0.5
     with pytest.raises(ValueError):
         phi_sup(xi, 0.0)
-    with pytest.raises(ValueError):
-        phi_sup(xi, 1.0, cutoff_c1=0.0)
     # the harmonic count is refused before any evaluation
     ell = (MAX_HARMONICS / 3.0 + 1.0) ** 2
     with pytest.raises(ValueError, match=f"ceiling of {MAX_HARMONICS} harmonics"):

@@ -87,3 +87,23 @@ def test_the_unit_free_kernels_take_no_geometry():
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry")
     }
     assert importers == GEOMETRY_IMPORTERS
+
+
+def test_the_small_ratio_regime_is_decided_in_one_place():
+    # only CriticalConstants.certified_c0 compares with xi_critical, and the
+    # harmonic cutoff is the constant CUTOFF_C1, not a parameter
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    comparing, cutoff = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        decider = {id(n) for f, node in _functions(tree) if f == "CriticalConstants.certified_c0"
+                   for n in ast.walk(node)}
+        comparing += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Compare) and id(node) not in decider
+                      and "xi_critical" in names(node)]
+        cutoff += [path.name] if "cutoff_c1" in text else []
+    assert (comparing, cutoff) == ([], [])
